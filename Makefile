@@ -12,8 +12,16 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The packages whose liveness depends on the core count: the shared worker
+# pool, the executor's async pipeline on top of it, and the serving layer
+# on top of that. They run at GOMAXPROCS 1, 2 and 4 on every gate, because
+# a pool deadlock that only bites at low core counts passed unnoticed on
+# an 8-core box once.
+CORE_PKGS = ./internal/compress ./internal/executor ./internal/server
+
 test: vet
 	$(GO) test ./...
+	$(GO) test -cpu 1,2,4 $(CORE_PKGS)
 
 # Race-check the swapping data path (the concurrent hot path, including
 # the async pipeline's bounded-window tests), the lock-free metrics
@@ -22,9 +30,9 @@ test: vet
 # turns a deadlocked drain/backpressure wait into a goroutine dump instead
 # of a hung CI job.
 race:
-	$(GO) test -race -timeout 300s ./internal/executor/... ./internal/compress/... ./internal/metrics/... \
-		./internal/placement/... ./internal/sched/... ./internal/server/... ./internal/tier/... \
-		./internal/wire/... ./client/...
+	$(GO) test -race -timeout 300s -cpu 1,2,4 $(CORE_PKGS)
+	$(GO) test -race -timeout 300s ./internal/metrics/... ./internal/placement/... ./internal/sched/... \
+		./internal/tier/... ./internal/wire/... ./client/...
 
 race-all:
 	$(GO) test -race -timeout 600s ./...
@@ -44,11 +52,15 @@ bench:
 # gains or loses code: the tight decode loops are sensitive to function
 # placement (a new function can shift a hot loop onto an unlucky address
 # for ~2x ns/op with identical machine code), so ns/op is only comparable
-# between binaries with the same layout. allocs/op is layout-immune.
+# between binaries with the same layout. allocs/op is layout-immune but
+# not core-count-immune (a parallel call allocates its task only when it
+# has helpers to hand it to), so baseline and gate both pin -cpu 1 — and
+# -p 1, so the three packages' timing loops never share the machine.
+BENCH_HOT = -bench='BenchmarkCodec|BenchmarkParallelContainer|BenchmarkSwapHotPath|BenchmarkServerRoundTrip|BenchmarkBatchSwap' \
+	-benchmem -count=3 -cpu 1 -p 1 -run='^$$' ./internal/compress/ ./internal/executor/ ./internal/server/
+
 bench-compress:
-	$(GO) test -bench='BenchmarkCodec|BenchmarkParallelContainer|BenchmarkSwapHotPath|BenchmarkServerRoundTrip|BenchmarkBatchSwap' -benchmem -count=3 -run='^$$' \
-		./internal/compress/ ./internal/executor/ ./internal/server/ \
-		| $(GO) run ./cmd/cswap-benchdiff -write BENCH_compress.json
+	$(GO) test $(BENCH_HOT) | $(GO) run ./cmd/cswap-benchdiff -write BENCH_compress.json
 
 # Allocation-regression gate: rerun the codec benchmarks and fail on >10%
 # ns/op or ANY allocs/op regression against the committed baseline. The
@@ -56,9 +68,7 @@ bench-compress:
 # the scheduler, so they get the lenient band (5x ns/op threshold, 10%
 # allocs/op) instead of the strict codec-loop rules.
 bench-diff:
-	$(GO) test -bench='BenchmarkCodec|BenchmarkParallelContainer|BenchmarkSwapHotPath|BenchmarkServerRoundTrip|BenchmarkBatchSwap' -benchmem -count=3 -run='^$$' \
-		./internal/compress/ ./internal/executor/ ./internal/server/ \
-		| $(GO) run ./cmd/cswap-benchdiff -baseline BENCH_compress.json -lenient 'ServerRoundTrip|BatchSwap'
+	$(GO) test $(BENCH_HOT) | $(GO) run ./cmd/cswap-benchdiff -baseline BENCH_compress.json -lenient 'ServerRoundTrip|BatchSwap'
 
 # Umbrella gate: everything a change must pass before it lands — build,
 # vet+test, the race detector over the swap path, the allocation-
@@ -66,103 +76,69 @@ bench-diff:
 # daemon smoke test.
 check: build test race bench-diff serve-smoke tune-smoke cluster-smoke kv-smoke tier-smoke slo-smoke
 
-# Serve-smoke: boot the real cswapd daemon on an ephemeral port, drive it
-# with the example client, assert the swap counters moved via /metrics,
-# then SIGTERM it and require a clean drained exit.
+# The six daemon smokes share one recipe: build the real cswapd, boot it
+# on an ephemeral port with the gate's daemon flags ($(1)), drive it with
+# the example client in the gate's mode ($(2)), then SIGTERM it and require
+# a clean drained exit — once per leg ($(3), default a single leg), each leg
+# a fresh daemon over the same scratch directory.
+define smoke
+@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+$(GO) build -o "$$tmp/cswapd" ./cmd/cswapd || exit 1; \
+for leg in $(or $(3),only); do \
+	rm -f "$$tmp/addr"; \
+	"$$tmp/cswapd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" $(1) & pid=$$!; \
+	for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
+	[ -s "$$tmp/addr" ] || { echo "$@: daemon never wrote its address ($$leg leg)"; kill $$pid 2>/dev/null; exit 1; }; \
+	$(GO) run ./examples/swap-server -connect "http://$$(cat "$$tmp/addr")" $(2) || { kill $$pid 2>/dev/null; exit 1; }; \
+	kill -TERM $$pid && wait $$pid || exit 1; \
+	echo "$@: clean drained exit ($$leg leg)"; \
+done
+endef
+
+# Serve-smoke: the example client asserts the swap counters moved via
+# /metrics.
 serve-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/cswapd" ./cmd/cswapd || exit 1; \
-	"$$tmp/cswapd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" -device 256 -host 1024 & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr" ] || { echo "serve-smoke: daemon never wrote its address"; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat "$$tmp/addr"); \
-	$(GO) run ./examples/swap-server -connect "http://$$addr" -smoke || { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid && wait $$pid && echo "serve-smoke: clean drained exit"
+	$(call smoke,-device 256 -host 1024,-smoke)
 
-# Tune-smoke: boot cswapd with the online tuner on, drive a drifting-
-# sparsity workload through the Auto selector, and assert the tuner's
-# codec-switch counter moved. The tuner knobs mirror the e2e test: a small
-# grid so Huffman's per-chunk code table amortizes on smoke-sized tensors,
-# a glacial modeled link so ratio dominates kernel noise, fast ticks and a
-# two-swap evidence budget so the smoke completes in seconds.
+# Tune-smoke: the online tuner is on; a drifting-sparsity workload goes
+# through the Auto selector and the tuner's codec-switch counter must
+# move. The tuner knobs mirror the e2e test: a small grid so Huffman's
+# per-chunk code table amortizes on smoke-sized tensors, a glacial modeled
+# link so ratio dominates kernel noise, fast ticks and a two-swap evidence
+# budget so the smoke completes in seconds.
 tune-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/cswapd" ./cmd/cswapd || exit 1; \
-	"$$tmp/cswapd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" -device 256 -host 1024 \
-		-grid 4 -block 64 -tune -tune-interval 50ms -tune-link 131072 \
-		-tune-min-swaps 2 -tune-probe 16384 & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr" ] || { echo "tune-smoke: daemon never wrote its address"; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat "$$tmp/addr"); \
-	$(GO) run ./examples/swap-server -connect "http://$$addr" -drift || { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid && wait $$pid && echo "tune-smoke: clean drained exit"
+	$(call smoke,-device 256 -host 1024 -grid 4 -block 64 -tune -tune-interval 50ms \
+		-tune-link 131072 -tune-min-swaps 2 -tune-probe 16384,-drift)
 
-# Cluster-smoke: boot cswapd as a 3-shard cluster on an ephemeral port,
-# drive it with the cluster-aware example client (keys spread across every
-# shard, live drain of shard 1, bit-exact restores, per-shard /metrics
-# assertions), then SIGTERM it and require a clean drained exit.
+# Cluster-smoke: a 3-shard cluster and the cluster-aware client (keys
+# spread across every shard, live drain of shard 1, bit-exact restores,
+# per-shard /metrics assertions).
 cluster-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/cswapd" ./cmd/cswapd || exit 1; \
-	"$$tmp/cswapd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" -shards 3 -device 256 -host 1024 & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr" ] || { echo "cluster-smoke: daemon never wrote its address"; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat "$$tmp/addr"); \
-	$(GO) run ./examples/swap-server -connect "http://$$addr" -cluster || { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid && wait $$pid && echo "cluster-smoke: clean drained exit"
+	$(call smoke,-shards 3 -device 256 -host 1024,-cluster)
 
-# KV-smoke: boot cswapd on an ephemeral port and drive the batch block
-# API with the example's paged KV-cache decode loop: pool registration,
-# per-step batch swap-outs/swap-ins verified bit-exact, the 64-single vs
-# one-64-block head-to-head (<25% wall time), and /metrics assertions on
-# the batch counters and the coalescing-ratio histogram, then SIGTERM and
-# require a clean drained exit.
+# KV-smoke: the batch block API under the example's paged KV-cache decode
+# loop: pool registration, per-step batch swap-outs/swap-ins verified
+# bit-exact, the 64-single vs one-64-block head-to-head (<25% wall time),
+# and /metrics assertions on the batch counters and the coalescing-ratio
+# histogram.
 kv-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/cswapd" ./cmd/cswapd || exit 1; \
-	"$$tmp/cswapd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" -device 256 -host 1024 & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr" ] || { echo "kv-smoke: daemon never wrote its address"; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat "$$tmp/addr"); \
-	$(GO) run ./examples/swap-server -connect "http://$$addr" -kv || { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid && wait $$pid && echo "kv-smoke: clean drained exit"
+	$(call smoke,-device 256 -host 1024,-kv)
 
-# Tier-smoke: boot cswapd with a deliberately tiny pinned-host pool and a
-# disk spill tier, drive the overflow workload (every swap-out must
-# complete by demoting cold blobs, /metrics must show
-# executor_tier_demotions_total > 0 and zero quota rejections, every
-# restore bit-exact through the promote path), SIGTERM it and require a
-# clean drained exit — then boot a second daemon on the SAME tier
-# directory and repeat, proving the directory survives a restart.
+# Tier-smoke: a deliberately tiny pinned-host pool and a disk spill tier
+# under the overflow workload (every swap-out must complete by demoting
+# cold blobs, /metrics must show executor_tier_demotions_total > 0 and
+# zero quota rejections, every restore bit-exact through the promote
+# path) — then a second daemon on the SAME tier directory repeats it,
+# proving the directory survives a restart.
 tier-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/cswapd" ./cmd/cswapd || exit 1; \
-	for leg in first restart; do \
-		rm -f "$$tmp/addr"; \
-		"$$tmp/cswapd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" -device 256 -host 1 -tier-dir "$$tmp/tier" & pid=$$!; \
-		for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
-		[ -s "$$tmp/addr" ] || { echo "tier-smoke: daemon never wrote its address ($$leg leg)"; kill $$pid 2>/dev/null; exit 1; }; \
-		addr=$$(cat "$$tmp/addr"); \
-		$(GO) run ./examples/swap-server -connect "http://$$addr" -pressure || { kill $$pid 2>/dev/null; exit 1; }; \
-		kill -TERM $$pid && wait $$pid || exit 1; \
-		echo "tier-smoke: clean drained exit ($$leg leg)"; \
-	done
+	$(call smoke,-device 256 -host 1 -tier-dir "$$tmp/tier",-pressure,first restart)
 
-# SLO-smoke: boot cswapd with the admission scheduler on and a small
-# in-flight window so the lanes actually queue, drive the example's
-# speculative-flood-plus-critical-train workload, and assert via /metrics
-# that both lanes admitted work and the critical lane expired nothing —
-# then SIGTERM and require a clean drained exit.
+# SLO-smoke: the admission scheduler is on with a small in-flight window
+# so the lanes actually queue; the example's speculative-flood-plus-
+# critical-train workload must show via /metrics that both lanes admitted
+# work and the critical lane expired nothing.
 slo-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/cswapd" ./cmd/cswapd || exit 1; \
-	"$$tmp/cswapd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" -device 256 -host 1024 \
-		-max-inflight 2 -sched & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr" ] || { echo "slo-smoke: daemon never wrote its address"; kill $$pid 2>/dev/null; exit 1; }; \
-	addr=$$(cat "$$tmp/addr"); \
-	$(GO) run ./examples/swap-server -connect "http://$$addr" -slo || { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid && wait $$pid && echo "slo-smoke: clean drained exit"
+	$(call smoke,-device 256 -host 1024 -max-inflight 2 -sched,-slo)
 
 # Full evaluation -> REPORT.md (and CSV series under data/).
 report:

@@ -259,19 +259,6 @@ func (c *Client) SwapOut(ctx context.Context, name string, opts ...SwapOption) e
 	return err
 }
 
-// SwapOutAlg is the pre-options swap-out signature.
-//
-// Deprecated: use SwapOut with WithCodec or WithRaw.
-func (c *Client) SwapOutAlg(ctx context.Context, name string, compress bool, alg Algorithm) error {
-	if !compress {
-		return c.SwapOut(ctx, name, WithRaw())
-	}
-	if alg == Auto {
-		return c.SwapOut(ctx, name)
-	}
-	return c.SwapOut(ctx, name, WithCodec(alg))
-}
-
 // SwapIn restores the tensor to device residency and returns its data.
 // WithLane/WithDeadline tag the request for the service's SLO scheduler
 // (a decode-step-blocking restore wants LaneCritical).

@@ -273,12 +273,6 @@ func PlanPeakBytes(np *NetworkProfile, plan *Plan) int64 {
 	return swap.PlanPeakBytes(np, plan)
 }
 
-// DefaultSimOptions returns the standard jitter/interference configuration.
-//
-// Deprecated: use NewSimOptions(WithSeed(seed)) — the functional-options
-// constructor composes with the observability and ablation switches.
-func DefaultSimOptions(seed int64) SimOptions { return swap.DefaultOptions(seed) }
-
 // SimOption mutates SimOptions; see NewSimOptions.
 type SimOption = swap.Option
 
@@ -506,12 +500,6 @@ type (
 	// frame protocol, with quotas, admission control, and /metrics. Mount
 	// SwapServer.Handler on any listener, or run the cswapd daemon.
 	SwapServer = server.Server
-	// SwapServerConfig sizes the service's executor and sets its tenant
-	// quotas, admission window, and shutdown hints.
-	//
-	// Deprecated: build services with NewSwapService and SwapServerOption
-	// functional options instead.
-	SwapServerConfig = server.Config
 	// SwapServerOption is one functional option for NewSwapService and
 	// NewSwapCluster (shard count, pool capacities, quotas, tuner, ...).
 	SwapServerOption = server.Option
@@ -560,15 +548,10 @@ var (
 	ErrAlreadyRegistered = server.ErrAlreadyRegistered
 )
 
-// NewSwapServer builds a swap service and its executor. The caller owns
-// the listener: mount Handler, and on shutdown stop the listener first,
-// then Close the server to drain and close the executor.
-//
-// Deprecated: use NewSwapService with functional options.
-func NewSwapServer(cfg SwapServerConfig) (*SwapServer, error) { return server.New(cfg) }
-
-// NewSwapService builds a single-shard swap service from functional
-// options — the options-first replacement for NewSwapServer:
+// NewSwapService builds a single-shard swap service and its executor from
+// functional options. The caller owns the listener: mount Handler, and on
+// shutdown stop the listener first, then Close the server to drain and
+// close the executor.
 //
 //	svc, err := cswap.NewSwapService(
 //		cswap.WithSwapDeviceCapacity(1<<30),

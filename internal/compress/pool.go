@@ -24,7 +24,8 @@ import (
 
 // parTask is one parallel (de)compression call: fn(i) for i in [0, jobs).
 // Workers and the submitting goroutine race on next to claim indices; wg
-// tracks the pool workers that were handed the task.
+// counts jobs still to finish, so the submitter waits on work done, never
+// on a helper being dequeued.
 type parTask struct {
 	fn   func(int)
 	jobs int
@@ -32,7 +33,8 @@ type parTask struct {
 	wg   sync.WaitGroup
 }
 
-// run claims and executes job indices until the task is exhausted.
+// run claims and executes job indices until the task is exhausted. A
+// helper that arrives after the last claim finds nothing and returns.
 func (t *parTask) run() {
 	for {
 		i := t.next.Add(1) - 1
@@ -40,6 +42,7 @@ func (t *parTask) run() {
 			return
 		}
 		t.fn(int(i))
+		t.wg.Done()
 	}
 }
 
@@ -61,18 +64,18 @@ func poolStart() {
 		go func() {
 			for t := range poolCh {
 				t.run()
-				t.wg.Done()
 			}
 		}()
 	}
 }
 
 // runWorkers runs fn(i) for i in [0,jobs) with at most the given
-// concurrency. The calling goroutine always participates, so a task never
-// waits idle on pool availability; pool workers only add parallelism. The
-// buffered submission channel never blocks the caller: if the pool is
-// saturated by concurrent swap streams, the surplus helper slots are
-// dropped and the work still completes on the claimants already running.
+// concurrency. The calling goroutine always participates and claims until
+// no job is left, then waits for the jobs already claimed by helpers — jobs
+// completed, not helpers dequeued. A helper slot that is shed (the buffered
+// channel is full) or that no worker ever gets to (every worker is parked
+// in a Go submission that is itself inside runWorkers) therefore costs
+// parallelism only, never progress: whoever claimed a job is running it.
 func runWorkers(jobs, workers int, fn func(int)) {
 	if jobs == 0 {
 		return
@@ -85,13 +88,11 @@ func runWorkers(jobs, workers int, fn func(int)) {
 	}
 	poolOnce.Do(poolStart)
 	t := &parTask{fn: fn, jobs: jobs}
-	helpers := workers - 1
-	t.wg.Add(helpers)
-	for h := 0; h < helpers; h++ {
+	t.wg.Add(jobs)
+	for h := 0; h < workers-1; h++ {
 		select {
 		case poolCh <- t:
-		default:
-			t.wg.Done() // pool saturated; shed the helper slot
+		default: // pool saturated; shed the helper slot
 		}
 	}
 	t.run()
@@ -107,8 +108,10 @@ func runWorkers(jobs, workers int, fn func(int)) {
 // operation-level asynchrony, so async swaps never add goroutine churn.
 //
 // fn must not call Go (a worker blocked submitting to its own pool can
-// deadlock a saturated pool); calling runWorkers from fn is safe, because
-// chunk helpers shed rather than block and the caller always participates.
+// deadlock a saturated pool). Calling runWorkers from fn is safe even when
+// every resident worker is running such an fn: runWorkers waits for jobs
+// completed, its caller claims every job no helper has, and a helper task
+// nobody dequeues is a no-op — so no fn ever waits on a free worker.
 func Go(fn func()) {
 	poolOnce.Do(poolStart)
 	t := &parTask{fn: func(int) { fn() }, jobs: 1}

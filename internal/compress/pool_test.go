@@ -23,7 +23,9 @@ func TestGoRunsEverySubmission(t *testing.T) {
 			if i%4 == 0 {
 				// A Go task may itself fan chunk work out through
 				// runWorkers (the async executor does exactly this);
-				// helpers shed under saturation, so this cannot deadlock.
+				// runWorkers waits on jobs completed and its caller claims
+				// every job no helper has, so this cannot deadlock even
+				// with every worker parked in such a task.
 				data := make([]float32, 4096)
 				if _, err := ParallelEncode(ZVC, data, Launch{Grid: 4, Block: 64}); err != nil {
 					t.Error(err)

@@ -37,19 +37,14 @@ func newTicket(op, name string) *Ticket {
 	return &Ticket{op: op, name: name, done: make(chan struct{})}
 }
 
-// completedTicket returns a ticket that is already done with the given
-// error — the shape immediate failures (and no-op prefetches) take.
-func completedTicket(op, name string, err error) *Ticket {
-	t := newTicket(op, name)
-	t.complete(err)
-	return t
-}
-
-// complete resolves the ticket. The error write happens before the channel
-// close, so any goroutine unblocked by Done/Wait observes it.
-func (t *Ticket) complete(err error) {
+// complete resolves the ticket and returns it, so immediate failures (and
+// no-op prefetches) can hand back an already-done ticket in one step. The
+// error write happens before the channel close, so any goroutine unblocked
+// by Done/Wait observes it.
+func (t *Ticket) complete(err error) *Ticket {
 	t.err = err
 	close(t.done)
+	return t
 }
 
 // Done returns a channel closed when the operation has completed; after
@@ -118,31 +113,36 @@ type asyncGate struct {
 
 	inflightG, peakG *metrics.Gauge
 	depthH           *metrics.Histogram
+	stalls           *metrics.Counter // acquires that had to wait; nil on the tier gate
 }
 
-func (g *asyncGate) init(max int, inflightG, peakG *metrics.Gauge, depthH *metrics.Histogram) {
+func (g *asyncGate) init(max int, inflightG, peakG *metrics.Gauge, depthH *metrics.Histogram, stalls *metrics.Counter) {
 	g.max = max
-	g.inflightG, g.peakG, g.depthH = inflightG, peakG, depthH
+	g.inflightG, g.peakG, g.depthH, g.stalls = inflightG, peakG, depthH, stalls
 	g.cond = sync.NewCond(&g.mu)
 }
 
-// acquire takes one in-flight slot, blocking while the window is full.
-// It reports whether the caller had to wait (backpressure) and fails with
+// acquire takes one in-flight slot, blocking while the window is full
+// (counted as a backpressure stall once a slot is granted). It fails with
 // ErrClosed once the gate is closed, or with the context's error if ctx
 // is done first — deadline-aware slot acquisition, so a submitter with a
 // budget is not held hostage by a saturated window.
-func (g *asyncGate) acquire(ctx context.Context) (waited bool, err error) {
+func (g *asyncGate) acquire(ctx context.Context) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	waited := false
 	for g.inflight >= g.max && !g.closed {
 		if err := ctx.Err(); err != nil {
-			return waited, err
+			return err
 		}
 		waited = true
 		g.waitCtx(ctx)
 	}
 	if g.closed {
-		return waited, ErrClosed
+		return ErrClosed
+	}
+	if waited {
+		g.stalls.Inc()
 	}
 	g.inflight++
 	if g.inflight > g.peak {
@@ -151,7 +151,7 @@ func (g *asyncGate) acquire(ctx context.Context) (waited bool, err error) {
 	}
 	g.inflightG.Set(float64(g.inflight))
 	g.depthH.Observe(float64(g.inflight))
-	return waited, nil
+	return nil
 }
 
 // waitCtx is cond.Wait with an additional wake-up when ctx is done. The
@@ -206,6 +206,36 @@ func (g *asyncGate) close() {
 	g.mu.Unlock()
 }
 
+// dispatch is the one way work gets onto the async pipeline — a tensor op,
+// each run of a block batch, a demotion on the tier window. It takes one
+// slot of the bounded window g in the caller's goroutine (so a full window
+// blocks the submitter until a slot frees, ctx is done or the gate closes),
+// then runs body(arg) on the compress package's persistent worker pool,
+// resolving t with its result before the slot is released. A refused slot
+// is returned with nothing run and t unresolved: the caller rolls its claim
+// back. arg rides beside body so that a per-run submission costs one
+// closure, not two. With a timeline attached, the queue stage — submission
+// to execution start — is recorded as an async-queue span; the body
+// records its own swap-out/swap-in span after it.
+func dispatch[A any](ctx context.Context, e *Executor, g *asyncGate, t *Ticket, body func(A) error, arg A) error {
+	traced := e.obs != nil && e.obs.Trace != nil
+	var tSubmit float64
+	if traced {
+		tSubmit = e.sinceEpoch()
+	}
+	if err := g.acquire(ctx); err != nil {
+		return err
+	}
+	compress.Go(func() {
+		if traced {
+			e.obs.Span("async-queue", t.op+":"+t.name, tSubmit, e.sinceEpoch())
+		}
+		t.complete(body(arg)) // body commits or rolls back the claim first
+		g.release()
+	})
+	return nil
+}
+
 // shedHint reports whether ctx carries a scheduling hint on a lane the
 // admission scheduler wants shed right now. The caller records the actual
 // preemption with shedPreempt — only when it really rolled work back.
@@ -232,45 +262,23 @@ func (e *Executor) shedPreempt(n int) {
 // final state. Speculative work (per the context's sched.Hint) yields here
 // with ErrShed — before taking a slot — when the scheduler reports a
 // starved critical waiter.
-func (e *Executor) submitAsync(ctx context.Context, h *Handle, op string, from, to State, run func() error) *Ticket {
+func (e *Executor) submitAsync(ctx context.Context, h *Handle, op string, from, to State, body func(*Handle) error) *Ticket {
 	t := newTicket(op, h.name)
 	if err := e.claim(h, from, to, t); err != nil {
-		t.complete(err)
-		return t
+		return t.complete(err)
 	}
 	if e.shedHint(ctx) {
 		e.shedPreempt(1)
 		h.commit(from)
-		t.complete(fmt.Errorf("executor: %s %s: %w", op, h.name, ErrShed))
-		return t
+		return t.complete(fmt.Errorf("executor: %s %s: %w", op, h.name, ErrShed))
 	}
 	e.ins.asyncSubmitted(op).Inc()
-	timed := e.obs != nil
-	var tSubmit float64
-	if timed {
-		tSubmit = e.sinceEpoch()
-	}
-	waited, err := e.gate.acquire(ctx)
-	if err != nil {
+	if err := dispatch(ctx, e, &e.gate, t, body, h); err != nil {
 		// Closed (or the context expired) while waiting for a slot: nothing
 		// ran, so the claim rolls straight back to the state it came from.
 		h.commit(from)
 		t.complete(fmt.Errorf("executor: %s %s: %w", op, h.name, err))
-		return t
 	}
-	if waited {
-		e.ins.asyncBackpressure.Inc()
-	}
-	compress.Go(func() {
-		if timed {
-			// The queue stage: submission to execution start. The swap
-			// body records its own swap-out/swap-in span after this.
-			e.obs.Span("async-queue", op+":"+t.name, tSubmit, e.sinceEpoch())
-		}
-		err := run() // commits the handle state before returning
-		t.complete(err)
-		e.gate.release()
-	})
 	return t
 }
 
@@ -290,7 +298,7 @@ func (e *Executor) SwapOutAsync(h *Handle, doCompress bool, alg compress.Algorit
 // operation is dispatched it runs to completion regardless of ctx (use
 // Ticket.WaitContext to bound the wait for the result).
 func (e *Executor) SwapOutAsyncCtx(ctx context.Context, h *Handle, doCompress bool, alg compress.Algorithm) *Ticket {
-	return e.submitAsync(ctx, h, "swap-out", Resident, SwappingOut, func() error {
+	return e.submitAsync(ctx, h, "swap-out", Resident, SwappingOut, func(h *Handle) error {
 		return e.swapOut(h, doCompress, alg)
 	})
 }
@@ -304,9 +312,7 @@ func (e *Executor) SwapInAsync(h *Handle) *Ticket {
 // SwapInAsyncCtx is SwapInAsync with deadline-aware slot acquisition; see
 // SwapOutAsyncCtx for the context semantics.
 func (e *Executor) SwapInAsyncCtx(ctx context.Context, h *Handle) *Ticket {
-	return e.submitAsync(ctx, h, "swap-in", Swapped, SwappingIn, func() error {
-		return e.swapIn(h)
-	})
+	return e.submitAsync(ctx, h, "swap-in", Swapped, SwappingIn, e.swapIn)
 }
 
 // Prefetch requests that the tensor be resident ahead of its consumer —
@@ -327,7 +333,7 @@ func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
 	switch h.state {
 	case Resident:
 		h.mu.Unlock()
-		return completedTicket("prefetch", h.name, nil)
+		return newTicket("prefetch", h.name).complete(nil)
 	case SwappingIn:
 		if t := h.pending; t != nil {
 			h.mu.Unlock()
@@ -336,7 +342,7 @@ func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
 		name := h.name
 		h.mu.Unlock()
 		e.ins.busyRejections.Inc()
-		return completedTicket("prefetch", name,
+		return newTicket("prefetch", name).complete(
 			fmt.Errorf("%w: %s (synchronous swap-in in flight)", ErrBusy, name))
 	}
 	h.mu.Unlock()
@@ -347,8 +353,8 @@ func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
 	// restore then fails on device pressure — common for speculative work —
 	// the disk fault has been paid and the eventual demand swap-in reads
 	// host memory.
-	return e.submitAsync(ctx, h, "prefetch", Swapped, SwappingIn, func() error {
-		e.stageFromTier(h)
+	return e.submitAsync(ctx, h, "prefetch", Swapped, SwappingIn, func(h *Handle) error {
+		e.stage(&h.stored)
 		return e.swapIn(h)
 	})
 }

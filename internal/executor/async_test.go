@@ -1,9 +1,11 @@
 package executor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -554,5 +556,91 @@ func TestAsyncManyStreams(t *testing.T) {
 	}
 	if st := e.Stats(); st.SwapOuts != workers*rounds || st.SwapIns != workers*rounds {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestAsyncSaturatedWorkerPool is the regression test for the worker-pool
+// deadlock: with MaxInFlight ≥ GOMAXPROCS, every resident pool worker can
+// be running an async swap at once, and each of those swaps fans its chunks
+// out to the same pool. Chunk helpers that no worker is free to pick up
+// must cost parallelism only — the swaps wait on jobs completed, not on
+// helpers dequeued. A per-chunk stall keeps every worker inside its swap
+// long enough that the window really is saturated, tensors and a
+// multi-run batch alike; the watchdog turns a wedge into a failure.
+func TestAsyncSaturatedWorkerPool(t *testing.T) {
+	window := 2 * runtime.GOMAXPROCS(0)
+	if window < 4 {
+		window = 4
+	}
+	e, err := New(Config{
+		DeviceCapacity: 64 << 20,
+		HostCapacity:   64 << 20,
+		Launch:         compress.Launch{Grid: 8, Block: 128},
+		Verify:         true,
+		MaxInFlight:    window,
+		Faults: faultinject.New(
+			faultinject.Fault{Site: faultinject.SiteEncode, Mode: faultinject.Delay, Delay: time.Millisecond, Every: 1},
+			faultinject.Fault{Site: faultinject.SiteDecode, Mode: faultinject.Delay, Delay: time.Millisecond, Every: 1},
+		),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := tensor.NewGenerator(7)
+	handles := make([]*Handle, window)
+	for i := range handles {
+		if handles[i], err = e.Register(fmt.Sprintf("t%d", i), gen.Uniform(8192, 0.6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := e.RegisterBlockPool("kv", 1024, 4*window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int // every other pair of blocks: `window` two-block runs
+	for i := 0; i < window; i++ {
+		ids = append(ids, 4*i, 4*i+1)
+	}
+	if err := p.WriteBlocks(ids, gen.Uniform(len(ids)*1024, 0.6).Data); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		for _, leg := range []func() []*Ticket{
+			func() []*Ticket {
+				ts := []*Ticket{p.SwapOutBlocksCtx(context.Background(), ids, true, compress.ZVC)}
+				for _, h := range handles {
+					ts = append(ts, e.SwapOutAsync(h, true, compress.ZVC))
+				}
+				return ts
+			},
+			func() []*Ticket {
+				ts := []*Ticket{p.SwapInBlocksCtx(context.Background(), ids)}
+				for _, h := range handles {
+					ts = append(ts, e.SwapInAsync(h))
+				}
+				return ts
+			},
+		} {
+			for _, tk := range leg() {
+				if err := tk.Wait(); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("async swaps wedged with MaxInFlight=%d at GOMAXPROCS=%d", window, runtime.GOMAXPROCS(0))
+	}
+	if st := e.Stats(); st.SwapOuts != 2*window || st.SwapIns != 2*window {
+		t.Fatalf("stats %+v, want %d swap-outs and swap-ins", st, 2*window)
 	}
 }

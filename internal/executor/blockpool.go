@@ -39,7 +39,6 @@ import (
 
 	"cswap/internal/compress"
 	"cswap/internal/devmem"
-	"cswap/internal/faultinject"
 )
 
 // CoalesceBlockIDs sorts ids, drops duplicates, and merges contiguous
@@ -92,21 +91,15 @@ type BlockPool struct {
 	freed bool
 }
 
-// poolRun is one stored (swapped-out) run: the encoded blob for Count
-// blocks starting at Start, plus its host-pool accounting. A tiered run's
-// blob lives in the disk spill tier (blob and hostBlock are nil);
-// swappedAt and rawB feed the demotion ranking.
+// poolRun is one stored (swapped-out) run: the shared payload record for
+// count blocks starting at start.
 type poolRun struct {
 	start, count int
-	blob         []byte
-	hostBlock    *devmem.Block
-	alg          compress.Algorithm
-	compressed   bool
-	checksum     uint64
-	tiered       bool
-	rawB         int64
-	swappedAt    float64
+	stored
 }
+
+// blocks is the run's block range.
+func (pr *poolRun) blocks() BlockRun { return BlockRun{Start: pr.start, Count: pr.count} }
 
 // RegisterBlockPool reserves numBlocks fixed-size blocks of blockElems
 // float32s as one device allocation. It fails with devmem.ErrOutOfMemory
@@ -306,16 +299,14 @@ func (p *BlockPool) SwapOutBlocksCtx(ctx context.Context, ids []int, doCompress 
 	runs := CoalesceBlockIDs(ids)
 	t := newTicket("batch-swap-out", p.name)
 	if err := p.claimRuns(runs, Resident, SwappingOut); err != nil {
-		t.complete(err)
-		return t
+		return t.complete(err)
 	}
 	if len(runs) == 0 {
-		t.complete(nil)
-		return t
+		return t.complete(nil)
 	}
 	p.e.observeBatch(len(ids), runs)
-	p.submitRuns(ctx, t, runs, SwappingOut, func(r BlockRun) error {
-		return p.swapOutRun(r, doCompress, alg)
+	p.submitRuns(ctx, t, runs, Resident, func(r BlockRun) error {
+		return p.storeRun(r, doCompress, alg)
 	})
 	return t
 }
@@ -359,8 +350,7 @@ func (p *BlockPool) swapInCtx(ctx context.Context, op string, ids []int) *Ticket
 	t := newTicket(op, p.name)
 	reqRuns := CoalesceBlockIDs(ids)
 	if err := p.validateRuns(reqRuns); err != nil {
-		t.complete(err)
-		return t
+		return t.complete(err)
 	}
 
 	// Claim phase, atomic under p.mu: every requested block must be
@@ -369,52 +359,41 @@ func (p *BlockPool) swapInCtx(ctx context.Context, op string, ids []int) *Ticket
 	p.mu.Lock()
 	if p.freed {
 		p.mu.Unlock()
-		t.complete(fmt.Errorf("%w: block pool %s", ErrFreed, p.name))
-		return t
+		return t.complete(fmt.Errorf("%w: block pool %s", ErrFreed, p.name))
 	}
-	var stored []*poolRun
-	seen := map[*poolRun]bool{}
+	var runs []BlockRun // the stored runs to restore
 	for _, r := range reqRuns {
 		for id := r.Start; id < r.Start+r.Count; id++ {
 			switch p.state[id] {
 			case Resident:
 			case Swapped:
-				if pr := p.run[id]; !seen[pr] {
-					seen[pr] = true
-					stored = append(stored, pr)
+				// IDs ascend and a stored run is contiguous, so one run's
+				// blocks arrive back to back.
+				if b := p.run[id].blocks(); len(runs) == 0 || runs[len(runs)-1] != b {
+					runs = append(runs, b)
 				}
 			default:
 				err := p.blockStateErr(id, p.state[id])
 				p.mu.Unlock()
-				t.complete(err)
-				return t
+				return t.complete(err)
 			}
 		}
 	}
-	for _, pr := range stored {
-		for id := pr.start; id < pr.start+pr.count; id++ {
-			p.state[id] = SwappingIn
-		}
-	}
+	p.setRuns(runs, SwappingIn)
 	p.mu.Unlock()
 
-	if len(stored) == 0 {
-		t.complete(nil)
-		return t
-	}
-	runs := make([]BlockRun, len(stored))
-	for i, pr := range stored {
-		runs[i] = BlockRun{Start: pr.start, Count: pr.count}
+	if len(runs) == 0 {
+		return t.complete(nil)
 	}
 	p.e.observeBatch(len(ids), runs)
-	p.submitRuns(ctx, t, runs, SwappingIn, func(r BlockRun) error {
+	p.submitRuns(ctx, t, runs, Swapped, func(r BlockRun) error {
 		p.mu.Lock()
 		pr := p.run[r.Start]
 		p.mu.Unlock()
 		if op == "batch-prefetch" {
-			p.stageRunFromTier(pr)
+			p.e.stage(&pr.stored)
 		}
-		return p.swapInRun(pr)
+		return p.restoreRun(pr)
 	})
 	return t
 }
@@ -437,21 +416,33 @@ func (p *BlockPool) claimRuns(runs []BlockRun, from, to State) error {
 			}
 		}
 	}
-	for _, r := range runs {
-		for id := r.Start; id < r.Start+r.Count; id++ {
-			p.state[id] = to
-		}
-	}
+	p.setRuns(runs, to)
 	return nil
 }
 
-// rollbackRuns reverts claimed-but-never-run blocks to their prior state.
-func (p *BlockPool) rollbackRuns(runs []BlockRun, to State) {
-	p.mu.Lock()
+// setRuns stamps every block of every run with st. Caller holds p.mu.
+func (p *BlockPool) setRuns(runs []BlockRun, st State) {
 	for _, r := range runs {
 		for id := r.Start; id < r.Start+r.Count; id++ {
-			p.state[id] = to
+			p.state[id] = st
 		}
+	}
+}
+
+// rollbackRuns reverts claimed blocks to the stable state they came from.
+func (p *BlockPool) rollbackRuns(runs []BlockRun, to State) {
+	p.mu.Lock()
+	p.setRuns(runs, to)
+	p.mu.Unlock()
+}
+
+// commitRun publishes a finished run: its blocks take the stable state st
+// and point at the stored run that now holds them (nil once restored).
+func (p *BlockPool) commitRun(r BlockRun, st State, pr *poolRun) {
+	p.mu.Lock()
+	for id := r.Start; id < r.Start+r.Count; id++ {
+		p.state[id] = st
+		p.run[id] = pr
 	}
 	p.mu.Unlock()
 }
@@ -475,44 +466,34 @@ func (p *BlockPool) validateRuns(runs []BlockRun) error {
 // happens in the caller's goroutine, so a full in-flight window applies
 // the same backpressure as submitAsync; if the gate refuses mid-batch
 // (closed executor, dead context), the not-yet-submitted runs roll back
-// to `claimed`'s source state and the refusal joins the aggregate error.
+// to `from`, the state they were claimed out of, and the refusal joins the
+// aggregate error.
 // Each run boundary also consults the scheduler's shed signal: a batch
 // whose context carries a speculative sched.Hint yields its remaining
 // runs with ErrShed while a critical waiter is starved — the mid-batch
 // preemption point that keeps a long speculative prefetch from holding
 // the window against latency-critical work.
-func (p *BlockPool) submitRuns(ctx context.Context, t *Ticket, runs []BlockRun, claimed State, body func(BlockRun) error) {
+func (p *BlockPool) submitRuns(ctx context.Context, t *Ticket, runs []BlockRun, from State, body func(BlockRun) error) {
 	e := p.e
 	e.ins.asyncSubmitted(t.op).Add(float64(len(runs)))
-	rollbackTo := Resident
-	if claimed == SwappingIn {
-		rollbackTo = Swapped
-	}
 	children := make([]*Ticket, 0, len(runs))
 	var submitErr error
 	for i, r := range runs {
+		var err error
 		if e.shedHint(ctx) {
-			p.rollbackRuns(runs[i:], rollbackTo)
 			e.shedPreempt(len(runs) - i)
-			submitErr = fmt.Errorf("executor: %s %s: %w", t.op, p.name, ErrShed)
-			break
+			err = ErrShed
+		} else {
+			ct := newTicket(t.op, p.name)
+			if err = dispatch(ctx, e, &e.gate, ct, body, r); err == nil {
+				children = append(children, ct)
+			}
 		}
-		waited, err := e.gate.acquire(ctx)
 		if err != nil {
-			p.rollbackRuns(runs[i:], rollbackTo)
+			p.rollbackRuns(runs[i:], from)
 			submitErr = fmt.Errorf("executor: %s %s: %w", t.op, p.name, err)
 			break
 		}
-		if waited {
-			e.ins.asyncBackpressure.Inc()
-		}
-		run := r
-		ct := newTicket(t.op, p.name)
-		children = append(children, ct)
-		compress.Go(func() {
-			ct.complete(body(run)) // commits or rolls back the run's blocks
-			e.gate.release()
-		})
 	}
 	go func() {
 		err := submitErr
@@ -525,197 +506,34 @@ func (p *BlockPool) submitRuns(ctx context.Context, t *Ticket, runs []BlockRun, 
 	}()
 }
 
-// swapOutRun encodes and stores one contiguous run. The blocks are
-// claimed SwappingOut; commit publishes the stored run and marks them
+// storeRun runs the shared store body for one contiguous run. The blocks
+// are claimed SwappingOut; commit publishes the stored run and marks them
 // Swapped, rollback returns them to Resident with the device copy intact.
-func (p *BlockPool) swapOutRun(r BlockRun, doCompress bool, alg compress.Algorithm) error {
+func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm) error {
 	e := p.e
-	inj := e.cfg.Faults
 	src := p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
-	compressed := doCompress
-	var blob []byte
-	if doCompress {
-		b, err := e.arenaEncode(alg, src)
-		if err != nil {
-			compressed = false
-			e.ins.encodeFallbacks.Inc()
-		} else {
-			blob = b
-		}
-	}
-	if !compressed {
-		blob = rawEncode(src, e.cache)
-	}
-	// Ownership mirrors swapOut: the pristine encode output stays owned by
-	// this operation until the run resolves, and a fault-injected transfer
-	// copy is discarded to the arena like swap-in's transient copies.
-	var pristine []byte
-	pristineCompressed := false
-	if mutated, ok := inj.MutateBlob(faultinject.SiteTransferOut, blob); ok {
-		pristine, pristineCompressed = blob, compressed
-		blob = mutated
-	}
-	discard := func(b []byte, comp bool) {
-		if pristine != nil {
-			e.arena.put(b)
-		} else {
-			e.recycleBlob(b, comp)
-		}
-	}
-	settle := func() {
-		if pristine != nil {
-			e.recycleBlob(pristine, pristineCompressed)
-			pristine = nil
-		}
-	}
-	hostBlock, err := e.host.Alloc(int64(len(blob)))
-	if err != nil && e.freeHostSpace(int64(len(blob))) {
-		// Host pressure with a spill tier: demote cold payloads and retry.
-		hostBlock, err = e.host.Alloc(int64(len(blob)))
-	}
-	if err != nil && compressed {
-		raw := rawEncode(src, e.cache)
-		rawBlock, rerr := e.host.Alloc(int64(len(raw)))
-		if rerr != nil && e.freeHostSpace(int64(len(raw))) {
-			rawBlock, rerr = e.host.Alloc(int64(len(raw)))
-		}
-		if rerr != nil {
-			e.cache.Put(raw)
-			discard(blob, compressed)
-			settle()
-			p.rollbackRuns([]BlockRun{r}, Resident)
-			return fmt.Errorf("executor: host pool: %w", err)
-		}
-		discard(blob, compressed)
-		settle()
-		compressed = false
-		e.ins.allocFallbacks.Inc()
-		blob, hostBlock, err = raw, rawBlock, nil
-	}
+	pr := &poolRun{start: r.Start, count: r.Count}
+	pr.elems, pr.checksum = len(src), checksum(src)
+	err := e.store(&pr.stored, p.name, src, doCompress, alg, func() error {
+		p.commitRun(r, Swapped, pr)
+		return nil
+	})
 	if err != nil {
-		discard(blob, compressed)
-		settle()
 		p.rollbackRuns([]BlockRun{r}, Resident)
-		return fmt.Errorf("executor: host pool: %w", err)
 	}
-	settle()
-	pr := &poolRun{
-		start: r.Start, count: r.Count,
-		blob: blob, hostBlock: hostBlock,
-		alg: alg, compressed: compressed,
-		checksum:  checksum(src),
-		rawB:      int64(len(src)) * 4,
-		swappedAt: e.sinceEpoch(),
-	}
-	p.mu.Lock()
-	for id := r.Start; id < r.Start+r.Count; id++ {
-		p.state[id] = Swapped
-		p.run[id] = pr
-	}
-	p.mu.Unlock()
-	e.ins.swapOuts.Inc()
-	e.ins.rawBytes.Add(float64(len(src) * 4))
-	e.ins.movedBytes.Add(float64(len(blob)))
-	if compressed {
-		e.ins.compressed.Inc()
-	}
-	return nil
+	return err
 }
 
-// swapInRun restores one stored run into the pool's device region,
-// decoding (and verifying) with the same retained-blob retry semantics as
-// a tensor swap-in: a recoverable first-attempt failure retries once from
-// the stored blob, and any surfaced failure leaves the run cleanly
-// Swapped with its blob intact — retry-safe, never silently wrong data.
-func (p *BlockPool) swapInRun(pr *poolRun) error {
-	e := p.e
-	inj := e.cfg.Faults
+// restoreRun runs the shared restore body for one stored run, decoding
+// into the pool's device region. The blocks are claimed SwappingIn; any
+// surfaced failure leaves the run cleanly Swapped with its blob intact —
+// retry-safe, never silently wrong data.
+func (p *BlockPool) restoreRun(pr *poolRun) error {
 	dst := p.data[pr.start*p.blockElems : (pr.start+pr.count)*p.blockElems]
-	// A tiered run promotes from disk first; the in-memory copy plays the
-	// retained blob's role below, and any failure rolls back with the run
-	// still tiered and its committed tier entry intact.
-	blob := pr.blob
-	fromTier := false
-	if pr.tiered {
-		b, terr := e.promoteReadKey(p.runTierKey(pr))
-		if terr != nil {
-			p.rollbackRuns([]BlockRun{{Start: pr.start, Count: pr.count}}, Swapped)
-			return fmt.Errorf("executor: restore %s run [%d,+%d): %w", p.name, pr.start, pr.count, terr)
-		}
-		blob = b
-		fromTier = true
-	}
-	launch := e.Launch()
-	decode := func(blob []byte) error {
-		if pr.compressed {
-			return compress.ParallelDecodeIntoWith(dst, blob, launch, e.hooks)
-		}
-		if len(blob) != len(dst)*4 {
-			return fmt.Errorf("%w: raw blob is %d bytes, want %d",
-				compress.ErrTruncated, len(blob), len(dst)*4)
-		}
-		rawDecodeInto(dst, blob)
-		return nil
-	}
-	check := func() error {
-		if e.cfg.Verify && checksum(dst) != pr.checksum {
-			return fmt.Errorf("%w: %s run [%d,+%d)", ErrVerification, p.name, pr.start, pr.count)
-		}
-		return nil
-	}
-	transfer, transient := inj.MutateBlob(faultinject.SiteTransferIn, blob)
-	derr := decode(transfer)
-	if derr == nil {
-		derr = check()
-	}
-	retried, recovered := false, false
-	if derr != nil && retryable(derr, transient) {
-		retried = true
-		if rerr := decode(blob); rerr != nil {
-			derr = rerr
-		} else if rerr = check(); rerr != nil {
-			derr = rerr
-		} else {
-			derr, recovered = nil, true
-		}
-	}
-	if transient {
-		e.arena.put(transfer)
-	}
-	if retried {
-		e.ins.decodeRetries.Inc()
-	}
-	if derr != nil {
-		p.rollbackRuns([]BlockRun{{Start: pr.start, Count: pr.count}}, Swapped)
-		return fmt.Errorf("executor: restore %s run [%d,+%d): %w", p.name, pr.start, pr.count, derr)
-	}
-	if pr.hostBlock != nil {
-		if err := pr.hostBlock.Free(); err != nil {
-			p.rollbackRuns([]BlockRun{{Start: pr.start, Count: pr.count}}, Swapped)
-			return fmt.Errorf("executor: restore %s run [%d,+%d): %w", p.name, pr.start, pr.count, err)
-		}
-	}
-	// Tier entries are deleted only after the restore has committed.
-	if fromTier {
-		_, _ = e.tier.Delete(p.runTierKey(pr))
-		pr.tiered = false
-		e.ins.tierPromotions.Inc()
-		e.ins.tierOccupancy.Set(float64(e.tier.Used()))
-	} else {
-		e.recycleBlob(pr.blob, pr.compressed)
-	}
-	p.mu.Lock()
-	for id := pr.start; id < pr.start+pr.count; id++ {
-		p.state[id] = Resident
-		p.run[id] = nil
-	}
-	p.mu.Unlock()
-	e.ins.swapIns.Inc()
-	if e.cfg.Verify {
-		e.ins.verified.Inc()
-	}
-	if recovered {
-		e.ins.decodeRecoveries.Inc()
+	err := p.e.restore(&pr.stored, p.name, dst, func() { p.commitRun(pr.blocks(), Resident, nil) })
+	if err != nil {
+		p.rollbackRuns([]BlockRun{pr.blocks()}, Swapped)
+		return fmt.Errorf("executor: restore %s run [%d,+%d): %w", p.name, pr.start, pr.count, err)
 	}
 	return nil
 }
@@ -738,10 +556,8 @@ func (p *BlockPool) Free() error {
 	}
 	p.freed = true
 	var stored []*poolRun
-	seen := map[*poolRun]bool{}
-	for _, pr := range p.run {
-		if pr != nil && !seen[pr] {
-			seen[pr] = true
+	for id, pr := range p.run {
+		if pr != nil && pr.start == id { // each stored run once, at its first block
 			stored = append(stored, pr)
 		}
 	}
@@ -752,115 +568,72 @@ func (p *BlockPool) Free() error {
 		p.mu.Unlock()
 		return err
 	}
-	for _, pr := range stored {
-		if pr.tiered {
-			_, _ = p.e.tier.Delete(p.runTierKey(pr))
-			p.e.ins.tierOccupancy.Set(float64(p.e.tier.Used()))
-			continue
-		}
-		_ = pr.hostBlock.Free()
-		p.e.recycleBlob(pr.blob, pr.compressed)
-	}
 	e := p.e
+	for _, pr := range stored {
+		_ = e.drop(&pr.stored)
+	}
 	e.mu.Lock()
 	delete(e.pools, p.id)
 	e.mu.Unlock()
 	return nil
 }
 
-// runTierKey is a stored run's key in the tier store: pool name, pool ID
-// (re-registrations of one name must not collide), and the run's start
-// block (unique per stored run at any instant — one stored run per block).
-func (p *BlockPool) runTierKey(pr *poolRun) string {
-	return fmt.Sprintf("%s#p%d@%d", p.name, p.id, pr.start)
-}
-
-// runCandidate is a consistent snapshot of one stored run's demotion
-// inputs, taken under p.mu (the poolRun fields themselves may only be
-// read by whoever owns the run's transitional state).
+// runCandidate is one stored run's demotion ranking, computed under p.mu
+// (the poolRun fields themselves may only be read by whoever owns the
+// run's transitional state).
 type runCandidate struct {
-	pr        *poolRun
-	blobBytes int64
-	rawBytes  int64
-	swappedAt float64
+	pr    *poolRun
+	score float64
+	bytes int64
 }
 
-// storedRuns snapshots the pool's stored, host-resident runs — its
-// demotion candidates. Tiered and in-flight runs are excluded.
-func (p *BlockPool) storedRuns() []runCandidate {
+// storedRuns ranks the pool's stored, host-resident runs — its demotion
+// candidates — at time now. Tiered and in-flight runs are excluded.
+func (p *BlockPool) storedRuns(now float64) []runCandidate {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.freed {
 		return nil
 	}
 	var out []runCandidate
-	seen := map[*poolRun]bool{}
 	for id, pr := range p.run {
-		if pr == nil || seen[pr] || pr.tiered || p.state[id] != Swapped {
+		if pr == nil || pr.start != id || pr.tiered || p.state[id] != Swapped {
 			continue
 		}
-		seen[pr] = true
-		out = append(out, runCandidate{
-			pr:        pr,
-			blobBytes: int64(len(pr.blob)),
-			rawBytes:  pr.rawB,
-			swappedAt: pr.swappedAt,
-		})
+		score, bytes := pr.demotionScore(now)
+		out = append(out, runCandidate{pr: pr, score: score, bytes: bytes})
 	}
 	return out
 }
 
-// demoteRun moves one stored run's blob from the pinned-host pool into
-// the disk tier, mirroring Handle demotion: the run's blocks are claimed
-// for the move (concurrent batch swap-ins see ErrBusy), the blob commits
-// on disk before the host bytes are freed, and the blocks return to
-// Swapped with the run marked tiered. A snapshot that aged out — the run
-// was restored or replaced since ranking — is skipped without error.
+// demoteRun runs the shared demote body for one stored run: the run's
+// blocks are claimed for the move (concurrent batch swap-ins see ErrBusy)
+// and return to Swapped afterwards, tiered on success. A snapshot that
+// aged out — the run was restored or replaced since ranking — is skipped
+// without error.
 func (p *BlockPool) demoteRun(pr *poolRun) error {
 	e := p.e
 	if e.tier == nil {
 		return ErrNoTier
 	}
-	r := BlockRun{Start: pr.start, Count: pr.count}
-	if err := p.claimRuns([]BlockRun{r}, Swapped, SwappingOut); err != nil {
+	r := []BlockRun{pr.blocks()}
+	if err := p.claimRuns(r, Swapped, SwappingOut); err != nil {
 		return err
 	}
+	defer p.rollbackRuns(r, Swapped)
 	p.mu.Lock()
 	stale := p.run[pr.start] != pr
 	p.mu.Unlock()
-	if stale || pr.tiered {
-		p.rollbackRuns([]BlockRun{r}, Swapped)
+	if stale {
 		return nil
 	}
-	if _, err := e.tierGate.acquire(context.Background()); err != nil {
-		p.rollbackRuns([]BlockRun{r}, Swapped)
+	// Pool name, pool ID (re-registrations of one name must not collide),
+	// and the run's start block (unique per stored run at any instant — one
+	// stored run per block).
+	pr.tierKey = fmt.Sprintf("%s#p%d@%d", p.name, p.id, pr.start)
+	if err := e.demoteSync(&pr.stored); err != nil {
 		return fmt.Errorf("executor: demote %s run [%d,+%d): %w", p.name, pr.start, pr.count, err)
 	}
-	defer e.tierGate.release()
-	meta := tierMeta{
-		RawBytes:   pr.rawB,
-		BlobBytes:  int64(len(pr.blob)),
-		Compressed: pr.compressed,
-		Alg:        pr.alg.String(),
-		Elems:      int(pr.rawB / 4),
-		Checksum:   pr.checksum,
-	}
-	if err := e.tier.Put(p.runTierKey(pr), pr.blob, meta); err != nil {
-		p.rollbackRuns([]BlockRun{r}, Swapped)
-		return fmt.Errorf("executor: demote %s run [%d,+%d): %w", p.name, pr.start, pr.count, err)
-	}
-	if err := pr.hostBlock.Free(); err != nil {
-		_, _ = e.tier.Delete(p.runTierKey(pr))
-		p.rollbackRuns([]BlockRun{r}, Swapped)
-		return fmt.Errorf("executor: demote %s run [%d,+%d): %w", p.name, pr.start, pr.count, err)
-	}
-	e.recycleBlob(pr.blob, pr.compressed)
-	pr.blob = nil
-	pr.hostBlock = nil
-	pr.tiered = true
-	p.rollbackRuns([]BlockRun{r}, Swapped)
-	e.ins.tierDemotions.Inc()
-	e.ins.tierOccupancy.Set(float64(e.tier.Used()))
 	return nil
 }
 

@@ -12,12 +12,15 @@ import (
 )
 
 // newCtxExecutor builds an executor whose encodes stall long enough for a
-// context to expire mid-operation.
+// context to expire mid-operation. The launch is one chunk, so the
+// per-chunk delay is paid once per encode whatever the core count (at the
+// default 128-chunk launch it is paid 128/GOMAXPROCS times).
 func newCtxExecutor(t *testing.T, maxInFlight int, encodeDelay time.Duration) *Executor {
 	t.Helper()
 	cfg := Config{
 		DeviceCapacity: 64 << 20,
 		HostCapacity:   64 << 20,
+		Launch:         compress.Launch{Grid: 1, Block: 64},
 		Verify:         true,
 		MaxInFlight:    maxInFlight,
 	}

@@ -287,19 +287,9 @@ type Handle struct {
 	data     []float32 // resident payload
 	devBlock *devmem.Block
 
-	blob       []byte // swapped payload (codec blob or raw bytes)
-	hostBlock  *devmem.Block
-	alg        compress.Algorithm
-	compressed bool
-	elems      int
-	checksum   uint64
-
-	// tiered marks a Swapped handle whose payload lives in the disk tier
-	// instead of the host pool (blob and hostBlock are nil); swappedAt is
-	// the executor-epoch time of the last swap-out commit, feeding the
-	// re-access prediction that ranks demotion victims.
-	tiered    bool
-	swappedAt float64
+	// stored is the swapped payload (payload.go); elems and checksum are
+	// set once at Register and describe the tensor in either state.
+	stored
 
 	// scratch retains the tensor's float32 backing across a swap-out so the
 	// swap-in decodes straight into it instead of allocating a fresh slice.
@@ -323,7 +313,7 @@ func (h *Handle) State() State {
 func (h *Handle) Compressed() bool { return h.compressed }
 
 // Bytes returns the uncompressed tensor size.
-func (h *Handle) Bytes() int64 { return int64(h.elems) * tensor.BytesPerElement }
+func (h *Handle) Bytes() int64 { return h.rawBytes() }
 
 // Data returns the resident payload, or ErrNotResident.
 func (h *Handle) Data() ([]float32, error) {
@@ -407,12 +397,12 @@ func New(cfg Config) (*Executor, error) {
 		obs:    cfg.Observer,
 		epoch:  time.Now(),
 	}
-	e.gate.init(cfg.MaxInFlight, e.ins.asyncInflight, e.ins.asyncPeak, e.ins.asyncDepth)
+	e.gate.init(cfg.MaxInFlight, e.ins.asyncInflight, e.ins.asyncPeak, e.ins.asyncDepth, e.ins.asyncBackpressure)
 	if cfg.TierMaxInFlight == 0 {
 		cfg.TierMaxInFlight = DefaultTierMaxInFlight
 	}
 	e.tier = cfg.Tier
-	e.tierGate.init(cfg.TierMaxInFlight, e.ins.tierInflight, e.ins.tierPeak, e.ins.tierDepth)
+	e.tierGate.init(cfg.TierMaxInFlight, e.ins.tierInflight, e.ins.tierPeak, e.ins.tierDepth, nil)
 	e.sched = cfg.Sched
 	if cfg.TierWatermark != 0 {
 		if cfg.TierWatermark < 0 || cfg.TierWatermark >= 1 {
@@ -462,8 +452,7 @@ func (e *Executor) Register(name string, t *tensor.Tensor) (*Handle, error) {
 		state:    Resident,
 		data:     t.Data,
 		devBlock: block,
-		elems:    t.Len(),
-		checksum: checksum(t.Data),
+		stored:   stored{elems: t.Len(), checksum: checksum(t.Data)},
 	}
 	e.mu.Lock()
 	if e.closed {
@@ -473,6 +462,11 @@ func (e *Executor) Register(name string, t *tensor.Tensor) (*Handle, error) {
 	}
 	e.nextID++
 	h.id = e.nextID
+	if e.tier != nil {
+		// The registration name plus the handle ID, so re-registrations of
+		// one name can never collide on disk.
+		h.tierKey = fmt.Sprintf("%s#h%d", name, h.id)
+	}
 	e.live[h.id] = h
 	e.mu.Unlock()
 	return h, nil
@@ -505,145 +499,26 @@ func (e *Executor) claim(h *Handle, from, to State, t *Ticket) error {
 	return err
 }
 
-// swapOut is the swap-out body. The caller has claimed SwappingOut; the
-// body owns the handle's storage until it commits Swapped (success) or
-// rolls back to Resident (failure, tensor intact).
+// swapOut runs the shared store body for a handle. The caller has claimed
+// SwappingOut; the handle's storage is owned here until it commits Swapped
+// (success: the device reservation is released, which is what lets the next
+// Register succeed under pressure) or rolls back to Resident (failure,
+// tensor intact).
 func (e *Executor) swapOut(h *Handle, doCompress bool, alg compress.Algorithm) error {
-	inj := e.cfg.Faults
-	timed := e.obs != nil // deep instrumentation only when observed
-	var t0 float64
-	if timed {
-		t0 = e.sinceEpoch()
-	}
-	compressed := doCompress
-	encodeFellBack, allocFellBack := false, false
-	var blob []byte
-	var encDur time.Duration
-	if doCompress {
-		var encStart time.Time
-		if timed {
-			encStart = time.Now()
+	err := e.store(&h.stored, h.name, h.data, doCompress, alg, func() error {
+		if err := h.devBlock.Free(); err != nil {
+			return err
 		}
-		// The encode output lands in an arena buffer sized by the codec's
-		// worst-case bound, so the whole compressed path allocates nothing
-		// once the arena is warm.
-		b, err := e.arenaEncode(alg, h.data)
-		if timed {
-			encDur = time.Since(encStart)
-		}
-		if err != nil {
-			// The raw path beside the compressing one: a codec failure
-			// must not lose the tensor, it just forfeits the bandwidth
-			// saving for this transfer.
-			compressed = false
-			encodeFellBack = true
-		} else {
-			blob = b
-		}
-	}
-	if !compressed {
-		blob = rawEncode(h.data, e.cache)
-	}
-	// The bytes that land in the host pool are the transferred copy; a
-	// transfer-out fault corrupts the stored blob persistently. Ownership
-	// stays explicit: the pristine encode output remains owned by this
-	// operation until the swap resolves (recycling it at mutation time
-	// would let a concurrent encode reuse a buffer an in-place mutation
-	// could still alias), and the mutated copy — which MutateBlob
-	// allocates outside the arena — is discarded under the same
-	// transfer-copy convention as swap-in's transient copies.
-	var pristine []byte
-	pristineCompressed := false
-	if mutated, ok := inj.MutateBlob(faultinject.SiteTransferOut, blob); ok {
-		pristine, pristineCompressed = blob, compressed
-		blob = mutated
-	}
-	// discard sends a non-shipping outbound copy home: transfer copies to
-	// the arena, genuine blobs to their pool. settle recycles the retained
-	// pristine original exactly once, when the operation's outcome no
-	// longer depends on it.
-	discard := func(b []byte, comp bool) {
-		if pristine != nil {
-			e.arena.put(b)
-		} else {
-			e.recycleBlob(b, comp)
-		}
-	}
-	settle := func() {
-		if pristine != nil {
-			e.recycleBlob(pristine, pristineCompressed)
-			pristine = nil
-		}
-	}
-	hostBlock, err := e.host.Alloc(int64(len(blob)))
-	if err != nil && e.freeHostSpace(int64(len(blob))) {
-		// Host pressure with a spill tier attached: demote cold swapped
-		// payloads to disk and retry before burning the raw fallback.
-		hostBlock, err = e.host.Alloc(int64(len(blob)))
-	}
-	if err != nil && compressed {
-		// Host-pool pressure on the compressed path: retry raw before
-		// surfacing (HostCapacityFor budgets the pool for the all-raw
-		// worst case, so the raw reservation is the accounted-for size).
-		raw := rawEncode(h.data, e.cache)
-		rawBlock, rerr := e.host.Alloc(int64(len(raw)))
-		if rerr != nil && e.freeHostSpace(int64(len(raw))) {
-			rawBlock, rerr = e.host.Alloc(int64(len(raw)))
-		}
-		if rerr != nil {
-			e.cache.Put(raw)
-			discard(blob, compressed) // neither copy ships; both go home
-			settle()
-			h.commit(Resident)
-			return fmt.Errorf("executor: host pool: %w", err)
-		}
-		discard(blob, compressed) // the compressed blob never ships
-		settle()
-		compressed = false
-		allocFellBack = true
-		blob, hostBlock, err = raw, rawBlock, nil
-	}
+		h.scratch = h.data // retained for the swap-in to decode into
+		h.data = nil
+		h.devBlock = nil
+		h.commit(Swapped)
+		return nil
+	})
 	if err != nil {
-		discard(blob, compressed)
-		settle()
 		h.commit(Resident)
-		return fmt.Errorf("executor: host pool: %w", err)
 	}
-	if err := h.devBlock.Free(); err != nil {
-		_ = hostBlock.Free()
-		discard(blob, compressed)
-		settle()
-		h.commit(Resident)
-		return err
-	}
-	settle() // the stored blob is the shipped copy; the original goes home
-	h.blob = blob
-	h.hostBlock = hostBlock
-	h.alg = alg
-	h.compressed = compressed
-	h.scratch = h.data // retained for the swap-in to decode into
-	h.data = nil
-	h.devBlock = nil
-	h.tiered = false
-	h.swappedAt = e.sinceEpoch()
-	h.commit(Swapped)
-
-	e.ins.swapOuts.Inc()
-	e.ins.rawBytes.Add(float64(h.Bytes()))
-	e.ins.movedBytes.Add(float64(len(blob)))
-	if compressed {
-		e.ins.compressed.Inc()
-	}
-	if encodeFellBack {
-		e.ins.encodeFallbacks.Inc()
-	}
-	if allocFellBack {
-		e.ins.allocFallbacks.Inc()
-	}
-	if timed {
-		e.observeSwapOut(h.name, compressed, alg, len(blob), encDur, t0, e.sinceEpoch(), encodeFellBack, allocFellBack)
-	}
-	return nil
+	return err
 }
 
 func packLaunch(l compress.Launch) uint64 {
@@ -708,41 +583,16 @@ func (e *Executor) SwapIn(h *Handle) error {
 	return e.swapIn(h)
 }
 
-// swapIn is the swap-in body. The caller has claimed SwappingIn; the body
-// owns the handle's storage until it commits Resident (success) or rolls
-// back to Swapped (failure, retained blob intact, retry-safe).
+// swapIn runs the shared restore body for a handle. The caller has claimed
+// SwappingIn; the handle's storage is owned here until it commits Resident
+// (success) or rolls back to Swapped (failure, retained blob — or committed
+// tier entry — intact, retry-safe).
 func (e *Executor) swapIn(h *Handle) error {
 	devBlock, err := e.device.Alloc(h.Bytes())
 	if err != nil {
 		h.commit(Swapped)
 		return fmt.Errorf("executor: device pool: %w", err)
 	}
-	inj := e.cfg.Faults
-	timed := e.obs != nil
-	var t0 float64
-	var decDur time.Duration
-	if timed {
-		t0 = e.sinceEpoch()
-	}
-
-	// A tiered handle's payload lives on disk: promote it by reading it
-	// back (under the tier I/O window) before decoding. The in-memory
-	// copy plays the retained blob's role in the retry semantics below;
-	// any failure from here rolls back to Swapped with the handle still
-	// tiered and the committed tier entry intact — retry-safe.
-	blob := h.blob
-	fromTier := false
-	if h.tiered {
-		b, terr := e.promoteRead(h)
-		if terr != nil {
-			_ = devBlock.Free()
-			h.commit(Swapped)
-			return fmt.Errorf("executor: restore %s: %w", h.name, terr)
-		}
-		blob = b
-		fromTier = true
-	}
-
 	// The decode lands in the float32 backing retained at swap-out — the
 	// tensor's own storage, so a warm round trip allocates no new slice.
 	// The defensive make only fires for handles predating the retention
@@ -753,111 +603,19 @@ func (e *Executor) swapIn(h *Handle) error {
 	} else {
 		dst = dst[:h.elems]
 	}
-	launch := e.Launch() // one read; chunk bounds come from the blob itself
-	decode := func(blob []byte) error {
-		if h.compressed {
-			return compress.ParallelDecodeIntoWith(dst, blob, launch, e.hooks)
-		}
-		if len(blob) != h.elems*4 {
-			return fmt.Errorf("%w: raw blob is %d bytes, want %d",
-				compress.ErrTruncated, len(blob), h.elems*4)
-		}
-		rawDecodeInto(dst, blob)
-		return nil
-	}
-	check := func() error {
-		if e.cfg.Verify && checksum(dst) != h.checksum {
-			return fmt.Errorf("%w: %s", ErrVerification, h.name)
-		}
-		return nil
-	}
-
-	// The first attempt decodes the transferred copy, which a transfer-in
-	// fault may have perturbed in flight.
-	transfer, transient := inj.MutateBlob(faultinject.SiteTransferIn, blob)
-	var decStart time.Time
-	if timed {
-		decStart = time.Now()
-	}
-	derr := decode(transfer)
-	if timed {
-		decDur = time.Since(decStart)
-	}
-	if derr == nil {
-		derr = check()
-	}
-	retried, recovered := false, false
-	if derr != nil && retryable(derr, transient) {
-		// Retry from the retained blob, overwriting whatever the failed
-		// attempt left in dst.
-		retried = true
-		if rerr := decode(blob); rerr != nil {
-			derr = rerr
-		} else if rerr = check(); rerr != nil {
-			derr = rerr
-		} else {
-			derr, recovered = nil, true
-		}
-	}
-	if transient {
-		// The in-flight copy is dead after the decode attempts, pass or
-		// fail; only h.blob survives a failed restore.
-		e.arena.put(transfer)
-	}
-	if derr != nil {
+	err = e.restore(&h.stored, h.name, dst, func() {
+		h.data = dst
+		h.scratch = nil
+		h.devBlock = devBlock
+		h.commit(Resident)
+	})
+	if err != nil {
 		_ = devBlock.Free()
 		// Keep the (possibly grown) decode buffer on the handle so a retry
 		// reuses it; its contents are meaningless while Swapped.
 		h.scratch = dst
 		h.commit(Swapped)
-		if retried {
-			e.ins.decodeRetries.Inc()
-		}
-		if timed {
-			e.observeSwapIn(h.name, h.compressed, h.alg, decDur, t0, e.sinceEpoch(), retried, false)
-		}
-		return fmt.Errorf("executor: restore %s: %w", h.name, derr)
-	}
-	if h.hostBlock != nil {
-		if err := h.hostBlock.Free(); err != nil {
-			// Atomic failure: the device reservation is released, the decode
-			// buffer is retained, and the handle rolls back cleanly to Swapped
-			// with its blob and host block untouched — retry-safe.
-			_ = devBlock.Free()
-			h.scratch = dst
-			h.commit(Swapped)
-			return fmt.Errorf("executor: restore %s: %w", h.name, err)
-		}
-	}
-	// The blob leaves its store only after the restore is committed —
-	// recycling (or deleting from the tier) earlier would destroy the
-	// bytes a failed swap-in still needs for its retry.
-	if fromTier {
-		_, _ = e.tier.Delete(h.tierKey())
-		h.tiered = false
-		e.ins.tierPromotions.Inc()
-		e.ins.tierOccupancy.Set(float64(e.tier.Used()))
-	} else {
-		e.recycleBlob(h.blob, h.compressed)
-	}
-	h.data = dst
-	h.scratch = nil
-	h.devBlock = devBlock
-	h.blob = nil
-	h.hostBlock = nil
-	h.commit(Resident)
-	e.ins.swapIns.Inc()
-	if e.cfg.Verify {
-		e.ins.verified.Inc()
-	}
-	if retried {
-		e.ins.decodeRetries.Inc()
-	}
-	if recovered {
-		e.ins.decodeRecoveries.Inc()
-	}
-	if timed {
-		e.observeSwapIn(h.name, h.compressed, h.alg, decDur, t0, e.sinceEpoch(), retried, recovered)
+		return fmt.Errorf("executor: restore %s: %w", h.name, err)
 	}
 	return nil
 }
@@ -914,23 +672,14 @@ func (e *Executor) Free(h *Handle) error {
 			return err
 		}
 	case Swapped:
-		if h.tiered {
-			_, _ = e.tier.Delete(h.tierKey())
-			e.ins.tierOccupancy.Set(float64(e.tier.Used()))
-			h.tiered = false
-			break
-		}
-		if err := h.hostBlock.Free(); err != nil {
+		if err := e.drop(&h.stored); err != nil {
 			h.commit(prev)
 			return err
 		}
-		e.recycleBlob(h.blob, h.compressed)
 	}
 	h.data = nil
 	h.scratch = nil
-	h.blob = nil
 	h.devBlock = nil
-	h.hostBlock = nil
 	e.mu.Lock()
 	delete(e.live, h.id)
 	e.mu.Unlock()

@@ -60,10 +60,24 @@ type instruments struct {
 	schedShedRuns      *metrics.Counter
 	watermarkDemotions *metrics.Counter
 	tierReadahead      *metrics.Counter
+
+	// Per-codec deep series, indexed by payload encoding: slot 0 is "raw"
+	// (Auto never reaches a codec), slot a is codec a. The set is closed —
+	// the codecs plus raw — so these resolve once like every other cell,
+	// and neither tensors nor block runs pay a registry lookup per swap.
+	codec [compress.Huffman + 1]codecCells
+}
+
+// codecCells are one payload encoding's Observer-only series: bytes moved,
+// the stored-blob size distribution, and encode/decode kernel time.
+type codecCells struct {
+	moved    *metrics.Counter
+	blob     *metrics.Histogram
+	enc, dec *metrics.Histogram
 }
 
 func newInstruments(r *metrics.Registry) instruments {
-	return instruments{
+	ins := instruments{
 		swapOuts:         r.Counter("executor_swap_outs_total"),
 		swapIns:          r.Counter("executor_swap_ins_total"),
 		rawBytes:         r.Counter("executor_raw_bytes_total"),
@@ -103,6 +117,20 @@ func newInstruments(r *metrics.Registry) instruments {
 		watermarkDemotions: r.Counter("executor_tier_demotions_total", metrics.L("reason", "watermark")),
 		tierReadahead:      r.Counter("executor_tier_readahead_total"),
 	}
+	cells := func(codec string) codecCells {
+		lab := metrics.L("codec", codec)
+		return codecCells{
+			moved: r.Counter("executor_moved_bytes_by_codec_total", lab),
+			blob:  r.HistogramWith("executor_blob_bytes", metrics.ByteBuckets(), lab),
+			enc:   r.Histogram("executor_encode_seconds", lab),
+			dec:   r.Histogram("executor_decode_seconds", lab),
+		}
+	}
+	ins.codec[0] = cells("raw")
+	for _, a := range compress.ExtendedAlgorithms() {
+		ins.codec[a] = cells(a.String())
+	}
+	return ins
 }
 
 // asyncSubmitted returns the pre-resolved submission counter for an op.
@@ -117,31 +145,30 @@ func (i *instruments) asyncSubmitted(op string) *metrics.Counter {
 	}
 }
 
-// codecLabel names the payload encoding for per-codec series: the codec
-// for compressed blobs, "raw" for uncompressed ones (including fallbacks).
-func codecLabel(compressed bool, alg compress.Algorithm) metrics.Label {
-	if compressed {
-		return metrics.L("codec", alg.String())
+// forPayload returns the per-codec series for a stored payload's encoding:
+// the codec's for compressed blobs, "raw" for uncompressed ones (including
+// fallbacks).
+func (i *instruments) forPayload(s *stored) *codecCells {
+	if !s.compressed {
+		return &i.codec[0]
 	}
-	return metrics.L("codec", "raw")
+	return &i.codec[s.alg]
 }
 
 // observeSwapOut records the deep (Observer-only) view of one swap-out:
 // per-codec volume, encode timing, a wall-clock span, and fallback events.
 // t0/t1 bound the whole operation in seconds since the executor epoch.
-func (e *Executor) observeSwapOut(name string, compressed bool, alg compress.Algorithm, blobLen int, encDur time.Duration, t0, t1 float64, encodeFellBack, allocFellBack bool) {
+func (e *Executor) observeSwapOut(name string, s *stored, encDur time.Duration, t0, t1 float64, encodeFellBack, allocFellBack bool) {
 	o := e.obs
-	if o == nil {
-		return
-	}
-	r := o.Reg()
-	lab := codecLabel(compressed, alg)
-	r.Counter("executor_moved_bytes_by_codec_total", lab).Add(float64(blobLen))
-	r.HistogramWith("executor_blob_bytes", metrics.ByteBuckets(), lab).Observe(float64(blobLen))
+	c := e.ins.forPayload(s)
+	c.moved.Add(float64(len(s.blob)))
+	c.blob.Observe(float64(len(s.blob)))
 	if encDur > 0 {
-		r.Histogram("executor_encode_seconds", lab).Observe(encDur.Seconds())
+		c.enc.Observe(encDur.Seconds())
 	}
-	o.Span("swap-out", "o:"+name, t0, t1)
+	if o.Trace != nil {
+		o.Span("swap-out", "o:"+name, t0, t1)
+	}
 	if encodeFellBack {
 		o.Emit("executor.fallback", "tensor", name, "site", "encode")
 	}
@@ -152,16 +179,14 @@ func (e *Executor) observeSwapOut(name string, compressed bool, alg compress.Alg
 
 // observeSwapIn records the deep view of one swap-in: decode timing, a
 // wall-clock span, and retry/recovery events.
-func (e *Executor) observeSwapIn(name string, compressed bool, alg compress.Algorithm, decDur time.Duration, t0, t1 float64, retried, recovered bool) {
+func (e *Executor) observeSwapIn(name string, s *stored, decDur time.Duration, t0, t1 float64, retried, recovered bool) {
 	o := e.obs
-	if o == nil {
-		return
-	}
-	lab := codecLabel(compressed, alg)
 	if decDur > 0 {
-		o.Reg().Histogram("executor_decode_seconds", lab).Observe(decDur.Seconds())
+		e.ins.forPayload(s).dec.Observe(decDur.Seconds())
 	}
-	o.Span("swap-in", "p:"+name, t0, t1)
+	if o.Trace != nil {
+		o.Span("swap-in", "p:"+name, t0, t1)
+	}
 	if retried {
 		outcome := "failed"
 		if recovered {

@@ -1,0 +1,366 @@
+package executor
+
+// The stored-payload path: one record for a swapped-out payload and the
+// four bodies that act on it — store, restore, demote, stage — written once
+// and shared by tensor handles and block-pool runs, the way cDMA puts one
+// compressing engine with one raw path beside it under every transfer,
+// whatever its granularity. Handle and BlockPool keep only what genuinely
+// differs between them: how a claim is taken, committed and rolled back
+// (one state word vs. a state vector under the pool lock), and the handle's
+// device-block and scratch bookkeeping, which ride in as commit callbacks.
+
+import (
+	"fmt"
+	"time"
+
+	"cswap/internal/compress"
+	"cswap/internal/devmem"
+	"cswap/internal/faultinject"
+	"cswap/internal/tensor"
+)
+
+// stored is one swapped-out payload. Its fields are owned exclusively by
+// whichever operation holds the owner's transitional state (a handle's
+// SwappingOut/SwappingIn, a run's blocks'), so they need no lock of their
+// own; readers outside a claim snapshot them under the owner's lock.
+type stored struct {
+	blob       []byte // codec blob or raw bytes; nil while tiered
+	hostBlock  *devmem.Block
+	alg        compress.Algorithm
+	compressed bool
+	// elems and checksum describe the uncompressed payload; the owner fills
+	// them (a handle at Register, a run at swap-out) before store.
+	elems    int
+	checksum uint64
+	// tiered marks a payload that lives in the disk tier instead of the
+	// host pool (blob and hostBlock are nil), under tierKey — set by the
+	// owner before the first demotion, unique per live payload so
+	// re-registrations of one name can never collide on disk. swappedAt is
+	// the executor-epoch time of the last store, feeding the re-access
+	// prediction that ranks demotion victims.
+	tiered    bool
+	swappedAt float64
+	tierKey   string
+}
+
+// rawBytes is the uncompressed payload size.
+func (s *stored) rawBytes() int64 { return int64(s.elems) * tensor.BytesPerElement }
+
+// store is the swap-out body: encode src (or serialise it raw), park the
+// bytes in the host pool and fill s, then run the owner's commit. The
+// caller holds the claim and rolls it back when store fails — src is then
+// untouched and nothing is held.
+//
+// A compressed store never fails on the codec: an encode error, or a host
+// allocation failure for the compressed blob, degrades to the raw path.
+// Only a raw-path allocation failure (after the spill tier, if any, was
+// asked to make room) or a commit error surfaces. Counters move only once
+// commit has succeeded, so they describe committed outcomes.
+func (e *Executor) store(s *stored, name string, src []float32, doCompress bool, alg compress.Algorithm, commit func() error) error {
+	timed := e.obs != nil // deep instrumentation only when observed
+	var t0 float64
+	if timed {
+		t0 = e.sinceEpoch()
+	}
+	compressed := doCompress
+	encodeFellBack, allocFellBack := false, false
+	var blob []byte
+	var encDur time.Duration
+	if doCompress {
+		var encStart time.Time
+		if timed {
+			encStart = time.Now()
+		}
+		// The encode output lands in an arena buffer sized by the codec's
+		// worst-case bound, so the whole compressed path allocates nothing
+		// once the arena is warm.
+		b, err := e.arenaEncode(alg, src)
+		if timed {
+			encDur = time.Since(encStart)
+		}
+		if err != nil {
+			// The raw path beside the compressing one: a codec failure
+			// must not lose the payload, it just forfeits the bandwidth
+			// saving for this transfer.
+			compressed = false
+			encodeFellBack = true
+		} else {
+			blob = b
+		}
+	}
+	if !compressed {
+		blob = rawEncode(src, e.cache)
+	}
+	// The bytes that land in the host pool are the transferred copy; a
+	// transfer-out fault corrupts the stored blob persistently. Ownership
+	// stays explicit: the pristine encode output remains owned by this
+	// operation until the swap resolves (recycling it at mutation time
+	// would let a concurrent encode reuse a buffer an in-place mutation
+	// could still alias), and the mutated copy — which MutateBlob
+	// allocates outside the arena — is discarded under the same
+	// transfer-copy convention as restore's transient copies.
+	var pristine []byte
+	pristineCompressed := false
+	if mutated, ok := e.cfg.Faults.MutateBlob(faultinject.SiteTransferOut, blob); ok {
+		pristine, pristineCompressed = blob, compressed
+		blob = mutated
+	}
+	// settle sends home what this operation still owns once its outcome no
+	// longer depends on it: the retained pristine original always, and —
+	// when the outbound copy b is not going to ship — b too, transfer
+	// copies to the arena and genuine blobs to their pool.
+	settle := func(b []byte) {
+		if b != nil && pristine != nil {
+			e.arena.put(b)
+		} else if b != nil {
+			e.recycleBlob(b, compressed)
+		}
+		if pristine != nil {
+			e.recycleBlob(pristine, pristineCompressed)
+			pristine = nil
+		}
+	}
+	hostBlock, err := e.hostAlloc(int64(len(blob)))
+	if err != nil && compressed {
+		// Host-pool pressure on the compressed path: retry raw before
+		// surfacing (HostCapacityFor budgets the pool for the all-raw
+		// worst case, so the raw reservation is the accounted-for size).
+		raw := rawEncode(src, e.cache)
+		rawBlock, rerr := e.hostAlloc(int64(len(raw)))
+		if rerr != nil {
+			e.cache.Put(raw)
+		} else {
+			settle(blob) // the compressed blob never ships
+			compressed = false
+			allocFellBack = true
+			blob, hostBlock, err = raw, rawBlock, nil
+		}
+	}
+	if err != nil {
+		settle(blob) // nothing ships; every copy goes home
+		return fmt.Errorf("executor: host pool: %w", err)
+	}
+	settle(nil) // the stored blob is the shipped copy; the original goes home
+	s.blob, s.hostBlock = blob, hostBlock
+	s.alg, s.compressed = alg, compressed
+	s.swappedAt = e.sinceEpoch()
+	if err := commit(); err != nil {
+		_ = e.drop(s)
+		return err
+	}
+
+	e.ins.swapOuts.Inc()
+	e.ins.rawBytes.Add(float64(s.rawBytes()))
+	e.ins.movedBytes.Add(float64(len(blob)))
+	if compressed {
+		e.ins.compressed.Inc()
+	}
+	if encodeFellBack {
+		e.ins.encodeFallbacks.Inc()
+	}
+	if allocFellBack {
+		e.ins.allocFallbacks.Inc()
+	}
+	if timed {
+		e.observeSwapOut(name, s, encDur, t0, e.sinceEpoch(), encodeFellBack, allocFellBack)
+	}
+	return nil
+}
+
+// hostAlloc reserves n host-pool bytes; under pressure with a spill tier
+// attached it demotes cold swapped payloads to disk and retries once.
+func (e *Executor) hostAlloc(n int64) (*devmem.Block, error) {
+	b, err := e.host.Alloc(n)
+	if err != nil && e.freeHostSpace(n) {
+		b, err = e.host.Alloc(n)
+	}
+	return b, err
+}
+
+// restore is the swap-in body: decode s into dst — promoting it from the
+// disk tier first if it lives there — verify it, release the stored copy
+// and run the owner's commit. The caller holds the claim and rolls it back
+// when restore fails.
+//
+// The stored blob (for a tiered payload, the in-memory copy just read) is
+// retained until the restore has passed: a first attempt that fails
+// recoverably retries exactly once from it. Every failure is atomic — s is
+// left as it was, still tiered with its committed tier entry if it was —
+// so the call is safe to retry.
+func (e *Executor) restore(s *stored, name string, dst []float32, commit func()) error {
+	timed := e.obs != nil
+	var t0 float64
+	var decDur time.Duration
+	if timed {
+		t0 = e.sinceEpoch()
+	}
+	blob := s.blob
+	if s.tiered {
+		b, err := e.promoteRead(s.tierKey)
+		if err != nil {
+			return err
+		}
+		blob = b
+	}
+	launch := e.Launch() // one read; chunk bounds come from the blob itself
+	decode := func(blob []byte) error {
+		if s.compressed {
+			return compress.ParallelDecodeIntoWith(dst, blob, launch, e.hooks)
+		}
+		if len(blob) != len(dst)*4 {
+			return fmt.Errorf("%w: raw blob is %d bytes, want %d",
+				compress.ErrTruncated, len(blob), len(dst)*4)
+		}
+		rawDecodeInto(dst, blob)
+		return nil
+	}
+	check := func() error {
+		if e.cfg.Verify && checksum(dst) != s.checksum {
+			return ErrVerification
+		}
+		return nil
+	}
+
+	// The first attempt decodes the transferred copy, which a transfer-in
+	// fault may have perturbed in flight.
+	transfer, transient := e.cfg.Faults.MutateBlob(faultinject.SiteTransferIn, blob)
+	var decStart time.Time
+	if timed {
+		decStart = time.Now()
+	}
+	derr := decode(transfer)
+	if timed {
+		decDur = time.Since(decStart)
+	}
+	if derr == nil {
+		derr = check()
+	}
+	retried := derr != nil && retryable(derr, transient)
+	if retried {
+		// Retry from the retained blob, overwriting whatever the failed
+		// attempt left in dst.
+		e.ins.decodeRetries.Inc()
+		if derr = decode(blob); derr == nil {
+			derr = check()
+		}
+	}
+	if transient {
+		// The in-flight copy is dead after the decode attempts, pass or
+		// fail; only the stored blob survives a failed restore.
+		e.arena.put(transfer)
+	}
+	if derr != nil {
+		if timed {
+			e.observeSwapIn(name, s, decDur, t0, e.sinceEpoch(), retried, false)
+		}
+		return derr
+	}
+	// The blob leaves its store only after the restore has passed —
+	// recycling (or deleting from the tier) earlier would destroy the
+	// bytes a failed swap-in still needs for its retry.
+	promoted := s.tiered
+	if err := e.drop(s); err != nil {
+		return err
+	}
+	if promoted {
+		e.ins.tierPromotions.Inc()
+	}
+	commit()
+
+	e.ins.swapIns.Inc()
+	if e.cfg.Verify {
+		e.ins.verified.Inc()
+	}
+	if retried {
+		e.ins.decodeRecoveries.Inc()
+	}
+	if timed {
+		e.observeSwapIn(name, s, decDur, t0, e.sinceEpoch(), retried, retried)
+	}
+	return nil
+}
+
+// demote is the demotion body: move s's blob from the host pool into the
+// disk tier. The caller holds the claim and a tier I/O slot, and returns
+// the owner to Swapped whatever the outcome — s is tiered on success,
+// unchanged on failure, and an already-tiered payload is a no-op.
+func (e *Executor) demote(s *stored) error {
+	if s.tiered {
+		return nil
+	}
+	meta := tierMeta{
+		RawBytes:   s.rawBytes(),
+		BlobBytes:  int64(len(s.blob)),
+		Compressed: s.compressed,
+		Alg:        s.alg.String(),
+		Elems:      s.elems,
+		Checksum:   s.checksum,
+	}
+	// Ordering: the blob must be committed on disk before the host copy
+	// is released — an interruption here leaves the payload fully
+	// host-resident and the tier cleanly without it.
+	if err := e.tier.Put(s.tierKey, s.blob, meta); err != nil {
+		return err
+	}
+	if err := s.hostBlock.Free(); err != nil {
+		_, _ = e.tier.Delete(s.tierKey)
+		return err
+	}
+	e.recycleBlob(s.blob, s.compressed)
+	s.blob, s.hostBlock = nil, nil
+	s.tiered = true
+	e.ins.tierDemotions.Inc()
+	e.ins.tierOccupancy.Set(float64(e.tier.Used()))
+	return nil
+}
+
+// stage moves a tiered payload from the disk store back into the host pool
+// ahead of its decode — prefetch read-ahead, so a later (possibly
+// critical) demand swap-in pays a host-memory read instead of a disk
+// fault. Best-effort: on any failure the payload simply stays tiered and
+// the restore promotes from disk as before. In particular, staging never
+// demotes other payloads to make room — the speculative copy is not worth
+// evicting warmer bytes for. The caller holds the SwappingIn claim.
+func (e *Executor) stage(s *stored) {
+	if e.tier == nil || !s.tiered {
+		return
+	}
+	blob, err := e.promoteRead(s.tierKey)
+	if err != nil {
+		return
+	}
+	hostBlock, err := e.host.Alloc(int64(len(blob)))
+	if err != nil {
+		return
+	}
+	// Same ordering as a committed restore: the host copy is installed
+	// before the tier entry is deleted, so an interruption never strands
+	// the payload in neither store.
+	s.blob, s.hostBlock = blob, hostBlock
+	e.tierDelete(s)
+	e.ins.tierPromotions.Inc()
+	e.ins.tierReadahead.Inc()
+}
+
+// drop releases a stored payload from whichever tier holds it, once nothing
+// will read it again: its restore has passed, its owner is freed, or the
+// store that produced it failed to commit.
+func (e *Executor) drop(s *stored) error {
+	if s.tiered {
+		e.tierDelete(s)
+		return nil
+	}
+	if err := s.hostBlock.Free(); err != nil {
+		return err
+	}
+	e.recycleBlob(s.blob, s.compressed)
+	s.blob, s.hostBlock = nil, nil
+	return nil
+}
+
+// tierDelete removes s's committed tier entry and clears its tiered mark.
+func (e *Executor) tierDelete(s *stored) {
+	_, _ = e.tier.Delete(s.tierKey)
+	s.tiered = false
+	e.ins.tierOccupancy.Set(float64(e.tier.Used()))
+}

@@ -264,7 +264,7 @@ func TestBatchPrefetchReadahead(t *testing.T) {
 	if err := p.SwapOutBlocks(ids, true, compress.RLE); err != nil {
 		t.Fatal(err)
 	}
-	runs := p.storedRuns()
+	runs := p.storedRuns(0)
 	if len(runs) != 1 {
 		t.Fatalf("stored runs = %d, want 1", len(runs))
 	}

@@ -25,7 +25,6 @@ import (
 	"sort"
 	"time"
 
-	"cswap/internal/compress"
 	"cswap/internal/costmodel"
 	"cswap/internal/tier"
 )
@@ -50,11 +49,6 @@ type tierMeta struct {
 	Elems      int    `json:"elems"`
 	Checksum   uint64 `json:"checksum"`
 }
-
-// tierKey is the handle's key in the tier store: the registration name
-// (the host-pool key) plus the handle ID, so re-registrations of one name
-// can never collide on disk.
-func (h *Handle) tierKey() string { return fmt.Sprintf("%s#h%d", h.name, h.id) }
 
 // InTier reports whether the handle's swapped payload currently lives in
 // the disk tier rather than the pinned-host pool.
@@ -86,12 +80,28 @@ func (e *Executor) Demote(h *Handle) error {
 	if err := e.claim(h, Swapped, SwappingOut, nil); err != nil {
 		return err
 	}
-	if _, err := e.tierGate.acquire(context.Background()); err != nil {
-		h.commit(Swapped)
+	return e.demoteHandle(h, e.demoteSync(&h.stored))
+}
+
+// demoteHandle releases a demotion's claim — the handle returns to Swapped
+// whatever the outcome — and names the handle in the error, if any.
+func (e *Executor) demoteHandle(h *Handle, err error) error {
+	h.commit(Swapped)
+	if err != nil {
 		return fmt.Errorf("executor: demote %s: %w", h.name, err)
 	}
+	return nil
+}
+
+// demoteSync runs the demote body in the caller's goroutine under a tier
+// I/O slot. Inline demotion (freeHostSpace) runs inside swap bodies that
+// are themselves pool work, so it must never go through compress.Go.
+func (e *Executor) demoteSync(s *stored) error {
+	if err := e.tierGate.acquire(context.Background()); err != nil {
+		return err
+	}
 	defer e.tierGate.release()
-	return e.demote(h)
+	return e.demote(s)
 }
 
 // DemoteAsync is Demote as a pipeline stage on the tier window: it claims
@@ -108,77 +118,28 @@ func (e *Executor) DemoteAsync(h *Handle) *Ticket {
 func (e *Executor) DemoteAsyncCtx(ctx context.Context, h *Handle) *Ticket {
 	t := newTicket("demote", h.name)
 	if e.tier == nil {
-		t.complete(ErrNoTier)
-		return t
+		return t.complete(ErrNoTier)
 	}
 	if err := e.claim(h, Swapped, SwappingOut, t); err != nil {
-		t.complete(err)
-		return t
+		return t.complete(err)
 	}
-	if _, err := e.tierGate.acquire(ctx); err != nil {
-		h.commit(Swapped)
-		t.complete(fmt.Errorf("executor: demote %s: %w", h.name, err))
-		return t
+	err := dispatch(ctx, e, &e.tierGate, t, func(h *Handle) error {
+		return e.demoteHandle(h, e.demote(&h.stored))
+	}, h)
+	if err != nil {
+		t.complete(e.demoteHandle(h, err))
 	}
-	compress.Go(func() {
-		t.complete(e.demote(h))
-		e.tierGate.release()
-	})
 	return t
 }
 
-// demote is the demotion body. The caller has claimed SwappingOut and
-// holds a tier I/O slot; the body owns the handle's storage until it
-// commits back to Swapped (tiered on success, unchanged on failure).
-func (e *Executor) demote(h *Handle) error {
-	if h.tiered { // already on disk: idempotent
-		h.commit(Swapped)
-		return nil
-	}
-	meta := tierMeta{
-		RawBytes:   h.Bytes(),
-		BlobBytes:  int64(len(h.blob)),
-		Compressed: h.compressed,
-		Alg:        h.alg.String(),
-		Elems:      h.elems,
-		Checksum:   h.checksum,
-	}
-	// Ordering: the blob must be committed on disk before the host copy
-	// is released — an interruption here leaves the payload fully
-	// host-resident and the tier cleanly without it.
-	if err := e.tier.Put(h.tierKey(), h.blob, meta); err != nil {
-		h.commit(Swapped)
-		return fmt.Errorf("executor: demote %s: %w", h.name, err)
-	}
-	if err := h.hostBlock.Free(); err != nil {
-		_, _ = e.tier.Delete(h.tierKey())
-		h.commit(Swapped)
-		return fmt.Errorf("executor: demote %s: %w", h.name, err)
-	}
-	e.recycleBlob(h.blob, h.compressed)
-	h.blob = nil
-	h.hostBlock = nil
-	h.tiered = true
-	h.commit(Swapped)
-	e.ins.tierDemotions.Inc()
-	e.ins.tierOccupancy.Set(float64(e.tier.Used()))
-	return nil
-}
-
-// promoteRead fetches a tiered handle's payload from the disk store; see
-// promoteReadKey. The caller (swapIn) owns the handle's transitional
-// state; the tier entry itself is deleted only after the restore commits.
-func (e *Executor) promoteRead(h *Handle) ([]byte, error) {
-	return e.promoteReadKey(h.tierKey())
-}
-
-// promoteReadKey reads one committed tier blob under the tier I/O window,
-// counting the tier hit.
-func (e *Executor) promoteReadKey(key string) ([]byte, error) {
+// promoteRead reads one committed tier blob under the tier I/O window,
+// counting the tier hit. The tier entry itself is deleted only after the
+// restore (or staging) that asked for it has its own copy safe.
+func (e *Executor) promoteRead(key string) ([]byte, error) {
 	if e.tier == nil {
 		return nil, ErrNoTier
 	}
-	if _, err := e.tierGate.acquire(context.Background()); err != nil {
+	if err := e.tierGate.acquire(context.Background()); err != nil {
 		return nil, err
 	}
 	defer e.tierGate.release()
@@ -188,6 +149,14 @@ func (e *Executor) promoteReadKey(key string) ([]byte, error) {
 	}
 	e.ins.tierHits.Inc()
 	return blob, nil
+}
+
+// demotionScore ranks a host-resident payload for eviction at time now and
+// reports the host bytes its demotion would free. The caller holds the
+// owner's lock (or claim).
+func (s *stored) demotionScore(now float64) (score float64, bytes int64) {
+	bytes = int64(len(s.blob))
+	return costmodel.DemotionScore(float64(bytes)/float64(s.rawBytes()), now-s.swappedAt, 0), bytes
 }
 
 // tierVictim is one demotion candidate: its eviction score and the bytes
@@ -218,42 +187,47 @@ func (e *Executor) tierVictims() []tierVictim {
 
 	var vs []tierVictim
 	for _, h := range handles {
+		h := h
 		h.mu.Lock()
-		ok := h.state == Swapped && !h.tiered && h.hostBlock != nil
-		var score float64
-		var bytes int64
-		if ok {
-			ratio := float64(len(h.blob)) / float64(h.Bytes())
-			score = costmodel.DemotionScore(ratio, now-h.swappedAt, 0)
-			bytes = int64(len(h.blob))
-		}
-		h.mu.Unlock()
-		if ok {
-			h := h
+		if h.state == Swapped && !h.tiered && h.hostBlock != nil {
+			score, bytes := h.stored.demotionScore(now)
 			vs = append(vs, tierVictim{score: score, bytes: bytes, demote: func() error { return e.Demote(h) }})
 		}
+		h.mu.Unlock()
 	}
 	for _, p := range pools {
-		for _, c := range p.storedRuns() {
+		p := p
+		for _, c := range p.storedRuns(now) {
 			c := c
-			p := p
-			ratio := float64(c.blobBytes) / float64(c.rawBytes)
-			vs = append(vs, tierVictim{
-				score:  costmodel.DemotionScore(ratio, now-c.swappedAt, 0),
-				bytes:  c.blobBytes,
-				demote: func() error { return p.demoteRun(c.pr) },
-			})
+			vs = append(vs, tierVictim{score: c.score, bytes: c.bytes, demote: func() error { return p.demoteRun(c.pr) }})
 		}
 	}
 	sort.Slice(vs, func(i, j int) bool { return vs[i].score < vs[j].score })
 	return vs
 }
 
-// freeHostSpace demotes ranked victims until the host pool has room for
-// `need` more bytes, reporting whether it does. Without a tier (or enough
-// demotable bytes) it reports the pool's existing headroom; individual
-// demote failures (a victim turned busy, the tier filled up) skip to the
-// next candidate.
+// demoteUntil demotes ranked victims, cheapest expected re-fetch first,
+// until done reports true, returning how many it moved. Individual demote
+// failures (a victim turned busy) skip to the next candidate; a full tier
+// fails every remaining candidate the same way, so it ends the sweep.
+func (e *Executor) demoteUntil(done func() bool) int {
+	moved := 0
+	for _, v := range e.tierVictims() {
+		if done() {
+			break
+		}
+		if err := v.demote(); err == nil {
+			moved++
+		} else if errors.Is(err, tier.ErrFull) {
+			break
+		}
+	}
+	return moved
+}
+
+// freeHostSpace demotes victims until the host pool has room for `need`
+// more bytes, reporting whether it does — false without a tier, or
+// without enough demotable bytes.
 func (e *Executor) freeHostSpace(need int64) bool {
 	if e.tier == nil {
 		return false
@@ -261,17 +235,8 @@ func (e *Executor) freeHostSpace(need int64) bool {
 	headroom := func() bool {
 		return e.host.Capacity()-e.host.Used() >= need
 	}
-	if headroom() {
-		return true
-	}
-	for _, v := range e.tierVictims() {
-		if headroom() {
-			break
-		}
-		if err := v.demote(); err != nil && errors.Is(err, tier.ErrFull) {
-			// A full tier fails every remaining candidate the same way.
-			break
-		}
+	if !headroom() {
+		e.demoteUntil(headroom)
 	}
 	return headroom()
 }
@@ -296,27 +261,12 @@ func (e *Executor) watermarkLoop(interval time.Duration) {
 	}
 }
 
-// demoteToWatermark demotes cheapest-refetch-first victims until host
-// occupancy is at or under TierWatermark×capacity, returning how many it
-// moved. Individual failures (a victim turned busy) skip to the next
-// candidate; a full tier ends the sweep.
-func (e *Executor) demoteToWatermark() int {
+// demoteToWatermark demotes victims until host occupancy is at or under
+// TierWatermark×capacity.
+func (e *Executor) demoteToWatermark() {
 	target := int64(e.cfg.TierWatermark * float64(e.host.Capacity()))
-	moved := 0
-	for _, v := range e.tierVictims() {
-		if e.host.Used() <= target {
-			break
-		}
-		if err := v.demote(); err != nil {
-			if errors.Is(err, tier.ErrFull) {
-				break
-			}
-			continue
-		}
-		moved++
-		e.ins.watermarkDemotions.Inc()
-	}
-	return moved
+	moved := e.demoteUntil(func() bool { return e.host.Used() <= target })
+	e.ins.watermarkDemotions.Add(float64(moved))
 }
 
 // stopWatermark shuts the background demoter down, idempotently, and
@@ -328,60 +278,4 @@ func (e *Executor) stopWatermark() {
 			<-e.watermarkDone
 		}
 	})
-}
-
-// stageFromTier moves a tiered handle's payload from the disk store back
-// into the pinned-host pool ahead of its decode — prefetch read-ahead, so
-// a later (possibly critical) demand swap-in pays a host-memory read
-// instead of a disk fault. Best-effort: on any failure the handle simply
-// stays tiered and the swap-in promotes from disk as before. In
-// particular, staging never demotes other payloads to make room — the
-// speculative copy is not worth evicting warmer bytes for. The caller
-// owns the handle's SwappingIn claim.
-func (e *Executor) stageFromTier(h *Handle) {
-	if e.tier == nil || !h.tiered {
-		return
-	}
-	blob, err := e.promoteRead(h)
-	if err != nil {
-		return
-	}
-	hostBlock, err := e.host.Alloc(int64(len(blob)))
-	if err != nil {
-		return
-	}
-	// Same ordering as a committed restore: the host copy is installed
-	// before the tier entry is deleted, so an interruption never strands
-	// the payload in neither store.
-	h.blob = blob
-	h.hostBlock = hostBlock
-	h.tiered = false
-	_, _ = e.tier.Delete(h.tierKey())
-	e.ins.tierPromotions.Inc()
-	e.ins.tierReadahead.Inc()
-	e.ins.tierOccupancy.Set(float64(e.tier.Used()))
-}
-
-// stageRunFromTier is stageFromTier for one stored block-pool run; the
-// caller owns the run's SwappingIn claim.
-func (p *BlockPool) stageRunFromTier(pr *poolRun) {
-	e := p.e
-	if e.tier == nil || !pr.tiered {
-		return
-	}
-	blob, err := e.promoteReadKey(p.runTierKey(pr))
-	if err != nil {
-		return
-	}
-	hostBlock, err := e.host.Alloc(int64(len(blob)))
-	if err != nil {
-		return
-	}
-	pr.blob = blob
-	pr.hostBlock = hostBlock
-	pr.tiered = false
-	_, _ = e.tier.Delete(p.runTierKey(pr))
-	e.ins.tierPromotions.Inc()
-	e.ins.tierReadahead.Inc()
-	e.ins.tierOccupancy.Set(float64(e.tier.Used()))
 }

@@ -484,7 +484,7 @@ func TestPoolRunDemotePromoteRoundTrip(t *testing.T) {
 	if err := p.SwapOutBlocks(all, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	runs := p.storedRuns()
+	runs := p.storedRuns(0)
 	if len(runs) != 1 {
 		t.Fatalf("stored runs = %d, want 1 coalesced run", len(runs))
 	}
@@ -494,7 +494,7 @@ func TestPoolRunDemotePromoteRoundTrip(t *testing.T) {
 	if e.TierUsed() == 0 || ts.Len() != 1 {
 		t.Fatalf("tier holds %d bytes / %d blobs after run demotion", e.TierUsed(), ts.Len())
 	}
-	if len(p.storedRuns()) != 0 {
+	if len(p.storedRuns(0)) != 0 {
 		t.Fatal("tiered run still offered as a demotion candidate")
 	}
 	// Re-demoting a stale snapshot is a silent no-op.
@@ -536,7 +536,7 @@ func TestPoolFreeReleasesTieredRuns(t *testing.T) {
 	if err := p.SwapOutBlocks(ids, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range p.storedRuns() {
+	for _, c := range p.storedRuns(0) {
 		if err := p.demoteRun(c.pr); err != nil {
 			t.Fatal(err)
 		}

@@ -63,58 +63,6 @@ func expandRuns(runs []wire.BlockRun) []int {
 	return ids
 }
 
-// acquirePool is acquire plus the kind check: the locked entry must be a
-// block pool.
-func (s *Server) acquirePool(w http.ResponseWriter, sess *session, name string) (*entry, bool) {
-	ent, err := sess.acquire(name)
-	if err != nil {
-		s.failErr(w, err)
-		return nil, false
-	}
-	if ent.pool == nil {
-		ent.mu.Unlock()
-		s.failErr(w, errNotPool)
-		return nil, false
-	}
-	return ent, true
-}
-
-// batchOp runs one admission-gated batch operation against a pool entry —
-// swapOp's analogue with the pool kind check and one slot per batch. The
-// hint picks the admission lane/deadline (one slot, one lane entry, per
-// batch regardless of block count) and rides the operation context so the
-// executor can shed speculative batches at run boundaries. On success the
-// entry is returned still locked and still holding the slot.
-func (s *Server) batchOp(w http.ResponseWriter, r *http.Request, sess *session, name string, hint sched.Hint,
-	submit func(context.Context, *entry) *executor.Ticket) (*entry, bool) {
-	ent, ok := s.acquirePool(w, sess, name)
-	if !ok {
-		return nil, false
-	}
-	if !s.admitReq(w, r, hint) {
-		ent.mu.Unlock()
-		return nil, false
-	}
-	t := submit(sched.WithHint(r.Context(), hint), ent)
-	if err := t.WaitContext(r.Context()); err != nil {
-		select {
-		case <-t.Done():
-			if opErr := t.Err(); opErr != nil {
-				ent.mu.Unlock()
-				s.admitRelease()
-				s.failErr(w, opErr)
-				return nil, false
-			}
-			return ent, true
-		default:
-			go s.finishAsync(t, ent)
-			s.fail(w, http.StatusRequestTimeout, CodeTimeout, err.Error())
-			return nil, false
-		}
-	}
-	return ent, true
-}
-
 // handleRegisterPool admits the pool's whole device reservation against
 // the tenant quota — the batch ops that follow are pre-paid.
 func (s *Server) handleRegisterPool(w http.ResponseWriter, r *http.Request) {
@@ -155,7 +103,7 @@ func (s *Server) handleBatchWrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.session(tenantOf(r))
-	ent, ok := s.acquirePool(w, sess, f.Name)
+	ent, ok := s.acquireKind(w, sess, f.Name, true)
 	if !ok {
 		return
 	}
@@ -191,19 +139,16 @@ func (s *Server) handleBatchSwapOut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.session(tenantOf(r))
-	ent, ok := s.batchOp(w, r, sess, f.Name, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
+	ent, ok := s.swapOp(w, r, sess, f.Name, true, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
 		bytes := int64(len(f.BlockIDs)) * int64(ent.pool.BlockElems()) * 4
 		sess.observeSwap(ent.sparsity, bytes)
 		doCompress, alg := s.resolveCodec(sess, ent, f.Compress, f.Alg)
 		return ent.pool.SwapOutBlocksCtx(ctx, f.BlockIDs, doCompress, alg)
 	})
-	if !ok {
-		return
+	if ok {
+		s.batchSeen("swap-out", len(f.BlockIDs))
+		s.swapAck(w, sess, ent, f.Name)
 	}
-	ent.mu.Unlock()
-	s.admitRelease()
-	s.batchSeen("swap-out", len(f.BlockIDs))
-	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: f.Name})
 }
 
 // handleBatchSwapIn restores the listed blocks and streams their packed
@@ -214,36 +159,25 @@ func (s *Server) handleBatchSwapIn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.session(tenantOf(r))
-	ent, ok := s.batchOp(w, r, sess, f.Name, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
+	ent, ok := s.swapOp(w, r, sess, f.Name, true, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
 		return ent.pool.SwapInBlocksCtx(ctx, f.BlockIDs)
 	})
 	if !ok {
 		return
 	}
-	runs := executor.CoalesceBlockIDs(f.BlockIDs)
-	ids := expandRuns(toWireRuns(runs))
+	runs := toWireRuns(executor.CoalesceBlockIDs(f.BlockIDs))
+	ids := expandRuns(runs)
 	data, err := ent.pool.ReadBlocks(ids)
 	if err != nil {
-		ent.mu.Unlock()
-		s.admitRelease()
-		s.failErr(w, err)
-		return
-	}
-	resp := &wire.Frame{
-		Type: wire.TypeBatchData, Name: f.Name,
-		BlockElems: ent.pool.BlockElems(),
-		Runs:       toWireRuns(runs), Data: data,
-	}
-	b, encErr := wire.Encode(resp)
-	ent.mu.Unlock()
-	s.admitRelease()
-	if encErr != nil {
-		s.fail(w, http.StatusInternalServerError, CodeInternal, encErr.Error())
+		s.swapFail(w, ent, err)
 		return
 	}
 	s.batchSeen("swap-in", len(ids))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(b)
+	s.swapData(w, ent, &wire.Frame{
+		Type: wire.TypeBatchData, Name: f.Name,
+		BlockElems: ent.pool.BlockElems(),
+		Runs:       runs, Data: data,
+	})
 }
 
 // handleBatchPrefetch requests residency for the listed blocks;
@@ -254,14 +188,11 @@ func (s *Server) handleBatchPrefetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.session(tenantOf(r))
-	ent, ok := s.batchOp(w, r, sess, f.Name, hintOf(f, sched.LaneSpeculative), func(ctx context.Context, ent *entry) *executor.Ticket {
+	ent, ok := s.swapOp(w, r, sess, f.Name, true, hintOf(f, sched.LaneSpeculative), func(ctx context.Context, ent *entry) *executor.Ticket {
 		return ent.pool.PrefetchBlocksCtx(ctx, f.BlockIDs)
 	})
-	if !ok {
-		return
+	if ok {
+		s.batchSeen("prefetch", len(f.BlockIDs))
+		s.swapAck(w, sess, ent, f.Name)
 	}
-	ent.mu.Unlock()
-	s.admitRelease()
-	s.batchSeen("prefetch", len(f.BlockIDs))
-	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: f.Name})
 }

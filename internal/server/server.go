@@ -436,6 +436,12 @@ func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, want wire.Typ
 // writeFrame encodes and writes a response frame.
 func (s *Server) writeFrame(w http.ResponseWriter, f *wire.Frame) {
 	b, err := wire.Encode(f)
+	s.writeEncoded(w, b, err)
+}
+
+// writeEncoded writes wire.Encode's result: the frame bytes with their
+// length declared, or a 500 when the encode failed.
+func (s *Server) writeEncoded(w http.ResponseWriter, b []byte, err error) {
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
@@ -605,23 +611,39 @@ func (s *Server) finishAsync(t *executor.Ticket, ent *entry) {
 	s.admitRelease()
 }
 
-// swapOp runs one admission-gated async operation against an entry and
-// waits for it under the request context. The hint picks the admission
-// lane/deadline and rides the operation context so the executor can shed
-// speculative work at run boundaries. On success the entry is returned
-// still locked and still holding the admission slot — the caller reads
-// what it needs, unlocks, and releases.
-func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, name string, hint sched.Hint,
-	submit func(context.Context, *entry) *executor.Ticket) (*entry, bool) {
+// acquireKind is acquire plus the kind check: the locked entry must be a
+// block pool (wantPool) or a tensor — the per-tensor endpoints don't apply
+// to a pool name, nor the batch ones to a tensor.
+func (s *Server) acquireKind(w http.ResponseWriter, sess *session, name string, wantPool bool) (*entry, bool) {
 	ent, err := sess.acquire(name)
 	if err != nil {
 		s.failErr(w, err)
 		return nil, false
 	}
-	if ent.h == nil {
-		// A block-pool entry: the per-tensor endpoints don't apply.
+	if isPool := ent.pool != nil; isPool != wantPool {
 		ent.mu.Unlock()
-		s.failErr(w, errNotTensor)
+		if wantPool {
+			s.failErr(w, errNotPool)
+		} else {
+			s.failErr(w, errNotTensor)
+		}
+		return nil, false
+	}
+	return ent, true
+}
+
+// swapOp runs one admission-gated async operation against an entry of the
+// given kind — a tensor swap or a whole block batch, which claims ONE slot
+// and one lane entry regardless of its block count — and waits for it
+// under the request context. The hint picks the admission lane/deadline
+// and rides the operation context so the executor can shed speculative
+// work at run boundaries. On success the entry is returned still locked
+// and still holding the admission slot — the caller reads what it needs,
+// then finishes with swapAck or swapData.
+func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, name string, wantPool bool, hint sched.Hint,
+	submit func(context.Context, *entry) *executor.Ticket) (*entry, bool) {
+	ent, ok := s.acquireKind(w, sess, name, wantPool)
+	if !ok {
 		return nil, false
 	}
 	if !s.admitReq(w, r, hint) {
@@ -635,12 +657,9 @@ func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, n
 			// The ticket resolved (possibly racing the dying context):
 			// report its actual outcome.
 			if opErr := t.Err(); opErr != nil {
-				ent.mu.Unlock()
-				s.admitRelease()
-				s.failErr(w, opErr)
+				s.swapFail(w, ent, opErr)
 				return nil, false
 			}
-			return ent, true
 		default:
 			// The client stopped waiting mid-operation. The work still
 			// runs to completion; the entry lock and admission slot follow
@@ -653,6 +672,36 @@ func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, n
 	return ent, true
 }
 
+// swapFail releases the entry and admission slot a swapOp holds and
+// answers with err.
+func (s *Server) swapFail(w http.ResponseWriter, ent *entry, err error) {
+	ent.mu.Unlock()
+	s.admitRelease()
+	s.failErr(w, err)
+}
+
+// swapAck is the tail of every swap that answers with a bare ack: settle
+// the entry's quota bucket with where its payload now lives (a demotion or
+// promotion moves the charge; pools are exempt), release the entry and the
+// admission slot, acknowledge.
+func (s *Server) swapAck(w http.ResponseWriter, sess *session, ent *entry, name string) {
+	sess.syncTier(ent)
+	ent.mu.Unlock()
+	s.admitRelease()
+	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: name})
+}
+
+// swapData is the tail of the swaps that answer with the restored bytes.
+// The frame is encoded while the entry lock still excludes concurrent
+// mutation of its data; it owns a copy once Encode returns, so the lock
+// and slot are released before the write.
+func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame) {
+	b, err := wire.Encode(f)
+	ent.mu.Unlock()
+	s.admitRelease()
+	s.writeEncoded(w, b, err)
+}
+
 // handleSwapOut moves the tensor to the host pool through the async
 // pipeline, compressing per the request.
 func (s *Server) handleSwapOut(w http.ResponseWriter, r *http.Request) {
@@ -661,18 +710,14 @@ func (s *Server) handleSwapOut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.session(tenantOf(r))
-	ent, ok := s.swapOp(w, r, sess, f.Name, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
+	ent, ok := s.swapOp(w, r, sess, f.Name, false, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
 		sess.observeSwap(ent.sparsity, ent.bytes)
 		doCompress, alg := s.resolveCodec(sess, ent, f.Compress, f.Alg)
 		return s.exec.SwapOutAsyncCtx(ctx, ent.h, doCompress, alg)
 	})
-	if !ok {
-		return
+	if ok {
+		s.swapAck(w, sess, ent, f.Name)
 	}
-	sess.syncTier(ent)
-	ent.mu.Unlock()
-	s.admitRelease()
-	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: f.Name})
 }
 
 // resolveCodec turns a swap-out request's codec choice into a concrete
@@ -725,7 +770,7 @@ func (s *Server) handleSwapIn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.session(tenantOf(r))
-	ent, ok := s.swapOp(w, r, sess, f.Name, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
+	ent, ok := s.swapOp(w, r, sess, f.Name, false, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
 		return s.exec.SwapInAsyncCtx(ctx, ent.h)
 	})
 	if !ok {
@@ -734,23 +779,10 @@ func (s *Server) handleSwapIn(w http.ResponseWriter, r *http.Request) {
 	sess.syncTier(ent) // a promotion moves the charge back to the device bucket
 	data, err := ent.h.Data()
 	if err != nil {
-		ent.mu.Unlock()
-		s.admitRelease()
-		s.failErr(w, err)
+		s.swapFail(w, ent, err)
 		return
 	}
-	// Encode while the entry lock still excludes concurrent mutation of
-	// this tensor; the frame owns a copy once Encode returns.
-	b, encErr := wire.Encode(&wire.Frame{Type: wire.TypeTensorData, Name: f.Name, Data: data})
-	ent.mu.Unlock()
-	s.admitRelease()
-	if encErr != nil {
-		s.fail(w, http.StatusInternalServerError, CodeInternal, encErr.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	_, _ = w.Write(b)
+	s.swapData(w, ent, &wire.Frame{Type: wire.TypeTensorData, Name: f.Name, Data: data})
 }
 
 // handlePrefetch requests residency ahead of need; an already-resident
@@ -761,16 +793,12 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.session(tenantOf(r))
-	ent, ok := s.swapOp(w, r, sess, f.Name, hintOf(f, sched.LaneSpeculative), func(ctx context.Context, ent *entry) *executor.Ticket {
+	ent, ok := s.swapOp(w, r, sess, f.Name, false, hintOf(f, sched.LaneSpeculative), func(ctx context.Context, ent *entry) *executor.Ticket {
 		return s.exec.PrefetchCtx(ctx, ent.h)
 	})
-	if !ok {
-		return
+	if ok {
+		s.swapAck(w, sess, ent, f.Name)
 	}
-	sess.syncTier(ent)
-	ent.mu.Unlock()
-	s.admitRelease()
-	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: f.Name})
 }
 
 // handleFree releases the tensor and returns its bytes to the quota.

@@ -147,6 +147,56 @@ func TestTunerSwitchesCodecOnDrift(t *testing.T) {
 	}
 }
 
+// TestTunerSeesBlockPoolTraffic pins the evidence the tuner's realized-cost
+// guard reads for a KV-only tenant: block-pool runs ride the same stored-
+// payload path as tensors, so once the tuner has picked a codec for a
+// tenant that only ever moves block batches, that codec's executor series
+// — encode time and moved bytes — have advanced.
+func TestTunerSeesBlockPoolTraffic(t *testing.T) {
+	s, url := newTestServer(t, tunerTestOptions(tunerTestTuner())...)
+	c := client.New(url)
+	ctx := context.Background()
+
+	const elems, blocks = 1024, 16
+	ids := make([]int, blocks)
+	for i := range ids {
+		ids[i] = i
+	}
+	if err := c.RegisterPool(ctx, "kv", elems, blocks); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBlocks(ctx, "kv", ids, tensor.NewGenerator(5).Uniform(elems*blocks, 0).Data); err != nil {
+		t.Fatal(err)
+	}
+	huf := []metrics.Label{metrics.L("tenant", "default"), metrics.L("codec", "HUF")}
+	deadline := time.Now().Add(15 * time.Second)
+	for counterValue(t, s, "server_tuner_verdicts_total", huf...) < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the tuner never issued a verdict for the KV-only tenant")
+		}
+		if err := c.SwapOutBlocks(ctx, "kv", ids); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.SwapInBlocks(ctx, "kv", ids); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	snap := s.Registry().Snapshot()
+	if v, _ := snap.Counter("executor_moved_bytes_by_codec_total", metrics.L("codec", "HUF")); v <= 0 {
+		t.Errorf("executor_moved_bytes_by_codec_total{codec=HUF} = %v, want > 0", v)
+	}
+	encodes := int64(0)
+	for _, h := range snap.Histograms {
+		if h.Name == "executor_encode_seconds" && h.Labels["codec"] == "HUF" {
+			encodes = h.Count
+		}
+	}
+	if encodes == 0 {
+		t.Error("executor_encode_seconds{codec=HUF} recorded no block-run encode")
+	}
+}
+
 // TestTunerReprobesLaunch exercises the geometry half of the loop: a new
 // compressing verdict triggers a Bayesian-optimisation launch re-probe,
 // and the winner lands atomically on the executor.
