@@ -52,12 +52,9 @@ bench:
 # gains or loses code: the tight decode loops are sensitive to function
 # placement (a new function can shift a hot loop onto an unlucky address
 # for ~2x ns/op with identical machine code), so ns/op is only comparable
-# between binaries with the same layout. allocs/op is layout-immune but
-# not core-count-immune (a parallel call allocates its task only when it
-# has helpers to hand it to), so baseline and gate both pin -cpu 1 — and
-# -p 1, so the three packages' timing loops never share the machine.
+# between binaries with the same layout. allocs/op is layout-immune.
 BENCH_HOT = -bench='BenchmarkCodec|BenchmarkParallelContainer|BenchmarkSwapHotPath|BenchmarkServerRoundTrip|BenchmarkBatchSwap' \
-	-benchmem -count=3 -cpu 1 -p 1 -run='^$$' ./internal/compress/ ./internal/executor/ ./internal/server/
+	-benchmem -count=3 -run='^$$' ./internal/compress/ ./internal/executor/ ./internal/server/
 
 bench-compress:
 	$(GO) test $(BENCH_HOT) | $(GO) run ./cmd/cswap-benchdiff -write BENCH_compress.json

@@ -597,7 +597,9 @@ func (p *BlockPool) storedRuns(now float64) []runCandidate {
 	}
 	var out []runCandidate
 	for id, pr := range p.run {
-		if pr == nil || pr.start != id || pr.tiered || p.state[id] != Swapped {
+		// State first: a run's record may only be read while no claim
+		// holds its blocks, which Swapped under p.mu guarantees.
+		if pr == nil || pr.start != id || p.state[id] != Swapped || pr.tiered {
 			continue
 		}
 		score, bytes := pr.demotionScore(now)

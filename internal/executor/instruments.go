@@ -157,12 +157,13 @@ func (i *instruments) forPayload(s *stored) *codecCells {
 
 // observeSwapOut records the deep (Observer-only) view of one swap-out:
 // per-codec volume, encode timing, a wall-clock span, and fallback events.
-// t0/t1 bound the whole operation in seconds since the executor epoch.
-func (e *Executor) observeSwapOut(name string, s *stored, encDur time.Duration, t0, t1 float64, encodeFellBack, allocFellBack bool) {
+// t0/t1 bound the whole operation in seconds since the executor epoch. It
+// runs after the owner has committed, so it takes the payload's series and
+// stored size by value instead of reading a record it no longer owns.
+func (e *Executor) observeSwapOut(name string, c *codecCells, moved int, encDur time.Duration, t0, t1 float64, encodeFellBack, allocFellBack bool) {
 	o := e.obs
-	c := e.ins.forPayload(s)
-	c.moved.Add(float64(len(s.blob)))
-	c.blob.Observe(float64(len(s.blob)))
+	c.moved.Add(float64(moved))
+	c.blob.Observe(float64(moved))
 	if encDur > 0 {
 		c.enc.Observe(encDur.Seconds())
 	}
@@ -178,11 +179,12 @@ func (e *Executor) observeSwapOut(name string, s *stored, encDur time.Duration, 
 }
 
 // observeSwapIn records the deep view of one swap-in: decode timing, a
-// wall-clock span, and retry/recovery events.
-func (e *Executor) observeSwapIn(name string, s *stored, decDur time.Duration, t0, t1 float64, retried, recovered bool) {
+// wall-clock span, and retry/recovery events. Like observeSwapOut it may run
+// after the commit, so the series is resolved by the caller.
+func (e *Executor) observeSwapIn(name string, c *codecCells, decDur time.Duration, t0, t1 float64, retried, recovered bool) {
 	o := e.obs
 	if decDur > 0 {
-		e.ins.forPayload(s).dec.Observe(decDur.Seconds())
+		c.dec.Observe(decDur.Seconds())
 	}
 	if o.Trace != nil {
 		o.Span("swap-in", "p:"+name, t0, t1)

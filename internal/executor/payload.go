@@ -144,14 +144,19 @@ func (e *Executor) store(s *stored, name string, src []float32, doCompress bool,
 	s.blob, s.hostBlock = blob, hostBlock
 	s.alg, s.compressed = alg, compressed
 	s.swappedAt = e.sinceEpoch()
+	// commit publishes the owner as Swapped, after which a demotion or the
+	// next swap-in may claim it and rewrite s: everything the accounting
+	// below needs is taken from s here, while the claim is still held.
+	cells, rawBytes, moved := e.ins.forPayload(s), s.rawBytes(), len(blob)
 	if err := commit(); err != nil {
 		_ = e.drop(s)
+		s.alg, s.compressed = 0, false // a rolled-back owner reports no stale encoding
 		return err
 	}
 
 	e.ins.swapOuts.Inc()
-	e.ins.rawBytes.Add(float64(s.rawBytes()))
-	e.ins.movedBytes.Add(float64(len(blob)))
+	e.ins.rawBytes.Add(float64(rawBytes))
+	e.ins.movedBytes.Add(float64(moved))
 	if compressed {
 		e.ins.compressed.Inc()
 	}
@@ -162,7 +167,7 @@ func (e *Executor) store(s *stored, name string, src []float32, doCompress bool,
 		e.ins.allocFallbacks.Inc()
 	}
 	if timed {
-		e.observeSwapOut(name, s, encDur, t0, e.sinceEpoch(), encodeFellBack, allocFellBack)
+		e.observeSwapOut(name, cells, moved, encDur, t0, e.sinceEpoch(), encodeFellBack, allocFellBack)
 	}
 	return nil
 }
@@ -194,6 +199,10 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 	if timed {
 		t0 = e.sinceEpoch()
 	}
+	// commit publishes the owner as Resident, after which the next swap-out
+	// may claim it and rewrite s: the series the decode timing lands in is
+	// resolved here, while the claim is still held.
+	cells := e.ins.forPayload(s)
 	blob := s.blob
 	if s.tiered {
 		b, err := e.promoteRead(s.tierKey)
@@ -251,7 +260,7 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 	}
 	if derr != nil {
 		if timed {
-			e.observeSwapIn(name, s, decDur, t0, e.sinceEpoch(), retried, false)
+			e.observeSwapIn(name, cells, decDur, t0, e.sinceEpoch(), retried, false)
 		}
 		return derr
 	}
@@ -275,7 +284,7 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 		e.ins.decodeRecoveries.Inc()
 	}
 	if timed {
-		e.observeSwapIn(name, s, decDur, t0, e.sinceEpoch(), retried, retried)
+		e.observeSwapIn(name, cells, decDur, t0, e.sinceEpoch(), retried, retried)
 	}
 	return nil
 }

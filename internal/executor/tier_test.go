@@ -8,6 +8,7 @@ import (
 
 	"cswap/internal/compress"
 	"cswap/internal/faultinject"
+	"cswap/internal/metrics"
 	"cswap/internal/tensor"
 	"cswap/internal/tier"
 )
@@ -301,6 +302,132 @@ func TestDemoteVsSwapInConcurrent(t *testing.T) {
 			}
 		}
 		assertBitExact(t, h, want)
+	}
+	if e.TierUsed() != 0 {
+		t.Fatalf("tier holds %d bytes after all restores", e.TierUsed())
+	}
+}
+
+// TestDemoteVsSwapCycleObserved races the background demoter against full
+// swap-out/swap-in cycles on a tensor handle and a block-pool run, with an
+// Observer attached (as cswapd always has): a swap-out's deep accounting
+// runs after the owner is published Swapped, when a demotion may already
+// be rewriting the stored record, so it must work from what it took while
+// it held the claim. Run with -race; the per-codec volume must also add up
+// to the total, which it does not if a demoted record's blob is measured.
+func TestDemoteVsSwapCycleObserved(t *testing.T) {
+	ts, err := tier.Open(t.TempDir(), 1<<24, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{
+		DeviceCapacity: 1 << 22,
+		HostCapacity:   1 << 22,
+		Verify:         true,
+		Tier:           ts,
+		Observer:       metrics.NewObserver(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+
+	tn := tensor.NewGenerator(21).Uniform(30000, 0.6)
+	want := append([]float32(nil), tn.Data...)
+	h, err := e.Register("cycled", tn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 4
+	p, err := e.RegisterBlockPool("cycled-pool", len(want)/blocks, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{0, 1, 2, 3}
+	if err := p.WriteBlocks(ids, want); err != nil {
+		t.Fatal(err)
+	}
+
+	// untilClaimed retries an operation the demoter can beat to the claim.
+	untilClaimed := func(op func() error) error {
+		for {
+			if err := op(); !errors.Is(err, ErrBusy) {
+				return err
+			}
+		}
+	}
+	stop := make(chan struct{})
+	var demoter, swappers sync.WaitGroup
+	demoter.Add(1)
+	go func() {
+		defer demoter.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.demoteUntil(func() bool { return false }) // every victim, like a watermark of 0
+			}
+		}
+	}()
+	const rounds = 50
+	swappers.Add(2)
+	go func() {
+		defer swappers.Done()
+		for i := 0; i < rounds; i++ {
+			if err := e.SwapOut(h, true, compress.ZVC); err != nil {
+				t.Errorf("swap-out: %v", err)
+				return
+			}
+			if err := untilClaimed(func() error { return e.SwapIn(h) }); err != nil {
+				t.Errorf("swap-in: %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer swappers.Done()
+		for i := 0; i < rounds; i++ {
+			if err := p.SwapOutBlocks(ids, true, compress.ZVC); err != nil {
+				t.Errorf("batch swap-out: %v", err)
+				return
+			}
+			if err := untilClaimed(func() error { return p.SwapInBlocks(ids) }); err != nil {
+				t.Errorf("batch swap-in: %v", err)
+				return
+			}
+		}
+	}()
+	swappers.Wait()
+	close(stop)
+	demoter.Wait()
+	if t.Failed() {
+		return
+	}
+
+	assertBitExact(t, h, want)
+	got, err := p.ReadBlocks(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("pool payload mismatch at %d", i)
+		}
+	}
+	var byCodec, observed float64
+	for _, c := range e.Registry().Snapshot().Counters {
+		if c.Name == "executor_moved_bytes_by_codec_total" {
+			byCodec += c.Value
+		}
+	}
+	for _, hs := range e.Registry().Snapshot().Histograms {
+		if hs.Name == "executor_blob_bytes" {
+			observed += hs.Sum
+		}
+	}
+	if moved := float64(e.Stats().MovedBytes); byCodec != moved || observed != moved {
+		t.Fatalf("per-codec series lost volume to the demoter: by-codec %v, blob-bytes sum %v, moved %v", byCodec, observed, moved)
 	}
 	if e.TierUsed() != 0 {
 		t.Fatalf("tier holds %d bytes after all restores", e.TierUsed())
