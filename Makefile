@@ -9,8 +9,11 @@ all: build test
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite, so `make test`, `make
+# check` and CI enforce formatting.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 
 # The packages whose liveness depends on the core count: the shared worker
 # pool, the executor's async pipeline on top of it, and the serving layer

@@ -562,4 +562,6 @@ func NewSwapService(opts ...SwapServerOption) (*SwapServer, error) { return serv
 // NewSwapCluster builds a sharded swap service: WithSwapShards(n)
 // complete shards behind a consistent-hash router, each shard sized by
 // the same per-shard options NewSwapService takes.
-func NewSwapCluster(opts ...SwapServerOption) (*SwapCluster, error) { return server.NewCluster(opts...) }
+func NewSwapCluster(opts ...SwapServerOption) (*SwapCluster, error) {
+	return server.NewCluster(opts...)
+}

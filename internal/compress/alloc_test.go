@@ -64,6 +64,18 @@ func TestAllocsPerRunCodecHotPaths(t *testing.T) {
 	}
 }
 
+// A tensor of one digest segment or less — the 64 KiB hot-path size and
+// every paged-KV block run below it — is verified without touching the
+// worker pool, so its digest allocates nothing.
+func TestAllocsPerRunChecksumSingleSegment(t *testing.T) {
+	for _, n := range []int{0, 1024, checksumSegment} {
+		src := tensor.NewGenerator(227).Uniform(n, 0.6).Data
+		if got := testing.AllocsPerRun(50, func() { checksumSink = Checksum(src) }); got != 0 {
+			t.Errorf("Checksum of %d elements: %.1f allocs/op, want 0", n, got)
+		}
+	}
+}
+
 func TestAllocsPerRunParallelContainer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race mode randomises sync.Pool reuse; alloc counts are meaningless")

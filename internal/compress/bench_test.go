@@ -88,3 +88,24 @@ func BenchmarkParallelContainer(b *testing.B) {
 		})
 	}
 }
+
+// checksumSink keeps the digest live so the call is not optimised away.
+var checksumSink uint64
+
+// BenchmarkCodecChecksum times the verify digest at one segment (64 KiB,
+// serial, the SwapHotPath size) and at the benchmark workloads' tensor
+// size (8 MiB, segments on the worker pool).
+func BenchmarkCodecChecksum(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		elems int
+	}{{"64KiB", 16 << 10}, {"8MiB", 2 << 20}} {
+		src := tensor.NewGenerator(97).Uniform(size.elems, benchSparsity).Data
+		b.Run(size.name, func(b *testing.B) {
+			b.SetBytes(int64(len(src) * 4))
+			for i := 0; i < b.N; i++ {
+				checksumSink = Checksum(src)
+			}
+		})
+	}
+}

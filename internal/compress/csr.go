@@ -1,13 +1,17 @@
 package compress
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // csrCodec implements compressed sparse row storage over the flat tensor
 // viewed as rows of a fixed logical width. The payload stores row pointers,
 // per-row column indices, and the non-zero values — the paper's
 // "(A00B0C000) → (ABC),(035)" example. Index overhead is 4 bytes per
 // non-zero (so ≈50 % of the original size at 50 % sparsity, the comparison
-// the paper draws against ZVC's 3 %).
+// the paper draws against ZVC's 3 %). A non-zero is any element with a bit
+// set, so −0 is stored as a value and restores bit for bit.
 type csrCodec struct{}
 
 // csrRowWidth is the logical row width used when a tensor is flattened to a
@@ -28,7 +32,7 @@ func (c csrCodec) Encode(src []float32) []byte {
 	rows := (len(src) + csrRowWidth - 1) / csrRowWidth
 	nnz := 0
 	for _, v := range src {
-		if v != 0 {
+		if math.Float32bits(v) != 0 {
 			nnz++
 		}
 	}
@@ -49,7 +53,7 @@ func (csrCodec) AppendEncode(dst []byte, src []float32) []byte {
 			end = len(src)
 		}
 		for i := start; i < end; i++ {
-			if src[i] != 0 {
+			if math.Float32bits(src[i]) != 0 {
 				count++
 			}
 		}
@@ -60,13 +64,13 @@ func (csrCodec) AppendEncode(dst []byte, src []float32) []byte {
 	// non-zero value" — Section IV-E), giving the 50 % overhead at 50 %
 	// sparsity it contrasts with ZVC's 3 %; we keep that layout.
 	for i, v := range src {
-		if v != 0 {
+		if math.Float32bits(v) != 0 {
 			dst = appendUint32(dst, uint32(i%csrRowWidth))
 		}
 	}
 	// Values.
 	for _, v := range src {
-		if v != 0 {
+		if math.Float32bits(v) != 0 {
 			dst = appendFloat32(dst, v)
 		}
 	}

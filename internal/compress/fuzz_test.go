@@ -14,6 +14,7 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // NaN then zero
+	f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0, 0})          // -0 then +0
 	f.Add(make([]byte, 256))
 	seed := make([]byte, 1024)
 	for i := range seed {
@@ -46,10 +47,7 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("%s: length %d, want %d", a, len(got), len(src))
 			}
 			for i := range src {
-				w, g := math.Float32bits(src[i]), math.Float32bits(got[i])
-				// Sparsity codecs canonicalise -0 to +0; accept that
-				// single equivalence, nothing else.
-				if w != g && !(w == 0x80000000 && g == 0) {
+				if w, g := math.Float32bits(src[i]), math.Float32bits(got[i]); w != g {
 					t.Fatalf("%s: bit mismatch at %d: %08x -> %08x", a, i, w, g)
 				}
 			}
@@ -120,19 +118,7 @@ func FuzzParallelRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s %v: decode own output: %v", alg, launch, err)
 		}
-		bitExact := func(got []float32) bool {
-			if len(got) != len(src) {
-				return false
-			}
-			for i := range src {
-				w, g := math.Float32bits(src[i]), math.Float32bits(got[i])
-				// Sparsity codecs canonicalise -0 to +0.
-				if w != g && !(w == 0x80000000 && g == 0) {
-					return false
-				}
-			}
-			return true
-		}
+		bitExact := func(got []float32) bool { return sameBits(got, src) }
 		if !bitExact(got) {
 			t.Fatalf("%s %v: pristine round trip not bit-exact", alg, launch)
 		}

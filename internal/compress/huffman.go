@@ -354,7 +354,7 @@ type huffmanDecoder struct {
 	count     [huffMaxCodeLen + 2]int    // symbols per length
 	offset    [huffMaxCodeLen + 2]int    // index of first symbol of each length
 	nsyms     int
-	symbols   [256]byte                 // canonical symbol order
+	symbols   [256]byte                  // canonical symbol order
 	table     [1 << huffTableBits]uint16 // len<<8 | symbol; 0 = no code ≤ huffTableBits bits
 }
 

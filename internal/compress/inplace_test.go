@@ -206,11 +206,11 @@ func TestChunkBoundsSpanCounts(t *testing.T) {
 		n, grid int
 		want    []span
 	}{
-		{0, 4, []span{{0, 0}}},                         // empty tensor: one empty span
-		{31, 4, []span{{0, 31}}},                       // under one word: one span
-		{32, 4, []span{{0, 32}}},                       // exactly one word
-		{33, 4, []span{{0, 32}, {32, 33}}},             // one word + remainder
-		{33, 4096, []span{{0, 32}, {32, 33}}},          // grid >> n/32: capped at alignable spans
+		{0, 4, []span{{0, 0}}},                // empty tensor: one empty span
+		{31, 4, []span{{0, 31}}},              // under one word: one span
+		{32, 4, []span{{0, 32}}},              // exactly one word
+		{33, 4, []span{{0, 32}, {32, 33}}},    // one word + remainder
+		{33, 4096, []span{{0, 32}, {32, 33}}}, // grid >> n/32: capped at alignable spans
 		{100, 4096, []span{{0, 32}, {32, 64}, {64, 96}, {96, 100}}},
 		{128, 2, []span{{0, 64}, {64, 128}}},
 	}

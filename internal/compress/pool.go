@@ -49,6 +49,7 @@ func (t *parTask) run() {
 var (
 	poolOnce sync.Once
 	poolCh   chan *parTask
+	poolSize int // resident workers, fixed when the pool starts
 )
 
 // poolStart launches the persistent workers. Sized to GOMAXPROCS at first
@@ -59,6 +60,7 @@ func poolStart() {
 	if n < 1 {
 		n = 1
 	}
+	poolSize = n
 	poolCh = make(chan *parTask, 4*n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -89,7 +91,10 @@ func runWorkers(jobs, workers int, fn func(int)) {
 	poolOnce.Do(poolStart)
 	t := &parTask{fn: fn, jobs: jobs}
 	t.wg.Add(jobs)
-	for h := 0; h < workers-1; h++ {
+	// Never more helper requests than resident workers: GOMAXPROCS may have
+	// grown since the pool started, and a request no worker exists for only
+	// holds a channel slot that a Go submission may be blocked on.
+	for h := 0; h < min(workers-1, poolSize); h++ {
 		select {
 		case poolCh <- t:
 		default: // pool saturated; shed the helper slot

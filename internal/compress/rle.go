@@ -1,11 +1,15 @@
 package compress
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // rleCodec implements run-length encoding specialised for sparse activation
 // tensors: only zero runs are collapsed, since ReLU/MAX outputs contain long
 // stretches of exact zeros but essentially random non-zero values (the
-// paper's "A0000000 → A70" example generalised to float data).
+// paper's "A0000000 → A70" example generalised to float data). A zero is
+// the all-zero bit pattern; −0 is a literal and restores bit for bit.
 //
 // Payload format: a sequence of tokens
 //
@@ -48,13 +52,13 @@ func (rleCodec) AppendEncode(dst []byte, src []float32) []byte {
 	for i < len(src) {
 		// Count the zero run.
 		zs := i
-		for i < len(src) && src[i] == 0 {
+		for i < len(src) && math.Float32bits(src[i]) == 0 {
 			i++
 		}
 		zeroRun := i - zs
 		// Count the literal run.
 		ls := i
-		for i < len(src) && src[i] != 0 {
+		for i < len(src) && math.Float32bits(src[i]) != 0 {
 			i++
 		}
 		lits := src[ls:i]

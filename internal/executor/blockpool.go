@@ -513,7 +513,7 @@ func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm
 	e := p.e
 	src := p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
 	pr := &poolRun{start: r.Start, count: r.Count}
-	pr.elems, pr.checksum = len(src), checksum(src)
+	pr.elems = len(src)
 	err := e.store(&pr.stored, p.name, src, doCompress, alg, func() error {
 		p.commitRun(r, Swapped, pr)
 		return nil

@@ -28,8 +28,9 @@ type stored struct {
 	hostBlock  *devmem.Block
 	alg        compress.Algorithm
 	compressed bool
-	// elems and checksum describe the uncompressed payload; the owner fills
-	// them (a handle at Register, a run at swap-out) before store.
+	// elems is the uncompressed payload's element count; the owner fills it
+	// (a handle at Register, a run at swap-out) before store. checksum is
+	// its digest as store found it, taken only when Config.Verify is on.
 	elems    int
 	checksum uint64
 	// tiered marks a payload that lives in the disk tier instead of the
@@ -61,6 +62,11 @@ func (e *Executor) store(s *stored, name string, src []float32, doCompress bool,
 	var t0 float64
 	if timed {
 		t0 = e.sinceEpoch()
+	}
+	if e.cfg.Verify {
+		// Taken here, of the bytes about to be stored, not at registration:
+		// the owner may have rewritten the payload in place since.
+		s.checksum = compress.Checksum(src)
 	}
 	compressed := doCompress
 	encodeFellBack, allocFellBack := false, false
@@ -224,7 +230,7 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 		return nil
 	}
 	check := func() error {
-		if e.cfg.Verify && checksum(dst) != s.checksum {
+		if e.cfg.Verify && compress.Checksum(dst) != s.checksum {
 			return ErrVerification
 		}
 		return nil

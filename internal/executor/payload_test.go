@@ -273,3 +273,142 @@ func payloadSeries(t *testing.T, e *Executor) string {
 	}
 	return strings.Join(lines, "\n")
 }
+
+// sameBits reports whether two payloads agree bit for bit — the only
+// equality that tells −0 from +0 and one NaN from another.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSignedZeroAndNaNPayloadsSwapBack: a tensor is opaque data. −0 and NaN
+// payload bits must survive every codec and the raw path with Verify on —
+// the sparsity codecs once elided −0 as a zero, the restore came back +0,
+// failed verification twice, and left the tensor stuck Swapped.
+func TestSignedZeroAndNaNPayloadsSwapBack(t *testing.T) {
+	data := tensor.NewGenerator(41).Uniform(4096, 0.6).Data
+	for i := 0; i < len(data); i += 97 {
+		data[i] = math.Float32frombits(0x80000000)
+		data[i+1] = math.Float32frombits(0x7FC00000 | uint32(i))
+		data[i+2] = math.Float32frombits(0xFF800001 + uint32(i))
+	}
+	type mode struct {
+		name     string
+		compress bool
+		alg      compress.Algorithm
+	}
+	modes := []mode{{name: "raw"}}
+	for _, a := range compress.ExtendedAlgorithms() {
+		modes = append(modes, mode{a.String(), true, a})
+	}
+	for kind, owner := range map[string]func(*testing.T, *Executor, []float32) payloadOwner{
+		"handle": handleOwner, "pool": poolOwner,
+	} {
+		for _, m := range modes {
+			e := newTestExecutor(t, 1<<22, 1<<22)
+			o := owner(t, e, data)
+			if err := o.swapOut(m.compress, m.alg); err != nil {
+				t.Fatalf("%s %s: swap-out: %v", kind, m.name, err)
+			}
+			if err := o.swapIn(); err != nil {
+				t.Fatalf("%s %s: swap-in: %v", kind, m.name, err)
+			}
+			got, err := o.read()
+			if err != nil || !sameBits(got, data) {
+				t.Fatalf("%s %s: restored payload differs (err %v)", kind, m.name, err)
+			}
+			if st := e.Stats(); st.Verified != 1 || st.Fallbacks() != 0 {
+				t.Fatalf("%s %s: stats %+v", kind, m.name, st)
+			}
+		}
+	}
+}
+
+// TestDigestTakenAtSwapOut: Handle.Data hands out the live slice, so the
+// owner may rewrite the tensor in place between Register and SwapOut. The
+// digest a restore is verified against must be of what was stored, not of
+// what was registered.
+func TestDigestTakenAtSwapOut(t *testing.T) {
+	for _, doCompress := range []bool{true, false} {
+		e := newTestExecutor(t, 1<<22, 1<<22)
+		h, err := e.Register("x", tensor.NewGenerator(43).Uniform(20000, 0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.checksum != 0 {
+			t.Fatal("Register took a digest")
+		}
+		live, err := h.Data()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range live {
+			live[i] = float32(i%7) - 3
+		}
+		want := append([]float32(nil), live...)
+		if err := e.SwapOut(h, doCompress, compress.ZVC); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SwapIn(h); err != nil {
+			t.Fatalf("compress=%v: swap-in of a tensor updated in place: %v", doCompress, err)
+		}
+		if got, _ := h.Data(); !sameBits(got, want) {
+			t.Fatalf("compress=%v: restored payload is not the updated one", doCompress)
+		}
+	}
+}
+
+// TestVerifyOffTakesNoDigest: with Verify off nothing on the swap path
+// reads the payload a second time — no digest is taken at Register or at
+// swap-out, for a tensor or a block run, and no restore counts as verified.
+func TestVerifyOffTakesNoDigest(t *testing.T) {
+	data := tensor.NewGenerator(47).Uniform(4096, 0.5).Data
+	for _, verify := range []bool{false, true} {
+		e, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: verify})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := e.Register("x", tensor.FromSlice(append([]float32(nil), data...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.RegisterBlockPool("kv", len(data), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.WriteBlocks([]int{0}, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SwapOut(h, true, compress.ZVC); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SwapOutBlocks([]int{0}, true, compress.ZVC); err != nil {
+			t.Fatal(err)
+		}
+		p.mu.Lock()
+		runDigest := p.run[0].checksum
+		p.mu.Unlock()
+		if took := h.checksum != 0 || runDigest != 0; took != verify {
+			t.Fatalf("Verify=%v: digests taken: handle %#x, run %#x", verify, h.checksum, runDigest)
+		}
+		if verify && h.checksum != runDigest {
+			t.Fatalf("one payload, two digests: handle %#x, run %#x", h.checksum, runDigest)
+		}
+		if err := e.SwapIn(h); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SwapInBlocks([]int{0}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.Stats().Verified, map[bool]int{false: 0, true: 2}[verify]; got != want {
+			t.Fatalf("Verify=%v: %d restores counted verified, want %d", verify, got, want)
+		}
+	}
+}

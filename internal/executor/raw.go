@@ -26,5 +26,3 @@ func rawDecodeInto(dst []float32, buf []byte) {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
 	}
 }
-
-func floatBits(v float32) uint32 { return math.Float32bits(v) }

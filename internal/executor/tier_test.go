@@ -540,7 +540,7 @@ func TestSwapOutMutateOwnership(t *testing.T) {
 	// either recycled while still aliased or replaced by a foreign buffer,
 	// which these round trips would surface as corruption or a double-put.
 	for i := 0; i < 8; i++ {
-		tc := tensor.NewGenerator(int64(21 + i)).Uniform(30000, 0.6)
+		tc := tensor.NewGenerator(int64(21+i)).Uniform(30000, 0.6)
 		want := append([]float32(nil), tc.Data...)
 		hc, err := e.Register("clean", tc)
 		if err != nil {

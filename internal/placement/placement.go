@@ -56,7 +56,7 @@ type Map struct {
 	Version int `json:"version"`
 	// Replicas is the virtual-node count per shard; both ends must use the
 	// same value or their rings disagree. Zero means DefaultReplicas.
-	Replicas int `json:"replicas"`
+	Replicas int     `json:"replicas"`
 	Shards   []Shard `json:"shards"`
 }
 

@@ -199,7 +199,7 @@ func TestClusterBatchDrain(t *testing.T) {
 		for i := range allIDs {
 			allIDs[i] = i
 		}
-		data := tensor.NewGenerator(int64(100 + shard)).Uniform(blocks*elems, 0.5).Data
+		data := tensor.NewGenerator(int64(100+shard)).Uniform(blocks*elems, 0.5).Data
 		pools[name] = append([]float32(nil), data...)
 		if err := cc.WriteBlocks(ctx, name, allIDs, data); err != nil {
 			t.Fatal(err)

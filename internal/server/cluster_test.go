@@ -76,7 +76,7 @@ func TestClusterConcurrentRoundTrip(t *testing.T) {
 			ctx := context.Background()
 			for i := 0; i < 8; i++ {
 				name := fmt.Sprintf("layer%d/act", i)
-				data := tensor.NewGenerator(int64(ti*100 + i)).Uniform(2048, float64(i%5)/5).Data
+				data := tensor.NewGenerator(int64(ti*100+i)).Uniform(2048, float64(i%5)/5).Data
 				want := append([]float32(nil), data...)
 				if err := cc.Register(ctx, name, data); err != nil {
 					t.Errorf("%s: register %s: %v", tn, name, err)
@@ -189,7 +189,7 @@ func TestClusterLiveDrainBitExact(t *testing.T) {
 			defer wg.Done()
 			cc := client.NewCluster(url, client.WithTenant(tn))
 			name := "churn/act"
-			data := tensor.NewGenerator(int64(1000 + gi)).Uniform(1024, 0.5).Data
+			data := tensor.NewGenerator(int64(1000+gi)).Uniform(1024, 0.5).Data
 			ref := append([]float32(nil), data...)
 			if err := cc.Register(ctx, name, data); err != nil {
 				t.Errorf("%s: churn register: %v", tn, err)

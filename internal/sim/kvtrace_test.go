@@ -93,8 +93,8 @@ func TestEvictionRegionsCoalesce(t *testing.T) {
 func TestCoalescingWinsOnServingTrace(t *testing.T) {
 	trace := GenKVTrace(DefaultKVTrace())
 	lc := LinkCost{
-		PerOpSeconds: 50e-6,  // ~HTTP/admission/launch overhead per op
-		BytesPerSec:  12e9,   // PCIe-ish
+		PerOpSeconds: 50e-6, // ~HTTP/admission/launch overhead per op
+		BytesPerSec:  12e9,  // PCIe-ish
 		BlockBytes:   16 << 10,
 	}
 	sc := ScoreKVTrace(trace, lc)
