@@ -105,6 +105,7 @@ var (
 // Client talks to one cswapd instance. It is safe for concurrent use; all
 // requests share one http.Client whose transport pools connections.
 type Client struct {
+	ops
 	base       string
 	tenant     string
 	hc         *http.Client
@@ -156,6 +157,7 @@ func New(baseURL string, opts ...Option) *Client {
 		},
 		sleep: sleepCtx,
 	}
+	c.call = func(ctx context.Context, f wire.Frame) (*wire.Frame, error) { return c.do(ctx, f, "") }
 	for _, o := range opts {
 		o(c)
 	}
@@ -171,122 +173,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Register places a float32 tensor in the service's device pool under the
-// client's tenant namespace. The data slice is not retained.
-func (c *Client) Register(ctx context.Context, name string, data []float32) error {
-	_, err := c.do(ctx, "/v1/register",
-		&wire.Frame{Type: wire.TypeRegister, Name: name, Data: data}, wire.TypeAck)
-	return err
-}
-
-// SwapOption configures one swap call (SwapOut, SwapIn, Prefetch, and
-// their batch forms). The swap-out default — no options — is compressed
-// with the Auto selector: the service picks the codec (the tenant's tuned
-// verdict when the daemon runs with -tune, else the best modeled ratio
-// for the tensor's sparsity).
-type SwapOption func(*swapOpts)
-
-type swapOpts struct {
-	compress bool
-	alg      Algorithm
-	hasSched bool
-	lane     Lane
-	deadline time.Duration
-}
-
-// WithCodec compresses the swap-out with a specific algorithm, overriding
-// the service-side Auto choice.
-func WithCodec(alg Algorithm) SwapOption {
-	return func(o *swapOpts) { o.compress, o.alg = true, alg }
-}
-
-// WithRaw swaps out uncompressed.
-func WithRaw() SwapOption {
-	return func(o *swapOpts) { o.compress, o.alg = false, ZVC }
-}
-
-// WithLane tags the request with an admission lane for the service's SLO
-// scheduler. Against a daemon without -sched the hint is decoded and
-// ignored; old daemons that predate the extension refuse the frame.
-func WithLane(l Lane) SwapOption {
-	return func(o *swapOpts) { o.hasSched, o.lane = true, l }
-}
-
-// WithDeadline bounds how long the request may wait in the admission
-// queue, relative to its arrival at the service. A request whose deadline
-// passes while queued answers ErrExpired instead of running late.
-// Deadline without lane rides LaneNormal; combine with WithLane to set
-// both.
-func WithDeadline(d time.Duration) SwapOption {
-	return func(o *swapOpts) {
-		if !o.hasSched {
-			o.hasSched, o.lane = true, LaneNormal
-		}
-		o.deadline = d
-	}
-}
-
-// sched stamps the resolved lane/deadline hint onto an outgoing frame.
-func (o *swapOpts) sched(f *wire.Frame) *wire.Frame {
-	if o.hasSched {
-		f.HasSched = true
-		f.Lane = uint8(o.lane)
-		if o.deadline > 0 {
-			f.DeadlineMicros = uint64(o.deadline / time.Microsecond)
-		}
-	}
-	return f
-}
-
-// resolveSwapOpts folds options over the swap-out defaults.
-func resolveSwapOpts(opts []SwapOption) swapOpts {
-	o := swapOpts{compress: true, alg: Auto}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
-
-// SwapOut moves the tensor to the service's host pool. With no options the
-// payload is compressed and the service chooses the codec; WithCodec and
-// WithRaw override.
-func (c *Client) SwapOut(ctx context.Context, name string, opts ...SwapOption) error {
-	o := resolveSwapOpts(opts)
-	_, err := c.do(ctx, "/v1/swap-out",
-		o.sched(&wire.Frame{Type: wire.TypeSwapOut, Name: name, Compress: o.compress, Alg: o.alg}), wire.TypeAck)
-	return err
-}
-
-// SwapIn restores the tensor to device residency and returns its data.
-// WithLane/WithDeadline tag the request for the service's SLO scheduler
-// (a decode-step-blocking restore wants LaneCritical).
-func (c *Client) SwapIn(ctx context.Context, name string, opts ...SwapOption) ([]float32, error) {
-	o := resolveSwapOpts(opts)
-	f, err := c.do(ctx, "/v1/swap-in",
-		o.sched(&wire.Frame{Type: wire.TypeSwapIn, Name: name}), wire.TypeTensorData)
-	if err != nil {
-		return nil, err
-	}
-	return f.Data, nil
-}
-
-// Prefetch asks the service to make the tensor resident ahead of need;
-// it is idempotent on already-resident tensors. Without options the
-// service treats it as speculative work.
-func (c *Client) Prefetch(ctx context.Context, name string, opts ...SwapOption) error {
-	o := resolveSwapOpts(opts)
-	_, err := c.do(ctx, "/v1/prefetch",
-		o.sched(&wire.Frame{Type: wire.TypePrefetch, Name: name}), wire.TypeAck)
-	return err
-}
-
-// Free releases the tensor and returns its bytes to the tenant quota.
-func (c *Client) Free(ctx context.Context, name string) error {
-	_, err := c.do(ctx, "/v1/free",
-		&wire.Frame{Type: wire.TypeFree, Name: name}, wire.TypeAck)
-	return err
 }
 
 // Health probes /healthz; nil means the service is up and not draining.
@@ -334,20 +220,19 @@ func retryable(status int) bool {
 		status == http.StatusServiceUnavailable
 }
 
-// header is one extra request header (the cluster client's routing hint).
-type header struct{ key, value string }
-
-// do sends one framed request, retrying bounded refusals with doubling
-// backoff (honoring a longer server Retry-After), and decodes a response
-// frame of the wanted type.
-func (c *Client) do(ctx context.Context, path string, f *wire.Frame, want wire.Type, extra ...header) (*wire.Frame, error) {
-	body, err := wire.Encode(f)
+// do sends one framed request — to the operation table's URL for the
+// frame's type, with shard as the cluster routing hint when non-empty —
+// retrying bounded refusals with doubling backoff (honoring a longer server
+// Retry-After), and decodes the response frame the table promises.
+func (c *Client) do(ctx context.Context, f wire.Frame, shard string) (*wire.Frame, error) {
+	body, err := wire.Encode(&f)
 	if err != nil {
 		return nil, err
 	}
+	op := &wire.Ops[f.Type]
 	var last error
 	for attempt := 0; ; attempt++ {
-		resp, err := c.send(ctx, path, body, extra)
+		resp, err := c.send(ctx, op.Path, body, shard)
 		if err != nil {
 			return nil, err
 		}
@@ -355,10 +240,10 @@ func (c *Client) do(ctx context.Context, path string, f *wire.Frame, want wire.T
 			defer resp.Body.Close()
 			out, err := wire.Read(resp.Body, c.maxPayload)
 			if err != nil {
-				return nil, fmt.Errorf("%w: decoding %s response: %v", ErrProtocol, path, err)
+				return nil, fmt.Errorf("%w: decoding %s response: %v", ErrProtocol, op.Path, err)
 			}
-			if out.Type != want {
-				return nil, fmt.Errorf("%w: %s answered %s frame, want %s", ErrProtocol, path, out.Type, want)
+			if out.Type != op.Resp {
+				return nil, fmt.Errorf("%w: %s answered %s frame, want %s", ErrProtocol, op.Path, out.Type, op.Resp)
 			}
 			return out, nil
 		}
@@ -401,9 +286,10 @@ func (c *Client) do(ctx context.Context, path string, f *wire.Frame, want wire.T
 	}
 }
 
-// send issues one POST with the tenant header.
-func (c *Client) send(ctx context.Context, path string, body []byte, extra []header) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+// send issues one POST to the operation's URL with the tenant header and
+// the routing hint.
+func (c *Client) send(ctx context.Context, op string, body []byte, shard string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/"+op, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -411,8 +297,8 @@ func (c *Client) send(ctx context.Context, path string, body []byte, extra []hea
 	if c.tenant != "" {
 		req.Header.Set("X-CSwap-Tenant", c.tenant)
 	}
-	for _, h := range extra {
-		req.Header.Set(h.key, h.value)
+	if shard != "" {
+		req.Header.Set(shardHeader, shard)
 	}
 	return c.hc.Do(req)
 }

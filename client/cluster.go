@@ -31,6 +31,7 @@ const shardHeader = "X-CSwap-Shard"
 // the server publishes a one-shard map and every key routes to shard 0.
 // It is safe for concurrent use.
 type ClusterClient struct {
+	ops
 	c *Client
 
 	mu   sync.Mutex
@@ -42,7 +43,9 @@ type ClusterClient struct {
 // Options are the same as New's; the shard map is fetched lazily on first
 // use (or eagerly via Refresh).
 func NewCluster(baseURL string, opts ...Option) *ClusterClient {
-	return &ClusterClient{c: New(baseURL, opts...)}
+	cc := &ClusterClient{c: New(baseURL, opts...)}
+	cc.call = cc.run
+	return cc
 }
 
 // Refresh fetches the shard map from /cluster and rebuilds the routing
@@ -103,21 +106,23 @@ func (cc *ClusterClient) tenant() string {
 	return "default"
 }
 
-// run routes one operation: compute the owner, send with the hint, and on
-// a misrouted refusal refresh the map and re-route. Two refresh cycles
-// bound the loop — topology changes mid-request are rare, and a cluster
-// that keeps refusing fresh hints is broken, not busy.
-func (cc *ClusterClient) run(ctx context.Context, name, path string, f *wire.Frame, want wire.Type) (*wire.Frame, error) {
+// run is the cluster round trip: compute the owner of the name the frame
+// addresses (a tensor's, or a pool's — a pool's batches all land on the
+// shard that registered it), send with the hint, and on a misrouted refusal
+// refresh the map and re-route. Two refresh cycles bound the loop —
+// topology changes mid-request are rare, and a cluster that keeps refusing
+// fresh hints is broken, not busy.
+func (cc *ClusterClient) run(ctx context.Context, f wire.Frame) (*wire.Frame, error) {
 	for attempt := 0; ; attempt++ {
 		ring, err := cc.routing(ctx)
 		if err != nil {
 			return nil, err
 		}
-		owner, ok := ring.Owner(placement.Key(cc.tenant(), name))
+		owner, ok := ring.Owner(placement.Key(cc.tenant(), f.Name))
 		if !ok {
 			return nil, fmt.Errorf("%w: cluster map has no active shards", ErrUnavailable)
 		}
-		out, err := cc.c.do(ctx, path, f, want, header{shardHeader, strconv.Itoa(owner)})
+		out, err := cc.c.do(ctx, f, strconv.Itoa(owner))
 		if err == nil || attempt >= 2 || !errors.Is(err, ErrMisrouted) {
 			return out, err
 		}
@@ -125,47 +130,6 @@ func (cc *ClusterClient) run(ctx context.Context, name, path string, f *wire.Fra
 			return nil, fmt.Errorf("refreshing cluster map after %v: %w", err, rerr)
 		}
 	}
-}
-
-// Register places a float32 tensor on the shard owning the key.
-func (cc *ClusterClient) Register(ctx context.Context, name string, data []float32) error {
-	_, err := cc.run(ctx, name, "/v1/register",
-		&wire.Frame{Type: wire.TypeRegister, Name: name, Data: data}, wire.TypeAck)
-	return err
-}
-
-// SwapOut moves the tensor to its shard's host pool; options as Client.SwapOut.
-func (cc *ClusterClient) SwapOut(ctx context.Context, name string, opts ...SwapOption) error {
-	o := resolveSwapOpts(opts)
-	_, err := cc.run(ctx, name, "/v1/swap-out",
-		o.sched(&wire.Frame{Type: wire.TypeSwapOut, Name: name, Compress: o.compress, Alg: o.alg}), wire.TypeAck)
-	return err
-}
-
-// SwapIn restores the tensor and returns its data.
-func (cc *ClusterClient) SwapIn(ctx context.Context, name string, opts ...SwapOption) ([]float32, error) {
-	o := resolveSwapOpts(opts)
-	f, err := cc.run(ctx, name, "/v1/swap-in",
-		o.sched(&wire.Frame{Type: wire.TypeSwapIn, Name: name}), wire.TypeTensorData)
-	if err != nil {
-		return nil, err
-	}
-	return f.Data, nil
-}
-
-// Prefetch asks the owning shard to make the tensor resident ahead of need.
-func (cc *ClusterClient) Prefetch(ctx context.Context, name string, opts ...SwapOption) error {
-	o := resolveSwapOpts(opts)
-	_, err := cc.run(ctx, name, "/v1/prefetch",
-		o.sched(&wire.Frame{Type: wire.TypePrefetch, Name: name}), wire.TypeAck)
-	return err
-}
-
-// Free releases the tensor on its owning shard.
-func (cc *ClusterClient) Free(ctx context.Context, name string) error {
-	_, err := cc.run(ctx, name, "/v1/free",
-		&wire.Frame{Type: wire.TypeFree, Name: name}, wire.TypeAck)
-	return err
 }
 
 // DrainShard asks the cluster to migrate every tensor off one shard and

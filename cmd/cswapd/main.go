@@ -30,18 +30,21 @@
 // algorithm follow its live codec verdicts, and the launch geometry is
 // re-probed as tenant sparsity profiles drift (see /metrics,
 // server_tuner_* series).
-// -sched replaces each shard's non-blocking admission window with the
-// SLO-aware priority scheduler (internal/sched): requests queue briefly in
-// three bounded lanes (critical > normal > speculative, earliest deadline
-// first within a lane) keyed by the client's WithLane/WithDeadline hints,
-// deadline-expired waiters answer 429 "expired", and in-flight speculative
-// prefetches are shed at run boundaries while critical work starves
-// (server_sched_* and executor_sched_* series). -sched-lanes bounds the
-// three queues ("critical,normal,speculative", 0 = default 64);
-// -sched-starve sets the critical queue age that triggers shedding.
+// Admission is one path either way: each shard's scheduler (internal/sched)
+// hands out -max-inflight slots. Without -sched its lanes have depth zero —
+// a swap that finds every slot taken is refused at once with 429
+// "saturated" + Retry-After, never queued. -sched gives the lanes depth:
+// requests queue briefly in three bounded lanes (critical > normal >
+// speculative, earliest deadline first within a lane) keyed by the client's
+// WithLane/WithDeadline hints, deadline-expired waiters answer 429
+// "expired", and in-flight speculative prefetches are shed at run
+// boundaries while critical work starves (server_sched_* and
+// executor_sched_* series). -sched-lanes bounds the three queues
+// ("critical,normal,speculative", 0 = default 64); -sched-starve sets the
+// critical queue age that triggers shedding.
 // -shards N (N > 1) runs the daemon as a multi-executor cluster: N
-// complete shards — each with its own device/host pools, admission window,
-// and tuner, and with the per-shard knobs above applied to each —
+// complete shards — each with its own device/host pools, admission
+// scheduler, and tuner, and with the per-shard knobs above applied to each —
 // consistent-hash-routed by (tenant, tensor) key. /cluster publishes the
 // shard map, /metrics labels every shard's series with shard="N", and
 // POST /admin/drain?shard=N live-migrates one shard's tensors onto the
@@ -83,7 +86,7 @@ func main() {
 	tierCapMiB := flag.Int64("tier-cap", 0, "spill tier capacity, MiB (0 = 4x host capacity)")
 	tierQuotaMiB := flag.Int64("tier-quota", 0, "per-tenant tier-resident quota, MiB (0 = full tier capacity)")
 	tierWatermark := flag.Float64("tier-watermark", 0, "host-pool occupancy fraction that triggers background demotion to the tier (0 disables; needs -tier-dir)")
-	schedOn := flag.Bool("sched", false, "enable the SLO-aware admission scheduler (priority lanes + deadlines)")
+	schedOn := flag.Bool("sched", false, "let swaps queue for an admission slot in bounded priority lanes with deadlines (default: refuse with 429 when all slots are taken)")
 	schedLanes := flag.String("sched-lanes", "", "per-lane queue depths as critical,normal,speculative (0 or empty = defaults)")
 	schedStarve := flag.Duration("sched-starve", 0, "critical queue age that sheds in-flight speculative work (0 = 20ms default)")
 	verify := flag.Bool("verify", true, "checksum-verify every restore")

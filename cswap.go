@@ -522,7 +522,7 @@ var (
 	WithSwapDeviceCapacity = server.WithDeviceCapacity
 	// WithSwapHostCapacity sizes each shard's pinned-host pool in bytes.
 	WithSwapHostCapacity = server.WithHostCapacity
-	// WithSwapMaxInFlight bounds each shard's admission window.
+	// WithSwapMaxInFlight bounds each shard's admission slots.
 	WithSwapMaxInFlight = server.WithMaxInFlight
 	// WithSwapTenantQuota sets the per-tenant device quota, per shard.
 	WithSwapTenantQuota = server.WithTenantQuota

@@ -541,8 +541,10 @@ func driveKV(base string) error {
 // raw swap-outs whose blobs cannot all fit must still succeed by demoting
 // cold blobs to the disk tier, the tier counters must move with zero quota
 // rejections, and every restore must come back bit-exact through the
-// promote path. It then frees everything so the tier directory is clean
-// for a restart leg.
+// promote path. It starts by requiring an empty tier — a daemon reopening
+// a used directory must have scrubbed what its predecessor left — and ends
+// by leaving the last few tensors swapped and tiered, so tier-smoke's
+// restart leg has orphans to find.
 func drivePressure(base string) error {
 	ctx := context.Background()
 	const (
@@ -552,6 +554,15 @@ func drivePressure(base string) error {
 	)
 	c := client.New(base, client.WithTenant(tenant))
 	gen := cswap.NewTensorGenerator(42)
+
+	text, err := client.New(base).Metrics(ctx)
+	if err != nil {
+		return err
+	}
+	if occ := sample(text, "executor_tier_occupancy_bytes"); occ != "0" {
+		return fmt.Errorf("pressure: executor_tier_occupancy_bytes = %q at start, want 0 (restart leaked tier capacity)", occ)
+	}
+	fmt.Printf("pressure: tier empty at start, %s orphans scrubbed at boot\n", sample(text, "server_tier_orphans_scrubbed_total"))
 
 	payloads := make([][]float32, nTensors)
 	for i := range payloads {
@@ -568,8 +579,7 @@ func drivePressure(base string) error {
 		}
 	}
 
-	text, err := client.New(base).Metrics(ctx)
-	if err != nil {
+	if text, err = client.New(base).Metrics(ctx); err != nil {
 		return err
 	}
 	demotions := sample(text, "executor_tier_demotions_total")
@@ -593,8 +603,15 @@ func drivePressure(base string) error {
 				return fmt.Errorf("pressure: %s restored[%d] = %v, want %v", name, j, got[j], payloads[i][j])
 			}
 		}
-		if err := c.Free(ctx, name); err != nil {
-			return fmt.Errorf("pressure: free %s: %w", name, err)
+		// The second half goes back out and stays: the host pool fits two,
+		// so the daemon exits with blobs in its tier directory.
+		if i >= nTensors/2 {
+			err = c.SwapOut(ctx, name, client.WithRaw())
+		} else {
+			err = c.Free(ctx, name)
+		}
+		if err != nil {
+			return fmt.Errorf("pressure: retiring %s: %w", name, err)
 		}
 	}
 	return nil

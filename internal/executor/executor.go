@@ -406,6 +406,9 @@ func New(cfg Config) (*Executor, error) {
 		cfg.TierMaxInFlight = DefaultTierMaxInFlight
 	}
 	e.tier = cfg.Tier
+	// The gauge reports what the directory holds from the first scrape on,
+	// not only after this process's first demotion.
+	e.ins.tierOccupancy.Set(float64(e.TierUsed()))
 	e.tierGate.init(cfg.TierMaxInFlight, e.ins.tierInflight, e.ins.tierPeak, e.ins.tierDepth, nil)
 	e.sched = cfg.Sched
 	if cfg.TierWatermark != 0 {

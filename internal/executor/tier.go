@@ -104,17 +104,12 @@ func (e *Executor) demoteSync(s *stored) error {
 	return e.demote(s)
 }
 
-// DemoteAsync is Demote as a pipeline stage on the tier window: it claims
-// the handle and returns a Ticket immediately (blocking only for a tier
-// I/O slot when that window is full — foreground swap slots are never
-// consumed). See DemoteAsyncCtx for the context semantics.
-func (e *Executor) DemoteAsync(h *Handle) *Ticket {
-	return e.DemoteAsyncCtx(context.Background(), h)
-}
-
-// DemoteAsyncCtx is DemoteAsync with deadline-aware slot acquisition: if
-// ctx is done before a tier slot frees, the ticket resolves with the
-// context's error and the handle rolls back to Swapped untouched.
+// DemoteAsyncCtx is Demote as a pipeline stage on the tier window: it
+// claims the handle and returns a Ticket immediately (blocking only for a
+// tier I/O slot when that window is full — foreground swap slots are never
+// consumed). Slot acquisition is deadline-aware: if ctx is done before a
+// tier slot frees, the ticket resolves with the context's error and the
+// handle rolls back to Swapped untouched.
 func (e *Executor) DemoteAsyncCtx(ctx context.Context, h *Handle) *Ticket {
 	t := newTicket("demote", h.name)
 	if e.tier == nil {

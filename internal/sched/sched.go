@@ -15,9 +15,9 @@
 //     requests without a deadline order behind all deadlined ones, FIFO.
 //   - Bounded depth per lane: a full lane refuses immediately (ErrLaneFull
 //     → the server's 429/Retry-After taxonomy) rather than queueing
-//     unboundedly. The scheduler converts the admission window from
-//     refuse-don't-queue into refuse-or-bounded-queue without giving up
-//     the "no hidden unbounded buffers" property.
+//     unboundedly: refuse-or-bounded-queue, never a hidden unbounded
+//     buffer. At depth zero nothing queues at all and the scheduler is the
+//     plain refuse-don't-queue window — the server's default.
 //   - Expiry: a queued request whose deadline passes is answered
 //     (ErrExpired → 429 with code "expired") instead of occupying a slot
 //     on work whose SLO is already lost.
@@ -98,11 +98,13 @@ var (
 
 // Config configures a Scheduler.
 type Config struct {
-	// Slots is the number of concurrently admitted requests — the same
-	// bound the plain admission window enforced. Required, > 0.
+	// Slots is the number of concurrently admitted requests. Required,
+	// > 0.
 	Slots int
 	// LaneDepth bounds each lane's queue; a zero entry takes
-	// DefaultLaneDepth.
+	// DefaultLaneDepth and a negative one means depth zero: the lane never
+	// queues, and a request that finds no free slot gets ErrLaneFull at
+	// once — the refuse-don't-queue window.
 	LaneDepth [NumLanes]int
 	// StarveAfter is the critical-lane queue age past which ShouldShed
 	// tells speculative work to yield. Zero takes DefaultStarveAfter.
@@ -194,10 +196,12 @@ func New(cfg Config) (*Scheduler, error) {
 		s.starve = DefaultStarveAfter
 	}
 	for l := range s.depth {
-		s.depth[l] = cfg.LaneDepth[l]
-		if s.depth[l] <= 0 {
+		switch d := cfg.LaneDepth[l]; {
+		case d > 0:
+			s.depth[l] = d
+		case d == 0:
 			s.depth[l] = DefaultLaneDepth
-		}
+		} // negative: the depth stays zero
 	}
 	name := func(suffix string) string {
 		if cfg.Prefix == "" {

@@ -17,17 +17,12 @@ import (
 
 // newInternalServer builds a Server directly (internal tests need entry
 // and session access the exported surface hides).
-func newInternalServer(t *testing.T, cfg Config) (*Server, string) {
+func newInternalServer(t *testing.T, opts ...Option) (*Server, string) {
 	t.Helper()
-	if cfg.DeviceCapacity == 0 {
-		cfg.DeviceCapacity = 64 << 20
-	}
-	if cfg.HostCapacity == 0 {
-		cfg.HostCapacity = 64 << 20
-	}
-	cfg.Verify = true
-	cfg.RetryAfter = time.Millisecond
-	s, err := New(cfg)
+	s, err := NewServer(append([]Option{
+		WithDeviceCapacity(64 << 20), WithHostCapacity(64 << 20),
+		WithVerify(true), WithRetryAfter(time.Millisecond),
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +57,7 @@ func TestBatchWriteBlendsSparsityByCoverage(t *testing.T) {
 		blockElems = 64
 		numBlocks  = 16
 	)
-	s, url := newInternalServer(t, Config{})
+	s, url := newInternalServer(t)
 	c := client.New(url)
 	ctx := context.Background()
 	if err := c.RegisterPool(ctx, "kv", blockElems, numBlocks); err != nil {
@@ -114,7 +109,7 @@ func TestFreePoolBusyTaxonomy(t *testing.T) {
 	inj := faultinject.New(faultinject.Fault{
 		Site: faultinject.SiteEncode, Mode: faultinject.Delay, Delay: 500 * time.Millisecond,
 	})
-	s, url := newInternalServer(t, Config{Faults: inj})
+	s, url := newInternalServer(t, WithFaults(inj))
 	c := client.New(url, client.WithRetry(0, 0))
 	ctx := context.Background()
 	if err := c.RegisterPool(ctx, "kv", 64, 8); err != nil {
@@ -137,7 +132,7 @@ func TestFreePoolBusyTaxonomy(t *testing.T) {
 	// Submit the batch on the executor directly: the entry lock stays
 	// free, so the free request reaches pool.Free() while the run's blocks
 	// are genuinely mid-swap (the delayed encode holds them SwappingOut).
-	tk := ent.pool.SwapOutBlocksCtx(context.Background(), ids, true, compress.ZVC)
+	tk := ent.obj.(poolObj).p.SwapOutBlocksCtx(context.Background(), ids, true, compress.ZVC)
 
 	body, err := wire.Encode(&wire.Frame{Type: wire.TypeFree, Name: "kv"})
 	if err != nil {

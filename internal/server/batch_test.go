@@ -121,6 +121,36 @@ func TestBatchOneAdmissionSlot(t *testing.T) {
 	}
 }
 
+// TestBatchBlocksCountCoalesced pins what server_batch_blocks_total means:
+// the blocks a batch addresses after coalescing, on every operation. A
+// duplicated ID is one block whether the batch swaps it out, swaps it in
+// or prefetches it.
+func TestBatchBlocksCountCoalesced(t *testing.T) {
+	s, url := newTestServer(t)
+	c := client.New(url)
+	ctx := context.Background()
+	if err := c.RegisterPool(ctx, "kv", 32, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SwapOutBlocks(ctx, "kv", []int{0, 1, 1, 2, 2, 2, 5}); err != nil { // 4 blocks
+		t.Fatal(err)
+	}
+	if _, err := c.SwapInBlocks(ctx, "kv", []int{5, 5, 0}); err != nil { // 2 blocks
+		t.Fatal(err)
+	}
+	if err := c.PrefetchBlocks(ctx, "kv", []int{1, 1, 1}); err != nil { // 1 block
+		t.Fatal(err)
+	}
+	for op, want := range map[string]float64{"swap-out": 4, "swap-in": 2, "prefetch": 1} {
+		if v := counterValue(t, s, "server_batch_blocks_total", metrics.L("op", op)); v != want {
+			t.Errorf("server_batch_blocks_total{op=%s} = %v, want %v (coalesced blocks)", op, v, want)
+		}
+		if v := counterValue(t, s, "server_batch_requests_total", metrics.L("op", op)); v != 1 {
+			t.Errorf("server_batch_requests_total{op=%s} = %v, want 1", op, v)
+		}
+	}
+}
+
 // TestBatchKindMismatch pins the taxonomy when tensor and pool namespaces
 // collide: batch ops on a tensor name and tensor ops on a pool name are
 // state conflicts, not crashes or silent misreads.

@@ -1,7 +1,7 @@
 package server
 
 // Cluster shards the swap service across N executors. Each shard is a
-// complete Server — its own device/host pools, admission window, tenant
+// complete Server — its own device/host pools, admission scheduler, tenant
 // sessions, and tuner — so every admission decision (quota 507,
 // backpressure 429, per-tensor busy 409) is made per shard, and one
 // shard's saturation never refuses another shard's traffic. A consistent-
@@ -15,10 +15,11 @@ package server
 // shard map, and a drain (POST /admin/drain?shard=N) marks the shard
 // draining, bumps the version, and migrates every tensor it holds to the
 // ring's new owners over the existing swap wire format — each tensor is
-// encoded as a TensorData frame and decoded on arrival, so a migrated
-// tensor restores byte-identically. While a drain runs, requests for
-// not-yet-moved tensors fall back from the ring owner to the draining
-// shard, so clients see at worst a retryable refusal, never a lost tensor.
+// encoded as a tensor-data frame (each block pool as a batch-data frame)
+// and decoded on arrival, so what migrates restores byte-identically.
+// While a drain runs, requests for not-yet-moved tensors fall back from
+// the ring owner to the draining shard, so clients see at worst a
+// retryable refusal, never a lost tensor.
 
 import (
 	"bytes"
@@ -33,10 +34,8 @@ import (
 	"time"
 
 	"cswap/internal/compress"
-	"cswap/internal/executor"
 	"cswap/internal/metrics"
 	"cswap/internal/placement"
-	"cswap/internal/tensor"
 	"cswap/internal/wire"
 )
 
@@ -87,17 +86,13 @@ type Cluster struct {
 // independently; the observer's registry is shared, with each shard
 // writing through a shard="N"-labeled view.
 func NewCluster(opts ...Option) (*Cluster, error) {
-	o := resolve(opts)
-	cfg := o.cfg
-	if cfg.Observer == nil {
-		cfg.Observer = &metrics.Observer{Metrics: metrics.NewRegistry()}
-	}
-	reg := cfg.Observer.Reg()
+	cfg := resolve(opts)
+	reg := cfg.observer.Reg()
 	c := &Cluster{
-		obs:        cfg.Observer,
+		obs:        cfg.observer,
 		reg:        reg,
-		maxPayload: cfg.MaxPayload,
-		retryAfter: cfg.RetryAfter,
+		maxPayload: cfg.maxPayload,
+		retryAfter: cfg.retryAfter,
 		version:    1,
 		ins: clusterInstruments{
 			misrouted:    reg.Counter("cluster_misrouted_total"),
@@ -111,25 +106,22 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	if c.maxPayload == 0 {
 		c.maxPayload = wire.DefaultMaxPayload
 	}
-	if c.retryAfter <= 0 {
-		c.retryAfter = time.Second
-	}
-	for i := 0; i < o.shards; i++ {
+	for i := 0; i < cfg.shards; i++ {
 		shardCfg := cfg
 		// Shards share the registry through labeled views but not the span
 		// timeline: concurrent shards appending to one timeline would
 		// interleave unrelated streams.
-		shardCfg.Observer = &metrics.Observer{
+		shardCfg.observer = &metrics.Observer{
 			Metrics: reg.Sub(metrics.L("shard", strconv.Itoa(i))),
-			OnEvent: cfg.Observer.OnEvent,
+			OnEvent: cfg.observer.OnEvent,
 		}
-		if cfg.TierDir != "" {
+		if cfg.tierDir != "" {
 			// Each shard owns its own spill directory: tier keys are only
 			// unique per executor, and a drained shard's leftovers must not
 			// shadow a live shard's blobs.
-			shardCfg.TierDir = filepath.Join(cfg.TierDir, "shard-"+strconv.Itoa(i))
+			shardCfg.tierDir = filepath.Join(cfg.tierDir, "shard-"+strconv.Itoa(i))
 		}
-		s, err := New(shardCfg)
+		s, err := newServer(shardCfg)
 		if err != nil {
 			for _, prev := range c.shards {
 				_ = prev.Close()
@@ -141,11 +133,10 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	}
 	c.rebuildRingLocked()
 	c.mux = http.NewServeMux()
-	for _, path := range []string{
-		"register", "swap-out", "swap-in", "prefetch", "free",
-		"register-pool", "batch-write", "batch-swap-out", "batch-swap-in", "batch-prefetch",
-	} {
-		c.mux.HandleFunc("POST /v1/"+path, c.route)
+	for _, op := range wire.Ops {
+		if op.Path != "" {
+			c.mux.HandleFunc("POST /v1/"+op.Path, c.route)
+		}
 	}
 	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -274,7 +265,7 @@ func (c *Cluster) route(w http.ResponseWriter, r *http.Request) {
 	// (draining) shard; the owner answers 404 for it. Registers are exempt
 	// — a new name belongs on the ring owner unconditionally.
 	if cw.status == http.StatusNotFound && cw.header.Get(ErrorHeader) == CodeNotFound &&
-		typ != wire.TypeRegister && typ != wire.TypeRegisterPool {
+		!wire.Ops[typ].Register {
 		for _, d := range c.drainingShards() {
 			dw := newCapture()
 			c.dispatch(d, dw, r, body)
@@ -492,12 +483,14 @@ func acquireForMigration(sess *session, name string) (*entry, error) {
 	}
 }
 
-// migrate moves one tensor from src to dst through the swap wire format:
-// restore on the source if swapped, encode as a TensorData frame, decode
-// on arrival, register on the destination, re-swap-out if it was swapped,
-// then free the source copy. The entry locks on both sides exclude client
-// requests for the duration (they see 409 busy and retry), and the wire
-// round-trip guarantees the migrated tensor restores byte-identically.
+// migrate moves one tensor or block pool from src to dst through the swap
+// wire format: make everything resident on the source (a tier-resident
+// payload comes back through the promote path), rebuild it on the
+// destination with the same residency (arrive), then free the source copy.
+// The entry locks on both sides exclude client requests for the duration
+// (they see 409 busy and retry). Any failure before the free puts the
+// source back the way the drain found it, so an aborted migration is
+// invisible.
 func (c *Cluster) migrate(src *Server, sess *session, name string, dst *Server) (int64, error) {
 	ent, err := acquireForMigration(sess, name)
 	if err != nil {
@@ -508,67 +501,15 @@ func (c *Cluster) migrate(src *Server, sess *session, name string, dst *Server) 
 	}
 	defer ent.mu.Unlock()
 
-	if ent.pool != nil {
-		return c.migratePool(src, sess, name, ent, dst)
-	}
-	wasSwapped := ent.h.State() == executor.Swapped
-	if wasSwapped {
-		if err := src.exec.SwapIn(ent.h); err != nil {
-			return 0, err
-		}
-	}
-	// restoreSrc puts the source copy back the way we found it on any
-	// failure past this point, so an aborted migration is invisible.
-	restoreSrc := func() {
-		if wasSwapped {
-			doCompress, alg := src.resolveCodec(sess, ent, true, compress.Auto)
-			_ = src.exec.SwapOut(ent.h, doCompress, alg)
-		}
-	}
-	data, err := ent.h.Data()
+	was, err := ent.obj.restoreAll()
 	if err != nil {
-		restoreSrc()
 		return 0, err
 	}
-	frame, err := wire.Encode(&wire.Frame{Type: wire.TypeTensorData, Name: name, Data: data})
-	if err != nil {
-		restoreSrc()
+	if err := c.arrive(sess, name, ent, was, dst); err != nil {
+		_ = src.reswap(sess, ent, was)
 		return 0, err
 	}
-	decoded, err := wire.Decode(frame, c.maxPayload)
-	if err != nil {
-		restoreSrc()
-		return 0, err
-	}
-
-	dsess := dst.session(sess.tenant)
-	dent, err := dsess.reserve(name, ent.bytes)
-	if err != nil {
-		restoreSrc()
-		return 0, err
-	}
-	h2, err := dst.exec.Register(qualified(sess.tenant, name), tensor.FromSlice(decoded.Data))
-	if err != nil {
-		dsess.release(name, dent)
-		dent.mu.Unlock()
-		restoreSrc()
-		return 0, err
-	}
-	dent.h = h2
-	dent.sparsity = ent.sparsity
-	if wasSwapped {
-		doCompress, alg := dst.resolveCodec(dsess, dent, true, compress.Auto)
-		if err := dst.exec.SwapOut(h2, doCompress, alg); err != nil {
-			_ = dst.exec.Free(h2)
-			dsess.release(name, dent)
-			dent.mu.Unlock()
-			restoreSrc()
-			return 0, err
-		}
-	}
-	dent.mu.Unlock()
-
-	if err := src.exec.Free(ent.h); err != nil {
+	if err := ent.obj.free(); err != nil {
 		// The destination copy is live and owns the name on the ring; a
 		// failed source free leaks pool bytes on a shard that is going away,
 		// which the drained state eventually reclaims via Close.
@@ -578,87 +519,48 @@ func (c *Cluster) migrate(src *Server, sess *session, name string, dst *Server) 
 	return ent.bytes, nil
 }
 
-// migratePool moves one block pool between shards through the batch wire
-// format: restore every swapped run on the source, read the whole region,
-// round-trip it as a batch-data frame, rebuild the pool on the destination,
-// and re-swap the blocks that were swapped so residency survives the move.
-// The caller holds ent's lock and unlocks it.
-func (c *Cluster) migratePool(src *Server, sess *session, name string, ent *entry, dst *Server) (int64, error) {
-	pool := ent.pool
-	swappedIDs := pool.SwappedIDs()
-	if err := pool.SwapInBlocks(swappedIDs); err != nil {
-		return 0, err
-	}
-	// restoreSrc re-swaps the restored blocks so an aborted migration
-	// leaves the source pool the way the drain found it.
-	restoreSrc := func() {
-		if len(swappedIDs) > 0 {
-			doCompress, alg := src.resolveCodec(sess, ent, true, compress.Auto)
-			_ = pool.SwapOutBlocks(swappedIDs, doCompress, alg)
-		}
-	}
-	allIDs := make([]int, pool.NumBlocks())
-	for i := range allIDs {
-		allIDs[i] = i
-	}
-	data, err := pool.ReadBlocks(allIDs)
+// arrive registers a copy of the fully resident entry on dst: its whole
+// content as one data frame — encoded and decoded, so what arrives is what
+// a client would have been sent and restores byte-identically — then
+// swapped out again exactly where the source had been (was). A failure
+// leaves nothing behind on dst.
+func (c *Cluster) arrive(sess *session, name string, ent *entry, was []int, dst *Server) error {
+	whole, err := ent.obj.readAll(name)
 	if err != nil {
-		restoreSrc()
-		return 0, err
+		return err
 	}
-	frame, err := wire.Encode(&wire.Frame{
-		Type: wire.TypeBatchData, Name: name,
-		BlockElems: pool.BlockElems(),
-		Runs:       []wire.BlockRun{{Start: 0, Count: pool.NumBlocks()}},
-		Data:       data,
-	})
+	frame, err := wire.Encode(whole)
 	if err != nil {
-		restoreSrc()
-		return 0, err
+		return err
 	}
 	decoded, err := wire.Decode(frame, c.maxPayload)
 	if err != nil {
-		restoreSrc()
-		return 0, err
+		return err
 	}
-
 	dsess := dst.session(sess.tenant)
 	dent, err := dsess.reserve(name, ent.bytes)
 	if err != nil {
-		restoreSrc()
-		return 0, err
+		return err
 	}
-	abortDst := func(pool2 *executor.BlockPool) {
-		if pool2 != nil {
-			_ = pool2.Free()
+	defer dent.mu.Unlock()
+	if dent.obj, err = newObject(dst.exec, qualified(sess.tenant, name), decoded); err == nil {
+		dent.sparsity = ent.sparsity
+		if err = dst.reswap(dsess, dent, was); err != nil {
+			_ = dent.obj.free()
 		}
-		dsess.release(name, dent)
-		dent.mu.Unlock()
-		restoreSrc()
 	}
-	pool2, err := dst.exec.RegisterBlockPool(qualified(sess.tenant, name), pool.BlockElems(), pool.NumBlocks())
 	if err != nil {
-		abortDst(nil)
-		return 0, err
+		dsess.release(name, dent)
 	}
-	if err := pool2.WriteBlocks(allIDs, decoded.Data); err != nil {
-		abortDst(pool2)
-		return 0, err
-	}
-	dent.pool = pool2
-	dent.sparsity = ent.sparsity
-	if len(swappedIDs) > 0 {
-		doCompress, alg := dst.resolveCodec(dsess, dent, true, compress.Auto)
-		if err := pool2.SwapOutBlocks(swappedIDs, doCompress, alg); err != nil {
-			abortDst(pool2)
-			return 0, err
-		}
-	}
-	dent.mu.Unlock()
+	return err
+}
 
-	if err := pool.Free(); err != nil {
-		return ent.bytes, nil // same leak-on-retiring-shard tradeoff as tensors
+// reswap swaps out again the part of an entry that restoreAll found
+// swapped, with the codec this shard would pick for it now.
+func (s *Server) reswap(sess *session, ent *entry, was []int) error {
+	if len(was) == 0 {
+		return nil
 	}
-	sess.release(name, ent)
-	return ent.bytes, nil
+	doCompress, alg := s.resolveCodec(sess, ent, true, compress.Auto)
+	return ent.obj.reswap(was, doCompress, alg)
 }

@@ -1,0 +1,204 @@
+package server
+
+// object is the one seam between the two things a registered name can be: a
+// tensor (one executor handle, swapped whole) or a paged block pool (one
+// device reservation of fixed-size blocks, swapped by coalesced runs of
+// block IDs, so a decode step's worth of KV-cache blocks costs one
+// admission slot and one round trip). Above this file nothing asks which of
+// the two an entry holds; it asks the entry's object to do the thing.
+//
+// What differs, and therefore lives behind the seam:
+//
+//   - Quota is charged once, at register time: a tensor's bytes, or a
+//     pool's whole reservation (numBlocks x blockElems x 4). Batch
+//     operations move block contents inside that reservation and are never
+//     re-charged, and a pool's charge stays in the device bucket even while
+//     individual runs are tiered — so a pool reports inTier false and
+//     refuses demote.
+//   - A swap claims ONE admission slot whatever its block count. The
+//     executor fans a batch out into coalesced runs on its own bounded
+//     window; admitting per block would re-introduce the per-block control
+//     cost batching exists to amortize.
+//   - A tensor's whole content is one frame of data; a pool's is a run
+//     table plus packed blocks.
+
+import (
+	"context"
+	"errors"
+
+	"cswap/internal/compress"
+	"cswap/internal/executor"
+	"cswap/internal/tensor"
+	"cswap/internal/wire"
+)
+
+// errNotPool reports a batch operation addressed to a plain tensor name.
+var errNotPool = errors.New("server: name is a tensor, not a block pool")
+
+// errNotTensor reports a tensor operation addressed to a block-pool name.
+var errNotTensor = errors.New("server: name is a block pool, not a tensor")
+
+// errGeometry reports a batch-write whose block size is not the pool's.
+var errGeometry = errors.New("server: batch-write block geometry does not match the pool")
+
+type object interface {
+	isPool() bool
+	// swapBytes is how many raw bytes the swap-out f asks for moves.
+	swapBytes(f *wire.Frame) int64
+	// submit starts the swap f asks for — out (with the resolved codec), in,
+	// or prefetch — on the executor's async pipeline.
+	submit(ctx context.Context, f *wire.Frame, doCompress bool, alg compress.Algorithm) *executor.Ticket
+	// read answers a swap-in: the resident content the request covers (runs
+	// is the coalesced form of its block IDs; a tensor has only the whole).
+	read(name string, runs []wire.BlockRun) (*wire.Frame, error)
+	// write stores f's packed blocks and reports the fraction of the object
+	// they cover.
+	write(f *wire.Frame) (covered float64, err error)
+	// inTier reports whether the quota charge belongs in the tier bucket.
+	inTier() bool
+	// demote moves the swapped payload to the disk tier as one unit.
+	demote() error
+	free() error
+
+	// The migration half: restoreAll makes everything resident and returns
+	// what had been swapped, reswap swaps exactly that (never nothing) out
+	// again, and readAll is the whole content as the frame newObject
+	// rebuilds from.
+	restoreAll() (was []int, err error)
+	reswap(was []int, doCompress bool, alg compress.Algorithm) error
+	readAll(name string) (*wire.Frame, error)
+}
+
+// newObject registers what f describes on exec under the qualified name: a
+// tensor from a register or tensor-data frame, an empty pool from a
+// register-pool frame, a pool with its content from a batch-data frame
+// whose run table starts at block zero (readAll's form). It is both the
+// register handlers' body and the arriving half of a migration.
+func newObject(exec *executor.Executor, qname string, f *wire.Frame) (object, error) {
+	switch f.Type {
+	case wire.TypeRegister, wire.TypeTensorData:
+		h, err := exec.Register(qname, tensor.FromSlice(f.Data))
+		if err != nil {
+			return nil, err
+		}
+		return tensorObj{exec, h}, nil
+	case wire.TypeRegisterPool:
+		p, err := exec.RegisterBlockPool(qname, f.BlockElems, f.NumBlocks)
+		if err != nil {
+			return nil, err
+		}
+		return poolObj{p}, nil
+	}
+	p, err := exec.RegisterBlockPool(qname, f.BlockElems, wire.TotalBlocks(f.Runs))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := (poolObj{p}).write(f); err != nil {
+		_ = p.Free()
+		return nil, err
+	}
+	return poolObj{p}, nil
+}
+
+// tensorObj is a tensor: one handle on the executor that registered it.
+type tensorObj struct {
+	e *executor.Executor
+	h *executor.Handle
+}
+
+func (o tensorObj) isPool() bool                { return false }
+func (o tensorObj) swapBytes(*wire.Frame) int64 { return o.h.Bytes() }
+func (o tensorObj) inTier() bool                { return o.h.InTier() }
+func (o tensorObj) demote() error               { return o.e.Demote(o.h) }
+func (o tensorObj) free() error                 { return o.e.Free(o.h) }
+
+func (o tensorObj) submit(ctx context.Context, f *wire.Frame, doCompress bool, alg compress.Algorithm) *executor.Ticket {
+	switch f.Type {
+	case wire.TypeSwapOut:
+		return o.e.SwapOutAsyncCtx(ctx, o.h, doCompress, alg)
+	case wire.TypeSwapIn:
+		return o.e.SwapInAsyncCtx(ctx, o.h)
+	}
+	return o.e.PrefetchCtx(ctx, o.h)
+}
+
+func (o tensorObj) read(name string, _ []wire.BlockRun) (*wire.Frame, error) {
+	data, err := o.h.Data()
+	return &wire.Frame{Type: wire.TypeTensorData, Name: name, Data: data}, err
+}
+
+func (o tensorObj) readAll(name string) (*wire.Frame, error) { return o.read(name, nil) }
+
+func (o tensorObj) write(*wire.Frame) (float64, error) { return 0, errNotPool }
+
+// A tensor migrates as a one-block pool would: block 0 is the whole of it.
+func (o tensorObj) restoreAll() ([]int, error) {
+	if o.h.State() != executor.Swapped {
+		return nil, nil
+	}
+	return []int{0}, o.e.SwapIn(o.h)
+}
+
+func (o tensorObj) reswap(_ []int, doCompress bool, alg compress.Algorithm) error {
+	return o.e.SwapOut(o.h, doCompress, alg)
+}
+
+// poolObj is a paged block pool.
+type poolObj struct{ p *executor.BlockPool }
+
+func (o poolObj) isPool() bool  { return true }
+func (o poolObj) inTier() bool  { return false }
+func (o poolObj) demote() error { return errNotTensor }
+func (o poolObj) free() error   { return o.p.Free() }
+
+func (o poolObj) swapBytes(f *wire.Frame) int64 {
+	return int64(len(f.BlockIDs)) * int64(o.p.BlockElems()) * tensor.BytesPerElement
+}
+
+func (o poolObj) submit(ctx context.Context, f *wire.Frame, doCompress bool, alg compress.Algorithm) *executor.Ticket {
+	switch f.Type {
+	case wire.TypeBatchSwapOut:
+		return o.p.SwapOutBlocksCtx(ctx, f.BlockIDs, doCompress, alg)
+	case wire.TypeBatchSwapIn:
+		return o.p.SwapInBlocksCtx(ctx, f.BlockIDs)
+	}
+	return o.p.PrefetchBlocksCtx(ctx, f.BlockIDs)
+}
+
+// expandRuns flattens a canonical (sorted, disjoint) run table into the
+// strictly-ascending ID list the pool's packed read/write API wants.
+func expandRuns(runs []wire.BlockRun) []int {
+	ids := make([]int, 0, wire.TotalBlocks(runs))
+	for _, r := range runs {
+		for id := r.Start; id < r.Start+r.Count; id++ {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+func (o poolObj) read(name string, runs []wire.BlockRun) (*wire.Frame, error) {
+	data, err := o.p.ReadBlocks(expandRuns(runs))
+	return &wire.Frame{Type: wire.TypeBatchData, Name: name, BlockElems: o.p.BlockElems(), Runs: runs, Data: data}, err
+}
+
+func (o poolObj) readAll(name string) (*wire.Frame, error) {
+	return o.read(name, []wire.BlockRun{{Start: 0, Count: o.p.NumBlocks()}})
+}
+
+func (o poolObj) write(f *wire.Frame) (float64, error) {
+	if f.BlockElems != o.p.BlockElems() {
+		return 0, errGeometry
+	}
+	ids := expandRuns(f.Runs)
+	return float64(len(ids)) / float64(o.p.NumBlocks()), o.p.WriteBlocks(ids, f.Data)
+}
+
+func (o poolObj) restoreAll() ([]int, error) {
+	was := o.p.SwappedIDs()
+	return was, o.p.SwapInBlocks(was)
+}
+
+func (o poolObj) reswap(was []int, doCompress bool, alg compress.Algorithm) error {
+	return o.p.SwapOutBlocks(was, doCompress, alg)
+}

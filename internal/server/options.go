@@ -6,97 +6,152 @@ import (
 	"cswap/internal/compress"
 	"cswap/internal/faultinject"
 	"cswap/internal/metrics"
+	"cswap/internal/sched"
 )
 
-// Option configures NewServer and NewCluster — the functional counterpart
-// of the Config struct, mirroring the simulator's NewSimOptions surface so
-// both entry points of the repo read the same way. New code composes
-// options; Config remains for existing callers.
-type Option func(*options)
+// Option configures NewServer and NewCluster, mirroring the simulator's
+// NewSimOptions surface so both entry points of the repo read the same way.
+// Every per-shard knob — capacities, in-flight window, quotas, tier, tuner,
+// scheduler — applies to each shard of a cluster independently: a 3-shard
+// cluster with WithDeviceCapacity(1 GiB) holds 3 GiB of device memory.
+type Option func(*config)
 
-// options is the resolved option set. shards only matters to NewCluster;
-// NewServer ignores it (a Server is exactly one shard).
-type options struct {
-	cfg    Config
-	shards int
+// config is the resolved option set; each field is documented on the
+// option that sets it.
+type config struct {
+	shards                       int // NewCluster only; a Server is exactly one shard
+	deviceCapacity, hostCapacity int64
+	maxInFlight                  int
+	launch                       compress.Launch
+	verify                       bool
+	tenantQuota                  int64
+	tierDir                      string
+	tierCap, tenantTierQuota     int64
+	tierWatermark                float64
+	maxPayload                   uint32
+	retryAfter                   time.Duration
+	observer                     *metrics.Observer
+	faults                       *faultinject.Injector
+	tuner                        TunerConfig
+	sched                        SchedConfig
+}
+
+// SchedConfig configures a shard's admission scheduler (internal/sched):
+// MaxInFlight slots handed out by lane priority — critical ahead of normal
+// ahead of speculative, earliest deadline first within a lane — with the
+// executor shedding in-flight speculative prefetch work at run boundaries
+// while a critical waiter starves. The scheduler always runs; Enabled only
+// selects how deep its lanes queue.
+type SchedConfig struct {
+	// Enabled false gives every lane depth zero: a request that finds all
+	// MaxInFlight slots taken is refused at once with 429 "saturated",
+	// never queued. Enabled true queues per lane, bounded by LaneDepth.
+	Enabled bool
+	// LaneDepth bounds each lane's queue (critical, normal, speculative)
+	// when Enabled; zero entries select sched.DefaultLaneDepth.
+	LaneDepth [sched.NumLanes]int
+	// StarveAfter is how long a queued critical request may wait before
+	// in-flight speculative work is told to shed. Zero selects
+	// sched.DefaultStarveAfter.
+	StarveAfter time.Duration
 }
 
 // WithShards sets the executor-shard count for NewCluster (default 1).
-// Every per-shard knob — capacities, in-flight window, quota, tuner — is
-// applied to each shard independently: a 3-shard cluster with
-// WithDeviceCapacity(1 GiB) holds 3 GiB of device memory in total.
-func WithShards(n int) Option { return func(o *options) { o.shards = n } }
+func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 
 // WithDeviceCapacity sizes each shard's device pool in bytes.
-func WithDeviceCapacity(b int64) Option { return func(o *options) { o.cfg.DeviceCapacity = b } }
+func WithDeviceCapacity(b int64) Option { return func(c *config) { c.deviceCapacity = b } }
 
 // WithHostCapacity sizes each shard's host (swap-target) pool in bytes.
-func WithHostCapacity(b int64) Option { return func(o *options) { o.cfg.HostCapacity = b } }
+func WithHostCapacity(b int64) Option { return func(c *config) { c.hostCapacity = b } }
 
-// WithMaxInFlight bounds each shard's async window and admission window.
-func WithMaxInFlight(n int) Option { return func(o *options) { o.cfg.MaxInFlight = n } }
+// WithMaxInFlight bounds each shard's async executor window and, equally,
+// its admission slots: at most this many swap operations run at once. Zero
+// selects the executor default.
+func WithMaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
 
-// WithLaunch sets each shard's initial codec partitioning geometry; a
-// shard's tuner may re-probe and move its own geometry independently.
-func WithLaunch(l compress.Launch) Option { return func(o *options) { o.cfg.Launch = l } }
+// WithLaunch sets each shard's initial codec partitioning geometry (zero
+// selects the executor default); a shard's tuner may re-probe and move its
+// own geometry independently.
+func WithLaunch(l compress.Launch) Option { return func(c *config) { c.launch = l } }
 
 // WithVerify enables the executor's post-restore checksum check.
-func WithVerify(v bool) Option { return func(o *options) { o.cfg.Verify = v } }
+func WithVerify(v bool) Option { return func(c *config) { c.verify = v } }
 
 // WithTenantQuota sets the per-tenant registered-bytes quota, enforced per
 // shard (a tenant's tensors spread across shards, each charging its own
-// quota).
-func WithTenantQuota(b int64) Option { return func(o *options) { o.cfg.TenantQuota = b } }
+// quota). Zero grants each tenant the full device capacity; the shared pool
+// still enforces the global bound.
+func WithTenantQuota(b int64) Option { return func(c *config) { c.tenantQuota = b } }
 
-// WithTierDir attaches a disk spill tier rooted at dir (empty disables).
-// A cluster gives each shard its own subdirectory under dir.
-func WithTierDir(dir string) Option { return func(o *options) { o.cfg.TierDir = dir } }
+// WithTierDir attaches a disk spill tier rooted at dir under the executor's
+// host pool (empty disables): swapped payloads demote into it under host
+// pressure, and a tenant-quota 507 at register time becomes
+// demote-then-admit — the tenant's swapped tensors move to disk, their
+// quota charge moves to the tier bucket, and the register proceeds; 507
+// remains only when both tiers are full. Blobs found in dir at boot belong
+// to no session (sessions do not survive a restart) and are deleted before
+// serving. A cluster gives each shard its own subdirectory under dir.
+func WithTierDir(dir string) Option { return func(c *config) { c.tierDir = dir } }
 
-// WithTierCap bounds each shard's tier directory in bytes (zero selects
-// four times the host capacity).
-func WithTierCap(b int64) Option { return func(o *options) { o.cfg.TierCap = b } }
+// WithTierCap bounds each shard's tier directory in committed bytes (zero
+// selects four times the host capacity).
+func WithTierCap(b int64) Option { return func(c *config) { c.tierCap = b } }
 
 // WithTenantTierQuota sets the per-tenant tier-resident-bytes quota,
-// enforced per shard like the device quota.
-func WithTenantTierQuota(b int64) Option { return func(o *options) { o.cfg.TenantTierQuota = b } }
+// enforced per shard like the device quota. Zero grants each tenant the
+// full tier capacity.
+func WithTenantTierQuota(b int64) Option { return func(c *config) { c.tenantTierQuota = b } }
 
 // WithTierWatermark enables each shard's background host->tier demoter at
-// the given occupancy fraction in (0,1); zero keeps demotion demand-driven.
-func WithTierWatermark(f float64) Option { return func(o *options) { o.cfg.TierWatermark = f } }
+// the given host-pool occupancy fraction in (0,1): above it, cold swapped
+// payloads demote until occupancy is back under. Zero keeps demotion
+// demand-driven (allocation pressure only). Requires WithTierDir.
+func WithTierWatermark(f float64) Option { return func(c *config) { c.tierWatermark = f } }
 
-// WithMaxPayload caps decodable wire frames.
-func WithMaxPayload(n uint32) Option { return func(o *options) { o.cfg.MaxPayload = n } }
+// WithMaxPayload caps decodable wire frames (zero selects
+// wire.DefaultMaxPayload).
+func WithMaxPayload(n uint32) Option { return func(c *config) { c.maxPayload = n } }
 
-// WithRetryAfter sets the hint returned with 429/409 responses.
-func WithRetryAfter(d time.Duration) Option { return func(o *options) { o.cfg.RetryAfter = d } }
+// WithRetryAfter sets the hint returned with 429/409 responses. Zero
+// selects one second (Retry-After has whole-second granularity).
+func WithRetryAfter(d time.Duration) Option { return func(c *config) { c.retryAfter = d } }
 
-// WithObserver supplies the instrumentation surface. A cluster derives a
-// per-shard shard="N"-labeled view of its registry for each shard.
-func WithObserver(obs *metrics.Observer) Option { return func(o *options) { o.cfg.Observer = obs } }
+// WithObserver supplies the instrumentation surface; without it the server
+// creates a registry-only observer (no span timeline — a daemon must not
+// accumulate spans without bound). A cluster derives a shard="N"-labeled
+// view of the observer's registry for each shard.
+func WithObserver(obs *metrics.Observer) Option { return func(c *config) { c.observer = obs } }
 
-// WithFaults injects data-path faults into each shard's executor.
-func WithFaults(f *faultinject.Injector) Option { return func(o *options) { o.cfg.Faults = f } }
+// WithFaults injects data-path faults into each shard's executor and tier,
+// for tests proving the service degrades instead of dropping sessions.
+func WithFaults(f *faultinject.Injector) Option { return func(c *config) { c.faults = f } }
 
-// WithTuner configures the online per-tenant tuner, run per shard.
-func WithTuner(tc TunerConfig) Option { return func(o *options) { o.cfg.Tuner = tc } }
+// WithTuner configures the online per-tenant self-tuning loop (tuner.go),
+// run per shard. The zero value leaves tuning off; Auto swap-outs then fall
+// back to the analytic ratio model per tensor.
+func WithTuner(tc TunerConfig) Option { return func(c *config) { c.tuner = tc } }
 
-// WithSched configures the SLO-aware admission scheduler, run per shard
-// (each shard's lanes queue independently, like its admission window).
-func WithSched(sc SchedConfig) Option { return func(o *options) { o.cfg.Sched = sc } }
+// WithSched configures the admission scheduler, run per shard (each shard's
+// lanes queue independently). The zero value refuses instead of queueing.
+func WithSched(sc SchedConfig) Option { return func(c *config) { c.sched = sc } }
 
-func resolve(opts []Option) options {
-	o := options{shards: 1}
+// resolve folds the options and fills the defaults that do not depend on
+// which constructor asked.
+func resolve(opts []Option) config {
+	c := config{shards: 1}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&c)
 	}
-	if o.shards < 1 {
-		o.shards = 1
+	c.shards = max(c.shards, 1)
+	if c.observer == nil {
+		c.observer = &metrics.Observer{Metrics: metrics.NewRegistry()}
 	}
-	return o
+	if c.retryAfter <= 0 {
+		c.retryAfter = time.Second
+	}
+	return c
 }
 
-// NewServer builds a single-shard server from functional options — the
-// options-first face of New. Prefer it in new code.
-func NewServer(opts ...Option) (*Server, error) {
-	return New(resolve(opts).cfg)
-}
+// NewServer builds a single-shard server and its executor.
+func NewServer(opts ...Option) (*Server, error) { return newServer(resolve(opts)) }

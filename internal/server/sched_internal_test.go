@@ -26,10 +26,7 @@ func schedCounter(t *testing.T, s *Server, name string, labels ...metrics.Label)
 }
 
 func TestDeadlineExpiryUnderQueueing(t *testing.T) {
-	s, url := newInternalServer(t, Config{
-		MaxInFlight: 1,
-		Sched:       SchedConfig{Enabled: true},
-	})
+	s, url := newInternalServer(t, WithMaxInFlight(1), WithSched(SchedConfig{Enabled: true}))
 	c := client.New(url, client.WithRetry(0, 0))
 	ctx := context.Background()
 
@@ -69,10 +66,8 @@ func TestDeadlineExpiryUnderQueueing(t *testing.T) {
 }
 
 func TestCriticalAheadOfSpeculativeFlood(t *testing.T) {
-	s, url := newInternalServer(t, Config{
-		MaxInFlight: 2,
-		Sched:       SchedConfig{Enabled: true, StarveAfter: 2 * time.Millisecond},
-	})
+	s, url := newInternalServer(t, WithMaxInFlight(2),
+		WithSched(SchedConfig{Enabled: true, StarveAfter: 2 * time.Millisecond}))
 	ctx := context.Background()
 
 	// A pool of speculative tensors the flood prefetches (idempotent once

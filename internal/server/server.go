@@ -5,30 +5,34 @@
 //
 // The protocol is HTTP for the envelope — routing, status codes, deadline
 // propagation — with the wire package's length-prefixed binary frames as
-// the request and response bodies. Five operations (register, swap-out,
-// swap-in, prefetch, free) act on per-tenant tensor namespaces, and five
-// batch operations (register-pool, batch-write, batch-swap-out,
-// batch-swap-in, batch-prefetch; see batch.go) act on paged block pools;
-// /metrics exposes the shared registry in Prometheus text format and
-// /healthz the liveness/draining state.
+// the request and response bodies. The ten operations are the rows of
+// wire.Ops: five act on per-tenant tensor namespaces (register, swap-out,
+// swap-in, prefetch, free) and five on paged block pools (register-pool,
+// batch-write, batch-swap-out, batch-swap-in, batch-prefetch). Every one of
+// them enters through the same handler, which reads the URL, the request
+// frame type, the admission lane and the kind of object addressed from the
+// table; what a tensor and a pool do differently sits behind the object
+// seam (object.go). /metrics exposes the shared registry in Prometheus text
+// format and /healthz the liveness/draining state.
 //
 // Three admission layers keep the shared executor healthy under load:
 //
 //   - Per-tenant device-memory quotas, charged at register time before the
 //     shared pool is touched, so tenants fail individually, not each other.
-//   - A non-blocking admission window sized to the executor's MaxInFlight:
-//     a saturated window answers 429 + Retry-After instead of queueing
-//     without bound — the service-level face of the async pipeline's
-//     backpressure. With Config.Sched enabled the window becomes the
-//     SLO-aware priority scheduler (internal/sched): requests queue
-//     briefly in per-lane bounded EDF queues keyed by the wire frame's
-//     lane/deadline hint, critical work jumps queued speculative work,
-//     deadline-expired waiters answer 429 "expired", and in-flight
-//     speculative prefetches shed at run boundaries when critical work
-//     starves.
-//   - Per-tensor request locks that answer 409 "busy" on contention — the
+//   - One admission path for every swap: the scheduler (internal/sched),
+//     always present, with as many slots as the executor's MaxInFlight. A
+//     request takes a free slot or joins its lane's bounded
+//     earliest-deadline-first queue, keyed by the wire frame's lane/deadline
+//     hint; a full lane answers 429 + Retry-After, a deadline that passes
+//     while queued answers 429 "expired", critical work jumps queued
+//     speculative work, and in-flight speculative prefetches shed at run
+//     boundaries when critical work starves. SchedConfig.Enabled selects
+//     only the queue depth: false is depth zero — all slots taken means 429
+//     at once, the refuse-don't-queue face of the async pipeline's
+//     backpressure.
+//   - Per-name request locks that answer 409 "busy" on contention — the
 //     executor's ErrBusy discipline surfaced at the HTTP boundary, and the
-//     guarantee that a response encodes a tensor no concurrent request is
+//     guarantee that a response encodes an object no concurrent request is
 //     mutating.
 //
 // Shutdown is ordered: stop intake (everything answers 503), let in-flight
@@ -36,19 +40,18 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"cswap/internal/compress"
 	"cswap/internal/devmem"
 	"cswap/internal/executor"
-	"cswap/internal/faultinject"
 	"cswap/internal/metrics"
 	"cswap/internal/placement"
 	"cswap/internal/sched"
@@ -69,7 +72,7 @@ const (
 // these rather than parsing message text.
 const (
 	CodeBusy      = "busy"      // per-tensor contention or executor ErrBusy: retry after backoff
-	CodeSaturated = "saturated" // admission window full: retry after Retry-After
+	CodeSaturated = "saturated" // no admission slot and no room to queue: retry after Retry-After
 	CodeExpired   = "expired"   // deadline passed while queued for admission: do NOT retry
 	CodeQuota     = "quota"     // tenant quota exceeded: free something first
 	CodeOOM       = "oom"       // shared pool exhausted
@@ -82,101 +85,34 @@ const (
 	CodeInternal  = "internal"
 )
 
-// Config configures a Server.
-type Config struct {
-	// DeviceCapacity and HostCapacity size the shared executor pools.
-	DeviceCapacity, HostCapacity int64
-	// MaxInFlight bounds the executor's async window and, equally, the
-	// server's admission window: at most this many swap operations hold
-	// slots at once; the rest see 429. Zero selects the executor default.
-	MaxInFlight int
-	// Launch is the codec partitioning geometry (zero selects the
-	// executor's default).
-	Launch compress.Launch
-	// Verify enables the executor's post-restore checksum check.
-	Verify bool
-	// TenantQuota is the per-tenant registered-bytes quota. Zero grants
-	// each tenant the full device capacity (no subdivision); the shared
-	// pool still enforces the global bound.
-	TenantQuota int64
-	// TierDir, when set, attaches a disk spill tier under the executor's
-	// host pool: swapped payloads demote into it under host pressure, and
-	// a tenant-quota 507 at register time becomes demote-then-admit —
-	// the tenant's swapped tensors move to disk, their quota charge moves
-	// to the tier bucket, and the register proceeds. 507 remains only
-	// when both tiers are full. Empty disables tiering.
-	TierDir string
-	// TierCap bounds the tier directory's committed bytes. Zero selects
-	// four times the host capacity.
-	TierCap int64
-	// TenantTierQuota is the per-tenant bound on tier-resident bytes.
-	// Zero grants each tenant the full tier capacity.
-	TenantTierQuota int64
-	// TierWatermark, in (0,1), enables the executor's background demoter:
-	// whenever host-pool occupancy exceeds this fraction of capacity, cold
-	// swapped payloads demote to the tier until it is back under. Zero
-	// leaves demotion purely demand-driven (allocation pressure only).
-	// Requires TierDir.
-	TierWatermark float64
-	// MaxPayload caps the wire frames the server will decode; zero
-	// selects wire.DefaultMaxPayload.
-	MaxPayload uint32
-	// RetryAfter is the hint returned with 429/409 responses. Zero
-	// selects one second (Retry-After has whole-second granularity).
-	RetryAfter time.Duration
-	// Observer optionally supplies the instrumentation surface. Nil
-	// creates a registry-only observer (no span timeline — a daemon must
-	// not accumulate spans without bound).
-	Observer *metrics.Observer
-	// Faults optionally injects data-path faults into the executor, for
-	// tests proving the service degrades instead of dropping sessions.
-	Faults *faultinject.Injector
-	// Tuner configures the online per-tenant self-tuning loop (tuner.go).
-	// The zero value leaves tuning off; Auto swap-outs then fall back to
-	// the analytic ratio model per tensor.
-	Tuner TunerConfig
-	// Sched configures the SLO-aware admission scheduler. The zero value
-	// keeps the plain non-blocking window.
-	Sched SchedConfig
-}
-
-// SchedConfig configures the server's SLO-aware admission scheduler. When
-// Enabled, the admission window is replaced by an internal/sched.Scheduler
-// with MaxInFlight slots: swap requests queue per lane (bounded,
-// earliest-deadline-first) instead of answering 429 the instant the window
-// fills, critical requests are granted ahead of queued speculative ones,
-// and the executor sheds in-flight speculative prefetch work at run
-// boundaries while a critical waiter starves.
-type SchedConfig struct {
-	Enabled bool
-	// LaneDepth bounds each lane's queue (critical, normal, speculative);
-	// zero entries select sched.DefaultLaneDepth.
-	LaneDepth [sched.NumLanes]int
-	// StarveAfter is how long a queued critical request may wait before
-	// in-flight speculative work is told to shed. Zero selects
-	// sched.DefaultStarveAfter.
-	StarveAfter time.Duration
-}
-
 // instruments are the server's pre-resolved metric cells; per-tenant
 // series are resolved per request (registry lookups are cheap and the
 // label space is small).
 type instruments struct {
-	backpressure *metrics.Counter // 429s: admission window full
+	backpressure *metrics.Counter // 429s: admission refused (lane full, deadline expired, work shed)
 	busy         *metrics.Counter // 409s: per-tensor contention
 	sessions     *metrics.Gauge
 	reg          *metrics.Registry
+	ops          [len(wire.Ops)]opCells
+}
+
+// opCells are one operation's own series, resolved when its handler is
+// built: the latency histogram and, for the pool operations, the request
+// and block counters (labelled with the operation's name less the batch-
+// prefix).
+type opCells struct {
+	latency                *metrics.Histogram
+	batchReqs, batchBlocks *metrics.Counter
 }
 
 // Server multiplexes tenant sessions onto one executor.
 type Server struct {
-	cfg   Config
+	cfg   config
 	exec  *executor.Executor
-	tier  *tier.Store // nil without TierDir
+	tier  *tier.Store // nil without a tier directory
 	obs   *metrics.Observer
 	ins   instruments
-	admit chan struct{}    // plain admission window (Sched disabled)
-	sched *sched.Scheduler // SLO-aware admission (Sched.Enabled); nil otherwise
+	sched *sched.Scheduler // admission: MaxInFlight slots, per-lane queues
 	mux   *http.ServeMux
 	tuner *tuner
 
@@ -185,99 +121,94 @@ type Server struct {
 	draining bool
 }
 
-// New builds a server and its executor.
-func New(cfg Config) (*Server, error) {
-	if cfg.Observer == nil {
-		cfg.Observer = &metrics.Observer{Metrics: metrics.NewRegistry()}
+// newServer builds one shard from a resolved config.
+func newServer(cfg config) (*Server, error) {
+	if cfg.maxInFlight == 0 {
+		cfg.maxInFlight = executor.DefaultMaxInFlight
 	}
-	if cfg.MaxInFlight == 0 {
-		cfg.MaxInFlight = executor.DefaultMaxInFlight
+	if cfg.tenantQuota == 0 {
+		cfg.tenantQuota = cfg.deviceCapacity
 	}
-	if cfg.TenantQuota == 0 {
-		cfg.TenantQuota = cfg.DeviceCapacity
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
+	reg := cfg.observer.Reg()
 	var ts *tier.Store
-	if cfg.TierDir != "" {
-		if cfg.TierCap == 0 {
-			cfg.TierCap = 4 * cfg.HostCapacity
+	if cfg.tierDir != "" {
+		if cfg.tierCap == 0 {
+			cfg.tierCap = 4 * cfg.hostCapacity
 		}
-		if cfg.TenantTierQuota == 0 {
-			cfg.TenantTierQuota = cfg.TierCap
+		if cfg.tenantTierQuota == 0 {
+			cfg.tenantTierQuota = cfg.tierCap
 		}
 		var err error
-		if ts, err = tier.Open(cfg.TierDir, cfg.TierCap, cfg.Faults); err != nil {
+		if ts, err = tier.Open(cfg.tierDir, cfg.tierCap, cfg.faults); err != nil {
 			return nil, fmt.Errorf("server: spill tier: %w", err)
 		}
-	}
-	var schd *sched.Scheduler
-	if cfg.Sched.Enabled {
-		var err error
-		schd, err = sched.New(sched.Config{
-			Slots:       cfg.MaxInFlight,
-			LaneDepth:   cfg.Sched.LaneDepth,
-			StarveAfter: cfg.Sched.StarveAfter,
-			Metrics:     cfg.Observer.Reg(),
-			Prefix:      "server",
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server: sched: %w", err)
+		// Handles and sessions live only in memory, so every blob a previous
+		// process committed is an orphan no swap-in can ever name; left in
+		// place it would hold tier capacity for good.
+		orphans := reg.Counter("server_tier_orphans_scrubbed_total")
+		for _, key := range ts.Keys() {
+			if _, err := ts.Delete(key); err != nil {
+				return nil, fmt.Errorf("server: spill tier: scrubbing orphan %q: %w", key, err)
+			}
+			orphans.Inc()
 		}
 	}
-	execCfg := executor.Config{
-		DeviceCapacity: cfg.DeviceCapacity,
-		HostCapacity:   cfg.HostCapacity,
-		Launch:         cfg.Launch,
-		Verify:         cfg.Verify,
-		MaxInFlight:    cfg.MaxInFlight,
-		Faults:         cfg.Faults,
-		Tier:           ts,
-		TierWatermark:  cfg.TierWatermark,
-		Observer:       cfg.Observer,
+	depth := cfg.sched.LaneDepth
+	if !cfg.sched.Enabled {
+		depth = [sched.NumLanes]int{-1, -1, -1} // refuse, never queue
 	}
-	if schd != nil {
+	schd, err := sched.New(sched.Config{
+		Slots:       cfg.maxInFlight,
+		LaneDepth:   depth,
+		StarveAfter: cfg.sched.StarveAfter,
+		Metrics:     reg,
+		Prefix:      "server",
+	})
+	if err != nil {
+		return nil, fmt.Errorf("server: sched: %w", err)
+	}
+	exec, err := executor.New(executor.Config{
+		DeviceCapacity: cfg.deviceCapacity,
+		HostCapacity:   cfg.hostCapacity,
+		Launch:         cfg.launch,
+		Verify:         cfg.verify,
+		MaxInFlight:    cfg.maxInFlight,
+		Faults:         cfg.faults,
+		Tier:           ts,
+		TierWatermark:  cfg.tierWatermark,
+		Observer:       cfg.observer,
 		// The scheduler doubles as the executor's shed signal — signal
 		// only, never slot acquisition, so the two windows cannot deadlock.
-		execCfg.Sched = schd
-	}
-	exec, err := executor.New(execCfg)
+		Sched: schd,
+	})
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Observer.Reg()
 	s := &Server{
 		cfg:  cfg,
 		exec: exec,
 		tier: ts,
-		obs:  cfg.Observer,
+		obs:  cfg.observer,
 		ins: instruments{
 			backpressure: reg.Counter("server_backpressure_total"),
 			busy:         reg.Counter("server_busy_total"),
 			sessions:     reg.Gauge("server_sessions"),
 			reg:          reg,
 		},
-		admit:    make(chan struct{}, cfg.MaxInFlight),
 		sched:    schd,
 		sessions: map[string]*session{},
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/register", s.instrumented("register", s.handleRegister))
-	s.mux.HandleFunc("POST /v1/swap-out", s.instrumented("swap-out", s.handleSwapOut))
-	s.mux.HandleFunc("POST /v1/swap-in", s.instrumented("swap-in", s.handleSwapIn))
-	s.mux.HandleFunc("POST /v1/prefetch", s.instrumented("prefetch", s.handlePrefetch))
-	s.mux.HandleFunc("POST /v1/free", s.instrumented("free", s.handleFree))
-	s.mux.HandleFunc("POST /v1/register-pool", s.instrumented("register-pool", s.handleRegisterPool))
-	s.mux.HandleFunc("POST /v1/batch-write", s.instrumented("batch-write", s.handleBatchWrite))
-	s.mux.HandleFunc("POST /v1/batch-swap-out", s.instrumented("batch-swap-out", s.handleBatchSwapOut))
-	s.mux.HandleFunc("POST /v1/batch-swap-in", s.instrumented("batch-swap-in", s.handleBatchSwapIn))
-	s.mux.HandleFunc("POST /v1/batch-prefetch", s.instrumented("batch-prefetch", s.handleBatchPrefetch))
+	for typ := range wire.Ops {
+		if op := &wire.Ops[typ]; op.Path != "" {
+			s.mux.HandleFunc("POST /v1/"+op.Path, s.handler(wire.Type(typ), op))
+		}
+	}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /cluster", s.handleClusterMap)
-	if cfg.Tuner.Enabled {
-		s.tuner = startTuner(s, cfg.Tuner)
+	if cfg.tuner.Enabled {
+		s.tuner = startTuner(s, cfg.tuner)
 	}
 	return s, nil
 }
@@ -288,7 +219,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Executor exposes the shared executor (tests and embedders).
 func (s *Server) Executor() *executor.Executor { return s.exec }
 
-// Tier exposes the disk spill tier, nil when TierDir is unset.
+// Tier exposes the disk spill tier, nil without WithTierDir.
 func (s *Server) Tier() *tier.Store { return s.tier }
 
 // Registry exposes the shared metrics registry backing /metrics.
@@ -314,12 +245,10 @@ func (s *Server) Close() error {
 		// shutdown, and no SetLaunch lands on a closing executor.
 		s.tuner.Stop()
 	}
-	if s.sched != nil {
-		// Fail queued admission waiters (503 draining) before the drain
-		// barrier, so no handler is left waiting on a lane that will never
-		// be granted.
-		s.sched.Close()
-	}
+	// Fail queued admission waiters (503 draining) before the drain
+	// barrier, so no handler is left waiting on a lane that will never be
+	// granted.
+	s.sched.Close()
 	s.exec.Drain()
 	return s.exec.Close()
 }
@@ -330,7 +259,7 @@ func (s *Server) session(tenant string) *session {
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[tenant]
 	if !ok {
-		sess = newSession(tenant, s.cfg.TenantQuota, s.cfg.TenantTierQuota, s.ins.reg)
+		sess = newSession(tenant, s.cfg.tenantQuota, s.cfg.tenantTierQuota, s.ins.reg)
 		s.sessions[tenant] = sess
 		s.ins.sessions.Set(float64(len(s.sessions)))
 	}
@@ -352,9 +281,17 @@ func tenantOf(r *http.Request) string {
 	return DefaultTenant
 }
 
-// instrumented wraps an operation handler with the draining gate and the
-// per-tenant request/latency series.
-func (s *Server) instrumented(op string, fn func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// handler is the entry point of every operation: the draining gate, the
+// per-tenant request/latency series, the request frame of the type the
+// table row names, then the one of four bodies the row selects.
+func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
+	cells := &s.ins.ops[typ]
+	cells.latency = s.ins.reg.Histogram("server_request_seconds", metrics.L("op", op.Path))
+	if op.Pool {
+		label := metrics.L("op", strings.TrimPrefix(op.Path, "batch-"))
+		cells.batchReqs = s.ins.reg.Counter("server_batch_requests_total", label)
+		cells.batchBlocks = s.ins.reg.Counter("server_batch_blocks_total", label)
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.isDraining() {
 			s.fail(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
@@ -362,11 +299,22 @@ func (s *Server) instrumented(op string, fn func(http.ResponseWriter, *http.Requ
 		}
 		tenant := tenantOf(r)
 		s.ins.reg.Counter("server_requests_total",
-			metrics.L("tenant", tenant), metrics.L("op", op)).Inc()
+			metrics.L("tenant", tenant), metrics.L("op", op.Path)).Inc()
 		start := time.Now()
-		fn(w, r)
-		s.ins.reg.Histogram("server_request_seconds", metrics.L("op", op)).
-			Observe(time.Since(start).Seconds())
+		if f, ok := s.readFrame(w, r, typ); ok {
+			sess := s.session(tenant)
+			switch {
+			case op.Register:
+				s.register(w, sess, f)
+			case op.Sched:
+				s.swap(w, r, sess, f, op)
+			case typ == wire.TypeFree:
+				s.free(w, sess, f)
+			default:
+				s.write(w, sess, f)
+			}
+		}
+		cells.latency.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -377,7 +325,7 @@ func (s *Server) fail(w http.ResponseWriter, status int, code, msg string) {
 	if status == http.StatusTooManyRequests || code == CodeBusy || code == CodeDraining {
 		// Truncated to whole seconds; "0" is a legal hint meaning "retry
 		// immediately" and lets tests run sub-second backoff loops.
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.retryAfter/time.Second)))
 	}
 	http.Error(w, msg, status)
 }
@@ -405,6 +353,8 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 		s.fail(w, http.StatusGone, CodeState, err.Error())
 	case errors.Is(err, executor.ErrClosed):
 		s.fail(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
+	case errors.Is(err, errGeometry):
+		s.fail(w, http.StatusBadRequest, CodeBadFrame, err.Error())
 	default:
 		// "already swapped/resident" misuse and everything else the state
 		// machine refuses: a conflict the client can resolve, not a server
@@ -420,7 +370,7 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 
 // readFrame decodes the request body as one frame of the expected type.
 func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, want wire.Type) (*wire.Frame, bool) {
-	f, err := wire.Read(r.Body, s.cfg.MaxPayload)
+	f, err := wire.Read(r.Body, s.cfg.maxPayload)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, CodeBadFrame, err.Error())
 		return nil, false
@@ -455,35 +405,49 @@ func (s *Server) writeEncoded(w http.ResponseWriter, b []byte, err error) {
 // spans and per-tensor series stay distinct across sessions.
 func qualified(tenant, name string) string { return tenant + "/" + name }
 
-// handleRegister admits the tensor against the tenant quota, then places
-// it in the shared device pool.
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.readFrame(w, r, wire.TypeRegister)
-	if !ok {
-		return
-	}
-	tenant := tenantOf(r)
-	sess := s.session(tenant)
+// batchSeen counts one pool request and its block volume.
+func (s *Server) batchSeen(typ wire.Type, blocks int) {
+	s.ins.ops[typ].batchReqs.Inc()
+	s.ins.ops[typ].batchBlocks.Add(float64(blocks))
+}
+
+// ack answers with the bare acknowledgement frame.
+func (s *Server) ack(w http.ResponseWriter, name string) {
+	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: name})
+}
+
+// register admits the tensor's bytes — or a pool's whole device
+// reservation: the batch ops that follow are pre-paid — against the tenant
+// quota, then places it in the shared device pool.
+func (s *Server) register(w http.ResponseWriter, sess *session, f *wire.Frame) {
 	bytes := int64(len(f.Data)) * tensor.BytesPerElement
+	if f.Type == wire.TypeRegisterPool {
+		bytes = int64(f.BlockElems) * int64(f.NumBlocks) * tensor.BytesPerElement
+	}
 	ent, err := s.reserveDemoting(sess, f.Name, bytes)
 	if err != nil {
 		if errors.Is(err, ErrQuotaExceeded) {
-			s.ins.reg.Counter("server_quota_rejections_total", metrics.L("tenant", tenant)).Inc()
+			s.ins.reg.Counter("server_quota_rejections_total", metrics.L("tenant", sess.tenant)).Inc()
 		}
 		s.failErr(w, err)
 		return
 	}
-	h, err := s.exec.Register(qualified(tenant, f.Name), tensor.FromSlice(f.Data))
+	obj, err := newObject(s.exec, qualified(sess.tenant, f.Name), f)
 	if err != nil {
 		sess.release(f.Name, ent)
 		ent.mu.Unlock()
 		s.failErr(w, err)
 		return
 	}
-	ent.h = h
+	ent.obj = obj
+	// A pool's region starts zeroed (sparsity 1, what an empty payload
+	// measures); batch-write re-measures.
 	ent.sparsity = sliceSparsity(f.Data)
 	ent.mu.Unlock()
-	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: f.Name})
+	if obj.isPool() {
+		s.batchSeen(f.Type, f.NumBlocks)
+	}
+	s.ack(w, f.Name)
 }
 
 // reserveDemoting is reserve with the demote-then-admit fallback: a
@@ -502,7 +466,7 @@ func (s *Server) reserveDemoting(sess *session, name string, bytes int64) (*entr
 // demoteForAdmit walks the tenant's entries demoting swapped,
 // host-resident tensors into the disk tier until the device quota bucket
 // has room for `need` more bytes, reporting whether it does. Busy entries,
-// block pools, resident tensors (Demote refuses them), and entries the
+// block pools and resident tensors (demote refuses them), and entries the
 // tier quota cannot take are skipped. Executor-initiated demotions the
 // server has not yet accounted (tierCharged lagging) are reconciled for
 // free: Demote on an already-tiered handle is a no-op and syncTier moves
@@ -516,11 +480,11 @@ func (s *Server) demoteForAdmit(sess *session, need int64) bool {
 		if err != nil {
 			continue
 		}
-		if ent.h == nil || ent.tierCharged || !sess.tierHeadroom(ent.bytes) {
+		if ent.tierCharged || !sess.tierHeadroom(ent.bytes) {
 			ent.mu.Unlock()
 			continue
 		}
-		if err := s.exec.Demote(ent.h); err == nil {
+		if err := ent.obj.demote(); err == nil {
 			sess.syncTier(ent)
 			s.ins.reg.Counter("server_tier_demote_admits_total",
 				metrics.L("tenant", sess.tenant)).Inc()
@@ -533,23 +497,10 @@ func (s *Server) demoteForAdmit(sess *session, need int64) bool {
 	return sess.deviceHeadroom(need)
 }
 
-// admitSlot claims one admission slot without blocking; a full window is
-// the 429 path — bounded refusal, not unbounded queueing.
-func (s *Server) admitSlot(w http.ResponseWriter) bool {
-	select {
-	case s.admit <- struct{}{}:
-		return true
-	default:
-		s.ins.backpressure.Inc()
-		s.fail(w, http.StatusTooManyRequests, CodeSaturated,
-			fmt.Sprintf("server: %d swap operations in flight", cap(s.admit)))
-		return false
-	}
-}
-
 // hintOf derives a request's scheduling hint from the wire frame's
-// optional sched extension: without one, demand swaps ride LaneNormal and
-// prefetches LaneSpeculative with no deadline. The frame's relative
+// optional sched extension: without one the request rides its operation's
+// default lane (demand swaps normal, prefetches speculative) with no
+// deadline. The frame's relative
 // deadline becomes absolute here, at decode time.
 func hintOf(f *wire.Frame, fallback sched.Lane) sched.Hint {
 	h := sched.Hint{Lane: fallback}
@@ -562,43 +513,30 @@ func hintOf(f *wire.Frame, fallback sched.Lane) sched.Hint {
 	return h
 }
 
-// admitReq claims one admission slot for a swap request. Without the
-// scheduler it is the non-blocking window (429 saturated on full). With
-// it, the request joins its lane's bounded EDF queue: a full lane still
+// admitReq claims one admission slot for a swap request: a free slot, or a
+// place in its lane's bounded EDF queue. A full lane (always, at depth zero)
 // answers 429 saturated immediately, a deadline that passes while queued
 // answers 429 "expired" (retrying the same deadline is pointless), and a
-// granted request proceeds holding one of the MaxInFlight slots.
+// granted request proceeds holding one of the MaxInFlight slots until
+// s.sched.Release.
 func (s *Server) admitReq(w http.ResponseWriter, r *http.Request, h sched.Hint) bool {
-	if s.sched == nil {
-		return s.admitSlot(w)
+	err := s.sched.Acquire(r.Context(), h.Lane, h.Deadline)
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, sched.ErrExpired):
+		s.ins.backpressure.Inc()
+		s.fail(w, http.StatusTooManyRequests, CodeExpired, err.Error())
+	case errors.Is(err, sched.ErrLaneFull):
+		s.ins.backpressure.Inc()
+		s.fail(w, http.StatusTooManyRequests, CodeSaturated, err.Error())
+	case errors.Is(err, sched.ErrClosed):
+		s.fail(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
+	default:
+		// The client's own context died while queued.
+		s.fail(w, http.StatusRequestTimeout, CodeTimeout, err.Error())
 	}
-	if err := s.sched.Acquire(r.Context(), h.Lane, h.Deadline); err != nil {
-		switch {
-		case errors.Is(err, sched.ErrExpired):
-			s.ins.backpressure.Inc()
-			s.fail(w, http.StatusTooManyRequests, CodeExpired, err.Error())
-		case errors.Is(err, sched.ErrLaneFull):
-			s.ins.backpressure.Inc()
-			s.fail(w, http.StatusTooManyRequests, CodeSaturated, err.Error())
-		case errors.Is(err, sched.ErrClosed):
-			s.fail(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
-		default:
-			// The client's own context died while queued.
-			s.fail(w, http.StatusRequestTimeout, CodeTimeout, err.Error())
-		}
-		return false
-	}
-	return true
-}
-
-// admitRelease returns the slot claimed by admitReq, waking the highest-
-// priority queued waiter when the scheduler runs admission.
-func (s *Server) admitRelease() {
-	if s.sched != nil {
-		s.sched.Release()
-		return
-	}
-	<-s.admit
+	return false
 }
 
 // finishAsync releases an entry lock and admission slot once the ticket
@@ -608,49 +546,44 @@ func (s *Server) admitRelease() {
 func (s *Server) finishAsync(t *executor.Ticket, ent *entry) {
 	_ = t.Wait()
 	ent.mu.Unlock()
-	s.admitRelease()
+	s.sched.Release()
 }
 
-// acquireKind is acquire plus the kind check: the locked entry must be a
-// block pool (wantPool) or a tensor — the per-tensor endpoints don't apply
-// to a pool name, nor the batch ones to a tensor.
-func (s *Server) acquireKind(w http.ResponseWriter, sess *session, name string, wantPool bool) (*entry, bool) {
-	ent, err := sess.acquire(name)
+// swapOp runs one admission-gated async operation against the entry f
+// names — a tensor swap or a whole block batch, which claims ONE slot and
+// one lane entry regardless of its block count — and waits for it under the
+// request context. The entry must hold the kind of object the operation
+// addresses: the per-tensor endpoints don't apply to a pool name, nor the
+// batch ones to a tensor. The hint picks the admission lane/deadline and
+// rides the operation context so the executor can shed speculative work at
+// run boundaries. On success the entry is returned still locked and still
+// holding the admission slot — the caller reads what it needs, then
+// finishes with swapAck or swapData.
+func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op) (*entry, bool) {
+	ent, err := sess.acquire(f.Name)
+	if err == nil && ent.obj.isPool() != op.Pool {
+		ent.mu.Unlock()
+		err = errNotTensor
+		if op.Pool {
+			err = errNotPool
+		}
+	}
 	if err != nil {
 		s.failErr(w, err)
 		return nil, false
 	}
-	if isPool := ent.pool != nil; isPool != wantPool {
-		ent.mu.Unlock()
-		if wantPool {
-			s.failErr(w, errNotPool)
-		} else {
-			s.failErr(w, errNotTensor)
-		}
-		return nil, false
-	}
-	return ent, true
-}
-
-// swapOp runs one admission-gated async operation against an entry of the
-// given kind — a tensor swap or a whole block batch, which claims ONE slot
-// and one lane entry regardless of its block count — and waits for it
-// under the request context. The hint picks the admission lane/deadline
-// and rides the operation context so the executor can shed speculative
-// work at run boundaries. On success the entry is returned still locked
-// and still holding the admission slot — the caller reads what it needs,
-// then finishes with swapAck or swapData.
-func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, name string, wantPool bool, hint sched.Hint,
-	submit func(context.Context, *entry) *executor.Ticket) (*entry, bool) {
-	ent, ok := s.acquireKind(w, sess, name, wantPool)
-	if !ok {
-		return nil, false
-	}
+	hint := hintOf(f, sched.Lane(op.Lane))
 	if !s.admitReq(w, r, hint) {
 		ent.mu.Unlock()
 		return nil, false
 	}
-	t := submit(sched.WithHint(r.Context(), hint), ent)
+	var doCompress bool
+	var alg compress.Algorithm
+	if f.Type == wire.TypeSwapOut || f.Type == wire.TypeBatchSwapOut {
+		sess.observeSwap(ent.sparsity, ent.obj.swapBytes(f))
+		doCompress, alg = s.resolveCodec(sess, ent, f.Compress, f.Alg)
+	}
+	t := ent.obj.submit(sched.WithHint(r.Context(), hint), f, doCompress, alg)
 	if err := t.WaitContext(r.Context()); err != nil {
 		select {
 		case <-t.Done():
@@ -676,7 +609,7 @@ func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, n
 // answers with err.
 func (s *Server) swapFail(w http.ResponseWriter, ent *entry, err error) {
 	ent.mu.Unlock()
-	s.admitRelease()
+	s.sched.Release()
 	s.failErr(w, err)
 }
 
@@ -687,8 +620,8 @@ func (s *Server) swapFail(w http.ResponseWriter, ent *entry, err error) {
 func (s *Server) swapAck(w http.ResponseWriter, sess *session, ent *entry, name string) {
 	sess.syncTier(ent)
 	ent.mu.Unlock()
-	s.admitRelease()
-	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: name})
+	s.sched.Release()
+	s.ack(w, name)
 }
 
 // swapData is the tail of the swaps that answer with the restored bytes.
@@ -698,26 +631,65 @@ func (s *Server) swapAck(w http.ResponseWriter, sess *session, ent *entry, name 
 func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame) {
 	b, err := wire.Encode(f)
 	ent.mu.Unlock()
-	s.admitRelease()
+	s.sched.Release()
 	s.writeEncoded(w, b, err)
 }
 
-// handleSwapOut moves the tensor to the host pool through the async
-// pipeline, compressing per the request.
-func (s *Server) handleSwapOut(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.readFrame(w, r, wire.TypeSwapOut)
+// swap is the body of the six schedulable operations: one admission slot,
+// one executor operation (for a pool: one coalesced batch), then an ack —
+// or, for the swap-ins, the restored content streamed back as one data
+// frame. Pool requests count the blocks they address after coalescing, so
+// a duplicated ID counts once on every operation.
+func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op) {
+	ent, ok := s.swapOp(w, r, sess, f, op)
 	if !ok {
 		return
 	}
-	sess := s.session(tenantOf(r))
-	ent, ok := s.swapOp(w, r, sess, f.Name, false, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
-		sess.observeSwap(ent.sparsity, ent.bytes)
-		doCompress, alg := s.resolveCodec(sess, ent, f.Compress, f.Alg)
-		return s.exec.SwapOutAsyncCtx(ctx, ent.h, doCompress, alg)
-	})
-	if ok {
-		s.swapAck(w, sess, ent, f.Name)
+	var runs []wire.BlockRun
+	if op.Pool {
+		coalesced := executor.CoalesceBlockIDs(f.BlockIDs)
+		runs = make([]wire.BlockRun, len(coalesced))
+		for i, run := range coalesced {
+			runs[i] = wire.BlockRun(run)
+		}
+		s.batchSeen(f.Type, wire.TotalBlocks(runs))
 	}
+	if op.Resp == wire.TypeAck {
+		s.swapAck(w, sess, ent, f.Name)
+		return
+	}
+	sess.syncTier(ent) // a promotion moves the charge back to the device bucket
+	resp, err := ent.obj.read(f.Name, runs)
+	if err != nil {
+		s.swapFail(w, ent, err)
+		return
+	}
+	s.swapData(w, ent, resp)
+}
+
+// write stores packed block contents into resident blocks. It is a
+// device-memory write, not a swap: no admission slot is consumed.
+func (s *Server) write(w http.ResponseWriter, sess *session, f *wire.Frame) {
+	ent, err := sess.acquire(f.Name)
+	if err != nil {
+		s.failErr(w, err)
+		return
+	}
+	covered, err := ent.obj.write(f)
+	if err != nil {
+		ent.mu.Unlock()
+		s.failErr(w, err)
+		return
+	}
+	// Fold what was actually written into the pool-wide sparsity, weighted
+	// by the fraction of blocks this write covers: the signal Auto codec
+	// resolution and the tuner profile key off describes the whole pool,
+	// and letting a partial write overwrite it would swing every later
+	// codec decision on the sliver this batch happened to touch.
+	ent.sparsity = ent.sparsity*(1-covered) + sliceSparsity(f.Data)*covered
+	ent.mu.Unlock()
+	s.batchSeen(f.Type, wire.TotalBlocks(f.Runs))
+	s.ack(w, f.Name)
 }
 
 // resolveCodec turns a swap-out request's codec choice into a concrete
@@ -763,70 +735,21 @@ func sliceSparsity(data []float32) float64 {
 	return float64(zeros) / float64(len(data))
 }
 
-// handleSwapIn restores the tensor and streams it back.
-func (s *Server) handleSwapIn(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.readFrame(w, r, wire.TypeSwapIn)
-	if !ok {
-		return
-	}
-	sess := s.session(tenantOf(r))
-	ent, ok := s.swapOp(w, r, sess, f.Name, false, hintOf(f, sched.LaneNormal), func(ctx context.Context, ent *entry) *executor.Ticket {
-		return s.exec.SwapInAsyncCtx(ctx, ent.h)
-	})
-	if !ok {
-		return
-	}
-	sess.syncTier(ent) // a promotion moves the charge back to the device bucket
-	data, err := ent.h.Data()
-	if err != nil {
-		s.swapFail(w, ent, err)
-		return
-	}
-	s.swapData(w, ent, &wire.Frame{Type: wire.TypeTensorData, Name: f.Name, Data: data})
-}
-
-// handlePrefetch requests residency ahead of need; an already-resident
-// tensor acks immediately.
-func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.readFrame(w, r, wire.TypePrefetch)
-	if !ok {
-		return
-	}
-	sess := s.session(tenantOf(r))
-	ent, ok := s.swapOp(w, r, sess, f.Name, false, hintOf(f, sched.LaneSpeculative), func(ctx context.Context, ent *entry) *executor.Ticket {
-		return s.exec.PrefetchCtx(ctx, ent.h)
-	})
-	if ok {
-		s.swapAck(w, sess, ent, f.Name)
-	}
-}
-
-// handleFree releases the tensor and returns its bytes to the quota.
-func (s *Server) handleFree(w http.ResponseWriter, r *http.Request) {
-	f, ok := s.readFrame(w, r, wire.TypeFree)
-	if !ok {
-		return
-	}
-	sess := s.session(tenantOf(r))
+// free releases the tensor or pool and returns its bytes to the quota.
+func (s *Server) free(w http.ResponseWriter, sess *session, f *wire.Frame) {
 	ent, err := sess.acquire(f.Name)
 	if err != nil {
 		s.failErr(w, err)
 		return
 	}
-	freeErr := func() error {
-		if ent.pool != nil {
-			return ent.pool.Free()
-		}
-		return s.exec.Free(ent.h)
-	}()
-	if freeErr != nil {
+	if err := ent.obj.free(); err != nil {
 		ent.mu.Unlock()
-		s.failErr(w, freeErr)
+		s.failErr(w, err)
 		return
 	}
 	sess.release(f.Name, ent)
 	ent.mu.Unlock()
-	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: f.Name})
+	s.ack(w, f.Name)
 }
 
 // handleMetrics exposes the shared registry in Prometheus text format.

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"cswap/internal/compress"
-	"cswap/internal/executor"
 	"cswap/internal/metrics"
 )
 
@@ -157,13 +156,11 @@ func (s *session) rollbackVerdict() (verdict, bool) {
 // while it is encoded.
 type entry struct {
 	mu sync.Mutex
-	h  *executor.Handle
-	// pool is set instead of h when the entry is a paged block pool
-	// (register-pool): one name, one quota charge, many blocks. Exactly one
-	// of h and pool is non-nil once the register commits.
-	pool *executor.BlockPool
-	// bytes is the tensor's uncompressed footprint, the unit of quota
-	// accounting (what the tensor pins on device while resident).
+	// obj is the tensor or block pool behind the name (object.go): one
+	// name, one quota charge. Nil until the register commits.
+	obj object
+	// bytes is the object's uncompressed footprint, the unit of quota
+	// accounting (what it pins on device while resident).
 	bytes int64
 	// sparsity is the zero fraction measured at register time — the
 	// per-tensor signal behind Auto codec resolution and the tenant
@@ -192,7 +189,7 @@ func newSession(tenant string, quota, tierQuota int64, reg *metrics.Registry) *s
 
 // reserve admits `bytes` of new registration against the quota and
 // installs a placeholder entry, locked by the caller. The caller must
-// commit (entry.h set) or abort (release) it. Admitting before touching
+// commit (entry.obj set) or abort (release) it. Admitting before touching
 // the executor means a rejected tenant never consumes shared pool
 // capacity, and the placeholder makes duplicate names of one tenant —
 // including two concurrent registers — a clean conflict.
@@ -252,13 +249,10 @@ func (s *session) moveCharge(bytes int64, toTier bool) {
 // tier residency. It runs at operation boundaries (after swaps, demotions,
 // promotions), so charges follow payloads lazily: an executor-initiated
 // demotion is charged to the tier bucket the next time the server touches
-// the entry. Block pools are exempt (see the usedB comment). The caller
-// holds the entry lock.
+// the entry. Block pools never report inTier (see the usedB comment). The
+// caller holds the entry lock.
 func (s *session) syncTier(ent *entry) {
-	if ent.h == nil {
-		return
-	}
-	if inTier := ent.h.InTier(); inTier != ent.tierCharged {
+	if inTier := ent.obj.inTier(); inTier != ent.tierCharged {
 		s.moveCharge(ent.bytes, inTier)
 		ent.tierCharged = inTier
 	}
@@ -300,7 +294,7 @@ func (s *session) acquire(name string) (*entry, error) {
 	if !ent.mu.TryLock() {
 		return nil, fmt.Errorf("%w: %s/%s (request in flight)", errEntryBusy, s.tenant, name)
 	}
-	if ent.h == nil && ent.pool == nil {
+	if ent.obj == nil {
 		// A placeholder whose register aborted between lookup and lock.
 		ent.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownTensor, s.tenant, name)

@@ -3,12 +3,15 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"cswap/client"
 	"cswap/internal/metrics"
+	"cswap/internal/placement"
 	"cswap/internal/server"
 	"cswap/internal/tensor"
 )
@@ -78,6 +81,68 @@ func TestQuotaDemoteThenAdmit(t *testing.T) {
 	}
 	if st := s.Executor().Stats(); st.TierPromotions != 1 {
 		t.Fatalf("TierPromotions = %d, want 1", st.TierPromotions)
+	}
+}
+
+// TestRestartReclaimsTier: blobs a previous process demoted belong to no
+// session after a restart (handles and sessions live in memory only), so a
+// server opening the same tier directory deletes them before serving —
+// without the scrub every restart would permanently lose that capacity.
+func TestRestartReclaimsTier(t *testing.T) {
+	const elems = 4096
+	dir := t.TempDir()
+	opts := []server.Option{server.WithTierDir(dir), server.WithTenantQuota(elems * 4)}
+	ctx := context.Background()
+	gen := tensor.NewGenerator(3)
+
+	// First life: a full quota turns the second register into
+	// demote-then-admit, leaving t1's payload in the tier at shutdown.
+	s1, url1 := newTestServer(t, opts...)
+	c1 := client.New(url1)
+	for _, name := range []string{"t1", "t2"} {
+		if err := c1.Register(ctx, name, gen.Uniform(elems, 0.5).Data); err != nil {
+			t.Fatal(err)
+		}
+		if err := c1.SwapOut(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	left := s1.Tier().Len()
+	if left == 0 || s1.Tier().Used() == 0 {
+		t.Fatal("first life demoted nothing; the restart has nothing to reclaim")
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Second life on the same directory.
+	s2, url2 := newTestServer(t, opts...)
+	if used, n := s2.Tier().Used(), s2.Tier().Len(); used != 0 || n != 0 {
+		t.Fatalf("restarted server's tier holds %d bytes in %d blobs, want empty", used, n)
+	}
+	if got := counterValue(t, s2, "server_tier_orphans_scrubbed_total"); got != float64(left) {
+		t.Fatalf("server_tier_orphans_scrubbed_total = %v, want %d", got, left)
+	}
+	if v := gaugeValue(t, s2, "executor_tier_occupancy_bytes"); v != 0 {
+		t.Fatalf("executor_tier_occupancy_bytes = %v after the scrub, want 0", v)
+	}
+	// The names are free again and the reclaimed capacity is usable.
+	c2 := client.New(url2)
+	want := gen.Uniform(elems, 0.5).Data
+	if err := c2.Register(ctx, "t1", append([]float32(nil), want...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.SwapOut(ctx, "t1"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c2.SwapIn(ctx, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("restored[%d] = %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -208,6 +273,34 @@ func TestClusterDrainMigratesTierResidentBlobs(t *testing.T) {
 	ctx := context.Background()
 
 	gen := tensor.NewGenerator(4)
+	// One block pool per shard (names steered by the ring), all but its
+	// last run swapped out raw before the tensors arrive: the oldest
+	// payloads in the host pool, so the tensors' overflow demotes them.
+	const blockElems, poolBlocks = 1024, 48
+	poolRuns := [][]int{blockRange(0, 8), blockRange(12, 8), blockRange(24, 8), blockRange(36, 8)}
+	m := cl.Map()
+	ring := m.Ring()
+	pools := make([]string, cl.NumShards())
+	poolData := gen.Uniform(poolBlocks*blockElems, 0.5).Data
+	for shard := range pools {
+		for i := 0; pools[shard] == ""; i++ {
+			name := fmt.Sprintf("pool%d/kv", i)
+			if o, _ := ring.Owner(placement.Key(server.DefaultTenant, name)); o == shard {
+				pools[shard] = name
+			}
+		}
+		if err := c.RegisterPool(ctx, pools[shard], blockElems, poolBlocks); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WriteBlocks(ctx, pools[shard], blockRange(0, poolBlocks), poolData); err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range poolRuns[:len(poolRuns)-1] {
+			if err := c.SwapOutBlocks(ctx, pools[shard], run, client.WithRaw()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	payloads := make(map[string][]float32, nTensors)
 	for i := 0; i < nTensors; i++ {
 		name := "kv" + string(rune('a'+i))
@@ -231,6 +324,22 @@ func TestClusterDrainMigratesTierResidentBlobs(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no shard holds tier-resident payloads; pressure setup is wrong")
 	}
+	// The pool on the victim must go into the drain with runs in all three
+	// places: resident, swapped in the host pool (the run swapped out last),
+	// and tiered (the older runs, pushed out by the tensors).
+	vpool := pools[victim]
+	if err := c.SwapOutBlocks(ctx, vpool, poolRuns[len(poolRuns)-1], client.WithRaw()); err != nil {
+		t.Fatal(err)
+	}
+	tiered := 0
+	for _, key := range cl.Shard(victim).Tier().Keys() {
+		if strings.HasPrefix(key, server.DefaultTenant+"/"+vpool+"#p") {
+			tiered++
+		}
+	}
+	if tiered == 0 || tiered >= len(poolRuns) {
+		t.Fatalf("%d of the victim pool's %d swapped runs are tiered, want some but not all", tiered, len(poolRuns))
+	}
 	if _, _, err := cl.DrainShard(victim); err != nil {
 		t.Fatalf("drain shard %d: %v", victim, err)
 	}
@@ -248,4 +357,24 @@ func TestClusterDrainMigratesTierResidentBlobs(t *testing.T) {
 			}
 		}
 	}
+	for _, pool := range pools {
+		bd, err := c.SwapInBlocks(ctx, pool, blockRange(0, poolBlocks))
+		if err != nil {
+			t.Fatalf("swap-in %s after drain: %v", pool, err)
+		}
+		for j := range poolData {
+			if bd.Data[j] != poolData[j] {
+				t.Fatalf("%s restored[%d] = %v, want %v", pool, j, bd.Data[j], poolData[j])
+			}
+		}
+	}
+}
+
+// blockRange lists n consecutive block IDs from start.
+func blockRange(start, n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = start + i
+	}
+	return ids
 }

@@ -1,7 +1,9 @@
 // Package wire is the cswapd service's binary frame protocol: the
-// length-prefixed envelope that carries register/swap-out/swap-in/
-// prefetch/free payloads (and their tensor-bearing responses) over HTTP
-// bodies between the Go client and the swap daemon.
+// length-prefixed envelope that carries the ten service operations (and
+// their tensor-bearing responses) over HTTP bodies between the Go client
+// and the swap daemon, and the one table — Ops — that says which
+// operations exist and what each one's URL, request frame, response frame
+// and default admission lane are.
 //
 // A frame is a fixed 16-byte header followed by the payload:
 //
@@ -12,29 +14,44 @@
 //	[8:12)  payload length, big-endian
 //	[12:16) CRC-32 (IEEE) of the payload, big-endian
 //
-// The payload always begins with a length-prefixed tensor name
-// (uint16 length + bytes); register and tensor-data frames follow it with
-// an explicit element count and the raw little-endian float32 data, and
-// swap-out frames with the compress flag and algorithm byte. Every inner
-// length is cross-checked against the outer one, so a frame either decodes
+// The payload always begins with a length-prefixed name (uint16 length +
+// bytes) — a tensor's, or a paged block pool's — so PeekName, and with it
+// cluster routing, reads every frame type the same way. What follows is a
+// list of fields, in this order, of which each frame type carries the few
+// its Ops row names:
+//
+//	sched      lane byte + uvarint relative deadline in microseconds
+//	           (only under FlagSched, only on the schedulable requests)
+//	options    compress flag + algorithm byte                 (swap-outs)
+//	geometry   u32 elements per block + u32 block count       (register-pool)
+//	data       u32 element count + little-endian float32s     (register, tensor-data)
+//	ids        uvarint count + uvarint block IDs              (batch swaps)
+//	runs       u32 elements per block + uvarint run count
+//	           + (uvarint start, uvarint count) per run
+//	           + the runs' blocks as packed float32s          (batch-data)
+//
+// ID lists travel as varints because decode-step batches are dominated by
+// small IDs; they may repeat and arrive unsorted — the executor's coalescer
+// sorts and dedups. The batch-data frame instead carries a canonical run
+// table (sorted, disjoint, non-empty runs): only a coalescer produces it,
+// and the canonical form lets the decoder check the table against the
+// payload length exactly. Every inner length is cross-checked against the
+// outer one and trailing bytes are refused, so a frame either decodes
 // exactly or fails loudly.
 //
-// FlagSched marks an optional scheduling extension on the swap and batch
-// request frames: immediately after the name come one lane byte
-// (0 critical, 1 normal, 2 speculative — internal/sched's lane values)
-// and an uvarint relative deadline in microseconds (0 = lane hint only).
-// The name stays first either way, so PeekName — and cluster routing —
-// never looks at the flag. Decoders that predate the flag refuse such
-// frames loudly (non-zero flags were always corrupt), never misread them.
+// FlagSched's lane byte is 0 critical, 1 normal, 2 speculative
+// (internal/sched's lane values); a zero deadline is a lane hint only.
+// Decoders that predate the flag refuse such frames loudly (non-zero flags
+// were always corrupt), never misread them.
 //
 // Malformed frames reuse the compress package's recoverable-error
 // taxonomy: bytes missing at any boundary surface as compress.ErrTruncated
 // and structural damage (bad magic, CRC mismatch, lying inner lengths,
-// trailing bytes) as compress.ErrCorrupt, so compress.Recoverable reports
-// exactly the frames a client can sensibly retransmit. The one
-// deliberately unrecoverable refusal is ErrTooLarge — a hostile or
-// misconfigured length prefix past the decoder's cap, rejected before any
-// allocation happens.
+// out-of-range fields, trailing bytes) as compress.ErrCorrupt, so
+// compress.Recoverable reports exactly the frames a client can sensibly
+// retransmit. The one deliberately unrecoverable refusal is ErrTooLarge —
+// a hostile or misconfigured length prefix past the decoder's cap,
+// rejected before any allocation happens.
 package wire
 
 import (
@@ -43,6 +60,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"cswap/internal/compress"
 )
@@ -53,24 +71,31 @@ const (
 	Version = 1
 	// HeaderLen is the fixed frame-header size in bytes.
 	HeaderLen = 16
-	// MaxNameLen bounds the tensor-name field.
+	// MaxNameLen bounds the name field.
 	MaxNameLen = 4096
 	// DefaultMaxPayload is the decoder's payload cap when the caller
 	// passes zero: 1 GiB, matching the executor arena's largest class.
 	DefaultMaxPayload = 1 << 30
+	// MaxBlockID caps block indices (16M blocks — at typical KV block
+	// sizes, far past any one pool this service would hold).
+	MaxBlockID = 1 << 24
+	// MaxBatchBlocks caps how many blocks one frame may address, so a
+	// hostile count prefix cannot force a huge allocation before the
+	// per-ID bytes are checked.
+	MaxBatchBlocks = 1 << 20
 )
 
 var magic = [4]byte{'C', 'S', 'W', 'P'}
 
-// Header flags. FlagSched marks the scheduling extension (lane byte +
-// uvarint relative deadline, right after the name); all other bits are
+// FlagSched marks the scheduling extension; all other header flag bits are
 // reserved and refused.
-const (
-	FlagSched uint16 = 1 << 0
+const FlagSched uint16 = 1 << 0
 
-	// maxLaneByte is the highest legal lane value (internal/sched defines
-	// lanes 0..2; wire validates the byte without importing the package).
-	maxLaneByte = 2
+// Lane bytes of the sched extension (wire names them without importing
+// internal/sched; laneSpeculative is also the highest legal value).
+const (
+	laneNormal      = 1
+	laneSpeculative = 2
 )
 
 // ErrTooLarge reports a payload length prefix past the decoder's cap. It
@@ -81,76 +106,108 @@ var ErrTooLarge = fmt.Errorf("wire: frame payload exceeds cap")
 // Type is the frame opcode.
 type Type uint8
 
-// Frame types. Register..Free are requests; TensorData and Ack are
-// responses (errors travel as HTTP status codes, not frames).
+// Frame types. Errors travel as HTTP status codes, not frames.
 const (
-	TypeRegister   Type = iota + 1 // name + element count + float32 data
-	TypeSwapOut                    // name + compress flag + algorithm
+	TypeRegister   Type = iota + 1 // name + data
+	TypeSwapOut                    // name + options
 	TypeSwapIn                     // name
 	TypePrefetch                   // name
 	TypeFree                       // name
-	TypeTensorData                 // name + element count + float32 data
-	TypeAck                        // name
+	TypeTensorData                 // name + data (response)
+	TypeAck                        // name (response)
 
-	// Block-pool batch frames (batch.go): one frame addresses a named pool
-	// of fixed-size blocks and carries a block-ID list or run table, so a
-	// whole decode step's working set moves in one round trip.
-	TypeRegisterPool  // name + blockElems + numBlocks
-	TypeBatchSwapOut  // name + compress flag + algorithm + block-ID list
-	TypeBatchSwapIn   // name + block-ID list
-	TypeBatchPrefetch // name + block-ID list
-	TypeBatchData     // name + blockElems + run table + packed float32 data
+	// Block-pool batch frames: one frame addresses a named pool of
+	// fixed-size blocks, so a whole decode step's working set moves in one
+	// round trip.
+	TypeRegisterPool  // name + geometry
+	TypeBatchSwapOut  // name + options + ids
+	TypeBatchSwapIn   // name + ids
+	TypeBatchPrefetch // name + ids
+	TypeBatchData     // name + runs (batch-write request, batch-swap-in response)
 )
+
+// fieldKind names one kind of payload field; each has exactly one cursor
+// method that sizes, appends, parses and validates it.
+type fieldKind uint8
+
+const (
+	fieldOptions fieldKind = iota
+	fieldGeometry
+	fieldData
+	fieldIDs
+	fieldRuns
+)
+
+// Op is one row of the operation table: everything the layers above the
+// executor need to know about a frame type. Rows with a Path are the ten
+// service operations, keyed by their request type.
+type Op struct {
+	name   string      // Type.String
+	fields []fieldKind // payload fields after the name, in wire order
+
+	// Path is the operation's URL suffix under /v1/ and its op label on the
+	// server's request series; empty on the two response-only types.
+	Path string
+	// Resp is the frame type a 200 answers with.
+	Resp Type
+	// Sched marks the operations the admission scheduler orders: they claim
+	// one slot, and their frames may carry FlagSched. Lane is the lane byte
+	// they ride without one.
+	Sched bool
+	Lane  uint8
+	// Register marks the operations that create the name they address (a
+	// cluster never falls back to a draining shard for those).
+	Register bool
+	// Pool marks the operations that address a block pool, not a tensor.
+	Pool bool
+}
+
+// Ops is the operation table, indexed by frame type. Read-only.
+var Ops = [...]Op{
+	TypeRegister:   {name: "register", fields: []fieldKind{fieldData}, Path: "register", Resp: TypeAck, Register: true},
+	TypeSwapOut:    {name: "swap-out", fields: []fieldKind{fieldOptions}, Path: "swap-out", Resp: TypeAck, Sched: true, Lane: laneNormal},
+	TypeSwapIn:     {name: "swap-in", Path: "swap-in", Resp: TypeTensorData, Sched: true, Lane: laneNormal},
+	TypePrefetch:   {name: "prefetch", Path: "prefetch", Resp: TypeAck, Sched: true, Lane: laneSpeculative},
+	TypeFree:       {name: "free", Path: "free", Resp: TypeAck},
+	TypeTensorData: {name: "tensor-data", fields: []fieldKind{fieldData}},
+	TypeAck:        {name: "ack"},
+
+	TypeRegisterPool:  {name: "register-pool", fields: []fieldKind{fieldGeometry}, Path: "register-pool", Resp: TypeAck, Register: true, Pool: true},
+	TypeBatchSwapOut:  {name: "batch-swap-out", fields: []fieldKind{fieldOptions, fieldIDs}, Path: "batch-swap-out", Resp: TypeAck, Sched: true, Lane: laneNormal, Pool: true},
+	TypeBatchSwapIn:   {name: "batch-swap-in", fields: []fieldKind{fieldIDs}, Path: "batch-swap-in", Resp: TypeBatchData, Sched: true, Lane: laneNormal, Pool: true},
+	TypeBatchPrefetch: {name: "batch-prefetch", fields: []fieldKind{fieldIDs}, Path: "batch-prefetch", Resp: TypeAck, Sched: true, Lane: laneSpeculative, Pool: true},
+	TypeBatchData:     {name: "batch-data", fields: []fieldKind{fieldRuns}, Path: "batch-write", Resp: TypeAck, Pool: true},
+}
 
 // String names the frame type for errors and logs.
 func (t Type) String() string {
-	switch t {
-	case TypeRegister:
-		return "register"
-	case TypeSwapOut:
-		return "swap-out"
-	case TypeSwapIn:
-		return "swap-in"
-	case TypePrefetch:
-		return "prefetch"
-	case TypeFree:
-		return "free"
-	case TypeTensorData:
-		return "tensor-data"
-	case TypeAck:
-		return "ack"
-	case TypeRegisterPool:
-		return "register-pool"
-	case TypeBatchSwapOut:
-		return "batch-swap-out"
-	case TypeBatchSwapIn:
-		return "batch-swap-in"
-	case TypeBatchPrefetch:
-		return "batch-prefetch"
-	case TypeBatchData:
-		return "batch-data"
-	default:
+	if !t.valid() {
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
+	return Ops[t].name
 }
 
-func (t Type) valid() bool { return t >= TypeRegister && t <= TypeBatchData }
+func (t Type) valid() bool { return t >= TypeRegister && int(t) < len(Ops) }
 
-// hasData reports whether the type carries an element count + float32
-// payload after the name.
-func (t Type) hasData() bool { return t == TypeRegister || t == TypeTensorData }
+// BlockRun is one contiguous run of block IDs: Count blocks starting at
+// Start. The coalescer's unit — one codec/pool operation per run.
+type BlockRun struct {
+	Start, Count int
+}
 
-// schedulable reports whether the type may carry the FlagSched extension:
-// the swap and batch request frames — the operations the admission
-// scheduler orders. Register/free/response frames refuse it.
-func (t Type) schedulable() bool {
-	return t == TypeSwapOut || t == TypeSwapIn || t == TypePrefetch || t.hasIDList()
+// TotalBlocks returns how many blocks a run table covers.
+func TotalBlocks(runs []BlockRun) int {
+	n := 0
+	for _, r := range runs {
+		n += r.Count
+	}
+	return n
 }
 
 // Frame is one decoded protocol frame.
 type Frame struct {
 	Type Type
-	// Name is the tensor name the operation addresses (non-empty).
+	// Name is the tensor or pool name the operation addresses (non-empty).
 	Name string
 	// Compress and Alg are meaningful for TypeSwapOut and TypeBatchSwapOut.
 	Compress bool
@@ -159,8 +216,8 @@ type Frame struct {
 	// frames (for batch-data: the runs' blocks packed back to back).
 	Data []float32
 
-	// Block-pool fields (batch.go). BlockElems is the per-block element
-	// count (register-pool, batch-data); NumBlocks the pool size in blocks
+	// Block-pool fields. BlockElems is the per-block element count
+	// (register-pool, batch-data); NumBlocks the pool size in blocks
 	// (register-pool); BlockIDs the requested blocks (batch-swap-out/
 	// swap-in/prefetch, any order, duplicates legal); Runs the canonical
 	// run table describing Data's layout (batch-data).
@@ -172,7 +229,7 @@ type Frame struct {
 	// Scheduling extension (FlagSched). HasSched marks its presence;
 	// Lane is the priority lane byte (0 critical .. 2 speculative) and
 	// DeadlineMicros the relative deadline in microseconds (0 = lane
-	// hint only). Only the swap/batch request frames may carry it.
+	// hint only). Only the schedulable request frames may carry it.
 	HasSched       bool
 	Lane           uint8
 	DeadlineMicros uint64
@@ -187,41 +244,203 @@ func corruptErr(format string, args ...any) error {
 	return fmt.Errorf("wire: %s: %w", fmt.Sprintf(format, args...), compress.ErrCorrupt)
 }
 
-// payloadLen returns the encoded payload size for f, validating the
-// fields an encoder controls (name length, swap-out algorithm).
-func (f *Frame) payloadLen() (int, error) {
+// mode is what a cursor does with each field it visits.
+type mode uint8
+
+const (
+	sizing  mode = iota // add the field's encoded size to n
+	writing             // append the field to b
+	reading             // consume the field from b into the frame
+)
+
+// cursor walks one frame's payload field by field. Each field kind is one
+// method below that parses it (reading), validates it (reading and sizing —
+// an encoder is refused exactly what a decoder would refuse), and sizes or
+// appends it. Writing always follows a sizing pass over the same frame, so
+// it neither validates nor fails.
+type cursor struct {
+	mode mode
+	n    int    // sizing: bytes so far
+	b    []byte // writing: the frame so far; reading: the payload left
+}
+
+// walk visits f's fields in wire order: the name, the sched extension when
+// f carries one, then the fields f's type lists.
+func (c *cursor) walk(f *Frame) error {
 	if !f.Type.valid() {
-		return 0, fmt.Errorf("wire: cannot encode unknown frame type %d", uint8(f.Type))
+		return corruptErr("unknown frame type %d", uint8(f.Type))
 	}
-	if f.Name == "" {
-		return 0, fmt.Errorf("wire: cannot encode frame with empty name")
+	if err := c.name(f); err != nil {
+		return err
 	}
-	if len(f.Name) > MaxNameLen {
-		return 0, fmt.Errorf("wire: name of %d bytes exceeds limit %d", len(f.Name), MaxNameLen)
-	}
-	n := 2 + len(f.Name)
 	if f.HasSched {
-		if !f.Type.schedulable() {
-			return 0, fmt.Errorf("wire: %s frame cannot carry a sched extension", f.Type)
+		if !Ops[f.Type].Sched {
+			return corruptErr("%s frame cannot carry a sched extension", f.Type)
 		}
-		if f.Lane > maxLaneByte {
-			return 0, fmt.Errorf("wire: sched lane byte %d out of range", f.Lane)
+		if err := c.sched(f); err != nil {
+			return err
 		}
-		n += 1 + uvarintLen(f.DeadlineMicros)
 	}
-	switch {
-	case f.Type.isBatch():
-		bn, err := f.batchPayloadLen()
+	for _, k := range Ops[f.Type].fields {
+		var err error
+		switch k {
+		case fieldOptions:
+			err = c.options(f)
+		case fieldGeometry:
+			err = c.geometry(f)
+		case fieldData:
+			err = c.data(f)
+		case fieldIDs:
+			err = c.ids(f)
+		case fieldRuns:
+			err = c.runs(f)
+		}
 		if err != nil {
-			return 0, err
+			return err
 		}
-		n += bn
-	case f.Type.hasData():
-		n += 4 + 4*len(f.Data)
-	case f.Type == TypeSwapOut:
-		n += 2
 	}
-	return n, nil
+	if c.mode == reading && len(c.b) != 0 {
+		return corruptErr("%s frame carries %d trailing bytes", f.Type, len(c.b))
+	}
+	return nil
+}
+
+// uvarint reads one uvarint, surfacing truncation in the frame taxonomy.
+func (c *cursor) uvarint(what string) (uint64, error) {
+	v, n := binary.Uvarint(c.b)
+	if n == 0 {
+		return 0, truncErr("payload ends inside %s varint", what)
+	}
+	if n < 0 {
+		return 0, corruptErr("%s varint overflows 64 bits", what)
+	}
+	c.b = c.b[n:]
+	return v, nil
+}
+
+// u32 reads one big-endian uint32.
+func (c *cursor) u32(what string) (int, error) {
+	if len(c.b) < 4 {
+		return 0, truncErr("payload ends before %s", what)
+	}
+	v := binary.BigEndian.Uint32(c.b)
+	c.b = c.b[4:]
+	return int(v), nil
+}
+
+// uvarintLen is the encoded size of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+// name is the leading field of every frame: u16 length + bytes.
+func (c *cursor) name(f *Frame) error {
+	n := len(f.Name)
+	if c.mode == reading {
+		if len(c.b) < 2 {
+			return truncErr("payload of %d bytes lacks name length", len(c.b))
+		}
+		n = int(binary.BigEndian.Uint16(c.b))
+	}
+	if n == 0 || n > MaxNameLen {
+		return corruptErr("name of %d bytes, want 1..%d", n, MaxNameLen)
+	}
+	switch c.mode {
+	case sizing:
+		c.n += 2 + n
+	case writing:
+		c.b = append(binary.BigEndian.AppendUint16(c.b, uint16(n)), f.Name...)
+	case reading:
+		if len(c.b) < 2+n {
+			return corruptErr("name of %d bytes overruns payload of %d", n, len(c.b))
+		}
+		f.Name, c.b = string(c.b[2:2+n]), c.b[2+n:]
+	}
+	return nil
+}
+
+// sched is the FlagSched extension: lane byte + uvarint relative deadline.
+func (c *cursor) sched(f *Frame) error {
+	if c.mode == reading {
+		if len(c.b) < 1 {
+			return truncErr("payload ends before sched lane byte")
+		}
+		f.Lane, c.b = c.b[0], c.b[1:]
+		var err error
+		if f.DeadlineMicros, err = c.uvarint("sched deadline"); err != nil {
+			return err
+		}
+	}
+	if f.Lane > laneSpeculative {
+		return corruptErr("sched lane byte %d out of range", f.Lane)
+	}
+	switch c.mode {
+	case sizing:
+		c.n += 1 + uvarintLen(f.DeadlineMicros)
+	case writing:
+		c.b = binary.AppendUvarint(append(c.b, f.Lane), f.DeadlineMicros)
+	}
+	return nil
+}
+
+// options is a swap-out's two option bytes: compress flag + algorithm.
+func (c *cursor) options(f *Frame) error {
+	if c.mode == reading {
+		if len(c.b) < 2 {
+			return truncErr("%s frame lacks option bytes", f.Type)
+		}
+		if c.b[0] > 1 {
+			return corruptErr("%s compress flag %d", f.Type, c.b[0])
+		}
+		f.Compress, f.Alg, c.b = c.b[0] == 1, compress.Algorithm(c.b[1]), c.b[2:]
+	}
+	// Auto (the zero byte) is a legal selector, not a codec: the server
+	// resolves it to a concrete algorithm at swap time.
+	if f.Compress && f.Alg != compress.Auto {
+		if _, err := compress.New(f.Alg); err != nil {
+			return corruptErr("%s algorithm byte %d", f.Type, uint8(f.Alg))
+		}
+	}
+	switch c.mode {
+	case sizing:
+		c.n += 2
+	case writing:
+		var flag byte
+		if f.Compress {
+			flag = 1
+		}
+		c.b = append(c.b, flag, byte(f.Alg))
+	}
+	return nil
+}
+
+// geometry is a pool's shape: u32 elements per block + u32 block count.
+func (c *cursor) geometry(f *Frame) error {
+	if c.mode == reading {
+		var err error
+		if f.BlockElems, err = c.u32("pool geometry"); err != nil {
+			return err
+		}
+		if f.NumBlocks, err = c.u32("pool geometry"); err != nil {
+			return err
+		}
+	}
+	if f.BlockElems <= 0 || f.NumBlocks <= 0 || f.NumBlocks > MaxBlockID {
+		return corruptErr("%s frame with %d elems/block, %d blocks (limit %d)", f.Type, f.BlockElems, f.NumBlocks, MaxBlockID)
+	}
+	switch c.mode {
+	case sizing:
+		c.n += 8
+	case writing:
+		c.b = binary.BigEndian.AppendUint32(c.b, uint32(f.BlockElems))
+		c.b = binary.BigEndian.AppendUint32(c.b, uint32(f.NumBlocks))
+	}
+	return nil
 }
 
 // appendFloats packs float32 values little-endian onto dst.
@@ -232,21 +451,191 @@ func appendFloats(dst []byte, data []float32) []byte {
 	return dst
 }
 
-// parseFloats unpacks elems little-endian float32 values from b.
-func parseFloats(b []byte, elems int) []float32 {
-	data := make([]float32, elems)
+// floats consumes the rest of the payload as exactly elems little-endian
+// float32 values.
+func (c *cursor) floats(f *Frame, elems int) error {
+	if len(c.b) != 4*elems {
+		return corruptErr("%s frame claims %d elements but carries %d bytes", f.Type, elems, len(c.b))
+	}
+	// Locals, not fields: the loop runs at memory speed only when the
+	// compiler can see neither slice changes under it.
+	b, data := c.b, make([]float32, elems)
 	for i := range data {
 		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i : 4*i+4]))
 	}
-	return data
+	f.Data, c.b = data, nil
+	return nil
 }
 
-// Append encodes f onto dst and returns the extended slice.
-func Append(dst []byte, f *Frame) ([]byte, error) {
-	plen, err := f.payloadLen()
-	if err != nil {
-		return dst, err
+// data is a counted tensor payload: u32 element count + float32s. It is
+// always a frame's last field.
+func (c *cursor) data(f *Frame) error {
+	switch c.mode {
+	case sizing:
+		c.n += 4 + 4*len(f.Data)
+	case writing:
+		c.b = appendFloats(binary.BigEndian.AppendUint32(c.b, uint32(len(f.Data))), f.Data)
+	case reading:
+		elems, err := c.u32("element count")
+		if err != nil {
+			return err
+		}
+		return c.floats(f, elems)
 	}
+	return nil
+}
+
+// blockID refuses a block ID outside [0, MaxBlockID). Negative ints arrive
+// here as huge unsigned values.
+func blockID(t Type, id uint64) error {
+	if id >= MaxBlockID {
+		return corruptErr("%s frame block ID %d out of range", t, int64(id))
+	}
+	return nil
+}
+
+// ids is a block-ID list: uvarint count + one uvarint per ID.
+func (c *cursor) ids(f *Frame) error {
+	count := uint64(len(f.BlockIDs))
+	if c.mode == reading {
+		var err error
+		if count, err = c.uvarint("block-ID count"); err != nil {
+			return err
+		}
+		// Each ID takes at least one byte, so a count past the remaining
+		// payload is structurally a lie — refused before allocating.
+		if count > uint64(len(c.b)) {
+			return corruptErr("%s frame claims %d block IDs but carries %d bytes", f.Type, count, len(c.b))
+		}
+	}
+	if count > MaxBatchBlocks {
+		return corruptErr("%s frame with %d block IDs exceeds limit %d", f.Type, count, MaxBatchBlocks)
+	}
+	switch c.mode {
+	case sizing:
+		c.n += uvarintLen(count)
+		for _, id := range f.BlockIDs {
+			if err := blockID(f.Type, uint64(id)); err != nil {
+				return err
+			}
+			c.n += uvarintLen(uint64(id))
+		}
+	case writing:
+		c.b = binary.AppendUvarint(c.b, count)
+		for _, id := range f.BlockIDs {
+			c.b = binary.AppendUvarint(c.b, uint64(id))
+		}
+	case reading:
+		f.BlockIDs = make([]int, count)
+		for i := range f.BlockIDs {
+			id, err := c.uvarint("block ID")
+			if err == nil {
+				err = blockID(f.Type, id)
+			}
+			if err != nil {
+				return err
+			}
+			f.BlockIDs[i] = int(id)
+		}
+	}
+	return nil
+}
+
+// runTable checks a run table as it streams by, in either direction: every
+// run non-empty and in range, the table sorted and disjoint. blocks is the
+// running total; end is one past the last block seen.
+type runTable struct{ blocks, end uint64 }
+
+func (rt *runTable) add(start, count uint64) error {
+	if count == 0 || start >= MaxBlockID || count > MaxBlockID || start+count > MaxBlockID {
+		return corruptErr("batch-data run [%d,+%d) out of range", int64(start), int64(count))
+	}
+	if start < rt.end {
+		return corruptErr("batch-data run table not sorted and disjoint at start %d", start)
+	}
+	rt.blocks, rt.end = rt.blocks+count, start+count
+	return nil
+}
+
+// runs is the batch-data body: u32 elements per block, the canonical run
+// table, and the runs' blocks as packed float32s. The table and the data
+// must agree exactly: a table that promises more (or fewer) blocks than
+// the data shipped is structural damage, not a short read.
+func (c *cursor) runs(f *Frame) error {
+	count := uint64(len(f.Runs))
+	if c.mode == reading {
+		var err error
+		if f.BlockElems, err = c.u32("block-elems field"); err != nil {
+			return err
+		}
+		if count, err = c.uvarint("run count"); err != nil {
+			return err
+		}
+		// Each run takes at least two bytes: bound before allocating.
+		if count > uint64(len(c.b))/2 {
+			return corruptErr("batch-data frame claims %d runs but carries %d bytes", count, len(c.b))
+		}
+	}
+	if f.BlockElems <= 0 {
+		return corruptErr("batch-data frame with %d elems/block", f.BlockElems)
+	}
+	var rt runTable
+	switch c.mode {
+	case sizing:
+		c.n += 4 + uvarintLen(count) + 4*len(f.Data)
+		for _, r := range f.Runs {
+			if err := rt.add(uint64(r.Start), uint64(r.Count)); err != nil {
+				return err
+			}
+			c.n += uvarintLen(uint64(r.Start)) + uvarintLen(uint64(r.Count))
+		}
+	case writing:
+		c.b = binary.AppendUvarint(binary.BigEndian.AppendUint32(c.b, uint32(f.BlockElems)), count)
+		for _, r := range f.Runs {
+			c.b = binary.AppendUvarint(binary.AppendUvarint(c.b, uint64(r.Start)), uint64(r.Count))
+		}
+		c.b = appendFloats(c.b, f.Data)
+		return nil
+	case reading:
+		f.Runs = make([]BlockRun, count)
+		for i := range f.Runs {
+			start, err := c.uvarint("run start")
+			if err != nil {
+				return err
+			}
+			n, err := c.uvarint("run length")
+			if err == nil {
+				err = rt.add(start, n)
+			}
+			if err != nil {
+				return err
+			}
+			f.Runs[i] = BlockRun{Start: int(start), Count: int(n)}
+		}
+	}
+	if rt.blocks > MaxBatchBlocks {
+		return corruptErr("batch-data frame with %d blocks exceeds limit %d", rt.blocks, MaxBatchBlocks)
+	}
+	elems := int(rt.blocks) * f.BlockElems
+	if c.mode == reading {
+		return c.floats(f, elems)
+	}
+	if elems != len(f.Data) {
+		return corruptErr("batch-data run table covers %d elements but frame carries %d", elems, len(f.Data))
+	}
+	return nil
+}
+
+// payloadLen validates f and returns its encoded payload size.
+func (f *Frame) payloadLen() (int, error) {
+	c := cursor{mode: sizing}
+	err := c.walk(f)
+	return c.n, err
+}
+
+// appendFrame encodes f, already validated and sized by payloadLen, onto
+// dst.
+func appendFrame(dst []byte, f *Frame, plen int) []byte {
 	var flags uint16
 	if f.HasSched {
 		flags |= FlagSched
@@ -257,28 +646,20 @@ func Append(dst []byte, f *Frame) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint16(dst, flags)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(plen))
 	dst = append(dst, 0, 0, 0, 0) // CRC placeholder
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.Name)))
-	dst = append(dst, f.Name...)
-	if f.HasSched {
-		dst = append(dst, f.Lane)
-		dst = binary.AppendUvarint(dst, f.DeadlineMicros)
+	c := cursor{mode: writing, b: dst}
+	_ = c.walk(f)
+	crc := crc32.ChecksumIEEE(c.b[start+HeaderLen:])
+	binary.BigEndian.PutUint32(c.b[start+12:start+16], crc)
+	return c.b
+}
+
+// Append encodes f onto dst and returns the extended slice.
+func Append(dst []byte, f *Frame) ([]byte, error) {
+	plen, err := f.payloadLen()
+	if err != nil {
+		return dst, err
 	}
-	switch {
-	case f.Type.isBatch():
-		dst = appendBatchPayload(dst, f)
-	case f.Type.hasData():
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.Data)))
-		dst = appendFloats(dst, f.Data)
-	case f.Type == TypeSwapOut:
-		var c byte
-		if f.Compress {
-			c = 1
-		}
-		dst = append(dst, c, byte(f.Alg))
-	}
-	crc := crc32.ChecksumIEEE(dst[start+HeaderLen:])
-	binary.BigEndian.PutUint32(dst[start+12:start+16], crc)
-	return dst, nil
+	return appendFrame(dst, f, plen), nil
 }
 
 // Encode returns f's wire encoding.
@@ -287,138 +668,91 @@ func Encode(f *Frame) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Append(make([]byte, 0, HeaderLen+plen), f)
+	return appendFrame(make([]byte, 0, HeaderLen+plen), f, plen), nil
 }
 
-// parseHeader validates a complete 16-byte header and returns the payload
-// length, frame type, and flags. maxPayload of zero selects
-// DefaultMaxPayload.
-func parseHeader(h []byte, maxPayload uint32) (plen uint32, crc uint32, typ Type, flags uint16, err error) {
+// header is a validated frame header.
+type header struct {
+	typ   Type
+	flags uint16
+	plen  uint32
+	crc   uint32
+}
+
+// parseHeader validates a complete 16-byte header. maxPayload of zero
+// selects DefaultMaxPayload.
+func parseHeader(h []byte, maxPayload uint32) (header, error) {
 	if maxPayload == 0 {
 		maxPayload = DefaultMaxPayload
 	}
 	if [4]byte(h[0:4]) != magic {
-		return 0, 0, 0, 0, corruptErr("bad magic %q", h[0:4])
+		return header{}, corruptErr("bad magic %q", h[0:4])
 	}
 	if h[4] != Version {
-		return 0, 0, 0, 0, corruptErr("unsupported version %d", h[4])
+		return header{}, corruptErr("unsupported version %d", h[4])
 	}
-	typ = Type(h[5])
-	if !typ.valid() {
-		return 0, 0, 0, 0, corruptErr("unknown frame type %d", h[5])
+	hd := header{
+		typ:   Type(h[5]),
+		flags: binary.BigEndian.Uint16(h[6:8]),
+		plen:  binary.BigEndian.Uint32(h[8:12]),
+		crc:   binary.BigEndian.Uint32(h[12:16]),
 	}
-	flags = binary.BigEndian.Uint16(h[6:8])
-	if flags&^FlagSched != 0 {
-		return 0, 0, 0, 0, corruptErr("unknown flags %#x", flags)
+	if !hd.typ.valid() {
+		return header{}, corruptErr("unknown frame type %d", h[5])
 	}
-	if flags&FlagSched != 0 && !typ.schedulable() {
-		return 0, 0, 0, 0, corruptErr("%s frame cannot carry a sched extension", typ)
+	if hd.flags&^FlagSched != 0 {
+		return header{}, corruptErr("unknown flags %#x", hd.flags)
 	}
-	plen = binary.BigEndian.Uint32(h[8:12])
-	if plen > maxPayload {
-		return 0, 0, 0, 0, fmt.Errorf("%w: %d bytes, cap %d", ErrTooLarge, plen, maxPayload)
+	if hd.plen > maxPayload {
+		return header{}, fmt.Errorf("%w: %d bytes, cap %d", ErrTooLarge, hd.plen, maxPayload)
 	}
-	return plen, binary.BigEndian.Uint32(h[12:16]), typ, flags, nil
+	return hd, nil
 }
 
-// parsePayload decodes the CRC-verified payload bytes of a frame of the
-// given type and header flags. Every inner length is checked against the
-// payload bounds and trailing bytes are refused, so corruption the CRC
-// happened to miss still cannot decode.
-func parsePayload(typ Type, flags uint16, p []byte) (*Frame, error) {
-	if len(p) < 2 {
-		return nil, truncErr("payload of %d bytes lacks name length", len(p))
+// parsePayload checks the payload against the header's CRC and decodes it.
+// Every inner length is checked against the payload bounds and trailing
+// bytes are refused, so corruption the CRC happened to miss still cannot
+// decode.
+func (hd header) parsePayload(p []byte) (*Frame, error) {
+	if got := crc32.ChecksumIEEE(p); got != hd.crc {
+		return nil, corruptErr("payload CRC %#x, header says %#x", got, hd.crc)
 	}
-	nameLen := int(binary.BigEndian.Uint16(p[0:2]))
-	if nameLen == 0 {
-		return nil, corruptErr("empty tensor name")
-	}
-	if nameLen > MaxNameLen {
-		return nil, corruptErr("name of %d bytes exceeds limit %d", nameLen, MaxNameLen)
-	}
-	if len(p) < 2+nameLen {
-		return nil, corruptErr("name of %d bytes overruns payload of %d", nameLen, len(p))
-	}
-	f := &Frame{Type: typ, Name: string(p[2 : 2+nameLen])}
-	rest := p[2+nameLen:]
-	if flags&FlagSched != 0 {
-		if len(rest) < 1 {
-			return nil, truncErr("payload ends before sched lane byte")
-		}
-		if rest[0] > maxLaneByte {
-			return nil, corruptErr("sched lane byte %d out of range", rest[0])
-		}
-		f.HasSched = true
-		f.Lane = rest[0]
-		var err error
-		f.DeadlineMicros, rest, err = parseUvarint(rest[1:], "sched deadline")
-		if err != nil {
-			return nil, err
-		}
-	}
-	switch {
-	case typ.isBatch():
-		if err := parseBatchPayload(f, rest); err != nil {
-			return nil, err
-		}
-	case typ.hasData():
-		if len(rest) < 4 {
-			return nil, corruptErr("%s frame lacks element count", typ)
-		}
-		elems := binary.BigEndian.Uint32(rest[0:4])
-		body := rest[4:]
-		if uint64(len(body)) != uint64(elems)*4 {
-			return nil, corruptErr("%s frame claims %d elements but carries %d bytes", typ, elems, len(body))
-		}
-		f.Data = parseFloats(body, int(elems))
-	case typ == TypeSwapOut:
-		if len(rest) != 2 {
-			return nil, corruptErr("swap-out frame carries %d option bytes, want 2", len(rest))
-		}
-		switch rest[0] {
-		case 0:
-		case 1:
-			f.Compress = true
-		default:
-			return nil, corruptErr("swap-out compress flag %d", rest[0])
-		}
-		f.Alg = compress.Algorithm(rest[1])
-		// Auto (the zero byte) is a legal selector, not a codec: the server
-		// resolves it to a concrete algorithm at swap time.
-		if f.Compress && f.Alg != compress.Auto {
-			if _, err := compress.New(f.Alg); err != nil {
-				return nil, corruptErr("swap-out algorithm byte %d", rest[1])
-			}
-		}
-	default:
-		if len(rest) != 0 {
-			return nil, corruptErr("%s frame carries %d trailing bytes", typ, len(rest))
-		}
+	f := &Frame{Type: hd.typ, HasSched: hd.flags&FlagSched != 0}
+	c := cursor{mode: reading, b: p}
+	if err := c.walk(f); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// split validates a fully buffered frame's header and returns it with the
+// bytes after it, which must hold at least the declared payload.
+func split(b []byte, maxPayload uint32) (header, []byte, error) {
+	if len(b) < HeaderLen {
+		return header{}, nil, truncErr("%d bytes, need %d-byte header", len(b), HeaderLen)
+	}
+	hd, err := parseHeader(b[:HeaderLen], maxPayload)
+	if err != nil {
+		return header{}, nil, err
+	}
+	body := b[HeaderLen:]
+	if uint64(len(body)) < uint64(hd.plen) {
+		return header{}, nil, truncErr("payload has %d of %d bytes", len(body), hd.plen)
+	}
+	return hd, body, nil
 }
 
 // Decode parses exactly one frame from b, refusing trailing bytes.
 // maxPayload of zero selects DefaultMaxPayload.
 func Decode(b []byte, maxPayload uint32) (*Frame, error) {
-	if len(b) < HeaderLen {
-		return nil, truncErr("%d bytes, need %d-byte header", len(b), HeaderLen)
-	}
-	plen, crc, typ, flags, err := parseHeader(b[:HeaderLen], maxPayload)
+	hd, body, err := split(b, maxPayload)
 	if err != nil {
 		return nil, err
 	}
-	body := b[HeaderLen:]
-	if uint64(len(body)) < uint64(plen) {
-		return nil, truncErr("payload has %d of %d bytes", len(body), plen)
+	if uint64(len(body)) > uint64(hd.plen) {
+		return nil, corruptErr("%d trailing bytes after payload", uint64(len(body))-uint64(hd.plen))
 	}
-	if uint64(len(body)) > uint64(plen) {
-		return nil, corruptErr("%d trailing bytes after payload", uint64(len(body))-uint64(plen))
-	}
-	if got := crc32.ChecksumIEEE(body); got != crc {
-		return nil, corruptErr("payload CRC %#x, header says %#x", got, crc)
-	}
-	return parsePayload(typ, flags, body)
+	return hd.parsePayload(body)
 }
 
 // Read parses one frame from a stream: the fixed header first (so a
@@ -427,84 +761,59 @@ func Decode(b []byte, maxPayload uint32) (*Frame, error) {
 // compress.ErrTruncated like its in-memory counterpart.
 func Read(r io.Reader, maxPayload uint32) (*Frame, error) {
 	var h [HeaderLen]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, truncErr("stream ended inside header")
-		}
-		return nil, fmt.Errorf("wire: read header: %w", err)
+	if err := readFull(r, h[:], "header"); err != nil {
+		return nil, err
 	}
-	plen, crc, typ, flags, err := parseHeader(h[:], maxPayload)
+	hd, err := parseHeader(h[:], maxPayload)
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, plen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, truncErr("stream ended inside payload")
-		}
-		return nil, fmt.Errorf("wire: read payload: %w", err)
+	body := make([]byte, hd.plen)
+	if err := readFull(r, body, "payload"); err != nil {
+		return nil, err
 	}
-	if got := crc32.ChecksumIEEE(body); got != crc {
-		return nil, corruptErr("payload CRC %#x, header says %#x", got, crc)
-	}
-	return parsePayload(typ, flags, body)
+	return hd.parsePayload(body)
 }
 
-// PeekName extracts the frame type and tensor name from a fully buffered
-// frame without decoding the float payload or checking the payload CRC —
-// the cluster router's fast path. Routing only needs the placement key;
-// full validation (CRC, inner lengths, data decode) happens once, in the
-// shard that serves the request. The name bounds are still checked here,
-// so a hostile frame cannot make the router slice out of range.
-func PeekName(b []byte, maxPayload uint32) (Type, string, error) {
-	if len(b) < HeaderLen {
-		return 0, "", truncErr("%d bytes, need %d-byte header", len(b), HeaderLen)
+// readFull fills p from r, mapping a short stream onto the taxonomy.
+func readFull(r io.Reader, p []byte, what string) error {
+	if _, err := io.ReadFull(r, p); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return truncErr("stream ended inside %s", what)
+		}
+		return fmt.Errorf("wire: read %s: %w", what, err)
 	}
-	plen, _, typ, _, err := parseHeader(b[:HeaderLen], maxPayload)
+	return nil
+}
+
+// PeekName extracts the frame type and name from a fully buffered frame
+// without decoding the rest of the payload or checking its CRC — the
+// cluster router's fast path. Routing only needs the placement key; full
+// validation (CRC, inner lengths, data decode) happens once, in the shard
+// that serves the request. The name bounds are still checked here, so a
+// hostile frame cannot make the router slice out of range.
+func PeekName(b []byte, maxPayload uint32) (Type, string, error) {
+	hd, body, err := split(b, maxPayload)
 	if err != nil {
 		return 0, "", err
 	}
-	body := b[HeaderLen:]
-	if uint64(len(body)) < uint64(plen) {
-		return 0, "", truncErr("payload has %d of %d bytes", len(body), plen)
+	f := Frame{Type: hd.typ}
+	c := cursor{mode: reading, b: body[:hd.plen]}
+	if err := c.name(&f); err != nil {
+		return 0, "", err
 	}
-	if len(body) < 2 {
-		return 0, "", truncErr("payload of %d bytes lacks name length", len(body))
-	}
-	nameLen := int(binary.BigEndian.Uint16(body[0:2]))
-	if nameLen == 0 {
-		return 0, "", corruptErr("empty tensor name")
-	}
-	if nameLen > MaxNameLen {
-		return 0, "", corruptErr("name of %d bytes exceeds limit %d", nameLen, MaxNameLen)
-	}
-	if len(body) < 2+nameLen || int(plen) < 2+nameLen {
-		return 0, "", corruptErr("name of %d bytes overruns payload of %d", nameLen, plen)
-	}
-	return typ, string(body[2 : 2+nameLen]), nil
+	return hd.typ, f.Name, nil
 }
 
 // Equal reports whether two frames are semantically identical — the
 // round-trip invariant the fuzzer pins (float payloads compare by bit
 // pattern, so NaNs round-trip like any other tensor value).
 func Equal(a, b *Frame) bool {
-	if a.Type != b.Type || a.Name != b.Name || a.Compress != b.Compress || a.Alg != b.Alg {
-		return false
-	}
-	if a.HasSched != b.HasSched || a.Lane != b.Lane || a.DeadlineMicros != b.DeadlineMicros {
-		return false
-	}
-	if a.BlockElems != b.BlockElems || a.NumBlocks != b.NumBlocks ||
-		!idsEqual(a.BlockIDs, b.BlockIDs) || !runsEqual(a.Runs, b.Runs) {
-		return false
-	}
-	if len(a.Data) != len(b.Data) {
-		return false
-	}
-	for i := range a.Data {
-		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
-			return false
-		}
-	}
-	return true
+	return a.Type == b.Type && a.Name == b.Name && a.Compress == b.Compress && a.Alg == b.Alg &&
+		a.HasSched == b.HasSched && a.Lane == b.Lane && a.DeadlineMicros == b.DeadlineMicros &&
+		a.BlockElems == b.BlockElems && a.NumBlocks == b.NumBlocks &&
+		slices.Equal(a.BlockIDs, b.BlockIDs) && slices.Equal(a.Runs, b.Runs) &&
+		slices.EqualFunc(a.Data, b.Data, func(x, y float32) bool {
+			return math.Float32bits(x) == math.Float32bits(y)
+		})
 }
