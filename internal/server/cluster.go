@@ -23,6 +23,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -524,7 +525,7 @@ func (c *Cluster) migrate(src *Server, sess *session, name string, dst *Server) 
 // a client would have been sent and restores byte-identically — then
 // swapped out again exactly where the source had been (was). A failure
 // leaves nothing behind on dst.
-func (c *Cluster) arrive(sess *session, name string, ent *entry, was []int, dst *Server) error {
+func (c *Cluster) arrive(sess *session, name string, ent *entry, was *wire.Frame, dst *Server) error {
 	whole, err := ent.obj.readAll(name)
 	if err != nil {
 		return err
@@ -557,10 +558,10 @@ func (c *Cluster) arrive(sess *session, name string, ent *entry, was []int, dst 
 
 // reswap swaps out again the part of an entry that restoreAll found
 // swapped, with the codec this shard would pick for it now.
-func (s *Server) reswap(sess *session, ent *entry, was []int) error {
-	if len(was) == 0 {
+func (s *Server) reswap(sess *session, ent *entry, was *wire.Frame) error {
+	if was == nil {
 		return nil
 	}
 	doCompress, alg := s.resolveCodec(sess, ent, true, compress.Auto)
-	return ent.obj.reswap(was, doCompress, alg)
+	return ent.obj.submit(context.Background(), was, doCompress, alg).Wait()
 }

@@ -42,7 +42,10 @@ var errNotTensor = errors.New("server: name is a block pool, not a tensor")
 var errGeometry = errors.New("server: batch-write block geometry does not match the pool")
 
 type object interface {
-	isPool() bool
+	// accepts refuses an operation addressed to the other kind of object:
+	// the per-tensor endpoints don't apply to a pool name, nor the batch
+	// ones to a tensor.
+	accepts(op *wire.Op) error
 	// swapBytes is how many raw bytes the swap-out f asks for moves.
 	swapBytes(f *wire.Frame) int64
 	// submit starts the swap f asks for — out (with the resolved codec), in,
@@ -50,7 +53,7 @@ type object interface {
 	submit(ctx context.Context, f *wire.Frame, doCompress bool, alg compress.Algorithm) *executor.Ticket
 	// read answers a swap-in: the resident content the request covers (runs
 	// is the coalesced form of its block IDs; a tensor has only the whole).
-	read(name string, runs []wire.BlockRun) (*wire.Frame, error)
+	read(name string, runs []executor.BlockRun) (*wire.Frame, error)
 	// write stores f's packed blocks and reports the fraction of the object
 	// they cover.
 	write(f *wire.Frame) (covered float64, err error)
@@ -61,12 +64,19 @@ type object interface {
 	free() error
 
 	// The migration half: restoreAll makes everything resident and returns
-	// what had been swapped, reswap swaps exactly that (never nothing) out
-	// again, and readAll is the whole content as the frame newObject
+	// the swap-out request that puts back what had been swapped — submit
+	// takes it, here or on the copy a migration built (nil: nothing had
+	// been) — and readAll is the whole content as the frame newObject
 	// rebuilds from.
-	restoreAll() (was []int, err error)
-	reswap(was []int, doCompress bool, alg compress.Algorithm) error
+	restoreAll() (was *wire.Frame, err error)
 	readAll(name string) (*wire.Frame, error)
+}
+
+// chargeOf is the quota a register request pre-pays: a tensor's bytes, or a
+// pool's whole reservation (a register frame carries data and no geometry, a
+// register-pool frame the reverse).
+func chargeOf(f *wire.Frame) int64 {
+	return (int64(len(f.Data)) + int64(f.BlockElems)*int64(f.NumBlocks)) * tensor.BytesPerElement
 }
 
 // newObject registers what f describes on exec under the qualified name: a
@@ -106,11 +116,17 @@ type tensorObj struct {
 	h *executor.Handle
 }
 
-func (o tensorObj) isPool() bool                { return false }
 func (o tensorObj) swapBytes(*wire.Frame) int64 { return o.h.Bytes() }
 func (o tensorObj) inTier() bool                { return o.h.InTier() }
 func (o tensorObj) demote() error               { return o.e.Demote(o.h) }
 func (o tensorObj) free() error                 { return o.e.Free(o.h) }
+
+func (o tensorObj) accepts(op *wire.Op) error {
+	if op.Pool {
+		return errNotPool
+	}
+	return nil
+}
 
 func (o tensorObj) submit(ctx context.Context, f *wire.Frame, doCompress bool, alg compress.Algorithm) *executor.Ticket {
 	switch f.Type {
@@ -122,7 +138,7 @@ func (o tensorObj) submit(ctx context.Context, f *wire.Frame, doCompress bool, a
 	return o.e.PrefetchCtx(ctx, o.h)
 }
 
-func (o tensorObj) read(name string, _ []wire.BlockRun) (*wire.Frame, error) {
+func (o tensorObj) read(name string, _ []executor.BlockRun) (*wire.Frame, error) {
 	data, err := o.h.Data()
 	return &wire.Frame{Type: wire.TypeTensorData, Name: name, Data: data}, err
 }
@@ -131,25 +147,26 @@ func (o tensorObj) readAll(name string) (*wire.Frame, error) { return o.read(nam
 
 func (o tensorObj) write(*wire.Frame) (float64, error) { return 0, errNotPool }
 
-// A tensor migrates as a one-block pool would: block 0 is the whole of it.
-func (o tensorObj) restoreAll() ([]int, error) {
+func (o tensorObj) restoreAll() (*wire.Frame, error) {
 	if o.h.State() != executor.Swapped {
 		return nil, nil
 	}
-	return []int{0}, o.e.SwapIn(o.h)
-}
-
-func (o tensorObj) reswap(_ []int, doCompress bool, alg compress.Algorithm) error {
-	return o.e.SwapOut(o.h, doCompress, alg)
+	return &wire.Frame{Type: wire.TypeSwapOut}, o.e.SwapIn(o.h)
 }
 
 // poolObj is a paged block pool.
 type poolObj struct{ p *executor.BlockPool }
 
-func (o poolObj) isPool() bool  { return true }
 func (o poolObj) inTier() bool  { return false }
 func (o poolObj) demote() error { return errNotTensor }
 func (o poolObj) free() error   { return o.p.Free() }
+
+func (o poolObj) accepts(op *wire.Op) error {
+	if !op.Pool {
+		return errNotTensor
+	}
+	return nil
+}
 
 func (o poolObj) swapBytes(f *wire.Frame) int64 {
 	return int64(len(f.BlockIDs)) * int64(o.p.BlockElems()) * tensor.BytesPerElement
@@ -177,13 +194,17 @@ func expandRuns(runs []wire.BlockRun) []int {
 	return ids
 }
 
-func (o poolObj) read(name string, runs []wire.BlockRun) (*wire.Frame, error) {
-	data, err := o.p.ReadBlocks(expandRuns(runs))
-	return &wire.Frame{Type: wire.TypeBatchData, Name: name, BlockElems: o.p.BlockElems(), Runs: runs, Data: data}, err
+func (o poolObj) read(name string, runs []executor.BlockRun) (*wire.Frame, error) {
+	table := make([]wire.BlockRun, len(runs))
+	for i, r := range runs {
+		table[i] = wire.BlockRun(r)
+	}
+	data, err := o.p.ReadBlocks(expandRuns(table))
+	return &wire.Frame{Type: wire.TypeBatchData, Name: name, BlockElems: o.p.BlockElems(), Runs: table, Data: data}, err
 }
 
 func (o poolObj) readAll(name string) (*wire.Frame, error) {
-	return o.read(name, []wire.BlockRun{{Start: 0, Count: o.p.NumBlocks()}})
+	return o.read(name, []executor.BlockRun{{Start: 0, Count: o.p.NumBlocks()}})
 }
 
 func (o poolObj) write(f *wire.Frame) (float64, error) {
@@ -194,11 +215,10 @@ func (o poolObj) write(f *wire.Frame) (float64, error) {
 	return float64(len(ids)) / float64(o.p.NumBlocks()), o.p.WriteBlocks(ids, f.Data)
 }
 
-func (o poolObj) restoreAll() ([]int, error) {
+func (o poolObj) restoreAll() (*wire.Frame, error) {
 	was := o.p.SwappedIDs()
-	return was, o.p.SwapInBlocks(was)
-}
-
-func (o poolObj) reswap(was []int, doCompress bool, alg compress.Algorithm) error {
-	return o.p.SwapOutBlocks(was, doCompress, alg)
+	if len(was) == 0 {
+		return nil, nil
+	}
+	return &wire.Frame{Type: wire.TypeBatchSwapOut, BlockIDs: was}, o.p.SwapInBlocks(was)
 }

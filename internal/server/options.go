@@ -48,7 +48,7 @@ type SchedConfig struct {
 	// never queued. Enabled true queues per lane, bounded by LaneDepth.
 	Enabled bool
 	// LaneDepth bounds each lane's queue (critical, normal, speculative)
-	// when Enabled; zero entries select sched.DefaultLaneDepth.
+	// when Enabled; zero or negative entries select sched.DefaultLaneDepth.
 	LaneDepth [sched.NumLanes]int
 	// StarveAfter is how long a queued critical request may wait before
 	// in-flight speculative work is told to shed. Zero selects

@@ -65,6 +65,28 @@ func TestDeadlineExpiryUnderQueueing(t *testing.T) {
 	}
 }
 
+// TestNegativeLaneDepthIsDefault: the scheduler's never-queue depth is how
+// the server spells Enabled false, not a value SchedConfig.LaneDepth can
+// carry — a negative entry selects the default depth, as it always has, so
+// a request behind a held window queues (and here expires) instead of
+// being refused at once.
+func TestNegativeLaneDepthIsDefault(t *testing.T) {
+	s, url := newInternalServer(t, WithMaxInFlight(1),
+		WithSched(SchedConfig{Enabled: true, LaneDepth: [sched.NumLanes]int{-1, -1, -1}}))
+	c := client.New(url, client.WithRetry(0, 0))
+	ctx := context.Background()
+	if err := c.Register(ctx, "t0", []float32{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.sched.Acquire(ctx, sched.LaneNormal, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.sched.Release()
+	if err := c.SwapOut(ctx, "t0", client.WithDeadline(30*time.Millisecond)); !errors.Is(err, client.ErrExpired) {
+		t.Fatalf("swap-out behind a held window: %v, want ErrExpired (queued, not refused)", err)
+	}
+}
+
 func TestCriticalAheadOfSpeculativeFlood(t *testing.T) {
 	s, url := newInternalServer(t, WithMaxInFlight(2),
 		WithSched(SchedConfig{Enabled: true, StarveAfter: 2 * time.Millisecond}))

@@ -55,7 +55,6 @@ import (
 	"cswap/internal/metrics"
 	"cswap/internal/placement"
 	"cswap/internal/sched"
-	"cswap/internal/tensor"
 	"cswap/internal/tier"
 	"cswap/internal/wire"
 )
@@ -153,9 +152,13 @@ func newServer(cfg config) (*Server, error) {
 			orphans.Inc()
 		}
 	}
-	depth := cfg.sched.LaneDepth
-	if !cfg.sched.Enabled {
-		depth = [sched.NumLanes]int{-1, -1, -1} // refuse, never queue
+	// sched.Config's negative depth (never queue) is this package's way to
+	// spell Enabled false, not a value SchedConfig.LaneDepth can carry.
+	depth := [sched.NumLanes]int{-1, -1, -1}
+	if cfg.sched.Enabled {
+		for l, d := range cfg.sched.LaneDepth {
+			depth[l] = max(d, 0)
+		}
 	}
 	schd, err := sched.New(sched.Config{
 		Slots:       cfg.maxInFlight,
@@ -405,7 +408,8 @@ func (s *Server) writeEncoded(w http.ResponseWriter, b []byte, err error) {
 // spans and per-tensor series stay distinct across sessions.
 func qualified(tenant, name string) string { return tenant + "/" + name }
 
-// batchSeen counts one pool request and its block volume.
+// batchSeen counts one pool request and its block volume (the tensor
+// operations have no such series: their cells are nil, and count nothing).
 func (s *Server) batchSeen(typ wire.Type, blocks int) {
 	s.ins.ops[typ].batchReqs.Inc()
 	s.ins.ops[typ].batchBlocks.Add(float64(blocks))
@@ -420,11 +424,7 @@ func (s *Server) ack(w http.ResponseWriter, name string) {
 // reservation: the batch ops that follow are pre-paid — against the tenant
 // quota, then places it in the shared device pool.
 func (s *Server) register(w http.ResponseWriter, sess *session, f *wire.Frame) {
-	bytes := int64(len(f.Data)) * tensor.BytesPerElement
-	if f.Type == wire.TypeRegisterPool {
-		bytes = int64(f.BlockElems) * int64(f.NumBlocks) * tensor.BytesPerElement
-	}
-	ent, err := s.reserveDemoting(sess, f.Name, bytes)
+	ent, err := s.reserveDemoting(sess, f.Name, chargeOf(f))
 	if err != nil {
 		if errors.Is(err, ErrQuotaExceeded) {
 			s.ins.reg.Counter("server_quota_rejections_total", metrics.L("tenant", sess.tenant)).Inc()
@@ -444,9 +444,7 @@ func (s *Server) register(w http.ResponseWriter, sess *session, f *wire.Frame) {
 	// measures); batch-write re-measures.
 	ent.sparsity = sliceSparsity(f.Data)
 	ent.mu.Unlock()
-	if obj.isPool() {
-		s.batchSeen(f.Type, f.NumBlocks)
-	}
+	s.batchSeen(f.Type, f.NumBlocks)
 	s.ack(w, f.Name)
 }
 
@@ -561,11 +559,9 @@ func (s *Server) finishAsync(t *executor.Ticket, ent *entry) {
 // finishes with swapAck or swapData.
 func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op) (*entry, bool) {
 	ent, err := sess.acquire(f.Name)
-	if err == nil && ent.obj.isPool() != op.Pool {
-		ent.mu.Unlock()
-		err = errNotTensor
-		if op.Pool {
-			err = errNotPool
+	if err == nil {
+		if err = ent.obj.accepts(op); err != nil {
+			ent.mu.Unlock()
 		}
 	}
 	if err != nil {
@@ -645,15 +641,12 @@ func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *
 	if !ok {
 		return
 	}
-	var runs []wire.BlockRun
-	if op.Pool {
-		coalesced := executor.CoalesceBlockIDs(f.BlockIDs)
-		runs = make([]wire.BlockRun, len(coalesced))
-		for i, run := range coalesced {
-			runs[i] = wire.BlockRun(run)
-		}
-		s.batchSeen(f.Type, wire.TotalBlocks(runs))
+	runs := executor.CoalesceBlockIDs(f.BlockIDs) // nil for a tensor
+	blocks := 0
+	for _, run := range runs {
+		blocks += run.Count
 	}
+	s.batchSeen(f.Type, blocks)
 	if op.Resp == wire.TypeAck {
 		s.swapAck(w, sess, ent, f.Name)
 		return

@@ -51,7 +51,9 @@
 // compress.Recoverable reports exactly the frames a client can sensibly
 // retransmit. The one deliberately unrecoverable refusal is ErrTooLarge —
 // a hostile or misconfigured length prefix past the decoder's cap,
-// rejected before any allocation happens.
+// rejected before any allocation happens. An encoder handed a frame with a
+// bad type, name or sched extension fails with a plain error: caller
+// misuse, which no retransmission cures.
 package wire
 
 import (
@@ -255,27 +257,37 @@ const (
 
 // cursor walks one frame's payload field by field. Each field kind is one
 // method below that parses it (reading), validates it (reading and sizing —
-// an encoder is refused exactly what a decoder would refuse), and sizes or
-// appends it. Writing always follows a sizing pass over the same frame, so
-// it neither validates nor fails.
+// the bounds an encoder controls are the ones a decoder checks), and sizes
+// or appends it. Writing always follows a sizing pass over the same frame,
+// so it neither validates nor fails.
 type cursor struct {
 	mode mode
 	n    int    // sizing: bytes so far
 	b    []byte // writing: the frame so far; reading: the payload left
 }
 
+// envelopeErr refuses a bad type, name or sched extension — the parts every
+// frame shares. Read off the wire that is damage; handed to an encoder it is
+// caller misuse, a plain error no retransmission can cure.
+func (c *cursor) envelopeErr(format string, args ...any) error {
+	if c.mode == reading {
+		return corruptErr(format, args...)
+	}
+	return fmt.Errorf("wire: cannot encode: "+format, args...)
+}
+
 // walk visits f's fields in wire order: the name, the sched extension when
 // f carries one, then the fields f's type lists.
 func (c *cursor) walk(f *Frame) error {
 	if !f.Type.valid() {
-		return corruptErr("unknown frame type %d", uint8(f.Type))
+		return c.envelopeErr("unknown frame type %d", uint8(f.Type))
 	}
 	if err := c.name(f); err != nil {
 		return err
 	}
 	if f.HasSched {
 		if !Ops[f.Type].Sched {
-			return corruptErr("%s frame cannot carry a sched extension", f.Type)
+			return c.envelopeErr("%s frame cannot carry a sched extension", f.Type)
 		}
 		if err := c.sched(f); err != nil {
 			return err
@@ -318,14 +330,12 @@ func (c *cursor) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-// u32 reads one big-endian uint32.
-func (c *cursor) u32(what string) (int, error) {
-	if len(c.b) < 4 {
-		return 0, truncErr("payload ends before %s", what)
-	}
+// u32 reads one big-endian uint32; the caller has checked four bytes remain
+// (what a missing fixed-width field reports differs by field).
+func (c *cursor) u32() int {
 	v := binary.BigEndian.Uint32(c.b)
 	c.b = c.b[4:]
-	return int(v), nil
+	return int(v)
 }
 
 // uvarintLen is the encoded size of v as a uvarint.
@@ -348,7 +358,7 @@ func (c *cursor) name(f *Frame) error {
 		n = int(binary.BigEndian.Uint16(c.b))
 	}
 	if n == 0 || n > MaxNameLen {
-		return corruptErr("name of %d bytes, want 1..%d", n, MaxNameLen)
+		return c.envelopeErr("name of %d bytes, want 1..%d", n, MaxNameLen)
 	}
 	switch c.mode {
 	case sizing:
@@ -377,7 +387,7 @@ func (c *cursor) sched(f *Frame) error {
 		}
 	}
 	if f.Lane > laneSpeculative {
-		return corruptErr("sched lane byte %d out of range", f.Lane)
+		return c.envelopeErr("sched lane byte %d out of range", f.Lane)
 	}
 	switch c.mode {
 	case sizing:
@@ -388,25 +398,31 @@ func (c *cursor) sched(f *Frame) error {
 	return nil
 }
 
-// options is a swap-out's two option bytes: compress flag + algorithm.
+// options is a swap-out's two option bytes: compress flag + algorithm. The
+// bytes are judged where they are read; an encoder's are the server's to
+// refuse.
 func (c *cursor) options(f *Frame) error {
-	if c.mode == reading {
+	switch c.mode {
+	case reading:
 		if len(c.b) < 2 {
-			return truncErr("%s frame lacks option bytes", f.Type)
+			// A swap-out ends with its options, so it is the wrong size; a
+			// batch swap-out's ID list is yet to come, so it stops short.
+			if Ops[f.Type].Pool {
+				return truncErr("%s frame lacks option bytes", f.Type)
+			}
+			return corruptErr("%s frame carries %d option bytes, want 2", f.Type, len(c.b))
 		}
 		if c.b[0] > 1 {
 			return corruptErr("%s compress flag %d", f.Type, c.b[0])
 		}
 		f.Compress, f.Alg, c.b = c.b[0] == 1, compress.Algorithm(c.b[1]), c.b[2:]
-	}
-	// Auto (the zero byte) is a legal selector, not a codec: the server
-	// resolves it to a concrete algorithm at swap time.
-	if f.Compress && f.Alg != compress.Auto {
-		if _, err := compress.New(f.Alg); err != nil {
-			return corruptErr("%s algorithm byte %d", f.Type, uint8(f.Alg))
+		// Auto (the zero byte) is a legal selector, not a codec: the server
+		// resolves it to a concrete algorithm at swap time.
+		if f.Compress && f.Alg != compress.Auto {
+			if _, err := compress.New(f.Alg); err != nil {
+				return corruptErr("%s algorithm byte %d", f.Type, uint8(f.Alg))
+			}
 		}
-	}
-	switch c.mode {
 	case sizing:
 		c.n += 2
 	case writing:
@@ -422,13 +438,10 @@ func (c *cursor) options(f *Frame) error {
 // geometry is a pool's shape: u32 elements per block + u32 block count.
 func (c *cursor) geometry(f *Frame) error {
 	if c.mode == reading {
-		var err error
-		if f.BlockElems, err = c.u32("pool geometry"); err != nil {
-			return err
+		if len(c.b) < 8 {
+			return corruptErr("%s frame carries %d geometry bytes, want 8", f.Type, len(c.b))
 		}
-		if f.NumBlocks, err = c.u32("pool geometry"); err != nil {
-			return err
-		}
+		f.BlockElems, f.NumBlocks = c.u32(), c.u32()
 	}
 	if f.BlockElems <= 0 || f.NumBlocks <= 0 || f.NumBlocks > MaxBlockID {
 		return corruptErr("%s frame with %d elems/block, %d blocks (limit %d)", f.Type, f.BlockElems, f.NumBlocks, MaxBlockID)
@@ -476,11 +489,10 @@ func (c *cursor) data(f *Frame) error {
 	case writing:
 		c.b = appendFloats(binary.BigEndian.AppendUint32(c.b, uint32(len(f.Data))), f.Data)
 	case reading:
-		elems, err := c.u32("element count")
-		if err != nil {
-			return err
+		if len(c.b) < 4 {
+			return corruptErr("%s frame lacks element count", f.Type)
 		}
-		return c.floats(f, elems)
+		return c.floats(f, c.u32())
 	}
 	return nil
 }
@@ -564,20 +576,27 @@ func (rt *runTable) add(start, count uint64) error {
 func (c *cursor) runs(f *Frame) error {
 	count := uint64(len(f.Runs))
 	if c.mode == reading {
-		var err error
-		if f.BlockElems, err = c.u32("block-elems field"); err != nil {
-			return err
+		if len(c.b) < 4 {
+			return truncErr("batch-data frame lacks block-elems field")
 		}
+		f.BlockElems = c.u32()
+		var err error
 		if count, err = c.uvarint("run count"); err != nil {
 			return err
 		}
-		// Each run takes at least two bytes: bound before allocating.
+		// Each run takes at least two bytes: a count past that is a lie.
 		if count > uint64(len(c.b))/2 {
 			return corruptErr("batch-data frame claims %d runs but carries %d bytes", count, len(c.b))
 		}
 	}
 	if f.BlockElems <= 0 {
 		return corruptErr("batch-data frame with %d elems/block", f.BlockElems)
+	}
+	// A run covers at least one block, so the block cap bounds the table too
+	// — checked before the table is allocated: a run entry in memory is
+	// eight times its smallest encoding.
+	if count > MaxBatchBlocks {
+		return corruptErr("batch-data frame with %d runs exceeds limit %d", count, MaxBatchBlocks)
 	}
 	var rt runTable
 	switch c.mode {

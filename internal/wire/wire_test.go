@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -104,6 +105,94 @@ func TestHostileLengthPrefix(t *testing.T) {
 	}
 	if compress.Recoverable(derr) {
 		t.Error("ErrTooLarge must not be recoverable: retransmission cannot succeed")
+	}
+}
+
+// rawFrame wraps a hand-built payload in a valid header (right length,
+// right CRC), so only the payload's inner structure is on trial.
+func rawFrame(typ Type, payload []byte) []byte {
+	b := append([]byte{'C', 'S', 'W', 'P', Version, byte(typ), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, payload...)
+	binary.BigEndian.PutUint32(b[8:12], uint32(len(payload)))
+	reCRC(b)
+	return b
+}
+
+// TestHostileRunCount: a batch-data frame that is a claimed run count and
+// zeros must be refused by the block cap before the run table is allocated
+// — a run entry in memory is eight times its smallest encoding, so the
+// payload-length bound alone would let a frame allocate 8x its size.
+func TestHostileRunCount(t *testing.T) {
+	const runs = MaxBatchBlocks + MaxBatchBlocks/2 // past the cap, under payload/2
+	payload := []byte{0, 1, 'p', 0, 0, 0, 1}       // name "p", 1 elem/block
+	payload = binary.AppendUvarint(payload, runs)
+	payload = append(payload, make([]byte, 2*runs)...)
+	b := rawFrame(TypeBatchData, payload)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(b, 0)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, compress.ErrCorrupt) {
+		t.Fatalf("hostile run count: %v, want ErrCorrupt", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("refusing a %d-byte frame allocated %d bytes: run table sized before the cap check", len(b), got)
+	}
+}
+
+// TestErrorClasses pins which side of the taxonomy each refusal lands on —
+// the class is API: callers key retry policy on it. Inside a CRC-verified
+// payload a missing fixed-width field is ErrCorrupt, save the two batch
+// frames that report ErrTruncated; an encoder handed a bad envelope (type,
+// name, sched extension) fails with a plain error — retransmitting cannot
+// cure caller misuse — while a bad batch body is ErrCorrupt in both
+// directions.
+func TestErrorClasses(t *testing.T) {
+	name := []byte{0, 1, 'p'}
+	with := func(tail ...byte) []byte { return append(append([]byte(nil), name...), tail...) }
+	decode := []struct {
+		what string
+		typ  Type
+		p    []byte
+		want error
+	}{
+		{"swap-out without options", TypeSwapOut, with(), compress.ErrCorrupt},
+		{"swap-out with one option byte", TypeSwapOut, with(1), compress.ErrCorrupt},
+		{"batch-swap-out with one option byte", TypeBatchSwapOut, with(1), compress.ErrTruncated},
+		{"register without element count", TypeRegister, with(0, 0, 0), compress.ErrCorrupt},
+		{"tensor-data without element count", TypeTensorData, with(), compress.ErrCorrupt},
+		{"register-pool with short geometry", TypeRegisterPool, with(0, 0, 0, 4, 0, 0, 0), compress.ErrCorrupt},
+		{"batch-data without block-elems", TypeBatchData, with(0, 0, 0), compress.ErrTruncated},
+		{"batch-swap-in ending inside an ID", TypeBatchSwapIn, with(1, 0x80), compress.ErrTruncated},
+		{"batch-swap-in with an empty payload tail", TypeBatchSwapIn, with(), compress.ErrTruncated},
+	}
+	for _, tc := range decode {
+		if _, err := Decode(rawFrame(tc.typ, tc.p), 0); !errors.Is(err, tc.want) {
+			t.Errorf("decode %s: %v, want %v", tc.what, err, tc.want)
+		}
+	}
+
+	misuse := []*Frame{
+		{Type: TypeAck, Name: ""},
+		{Type: TypeAck, Name: strings.Repeat("n", MaxNameLen+1)},
+		{Type: Type(99), Name: "x"},
+		{Type: TypeFree, Name: "x", HasSched: true},
+		{Type: TypeSwapIn, Name: "x", HasSched: true, Lane: 3},
+	}
+	for _, f := range misuse {
+		if _, err := Encode(f); err == nil || compress.Recoverable(err) {
+			t.Errorf("Encode(%s, %d-byte name, sched=%v): %v, want a plain non-recoverable error", f.Type, len(f.Name), f.HasSched, err)
+		}
+	}
+	body := []*Frame{
+		{Type: TypeBatchSwapIn, Name: "p", BlockIDs: []int{MaxBlockID}},
+		{Type: TypeRegisterPool, Name: "p", BlockElems: 0, NumBlocks: 1},
+		{Type: TypeBatchData, Name: "p", BlockElems: 1, Runs: []BlockRun{{Start: 1, Count: 0}}},
+	}
+	for _, f := range body {
+		if _, err := Encode(f); !errors.Is(err, compress.ErrCorrupt) {
+			t.Errorf("Encode(%s with a bad body): %v, want ErrCorrupt", f.Type, err)
+		}
 	}
 }
 
