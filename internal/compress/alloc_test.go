@@ -8,10 +8,10 @@ import (
 
 // Allocation-regression gates for the pooled hot paths. Budgets are pinned
 // deliberately tight: the zero-copy contract promises allocation-free
-// encode/decode for the sparsity codecs once buffers are provided, and a
-// small fixed overhead elsewhere (Huffman builds its code tree per call by
-// design; the parallel container keeps two bookkeeping slices). A failure
-// here means a regression re-introduced per-call garbage on the swap path.
+// encode/decode for every codec once buffers are provided, and a small
+// fixed overhead elsewhere (the parallel container keeps two bookkeeping
+// slices). A failure here means a regression re-introduced per-call garbage
+// on the swap path.
 //
 // testing.AllocsPerRun runs with GOMAXPROCS(1), so the parallel budgets
 // measure the serial fast path deterministically — goroutine-count jitter
@@ -24,11 +24,10 @@ var allocBudgets = map[Algorithm]struct{ encode, decode float64 }{
 	RLE: {0, 0},
 	CSR: {0, 0},
 	LZ4: {0, 0},
-	// Huffman's tree/code construction is array-based on the stack and its
-	// decoder is memoised by code-length table, so steady state is
-	// allocation-free too; the small budgets absorb the one-off decoder
-	// build and incidental runtime noise.
-	Huffman: {8, 1},
+	// Huffman's histogram, tree and code tables are arrays on the stack and
+	// its decoder workspace is recycled through a sync.Pool, so steady state
+	// is allocation-free too.
+	Huffman: {0, 0},
 }
 
 func TestAllocsPerRunCodecHotPaths(t *testing.T) {

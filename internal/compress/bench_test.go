@@ -55,7 +55,7 @@ func BenchmarkCodecDecode(b *testing.B) {
 func BenchmarkParallelContainer(b *testing.B) {
 	src := benchTensor(b)
 	launch := Launch{Grid: 16, Block: 64}
-	for _, a := range []Algorithm{ZVC, LZ4} {
+	for _, a := range []Algorithm{ZVC, LZ4, Huffman} {
 		b.Run(fmt.Sprintf("encode-%s", a), func(b *testing.B) {
 			bound, err := MaxParallelEncodedLen(a, len(src), launch)
 			if err != nil {

@@ -156,6 +156,12 @@ func FuzzDecodeRobustness(f *testing.F) {
 	f.Add(MustNew(CSR).Encode([]float32{5, 0, 0}))
 	f.Add(MustNew(LZ4).Encode(make([]float32, 64)))
 	f.Add(MustNew(Huffman).Encode([]float32{1, 1, 0, 2}))
+	// Huffman blobs for each decoder path: codes the lookup table holds
+	// whole, codes past it that take the per-length scan, and a one-symbol
+	// table whose windows are half holes.
+	f.Add(MustNew(Huffman).Encode(lcgFloats(64)))
+	f.Add(hufFibonacciBlob([]byte{0, 1, 2, 3, 86, 87, 88, 89}))
+	f.Add(MustNew(Huffman).Encode([]float32{0, 0, 0}))
 	f.Add([]byte{})
 	f.Add([]byte{1, 255, 255, 255, 255, 255, 255, 255, 255})
 	// Hand-crafted Huffman blobs with degenerate code tables. Under-

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -31,60 +32,140 @@ func (huffmanCodec) Algorithm() Algorithm { return Huffman }
 
 const huffMaxCodeLen = 56 // fits the decoder's uint64 bit buffer
 
+// huffSlack is the room AppendEncode needs past the last stream byte: the
+// bit writer flushes with whole 8-byte stores.
+const huffSlack = 8
+
 // MaxEncodedLen bounds the blob via Huffman optimality: the built code
 // minimises total bits over all prefix codes, including the fixed 8-bit
-// code, so the packed stream never exceeds the 4·n raw bytes (+1 for bit
-// padding) after the 256-byte length table.
+// code, so the packed stream never exceeds the 4·n raw bytes after the
+// 256-byte length table. The slack on top is the bit writer's, so a buffer
+// of this capacity is never reallocated. (AppendEncode sizes its span from
+// the code lengths it built, not from this bound: a tensor of ~10¹¹
+// elements whose tree had to be length-limited may exceed it, at the cost
+// of one allocation.)
 func (huffmanCodec) MaxEncodedLen(n int) int {
 	if n == 0 {
 		return headerSize
 	}
-	return headerSize + 256 + 4*n + 1
+	return headerSize + 256 + 4*n + huffSlack
 }
 
 func (c huffmanCodec) Encode(src []float32) []byte {
-	blob := make([]byte, 0, headerSize+256+len(src)*4)
-	return c.AppendEncode(blob, src)
+	return c.AppendEncode(make([]byte, 0, c.MaxEncodedLen(len(src))), src)
 }
 
+// AppendEncode histograms the tensor's bytes straight from the float bits,
+// sizes the stream exactly from the code lengths, and packs it with a
+// word-wide bit writer into the reserved span.
 func (huffmanCodec) AppendEncode(dst []byte, src []float32) []byte {
-	dst = putHeader(dst, Huffman, len(src))
 	if len(src) == 0 {
-		return dst
+		return putHeader(dst, Huffman, 0)
 	}
-	p := getScratch(len(src) * 4)
-	defer putScratch(p)
-	raw := *p
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(raw[i*4:], float32bits(v))
-	}
-
 	var freq [256]int64
-	for _, b := range raw {
-		freq[b]++
-	}
+	huffHistogram(&freq, src)
 	lengths := huffmanCodeLengths(freq[:])
 	codes := canonicalCodes(lengths)
-	dst = append(dst, lengths[:]...)
+	// code<<8 | len: one load per symbol in the packing loops.
+	var packed [256]uint64
+	var streamBits int64
+	var maxLen byte
+	for s, c := range codes {
+		packed[s] = c.code<<8 | uint64(c.len)
+		streamBits += freq[s] * int64(c.len)
+		maxLen = max(maxLen, c.len)
+	}
 
-	// Bit-pack MSB-first. nbits stays below 8 between symbols and every
-	// code is at most huffMaxCodeLen bits, so the accumulator never
-	// overflows its 64 bits.
-	var acc uint64
-	var nbits uint
-	for _, b := range raw {
-		c := codes[b]
-		acc = acc<<uint64(c.len) | uint64(c.code)
-		nbits += uint(c.len)
-		for nbits >= 8 {
-			nbits -= 8
-			dst = append(dst, byte(acc>>nbits))
+	base := len(dst)
+	size := headerSize + 256 + int((streamBits+7)/8)
+	if cap(dst)-base < size+huffSlack {
+		grown := make([]byte, base, base+size+huffSlack)
+		copy(grown, dst)
+		dst = grown
+	}
+	out := dst[base : base+size+huffSlack]
+	putHeader(out[:0], Huffman, len(src))
+	copy(out[headerSize:], lengths[:])
+	huffPack(out[headerSize+256:], src, &packed, maxLen)
+	return dst[:base+size]
+}
+
+// huffHistogram counts the byte values of src into freq. One table per
+// byte lane of two elements in flight: the bytes of a run of zero floats
+// would otherwise serialise on one counter.
+func huffHistogram(freq *[256]int64, src []float32) {
+	var lanes [8][256]int64
+	for ; len(src) >= 2; src = src[2:] {
+		a, b := math.Float32bits(src[0]), math.Float32bits(src[1])
+		lanes[0][a&0xff]++
+		lanes[1][a>>8&0xff]++
+		lanes[2][a>>16&0xff]++
+		lanes[3][a>>24]++
+		lanes[4][b&0xff]++
+		lanes[5][b>>8&0xff]++
+		lanes[6][b>>16&0xff]++
+		lanes[7][b>>24]++
+	}
+	for _, v := range src {
+		a := math.Float32bits(v)
+		lanes[0][a&0xff]++
+		lanes[1][a>>8&0xff]++
+		lanes[2][a>>16&0xff]++
+		lanes[3][a>>24]++
+	}
+	for s := range freq {
+		for l := range lanes {
+			freq[s] += lanes[l][s]
 		}
 	}
-	if nbits > 0 {
-		dst = append(dst, byte(acc<<(8-nbits)))
+}
+
+// huffPack packs src into stream under the packed codes, whose longest is
+// maxLen bits. Codes collect right-aligned in a 64-bit accumulator that
+// holds nbits < 8 pending bits in its low end between flushes; whatever
+// lies above them is shifted out by the next flush. A flush is one
+// big-endian 8-byte store of which only the whole bytes are kept, so stream
+// needs huffSlack bytes past its last one; the final flush leaves the last
+// partial byte zero-padded. The accumulator takes 56 bits on top of the
+// pending ones, so an element is flushed once when four codes fit that,
+// after every second symbol when two do, and after every symbol otherwise:
+// the same loop, the two tests in it fixed for the call. A packed entry
+// serves as its own shift count, its length being its low six bits.
+func huffPack(stream []byte, src []float32, packed *[256]uint64, maxLen byte) {
+	flush2, flush1 := maxLen > 56/4, maxLen > 56/2
+	var acc uint64
+	var nbits uint
+	pos := 0
+	for _, v := range src {
+		b := math.Float32bits(v)
+		e0, e1, e2, e3 := packed[b&0xff], packed[b>>8&0xff], packed[b>>16&0xff], packed[b>>24]
+		acc = acc<<(e0&63) | e0>>8
+		nbits += uint(e0 & 63)
+		if flush1 {
+			binary.BigEndian.PutUint64(stream[pos:pos+8], acc<<(-nbits&63))
+			pos += int(nbits >> 3)
+			nbits &= 7
+		}
+		acc = acc<<(e1&63) | e1>>8
+		nbits += uint(e1 & 63)
+		if flush2 {
+			binary.BigEndian.PutUint64(stream[pos:pos+8], acc<<(-nbits&63))
+			pos += int(nbits >> 3)
+			nbits &= 7
+		}
+		acc = acc<<(e2&63) | e2>>8
+		nbits += uint(e2 & 63)
+		if flush1 {
+			binary.BigEndian.PutUint64(stream[pos:pos+8], acc<<(-nbits&63))
+			pos += int(nbits >> 3)
+			nbits &= 7
+		}
+		acc = acc<<(e3&63) | e3>>8
+		nbits += uint(e3 & 63)
+		binary.BigEndian.PutUint64(stream[pos:pos+8], acc<<(-nbits&63))
+		pos += int(nbits >> 3)
+		nbits &= 7
 	}
-	return dst
 }
 
 func (c huffmanCodec) Decode(blob []byte) ([]float32, error) {
@@ -116,47 +197,12 @@ func (huffmanCodec) DecodeInto(dst []float32, blob []byte) error {
 	if len(payload) < 256 {
 		return ErrTruncated
 	}
-	var lengths [256]byte
-	copy(lengths[:], payload[:256])
-	data := payload[256:]
-
-	dec, err := cachedHuffmanDecoder(lengths)
-	if err != nil {
+	d := huffDecoders.Get().(*huffmanDecoder)
+	defer huffDecoders.Put(d)
+	if err := d.build((*[256]byte)(payload)); err != nil {
 		return err
 	}
-	// Stage through pooled raw bytes; every byte is written on success.
-	p := getScratch(n * 4)
-	defer putScratch(p)
-	raw := *p
-	var acc uint64
-	var nbits uint
-	pos := 0
-	for i := range raw {
-		sym, consumed, ok := dec.next(acc, nbits)
-		for !ok {
-			if pos >= len(data) {
-				return ErrTruncated
-			}
-			acc = acc<<8 | uint64(data[pos])
-			nbits += 8
-			pos++
-			if nbits > 64-8 {
-				return fmt.Errorf("%w: oversized huffman code", ErrCorrupt)
-			}
-			sym, consumed, ok = dec.next(acc, nbits)
-		}
-		raw[i] = sym
-		nbits -= consumed
-		acc &= (1 << nbits) - 1
-	}
-	// Remaining bits must be padding only.
-	if pos != len(data) || nbits >= 8 {
-		return ErrCorrupt
-	}
-	for i := range dst {
-		dst[i] = readFloat32(raw[i*4:])
-	}
-	return nil
+	return d.decode(dst, payload[256:])
 }
 
 // ---------------------------------------------------------------------------
@@ -338,69 +384,59 @@ func canonicalCodes(lengths [256]byte) [256]huffCode {
 // ---------------------------------------------------------------------------
 // Decoding.
 
-// huffTableBits sizes the decoder's primary lookup table: any code of at
-// most this many bits decodes with a single table load instead of the
-// per-length scan. 11 bits covers every code the encoder emits for typical
-// tensor byte streams while keeping the table at 4 KiB per decoder.
+// huffTableBits sizes the decoder's lookup table: one load decodes every
+// whole code, up to three, inside the next huffTableBits stream bits. 11
+// bits covers every code the encoder emits for typical tensor byte streams
+// — and the four one- or two-bit codes of a zero float in two loads — while
+// keeping the table at 8 KiB per decoder.
 const huffTableBits = 11
 
-// huffmanDecoder decodes canonical codes via a primary lookup table for
-// short codes with per-length first-code/offset tables as the fallback for
-// longer ones. Decoders are immutable after construction and shared
-// concurrently through the package-level cache.
+// A table entry packs what its window decodes to:
+//
+//	bits 0–5   stream bits consumed (at most huffTableBits; 0 = no entry)
+//	bits 6–7   symbols decoded, 1 to 3
+//	bits 8–31  the symbols, first one lowest
+//
+// 0 marks a window that starts with a code longer than huffTableBits or
+// with no code at all.
+const (
+	huffEntryCount = 6
+	huffEntrySyms  = 8
+)
+
+// huffFillSlack is the number of slots fillEntries stores at a time, and so
+// the slots the table carries past its last window.
+const huffFillSlack = 4
+
+// huffmanDecoder decodes canonical codes via the lookup table for short
+// codes with per-length first-code/offset tables as the fallback for longer
+// ones. It is a workspace: DecodeInto borrows one from huffDecoders, builds
+// it for the blob's length table and returns it, so steady-state decoding
+// allocates nothing and shares nothing.
 type huffmanDecoder struct {
 	maxLen    byte
 	firstCode [huffMaxCodeLen + 2]uint64 // first canonical code of each length
 	count     [huffMaxCodeLen + 2]int    // symbols per length
 	offset    [huffMaxCodeLen + 2]int    // index of first symbol of each length
 	nsyms     int
-	symbols   [256]byte                  // canonical symbol order
-	table     [1 << huffTableBits]uint16 // len<<8 | symbol; 0 = no code ≤ huffTableBits bits
+	symbols   [256]byte                                // canonical symbol order
+	symLen    [256]byte                                // code length of symbols[i]
+	table     [1<<huffTableBits + huffFillSlack]uint32 // the slack is fillEntries'
 }
 
-// huffDecCacheMax bounds the decoder cache. Parallel-container blobs carry
-// one code table per chunk, so steady-state working sets reach hundreds of
-// distinct tables; adversarial inputs could mint unlimited ones, hence the
-// clear-on-full eviction (each decoder is ~5 KiB).
-const huffDecCacheMax = 1024
+var huffDecoders = sync.Pool{New: func() interface{} { return new(huffmanDecoder) }}
 
-var huffDecCache = struct {
-	sync.Mutex
-	m map[[256]byte]*huffmanDecoder
-}{m: make(map[[256]byte]*huffmanDecoder)}
-
-// cachedHuffmanDecoder returns a shared decoder for the code-length table,
-// building and memoising it on first sight. Invalid tables are not cached:
-// rejecting them is already cheap and caching errors would let adversarial
-// blobs fill the map with garbage.
-func cachedHuffmanDecoder(lengths [256]byte) (*huffmanDecoder, error) {
-	huffDecCache.Lock()
-	d := huffDecCache.m[lengths]
-	huffDecCache.Unlock()
-	if d != nil {
-		return d, nil
-	}
-	d, err := newHuffmanDecoder(lengths)
-	if err != nil {
-		return nil, err
-	}
-	huffDecCache.Lock()
-	if len(huffDecCache.m) >= huffDecCacheMax {
-		huffDecCache.m = make(map[[256]byte]*huffmanDecoder, huffDecCacheMax)
-	}
-	huffDecCache.m[lengths] = d
-	huffDecCache.Unlock()
-	return d, nil
-}
-
-func newHuffmanDecoder(lengths [256]byte) (*huffmanDecoder, error) {
-	d := &huffmanDecoder{}
+// build resets the workspace to the decoder for the code-length table, or
+// refuses the table.
+func (d *huffmanDecoder) build(lengths *[256]byte) error {
+	d.maxLen, d.nsyms = 0, 0
+	d.count = [huffMaxCodeLen + 2]int{}
 	for _, ln := range lengths {
 		if ln == 0 {
 			continue
 		}
 		if ln > huffMaxCodeLen {
-			return nil, fmt.Errorf("%w: code length %d", ErrCorrupt, ln)
+			return fmt.Errorf("%w: code length %d", ErrCorrupt, ln)
 		}
 		if ln > d.maxLen {
 			d.maxLen = ln
@@ -409,7 +445,7 @@ func newHuffmanDecoder(lengths [256]byte) (*huffmanDecoder, error) {
 		d.nsyms++
 	}
 	if d.nsyms == 0 {
-		return nil, fmt.Errorf("%w: empty code table", ErrCorrupt)
+		return fmt.Errorf("%w: empty code table", ErrCorrupt)
 	}
 	// Kraft check and canonical first codes.
 	code := uint64(0)
@@ -424,67 +460,241 @@ func newHuffmanDecoder(lengths [256]byte) (*huffmanDecoder, error) {
 		kraft += float64(d.count[ln]) / float64(uint64(1)<<uint(ln))
 	}
 	if d.nsyms > 1 && kraft > 1.0000001 {
-		return nil, fmt.Errorf("%w: over-subscribed code table", ErrCorrupt)
+		return fmt.Errorf("%w: over-subscribed code table", ErrCorrupt)
 	}
 	// Fill the canonical symbol list: walking symbols in ascending order
 	// and appending each at its length's cursor IS (length, symbol) order.
 	var fill [huffMaxCodeLen + 2]int
 	copy(fill[:], d.offset[:])
 	for sym, ln := range lengths {
-		if ln == 0 {
-			continue
-		}
-		rank := fill[ln] - d.offset[ln]
-		d.symbols[fill[ln]] = byte(sym)
-		fill[ln]++
-		if ln <= huffTableBits {
-			// Every huffTableBits-bit window starting with this code maps
-			// to it; the Kraft bound keeps base+span within the table.
-			e := uint16(ln)<<8 | uint16(sym)
-			base := (d.firstCode[ln] + uint64(rank)) << (huffTableBits - uint(ln))
-			span := uint64(1) << (huffTableBits - uint(ln))
-			for j := uint64(0); j < span; j++ {
-				d.table[base+j] = e
-			}
+		if ln != 0 {
+			d.symbols[fill[ln]] = byte(sym)
+			d.symLen[fill[ln]] = ln
+			fill[ln]++
 		}
 	}
-	return d, nil
+
+	// Canonical codes, left-aligned, tile the window space in canonical
+	// order with no gap, and so do the codes that follow a code inside what
+	// is left of its window. The table is therefore written front to back:
+	// for each code a, for each code b fitting behind it, for each code c
+	// fitting behind both, the windows "a b c…", then the rest of "a b…",
+	// then the rest of "a…". The Kraft bound keeps every level inside its
+	// parent's span.
+	short := d.symLen[:fill[min(d.maxLen, huffTableBits)]]
+	t := &d.table
+	p := 0
+	for ia, la := range short {
+		ea := uint32(d.symbols[ia])<<huffEntrySyms | 1<<huffEntryCount | uint32(la)
+		ka := huffTableBits - int(la)
+		endA := p + 1<<(ka&15)
+		for ib, lb := range short {
+			kb := ka - int(lb)
+			if kb < 0 {
+				break
+			}
+			eb := ea + uint32(d.symbols[ib])<<(huffEntrySyms+8) + 1<<huffEntryCount + uint32(lb)
+			endB := p + 1<<(kb&15)
+			for ic, lc := range short {
+				kc := kb - int(lc)
+				if kc < 0 {
+					break
+				}
+				ec := eb + uint32(d.symbols[ic])<<(huffEntrySyms+16) + 1<<huffEntryCount + uint32(lc)
+				fillEntries(t, p, 1<<(kc&15), ec)
+				p += 1 << (kc & 15)
+			}
+			fillEntries(t, p, endB-p, eb)
+			p = endB
+		}
+		fillEntries(t, p, endA-p, ea)
+		p = endA
+	}
+	fillEntries(t, p, 1<<huffTableBits-p, 0)
+	return nil
+}
+
+// fillEntries sets t[p:p+n] to e and may set slots past them, up to
+// huffFillSlack in all, which is why the table is written front to back and
+// ends in slack: most spans are a slot or two, and storing a fixed four
+// beats a loop whose trip count the branch predictor cannot learn. The long
+// spans of short codes are finished by doubling.
+func fillEntries(t *[1<<huffTableBits + huffFillSlack]uint32, p, n int, e uint32) {
+	*(*[huffFillSlack]uint32)(t[p:]) = [huffFillSlack]uint32{e, e, e, e}
+	if n > huffFillSlack {
+		span := t[p : p+n]
+		for done := huffFillSlack; done < n; done *= 2 {
+			copy(span[done:], span[:done])
+		}
+	}
+}
+
+// huffCursor is a decode in progress. bits is left-aligned: its top n bits
+// are the stream bits after the last consumed one, taken from data[:pos];
+// whatever lies below them is data[pos:] read ahead, which a later refill
+// ORs in again unchanged. out holds the cnt < 4 symbols decoded for dst[i]
+// so far, first one lowest.
+type huffCursor struct {
+	bits, out uint64
+	n, cnt    uint
+	pos, i    int
+}
+
+// decode restores dst from the bit stream: the unchecked table loop for as
+// long as it can run, then one checked step — a table window if the stream
+// still covers it and it stays inside the last element, the scalar decoder
+// for one symbol otherwise — and the table loop again.
+func (d *huffmanDecoder) decode(dst []float32, data []byte) error {
+	var c huffCursor
+	for {
+		d.decodeFast(dst, data, &c)
+		rem := uint(len(dst)-c.i)*4 - c.cnt
+		if rem == 0 {
+			break
+		}
+		for c.n < 56 && c.pos < len(data) {
+			c.bits |= uint64(data[c.pos]) << (56 - c.n)
+			c.pos++
+			c.n += 8
+		}
+		e := d.table[c.bits>>(64-huffTableBits)]
+		if ln := uint(e & 63); e != 0 && ln <= c.n && uint(e>>huffEntryCount&3) <= rem {
+			c.bits <<= ln
+			c.n -= ln
+		} else {
+			sym, err := d.scalarSymbol(data, &c)
+			if err != nil {
+				return err
+			}
+			e = uint32(sym)<<huffEntrySyms | 1<<huffEntryCount
+		}
+		c.out |= uint64(e>>huffEntrySyms) << (8 * c.cnt)
+		if c.cnt += uint(e >> huffEntryCount & 3); c.cnt >= 4 {
+			dst[c.i] = math.Float32frombits(uint32(c.out))
+			c.i, c.out, c.cnt = c.i+1, c.out>>32, c.cnt-4
+		}
+	}
+	// Every stream byte must have been needed, and what is left of the last
+	// one must be padding only.
+	if c.pos-int(c.n>>3) != len(data) {
+		return ErrCorrupt
+	}
+	return nil
+}
+
+// decodeFast advances c through the table for as long as nothing needs
+// checking: one 8-byte load brings n to at least 56, enough for four table
+// windows, and each lookup yields up to three symbols, stores the low word
+// of out to dst[i] and moves on once that was a whole element. It returns
+// in front of a window the table does not hold, with fewer than 8 stream
+// bytes left to load, or with fewer than 4 elements to go — four lookups
+// can finish three, and must not run past the last one into the padding.
+func (d *huffmanDecoder) decodeFast(dst []float32, data []byte, c *huffCursor) {
+	bits, out, n, cnt, pos, i := c.bits, c.out, c.n, c.cnt, c.pos, c.i
+	j := 0
+	for ; len(dst)-i >= 4 && len(data)-pos >= 8; i, j = i+j, 0 {
+		bits |= binary.BigEndian.Uint64(data[pos:]) >> (n & 63)
+		adv := (63 - n) >> 3
+		pos += int(adv)
+		n += adv << 3
+		w := (*[4]float32)(dst[i:])
+		// The lookup step, four times over: a counted inner loop costs the
+		// bits → entry → bits chain a spilled register.
+		e := d.table[bits>>(64-huffTableBits)]
+		if e == 0 {
+			break
+		}
+		bits <<= e & 63
+		n -= uint(e & 63)
+		out |= uint64(e>>huffEntrySyms) << (8 * cnt & 63)
+		cnt += uint(e >> huffEntryCount & 3)
+		w[j&3] = math.Float32frombits(uint32(out))
+		if cnt >= 4 {
+			out >>= 32
+			j++
+		}
+		cnt &= 3
+		e = d.table[bits>>(64-huffTableBits)]
+		if e == 0 {
+			break
+		}
+		bits <<= e & 63
+		n -= uint(e & 63)
+		out |= uint64(e>>huffEntrySyms) << (8 * cnt & 63)
+		cnt += uint(e >> huffEntryCount & 3)
+		w[j&3] = math.Float32frombits(uint32(out))
+		if cnt >= 4 {
+			out >>= 32
+			j++
+		}
+		cnt &= 3
+		e = d.table[bits>>(64-huffTableBits)]
+		if e == 0 {
+			break
+		}
+		bits <<= e & 63
+		n -= uint(e & 63)
+		out |= uint64(e>>huffEntrySyms) << (8 * cnt & 63)
+		cnt += uint(e >> huffEntryCount & 3)
+		w[j&3] = math.Float32frombits(uint32(out))
+		if cnt >= 4 {
+			out >>= 32
+			j++
+		}
+		cnt &= 3
+		e = d.table[bits>>(64-huffTableBits)]
+		if e == 0 {
+			break
+		}
+		bits <<= e & 63
+		n -= uint(e & 63)
+		out |= uint64(e>>huffEntrySyms) << (8 * cnt & 63)
+		cnt += uint(e >> huffEntryCount & 3)
+		w[j&3] = math.Float32frombits(uint32(out))
+		if cnt >= 4 {
+			out >>= 32
+			j++
+		}
+		cnt &= 3
+	}
+	c.bits, c.out, c.n, c.cnt, c.pos, c.i = bits, out, n, cnt, pos, i+j
+}
+
+// scalarSymbol decodes one symbol the way the decoder did before the table
+// loop: hand back the whole bytes read ahead, then load one byte at a time
+// until next finds a code. Its verdicts — truncated when the stream ends
+// inside a code, corrupt when 56 bits match nothing — are therefore the
+// scalar decoder's.
+func (d *huffmanDecoder) scalarSymbol(data []byte, c *huffCursor) (byte, error) {
+	pos := c.pos - int(c.n>>3)
+	nbits := c.n & 7
+	acc := c.bits >> (64 - nbits)
+	sym, consumed, ok := d.next(acc, nbits)
+	for !ok {
+		if pos >= len(data) {
+			return 0, ErrTruncated
+		}
+		acc = acc<<8 | uint64(data[pos])
+		nbits += 8
+		pos++
+		if nbits > 64-8 {
+			return 0, fmt.Errorf("%w: oversized huffman code", ErrCorrupt)
+		}
+		sym, consumed, ok = d.next(acc, nbits)
+	}
+	nbits -= consumed
+	c.bits, c.n, c.pos = acc<<(64-nbits), nbits, pos
+	return sym, nil
 }
 
 // next attempts to decode one symbol from the top of the accumulator
 // holding nbits valid bits. It reports the symbol, bits consumed, and
-// whether a full code was available. Short codes resolve through the
-// primary table; only codes longer than huffTableBits fall back to the
-// per-length scan.
+// whether a full code was available.
 func (d *huffmanDecoder) next(acc uint64, nbits uint) (sym byte, consumed uint, ok bool) {
-	if nbits > 0 {
-		var idx uint64
-		if nbits >= huffTableBits {
-			idx = acc >> (nbits - huffTableBits)
-		} else {
-			idx = acc << (huffTableBits - nbits) & (1<<huffTableBits - 1)
-		}
-		if e := d.table[idx]; e != 0 {
-			if ln := uint(e >> 8); ln <= nbits {
-				return byte(e), ln, true
-			}
-			// The window's owning code needs more bits than we hold, and
-			// any shorter code would own the window instead: no match yet.
-			return 0, 0, false
-		}
-		if nbits <= huffTableBits {
-			// All codes of ≤ nbits bits live in the table; a zero entry
-			// means nothing this short matches.
-			return 0, 0, false
-		}
-	}
-	for ln := byte(huffTableBits + 1); ln <= d.maxLen && uint(ln) <= nbits; ln++ {
-		if d.count[ln] == 0 {
-			continue
-		}
-		prefix := acc >> (nbits - uint(ln))
-		if prefix >= d.firstCode[ln] && prefix < d.firstCode[ln]+uint64(d.count[ln]) {
-			return d.symbols[d.offset[ln]+int(prefix-d.firstCode[ln])], uint(ln), true
+	for ln := uint(1); ln <= uint(d.maxLen) && ln <= nbits; ln++ {
+		// Below the first code of its length the difference wraps.
+		if rank := acc>>(nbits-ln) - d.firstCode[ln]; rank < uint64(d.count[ln]) {
+			return d.symbols[d.offset[ln]+int(rank)], ln, true
 		}
 	}
 	return 0, 0, false

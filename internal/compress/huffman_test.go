@@ -235,7 +235,7 @@ func TestHuffmanDepthGuardFibonacci(t *testing.T) {
 	if math.Abs(kraft-1) > 1e-9 {
 		t.Fatalf("Kraft sum %v, want 1", kraft)
 	}
-	if _, err := newHuffmanDecoder(lengths); err != nil {
+	if err := new(huffmanDecoder).build(&lengths); err != nil {
 		t.Fatalf("decoder rejects the length-limited table: %v", err)
 	}
 }
@@ -282,51 +282,13 @@ func TestHuffmanFibonacciTableRoundTrips(t *testing.T) {
 	}
 }
 
-func TestHuffmanDecoderCache(t *testing.T) {
-	blob := MustNew(Huffman).Encode(tensor.NewGenerator(9).Uniform(2000, 0.4).Data)
-	var lengths [256]byte
-	copy(lengths[:], blob[headerSize:headerSize+256])
-	d1, err := cachedHuffmanDecoder(lengths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := cachedHuffmanDecoder(lengths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatal("same code table built two decoders")
-	}
-	// Invalid tables are rejected, not cached.
+func TestHuffmanDecoderRefusesOverSubscribedTable(t *testing.T) {
 	var bad [256]byte
 	for i := range bad {
 		bad[i] = 1
 	}
-	if _, err := cachedHuffmanDecoder(bad); err == nil {
+	if err := new(huffmanDecoder).build(&bad); err == nil {
 		t.Fatal("over-subscribed table accepted")
-	}
-	huffDecCache.Lock()
-	_, cachedBad := huffDecCache.m[bad]
-	huffDecCache.Unlock()
-	if cachedBad {
-		t.Fatal("invalid table was cached")
-	}
-	// The cache stays bounded under a flood of distinct tables:
-	// single-symbol tables (symbol × length) mint well over the cap.
-	for sym := 0; sym < 256; sym++ {
-		for ln := byte(1); ln <= 8; ln++ {
-			var tbl [256]byte
-			tbl[sym] = ln
-			if _, err := cachedHuffmanDecoder(tbl); err != nil {
-				t.Fatalf("single-symbol table rejected: %v", err)
-			}
-		}
-	}
-	huffDecCache.Lock()
-	size := len(huffDecCache.m)
-	huffDecCache.Unlock()
-	if size > huffDecCacheMax {
-		t.Fatalf("cache grew to %d entries, cap %d", size, huffDecCacheMax)
 	}
 }
 

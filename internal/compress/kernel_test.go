@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"cswap/internal/tensor"
@@ -190,6 +192,478 @@ func TestZVCMalformedMatchesScalarReference(t *testing.T) {
 		check("trailing bytes", n, append(append([]byte(nil), blob...), 0, 0, 0, 0))
 		check("short dst", n-1, blob)
 		check("long dst", n+1, blob)
+	}
+}
+
+// The scalar Huffman coder the word-wide kernels in huffman.go replaced,
+// kept as the reference the kernels are held to: a raw-byte staging pass,
+// one append per stream byte on encode; a freshly allocated decoder whose
+// table is filled one store per slot, one symbol and one byte load at a
+// time on decode.
+
+// refHUFPack bit-packs raw under the code for lengths after a Huffman header
+// for n elements: the scalar encoder's output stage.
+func refHUFPack(n int, lengths [256]byte, raw []byte) []byte {
+	codes := canonicalCodes(lengths)
+	dst := putHeader(nil, Huffman, n)
+	dst = append(dst, lengths[:]...)
+	var acc uint64
+	var nbits uint
+	for _, b := range raw {
+		c := codes[b]
+		acc = acc<<uint64(c.len) | uint64(c.code)
+		nbits += uint(c.len)
+		for nbits >= 8 {
+			nbits -= 8
+			dst = append(dst, byte(acc>>nbits))
+		}
+	}
+	if nbits > 0 {
+		dst = append(dst, byte(acc<<(8-nbits)))
+	}
+	return dst
+}
+
+func refHUFEncode(src []float32) []byte {
+	if len(src) == 0 {
+		return putHeader(nil, Huffman, 0)
+	}
+	raw := make([]byte, len(src)*4)
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(raw[i*4:], float32bits(v))
+	}
+	var freq [256]int64
+	for _, b := range raw {
+		freq[b]++
+	}
+	return refHUFPack(len(src), huffmanCodeLengths(freq[:]), raw)
+}
+
+// refHuffmanDecoder is the decoder the scalar loop ran on: a single-symbol
+// primary table (len<<8 | symbol) over the per-length fallback tables.
+type refHuffmanDecoder struct {
+	maxLen    byte
+	firstCode [huffMaxCodeLen + 2]uint64
+	count     [huffMaxCodeLen + 2]int
+	offset    [huffMaxCodeLen + 2]int
+	nsyms     int
+	symbols   [256]byte
+	table     [1 << huffTableBits]uint16
+}
+
+func refNewHuffmanDecoder(lengths [256]byte) (*refHuffmanDecoder, error) {
+	d := &refHuffmanDecoder{}
+	for _, ln := range lengths {
+		if ln == 0 {
+			continue
+		}
+		if ln > huffMaxCodeLen {
+			return nil, fmt.Errorf("%w: code length %d", ErrCorrupt, ln)
+		}
+		if ln > d.maxLen {
+			d.maxLen = ln
+		}
+		d.count[ln]++
+		d.nsyms++
+	}
+	if d.nsyms == 0 {
+		return nil, fmt.Errorf("%w: empty code table", ErrCorrupt)
+	}
+	code := uint64(0)
+	idx := 0
+	var kraft float64
+	for ln := byte(1); ln <= d.maxLen; ln++ {
+		code <<= 1
+		d.firstCode[ln] = code
+		d.offset[ln] = idx
+		code += uint64(d.count[ln])
+		idx += d.count[ln]
+		kraft += float64(d.count[ln]) / float64(uint64(1)<<uint(ln))
+	}
+	if d.nsyms > 1 && kraft > 1.0000001 {
+		return nil, fmt.Errorf("%w: over-subscribed code table", ErrCorrupt)
+	}
+	var fill [huffMaxCodeLen + 2]int
+	copy(fill[:], d.offset[:])
+	for sym, ln := range lengths {
+		if ln == 0 {
+			continue
+		}
+		rank := fill[ln] - d.offset[ln]
+		d.symbols[fill[ln]] = byte(sym)
+		fill[ln]++
+		if ln <= huffTableBits {
+			e := uint16(ln)<<8 | uint16(sym)
+			base := (d.firstCode[ln] + uint64(rank)) << (huffTableBits - uint(ln))
+			span := uint64(1) << (huffTableBits - uint(ln))
+			for j := uint64(0); j < span; j++ {
+				d.table[base+j] = e
+			}
+		}
+	}
+	return d, nil
+}
+
+func (d *refHuffmanDecoder) next(acc uint64, nbits uint) (sym byte, consumed uint, ok bool) {
+	if nbits > 0 {
+		var idx uint64
+		if nbits >= huffTableBits {
+			idx = acc >> (nbits - huffTableBits)
+		} else {
+			idx = acc << (huffTableBits - nbits) & (1<<huffTableBits - 1)
+		}
+		if e := d.table[idx]; e != 0 {
+			if ln := uint(e >> 8); ln <= nbits {
+				return byte(e), ln, true
+			}
+			return 0, 0, false
+		}
+		if nbits <= huffTableBits {
+			return 0, 0, false
+		}
+	}
+	for ln := byte(huffTableBits + 1); ln <= d.maxLen && uint(ln) <= nbits; ln++ {
+		if d.count[ln] == 0 {
+			continue
+		}
+		prefix := acc >> (nbits - uint(ln))
+		if prefix >= d.firstCode[ln] && prefix < d.firstCode[ln]+uint64(d.count[ln]) {
+			return d.symbols[d.offset[ln]+int(prefix-d.firstCode[ln])], uint(ln), true
+		}
+	}
+	return 0, 0, false
+}
+
+func refHUFDecodeInto(dst []float32, blob []byte) error {
+	n, payload, err := parseHeader(blob, Huffman)
+	if err != nil {
+		return err
+	}
+	if err := checkDst(dst, n); err != nil {
+		return err
+	}
+	if n == 0 {
+		if len(payload) != 0 {
+			return ErrCorrupt
+		}
+		return nil
+	}
+	if len(payload) < 256 {
+		return ErrTruncated
+	}
+	var lengths [256]byte
+	copy(lengths[:], payload[:256])
+	data := payload[256:]
+	dec, err := refNewHuffmanDecoder(lengths)
+	if err != nil {
+		return err
+	}
+	raw := make([]byte, n*4)
+	var acc uint64
+	var nbits uint
+	pos := 0
+	for i := range raw {
+		sym, consumed, ok := dec.next(acc, nbits)
+		for !ok {
+			if pos >= len(data) {
+				return ErrTruncated
+			}
+			acc = acc<<8 | uint64(data[pos])
+			nbits += 8
+			pos++
+			if nbits > 64-8 {
+				return fmt.Errorf("%w: oversized huffman code", ErrCorrupt)
+			}
+			sym, consumed, ok = dec.next(acc, nbits)
+		}
+		raw[i] = sym
+		nbits -= consumed
+		acc &= (1 << nbits) - 1
+	}
+	if pos != len(data) || nbits >= 8 {
+		return ErrCorrupt
+	}
+	for i := range dst {
+		dst[i] = readFloat32(raw[i*4:])
+	}
+	return nil
+}
+
+// hufSingleSymbol is a tensor of one byte value: a one-code table, half of
+// whose windows are holes.
+var hufSingleSymbol = []float32{math.Float32frombits(0x41414141), math.Float32frombits(0x41414141), math.Float32frombits(0x41414141)}
+
+// hufKernelCases returns the tensors both Huffman parity tests run over,
+// by name: random tensors across sparsity and length, the float classes a
+// numeric treatment would mishandle, and a one-symbol tensor.
+func hufKernelCases() map[string][]float32 {
+	cases := map[string][]float32{
+		"single symbol": hufSingleSymbol,
+		"special values": {
+			math.Float32frombits(0x80000000), float32(math.NaN()), math.Float32frombits(0x7FC00001),
+			float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(1), math.Float32frombits(0x807FFFFF), 0, 1.5,
+		},
+	}
+	cases["fibonacci bytes"] = hufFibonacciTensor(26)
+	gen := tensor.NewGenerator(37)
+	for _, s := range []float64{0, 0.2, 0.5, 0.9, 1} {
+		for _, n := range []int{0, 1, 2, 3, 5, 31, 16384, 16385} {
+			cases[fmt.Sprintf("s=%v n=%d", s, n)] = gen.Uniform(n, s).Data
+		}
+	}
+	return cases
+}
+
+// hufFibonacciTensor returns a tensor whose byte values 0..syms-1 occur in
+// Fibonacci proportions, shuffled: the encoder's optimal tree for it is
+// syms-1 deep, past the decoder's table and the packer's one flush per
+// element, with the long codes scattered through the stream.
+func hufFibonacciTensor(syms int) []float32 {
+	var raw []byte
+	for sym, a, b := 0, 1, 1; sym < syms; sym, a, b = sym+1, b, a+b {
+		raw = append(raw, bytes.Repeat([]byte{byte(sym)}, a)...)
+	}
+	raw = raw[:len(raw)&^3]
+	rand.New(rand.NewSource(37)).Shuffle(len(raw), func(i, j int) { raw[i], raw[j] = raw[j], raw[i] })
+	src := make([]float32, len(raw)/4)
+	for i := range src {
+		src[i] = readFloat32(raw[i*4:])
+	}
+	return src
+}
+
+// hufFibonacciBlob packs raw (a whole number of elements) under the
+// length-limited Fibonacci table, whose codes run to huffMaxCodeLen.
+func hufFibonacciBlob(raw []byte) []byte {
+	return refHUFPack(len(raw)/4, huffmanCodeLengths(fibonacciFreq()), raw)
+}
+
+func TestHUFKernelsMatchScalarReference(t *testing.T) {
+	c := huffmanCodec{}
+	decodeBoth := func(name string, blob []byte, n int) []float32 {
+		t.Helper()
+		dst, ref := dirtyFloats(n), dirtyFloats(n)
+		if err := c.DecodeInto(dst, blob); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := refHUFDecodeInto(ref, blob); err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !sameBits(dst, ref) {
+			t.Fatalf("%s: decode differs from the scalar reference", name)
+		}
+		return dst
+	}
+	for name, src := range hufKernelCases() {
+		n := len(src)
+		want := refHUFEncode(src)
+		if name == "fibonacci bytes" && slices.Max(want[headerSize:headerSize+256]) <= 2*huffTableBits {
+			t.Fatal("the Fibonacci tensor no longer outgrows the decoder's table")
+		}
+		// Appended after a prefix, into exactly the promised capacity.
+		buf := append(make([]byte, 0, 3+c.MaxEncodedLen(n)), "pre"...)
+		got := c.AppendEncode(buf, src)
+		if !bytes.Equal(got[3:], want) || string(got[:3]) != "pre" {
+			t.Fatalf("%s: blob differs from the scalar reference", name)
+		}
+		if &got[0] != &buf[0] {
+			t.Fatalf("%s: AppendEncode reallocated a sufficient buffer", name)
+		}
+		if grown := c.AppendEncode([]byte("pre"), src); !bytes.Equal(grown, got) {
+			t.Fatalf("%s: growing append differs", name)
+		}
+		if !sameBits(decodeBoth(name, want, n), src) {
+			t.Fatalf("%s: decode differs from the source", name)
+		}
+	}
+
+	// The length-limited Fibonacci table: codes up to huffMaxCodeLen, far
+	// past the decoder's table.
+	raw := make([]byte, 4*90)
+	for i := range raw {
+		raw[i] = byte(i % 90)
+	}
+	blob := hufFibonacciBlob(raw)
+	lengths := (*[256]byte)(blob[headerSize:])
+	if slices.Max(lengths[:]) <= 2*huffTableBits {
+		t.Fatal("the Fibonacci table no longer outgrows the decoder's table")
+	}
+	src := decodeBoth("fibonacci", blob, len(raw)/4)
+	for i, v := range src {
+		if math.Float32bits(v) != binary.LittleEndian.Uint32(raw[i*4:]) {
+			t.Fatalf("fibonacci: element %d restored wrong", i)
+		}
+	}
+}
+
+// TestHUFPackerFlushCadences drives the bit writer at the code lengths where
+// its flush cadence changes and at the longest it takes: elements made of
+// four longest codes, behind every count of pending bits, must pack as the
+// scalar reference packs them.
+func TestHUFPackerFlushCadences(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, long := range []byte{56 / 4, 56/4 + 1, 56 / 2, 56/2 + 1, huffMaxCodeLen} {
+		// Symbols 0–3 are the first four codes of the long length; the two-
+		// and three-bit symbols 4 and 5 between them leave every count of
+		// pending bits.
+		lengths := [256]byte{long, long, long, long, 2, 3}
+		var packed [256]uint64
+		for s, c := range canonicalCodes(lengths) {
+			packed[s] = c.code<<8 | uint64(c.len)
+		}
+		raw := make([]byte, 4*512)
+		for i := range raw {
+			raw[i] = byte(rng.Intn(6))
+		}
+		for i := 0; i < len(raw); i += 64 {
+			copy(raw[i:], []byte{0, 1, 2, 3, 3, 2, 1, 0})
+		}
+		src := make([]float32, len(raw)/4)
+		for i := range src {
+			src[i] = readFloat32(raw[i*4:])
+		}
+		want := refHUFPack(len(src), lengths, raw)[headerSize+256:]
+		stream := make([]byte, len(want)+huffSlack)
+		huffPack(stream, src, &packed, long)
+		if !bytes.Equal(stream[:len(want)], want) {
+			t.Fatalf("longest code %d bits: packed stream differs from the scalar reference", long)
+		}
+	}
+}
+
+// TestHUFMalformedMatchesScalarReference holds the kernels to the
+// reference's verdict on damaged input: every prefix of a blob, every
+// single-bit flip of its header, its length table and the first and last
+// 16 stream bytes, and one appended byte must land in the same class —
+// and, where the damaged blob still decodes, produce the same elements —
+// never panic.
+func TestHUFMalformedMatchesScalarReference(t *testing.T) {
+	blobs := map[string][]byte{}
+	gen := tensor.NewGenerator(41)
+	for _, s := range []float64{0, 0.2, 0.9} {
+		blobs[fmt.Sprintf("s=%v", s)] = refHUFEncode(gen.Uniform(301, s).Data)
+	}
+	blobs["single symbol"] = refHUFEncode(hufSingleSymbol)
+	raw := make([]byte, 4*90)
+	for i := range raw {
+		raw[i] = byte(i * 7 % 90)
+	}
+	blobs["fibonacci"] = hufFibonacciBlob(raw)
+
+	for name, blob := range blobs {
+		n := int(binary.LittleEndian.Uint64(blob[1:]))
+		check := func(what string, damaged []byte) {
+			t.Helper()
+			// An exact-capacity copy: a read past the end cannot land in
+			// spare capacity unnoticed.
+			damaged = append(make([]byte, 0, len(damaged)), damaged...)
+			dstLen := n
+			if len(damaged) >= headerSize {
+				// Flips in the count: give both the length they ask for.
+				if claimed := binary.LittleEndian.Uint64(damaged[1:]); claimed < 1<<16 {
+					dstLen = int(claimed)
+				}
+			}
+			dst, ref := dirtyFloats(dstLen), dirtyFloats(dstLen)
+			got, want := huffmanCodec{}.DecodeInto(dst, damaged), refHUFDecodeInto(ref, damaged)
+			if decodeClass(got) != decodeClass(want) {
+				t.Fatalf("%s %s: kernel says %q, reference %q", name, what, decodeClass(got), decodeClass(want))
+			}
+			if want == nil && !sameBits(dst, ref) {
+				t.Fatalf("%s %s: decodes differ", name, what)
+			}
+		}
+		for cut := 0; cut <= len(blob); cut++ {
+			check(fmt.Sprintf("prefix %d", cut), blob[:cut])
+		}
+		stream := headerSize + 256
+		for i := range blob {
+			if i >= stream+16 && i < len(blob)-16 {
+				continue
+			}
+			for bit := 0; bit < 8; bit++ {
+				flipped := append([]byte(nil), blob...)
+				flipped[i] ^= 1 << bit
+				check(fmt.Sprintf("byte %d bit %d", i, bit), flipped)
+			}
+		}
+		check("appended byte", append(append([]byte(nil), blob...), 0))
+		check("appended set byte", append(append([]byte(nil), blob...), 0xff))
+	}
+
+	// A table with a hole in its code space — "0" is the only code — and a
+	// stream that runs into it after 0 to 7 symbols: corrupt once 56 bits
+	// match nothing, truncated if the stream ends first, and which comes
+	// first depends on the bits pending and the bytes left.
+	for lead := 0; lead < 8; lead++ {
+		for size := 5; size <= 10; size++ {
+			blob := putHeader(nil, Huffman, 3)
+			blob = append(blob, make([]byte, 256)...)
+			blob[headerSize+0x41] = 1
+			blob = append(blob, bytes.Repeat([]byte{0xff}, size)...)
+			blob[headerSize+256] >>= lead
+			dst, ref := dirtyFloats(3), dirtyFloats(3)
+			got, want := huffmanCodec{}.DecodeInto(dst, blob), refHUFDecodeInto(ref, blob)
+			if decodeClass(got) != decodeClass(want) || want == nil {
+				t.Fatalf("hole after %d symbols, %d stream bytes: kernel says %q, reference %q",
+					lead, size, decodeClass(got), decodeClass(want))
+			}
+		}
+	}
+}
+
+// The pooled workspace is rebuilt per blob. Whatever it decoded before,
+// every window of the rebuilt table must hold exactly the whole codes the
+// reference decoder finds in it one at a time, up to three, and next must
+// agree with the reference's on codes of every length.
+func TestHuffmanDecoderBuildMatchesReference(t *testing.T) {
+	d := new(huffmanDecoder)
+	gen := tensor.NewGenerator(43)
+	tables := [][256]byte{huffmanCodeLengths(fibonacciFreq())}
+	for _, s := range []float64{0, 0.3, 0.95, 1} {
+		blob := refHUFEncode(gen.Uniform(4096, s).Data)
+		tables = append(tables, *(*[256]byte)(blob[headerSize:]))
+	}
+	var under [256]byte // codes, but holes in the code space
+	under[3], under[200] = 2, 9
+	tables = append(tables, under)
+	for ti, lengths := range tables {
+		ref, err := refNewHuffmanDecoder(lengths)
+		if err != nil {
+			t.Fatalf("table %d: reference: %v", ti, err)
+		}
+		if err := d.build(&lengths); err != nil {
+			t.Fatalf("table %d: %v", ti, err)
+		}
+		for w := 0; w < 1<<huffTableBits; w++ {
+			var want uint32
+			acc, nbits := uint64(w), uint(huffTableBits)
+			for k := 0; k < 3; k++ {
+				sym, consumed, ok := ref.next(acc, nbits)
+				if !ok {
+					break
+				}
+				want += uint32(sym)<<(huffEntrySyms+8*k) + 1<<huffEntryCount + uint32(consumed)
+				nbits -= consumed
+				acc &= 1<<nbits - 1
+			}
+			if d.table[w] != want {
+				t.Fatalf("table %d window %011b: entry %#x, want %#x", ti, w, d.table[w], want)
+			}
+		}
+		for sym, c := range canonicalCodes(lengths) {
+			if c.len == 0 {
+				continue
+			}
+			// The code followed by set bits, and the code one bit short.
+			acc, nbits := c.code<<3|7, uint(c.len)+3
+			if got, n, ok := d.next(acc, nbits); !ok || int(got) != sym || n != uint(c.len) {
+				t.Fatalf("table %d symbol %d: next = %d, %d, %v", ti, sym, got, n, ok)
+			}
+			if _, _, ok := d.next(c.code>>1, uint(c.len)-1); ok {
+				t.Fatalf("table %d symbol %d: next matched a code one bit short", ti, sym)
+			}
+		}
 	}
 }
 

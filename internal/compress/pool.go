@@ -8,8 +8,8 @@ import (
 
 // This file holds the package's two reuse mechanisms for the codec hot
 // path: a persistent worker pool that replaces per-call goroutine churn,
-// and a sync.Pool of byte scratch buffers for the codecs that serialise
-// through a raw little-endian byte image (LZ4, Huffman).
+// and a sync.Pool of byte scratch buffers for the codec that serialises
+// through a raw little-endian byte image (LZ4).
 
 // ---------------------------------------------------------------------------
 // Persistent worker pool.
@@ -127,10 +127,10 @@ func Go(fn func()) {
 // ---------------------------------------------------------------------------
 // Byte scratch pool.
 //
-// LZ4 and Huffman operate on the tensor's raw little-endian bytes; their
-// encode and decode paths need a 4·n-byte staging buffer that used to be a
-// fresh allocation per call (per chunk, on the parallel path). The pool
-// recycles them process-wide. Ownership rule: a scratch buffer is borrowed
+// LZ4 operates on the tensor's raw little-endian bytes; its encode and
+// decode paths need a 4·n-byte staging buffer that used to be a fresh
+// allocation per call (per chunk, on the parallel path). The pool recycles
+// them process-wide. Ownership rule: a scratch buffer is borrowed
 // for the duration of one encode/decode call and must be returned before
 // the call's result escapes — nothing in a returned blob or decoded tensor
 // may alias scratch memory.
