@@ -10,10 +10,14 @@ build:
 	$(GO) build ./...
 
 # vet also fails on any file gofmt would rewrite, so `make test`, `make
-# check` and CI enforce formatting.
+# check` and CI enforce formatting — and on a second import of "unsafe":
+# the program has exactly one (internal/wire/view.go, the byte view of a
+# []float32); bench/ and test files are the harness's own business.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
+	@unsafe=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '^\s*(import\s+)?(\w+\s+)?"unsafe"$$' .); \
+		[ "$$unsafe" = "./internal/wire/view.go" ] || { echo 'files importing "unsafe" (want only internal/wire/view.go):'; echo "$$unsafe"; exit 1; }
 
 # The packages whose liveness depends on the core count: the shared worker
 # pool, the executor's async pipeline on top of it, and the serving layer
@@ -43,9 +47,9 @@ race-all:
 cover:
 	$(GO) test -cover ./...
 
-# Code size of the layers above the executor, the measure ROADMAP item 3 is
-# judged by: non-test Go lines that are neither blank nor comment-only, per
-# package and in total.
+# Code size of the layers above the executor, the measure ROADMAP item 12
+# is judged by: non-test Go lines that are neither blank nor comment-only,
+# per package and in total.
 LOC_PKGS = internal/wire client internal/server
 loc:
 	@total=0; for d in $(LOC_PKGS); do \

@@ -9,6 +9,7 @@
 //	if err := c.SwapOut(ctx, "conv1/act"); err != nil { ... }          // service picks the codec
 //	if err := c.SwapOut(ctx, "conv1/act", client.WithCodec(client.ZVC)); err != nil { ... }
 //	restored, err := c.SwapIn(ctx, "conv1/act")
+//	err = c.SwapInInto(ctx, "conv1/act", buf) // into a buffer the caller owns
 //
 // Against a sharded daemon (cswapd -shards N), NewCluster returns a
 // cluster-aware client that discovers the shard map from /cluster, routes
@@ -23,7 +24,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"cswap/internal/compress"
@@ -157,7 +158,9 @@ func New(baseURL string, opts ...Option) *Client {
 		},
 		sleep: sleepCtx,
 	}
-	c.call = func(ctx context.Context, f wire.Frame) (*wire.Frame, error) { return c.do(ctx, f, "") }
+	c.call = func(ctx context.Context, f wire.Frame, dst []float32) (*wire.Frame, error) {
+		return c.do(ctx, f, "", dst)
+	}
 	for _, o := range opts {
 		o(c)
 	}
@@ -220,15 +223,53 @@ func retryable(status int) bool {
 		status == http.StatusServiceUnavailable
 }
 
+// requestBody is one call's request: a prepared frame whose float field is
+// still the caller's slice, handed to the transport as a fresh reader per
+// attempt. The transport may keep reading a request body after an early
+// refusal has already ended the call, so every reader goes dead — under the
+// lock a Read holds — before the call returns the slice to its caller.
+type requestBody struct {
+	enc  *wire.Encoding
+	mu   sync.Mutex
+	dead bool
+}
+
+type bodyReader struct {
+	b *requestBody
+	r io.Reader
+}
+
+func (b *requestBody) open() io.ReadCloser { return &bodyReader{b, b.enc.Reader()} }
+
+func (b *requestBody) kill() {
+	b.mu.Lock()
+	b.dead = true
+	b.mu.Unlock()
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	if r.b.dead {
+		return 0, errors.New("cswap client: request body read after the call returned")
+	}
+	return r.r.Read(p)
+}
+
+func (r *bodyReader) Close() error { return nil }
+
 // do sends one framed request — to the operation table's URL for the
 // frame's type, with shard as the cluster routing hint when non-empty —
 // retrying bounded refusals with doubling backoff (honoring a longer server
-// Retry-After), and decodes the response frame the table promises.
-func (c *Client) do(ctx context.Context, f wire.Frame, shard string) (*wire.Frame, error) {
-	body, err := wire.Encode(&f)
+// Retry-After), and decodes the response frame the table promises, its
+// float field straight off the response body into dst when it fits.
+func (c *Client) do(ctx context.Context, f wire.Frame, shard string, dst []float32) (*wire.Frame, error) {
+	enc, err := wire.Prepare(&f)
 	if err != nil {
 		return nil, err
 	}
+	body := &requestBody{enc: enc}
+	defer body.kill()
 	op := &wire.Ops[f.Type]
 	var last error
 	for attempt := 0; ; attempt++ {
@@ -238,7 +279,7 @@ func (c *Client) do(ctx context.Context, f wire.Frame, shard string) (*wire.Fram
 		}
 		if resp.StatusCode == http.StatusOK {
 			defer resp.Body.Close()
-			out, err := wire.Read(resp.Body, c.maxPayload)
+			out, err := wire.ReadInto(resp.Body, c.maxPayload, dst)
 			if err != nil {
 				return nil, fmt.Errorf("%w: decoding %s response: %v", ErrProtocol, op.Path, err)
 			}
@@ -288,11 +329,13 @@ func (c *Client) do(ctx context.Context, f wire.Frame, shard string) (*wire.Fram
 
 // send issues one POST to the operation's URL with the tenant header and
 // the routing hint.
-func (c *Client) send(ctx context.Context, op string, body []byte, shard string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/"+op, bytes.NewReader(body))
+func (c *Client) send(ctx context.Context, op string, body *requestBody, shard string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/"+op, body.open())
 	if err != nil {
 		return nil, err
 	}
+	req.ContentLength = body.enc.Len()
+	req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
 	req.Header.Set("Content-Type", "application/octet-stream")
 	if c.tenant != "" {
 		req.Header.Set("X-CSwap-Tenant", c.tenant)

@@ -112,7 +112,7 @@ func (cc *ClusterClient) tenant() string {
 // refresh the map and re-route. Two refresh cycles bound the loop —
 // topology changes mid-request are rare, and a cluster that keeps refusing
 // fresh hints is broken, not busy.
-func (cc *ClusterClient) run(ctx context.Context, f wire.Frame) (*wire.Frame, error) {
+func (cc *ClusterClient) run(ctx context.Context, f wire.Frame, dst []float32) (*wire.Frame, error) {
 	for attempt := 0; ; attempt++ {
 		ring, err := cc.routing(ctx)
 		if err != nil {
@@ -122,7 +122,7 @@ func (cc *ClusterClient) run(ctx context.Context, f wire.Frame) (*wire.Frame, er
 		if !ok {
 			return nil, fmt.Errorf("%w: cluster map has no active shards", ErrUnavailable)
 		}
-		out, err := cc.c.do(ctx, f, strconv.Itoa(owner))
+		out, err := cc.c.do(ctx, f, strconv.Itoa(owner), dst)
 		if err == nil || attempt >= 2 || !errors.Is(err, ErrMisrouted) {
 			return out, err
 		}

@@ -24,13 +24,14 @@ import (
 // operation table promises for it.
 type ops struct {
 	// The request frame travels by value: through a function value a pointer
-	// would escape, and every operation would pay a heap-allocated frame.
-	call func(ctx context.Context, f wire.Frame) (*wire.Frame, error)
+	// would escape, and every operation would pay a heap-allocated frame. dst,
+	// when long enough, receives the response's float field.
+	call func(ctx context.Context, f wire.Frame, dst []float32) (*wire.Frame, error)
 }
 
 // ack runs an operation that answers with a bare acknowledgement.
 func (o *ops) ack(ctx context.Context, f wire.Frame) error {
-	_, err := o.call(ctx, f)
+	_, err := o.call(ctx, f, nil)
 	return err
 }
 
@@ -102,7 +103,9 @@ func swapFrame(f wire.Frame, opts []SwapOption) wire.Frame {
 }
 
 // Register places a float32 tensor in the service's device pool under the
-// client's tenant namespace. The data slice is not retained.
+// client's tenant namespace. The request is sent from the data slice itself,
+// which must not change during the call; it is not read after the call
+// returns, nor retained.
 func (o *ops) Register(ctx context.Context, name string, data []float32) error {
 	return o.ack(ctx, wire.Frame{Type: wire.TypeRegister, Name: name, Data: data})
 }
@@ -114,15 +117,28 @@ func (o *ops) SwapOut(ctx context.Context, name string, opts ...SwapOption) erro
 	return o.ack(ctx, swapFrame(wire.Frame{Type: wire.TypeSwapOut, Name: name}, opts))
 }
 
-// SwapIn restores the tensor to device residency and returns its data.
-// WithLane/WithDeadline tag the request for the service's SLO scheduler
-// (a decode-step-blocking restore wants LaneCritical).
+// SwapIn restores the tensor to device residency and returns its data in a
+// fresh slice. WithLane/WithDeadline tag the request for the service's SLO
+// scheduler (a decode-step-blocking restore wants LaneCritical).
 func (o *ops) SwapIn(ctx context.Context, name string, opts ...SwapOption) ([]float32, error) {
-	f, err := o.call(ctx, swapFrame(wire.Frame{Type: wire.TypeSwapIn, Name: name}, opts))
+	f, err := o.call(ctx, swapFrame(wire.Frame{Type: wire.TypeSwapIn, Name: name}, opts), nil)
 	if err != nil {
 		return nil, err
 	}
 	return f.Data, nil
+}
+
+// SwapInInto is SwapIn for a caller that owns the tensor's buffer: the data
+// is read off the response straight into dst, which must hold exactly the
+// tensor's element count (a mismatch is an error, after the tensor has been
+// restored). The response's checksum verdict comes after its last byte, so
+// on any error dst's content is unspecified.
+func (o *ops) SwapInInto(ctx context.Context, name string, dst []float32, opts ...SwapOption) error {
+	f, err := o.call(ctx, swapFrame(wire.Frame{Type: wire.TypeSwapIn, Name: name}, opts), dst)
+	if err == nil && len(f.Data) != len(dst) {
+		err = fmt.Errorf("cswap client: SwapInInto %q: tensor has %d elements, dst holds %d", name, len(f.Data), len(dst))
+	}
+	return err
 }
 
 // Prefetch asks the service to make the tensor resident ahead of need;
@@ -195,7 +211,8 @@ func (o *ops) RegisterPool(ctx context.Context, pool string, blockElems, numBloc
 
 // WriteBlocks stores packed block contents: data holds len(ids) blocks
 // back to back in the order of the strictly-ascending ID list. Target
-// blocks must be resident.
+// blocks must be resident. Like Register, the request is sent from data
+// itself.
 func (o *ops) WriteBlocks(ctx context.Context, pool string, ids []int, data []float32) error {
 	runs, err := runsOf(ids)
 	if err != nil || len(ids) == 0 {
@@ -216,7 +233,7 @@ func (o *ops) SwapOutBlocks(ctx context.Context, pool string, ids []int, opts ..
 // contents. Already-resident blocks are included in the result without a
 // restore. WithLane/WithDeadline tag the batch for the SLO scheduler.
 func (o *ops) SwapInBlocks(ctx context.Context, pool string, ids []int, opts ...SwapOption) (*BlockData, error) {
-	f, err := o.call(ctx, swapFrame(wire.Frame{Type: wire.TypeBatchSwapIn, Name: pool, BlockIDs: ids}, opts))
+	f, err := o.call(ctx, swapFrame(wire.Frame{Type: wire.TypeBatchSwapIn, Name: pool, BlockIDs: ids}, opts), nil)
 	if err != nil {
 		return nil, err
 	}

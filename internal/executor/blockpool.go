@@ -266,6 +266,32 @@ func (p *BlockPool) ReadBlocks(ids []int) ([]float32, error) {
 	return out, nil
 }
 
+// ViewRuns returns the pool's own memory for each run of a canonical
+// (sorted, disjoint) run table, one slice per run — ReadBlocks without the
+// copy. Every block must be Resident. The slices alias live pool memory:
+// the caller must exclude writes and swaps of those blocks for as long as
+// it reads them (the server holds the pool's entry lock).
+func (p *BlockPool) ViewRuns(runs []BlockRun) ([][]float32, error) {
+	if err := p.validateRuns(runs); err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.freed {
+		return nil, fmt.Errorf("%w: block pool %s", ErrFreed, p.name)
+	}
+	views := make([][]float32, len(runs))
+	for i, r := range runs {
+		for id := r.Start; id < r.Start+r.Count; id++ {
+			if st := p.state[id]; st != Resident {
+				return nil, p.blockStateErr(id, st)
+			}
+		}
+		views[i] = p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
+	}
+	return views, nil
+}
+
 // blockStateErr maps a block's offending state onto the executor error
 // taxonomy. Caller holds p.mu.
 func (p *BlockPool) blockStateErr(id int, st State) error {

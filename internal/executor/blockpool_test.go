@@ -320,3 +320,50 @@ func TestBlockHandle(t *testing.T) {
 		t.Fatalf("handle state %s after swap-out", h.State())
 	}
 }
+
+// TestViewRunsAliasesPoolMemory: ViewRuns is ReadBlocks without the copy —
+// one slice of the pool's own memory per run, the same content, and the
+// same refusals for blocks that are not resident or out of range.
+func TestViewRunsAliasesPoolMemory(t *testing.T) {
+	e := newPoolExecutor(t)
+	const elems, blocks = 16, 12
+	p, err := e.RegisterBlockPool("kv", elems, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{1, 2, 3, 7, 9, 10}
+	var packed []float32
+	for _, id := range ids {
+		packed = append(packed, blockFill(id, elems)...)
+	}
+	if err := p.WriteBlocks(ids, packed); err != nil {
+		t.Fatal(err)
+	}
+	runs := CoalesceBlockIDs(ids)
+	views, err := p.ViewRuns(runs)
+	if err != nil || len(views) != len(runs) {
+		t.Fatalf("ViewRuns: %d views for %d runs, %v", len(views), len(runs), err)
+	}
+	var flat []float32
+	for i, v := range views {
+		if len(v) != runs[i].Count*elems || &v[0] != &p.data[runs[i].Start*elems] {
+			t.Fatalf("view %d: %d elements at %p, want run %+v of the pool's own memory", i, len(v), &v[0], runs[i])
+		}
+		flat = append(flat, v...)
+	}
+	want, _ := p.ReadBlocks(ids)
+	for i := range want {
+		if flat[i] != want[i] {
+			t.Fatalf("views differ from ReadBlocks at %d", i)
+		}
+	}
+	if err := p.SwapOutBlocks([]int{7}, true, compress.ZVC); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.ViewRuns(runs); !errors.Is(err, ErrNotResident) {
+		t.Errorf("view over a swapped block: %v, want ErrNotResident", err)
+	}
+	if _, err := p.ViewRuns([]BlockRun{{Start: blocks - 1, Count: 2}}); err == nil {
+		t.Error("view past the pool's end succeeded")
+	}
+}

@@ -264,6 +264,10 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 		// fail; only the stored blob survives a failed restore.
 		e.arena.put(transfer)
 	}
+	if s.tiered {
+		// Nor does the copy promoteRead made: the tier still holds the blob.
+		e.arena.put(blob)
+	}
 	if derr != nil {
 		if timed {
 			e.observeSwapIn(name, cells, decDur, t0, e.sinceEpoch(), retried, false)

@@ -127,9 +127,10 @@ func (e *Executor) DemoteAsyncCtx(ctx context.Context, h *Handle) *Ticket {
 	return t
 }
 
-// promoteRead reads one committed tier blob under the tier I/O window,
-// counting the tier hit. The tier entry itself is deleted only after the
-// restore (or staging) that asked for it has its own copy safe.
+// promoteRead reads one committed tier blob into an arena buffer under the
+// tier I/O window, counting the tier hit. The buffer is the caller's to
+// recycle; the tier entry itself is deleted only after the restore (or
+// staging) that asked for it has its own copy safe.
 func (e *Executor) promoteRead(key string) ([]byte, error) {
 	if e.tier == nil {
 		return nil, ErrNoTier
@@ -138,7 +139,7 @@ func (e *Executor) promoteRead(key string) ([]byte, error) {
 		return nil, err
 	}
 	defer e.tierGate.release()
-	blob, err := e.tier.Get(key, nil)
+	blob, err := e.tier.GetInto(key, nil, e.arena.get)
 	if err != nil {
 		return nil, err
 	}

@@ -678,3 +678,35 @@ func TestPoolFreeReleasesTieredRuns(t *testing.T) {
 		t.Fatalf("pool free left %d bytes / %d blobs in the tier", e.TierUsed(), ts.Len())
 	}
 }
+
+// TestPromotionReadsThroughArena: a promotion reads the tier blob into an
+// arena buffer and hands it back once the restore has decoded it, so the
+// next promotion can reuse it instead of allocating a file image per
+// swap-in.
+func TestPromotionReadsThroughArena(t *testing.T) {
+	e, _ := newTierExecutor(t, 1<<22, 1<<22, 1<<22, nil)
+	tn := tensor.NewGenerator(5).Uniform(50000, 0.6)
+	want := append([]float32(nil), tn.Data...)
+	h, err := e.Register("act", tn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := e.Registry()
+	puts := reg.Counter("executor_arena_puts_total")
+	for round := 0; round < 2; round++ {
+		if err := e.SwapOut(h, false, compress.ZVC); err != nil { // raw: the arena sees only the promotion
+			t.Fatal(err)
+		}
+		if err := e.Demote(h); err != nil {
+			t.Fatal(err)
+		}
+		p0 := puts.Value()
+		if err := e.SwapIn(h); err != nil {
+			t.Fatal(err)
+		}
+		assertBitExact(t, h, want)
+		if puts.Value() != p0+1 {
+			t.Fatalf("round %d: promotion returned %v buffers to the arena, want 1", round, puts.Value()-p0)
+		}
+	}
+}

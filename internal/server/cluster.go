@@ -222,20 +222,29 @@ func (c *Cluster) fail(w http.ResponseWriter, status int, code, msg string) {
 	http.Error(w, msg, status)
 }
 
-// route is the cluster's /v1/* entry point: peek the tensor name, find
-// the ring owner, validate the client's hint, dispatch — falling back to
-// draining shards for tensors a live drain has not moved yet.
+// peekPool recycles the buffers route peeks frame heads into.
+var peekPool = sync.Pool{New: func() any { return new([wire.PeekLen]byte) }}
+
+// route is the cluster's /v1/* entry point: peek the header and the name
+// off the front of the body (a bad magic or an oversize frame is refused
+// having read no more), find the ring owner, validate the client's hint,
+// then dispatch with the peeked bytes chained back in front of the body —
+// the payload streams from the socket into the shard's own decode, never
+// through a buffer here — falling back to draining shards for tensors a
+// live drain has not moved yet.
 func (c *Cluster) route(w http.ResponseWriter, r *http.Request) {
 	if c.isDraining() {
 		c.fail(w, http.StatusServiceUnavailable, CodeDraining, "cluster is draining")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, wire.HeaderLen+int64(c.maxPayload)+1))
-	if err != nil {
+	peek := peekPool.Get().(*[wire.PeekLen]byte)
+	defer peekPool.Put(peek)
+	n, err := io.ReadFull(r.Body, peek[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		c.fail(w, http.StatusBadRequest, CodeBadFrame, err.Error())
 		return
 	}
-	typ, name, err := wire.PeekName(body, c.maxPayload)
+	typ, name, err := wire.PeekName(peek[:n], c.maxPayload)
 	if err != nil {
 		c.fail(w, http.StatusBadRequest, CodeBadFrame, err.Error())
 		return
@@ -243,6 +252,12 @@ func (c *Cluster) route(w http.ResponseWriter, r *http.Request) {
 	key := placement.Key(tenantOf(r), name)
 	c.mu.Lock()
 	ring, version := c.ring, c.version
+	var draining []int // fallback targets, as of the same moment as the ring
+	for i, st := range c.states {
+		if st == placement.StateDraining {
+			draining = append(draining, i)
+		}
+	}
 	c.mu.Unlock()
 	owner, ok := ring.Owner(key)
 	if !ok {
@@ -260,83 +275,88 @@ func (c *Cluster) route(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("cluster: key %q is owned by shard %d, not %s", key, owner, hint))
 		return
 	}
-	cw := newCapture()
-	c.dispatch(owner, cw, r, body)
+	body := io.MultiReader(bytes.NewReader(peek[:n]), r.Body)
 	// A tensor a live drain has not migrated yet still lives on its old
-	// (draining) shard; the owner answers 404 for it. Registers are exempt
-	// — a new name belongs on the ring owner unconditionally.
-	if cw.status == http.StatusNotFound && cw.header.Get(ErrorHeader) == CodeNotFound &&
-		!wire.Ops[typ].Register {
-		for _, d := range c.drainingShards() {
-			dw := newCapture()
-			c.dispatch(d, dw, r, body)
-			if dw.status != http.StatusNotFound {
-				c.ins.fallbacks.Inc()
-				dw.flush(w)
-				return
-			}
+	// (draining) shard, and the owner answers 404 for it. Only while a
+	// drain is live, and never for a register — a new name belongs on the
+	// ring owner unconditionally — is the owner's answer held until its
+	// status is known and the request kept (teed, as the owner reads it)
+	// for a second dispatch. Every other response streams straight through.
+	if len(draining) == 0 || wire.Ops[typ].Register {
+		c.dispatch(owner, w, r, body)
+		return
+	}
+	var seen bytes.Buffer
+	cw := &capture{w: w, header: http.Header{}}
+	c.dispatch(owner, cw, r, io.TeeReader(body, &seen))
+	if !cw.held {
+		return
+	}
+	for _, d := range draining {
+		dw := &capture{w: w, header: http.Header{}}
+		c.dispatch(d, dw, r, io.MultiReader(bytes.NewReader(seen.Bytes()), body))
+		if !dw.held {
+			c.ins.fallbacks.Inc()
+			return
 		}
 	}
-	cw.flush(w)
+	cw.release()
 }
 
-// dispatch forwards the buffered request to one shard's handler.
-func (c *Cluster) dispatch(shard int, w http.ResponseWriter, r *http.Request, body []byte) {
+// dispatch forwards the request, with body as its frame, to one shard's
+// handler.
+func (c *Cluster) dispatch(shard int, w http.ResponseWriter, r *http.Request, body io.Reader) {
 	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
+	r2.Body = io.NopCloser(body)
 	c.shards[shard].Handler().ServeHTTP(wireShard(w, shard), r2)
 }
 
-// drainingShards lists shards currently mid-drain (fallback targets).
-func (c *Cluster) drainingShards() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var ids []int
-	for i, st := range c.states {
-		if st == placement.StateDraining {
-			ids = append(ids, i)
-		}
-	}
-	return ids
-}
-
-// capture buffers one shard's response so the router can inspect the
-// outcome before committing it to the client (the drain-fallback path).
+// capture stands between a shard and the client until the shard's status is
+// known: a 404 not-found is held back whole (it is a few bytes), so the
+// router can try a draining shard; anything else is committed — headers,
+// status — and streams through from then on.
 type capture struct {
+	w      http.ResponseWriter
 	header http.Header
 	status int
-	body   bytes.Buffer
+	held   bool
+	body   bytes.Buffer // a held response's message
 }
-
-func newCapture() *capture { return &capture{header: http.Header{}} }
 
 func (cw *capture) Header() http.Header { return cw.header }
 
 func (cw *capture) WriteHeader(status int) {
-	if cw.status == 0 {
-		cw.status = status
+	if cw.status != 0 {
+		return
+	}
+	cw.status = status
+	cw.held = status == http.StatusNotFound && cw.header.Get(ErrorHeader) == CodeNotFound
+	if !cw.held {
+		cw.release()
 	}
 }
 
 func (cw *capture) Write(b []byte) (int, error) {
 	if cw.status == 0 {
-		cw.status = http.StatusOK
+		cw.WriteHeader(http.StatusOK)
 	}
-	return cw.body.Write(b)
+	if cw.held {
+		return cw.body.Write(b)
+	}
+	return cw.w.Write(b)
 }
 
-func (cw *capture) flush(w http.ResponseWriter) {
+// Unwrap lets http.ResponseController reach the connection's deadlines.
+func (cw *capture) Unwrap() http.ResponseWriter { return cw.w }
+
+// release commits the response to the client: the shard's headers and
+// status, and a held response's body.
+func (cw *capture) release() {
 	for k, vs := range cw.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+		cw.w.Header()[k] = vs
 	}
-	if cw.status == 0 {
-		cw.status = http.StatusOK
-	}
-	w.WriteHeader(cw.status)
-	_, _ = w.Write(cw.body.Bytes())
+	cw.w.WriteHeader(cw.status)
+	_, _ = cw.w.Write(cw.body.Bytes())
 }
 
 // wireShard tags the response with the shard that served it, so clients,
@@ -526,15 +546,15 @@ func (c *Cluster) migrate(src *Server, sess *session, name string, dst *Server) 
 // swapped out again exactly where the source had been (was). A failure
 // leaves nothing behind on dst.
 func (c *Cluster) arrive(sess *session, name string, ent *entry, was *wire.Frame, dst *Server) error {
-	whole, err := ent.obj.readAll(name)
+	whole, segs, err := ent.obj.readAll(name)
 	if err != nil {
 		return err
 	}
-	frame, err := wire.Encode(whole)
+	enc, err := wire.Prepare(whole, segs...)
 	if err != nil {
 		return err
 	}
-	decoded, err := wire.Decode(frame, c.maxPayload)
+	decoded, err := wire.Read(enc.Reader(), c.maxPayload)
 	if err != nil {
 		return err
 	}

@@ -51,9 +51,12 @@ type object interface {
 	// submit starts the swap f asks for — out (with the resolved codec), in,
 	// or prefetch — on the executor's async pipeline.
 	submit(ctx context.Context, f *wire.Frame, doCompress bool, alg compress.Algorithm) *executor.Ticket
-	// read answers a swap-in: the resident content the request covers (runs
-	// is the coalesced form of its block IDs; a tensor has only the whole).
-	read(name string, runs []executor.BlockRun) (*wire.Frame, error)
+	// read answers a swap-in with the resident content the request covers
+	// (runs is the coalesced form of its block IDs; a tensor has only the
+	// whole), in place: the frame's float field is the object's own memory —
+	// a tensor's as Data, a pool's as one segment per run — valid while the
+	// caller holds the entry lock.
+	read(name string, runs []executor.BlockRun) (*wire.Frame, [][]float32, error)
 	// write stores f's packed blocks and reports the fraction of the object
 	// they cover.
 	write(f *wire.Frame) (covered float64, err error)
@@ -69,7 +72,7 @@ type object interface {
 	// been) — and readAll is the whole content as the frame newObject
 	// rebuilds from.
 	restoreAll() (was *wire.Frame, err error)
-	readAll(name string) (*wire.Frame, error)
+	readAll(name string) (*wire.Frame, [][]float32, error)
 }
 
 // chargeOf is the quota a register request pre-pays: a tensor's bytes, or a
@@ -138,12 +141,12 @@ func (o tensorObj) submit(ctx context.Context, f *wire.Frame, doCompress bool, a
 	return o.e.PrefetchCtx(ctx, o.h)
 }
 
-func (o tensorObj) read(name string, _ []executor.BlockRun) (*wire.Frame, error) {
+func (o tensorObj) read(name string, _ []executor.BlockRun) (*wire.Frame, [][]float32, error) {
 	data, err := o.h.Data()
-	return &wire.Frame{Type: wire.TypeTensorData, Name: name, Data: data}, err
+	return &wire.Frame{Type: wire.TypeTensorData, Name: name, Data: data}, nil, err
 }
 
-func (o tensorObj) readAll(name string) (*wire.Frame, error) { return o.read(name, nil) }
+func (o tensorObj) readAll(name string) (*wire.Frame, [][]float32, error) { return o.read(name, nil) }
 
 func (o tensorObj) write(*wire.Frame) (float64, error) { return 0, errNotPool }
 
@@ -194,16 +197,16 @@ func expandRuns(runs []wire.BlockRun) []int {
 	return ids
 }
 
-func (o poolObj) read(name string, runs []executor.BlockRun) (*wire.Frame, error) {
+func (o poolObj) read(name string, runs []executor.BlockRun) (*wire.Frame, [][]float32, error) {
 	table := make([]wire.BlockRun, len(runs))
 	for i, r := range runs {
 		table[i] = wire.BlockRun(r)
 	}
-	data, err := o.p.ReadBlocks(expandRuns(table))
-	return &wire.Frame{Type: wire.TypeBatchData, Name: name, BlockElems: o.p.BlockElems(), Runs: table, Data: data}, err
+	segs, err := o.p.ViewRuns(runs)
+	return &wire.Frame{Type: wire.TypeBatchData, Name: name, BlockElems: o.p.BlockElems(), Runs: table}, segs, err
 }
 
-func (o poolObj) readAll(name string) (*wire.Frame, error) {
+func (o poolObj) readAll(name string) (*wire.Frame, [][]float32, error) {
 	return o.read(name, []executor.BlockRun{{Start: 0, Count: o.p.NumBlocks()}})
 }
 

@@ -30,6 +30,7 @@ type config struct {
 	tierWatermark                float64
 	maxPayload                   uint32
 	retryAfter                   time.Duration
+	writeGrace                   time.Duration // swapData's deadline floor; tests shorten it
 	observer                     *metrics.Observer
 	faults                       *faultinject.Injector
 	tuner                        TunerConfig
@@ -149,6 +150,9 @@ func resolve(opts []Option) config {
 	}
 	if c.retryAfter <= 0 {
 		c.retryAfter = time.Second
+	}
+	if c.writeGrace <= 0 {
+		c.writeGrace = writeGrace
 	}
 	return c
 }

@@ -114,6 +114,9 @@ type Server struct {
 	sched *sched.Scheduler // admission: MaxInFlight slots, per-lane queues
 	mux   *http.ServeMux
 	tuner *tuner
+	// staging pools the buffers batch-write payloads decode into and
+	// scattered batch-swap-in responses are gathered in.
+	staging sync.Pool
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -304,7 +307,14 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 		s.ins.reg.Counter("server_requests_total",
 			metrics.L("tenant", tenant), metrics.L("op", op.Path)).Inc()
 		start := time.Now()
-		if f, ok := s.readFrame(w, r, typ); ok {
+		// Only a batch-write's payload is staging — verified whole, then
+		// copied into the pool under the lock — so only it decodes into a
+		// pooled buffer (nil while the pool is empty: the frame allocates).
+		var stage []float32
+		if typ == wire.TypeBatchData {
+			stage, _ = s.staging.Get().([]float32)
+		}
+		if f, ok := s.readFrame(w, r, typ, stage); ok {
 			sess := s.session(tenant)
 			switch {
 			case op.Register:
@@ -315,6 +325,7 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 				s.free(w, sess, f)
 			default:
 				s.write(w, sess, f)
+				s.staging.Put(f.Data[:cap(f.Data)]) // stage, or the larger buffer it was too short for
 			}
 		}
 		cells.latency.Observe(time.Since(start).Seconds())
@@ -371,9 +382,11 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// readFrame decodes the request body as one frame of the expected type.
-func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, want wire.Type) (*wire.Frame, bool) {
-	f, err := wire.Read(r.Body, s.cfg.maxPayload)
+// readFrame decodes the request body as one frame of the expected type,
+// its float field read off the body straight into dst when that is long
+// enough, else into a fresh slice — the one a register keeps as the tensor.
+func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, want wire.Type, dst []float32) (*wire.Frame, bool) {
+	f, err := wire.ReadInto(r.Body, s.cfg.maxPayload, dst)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, CodeBadFrame, err.Error())
 		return nil, false
@@ -386,22 +399,18 @@ func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, want wire.Typ
 	return f, true
 }
 
-// writeFrame encodes and writes a response frame.
-func (s *Server) writeFrame(w http.ResponseWriter, f *wire.Frame) {
-	b, err := wire.Encode(f)
-	s.writeEncoded(w, b, err)
-}
-
-// writeEncoded writes wire.Encode's result: the frame bytes with their
-// length declared, or a 500 when the encode failed.
-func (s *Server) writeEncoded(w http.ResponseWriter, b []byte, err error) {
+// respond streams a response frame with its length declared: the fields
+// before the float field from a small buffer, the float field — f.Data, or
+// segs in its place — from the memory it lives in, after one CRC pass.
+func (s *Server) respond(w http.ResponseWriter, f *wire.Frame, segs ...[]float32) {
+	enc, err := wire.Prepare(f, segs...)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	_, _ = w.Write(b)
+	w.Header().Set("Content-Length", strconv.FormatInt(enc.Len(), 10))
+	_, _ = enc.WriteTo(w)
 }
 
 // qualified is the executor-facing tensor name, namespaced by tenant so
@@ -417,7 +426,7 @@ func (s *Server) batchSeen(typ wire.Type, blocks int) {
 
 // ack answers with the bare acknowledgement frame.
 func (s *Server) ack(w http.ResponseWriter, name string) {
-	s.writeFrame(w, &wire.Frame{Type: wire.TypeAck, Name: name})
+	s.respond(w, &wire.Frame{Type: wire.TypeAck, Name: name})
 }
 
 // register admits the tensor's bytes — or a pool's whole device
@@ -620,15 +629,52 @@ func (s *Server) swapAck(w http.ResponseWriter, sess *session, ent *entry, name 
 	s.ack(w, name)
 }
 
-// swapData is the tail of the swaps that answer with the restored bytes.
-// The frame is encoded while the entry lock still excludes concurrent
-// mutation of its data; it owns a copy once Encode returns, so the lock
-// and slot are released before the write.
-func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame) {
-	b, err := wire.Encode(f)
-	ent.mu.Unlock()
+// Every swap-in response gets writeGrace plus its entry's size at
+// writeFloorRate to reach the socket: the entry lock is held across that
+// write, and a reader slower than the floor must not pin the tensor.
+const (
+	writeGrace     = 10 * time.Second
+	writeFloorRate = 1 << 20 // bytes per second
+)
+
+// swapData is the tail of the swaps that answer with the restored bytes,
+// served from the object's own memory: the frame is summed and written
+// under the entry lock, which still excludes concurrent mutation, so
+// nothing is staged or copied. The admission slot bounds executor work, not
+// socket time, and goes back first; the write deadline bounds how long a
+// stalled reader can hold the lock.
+//
+// A pool's scattered runs are the exception: written one by one, each few
+// KiB is a socket write and a wakeup of the reader (six writes where an
+// encoded copy took two, and on a two-core box that moved the kv-decode
+// tails from run to run), so they are gathered into pooled staging and
+// leave as one piece, after the lock.
+func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame, segs [][]float32) {
 	s.sched.Release()
-	s.writeEncoded(w, b, err)
+	if len(segs) > 1 {
+		n := 0
+		for _, seg := range segs {
+			n += len(seg)
+		}
+		stage, _ := s.staging.Get().([]float32)
+		if cap(stage) < n {
+			stage = make([]float32, 0, n)
+		}
+		f.Data = stage[:0]
+		for _, seg := range segs {
+			f.Data = append(f.Data, seg...)
+		}
+		ent.mu.Unlock()
+		s.respond(w, f)
+		s.staging.Put(f.Data[:cap(f.Data)])
+		return
+	}
+	// A writer without deadlines (a test recorder) has no slow reader either.
+	rc := http.NewResponseController(w)
+	_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.writeGrace + time.Duration(ent.bytes/writeFloorRate)*time.Second))
+	s.respond(w, f, segs...)
+	ent.mu.Unlock()
+	_ = rc.SetWriteDeadline(time.Time{}) // the connection outlives this response
 }
 
 // swap is the body of the six schedulable operations: one admission slot,
@@ -652,12 +698,12 @@ func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *
 		return
 	}
 	sess.syncTier(ent) // a promotion moves the charge back to the device bucket
-	resp, err := ent.obj.read(f.Name, runs)
+	resp, segs, err := ent.obj.read(f.Name, runs)
 	if err != nil {
 		s.swapFail(w, ent, err)
 		return
 	}
-	s.swapData(w, ent, resp)
+	s.swapData(w, ent, resp, segs)
 }
 
 // write stores packed block contents into resident blocks. It is a

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -126,13 +127,8 @@ func Open(dir string, capacity int64, inj *faultinject.Injector) (*Store, error)
 			s.stats.Scrubbed++
 		case strings.HasSuffix(name, blobSuffix):
 			key, kerr := url.PathUnescape(strings.TrimSuffix(name, blobSuffix))
-			buf, rerr := os.ReadFile(filepath.Join(dir, name))
-			var meta, payload []byte
-			var perr error
-			if rerr == nil {
-				meta, payload, perr = parseBlob(buf)
-			}
-			if kerr != nil || rerr != nil || perr != nil {
+			meta, payload, rerr := readBlob(filepath.Join(dir, name), fresh)
+			if kerr != nil || rerr != nil {
 				_ = os.Remove(filepath.Join(dir, name))
 				s.stats.Scrubbed++
 				continue
@@ -194,7 +190,9 @@ func (s *Store) path(key string) string {
 // cannot hold the payload; any failure — including an injected
 // SiteTierCommit fault at the commit point — leaves the store without the
 // new blob (the previous one, if any, survives) and the index unchanged.
-// The blob is copied; the caller keeps ownership of its slice.
+// The blob goes to the file from the caller's slice — header and metadata
+// in one write, the blob in a second, the CRC folded across both — and the
+// caller keeps ownership of it.
 func (s *Store) Put(key string, blob []byte, meta any) error {
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
@@ -207,28 +205,34 @@ func (s *Store) Put(key string, blob []byte, meta any) error {
 		return fmt.Errorf("%w: %q needs %d, %d of %d in use", ErrFull, key, len(blob), s.used, s.cap)
 	}
 
-	buf := make([]byte, headerLen+len(metaJSON)+len(blob))
-	binary.LittleEndian.PutUint32(buf[0:], magic)
-	binary.LittleEndian.PutUint32(buf[4:], version)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(metaJSON)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(blob)))
-	copy(buf[headerLen:], metaJSON)
-	copy(buf[headerLen+len(metaJSON):], blob)
-	binary.LittleEndian.PutUint32(buf[16:], crc32.ChecksumIEEE(buf[headerLen:]))
+	head := make([]byte, headerLen, headerLen+len(metaJSON))
+	binary.LittleEndian.PutUint32(head[0:], magic)
+	binary.LittleEndian.PutUint32(head[4:], version)
+	binary.LittleEndian.PutUint32(head[8:], uint32(len(metaJSON)))
+	binary.LittleEndian.PutUint32(head[12:], uint32(len(blob)))
+	binary.LittleEndian.PutUint32(head[16:], crc32.Update(crc32.ChecksumIEEE(metaJSON), crc32.IEEETable, blob))
+	head = append(head, metaJSON...)
 
 	final := s.path(key)
 	tmp := final + tmpSuffix
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("tier: put %q: %w", key, err)
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if _, err = f.Write(head); err == nil {
+			_, err = f.Write(blob)
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	// The seam crash-consistency tests kill the store at: the blob is fully
 	// written but not yet committed. Recovery (Open) deletes the *.tmp.
-	if err := s.inj.Fail(faultinject.SiteTierCommit); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("tier: put %q: %w", key, err)
+	if err == nil {
+		err = s.inj.Fail(faultinject.SiteTierCommit)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("tier: put %q: %w", key, err)
 	}
@@ -239,28 +243,30 @@ func (s *Store) Put(key string, blob []byte, meta any) error {
 	return nil
 }
 
-// Get returns a copy of the committed blob and, when metaOut is non-nil,
+// Get returns a copy of the committed blob; see GetInto.
+func (s *Store) Get(key string, metaOut any) ([]byte, error) {
+	return s.GetInto(key, metaOut, fresh)
+}
+
+func fresh(n int) []byte { return make([]byte, n) }
+
+// GetInto reads the committed blob into the buffer alloc returns for its
+// size (any length, capacity at least n) and, when metaOut is non-nil,
 // unmarshals the blob's metadata section into it. Integrity is verified
 // end to end: a blob whose header or CRC does not check out returns
-// ErrCorrupt, never torn bytes.
-func (s *Store) Get(key string, metaOut any) ([]byte, error) {
+// ErrCorrupt, never torn bytes (and drops the buffer alloc handed out).
+func (s *Store) GetInto(key string, metaOut any, alloc func(n int) []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[key]; !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	buf, err := os.ReadFile(s.path(key))
+	meta, payload, err := readBlob(s.path(key), alloc)
+	if err == nil && metaOut != nil {
+		err = json.Unmarshal(meta, metaOut)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("tier: get %q: %w", key, err)
-	}
-	meta, payload, err := parseBlob(buf)
-	if err != nil {
-		return nil, fmt.Errorf("tier: get %q: %w", key, err)
-	}
-	if metaOut != nil {
-		if err := json.Unmarshal(meta, metaOut); err != nil {
-			return nil, fmt.Errorf("tier: get %q: %w", key, err)
-		}
 	}
 	s.stats.Gets++
 	return payload, nil
@@ -291,26 +297,40 @@ func (s *Store) Delete(key string) (bool, error) {
 	return true, nil
 }
 
-// parseBlob validates one blob file image end to end and returns views of
-// its metadata section and payload (backed by buf).
-func parseBlob(buf []byte) (meta, payload []byte, err error) {
-	if len(buf) < headerLen {
-		return nil, nil, fmt.Errorf("%w: %d-byte file", ErrCorrupt, len(buf))
+// readBlob reads and validates one blob file end to end: the header, the
+// metadata section, then the payload straight into the buffer alloc returns
+// for it, the CRC taken over both sections as read.
+func readBlob(path string, alloc func(n int) []byte) (meta, payload []byte, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	if binary.LittleEndian.Uint32(buf[0:]) != magic {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
 	}
-	if v := binary.LittleEndian.Uint32(buf[4:]); v != version {
-		return nil, nil, fmt.Errorf("%w: version %d", ErrCorrupt, v)
+	var head [headerLen]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return nil, nil, fmt.Errorf("%w: %d-byte file", ErrCorrupt, st.Size())
 	}
-	metaLen := int64(binary.LittleEndian.Uint32(buf[8:]))
-	payloadLen := int64(binary.LittleEndian.Uint32(buf[12:]))
-	if int64(len(buf)) != headerLen+metaLen+payloadLen {
+	if m, v := binary.LittleEndian.Uint32(head[0:]), binary.LittleEndian.Uint32(head[4:]); m != magic || v != version {
+		return nil, nil, fmt.Errorf("%w: magic %#x, version %d", ErrCorrupt, m, v)
+	}
+	metaLen := int64(binary.LittleEndian.Uint32(head[8:]))
+	payloadLen := int64(binary.LittleEndian.Uint32(head[12:]))
+	if st.Size() != headerLen+metaLen+payloadLen {
 		return nil, nil, fmt.Errorf("%w: %d bytes, header promises %d",
-			ErrCorrupt, len(buf), headerLen+metaLen+payloadLen)
+			ErrCorrupt, st.Size(), headerLen+metaLen+payloadLen)
 	}
-	if crc32.ChecksumIEEE(buf[headerLen:]) != binary.LittleEndian.Uint32(buf[16:]) {
+	meta, payload = make([]byte, metaLen), alloc(int(payloadLen))[:payloadLen]
+	for _, section := range [][]byte{meta, payload} {
+		if _, err := io.ReadFull(f, section); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
+	if crc32.Update(crc32.ChecksumIEEE(meta), crc32.IEEETable, payload) != binary.LittleEndian.Uint32(head[16:]) {
 		return nil, nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
-	return buf[headerLen : headerLen+metaLen], buf[headerLen+metaLen:], nil
+	return meta, payload, nil
 }

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -224,5 +225,45 @@ func TestKeysEscapeSafely(t *testing.T) {
 	}
 	if len(entries) != len(keys) {
 		t.Fatalf("%d files for %d keys", len(entries), len(keys))
+	}
+}
+
+// TestGoldenBlobFile pins the bytes on disk against a file recorded before
+// Put stopped assembling a header+meta+blob image: the two-write Put must
+// produce that file exactly, and GetInto must read the recorded file back
+// into the buffer its allocator hands out.
+func TestGoldenBlobFile(t *testing.T) {
+	const name = "tenant%2Ft%23h1.blob"
+	golden, err := hex.DecodeString("54575343010000001d0000002500000008442e347b225261774279746573223a343039362c22416c67223a227a7663227d" +
+		"626c6f62206279746573200001ff2061732074686520636f646563206c656674207468656d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := []byte("blob bytes \x00\x01\xff as the codec left them")
+	dir := t.TempDir()
+	s := open(t, dir, 0, nil)
+	if err := s.Put("tenant/t#h1", blob, meta{RawBytes: 4096, Alg: "zvc"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, golden) {
+		t.Fatalf("Put wrote\n  %x\nwant the recorded\n  %x (%v)", got, golden, err)
+	}
+
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = open(t, dir, 0, nil)
+	var handed []byte
+	var m meta
+	got, err := s.GetInto("tenant/t#h1", &m, func(n int) []byte {
+		handed = make([]byte, 0, n+7)
+		return handed
+	})
+	if err != nil || !bytes.Equal(got, blob) || m != (meta{RawBytes: 4096, Alg: "zvc"}) {
+		t.Fatalf("GetInto of the recorded file: %q, %+v, %v", got, m, err)
+	}
+	if &got[0] != &handed[:1][0] {
+		t.Error("GetInto did not read into the buffer its allocator handed out")
 	}
 }

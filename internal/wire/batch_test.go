@@ -13,7 +13,7 @@ func roundTrip(t *testing.T, f *Frame) *Frame {
 	if err != nil {
 		t.Fatalf("encode %s: %v", f.Type, err)
 	}
-	out, err := Decode(b, 0)
+	out, err := decodeAllWays(t, b, 0)
 	if err != nil {
 		t.Fatalf("decode %s: %v", f.Type, err)
 	}
@@ -87,7 +87,7 @@ func TestBatchFrameErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := HeaderLen; cut < len(b); cut++ {
-		if _, err := Decode(b[:cut], 0); err == nil {
+		if _, err := decodeAllWays(t, b[:cut], 0); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
 		} else if !compress.Recoverable(err) && !errors.Is(err, ErrTooLarge) {
 			t.Fatalf("truncation at %d outside taxonomy: %v", cut, err)

@@ -138,7 +138,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(liar)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := Decode(data, 1<<20)
+		fr, err := decodeAllWays(t, data, 1<<20)
 		if err != nil {
 			if !compress.Recoverable(err) && !errors.Is(err, ErrTooLarge) {
 				t.Fatalf("decode error outside the taxonomy: %v", err)
@@ -150,7 +150,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded frame %+v refuses to re-encode: %v", fr, err)
 		}
-		back, err := Decode(out, 1<<20)
+		back, err := decodeAllWays(t, out, 1<<20)
 		if err != nil {
 			t.Fatalf("re-encoded frame fails to decode: %v", err)
 		}

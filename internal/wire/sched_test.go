@@ -22,7 +22,7 @@ func TestSchedExtensionRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", f.Type, err)
 		}
-		got, err := Decode(b, 0)
+		got, err := decodeAllWays(t, b, 0)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", f.Type, err)
 		}
@@ -47,7 +47,7 @@ func TestSchedExtensionDistinguishesFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(b, 0)
+	got, err := decodeAllWays(t, b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSchedExtensionValidation(t *testing.T) {
 	badLane := append([]byte(nil), valid...)
 	badLane[laneOff] = 3
 	restampCRC(badLane)
-	if _, err := Decode(badLane, 0); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := decodeAllWays(t, badLane, 0); !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("lane 3 decode: %v, want ErrCorrupt", err)
 	}
 
@@ -88,7 +88,7 @@ func TestSchedExtensionValidation(t *testing.T) {
 	}
 	ack[7] |= byte(FlagSched)
 	restampCRC(ack)
-	if _, err := Decode(ack, 0); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := decodeAllWays(t, ack, 0); !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("sched flag on ack: %v, want ErrCorrupt", err)
 	}
 
@@ -99,7 +99,7 @@ func TestSchedExtensionValidation(t *testing.T) {
 	}
 	reserved[6] = 0x80
 	restampCRC(reserved)
-	if _, err := Decode(reserved, 0); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := decodeAllWays(t, reserved, 0); !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("reserved flag: %v, want ErrCorrupt", err)
 	}
 
@@ -108,7 +108,7 @@ func TestSchedExtensionValidation(t *testing.T) {
 	// Fix up the declared payload length and CRC for the shorter body.
 	short[11] = byte(laneOff - HeaderLen)
 	restampCRC(short)
-	if _, err := Decode(short, 0); err == nil || !compress.Recoverable(err) {
+	if _, err := decodeAllWays(t, short, 0); err == nil || !compress.Recoverable(err) {
 		t.Fatalf("sched flag without bytes: %v, want recoverable refusal", err)
 	}
 }

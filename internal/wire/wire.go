@@ -39,6 +39,13 @@
 // outer one and trailing bytes are refused, so a frame either decodes
 // exactly or fails loudly.
 //
+// A float field (data, runs) is always a frame's last, and little-endian
+// IEEE-754 is the memory of a []float32 on every platform cswapd ships for:
+// Prepare leaves the field where its owner keeps it and streams it from
+// there, ReadInto reads it off the stream into the slice that will hold it.
+// Neither stages nor converts (view.go; big-endian hosts take the portable
+// pair); Encode, Append, Read and Decode are wrappers over those two.
+//
 // FlagSched's lane byte is 0 critical, 1 normal, 2 speculative
 // (internal/sched's lane values); a zero deadline is a lane hint only.
 // Decoders that predate the flag refuse such frames loudly (non-zero flags
@@ -57,6 +64,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -260,11 +268,30 @@ const (
 // the bounds an encoder controls are the ones a decoder checks), and sizes
 // or appends it. Writing always follows a sizing pass over the same frame,
 // so it neither validates nor fails.
+//
+// The float field — always a frame's last — never passes through b. Sizing
+// and writing know only its element count: the floats stay in their owners'
+// memory (Encoding.segs). Reading takes it from the stream after the
+// buffered bytes, straight into the destination slice.
 type cursor struct {
-	mode mode
-	n    int    // sizing: bytes so far
-	b    []byte // writing: the frame so far; reading: the payload left
+	mode  mode
+	n     int    // sizing: bytes so far
+	b     []byte // writing: the frame so far; reading: the buffered payload left
+	elems int    // sizing, writing: the float field's element count
+
+	// Reading. buf is all of the payload buffered so far (b is its unparsed
+	// tail) and rest counts the payload bytes still in r; a float field lands
+	// in dst when it fits, and sum is the header's CRC it must total to.
+	buf  []byte
+	rest int
+	r    io.Reader
+	dst  []float32
+	sum  uint32
 }
+
+// errShort reports a field that runs past the buffered bytes but not past
+// the payload: a reader buffers more and parses again.
+var errShort = truncErr("frame continues past the bytes buffered")
 
 // envelopeErr refuses a bad type, name or sched extension — the parts every
 // frame shares. Read off the wire that is damage; handed to an encoder it is
@@ -311,8 +338,8 @@ func (c *cursor) walk(f *Frame) error {
 			return err
 		}
 	}
-	if c.mode == reading && len(c.b) != 0 {
-		return corruptErr("%s frame carries %d trailing bytes", f.Type, len(c.b))
+	if c.mode == reading && len(c.b)+c.rest != 0 {
+		return corruptErr("%s frame carries %d trailing bytes", f.Type, len(c.b)+c.rest)
 	}
 	return nil
 }
@@ -320,6 +347,9 @@ func (c *cursor) walk(f *Frame) error {
 // uvarint reads one uvarint, surfacing truncation in the frame taxonomy.
 func (c *cursor) uvarint(what string) (uint64, error) {
 	v, n := binary.Uvarint(c.b)
+	if n == 0 && c.rest > 0 {
+		return 0, errShort
+	}
 	if n == 0 {
 		return 0, truncErr("payload ends inside %s varint", what)
 	}
@@ -353,7 +383,7 @@ func (c *cursor) name(f *Frame) error {
 	n := len(f.Name)
 	if c.mode == reading {
 		if len(c.b) < 2 {
-			return truncErr("payload of %d bytes lacks name length", len(c.b))
+			return truncErr("payload of %d bytes lacks name length", len(c.b)+c.rest)
 		}
 		n = int(binary.BigEndian.Uint16(c.b))
 	}
@@ -366,6 +396,9 @@ func (c *cursor) name(f *Frame) error {
 	case writing:
 		c.b = append(binary.BigEndian.AppendUint16(c.b, uint16(n)), f.Name...)
 	case reading:
+		if len(c.b) < 2+n && 2+n <= len(c.b)+c.rest {
+			return errShort
+		}
 		if len(c.b) < 2+n {
 			return corruptErr("name of %d bytes overruns payload of %d", n, len(c.b))
 		}
@@ -456,27 +489,95 @@ func (c *cursor) geometry(f *Frame) error {
 	return nil
 }
 
-// appendFloats packs float32 values little-endian onto dst.
-func appendFloats(dst []byte, data []float32) []byte {
-	for _, v := range data {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
+// floatReader streams data's wire encoding: data's own memory where that is
+// the encoding already, the portable conversion where it is not.
+func floatReader(data []float32) io.Reader {
+	if nativeLE {
+		return bytes.NewReader(floatBytes(data))
 	}
-	return dst
+	return &portableReader{data: data}
+}
+
+// floatChunk is how much of a float field is read, summed and (portably)
+// converted at a time: small enough that the CRC pass finds the bytes the
+// read just left in cache.
+const floatChunk = 256 << 10
+
+// portableReader packs float32 values little-endian a chunk at a time and
+// serves reads from the chunk: the float-field writer of big-endian hosts,
+// and the reference the native one is tested against.
+type portableReader struct {
+	data      []float32
+	buf, left []byte // the conversion buffer, and the part of it not yet read
+}
+
+func (p *portableReader) Read(b []byte) (int, error) {
+	if len(p.left) == 0 {
+		if len(p.data) == 0 {
+			return 0, io.EOF
+		}
+		if p.buf == nil {
+			p.buf = make([]byte, min(4*len(p.data), floatChunk))
+		}
+		part := p.data[:min(len(p.data), len(p.buf)/4)]
+		for i, v := range part {
+			binary.LittleEndian.PutUint32(p.buf[4*i:], math.Float32bits(v))
+		}
+		p.data, p.left = p.data[len(part):], p.buf[:4*len(part)]
+	}
+	n := copy(b, p.left)
+	p.left = p.left[n:]
+	return n, nil
+}
+
+// readFloats fills data with the next 4*len(data) bytes of r, read straight
+// into data's memory and folded into crc chunk by chunk. Where that memory
+// is not the wire encoding, each chunk is then converted where it lies —
+// the portable float-field reader, and the native one's test reference.
+func readFloats(r io.Reader, data []float32, crc uint32) (uint32, error) {
+	for len(data) > 0 {
+		part := data[:min(len(data), floatChunk/4)]
+		b := floatBytes(part)
+		if err := readFull(r, b, "payload"); err != nil {
+			return crc, err
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		if !nativeLE {
+			for i := range part {
+				part[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		}
+		data = data[len(part):]
+	}
+	return crc, nil
 }
 
 // floats consumes the rest of the payload as exactly elems little-endian
-// float32 values.
+// float32 values: the buffered bytes first, then the stream, into c.dst when
+// it is large enough. It is where a streamed payload's CRC verdict falls —
+// after the last byte, so the destination's content is unspecified on error.
 func (c *cursor) floats(f *Frame, elems int) error {
-	if len(c.b) != 4*elems {
-		return corruptErr("%s frame claims %d elements but carries %d bytes", f.Type, elems, len(c.b))
+	if len(c.b)+c.rest != 4*elems {
+		return corruptErr("%s frame claims %d elements but carries %d bytes", f.Type, elems, len(c.b)+c.rest)
 	}
-	// Locals, not fields: the loop runs at memory speed only when the
-	// compiler can see neither slice changes under it.
-	b, data := c.b, make([]float32, elems)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i : 4*i+4]))
+	data := c.dst
+	if elems > len(data) {
+		data = make([]float32, elems)
 	}
-	f.Data, c.b = data, nil
+	data = data[:elems]
+	src := io.Reader(bytes.NewReader(c.b))
+	if c.rest > 0 {
+		src = io.MultiReader(src, c.r)
+	}
+	parsed := c.buf[:len(c.buf)-len(c.b)]
+	crc, err := readFloats(src, data, crc32.ChecksumIEEE(parsed))
+	if err != nil {
+		return err
+	}
+	if crc != c.sum {
+		return corruptErr("payload CRC %#x, header says %#x", crc, c.sum)
+	}
+	f.Data, c.b, c.rest = data, nil, 0
 	return nil
 }
 
@@ -485,9 +586,9 @@ func (c *cursor) floats(f *Frame, elems int) error {
 func (c *cursor) data(f *Frame) error {
 	switch c.mode {
 	case sizing:
-		c.n += 4 + 4*len(f.Data)
+		c.n += 4 + 4*c.elems
 	case writing:
-		c.b = appendFloats(binary.BigEndian.AppendUint32(c.b, uint32(len(f.Data))), f.Data)
+		c.b = binary.BigEndian.AppendUint32(c.b, uint32(c.elems))
 	case reading:
 		if len(c.b) < 4 {
 			return corruptErr("%s frame lacks element count", f.Type)
@@ -585,8 +686,8 @@ func (c *cursor) runs(f *Frame) error {
 			return err
 		}
 		// Each run takes at least two bytes: a count past that is a lie.
-		if count > uint64(len(c.b))/2 {
-			return corruptErr("batch-data frame claims %d runs but carries %d bytes", count, len(c.b))
+		if count > uint64(len(c.b)+c.rest)/2 {
+			return corruptErr("batch-data frame claims %d runs but carries %d bytes", count, len(c.b)+c.rest)
 		}
 	}
 	if f.BlockElems <= 0 {
@@ -601,7 +702,7 @@ func (c *cursor) runs(f *Frame) error {
 	var rt runTable
 	switch c.mode {
 	case sizing:
-		c.n += 4 + uvarintLen(count) + 4*len(f.Data)
+		c.n += 4 + uvarintLen(count) + 4*c.elems
 		for _, r := range f.Runs {
 			if err := rt.add(uint64(r.Start), uint64(r.Count)); err != nil {
 				return err
@@ -613,7 +714,6 @@ func (c *cursor) runs(f *Frame) error {
 		for _, r := range f.Runs {
 			c.b = binary.AppendUvarint(binary.AppendUvarint(c.b, uint64(r.Start)), uint64(r.Count))
 		}
-		c.b = appendFloats(c.b, f.Data)
 		return nil
 	case reading:
 		f.Runs = make([]BlockRun, count)
@@ -639,55 +739,129 @@ func (c *cursor) runs(f *Frame) error {
 	if c.mode == reading {
 		return c.floats(f, elems)
 	}
-	if elems != len(f.Data) {
-		return corruptErr("batch-data run table covers %d elements but frame carries %d", elems, len(f.Data))
+	if elems != c.elems {
+		return corruptErr("batch-data run table covers %d elements but frame carries %d", elems, c.elems)
 	}
 	return nil
 }
 
-// payloadLen validates f and returns its encoded payload size.
-func (f *Frame) payloadLen() (int, error) {
-	c := cursor{mode: sizing}
-	err := c.walk(f)
-	return c.n, err
+// hasFloats reports whether the frame type ends in a float field.
+func (t Type) hasFloats() bool {
+	return t.valid() && (slices.Contains(Ops[t].fields, fieldData) || slices.Contains(Ops[t].fields, fieldRuns))
 }
 
-// appendFrame encodes f, already validated and sized by payloadLen, onto
-// dst.
-func appendFrame(dst []byte, f *Frame, plen int) []byte {
+// Encoding is a frame ready to stream: the header and every field before the
+// float field encoded, the payload CRC taken, and the float field itself
+// still where its owner keeps it — on a little-endian host that memory is
+// the wire's bytes, and it goes to the writer without staging or conversion.
+// The owner must not change it until the last byte is written.
+type Encoding struct {
+	head []byte
+	segs [][]float32
+	n    int64 // the whole encoding's size in bytes
+}
+
+// Prepare validates f, encodes all of it but the float field and makes the
+// one CRC pass over the whole payload. segs, when given, is the float field
+// in pieces (a pool's runs, each in place) and stands in for f.Data.
+func Prepare(f *Frame, segs ...[]float32) (*Encoding, error) {
+	if !f.Type.hasFloats() {
+		segs = nil
+	} else if len(segs) == 0 {
+		segs = [][]float32{f.Data}
+	}
+	elems := 0
+	for _, seg := range segs {
+		elems += len(seg)
+	}
+	c := cursor{mode: sizing, elems: elems}
+	if err := c.walk(f); err != nil {
+		return nil, err
+	}
+	plen := c.n
 	var flags uint16
 	if f.HasSched {
 		flags |= FlagSched
 	}
-	start := len(dst)
-	dst = append(dst, magic[:]...)
-	dst = append(dst, Version, byte(f.Type))
-	dst = binary.BigEndian.AppendUint16(dst, flags)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(plen))
-	dst = append(dst, 0, 0, 0, 0) // CRC placeholder
-	c := cursor{mode: writing, b: dst}
+	head := make([]byte, 0, HeaderLen+plen-4*elems)
+	head = append(head, magic[:]...)
+	head = append(head, Version, byte(f.Type))
+	head = binary.BigEndian.AppendUint16(head, flags)
+	head = binary.BigEndian.AppendUint32(head, uint32(plen))
+	head = append(head, 0, 0, 0, 0) // CRC placeholder
+	c = cursor{mode: writing, b: head, elems: elems}
 	_ = c.walk(f)
-	crc := crc32.ChecksumIEEE(c.b[start+HeaderLen:])
-	binary.BigEndian.PutUint32(c.b[start+12:start+16], crc)
-	return c.b
+	e := &Encoding{head: c.b, segs: segs, n: int64(HeaderLen + plen)}
+	sum := crcSum(crc32.ChecksumIEEE(e.head[HeaderLen:]))
+	for _, seg := range segs {
+		_, _ = io.Copy(&sum, floatReader(seg))
+	}
+	binary.BigEndian.PutUint32(e.head[12:16], uint32(sum))
+	return e, nil
+}
+
+// crcSum is a running CRC-32 (IEEE) of what is written to it.
+type crcSum uint32
+
+func (c *crcSum) Write(p []byte) (int, error) {
+	*c = crcSum(crc32.Update(uint32(*c), crc32.IEEETable, p))
+	return len(p), nil
+}
+
+// Len is the encoding's size in bytes.
+func (e *Encoding) Len() int64 { return e.n }
+
+// Reader returns a fresh reader over the whole encoding (a request body; one
+// per attempt).
+func (e *Encoding) Reader() io.Reader {
+	if len(e.segs) == 0 {
+		return bytes.NewReader(e.head)
+	}
+	rs := make([]io.Reader, 1, 1+len(e.segs))
+	rs[0] = bytes.NewReader(e.head)
+	for _, seg := range e.segs {
+		rs = append(rs, floatReader(seg))
+	}
+	return io.MultiReader(rs...)
+}
+
+// WriteTo streams the encoding to w: the head, then each piece of the float
+// field in one Write from where it lives. (Not io.Copy from Reader: a
+// MultiReader's WriteTo allocates a 32 KiB buffer it would never use.)
+func (e *Encoding) WriteTo(w io.Writer) (int64, error) {
+	k, err := w.Write(e.head)
+	n := int64(k)
+	for i := 0; err == nil && i < len(e.segs); i++ {
+		var m int64
+		m, err = io.Copy(w, floatReader(e.segs[i]))
+		n += m
+	}
+	return n, err
+}
+
+// appender is the io.Writer over a byte slice that Append streams into. It
+// grows by append, which — unlike a pre-sized buffer — never zeroes bytes
+// the copy is about to overwrite.
+type appender []byte
+
+func (a *appender) Write(p []byte) (int, error) {
+	*a = append(*a, p...)
+	return len(p), nil
 }
 
 // Append encodes f onto dst and returns the extended slice.
 func Append(dst []byte, f *Frame) ([]byte, error) {
-	plen, err := f.payloadLen()
+	e, err := Prepare(f)
 	if err != nil {
 		return dst, err
 	}
-	return appendFrame(dst, f, plen), nil
+	_, _ = e.WriteTo((*appender)(&dst))
+	return dst, nil
 }
 
 // Encode returns f's wire encoding.
 func Encode(f *Frame) ([]byte, error) {
-	plen, err := f.payloadLen()
-	if err != nil {
-		return nil, err
-	}
-	return appendFrame(make([]byte, 0, HeaderLen+plen), f, plen), nil
+	return Append(nil, f)
 }
 
 // header is a validated frame header.
@@ -728,57 +902,37 @@ func parseHeader(h []byte, maxPayload uint32) (header, error) {
 	return hd, nil
 }
 
-// parsePayload checks the payload against the header's CRC and decodes it.
-// Every inner length is checked against the payload bounds and trailing
-// bytes are refused, so corruption the CRC happened to miss still cannot
-// decode.
-func (hd header) parsePayload(p []byte) (*Frame, error) {
-	if got := crc32.ChecksumIEEE(p); got != hd.crc {
-		return nil, corruptErr("payload CRC %#x, header says %#x", got, hd.crc)
-	}
-	f := &Frame{Type: hd.typ, HasSched: hd.flags&FlagSched != 0}
-	c := cursor{mode: reading, b: p}
-	if err := c.walk(f); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// split validates a fully buffered frame's header and returns it with the
-// bytes after it, which must hold at least the declared payload.
-func split(b []byte, maxPayload uint32) (header, []byte, error) {
-	if len(b) < HeaderLen {
-		return header{}, nil, truncErr("%d bytes, need %d-byte header", len(b), HeaderLen)
-	}
-	hd, err := parseHeader(b[:HeaderLen], maxPayload)
-	if err != nil {
-		return header{}, nil, err
-	}
-	body := b[HeaderLen:]
-	if uint64(len(body)) < uint64(hd.plen) {
-		return header{}, nil, truncErr("payload has %d of %d bytes", len(body), hd.plen)
-	}
-	return hd, body, nil
-}
+// PeekLen is how many leading bytes of a frame hold everything before a
+// float field or a run table: the header, the longest name, an element count
+// (or block size) and a run count.
+const PeekLen = HeaderLen + 2 + MaxNameLen + 4 + binary.MaxVarintLen64
 
 // Decode parses exactly one frame from b, refusing trailing bytes.
 // maxPayload of zero selects DefaultMaxPayload.
 func Decode(b []byte, maxPayload uint32) (*Frame, error) {
-	hd, body, err := split(b, maxPayload)
-	if err != nil {
-		return nil, err
+	r := bytes.NewReader(b)
+	f, err := Read(r, maxPayload)
+	if err == nil && r.Len() != 0 {
+		return nil, corruptErr("%d trailing bytes after payload", r.Len())
 	}
-	if uint64(len(body)) > uint64(hd.plen) {
-		return nil, corruptErr("%d trailing bytes after payload", uint64(len(body))-uint64(hd.plen))
-	}
-	return hd.parsePayload(body)
+	return f, err
 }
 
-// Read parses one frame from a stream: the fixed header first (so a
-// hostile length prefix is rejected before any payload allocation), then
-// exactly the declared payload. An EOF mid-frame surfaces as
-// compress.ErrTruncated like its in-memory counterpart.
+// Read parses one frame from a stream, allocating its float field.
 func Read(r io.Reader, maxPayload uint32) (*Frame, error) {
+	return ReadInto(r, maxPayload, nil)
+}
+
+// ReadInto parses one frame from a stream: the fixed header first (so a
+// hostile length prefix is rejected before any payload allocation), then
+// the fields before the float field from a small buffer, then the float
+// field from r directly into dst — or into a fresh slice when dst is too
+// short for it — with the CRC folded chunk by chunk. Every inner length is
+// checked against the payload bounds and trailing bytes are refused, so
+// corruption the CRC happened to miss still cannot decode; but the CRC's own
+// verdict comes after the last byte, so dst's content is unspecified on any
+// error. An EOF mid-frame surfaces as compress.ErrTruncated.
+func ReadInto(r io.Reader, maxPayload uint32, dst []float32) (*Frame, error) {
 	var h [HeaderLen]byte
 	if err := readFull(r, h[:], "header"); err != nil {
 		return nil, err
@@ -787,11 +941,34 @@ func Read(r io.Reader, maxPayload uint32) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, hd.plen)
-	if err := readFull(r, body, "payload"); err != nil {
-		return nil, err
+	// Control frames are buffered whole. Of a frame with a float field only
+	// what precedes it is: that fits PeekLen unless a run table is long.
+	n := int(hd.plen)
+	if hd.typ.hasFloats() {
+		n = min(n, PeekLen-HeaderLen)
 	}
-	return hd.parsePayload(body)
+	buf := make([]byte, n)
+	for {
+		if err := readFull(r, buf[len(buf)-n:], "payload"); err != nil {
+			return nil, err
+		}
+		f := &Frame{Type: hd.typ, HasSched: hd.flags&FlagSched != 0}
+		c := cursor{mode: reading, b: buf, buf: buf, rest: int(hd.plen) - len(buf),
+			r: r, dst: dst, sum: hd.crc}
+		// A payload buffered whole is judged before it is parsed.
+		if c.rest == 0 && crc32.ChecksumIEEE(buf) != hd.crc {
+			return nil, corruptErr("payload CRC is not the header's %#x", hd.crc)
+		}
+		switch err := c.walk(f); err {
+		case nil:
+			return f, nil
+		default:
+			return nil, err
+		case errShort:
+			n = min(c.rest, len(buf))
+			buf = append(buf, make([]byte, n)...)
+		}
+	}
 }
 
 // readFull fills p from r, mapping a short stream onto the taxonomy.
@@ -805,19 +982,26 @@ func readFull(r io.Reader, p []byte, what string) error {
 	return nil
 }
 
-// PeekName extracts the frame type and name from a fully buffered frame
-// without decoding the rest of the payload or checking its CRC — the
-// cluster router's fast path. Routing only needs the placement key; full
-// validation (CRC, inner lengths, data decode) happens once, in the shard
-// that serves the request. The name bounds are still checked here, so a
-// hostile frame cannot make the router slice out of range.
+// PeekName extracts the frame type and name from a frame's first bytes — b
+// holds PeekLen of them, or the whole frame when that is shorter — without
+// reading the rest of the payload or checking its CRC: the cluster router's
+// fast path. Routing only needs the placement key; full validation (CRC,
+// inner lengths, data decode) happens once, in the shard that serves the
+// request. The header and the name bounds are still checked here, so a
+// hostile frame is refused in O(header) and cannot make the router slice
+// out of range.
 func PeekName(b []byte, maxPayload uint32) (Type, string, error) {
-	hd, body, err := split(b, maxPayload)
+	if len(b) < HeaderLen {
+		return 0, "", truncErr("%d bytes, need %d-byte header", len(b), HeaderLen)
+	}
+	hd, err := parseHeader(b[:HeaderLen], maxPayload)
 	if err != nil {
 		return 0, "", err
 	}
+	body := b[HeaderLen:]
+	body = body[:min(len(body), int(hd.plen))]
 	f := Frame{Type: hd.typ}
-	c := cursor{mode: reading, b: body[:hd.plen]}
+	c := cursor{mode: reading, b: body, rest: int(hd.plen) - len(body)}
 	if err := c.name(&f); err != nil {
 		return 0, "", err
 	}

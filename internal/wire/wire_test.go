@@ -35,9 +35,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Encode(%v): %v", f.Type, err)
 		}
-		got, err := Decode(b, 0)
+		got, err := decodeAllWays(t, b, 0)
 		if err != nil {
-			t.Fatalf("Decode(%v): %v", f.Type, err)
+			t.Fatalf("decodeAllWays(t, %v): %v", f.Type, err)
 		}
 		if !Equal(f, got) {
 			t.Errorf("%v: round trip mismatch: sent %+v, got %+v", f.Type, f, got)
@@ -62,7 +62,7 @@ func TestTruncationEveryBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cut := 0; cut < len(b); cut++ {
-			if _, err := Decode(b[:cut], 0); err == nil {
+			if _, err := decodeAllWays(t, b[:cut], 0); err == nil {
 				t.Fatalf("%v: prefix of %d/%d bytes decoded", f.Type, cut, len(b))
 			} else if !compress.Recoverable(err) {
 				t.Fatalf("%v: prefix of %d bytes: %v not in the recoverable taxonomy", f.Type, cut, err)
@@ -83,7 +83,7 @@ func TestHostileLengthPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	binary.BigEndian.PutUint32(b[8:12], math.MaxUint32)
-	if _, err := Decode(b, 0); !errors.Is(err, ErrTooLarge) {
+	if _, err := decodeAllWays(t, b, 0); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("Decode with 4 GiB length prefix: %v, want ErrTooLarge", err)
 	}
 	if _, err := Read(bytes.NewReader(b), 0); !errors.Is(err, ErrTooLarge) {
@@ -91,7 +91,7 @@ func TestHostileLengthPrefix(t *testing.T) {
 	}
 	// A length under the cap but past the actual bytes is truncation.
 	binary.BigEndian.PutUint32(b[8:12], 1<<20)
-	if _, err := Decode(b, 0); !errors.Is(err, compress.ErrTruncated) {
+	if _, err := decodeAllWays(t, b, 0); !errors.Is(err, compress.ErrTruncated) {
 		t.Errorf("Decode with overlong length: %v, want ErrTruncated", err)
 	}
 	// A caller-supplied cap tightens the policy refusal.
@@ -99,7 +99,7 @@ func TestHostileLengthPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, derr := Decode(big, 64)
+	_, derr := decodeAllWays(t, big, 64)
 	if !errors.Is(derr, ErrTooLarge) {
 		t.Errorf("Decode past caller cap: %v, want ErrTooLarge", derr)
 	}
@@ -167,7 +167,7 @@ func TestErrorClasses(t *testing.T) {
 		{"batch-swap-in with an empty payload tail", TypeBatchSwapIn, with(), compress.ErrTruncated},
 	}
 	for _, tc := range decode {
-		if _, err := Decode(rawFrame(tc.typ, tc.p), 0); !errors.Is(err, tc.want) {
+		if _, err := decodeAllWays(t, rawFrame(tc.typ, tc.p), 0); !errors.Is(err, tc.want) {
 			t.Errorf("decode %s: %v, want %v", tc.what, err, tc.want)
 		}
 	}
@@ -205,7 +205,7 @@ func TestCRCDetectsPayloadDamage(t *testing.T) {
 	for bit := 0; bit < 8; bit++ {
 		mutated := append([]byte(nil), b...)
 		mutated[len(mutated)-1] ^= 1 << bit
-		if _, err := Decode(mutated, 0); !errors.Is(err, compress.ErrCorrupt) {
+		if _, err := decodeAllWays(t, mutated, 0); !errors.Is(err, compress.ErrCorrupt) {
 			t.Errorf("bit %d flip: %v, want ErrCorrupt", bit, err)
 		}
 	}
@@ -233,7 +233,7 @@ func TestHeaderValidation(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), valid...), 0xAA)},
 	}
 	for _, tc := range cases {
-		if _, err := Decode(tc.b, 0); !errors.Is(err, compress.ErrCorrupt) {
+		if _, err := decodeAllWays(t, tc.b, 0); !errors.Is(err, compress.ErrCorrupt) {
 			t.Errorf("%s: %v, want ErrCorrupt", tc.name, err)
 		}
 	}
@@ -251,7 +251,7 @@ func TestInnerLengthCrossChecks(t *testing.T) {
 	elemsOff := HeaderLen + 2 + len(f.Name)
 	binary.BigEndian.PutUint32(b[elemsOff:elemsOff+4], 3)
 	reCRC(b)
-	if _, err := Decode(b, 0); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := decodeAllWays(t, b, 0); !errors.Is(err, compress.ErrCorrupt) {
 		t.Errorf("element-count lie: %v, want ErrCorrupt", err)
 	}
 
@@ -262,7 +262,7 @@ func TestInnerLengthCrossChecks(t *testing.T) {
 	}
 	binary.BigEndian.PutUint16(b2[HeaderLen:HeaderLen+2], 500)
 	reCRC(b2)
-	if _, err := Decode(b2, 0); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := decodeAllWays(t, b2, 0); !errors.Is(err, compress.ErrCorrupt) {
 		t.Errorf("name overrun: %v, want ErrCorrupt", err)
 	}
 }
@@ -288,13 +288,13 @@ func TestSwapOutOptionValidation(t *testing.T) {
 	flagOff := len(b) - 2
 	b[flagOff] = 7 // compress flag must be 0 or 1
 	reCRC(b)
-	if _, err := Decode(b, 0); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := decodeAllWays(t, b, 0); !errors.Is(err, compress.ErrCorrupt) {
 		t.Errorf("bad compress flag: %v, want ErrCorrupt", err)
 	}
 	b[flagOff] = 1
 	b[flagOff+1] = 250 // unknown algorithm byte
 	reCRC(b)
-	if _, err := Decode(b, 0); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := decodeAllWays(t, b, 0); !errors.Is(err, compress.ErrCorrupt) {
 		t.Errorf("bad algorithm byte: %v, want ErrCorrupt", err)
 	}
 }
