@@ -12,12 +12,18 @@ build:
 # vet also fails on any file gofmt would rewrite, so `make test`, `make
 # check` and CI enforce formatting — and on a second import of "unsafe":
 # the program has exactly one (internal/wire/view.go, the byte view of a
-# []float32); bench/ and test files are the harness's own business.
+# []float32); bench/ and test files are the harness's own business — and on
+# the service importing the reproduction: what cswapd and the client pull in
+# stays clear of the simulator, the model zoo and the figure drivers
+# (DESIGN §3 lists the closure).
+REPRO_PKGS = core|dnn|experiments|gpu|pcie|profiler|regress|sim|sparsity|swap
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 	@unsafe=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '^\s*(import\s+)?(\w+\s+)?"unsafe"$$' .); \
 		[ "$$unsafe" = "./internal/wire/view.go" ] || { echo 'files importing "unsafe" (want only internal/wire/view.go):'; echo "$$unsafe"; exit 1; }
+	@repro=$$($(GO) list -deps ./cmd/cswapd ./client | grep -E '^cswap/internal/($(REPRO_PKGS))$$'); \
+		[ -z "$$repro" ] || { echo 'reproduction packages in the import closure of ./cmd/cswapd ./client:'; echo "$$repro"; exit 1; }
 
 # The packages whose liveness depends on the core count: the shared worker
 # pool, the executor's async pipeline on top of it, and the serving layer
@@ -47,15 +53,17 @@ race-all:
 cover:
 	$(GO) test -cover ./...
 
-# Code size of the layers above the executor, the measure ROADMAP item 12
-# is judged by: non-test Go lines that are neither blank nor comment-only,
-# per package and in total.
+# Code size, the measure ROADMAP item 12 is judged by: non-test Go lines
+# that are neither blank nor comment-only — the layers above the executor
+# per package and in total, then the whole program outside bench/.
 LOC_PKGS = internal/wire client internal/server
 loc:
-	@total=0; for d in $(LOC_PKGS); do \
-		n=$$(ls $$d/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \
+	@count() { xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l; }; \
+	total=0; for d in $(LOC_PKGS); do \
+		n=$$(ls $$d/*.go | grep -v _test | count); \
 		printf '%-16s %5d\n' $$d $$n; total=$$((total + n)); \
-	done; printf '%-16s %5d\n' total $$total
+	done; printf '%-16s %5d\n' total $$total; \
+	printf '%-16s %5d\n' 'all but bench/' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | count)
 
 # Regenerate every table and figure as benchmark metrics, captured as
 # machine-readable test2json events in BENCH_metrics.json.
@@ -157,10 +165,10 @@ slo-smoke:
 
 # Full evaluation -> REPORT.md (and CSV series under data/).
 report:
-	$(GO) run ./cmd/cswap-report -o REPORT.md
+	$(GO) run ./cmd/cswap report -o REPORT.md
 
 csv:
-	$(GO) run ./cmd/cswap-report -o REPORT.md -csv data
+	$(GO) run ./cmd/cswap report -o REPORT.md -csv data
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -3,17 +3,20 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"cswap"
+	"cswap/internal/experiments"
 )
 
 // TestObservedRunExportsConsistentMetrics is the end-to-end acceptance
-// check: one `cswap-sim -metrics -trace` run must produce a JSON-lines
+// check: one `cswap sim -metrics -trace` run must produce a JSON-lines
 // snapshot whose per-stream busy totals equal the run's SimResult, and a
 // Chrome trace Perfetto can load (a JSON array of complete events).
 func TestObservedRunExportsConsistentMetrics(t *testing.T) {
@@ -23,7 +26,7 @@ func TestObservedRunExportsConsistentMetrics(t *testing.T) {
 
 	var out bytes.Buffer
 	err := run([]string{
-		"-metrics", metricsPath, "-trace", tracePath,
+		"sim", "-metrics", metricsPath, "-trace", tracePath,
 		"-model", "AlexNet", "-gpu", "V100", "-dataset", "ImageNet",
 		"-epoch", "5", "-seed", "7", "-samples", "300",
 	}, &out)
@@ -129,9 +132,104 @@ func TestObservedRunExportsConsistentMetrics(t *testing.T) {
 
 func trimFloat(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
 
+// datasetCommands is every subcommand that takes -dataset, with the flags
+// that make it quick.
+func datasetCommands(t *testing.T) [][]string {
+	return [][]string{
+		{"sim", "-fast", "-metrics", filepath.Join(t.TempDir(), "m.jsonl"), "-model", "AlexNet"},
+		{"train", "-epochs", "1", "-model", "AlexNet"},
+		{"inspect", "-model", "AlexNet"},
+	}
+}
+
 func TestRunRejectsUnknownDataset(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-metrics", filepath.Join(t.TempDir(), "m.jsonl"), "-dataset", "MNIST"}, &out); err == nil {
-		t.Fatal("unknown dataset accepted")
+	for _, args := range datasetCommands(t) {
+		err := run(append(args, "-dataset", "MNIST"), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "MNIST") {
+			t.Fatalf("%s -dataset MNIST: err = %v, want it to name the dataset", args[0], err)
+		}
+	}
+}
+
+func TestDatasetSpellings(t *testing.T) {
+	for _, args := range datasetCommands(t) {
+		for _, name := range []string{"CIFAR-10", "CIFAR10", "cifar10"} {
+			var out bytes.Buffer
+			if err := run(append(args, "-dataset", name), &out); err != nil {
+				t.Fatalf("%s -dataset %s: %v", args[0], name, err)
+			}
+			if head, _, _ := strings.Cut(out.String(), "\n"); !strings.Contains(head, "CIFAR10") {
+				t.Fatalf("%s -dataset %s ran %q", args[0], name, head)
+			}
+		}
+	}
+}
+
+// TestEverySubcommandRuns drives each subcommand through run at its
+// quickest flag set.
+func TestEverySubcommandRuns(t *testing.T) {
+	dir := t.TempDir()
+	flags := map[string][]string{
+		"ablate":  {"-fast"},
+		"inspect": {"-model", "AlexNet"},
+		"model":   {"-fast"},
+		"profile": {"-fast", "-metrics", filepath.Join(dir, "p.jsonl"), "-trace", filepath.Join(dir, "p.json")},
+		"report":  {"-fast", "-skip-fig11", "-o", filepath.Join(dir, "REPORT.md"), "-csv", filepath.Join(dir, "data")},
+		"sim":     {"-fast"},
+		"train":   {"-model", "AlexNet", "-epochs", "2"},
+		"tune":    {"-fast"},
+	}
+	for sub := range commands {
+		args, ok := flags[sub]
+		if !ok {
+			t.Fatalf("subcommand %s has no flag set in this test", sub)
+		}
+		var out bytes.Buffer
+		if err := run(append([]string{sub}, args...), &out); err != nil {
+			t.Fatalf("cswap %s: %v", sub, err)
+		}
+		if out.Len() == 0 {
+			t.Fatalf("cswap %s printed nothing", sub)
+		}
+	}
+
+	// report wrote every section but the skipped one, and a CSV for each
+	// section that is a series.
+	md, err := os.ReadFile(filepath.Join(dir, "REPORT.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range experiments.Sections {
+		if got, want := bytes.Contains(md, []byte("## "+s.Title+"\n")), s.Key != "fig11"; got != want {
+			t.Fatalf("section %q in report = %v, want %v", s.Title, got, want)
+		}
+	}
+	for _, name := range []string{"fig1.csv", "fig5.csv", "fig6.csv", "fig8.csv", "fig9.csv", "fig12.csv"} {
+		if st, err := os.Stat(filepath.Join(dir, "data", name)); err != nil || st.Size() == 0 {
+			t.Fatalf("report -csv: %s: %v", name, err)
+		}
+	}
+	for _, name := range []string{"p.jsonl", "p.json"} {
+		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() == 0 {
+			t.Fatalf("profile export %s: %v", name, err)
+		}
+	}
+}
+
+func TestUnknownSubcommand(t *testing.T) {
+	for _, args := range [][]string{nil, {"cswap-sim"}} {
+		if err := run(args, io.Discard); err == nil {
+			t.Fatalf("run(%q) accepted", args)
+		}
+	}
+}
+
+// TestSectionsNameSubcommands: a section owned by a subcommand that does
+// not exist would be printed by report and by nothing else.
+func TestSectionsNameSubcommands(t *testing.T) {
+	for _, s := range experiments.Sections {
+		if _, ok := commands[s.Sub]; !ok && s.Sub != "" {
+			t.Errorf("section %s names subcommand %q", s.Key, s.Sub)
+		}
 	}
 }

@@ -326,12 +326,12 @@ type (
 	// degradation counters (raw fallbacks, decode retries/recoveries).
 	ExecutorStats = executor.Stats
 	// IterationReport summarises one functional training iteration.
-	IterationReport = executor.IterationReport
+	IterationReport = core.IterationReport
 	// SparsityProfile holds per-tensor sparsity trajectories over epochs.
 	SparsityProfile = sparsity.Profile
 	// SwapTicket is the awaitable future returned by the asynchronous
-	// swap API (Executor.SwapOutAsync / SwapInAsync / Prefetch): Wait
-	// blocks for the operation's outcome, Done supports select.
+	// swap API (Executor.SwapOutAsyncCtx / SwapInAsyncCtx / PrefetchCtx):
+	// Wait blocks for the operation's outcome, Done supports select.
 	SwapTicket = executor.Ticket
 	// HandleState is a tensor handle's storage state (resident, swapped,
 	// freed, or one of the transitional swapping states an in-flight
@@ -357,8 +357,8 @@ const DefaultMaxInFlight = executor.DefaultMaxInFlight
 // NewExecutor creates a functional swapping executor. Each tensor handle
 // is guarded by a state machine — concurrent misuse of one handle returns
 // ErrHandleBusy instead of corrupting memory — and the asynchronous API
-// (SwapOutAsync, SwapInAsync, Prefetch, Drain) pipelines swaps through a
-// bounded in-flight window so transfers overlap compute.
+// (SwapOutAsyncCtx, SwapInAsyncCtx, PrefetchCtx, Drain) pipelines swaps
+// through a bounded in-flight window so transfers overlap compute.
 func NewExecutor(cfg ExecutorConfig) (*Executor, error) { return executor.New(cfg) }
 
 // ---------------------------------------------------------------------------
@@ -416,18 +416,18 @@ func SparsityForModel(m *Model, epochs int, seed int64) *SparsityProfile {
 // backward pass, and verified bit-exactly. scaleDiv divides tensor sizes
 // so multi-GB workloads fit test-sized pools.
 func RunFunctionalIteration(e *Executor, m *Model, plan *Plan, sp *SparsityProfile, epoch, scaleDiv int, seed int64) (*IterationReport, error) {
-	return executor.RunIteration(e, m, plan, sp, epoch, scaleDiv, seed)
+	return core.RunIteration(e, m, plan, sp, epoch, scaleDiv, seed)
 }
 
 // MinDeviceCapacity and HostCapacityFor size executor pools for a scaled
 // workload.
 func MinDeviceCapacity(m *Model, scaleDiv int) int64 {
-	return executor.MinDeviceCapacity(m, scaleDiv)
+	return core.MinDeviceCapacity(m, scaleDiv)
 }
 
 // HostCapacityFor sizes the pinned pool for an all-raw worst case.
 func HostCapacityFor(m *Model, scaleDiv int) int64 {
-	return executor.HostCapacityFor(m, scaleDiv)
+	return core.HostCapacityFor(m, scaleDiv)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -90,8 +91,8 @@ func main() {
 	fmt.Printf("  every tensor restored bit-exact: %d verified\n", iterExec.Stats().Verified)
 
 	// Part 3: the async pipeline. Eight activations stream out through
-	// SwapOutAsync — the executor keeps up to MaxInFlight swaps running on
-	// its worker pool while the caller moves on — then Prefetch brings them
+	// SwapOutAsyncCtx — the executor keeps up to MaxInFlight swaps running on
+	// its worker pool while the caller moves on — then PrefetchCtx brings them
 	// back ahead of use. The observer's gauges show the overlap.
 	obs := cswap.NewObserver()
 	asyncExec, err := cswap.NewExecutor(cswap.ExecutorConfig{
@@ -117,7 +118,7 @@ func main() {
 	}
 	tickets := make([]*cswap.SwapTicket, streams)
 	for i, h := range handles {
-		tickets[i] = asyncExec.SwapOutAsync(h, true, cswap.ZVC)
+		tickets[i] = asyncExec.SwapOutAsyncCtx(context.Background(), h, true, cswap.ZVC)
 	}
 	for _, tk := range tickets {
 		if err := tk.Wait(); err != nil {
@@ -125,7 +126,7 @@ func main() {
 		}
 	}
 	for i, h := range handles {
-		tickets[i] = asyncExec.Prefetch(h)
+		tickets[i] = asyncExec.PrefetchCtx(context.Background(), h)
 	}
 	asyncExec.Drain()
 	for _, tk := range tickets {

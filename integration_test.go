@@ -5,6 +5,7 @@ package cswap_test
 // advisor, tuner, simulator, and executor agree with each other.
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -156,7 +157,7 @@ func TestIntegrationAsyncPipelineOverlap(t *testing.T) {
 	// must be rejected, not interleaved.
 	tickets := make([]*cswap.SwapTicket, tensors)
 	for i, h := range handles {
-		tickets[i] = exec.SwapOutAsync(h, true, cswap.ZVC)
+		tickets[i] = exec.SwapOutAsyncCtx(context.Background(), h, true, cswap.ZVC)
 		if i == 0 {
 			if err := exec.SwapOut(h, true, cswap.ZVC); !errors.Is(err, cswap.ErrHandleBusy) {
 				t.Fatalf("concurrent SwapOut on busy handle: %v", err)
@@ -172,7 +173,7 @@ func TestIntegrationAsyncPipelineOverlap(t *testing.T) {
 
 	// Prefetch everything back and verify byte-exact restores.
 	for i, h := range handles {
-		tickets[i] = exec.Prefetch(h)
+		tickets[i] = exec.PrefetchCtx(context.Background(), h)
 	}
 	for i, tk := range tickets {
 		if err := tk.Wait(); err != nil {

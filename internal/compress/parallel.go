@@ -82,11 +82,6 @@ const maxParallelElems = math.MaxInt32
 // CPU host this wrapper preserves the partitioning semantics (and therefore
 // byte-exact output for a given launch) while bounding threads.
 func ParallelEncode(alg Algorithm, src []float32, launch Launch) ([]byte, error) {
-	return ParallelEncodeWith(alg, src, launch, nil)
-}
-
-// ParallelEncodeWith is ParallelEncode with per-chunk hooks attached.
-func ParallelEncodeWith(alg Algorithm, src []float32, launch Launch, hooks *Hooks) ([]byte, error) {
 	if err := launch.Validate(); err != nil {
 		return nil, err
 	}
@@ -94,7 +89,7 @@ func ParallelEncodeWith(alg Algorithm, src []float32, launch Launch, hooks *Hook
 	if err != nil {
 		return nil, err
 	}
-	return AppendParallelEncodeWith(make([]byte, 0, bound), alg, src, launch, hooks)
+	return AppendParallelEncode(make([]byte, 0, bound), alg, src, launch)
 }
 
 // MaxParallelEncodedLen returns an upper bound on the container size
@@ -193,11 +188,6 @@ func AppendParallelEncodeWith(dst []byte, alg Algorithm, src []float32, launch L
 // ParallelDecode reverses ParallelEncode, decoding chunks concurrently with
 // the worker concurrency derived from the caller's launch geometry (the
 // same BO-tuned geometry ParallelEncode honours).
-func ParallelDecode(blob []byte, launch Launch) ([]float32, error) {
-	return ParallelDecodeWith(blob, launch, nil)
-}
-
-// ParallelDecodeWith is ParallelDecode with per-chunk hooks attached.
 //
 // The container is fully validated before the n-element destination is
 // allocated: the algorithm byte must name a known codec, the chunk count
@@ -206,7 +196,7 @@ func ParallelDecode(blob []byte, launch Launch) ([]float32, error) {
 // exactly tile the payload, and the per-chunk headers must agree with the
 // container header — so a hostile header cannot drive a huge allocation or
 // a mismatched decode.
-func ParallelDecodeWith(blob []byte, launch Launch, hooks *Hooks) ([]float32, error) {
+func ParallelDecode(blob []byte, launch Launch) ([]float32, error) {
 	if err := launch.Validate(); err != nil {
 		return nil, err
 	}
@@ -215,7 +205,7 @@ func ParallelDecodeWith(blob []byte, launch Launch, hooks *Hooks) ([]float32, er
 		return nil, err
 	}
 	dst := make([]float32, pc.n)
-	if err := pc.decodeInto(dst, blob, launch, hooks); err != nil {
+	if err := pc.decodeInto(dst, blob, launch, nil); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -257,7 +247,7 @@ type parContainer struct {
 }
 
 // parseParallelContainer performs the full structural validation described
-// on ParallelDecodeWith and returns the chunk layout. Nothing is allocated
+// on ParallelDecode and returns the chunk layout. Nothing is allocated
 // proportional to the (untrusted) declared element count.
 func parseParallelContainer(blob []byte) (parContainer, error) {
 	var pc parContainer

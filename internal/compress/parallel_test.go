@@ -314,7 +314,7 @@ func TestParallelEncodeHookFailureCarriesChunkContext(t *testing.T) {
 		}
 		return nil
 	}}
-	_, err := ParallelEncodeWith(ZVC, tn.Data, Launch{4, 64}, hooks)
+	_, err := AppendParallelEncodeWith(nil, ZVC, tn.Data, Launch{4, 64}, hooks)
 	var ce *ChunkError
 	if !errors.As(err, &ce) || ce.Chunk != 1 || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want ChunkError for chunk 1 wrapping the hook error", err)

@@ -167,8 +167,8 @@ func (f *Framework) Planner() swap.CSWAP { return f.planner }
 // injected codec or allocator failures instead of aborting training.
 func (f *Framework) NewExecutor(scaleDiv int, faults *faultinject.Injector) (*executor.Executor, error) {
 	return executor.New(executor.Config{
-		DeviceCapacity: executor.MinDeviceCapacity(f.Config.Model, scaleDiv),
-		HostCapacity:   executor.HostCapacityFor(f.Config.Model, scaleDiv),
+		DeviceCapacity: MinDeviceCapacity(f.Config.Model, scaleDiv),
+		HostCapacity:   HostCapacityFor(f.Config.Model, scaleDiv),
 		Launch:         f.Launch,
 		Verify:         true,
 		Faults:         faults,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cswap/internal/dnn"
-	"cswap/internal/executor"
 	"cswap/internal/faultinject"
 	"cswap/internal/gpu"
 	"cswap/internal/profiler"
@@ -291,7 +290,7 @@ func TestNewExecutorWiresTunedLaunchAndFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := executor.RunIteration(e, f.Config.Model, plan, f.Sparsity, 10, 4096, 3)
+	rep, err := RunIteration(e, f.Config.Model, plan, f.Sparsity, 10, 4096, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

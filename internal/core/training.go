@@ -1,10 +1,11 @@
-package executor
+package core
 
 import (
 	"fmt"
 
 	"cswap/internal/compress"
 	"cswap/internal/dnn"
+	"cswap/internal/executor"
 	"cswap/internal/sparsity"
 	"cswap/internal/swap"
 	"cswap/internal/tensor"
@@ -40,10 +41,10 @@ func (r *IterationReport) Ratio() float64 {
 // backward pass — swapping every tensor back in, verifying it bit-exactly,
 // and freeing it. scaleDiv divides tensor sizes so multi-GB workloads run
 // in test-sized memory; the plan's structure is unchanged.
-func RunIteration(e *Executor, m *dnn.Model, plan *swap.Plan, sp *sparsity.Profile, epoch int, scaleDiv int, seed int64) (*IterationReport, error) {
+func RunIteration(e *executor.Executor, m *dnn.Model, plan *swap.Plan, sp *sparsity.Profile, epoch int, scaleDiv int, seed int64) (*IterationReport, error) {
 	tensors := m.SwapTensors()
 	if len(plan.Tensors) != len(tensors) {
-		return nil, fmt.Errorf("executor: plan covers %d tensors, model has %d",
+		return nil, fmt.Errorf("core: plan covers %d tensors, model has %d",
 			len(plan.Tensors), len(tensors))
 	}
 	if scaleDiv < 1 {
@@ -55,7 +56,7 @@ func RunIteration(e *Executor, m *dnn.Model, plan *swap.Plan, sp *sparsity.Profi
 
 	// Forward: produce each activation, then swap it out to free device
 	// memory for the next layer.
-	handles := make([]*Handle, len(tensors))
+	handles := make([]*executor.Handle, len(tensors))
 	var sparSum float64
 	for k, st := range tensors {
 		size := int(st.Bytes) / scaleDiv
@@ -67,7 +68,7 @@ func RunIteration(e *Executor, m *dnn.Model, plan *swap.Plan, sp *sparsity.Profi
 		sparSum += act.Sparsity()
 		h, err := e.Register(st.Name, act)
 		if err != nil {
-			return nil, fmt.Errorf("executor: forward %s: %w", st.Name, err)
+			return nil, fmt.Errorf("core: forward %s: %w", st.Name, err)
 		}
 		handles[k] = h
 		tp := plan.Tensors[k]
@@ -76,7 +77,7 @@ func RunIteration(e *Executor, m *dnn.Model, plan *swap.Plan, sp *sparsity.Profi
 			alg = compress.ZVC
 		}
 		if err := e.SwapOut(h, tp.Compress, alg); err != nil {
-			return nil, fmt.Errorf("executor: swap out %s: %w", st.Name, err)
+			return nil, fmt.Errorf("core: swap out %s: %w", st.Name, err)
 		}
 	}
 	report.MeanSparsity = sparSum / float64(len(tensors))
@@ -86,13 +87,13 @@ func RunIteration(e *Executor, m *dnn.Model, plan *swap.Plan, sp *sparsity.Profi
 	for k := len(tensors) - 1; k >= 0; k-- {
 		h := handles[k]
 		if err := e.SwapIn(h); err != nil {
-			return nil, fmt.Errorf("executor: swap in %s: %w", h.Name(), err)
+			return nil, fmt.Errorf("core: swap in %s: %w", h.Name(), err)
 		}
 		if _, err := h.Data(); err != nil {
 			return nil, err
 		}
 		if err := e.Free(h); err != nil {
-			return nil, fmt.Errorf("executor: free %s: %w", h.Name(), err)
+			return nil, fmt.Errorf("core: free %s: %w", h.Name(), err)
 		}
 	}
 

@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the asynchronous swap pipeline built on the guarded handle
-// state machine: SwapOutAsync / SwapInAsync / Prefetch claim the handle
+// state machine: SwapOutAsyncCtx / SwapInAsyncCtx / PrefetchCtx claim the handle
 // synchronously (so misuse surfaces immediately as a failed Ticket), take
 // one slot of a bounded in-flight window (backpressure: submission blocks
 // while the window is full), and run the codec + pool work on the compress
@@ -282,52 +282,34 @@ func (e *Executor) submitAsync(ctx context.Context, h *Handle, op string, from, 
 	return t
 }
 
-// SwapOutAsync is SwapOut as a pipeline stage: it claims the handle and
+// SwapOutAsyncCtx is SwapOut as a pipeline stage: it claims the handle and
 // returns a Ticket immediately (blocking only for an in-flight slot when
 // the window is full). Misuse — the handle busy, already swapped, or
 // freed — resolves the ticket with the same error the synchronous call
-// would return.
-func (e *Executor) SwapOutAsync(h *Handle, doCompress bool, alg compress.Algorithm) *Ticket {
-	return e.SwapOutAsyncCtx(context.Background(), h, doCompress, alg)
-}
-
-// SwapOutAsyncCtx is SwapOutAsync with deadline-aware slot acquisition:
-// if ctx is done before a slot in the bounded window frees up, the ticket
-// resolves with the context's error and the handle rolls back to Resident
-// untouched. The context governs only the submission wait — once the
-// operation is dispatched it runs to completion regardless of ctx (use
-// Ticket.WaitContext to bound the wait for the result).
+// would return. If ctx is done before a slot in the bounded window frees
+// up, the ticket resolves with the context's error and the handle rolls
+// back to Resident untouched. The context governs only the submission
+// wait — once the operation is dispatched it runs to completion regardless
+// of ctx (use Ticket.WaitContext to bound the wait for the result).
 func (e *Executor) SwapOutAsyncCtx(ctx context.Context, h *Handle, doCompress bool, alg compress.Algorithm) *Ticket {
 	return e.submitAsync(ctx, h, "swap-out", Resident, SwappingOut, func(h *Handle) error {
 		return e.swapOut(h, doCompress, alg)
 	})
 }
 
-// SwapInAsync is SwapIn as a pipeline stage; see SwapOutAsync for the
-// ticket semantics.
-func (e *Executor) SwapInAsync(h *Handle) *Ticket {
-	return e.SwapInAsyncCtx(context.Background(), h)
-}
-
-// SwapInAsyncCtx is SwapInAsync with deadline-aware slot acquisition; see
-// SwapOutAsyncCtx for the context semantics.
+// SwapInAsyncCtx is SwapIn as a pipeline stage; see SwapOutAsyncCtx for
+// the ticket and context semantics.
 func (e *Executor) SwapInAsyncCtx(ctx context.Context, h *Handle) *Ticket {
 	return e.submitAsync(ctx, h, "swap-in", Swapped, SwappingIn, e.swapIn)
 }
 
-// Prefetch requests that the tensor be resident ahead of its consumer —
-// DELTA-style lookahead. It is an idempotent SwapInAsync: a Resident
+// PrefetchCtx requests that the tensor be resident ahead of its consumer —
+// DELTA-style lookahead. It is an idempotent SwapInAsyncCtx: a Resident
 // handle completes immediately with nil; a handle already being swapped
 // in *asynchronously* returns that operation's ticket (both callers await
 // one restore); only a Swapped handle issues new work. A handle being
 // swapped out, freed, or held by a synchronous SwapIn resolves with
 // ErrBusy/ErrFreed like any other misuse.
-func (e *Executor) Prefetch(h *Handle) *Ticket {
-	return e.PrefetchCtx(context.Background(), h)
-}
-
-// PrefetchCtx is Prefetch with deadline-aware slot acquisition; see
-// SwapOutAsyncCtx for the context semantics.
 func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
 	h.mu.Lock()
 	switch h.state {

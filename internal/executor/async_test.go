@@ -58,7 +58,7 @@ func TestAsyncPipelineOverlap(t *testing.T) {
 	// Issue all swap-outs without waiting — the pipelined forward pass.
 	outs := make([]*Ticket, tensors)
 	for i, h := range handles {
-		outs[i] = e.SwapOutAsync(h, true, compress.Algorithms()[i%4])
+		outs[i] = e.SwapOutAsyncCtx(context.Background(), h, true, compress.Algorithms()[i%4])
 	}
 	e.Drain()
 	for i, tk := range outs {
@@ -84,7 +84,7 @@ func TestAsyncPipelineOverlap(t *testing.T) {
 	// Prefetch everything back — the pipelined backward pass.
 	ins := make([]*Ticket, tensors)
 	for i := tensors - 1; i >= 0; i-- {
-		ins[i] = e.Prefetch(handles[i])
+		ins[i] = e.PrefetchCtx(context.Background(), handles[i])
 	}
 	for i, tk := range ins {
 		if err := tk.Wait(); err != nil {
@@ -157,11 +157,11 @@ func TestAsyncConcurrentMisuseReturnsErrBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first := e.SwapOutAsync(h, true, compress.ZVC)
+	first := e.SwapOutAsyncCtx(context.Background(), h, true, compress.ZVC)
 	// The first submission claimed SwappingOut before returning and the
 	// injected delay keeps it in flight, so every concurrent operation on
 	// the same handle must fail fast with ErrBusy.
-	second := e.SwapOutAsync(h, true, compress.ZVC)
+	second := e.SwapOutAsyncCtx(context.Background(), h, true, compress.ZVC)
 	if err := second.Wait(); !errors.Is(err, ErrBusy) {
 		t.Fatalf("concurrent SwapOutAsync err = %v, want ErrBusy", err)
 	}
@@ -265,7 +265,7 @@ func TestAsyncBackpressureBoundsWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tickets = append(tickets, e.SwapOutAsync(h, true, compress.ZVC))
+		tickets = append(tickets, e.SwapOutAsyncCtx(context.Background(), h, true, compress.ZVC))
 		if got := e.InFlight(); got > 2 {
 			t.Fatalf("in-flight %d exceeds MaxInFlight 2", got)
 		}
@@ -320,14 +320,14 @@ func TestAsyncFaultInterleavings(t *testing.T) {
 				t.Fatal(err)
 			}
 			handles[i] = h
-			outs[i] = e.SwapOutAsync(h, true, compress.Algorithms()[(r+i)%4])
+			outs[i] = e.SwapOutAsyncCtx(context.Background(), h, true, compress.Algorithms()[(r+i)%4])
 		}
 		ins := make([]*Ticket, width)
 		for i := 0; i < width; i++ {
 			if err := outs[i].Wait(); err != nil {
 				t.Fatalf("round %d swap-out %d: %v", r, i, err)
 			}
-			ins[i] = e.Prefetch(handles[i])
+			ins[i] = e.PrefetchCtx(context.Background(), handles[i])
 		}
 		for i := 0; i < width; i++ {
 			if err := ins[i].Wait(); err != nil {
@@ -383,7 +383,7 @@ func TestPrefetchSemantics(t *testing.T) {
 	}
 
 	// Prefetching a resident tensor is a completed no-op.
-	if err := e.Prefetch(h).Wait(); err != nil {
+	if err := e.PrefetchCtx(context.Background(), h).Wait(); err != nil {
 		t.Fatalf("prefetch of resident handle: %v", err)
 	}
 	if st := e.Stats(); st.SwapIns != 0 {
@@ -396,8 +396,8 @@ func TestPrefetchSemantics(t *testing.T) {
 	// Two prefetches of a swapped tensor share one restore: the second
 	// joins the first's ticket (the injected decode delay holds the first
 	// in flight across the second submission).
-	t1 := e.Prefetch(h)
-	t2 := e.Prefetch(h)
+	t1 := e.PrefetchCtx(context.Background(), h)
+	t2 := e.PrefetchCtx(context.Background(), h)
 	if err := t1.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestPrefetchSemantics(t *testing.T) {
 	if err := e.Free(h); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Prefetch(h).Wait(); !errors.Is(err, ErrFreed) {
+	if err := e.PrefetchCtx(context.Background(), h).Wait(); !errors.Is(err, ErrFreed) {
 		t.Fatalf("prefetch after Free err = %v, want ErrFreed", err)
 	}
 }
@@ -436,7 +436,7 @@ func TestDrainBarrier(t *testing.T) {
 			t.Fatal(err)
 		}
 		handles = append(handles, h)
-		tickets = append(tickets, e.SwapOutAsync(h, true, compress.RLE))
+		tickets = append(tickets, e.SwapOutAsyncCtx(context.Background(), h, true, compress.RLE))
 	}
 	e.Drain()
 	for i, tk := range tickets {
@@ -466,7 +466,7 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk := e.SwapOutAsync(h, true, compress.ZVC)
+	tk := e.SwapOutAsyncCtx(context.Background(), h, true, compress.ZVC)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	if got := e.DeviceStats().Used; got != used {
 		t.Fatalf("rejected registration leaked device memory: %d -> %d", used, got)
 	}
-	if err := e.SwapInAsync(h).Wait(); !errors.Is(err, ErrClosed) {
+	if err := e.SwapInAsyncCtx(context.Background(), h).Wait(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SwapInAsync after Close err = %v, want ErrClosed", err)
 	}
 	if st := h.State(); st != Swapped {
@@ -530,11 +530,11 @@ func TestAsyncManyStreams(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := e.SwapOutAsync(h, true, compress.Algorithms()[(w+r)%4]).Wait(); err != nil {
+				if err := e.SwapOutAsyncCtx(context.Background(), h, true, compress.Algorithms()[(w+r)%4]).Wait(); err != nil {
 					errs <- fmt.Errorf("async swap out: %w", err)
 					return
 				}
-				if err := e.Prefetch(h).Wait(); err != nil {
+				if err := e.PrefetchCtx(context.Background(), h).Wait(); err != nil {
 					errs <- fmt.Errorf("prefetch: %w", err)
 					return
 				}
@@ -611,14 +611,14 @@ func TestAsyncSaturatedWorkerPool(t *testing.T) {
 			func() []*Ticket {
 				ts := []*Ticket{p.SwapOutBlocksCtx(context.Background(), ids, true, compress.ZVC)}
 				for _, h := range handles {
-					ts = append(ts, e.SwapOutAsync(h, true, compress.ZVC))
+					ts = append(ts, e.SwapOutAsyncCtx(context.Background(), h, true, compress.ZVC))
 				}
 				return ts
 			},
 			func() []*Ticket {
 				ts := []*Ticket{p.SwapInBlocksCtx(context.Background(), ids)}
 				for _, h := range handles {
-					ts = append(ts, e.SwapInAsync(h))
+					ts = append(ts, e.SwapInAsyncCtx(context.Background(), h))
 				}
 				return ts
 			},

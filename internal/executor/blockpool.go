@@ -351,20 +351,14 @@ func (p *BlockPool) SwapInBlocksCtx(ctx context.Context, ids []int) *Ticket {
 	return p.swapInCtx(ctx, "batch-swap-in", ids)
 }
 
-// PrefetchBlocks requests residency for the listed blocks ahead of need
+// PrefetchBlocksCtx requests residency for the listed blocks ahead of need
 // and returns immediately with the batch's aggregate ticket. It is
 // SwapInBlocksCtx under a prefetch label: already-resident blocks
 // complete without work, and tier-resident runs are staged back into the
 // host pool first (read-ahead), so a failed or shed prefetch still leaves
-// the later demand swap-in a host-memory read instead of a disk fault.
-func (p *BlockPool) PrefetchBlocks(ids []int) *Ticket {
-	return p.PrefetchBlocksCtx(context.Background(), ids)
-}
-
-// PrefetchBlocksCtx is PrefetchBlocks with deadline-aware slot acquisition
-// and scheduling-hint propagation: a speculative sched.Hint on ctx makes
-// the batch sheddable at run boundaries (ErrShed) while a critical waiter
-// is starved.
+// the later demand swap-in a host-memory read instead of a disk fault. A
+// speculative sched.Hint on ctx makes the batch sheddable at run
+// boundaries (ErrShed) while a critical waiter is starved.
 func (p *BlockPool) PrefetchBlocksCtx(ctx context.Context, ids []int) *Ticket {
 	return p.swapInCtx(ctx, "batch-prefetch", ids)
 }

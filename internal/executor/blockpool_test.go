@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -200,7 +201,7 @@ func TestBlockPoolStateErrors(t *testing.T) {
 	if err := p.SwapOutBlocks(nil, false, 0); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := p.PrefetchBlocks(nil).Wait(); err != nil {
+	if err := p.PrefetchBlocksCtx(context.Background(), nil).Wait(); err != nil {
 		t.Fatalf("empty prefetch: %v", err)
 	}
 }
@@ -216,7 +217,7 @@ func TestBlockPoolPrefetchOverlap(t *testing.T) {
 	}
 	// Prefetch returns immediately with an aggregate ticket; Wait restores
 	// all three runs.
-	tk := p.PrefetchBlocks([]int{0, 1, 2, 3, 10, 11, 30})
+	tk := p.PrefetchBlocksCtx(context.Background(), []int{0, 1, 2, 3, 10, 11, 30})
 	if err := tk.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestAcquireCtxExpiresWhileBlocked(t *testing.T) {
 	slow, _ := registerTensor(t, e, "slow", 4096)
 	fast, _ := registerTensor(t, e, "fast", 256)
 
-	blocker := e.SwapOutAsync(slow, true, compress.ZVC)
+	blocker := e.SwapOutAsyncCtx(context.Background(), slow, true, compress.ZVC)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
@@ -116,7 +116,7 @@ func TestAcquireCtxExpiresWhileBlocked(t *testing.T) {
 	}
 	// The rollback left the machine clean: the same handle swaps normally
 	// once the window frees.
-	if err := e.SwapOutAsync(fast, true, compress.ZVC).Wait(); err != nil {
+	if err := e.SwapOutAsyncCtx(context.Background(), fast, true, compress.ZVC).Wait(); err != nil {
 		t.Fatalf("swap after rollback: %v", err)
 	}
 	if got := fast.State(); got != Swapped {
@@ -131,7 +131,7 @@ func TestAcquireCtxAlreadyExpired(t *testing.T) {
 	slow, _ := registerTensor(t, e, "slow", 4096)
 	fast, _ := registerTensor(t, e, "fast", 256)
 
-	blocker := e.SwapOutAsync(slow, true, compress.ZVC)
+	blocker := e.SwapOutAsyncCtx(context.Background(), slow, true, compress.ZVC)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := e.SwapOutAsyncCtx(ctx, fast, true, compress.ZVC).Wait(); !errors.Is(err, context.Canceled) {
@@ -162,7 +162,7 @@ func TestPrefetchCtx(t *testing.T) {
 	if err := e.SwapOut(h, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	blocker := e.SwapOutAsync(slow, true, compress.ZVC) // fills the window
+	blocker := e.SwapOutAsyncCtx(context.Background(), slow, true, compress.ZVC) // fills the window
 	if err := e.PrefetchCtx(dead, h).Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("blocked prefetch with dead ctx: %v, want context.Canceled", err)
 	}
@@ -172,7 +172,7 @@ func TestPrefetchCtx(t *testing.T) {
 	if err := blocker.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Prefetch(h).Wait(); err != nil {
+	if err := e.PrefetchCtx(context.Background(), h).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.State(); got != Resident {
@@ -185,7 +185,7 @@ func TestPrefetchCtx(t *testing.T) {
 func TestWaitContextCompleted(t *testing.T) {
 	e := newCtxExecutor(t, 2, 0)
 	h, _ := registerTensor(t, e, "x", 256)
-	tk := e.SwapOutAsync(h, true, compress.ZVC)
+	tk := e.SwapOutAsyncCtx(context.Background(), h, true, compress.ZVC)
 	if err := tk.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,9 @@
 // and commits the final state when done. Concurrent misuse of one handle —
 // two goroutines swapping it at once, a Free racing a swap — fails fast
 // with ErrBusy instead of corrupting memory. Distinct handles may always
-// be driven concurrently; the async API (SwapOutAsync / SwapInAsync /
-// Prefetch, see async.go) builds its bounded in-flight pipeline on exactly
-// this guarantee.
+// be driven concurrently; the async API (SwapOutAsyncCtx /
+// SwapInAsyncCtx / PrefetchCtx, see async.go) builds its bounded in-flight
+// pipeline on exactly this guarantee.
 package executor
 
 import (
@@ -111,9 +111,9 @@ type Config struct {
 	// 0.3–0.5 ms per MiB for ZVC, the fastest codec. With Verify off no
 	// digest is taken at all.
 	Verify bool
-	// MaxInFlight bounds how many asynchronous operations (SwapOutAsync,
-	// SwapInAsync, Prefetch) may be in flight at once; a submission past
-	// the bound blocks until a slot frees — backpressure, not an error.
+	// MaxInFlight bounds how many asynchronous operations (SwapOutAsyncCtx,
+	// SwapInAsyncCtx, PrefetchCtx) may be in flight at once; a submission
+	// past the bound blocks until a slot frees — backpressure, not an error.
 	// Zero selects DefaultMaxInFlight. Synchronous SwapOut/SwapIn calls
 	// do not consume slots.
 	MaxInFlight int

@@ -129,7 +129,7 @@ func (e *Executor) store(s *stored, name string, src []float32, doCompress bool,
 	hostBlock, err := e.hostAlloc(int64(len(blob)))
 	if err != nil && compressed {
 		// Host-pool pressure on the compressed path: retry raw before
-		// surfacing (HostCapacityFor budgets the pool for the all-raw
+		// surfacing (core.HostCapacityFor budgets the pool for the all-raw
 		// worst case, so the raw reservation is the accounted-for size).
 		raw := rawEncode(src, e.cache)
 		rawBlock, rerr := e.hostAlloc(int64(len(raw)))

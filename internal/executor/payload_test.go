@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -36,7 +37,7 @@ func handleOwner(t *testing.T, e *Executor, data []float32) payloadOwner {
 	return payloadOwner{
 		swapOut:  func(c bool, a compress.Algorithm) error { return e.SwapOut(h, c, a) },
 		swapIn:   func() error { return e.SwapIn(h) },
-		prefetch: func() error { return e.Prefetch(h).Wait() },
+		prefetch: func() error { return e.PrefetchCtx(context.Background(), h).Wait() },
 		demote:   func() error { return e.Demote(h) },
 		swapped:  func() bool { return h.State() == Swapped },
 		read:     h.Data,
@@ -57,7 +58,7 @@ func poolOwner(t *testing.T, e *Executor, data []float32) payloadOwner {
 	return payloadOwner{
 		swapOut:  func(c bool, a compress.Algorithm) error { return p.SwapOutBlocks(ids, c, a) },
 		swapIn:   func() error { return p.SwapInBlocks(ids) },
-		prefetch: func() error { return p.PrefetchBlocks(ids).Wait() },
+		prefetch: func() error { return p.PrefetchBlocksCtx(context.Background(), ids).Wait() },
 		demote: func() error {
 			p.mu.Lock()
 			pr := p.run[0]

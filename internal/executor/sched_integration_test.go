@@ -226,7 +226,7 @@ func TestPrefetchReadahead(t *testing.T) {
 	}
 
 	// Device full: the prefetch cannot restore, but it stages disk→host.
-	if err := e.Prefetch(ha).Wait(); err == nil {
+	if err := e.PrefetchCtx(context.Background(), ha).Wait(); err == nil {
 		t.Fatal("prefetch restored a into a full device pool")
 	}
 	if ha.InTier() {
@@ -277,7 +277,7 @@ func TestBatchPrefetchReadahead(t *testing.T) {
 		t.Fatalf("tier holds %d blobs after run demotion, want 1", ts.Len())
 	}
 
-	if err := p.PrefetchBlocks(ids).Wait(); err != nil {
+	if err := p.PrefetchBlocksCtx(context.Background(), ids).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {

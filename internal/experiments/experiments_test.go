@@ -401,6 +401,16 @@ func TestAdvisorFavorsZVC(t *testing.T) {
 	}
 }
 
+func TestSectionKeysAreUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range Sections {
+		if s.Key == "" || seen[s.Key] {
+			t.Errorf("section %q: key %q is empty or repeated", s.Title, s.Key)
+		}
+		seen[s.Key] = true
+	}
+}
+
 func TestWriteAllCSV(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteAllCSV(Fast(1), dir); err != nil {

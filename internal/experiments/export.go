@@ -120,47 +120,20 @@ func (r *Fig12Result) WriteCSV(dir string) error {
 	return writeCSV(dir, "fig12.csv", header, rows)
 }
 
-// WriteAllCSV runs the series-shaped experiments and writes every CSV into
-// dir. It is the data-export entry point used by cswap-report -csv.
+// WriteAllCSV runs the series-shaped sections and writes every CSV into
+// dir.
 func WriteAllCSV(cfg Config, dir string) error {
-	f1, err := Fig1(cfg)
-	if err != nil {
-		return err
+	for _, s := range Sections {
+		if !s.csv {
+			continue
+		}
+		r, err := s.Run(cfg)
+		if err != nil {
+			return err
+		}
+		if err := r.(csvWriter).WriteCSV(dir); err != nil {
+			return err
+		}
 	}
-	if err := f1.WriteCSV(dir); err != nil {
-		return err
-	}
-	f5, err := Fig5(cfg)
-	if err != nil {
-		return err
-	}
-	if err := f5.WriteCSV(dir); err != nil {
-		return err
-	}
-	f6, err := Fig6(cfg)
-	if err != nil {
-		return err
-	}
-	if err := f6.WriteCSV(dir); err != nil {
-		return err
-	}
-	f8, err := Fig8(cfg)
-	if err != nil {
-		return err
-	}
-	if err := f8.WriteCSV(dir); err != nil {
-		return err
-	}
-	f9, err := Fig9(cfg)
-	if err != nil {
-		return err
-	}
-	if err := f9.WriteCSV(dir); err != nil {
-		return err
-	}
-	f12, err := Fig12(cfg)
-	if err != nil {
-		return err
-	}
-	return f12.WriteCSV(dir)
+	return nil
 }
