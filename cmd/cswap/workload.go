@@ -156,8 +156,10 @@ func train(fs *flag.FlagSet, args []string, out io.Writer) error {
 		st.SwapOuts, st.SwapIns, st.Verified)
 	fmt.Fprintf(out, "data volume: %.1f MB raw -> %.1f MB moved (ratio %.3f)\n",
 		float64(st.RawBytes)/(1<<20), float64(st.MovedBytes)/(1<<20), st.Ratio())
-	cs := exec.CacheStats()
-	fmt.Fprintf(out, "buffer cache: %d hits / %d misses (pool-reuse optimisation)\n", cs.Hits, cs.Misses)
+	gets := func(outcome string) float64 {
+		return exec.Registry().Counter("executor_arena_gets_total", metrics.L("outcome", outcome)).Value()
+	}
+	fmt.Fprintf(out, "buffer cache: %.0f hits / %.0f misses (pool-reuse optimisation)\n", gets("hit"), gets("miss"))
 	return nil
 }
 

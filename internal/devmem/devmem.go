@@ -1,10 +1,9 @@
-// Package devmem provides the memory-management substrate of the swapping
+// Package devmem provides the memory-accounting substrate of the swapping
 // executor: fixed-capacity allocation pools standing in for GPU global
-// memory and pinned host memory, plus a size-classed buffer cache that
-// recycles allocations the way the paper's prototype uses Torch's
-// getCUDADeviceAllocator/getPinnedMemoryAllocator memory pools "to avoid
-// using the expensive cudaMalloc() and cudaMallocHost() functions"
-// (Section V).
+// memory and pinned host memory. (The buffers themselves are recycled by
+// the executor's arena — the counterpart of the Torch memory pools the
+// paper's prototype uses "to avoid using the expensive cudaMalloc() and
+// cudaMallocHost() functions", Section V.)
 package devmem
 
 import (
@@ -140,85 +139,3 @@ func (p *Pool) Used() int64 {
 
 // Capacity returns the pool's byte capacity.
 func (p *Pool) Capacity() int64 { return p.capacity }
-
-// ---------------------------------------------------------------------------
-// Buffer cache.
-
-// Cache recycles byte buffers by power-of-two size class, avoiding repeated
-// large allocations on the swap path (the memory-pool optimisation of
-// Section V). It is concurrency-safe.
-type Cache struct {
-	mu      sync.Mutex
-	classes map[uint][][]byte
-	hits    int64
-	misses  int64
-	puts    int64
-}
-
-// NewCache returns an empty buffer cache.
-func NewCache() *Cache {
-	return &Cache{classes: make(map[uint][][]byte)}
-}
-
-// sizeClass returns the power-of-two class covering n.
-func sizeClass(n int) uint {
-	c := uint(0)
-	s := 1
-	for s < n {
-		s <<= 1
-		c++
-	}
-	return c
-}
-
-// Get returns a buffer with length n, reusing a cached buffer of the same
-// size class when available.
-func (c *Cache) Get(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	cls := sizeClass(n)
-	c.mu.Lock()
-	bufs := c.classes[cls]
-	if len(bufs) > 0 {
-		buf := bufs[len(bufs)-1]
-		c.classes[cls] = bufs[:len(bufs)-1]
-		c.hits++
-		c.mu.Unlock()
-		return buf[:n]
-	}
-	c.misses++
-	c.mu.Unlock()
-	return make([]byte, n, 1<<cls)
-}
-
-// Put returns a buffer to the cache for reuse. Buffers are kept at most
-// eight deep per class to bound retention.
-func (c *Cache) Put(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	cls := sizeClass(cap(buf))
-	if 1<<cls != cap(buf) {
-		// Only cache exact power-of-two capacities (our own allocations).
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.puts++
-	if len(c.classes[cls]) < 8 {
-		c.classes[cls] = append(c.classes[cls], buf[:cap(buf)])
-	}
-}
-
-// CacheStats snapshots hit/miss accounting.
-type CacheStats struct {
-	Hits, Misses, Puts int64
-}
-
-// Stats returns a snapshot.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Puts: c.puts}
-}

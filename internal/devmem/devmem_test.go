@@ -96,75 +96,6 @@ func TestPoolConcurrentAllocFree(t *testing.T) {
 	}
 }
 
-func TestCacheReuse(t *testing.T) {
-	c := NewCache()
-	a := c.Get(1000)
-	if len(a) != 1000 || cap(a) != 1024 {
-		t.Fatalf("len=%d cap=%d", len(a), cap(a))
-	}
-	c.Put(a)
-	b := c.Get(900) // same class (1024)
-	if len(b) != 900 {
-		t.Fatalf("len = %d", len(b))
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	// Different class: miss.
-	c.Get(5000)
-	if st := c.Stats(); st.Misses != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestCacheIgnoresForeignBuffers(t *testing.T) {
-	c := NewCache()
-	c.Put(make([]byte, 1000)) // non-power-of-two capacity
-	if st := c.Stats(); st.Puts != 0 {
-		t.Fatal("foreign buffer cached")
-	}
-	c.Put(nil)
-	if got := c.Get(0); got != nil {
-		t.Fatal("Get(0) should be nil")
-	}
-}
-
-func TestCacheBoundedDepth(t *testing.T) {
-	c := NewCache()
-	for i := 0; i < 20; i++ {
-		c.Put(make([]byte, 1024))
-	}
-	hits := 0
-	for i := 0; i < 20; i++ {
-		before := c.Stats().Hits
-		c.Get(1024)
-		if c.Stats().Hits > before {
-			hits++
-		}
-	}
-	if hits > 8 {
-		t.Fatalf("cache retained %d buffers, cap is 8", hits)
-	}
-}
-
-func TestCacheConcurrent(t *testing.T) {
-	c := NewCache()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				buf := c.Get(512)
-				buf[0] = byte(i)
-				c.Put(buf)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func TestAllocHookGatesAllocations(t *testing.T) {
 	p := NewPool("hooked", 1<<20)
 	boom := errors.New("boom")

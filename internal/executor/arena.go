@@ -7,10 +7,12 @@ import (
 	"cswap/internal/metrics"
 )
 
-// arena recycles the byte buffers that flow through the swap hot path:
-// compressed encode outputs and fault-injected transfer copies. (Raw swap
-// buffers stay on the devmem.Cache, which models the pinned-host buffer
-// reuse; the arena owns only what the cache does not.)
+// arena is the executor's one buffer recycler: every byte buffer that flows
+// through the swap hot path — compressed encode outputs, raw payload copies,
+// tier promotion reads and fault-injected transfer copies — is drawn from it
+// and returns to it. It is the memory-pool reuse the paper's prototype takes
+// from Torch "to avoid using the expensive cudaMalloc() and cudaMallocHost()"
+// (Section V).
 //
 // Buffers are size-classed by power-of-two capacity: get(n) draws from the
 // class of ceil(log2(n)), and put files a buffer under floor(log2(cap)), so
@@ -59,8 +61,12 @@ func arenaClass(n int) (int, bool) {
 	return shift - arenaMinShift, true
 }
 
-// get returns a zero-length buffer with capacity at least n.
+// get returns a zero-length buffer with capacity at least n. An empty
+// request draws nothing (and is not counted): put would not take it back.
 func (a *arena) get(n int) []byte {
+	if n <= 0 {
+		return []byte{}
+	}
 	class, ok := arenaClass(n)
 	if !ok {
 		a.misses.Inc()
@@ -83,7 +89,9 @@ func (a *arena) put(b []byte) {
 		return
 	}
 	class := bits.Len(uint(c)) - 1 - arenaMinShift // floor(log2(cap))
-	b = b[:0]
-	a.classes[class].Put(&b)
+	// The boxed header is declared past the early return, so only a buffer
+	// that is actually pooled pays for it: put(nil) allocates nothing.
+	buf := b[:0]
+	a.classes[class].Put(&buf)
 	a.puts.Inc()
 }

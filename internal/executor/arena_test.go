@@ -29,9 +29,15 @@ func TestArenaSizeClasses(t *testing.T) {
 	// Buffers outside the pooled classes are dropped, not filed.
 	a.put(make([]byte, 8))
 	a.put(nil)
-	// get must honour any n even when unpoolable.
+	// get must honour any n even when unpoolable. An empty request draws
+	// nothing put could take back, so it is not counted: gets and puts of a
+	// freed payload balance whatever its size.
+	gets := a.hits.Value() + a.misses.Value()
 	if b := a.get(0); b == nil || len(b) != 0 {
 		t.Fatalf("get(0) = %v", b)
+	}
+	if got := a.hits.Value() + a.misses.Value(); got != gets {
+		t.Fatalf("get(0) counted as a draw: gets %v -> %v", gets, got)
 	}
 	// A non-power-of-two capacity files under the class it fully covers.
 	odd := make([]byte, 0, 3000) // floor(log2) = 11, serves requests <= 2048
@@ -175,5 +181,22 @@ func TestSwapHotPathAllocationBudget(t *testing.T) {
 	})
 	if got > budget {
 		t.Errorf("warm swap round trip: %.1f allocs/op, budget %d", got, budget)
+	}
+
+	// The raw path beside it is two copies of the payload's byte view through
+	// the same arena: warm, it allocates no buffer at all — only three fixed
+	// records, the two pool blocks (device, host) and the arena's boxed slice
+	// header, whatever the tensor size.
+	rawTrip := func() {
+		if err := e.SwapOut(h, false, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SwapIn(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rawTrip() // warm the raw blob's size class
+	if got := testing.AllocsPerRun(20, rawTrip); got > 3 {
+		t.Errorf("warm raw round trip: %.1f allocs/op, want the 3 bookkeeping records", got)
 	}
 }

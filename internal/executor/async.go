@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"cswap/internal/compress"
-	"cswap/internal/metrics"
 	"cswap/internal/sched"
 )
 
@@ -95,14 +94,12 @@ func (t *Ticket) Err() error {
 // or "prefetch").
 func (t *Ticket) Op() string { return t.op }
 
-// asyncGate is a bounded in-flight window. Slots are acquired at
-// submission time in the caller's goroutine — a full window blocks the
-// submitter, which is the backpressure the pipeline promises — and
-// released when the operation commits. The gauge, peak, and queue-depth
+// asyncGate is the executor's one bounded in-flight window. Slots are
+// acquired at submission time in the caller's goroutine — a full window
+// blocks the submitter, which is the backpressure the pipeline promises —
+// and released when the operation commits. The gauge, peak, and queue-depth
 // instruments are updated under the gate's lock so their readings are
-// consistent with the count. The executor runs two gates: the main swap
-// window and a separate (smaller) one for tier demotion/promotion I/O,
-// each with its own instrument cells.
+// consistent with the count.
 type asyncGate struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -110,15 +107,11 @@ type asyncGate struct {
 	inflight int
 	peak     int
 	closed   bool
-
-	inflightG, peakG *metrics.Gauge
-	depthH           *metrics.Histogram
-	stalls           *metrics.Counter // acquires that had to wait; nil on the tier gate
+	ins      *instruments // the executor_async_* cells
 }
 
-func (g *asyncGate) init(max int, inflightG, peakG *metrics.Gauge, depthH *metrics.Histogram, stalls *metrics.Counter) {
-	g.max = max
-	g.inflightG, g.peakG, g.depthH, g.stalls = inflightG, peakG, depthH, stalls
+func (g *asyncGate) init(max int, ins *instruments) {
+	g.max, g.ins = max, ins
 	g.cond = sync.NewCond(&g.mu)
 }
 
@@ -142,15 +135,15 @@ func (g *asyncGate) acquire(ctx context.Context) error {
 		return ErrClosed
 	}
 	if waited {
-		g.stalls.Inc()
+		g.ins.asyncBackpressure.Inc()
 	}
 	g.inflight++
 	if g.inflight > g.peak {
 		g.peak = g.inflight
-		g.peakG.Set(float64(g.peak))
+		g.ins.asyncPeak.Set(float64(g.peak))
 	}
-	g.inflightG.Set(float64(g.inflight))
-	g.depthH.Observe(float64(g.inflight))
+	g.ins.asyncInflight.Set(float64(g.inflight))
+	g.ins.asyncDepth.Observe(float64(g.inflight))
 	return nil
 }
 
@@ -184,7 +177,7 @@ func (g *asyncGate) waitCtx(ctx context.Context) {
 func (g *asyncGate) release() {
 	g.mu.Lock()
 	g.inflight--
-	g.inflightG.Set(float64(g.inflight))
+	g.ins.asyncInflight.Set(float64(g.inflight))
 	g.cond.Broadcast()
 	g.mu.Unlock()
 }
@@ -206,10 +199,10 @@ func (g *asyncGate) close() {
 	g.mu.Unlock()
 }
 
-// dispatch is the one way work gets onto the async pipeline — a tensor op,
-// each run of a block batch, a demotion on the tier window. It takes one
-// slot of the bounded window g in the caller's goroutine (so a full window
-// blocks the submitter until a slot frees, ctx is done or the gate closes),
+// dispatch is the one way work gets onto the async pipeline — a tensor op or
+// each run of a block batch. It takes one slot of the bounded window in the
+// caller's goroutine (so a full window blocks the submitter until a slot
+// frees, ctx is done or the gate closes),
 // then runs body(arg) on the compress package's persistent worker pool,
 // resolving t with its result before the slot is released. A refused slot
 // is returned with nothing run and t unresolved: the caller rolls its claim
@@ -217,13 +210,13 @@ func (g *asyncGate) close() {
 // closure, not two. With a timeline attached, the queue stage — submission
 // to execution start — is recorded as an async-queue span; the body
 // records its own swap-out/swap-in span after it.
-func dispatch[A any](ctx context.Context, e *Executor, g *asyncGate, t *Ticket, body func(A) error, arg A) error {
+func dispatch[A any](ctx context.Context, e *Executor, t *Ticket, body func(A) error, arg A) error {
 	traced := e.obs != nil && e.obs.Trace != nil
 	var tSubmit float64
 	if traced {
 		tSubmit = e.sinceEpoch()
 	}
-	if err := g.acquire(ctx); err != nil {
+	if err := e.gate.acquire(ctx); err != nil {
 		return err
 	}
 	compress.Go(func() {
@@ -231,7 +224,7 @@ func dispatch[A any](ctx context.Context, e *Executor, g *asyncGate, t *Ticket, 
 			e.obs.Span("async-queue", t.op+":"+t.name, tSubmit, e.sinceEpoch())
 		}
 		t.complete(body(arg)) // body commits or rolls back the claim first
-		g.release()
+		e.gate.release()
 	})
 	return nil
 }
@@ -273,7 +266,7 @@ func (e *Executor) submitAsync(ctx context.Context, h *Handle, op string, from, 
 		return t.complete(fmt.Errorf("executor: %s %s: %w", op, h.name, ErrShed))
 	}
 	e.ins.asyncSubmitted(op).Inc()
-	if err := dispatch(ctx, e, &e.gate, t, body, h); err != nil {
+	if err := dispatch(ctx, e, t, body, h); err != nil {
 		// Closed (or the context expired) while waiting for a slot: nothing
 		// ran, so the claim rolls straight back to the state it came from.
 		h.commit(from)
@@ -342,15 +335,15 @@ func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
 }
 
 // Drain blocks until every asynchronous operation in flight at any point
-// during the call has completed and committed its handle state — swap
-// work on the main window and tier demotions/promotions on theirs. It is
-// a barrier, not a shutdown: submissions stay legal during and after a
-// drain (a concurrent submitter can extend the wait). All tickets issued
-// before Drain returns are resolved once it does.
-func (e *Executor) Drain() {
-	e.gate.drain()
-	e.tierGate.drain()
-}
+// during the call has completed and committed its handle or run state —
+// every ticket the executor issues rides the one in-flight window, tier
+// reads and inline demotions included, because they run inside the swap
+// bodies that hold its slots. Synchronous calls (SwapOut, SwapIn, Demote)
+// and the watermark demoter are not tickets and are not waited for. It is a
+// barrier, not a shutdown: submissions stay legal during and after a drain
+// (a concurrent submitter can extend the wait). All tickets issued before
+// Drain returns are resolved once it does.
+func (e *Executor) Drain() { e.gate.drain() }
 
 // InFlight returns the number of asynchronous operations currently
 // holding a slot in the bounded window.
@@ -360,21 +353,23 @@ func (e *Executor) InFlight() int {
 	return e.gate.inflight
 }
 
-// Close drains the async pipeline and shuts the executor's intake:
-// subsequent Register calls and async submissions fail with ErrClosed.
-// Live handles remain readable and may still be driven synchronously
-// (swapping in a tensor you still hold is not new work). Close is
+// Close shuts the executor's intake and waits for what is already running:
+// it stops the watermark demoter (waiting out its final sweep), closes the
+// in-flight window and drains it, so every ticket ever issued is resolved
+// when it returns. Subsequent Register calls and async submissions fail
+// with ErrClosed. Live handles remain readable and may still be driven
+// synchronously, wherever their payload lives — SwapOut, SwapIn (from the
+// host pool or the disk tier), Demote and Free take no slot of the closed
+// window (swapping in a tensor you still hold is not new work). Close is
 // idempotent.
 func (e *Executor) Close() error {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
-	// The watermark demoter stops first so background demotions cannot
-	// extend the tier-gate drain below.
+	// The watermark demoter stops first so no background demotion starts
+	// once Close has returned.
 	e.stopWatermark()
 	e.gate.close()
 	e.gate.drain()
-	e.tierGate.close()
-	e.tierGate.drain()
 	return nil
 }

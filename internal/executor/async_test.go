@@ -458,13 +458,25 @@ func TestDrainBarrier(t *testing.T) {
 
 // TestCloseRejectsNewWork pins Close: it drains, then Register and async
 // submissions fail with ErrClosed (and the rejected registration's device
-// reservation is released), while live handles stay usable synchronously.
+// reservation is released), while live handles stay usable synchronously —
+// wherever their payload lives, the host pool or the disk tier.
 func TestCloseRejectsNewWork(t *testing.T) {
-	e := newTestExecutor(t, 1<<22, 1<<22)
+	e, _ := newTierExecutor(t, 1<<22, 1<<22, 1<<22, nil)
 	gen := tensor.NewGenerator(58)
 	h, err := e.Register("kept", gen.Uniform(10000, 0.5))
 	if err != nil {
 		t.Fatal(err)
+	}
+	tiered, err := e.Register("kept-on-disk", gen.Uniform(10000, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tieredWant := append([]float32(nil), tiered.data...)
+	if err := e.SwapOut(tiered, true, compress.ZVC); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Demote(tiered); err != nil || !tiered.InTier() {
+		t.Fatalf("Demote before Close: err %v, in tier %v", err, tiered.InTier())
 	}
 	tk := e.SwapOutAsyncCtx(context.Background(), h, true, compress.ZVC)
 	if err := e.Close(); err != nil {
@@ -493,6 +505,15 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 	if _, err := h.Data(); err != nil {
 		t.Fatal(err)
+	}
+	// So does promoting a payload that was demoted before Close: the tier is
+	// one more place a held tensor may live, not new work.
+	if err := e.SwapIn(tiered); err != nil {
+		t.Fatalf("SwapIn of a tier-resident handle after Close: %v", err)
+	}
+	assertBitExact(t, tiered, tieredWant)
+	if e.TierUsed() != 0 {
+		t.Fatalf("promotion after Close left %d bytes in the tier", e.TierUsed())
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err) // idempotent

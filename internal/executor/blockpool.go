@@ -505,7 +505,7 @@ func (p *BlockPool) submitRuns(ctx context.Context, t *Ticket, runs []BlockRun, 
 			err = ErrShed
 		} else {
 			ct := newTicket(t.op, p.name)
-			if err = dispatch(ctx, e, &e.gate, ct, body, r); err == nil {
+			if err = dispatch(ctx, e, ct, body, r); err == nil {
 				children = append(children, ct)
 			}
 		}
@@ -653,7 +653,7 @@ func (p *BlockPool) demoteRun(pr *poolRun) error {
 	// and the run's start block (unique per stored run at any instant — one
 	// stored run per block).
 	pr.tierKey = fmt.Sprintf("%s#p%d@%d", p.name, p.id, pr.start)
-	if err := e.demoteSync(&pr.stored); err != nil {
+	if err := e.demote(&pr.stored); err != nil {
 		return fmt.Errorf("executor: demote %s run [%d,+%d): %w", p.name, pr.start, pr.count, err)
 	}
 	return nil

@@ -126,11 +126,6 @@ type Config struct {
 	// of failing the allocation, and swap-ins promote back transparently.
 	// Nil disables tiering; see tier.go.
 	Tier *tier.Store
-	// TierMaxInFlight bounds concurrent tier (disk) I/O — demotions and
-	// promotion reads run under their own window so they never starve
-	// foreground swaps of MaxInFlight slots. Zero selects
-	// DefaultTierMaxInFlight.
-	TierMaxInFlight int
 	// TierWatermark, in (0,1), enables background watermark demotion: a
 	// timer goroutine demotes ranked cold payloads whenever host-pool
 	// occupancy exceeds TierWatermark×HostCapacity, so swap-outs find
@@ -161,7 +156,6 @@ type Executor struct {
 	cfg    Config
 	device *devmem.Pool
 	host   *devmem.Pool
-	cache  *devmem.Cache
 	arena  *arena
 	hooks  *compress.Hooks
 
@@ -174,15 +168,13 @@ type Executor struct {
 	obs   *metrics.Observer
 	epoch time.Time
 
-	// gate is the async pipeline's bounded in-flight window (async.go);
-	// tierGate is the separate, smaller window tier demotion/promotion
-	// I/O runs under (tier.go). tier is the optional disk spill tier;
-	// sched is the optional admission scheduler's shed signal. The
-	// watermark channels drive the background demoter's lifecycle
-	// (watermarkOnce makes Close idempotent against it).
+	// gate is the async pipeline's bounded in-flight window (async.go), the
+	// only one: tier I/O is serialized by the store's own lock (tier.go).
+	// tier is the optional disk spill tier; sched is the optional admission
+	// scheduler's shed signal. The watermark channels drive the background
+	// demoter's lifecycle (watermarkOnce makes Close idempotent against it).
 	gate          asyncGate
 	tier          *tier.Store
-	tierGate      asyncGate
 	sched         ShedSignal
 	watermarkStop chan struct{}
 	watermarkDone chan struct{}
@@ -372,7 +364,7 @@ func New(cfg Config) (*Executor, error) {
 	if cfg.DeviceCapacity <= 0 || cfg.HostCapacity <= 0 {
 		return nil, fmt.Errorf("executor: capacities must be positive")
 	}
-	if cfg.MaxInFlight < 0 || cfg.TierMaxInFlight < 0 {
+	if cfg.MaxInFlight < 0 {
 		return nil, fmt.Errorf("executor: MaxInFlight must be non-negative")
 	}
 	if cfg.MaxInFlight == 0 {
@@ -392,7 +384,6 @@ func New(cfg Config) (*Executor, error) {
 		cfg:    cfg,
 		device: devmem.NewPool("device", cfg.DeviceCapacity),
 		host:   devmem.NewPool("pinned-host", cfg.HostCapacity),
-		cache:  devmem.NewCache(),
 		arena:  newArena(reg),
 		live:   map[int]*Handle{},
 		pools:  map[int]*BlockPool{},
@@ -401,15 +392,11 @@ func New(cfg Config) (*Executor, error) {
 		obs:    cfg.Observer,
 		epoch:  time.Now(),
 	}
-	e.gate.init(cfg.MaxInFlight, e.ins.asyncInflight, e.ins.asyncPeak, e.ins.asyncDepth, e.ins.asyncBackpressure)
-	if cfg.TierMaxInFlight == 0 {
-		cfg.TierMaxInFlight = DefaultTierMaxInFlight
-	}
+	e.gate.init(cfg.MaxInFlight, &e.ins)
 	e.tier = cfg.Tier
 	// The gauge reports what the directory holds from the first scrape on,
 	// not only after this process's first demotion.
 	e.ins.tierOccupancy.Set(float64(e.TierUsed()))
-	e.tierGate.init(cfg.TierMaxInFlight, e.ins.tierInflight, e.ins.tierPeak, e.ins.tierDepth, nil)
 	e.sched = cfg.Sched
 	if cfg.TierWatermark != 0 {
 		if cfg.TierWatermark < 0 || cfg.TierWatermark >= 1 {
@@ -482,7 +469,7 @@ func (e *Executor) Register(name string, t *tensor.Tensor) (*Handle, error) {
 // SwapOut moves the tensor to the host pool. With compress true, the data
 // is encoded with alg (partitioned by the configured launch) and only the
 // compressed bytes consume host capacity and count as moved; otherwise the
-// raw little-endian bytes move.
+// tensor's own bytes move.
 //
 // A compressed swap-out never fails on the codec: if the encode errors, or
 // the compressed blob cannot be allocated in the host pool, the tensor
@@ -554,7 +541,7 @@ func (e *Executor) SetLaunch(l compress.Launch) error {
 // arenaEncode runs the parallel encode into an arena buffer sized by the
 // codec's worst-case bound, so the encode itself allocates nothing. On
 // error the buffer goes straight back to the arena; on success the caller
-// owns the returned blob and recycles it via recycleBlob.
+// owns the returned blob and recycles it via arena.put.
 func (e *Executor) arenaEncode(alg compress.Algorithm, data []float32) ([]byte, error) {
 	launch := e.Launch() // one read: bound and encode must agree
 	bound, err := compress.MaxParallelEncodedLen(alg, len(data), launch)
@@ -642,18 +629,6 @@ func retryable(err error, transient bool) bool {
 	return compress.Recoverable(err)
 }
 
-// recycleBlob returns a swapped payload to its owner once nothing holds a
-// view into it: compressed blobs (and fault-injected transfer copies) to
-// the arena, raw buffers to the pinned-buffer cache that models
-// cudaMallocHost reuse.
-func (e *Executor) recycleBlob(blob []byte, compressed bool) {
-	if compressed {
-		e.arena.put(blob)
-	} else {
-		e.cache.Put(blob)
-	}
-}
-
 // Free releases the tensor from whichever pool holds it. A handle with a
 // swap in flight returns ErrBusy — wait for the operation, then Free.
 func (e *Executor) Free(h *Handle) error {
@@ -725,9 +700,6 @@ func (e *Executor) DeviceStats() devmem.Stats { return e.device.Stats() }
 
 // HostStats exposes the pinned pool accounting.
 func (e *Executor) HostStats() devmem.Stats { return e.host.Stats() }
-
-// CacheStats exposes the buffer-cache accounting.
-func (e *Executor) CacheStats() devmem.CacheStats { return e.cache.Stats() }
 
 // FaultStats exposes the injector's fired-fault counts (zero when no
 // injector is configured).

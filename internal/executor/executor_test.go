@@ -124,9 +124,9 @@ func TestSwapOutInRoundTripRaw(t *testing.T) {
 	if err := e.Free(h); err != nil {
 		t.Fatal(err)
 	}
-	// Cache should have recycled the raw buffer.
-	if cs := e.CacheStats(); cs.Puts == 0 {
-		t.Fatal("raw buffer never returned to cache")
+	// The arena should have recycled the raw buffer.
+	if e.arena.puts.Value() == 0 {
+		t.Fatal("raw buffer never returned to the arena")
 	}
 }
 
@@ -663,9 +663,8 @@ func TestConcurrentSwapStreamsUnderFaults(t *testing.T) {
 
 // TestSwapOutDevFreeFailureRecyclesBlob pins the blob-leak fix: when the
 // device block cannot be released after the host copy landed, the encoded
-// (or raw) blob must go back to its pool — arena puts (or cache puts)
-// account for it — and the swap-out rolls back with the host reservation
-// released.
+// (or raw) blob must go back to the arena — its puts counter accounts for
+// it — and the swap-out rolls back with the host reservation released.
 func TestSwapOutDevFreeFailureRecyclesBlob(t *testing.T) {
 	for _, compressed := range []bool{true, false} {
 		e := newTestExecutor(t, 1<<22, 1<<22)
@@ -680,7 +679,6 @@ func TestSwapOutDevFreeFailureRecyclesBlob(t *testing.T) {
 			t.Fatal(err)
 		}
 		arenaPuts := e.arena.puts.Value()
-		cachePuts := e.CacheStats().Puts
 		if err := e.SwapOut(h, compressed, compress.ZVC); !errors.Is(err, devmem.ErrDoubleFree) {
 			t.Fatalf("compressed=%v: err = %v, want ErrDoubleFree", compressed, err)
 		}
@@ -690,14 +688,8 @@ func TestSwapOutDevFreeFailureRecyclesBlob(t *testing.T) {
 		if e.HostStats().Used != 0 {
 			t.Fatalf("compressed=%v: failed swap-out leaked host memory", compressed)
 		}
-		if compressed {
-			if got := e.arena.puts.Value(); got != arenaPuts+1 {
-				t.Fatalf("arena puts %v -> %v: encoded blob leaked on the dev-free failure path", arenaPuts, got)
-			}
-		} else {
-			if got := e.CacheStats().Puts; got != cachePuts+1 {
-				t.Fatalf("cache puts %v -> %v: raw blob leaked on the dev-free failure path", cachePuts, got)
-			}
+		if got := e.arena.puts.Value(); got != arenaPuts+1 {
+			t.Fatalf("compressed=%v: arena puts %v -> %v: blob leaked on the dev-free failure path", compressed, arenaPuts, got)
 		}
 	}
 }

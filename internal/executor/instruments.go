@@ -40,16 +40,12 @@ type instruments struct {
 	coalesceRatio *metrics.Histogram
 
 	// Disk-tier instruments: bytes resident in the spill tier, demotions
-	// (host→tier), promotions (tier→host-free restore), tier hits (restores
-	// whose payload was read from the tier), and the tier I/O pipeline's
-	// own bounded window.
+	// (host→tier), promotions (tier→host-free restore) and tier hits
+	// (restores whose payload was read from the tier).
 	tierOccupancy  *metrics.Gauge
 	tierDemotions  *metrics.Counter
 	tierPromotions *metrics.Counter
 	tierHits       *metrics.Counter
-	tierInflight   *metrics.Gauge
-	tierPeak       *metrics.Gauge
-	tierDepth      *metrics.Histogram
 
 	// Scheduler-coupling and background-demotion instruments: shed events
 	// (one per preemption) and the runs they rolled back, watermark-timer
@@ -108,9 +104,6 @@ func newInstruments(r *metrics.Registry) instruments {
 		tierDemotions:  r.Counter("executor_tier_demotions_total"),
 		tierPromotions: r.Counter("executor_tier_promotions_total"),
 		tierHits:       r.Counter("executor_tier_hits_total"),
-		tierInflight:   r.Gauge("executor_tier_inflight"),
-		tierPeak:       r.Gauge("executor_tier_inflight_peak"),
-		tierDepth:      r.HistogramWith("executor_tier_queue_depth", metrics.ExpBuckets(1, 2, 6)),
 
 		schedPreemptions:   r.Counter("executor_sched_preemptions_total"),
 		schedShedRuns:      r.Counter("executor_sched_shed_runs_total"),
@@ -153,6 +146,14 @@ func (i *instruments) forPayload(s *stored) *codecCells {
 		return &i.codec[0]
 	}
 	return &i.codec[s.alg]
+}
+
+// CodecTotals returns the cumulative deep series of one codec's committed
+// swaps: encode seconds and encodes, decode seconds, bytes moved — what the
+// online tuner diffs between ticks. They move only under an Observer.
+func (e *Executor) CodecTotals(alg compress.Algorithm) (encSeconds float64, encodes int64, decSeconds, movedBytes float64) {
+	c := &e.ins.codec[alg]
+	return c.enc.Sum(), c.enc.Count(), c.dec.Sum(), c.moved.Value()
 }
 
 // observeSwapOut records the deep (Observer-only) view of one swap-out:

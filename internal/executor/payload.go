@@ -24,7 +24,7 @@ import (
 // SwappingOut/SwappingIn, a run's blocks'), so they need no lock of their
 // own; readers outside a claim snapshot them under the owner's lock.
 type stored struct {
-	blob       []byte // codec blob or raw bytes; nil while tiered
+	blob       []byte // codec blob or the payload's own bytes, in an arena buffer; nil while tiered
 	hostBlock  *devmem.Block
 	alg        compress.Algorithm
 	compressed bool
@@ -47,7 +47,7 @@ type stored struct {
 // rawBytes is the uncompressed payload size.
 func (s *stored) rawBytes() int64 { return int64(s.elems) * tensor.BytesPerElement }
 
-// store is the swap-out body: encode src (or serialise it raw), park the
+// store is the swap-out body: encode src (or copy its bytes raw), park the
 // bytes in the host pool and fill s, then run the owner's commit. The
 // caller holds the claim and rolls it back when store fails — src is then
 // untouched and nothing is held.
@@ -95,7 +95,7 @@ func (e *Executor) store(s *stored, name string, src []float32, doCompress bool,
 		}
 	}
 	if !compressed {
-		blob = rawEncode(src, e.cache)
+		blob = e.rawCopy(src)
 	}
 	// The bytes that land in the host pool are the transferred copy; a
 	// transfer-out fault corrupts the stored blob persistently. Ownership
@@ -105,48 +105,30 @@ func (e *Executor) store(s *stored, name string, src []float32, doCompress bool,
 	// could still alias), and the mutated copy — which MutateBlob
 	// allocates outside the arena — is discarded under the same
 	// transfer-copy convention as restore's transient copies.
-	var pristine []byte
-	pristineCompressed := false
 	if mutated, ok := e.cfg.Faults.MutateBlob(faultinject.SiteTransferOut, blob); ok {
-		pristine, pristineCompressed = blob, compressed
+		defer e.arena.put(blob) // the pristine original, once the swap has resolved
 		blob = mutated
-	}
-	// settle sends home what this operation still owns once its outcome no
-	// longer depends on it: the retained pristine original always, and —
-	// when the outbound copy b is not going to ship — b too, transfer
-	// copies to the arena and genuine blobs to their pool.
-	settle := func(b []byte) {
-		if b != nil && pristine != nil {
-			e.arena.put(b)
-		} else if b != nil {
-			e.recycleBlob(b, compressed)
-		}
-		if pristine != nil {
-			e.recycleBlob(pristine, pristineCompressed)
-			pristine = nil
-		}
 	}
 	hostBlock, err := e.hostAlloc(int64(len(blob)))
 	if err != nil && compressed {
 		// Host-pool pressure on the compressed path: retry raw before
 		// surfacing (core.HostCapacityFor budgets the pool for the all-raw
 		// worst case, so the raw reservation is the accounted-for size).
-		raw := rawEncode(src, e.cache)
+		raw := e.rawCopy(src)
 		rawBlock, rerr := e.hostAlloc(int64(len(raw)))
 		if rerr != nil {
-			e.cache.Put(raw)
+			e.arena.put(raw)
 		} else {
-			settle(blob) // the compressed blob never ships
+			e.arena.put(blob) // the compressed blob never ships
 			compressed = false
 			allocFellBack = true
 			blob, hostBlock, err = raw, rawBlock, nil
 		}
 	}
 	if err != nil {
-		settle(blob) // nothing ships; every copy goes home
+		e.arena.put(blob) // nothing ships
 		return fmt.Errorf("executor: host pool: %w", err)
 	}
-	settle(nil) // the stored blob is the shipped copy; the original goes home
 	s.blob, s.hostBlock = blob, hostBlock
 	s.alg, s.compressed = alg, compressed
 	s.swappedAt = e.sinceEpoch()
@@ -176,6 +158,14 @@ func (e *Executor) store(s *stored, name string, src []float32, doCompress bool,
 		e.observeSwapOut(name, cells, moved, encDur, t0, e.sinceEpoch(), encodeFellBack, allocFellBack)
 	}
 	return nil
+}
+
+// rawCopy is the raw path's whole encoding: the payload's byte view copied
+// into an arena buffer, host byte order — a raw blob never leaves the process
+// that wrote it, so it needs no portable form.
+func (e *Executor) rawCopy(src []float32) []byte {
+	view := compress.FloatBytes(src)
+	return append(e.arena.get(len(view)), view...)
 }
 
 // hostAlloc reserves n host-pool bytes; under pressure with a spill tier
@@ -222,11 +212,13 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 		if s.compressed {
 			return compress.ParallelDecodeIntoWith(dst, blob, launch, e.hooks)
 		}
+		// The length check is what refuses a short or long raw blob; the copy
+		// overwrites every element of a dirty recycled destination.
 		if len(blob) != len(dst)*4 {
 			return fmt.Errorf("%w: raw blob is %d bytes, want %d",
 				compress.ErrTruncated, len(blob), len(dst)*4)
 		}
-		rawDecodeInto(dst, blob)
+		copy(compress.FloatBytes(dst), blob)
 		return nil
 	}
 	check := func() error {
@@ -300,9 +292,9 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 }
 
 // demote is the demotion body: move s's blob from the host pool into the
-// disk tier. The caller holds the claim and a tier I/O slot, and returns
-// the owner to Swapped whatever the outcome — s is tiered on success,
-// unchanged on failure, and an already-tiered payload is a no-op.
+// disk tier. The caller holds the claim and returns the owner to Swapped
+// whatever the outcome — s is tiered on success, unchanged on failure, and an
+// already-tiered payload is a no-op.
 func (e *Executor) demote(s *stored) error {
 	if s.tiered {
 		return nil
@@ -325,7 +317,7 @@ func (e *Executor) demote(s *stored) error {
 		_, _ = e.tier.Delete(s.tierKey)
 		return err
 	}
-	e.recycleBlob(s.blob, s.compressed)
+	e.arena.put(s.blob)
 	s.blob, s.hostBlock = nil, nil
 	s.tiered = true
 	e.ins.tierDemotions.Inc()
@@ -372,7 +364,7 @@ func (e *Executor) drop(s *stored) error {
 	if err := s.hostBlock.Free(); err != nil {
 		return err
 	}
-	e.recycleBlob(s.blob, s.compressed)
+	e.arena.put(s.blob)
 	s.blob, s.hostBlock = nil, nil
 	return nil
 }

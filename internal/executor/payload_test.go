@@ -1,7 +1,9 @@
 package executor
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -25,6 +27,7 @@ type payloadOwner struct {
 	prefetch func() error
 	demote   func() error
 	swapped  func() bool
+	record   func() *stored // the payload's record; read only while swapped
 	read     func() ([]float32, error)
 	free     func() error
 }
@@ -40,6 +43,7 @@ func handleOwner(t *testing.T, e *Executor, data []float32) payloadOwner {
 		prefetch: func() error { return e.PrefetchCtx(context.Background(), h).Wait() },
 		demote:   func() error { return e.Demote(h) },
 		swapped:  func() bool { return h.State() == Swapped },
+		record:   func() *stored { return &h.stored },
 		read:     h.Data,
 		free:     func() error { return e.Free(h) },
 	}
@@ -66,8 +70,13 @@ func poolOwner(t *testing.T, e *Executor, data []float32) payloadOwner {
 			return p.demoteRun(pr)
 		},
 		swapped: func() bool { return p.BlockState(0) == Swapped },
-		read:    func() ([]float32, error) { return p.ReadBlocks(ids) },
-		free:    p.Free,
+		record: func() *stored {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return &p.run[0].stored
+		},
+		read: func() ([]float32, error) { return p.ReadBlocks(ids) },
+		free: p.Free,
 	}
 }
 
@@ -84,6 +93,12 @@ type payloadReport struct {
 // Stats, host/tier occupancy and the per-codec series cannot differ by
 // kind. The launch is one chunk, so every codec pass is exactly one
 // injector operation and fault schedules land identically.
+//
+// The raw rows hold the raw path — a copy of the payload's byte view — to
+// the element-by-element little-endian serialisation it replaced: whatever
+// the payload (−0, NaN bit patterns, all zeros, dense, empty), the stored
+// blob, in the host pool or in its tier file, is that image on a
+// little-endian host, and the restore is bit-exact everywhere.
 func TestStoredPayloadEquivalence(t *testing.T) {
 	fail := func(site faultinject.Site, after int) faultinject.Fault {
 		return faultinject.Fault{Site: site, Mode: faultinject.Fail, After: after}
@@ -96,14 +111,16 @@ func TestStoredPayloadEquivalence(t *testing.T) {
 		step("swap-out", o.swapOut(true, compress.ZVC))
 		step("swap-in", o.swapIn())
 	}
-	cases := []struct {
+	type payloadCase struct {
 		name      string
 		faults    []faultinject.Fault
 		tiered    bool
 		script    script
 		wantStats func(Stats) bool
-		restored  bool // the script ends with the payload resident
-	}{
+		restored  bool      // the script ends with the payload resident
+		raw       []float32 // a raw row's payload; nil rows store `data`
+	}
+	cases := []payloadCase{
 		{name: "clean", script: roundTrip, restored: true,
 			wantStats: func(s Stats) bool { return s.CompressedTensors == 1 && s.Fallbacks() == 0 }},
 		{name: "encode failure falls back to raw", script: roundTrip, restored: true,
@@ -155,6 +172,58 @@ func TestStoredPayloadEquivalence(t *testing.T) {
 			wantStats: func(s Stats) bool { return s.TierDemotions == 1 && s.TierPromotions == 1 && s.SwapIns == 1 }},
 	}
 	data := tensor.NewGenerator(9).Uniform(8192, 0.6).Data
+	patterned := func(bits func(i int) uint32) []float32 {
+		out := append([]float32(nil), data...)
+		for i := 0; i < len(out); i += 7 {
+			out[i] = math.Float32frombits(bits(i))
+		}
+		return out
+	}
+	for _, raw := range []struct {
+		name string
+		data []float32
+	}{
+		{"negative zeros", patterned(func(int) uint32 { return 0x80000000 })},
+		{"NaN payloads", patterned(func(i int) uint32 { return 0x7FC00000 | uint32(i) | uint32(i%2)<<31 })},
+		{"all-zero", make([]float32, len(data))},
+		{"dense", tensor.NewGenerator(10).Uniform(len(data), 0).Data},
+		// Handles only (a block pool cannot be empty), host pool only: what
+		// an empty payload asks of the tier path — a zero-byte arena draw that
+		// is not counted — TestArenaSizeClasses pins.
+		{"empty", []float32{}},
+	} {
+		cases = append(cases, payloadCase{name: "raw " + raw.name, raw: raw.data, restored: true,
+			script: func(o payloadOwner, step func(string, error)) {
+				step("swap-out", o.swapOut(false, 0))
+				step("swap-in", o.swapIn())
+			},
+			wantStats: func(s Stats) bool {
+				return s.SwapIns == 1 && s.CompressedTensors == 0 && s.Fallbacks() == 0 && s.MovedBytes == s.RawBytes
+			}})
+		if len(raw.data) == 0 {
+			continue
+		}
+		cases = append(cases,
+			payloadCase{name: "raw " + raw.name + " through the tier", raw: raw.data, tiered: true, restored: true,
+				script: func(o payloadOwner, step func(string, error)) {
+					step("swap-out", o.swapOut(false, 0))
+					step("demote", o.demote())
+					step("swap-in", o.swapIn())
+				},
+				wantStats: func(s Stats) bool {
+					return s.SwapIns == 1 && s.CompressedTensors == 0 && s.TierDemotions == 1 && s.TierPromotions == 1
+				}})
+	}
+	// littleEndian is the raw blob every version of the raw path has stored
+	// on a little-endian host.
+	littleEndian := func(data []float32) []byte {
+		img := make([]byte, 4*len(data))
+		for i, v := range data {
+			binary.LittleEndian.PutUint32(img[4*i:], math.Float32bits(v))
+		}
+		return img
+	}
+	hostIsLE := binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 	kinds := []struct {
 		name string
 		own  func(*testing.T, *Executor, []float32) payloadOwner
@@ -162,6 +231,13 @@ func TestStoredPayloadEquivalence(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			data, kinds := data, kinds
+			if tc.raw != nil {
+				data = tc.raw
+			}
+			if len(data) == 0 {
+				kinds = kinds[:1]
+			}
 			var reports []payloadReport
 			for _, kind := range kinds {
 				cfg := Config{
@@ -189,16 +265,28 @@ func TestStoredPayloadEquivalence(t *testing.T) {
 				tc.script(o, func(name string, err error) {
 					rep.steps = append(rep.steps, fmt.Sprintf("%s: %s, swapped=%v host=%d tier=%d/%d blobs",
 						name, errClass(err), o.swapped(), e.HostStats().Used, e.TierUsed(), tierBlobs()))
+					if tc.raw == nil || !hostIsLE || !o.swapped() {
+						return
+					}
+					rec := o.record()
+					blob := rec.blob
+					if rec.tiered {
+						if blob, err = e.tier.Get(rec.tierKey, nil); err != nil {
+							t.Fatalf("%s: after %s: reading the tier file: %v", kind.name, name, err)
+						}
+					}
+					if !bytes.Equal(blob, littleEndian(data)) {
+						t.Errorf("%s: after %s: stored raw blob (tiered=%v) is not the payload's little-endian image",
+							kind.name, name, rec.tiered)
+					}
 				})
 				if tc.restored {
 					got, err := o.read()
 					if err != nil {
 						t.Fatalf("%s: read: %v", kind.name, err)
 					}
-					for i := range data {
-						if math.Float32bits(got[i]) != math.Float32bits(data[i]) {
-							t.Fatalf("%s: restored[%d] = %v, want %v", kind.name, i, got[i], data[i])
-						}
+					if !sameBits(got, data) {
+						t.Fatalf("%s: restored payload differs from the original", kind.name)
 					}
 				} else if !o.swapped() {
 					t.Fatalf("%s: payload neither restored nor still swapped", kind.name)
@@ -217,6 +305,9 @@ func TestStoredPayloadEquivalence(t *testing.T) {
 				}
 				reports = append(reports, rep)
 				_ = e.Close()
+			}
+			if len(reports) == 1 {
+				return
 			}
 			h, p := reports[0], reports[1]
 			if strings.Join(h.steps, "\n") != strings.Join(p.steps, "\n") {
@@ -258,9 +349,6 @@ func payloadSeries(t *testing.T, e *Executor) string {
 		if codec, ok := c.Labels["codec"]; ok && c.Value != 0 {
 			lines = append(lines, fmt.Sprintf("%s{%s} = %v", c.Name, codec, c.Value))
 		}
-		if strings.HasPrefix(c.Name, "executor_arena_") {
-			lines = append(lines, fmt.Sprintf("%s %v = %v", c.Name, c.Labels, c.Value))
-		}
 	}
 	for _, h := range snap.Histograms {
 		if codec, ok := h.Labels["codec"]; ok && h.Count != 0 {
@@ -268,10 +356,13 @@ func payloadSeries(t *testing.T, e *Executor) string {
 		}
 	}
 	sort.Strings(lines)
-	gets := e.arena.hits.Value() + e.arena.misses.Value()
-	if puts := e.arena.puts.Value(); puts < gets {
+	// Draws are counted whole: whether one hit or missed is sync.Pool's
+	// per-P business, not the payload path's.
+	gets, puts := e.arena.hits.Value()+e.arena.misses.Value(), e.arena.puts.Value()
+	if puts < gets {
 		t.Errorf("arena drew %v buffers but got %v back", gets, puts)
 	}
+	lines = append(lines, fmt.Sprintf("arena gets = %v, puts = %v", gets, puts))
 	return strings.Join(lines, "\n")
 }
 

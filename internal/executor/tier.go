@@ -6,8 +6,10 @@ package executor
 // and stored block-pool runs — are ranked by costmodel.DemotionScore
 // (compression ratio × re-access prediction): well-compressed blobs are
 // the cheapest to re-fetch and cold ones the least likely to be needed,
-// so they go first. Tier I/O runs under its own bounded in-flight window
-// (tierGate), never consuming the foreground swap window's slots.
+// so they go first. Tier I/O runs in the goroutine that asked for it and is
+// bounded by the store itself: tier.Store holds one lock across each Put,
+// GetInto and Delete, so disk operations run one at a time whoever issues
+// them, and none consumes a slot of the async window.
 //
 // Ordering rules (the crash-consistency contract, DESIGN.md §15):
 //   - demote: tier.Put commits the blob on disk BEFORE the host block is
@@ -19,7 +21,6 @@ package executor
 //     committed entry intact, retry-safe.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -33,14 +34,9 @@ import (
 // spill tier.
 var ErrNoTier = errors.New("executor: no spill tier configured")
 
-// DefaultTierMaxInFlight is the tier I/O window when Config.TierMaxInFlight
-// is zero: wide enough to overlap demotion with promotion, narrow enough
-// that disk traffic cannot crowd out foreground swaps.
-const DefaultTierMaxInFlight = 2
-
-// tierMeta is the per-blob metadata the tier's memdb holds for every
-// demoted payload; it mirrors the handle fields a restore needs, so tier
-// contents stay self-describing across restarts.
+// tierMeta is the metadata section written into every demoted payload's
+// tier file; it mirrors the record fields a restore needs, so tier contents
+// stay self-describing on disk.
 type tierMeta struct {
 	RawBytes   int64  `json:"raw_bytes"`
 	BlobBytes  int64  `json:"blob_bytes"`
@@ -80,65 +76,25 @@ func (e *Executor) Demote(h *Handle) error {
 	if err := e.claim(h, Swapped, SwappingOut, nil); err != nil {
 		return err
 	}
-	return e.demoteHandle(h, e.demoteSync(&h.stored))
-}
-
-// demoteHandle releases a demotion's claim — the handle returns to Swapped
-// whatever the outcome — and names the handle in the error, if any.
-func (e *Executor) demoteHandle(h *Handle, err error) error {
-	h.commit(Swapped)
+	// The demotion runs in the caller's goroutine: inline demotion
+	// (freeHostSpace) happens inside swap bodies that are themselves pool
+	// work, so it must never go through compress.Go.
+	err := e.demote(&h.stored)
+	h.commit(Swapped) // whatever the outcome
 	if err != nil {
 		return fmt.Errorf("executor: demote %s: %w", h.name, err)
 	}
 	return nil
 }
 
-// demoteSync runs the demote body in the caller's goroutine under a tier
-// I/O slot. Inline demotion (freeHostSpace) runs inside swap bodies that
-// are themselves pool work, so it must never go through compress.Go.
-func (e *Executor) demoteSync(s *stored) error {
-	if err := e.tierGate.acquire(context.Background()); err != nil {
-		return err
-	}
-	defer e.tierGate.release()
-	return e.demote(s)
-}
-
-// DemoteAsyncCtx is Demote as a pipeline stage on the tier window: it
-// claims the handle and returns a Ticket immediately (blocking only for a
-// tier I/O slot when that window is full — foreground swap slots are never
-// consumed). Slot acquisition is deadline-aware: if ctx is done before a
-// tier slot frees, the ticket resolves with the context's error and the
-// handle rolls back to Swapped untouched.
-func (e *Executor) DemoteAsyncCtx(ctx context.Context, h *Handle) *Ticket {
-	t := newTicket("demote", h.name)
-	if e.tier == nil {
-		return t.complete(ErrNoTier)
-	}
-	if err := e.claim(h, Swapped, SwappingOut, t); err != nil {
-		return t.complete(err)
-	}
-	err := dispatch(ctx, e, &e.tierGate, t, func(h *Handle) error {
-		return e.demoteHandle(h, e.demote(&h.stored))
-	}, h)
-	if err != nil {
-		t.complete(e.demoteHandle(h, err))
-	}
-	return t
-}
-
-// promoteRead reads one committed tier blob into an arena buffer under the
-// tier I/O window, counting the tier hit. The buffer is the caller's to
-// recycle; the tier entry itself is deleted only after the restore (or
-// staging) that asked for it has its own copy safe.
+// promoteRead reads one committed tier blob into an arena buffer, counting
+// the tier hit. The buffer is the caller's to recycle; the tier entry itself
+// is deleted only after the restore (or staging) that asked for it has its
+// own copy safe.
 func (e *Executor) promoteRead(key string) ([]byte, error) {
 	if e.tier == nil {
 		return nil, ErrNoTier
 	}
-	if err := e.tierGate.acquire(context.Background()); err != nil {
-		return nil, err
-	}
-	defer e.tierGate.release()
 	blob, err := e.tier.GetInto(key, nil, e.arena.get)
 	if err != nil {
 		return nil, err
@@ -241,8 +197,8 @@ func (e *Executor) freeHostSpace(need int64) bool {
 // each tick it pushes host-pool occupancy back under the watermark by
 // demoting ranked victims, so foreground swap-outs find headroom already
 // freed instead of paying freeHostSpace's demote-retry inline. It exits
-// when stopWatermark closes the stop channel (Close does, before draining
-// the tier gate).
+// when stopWatermark closes the stop channel (Close does, before it drains
+// the async window, so no background demotion outlives Close).
 func (e *Executor) watermarkLoop(interval time.Duration) {
 	defer close(e.watermarkDone)
 	tick := time.NewTicker(interval)

@@ -694,7 +694,7 @@ func TestPromotionReadsThroughArena(t *testing.T) {
 	reg := e.Registry()
 	puts := reg.Counter("executor_arena_puts_total")
 	for round := 0; round < 2; round++ {
-		if err := e.SwapOut(h, false, compress.ZVC); err != nil { // raw: the arena sees only the promotion
+		if err := e.SwapOut(h, false, compress.ZVC); err != nil { // raw: the stored blob went home at the demotion
 			t.Fatal(err)
 		}
 		if err := e.Demote(h); err != nil {

@@ -139,8 +139,9 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 			c.mux.HandleFunc("POST /v1/"+op.Path, c.route)
 		}
 	}
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
+	// The shared registry: every shard's labeled series plus the cluster's.
+	c.mux.HandleFunc("GET /metrics", metricsHandler(c.reg))
+	c.mux.HandleFunc("GET /healthz", healthzHandler(c.isDraining, c.retryAfter))
 	c.mux.HandleFunc("GET /cluster", c.handleClusterMap)
 	c.mux.HandleFunc("POST /admin/drain", c.handleDrain)
 	return c, nil
@@ -213,15 +214,6 @@ func (c *Cluster) isDraining() bool {
 	return c.draining
 }
 
-// fail mirrors Server.fail at the cluster boundary.
-func (c *Cluster) fail(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set(ErrorHeader, code)
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int(c.retryAfter/time.Second)))
-	}
-	http.Error(w, msg, status)
-}
-
 // peekPool recycles the buffers route peeks frame heads into.
 var peekPool = sync.Pool{New: func() any { return new([wire.PeekLen]byte) }}
 
@@ -234,19 +226,19 @@ var peekPool = sync.Pool{New: func() any { return new([wire.PeekLen]byte) }}
 // live drain has not moved yet.
 func (c *Cluster) route(w http.ResponseWriter, r *http.Request) {
 	if c.isDraining() {
-		c.fail(w, http.StatusServiceUnavailable, CodeDraining, "cluster is draining")
+		fail(w, c.retryAfter, http.StatusServiceUnavailable, CodeDraining, "cluster is draining")
 		return
 	}
 	peek := peekPool.Get().(*[wire.PeekLen]byte)
 	defer peekPool.Put(peek)
 	n, err := io.ReadFull(r.Body, peek[:])
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		c.fail(w, http.StatusBadRequest, CodeBadFrame, err.Error())
+		fail(w, c.retryAfter, http.StatusBadRequest, CodeBadFrame, err.Error())
 		return
 	}
 	typ, name, err := wire.PeekName(peek[:n], c.maxPayload)
 	if err != nil {
-		c.fail(w, http.StatusBadRequest, CodeBadFrame, err.Error())
+		fail(w, c.retryAfter, http.StatusBadRequest, CodeBadFrame, err.Error())
 		return
 	}
 	key := placement.Key(tenantOf(r), name)
@@ -261,7 +253,7 @@ func (c *Cluster) route(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	owner, ok := ring.Owner(key)
 	if !ok {
-		c.fail(w, http.StatusServiceUnavailable, CodeDraining, "cluster has no active shards")
+		fail(w, c.retryAfter, http.StatusServiceUnavailable, CodeDraining, "cluster has no active shards")
 		return
 	}
 	w.Header().Set(MapVersionHeader, strconv.Itoa(version))
@@ -271,7 +263,7 @@ func (c *Cluster) route(w http.ResponseWriter, r *http.Request) {
 		// version, and the client refreshes once instead of drifting.
 		c.ins.misrouted.Inc()
 		w.Header().Set(OwnerHeader, strconv.Itoa(owner))
-		c.fail(w, http.StatusMisdirectedRequest, CodeMisrouted,
+		fail(w, c.retryAfter, http.StatusMisdirectedRequest, CodeMisrouted,
 			fmt.Sprintf("cluster: key %q is owned by shard %d, not %s", key, owner, hint))
 		return
 	}
@@ -366,22 +358,6 @@ func wireShard(w http.ResponseWriter, shard int) http.ResponseWriter {
 	return w
 }
 
-// handleMetrics exposes the shared registry — every shard's labeled
-// series plus the cluster-level ones — in Prometheus text format.
-func (c *Cluster) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = (metrics.Prometheus{W: w}).Write(c.reg.Snapshot())
-}
-
-func (c *Cluster) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if c.isDraining() {
-		c.fail(w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
 // handleClusterMap publishes the shard map clients route by.
 func (c *Cluster) handleClusterMap(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
@@ -393,7 +369,7 @@ func (c *Cluster) handleClusterMap(w http.ResponseWriter, r *http.Request) {
 func (c *Cluster) handleDrain(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
-		c.fail(w, http.StatusBadRequest, CodeBadFrame, "drain: shard query parameter must be an integer")
+		fail(w, c.retryAfter, http.StatusBadRequest, CodeBadFrame, "drain: shard query parameter must be an integer")
 		return
 	}
 	tensors, bytesMoved, err := c.DrainShard(id)
@@ -402,7 +378,7 @@ func (c *Cluster) handleDrain(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, errUnknownShard) {
 			status = http.StatusNotFound
 		}
-		c.fail(w, status, CodeState, err.Error())
+		fail(w, c.retryAfter, status, CodeState, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

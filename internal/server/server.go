@@ -210,8 +210,8 @@ func newServer(cfg config) (*Server, error) {
 			s.mux.HandleFunc("POST /v1/"+op.Path, s.handler(wire.Type(typ), op))
 		}
 	}
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /metrics", metricsHandler(s.ins.reg))
+	s.mux.HandleFunc("GET /healthz", healthzHandler(s.isDraining, s.cfg.retryAfter))
 	s.mux.HandleFunc("GET /cluster", s.handleClusterMap)
 	if cfg.tuner.Enabled {
 		s.tuner = startTuner(s, cfg.tuner)
@@ -300,7 +300,7 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.isDraining() {
-			s.fail(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
+			fail(w, s.cfg.retryAfter, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 			return
 		}
 		tenant := tenantOf(r)
@@ -332,14 +332,16 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 	}
 }
 
-// fail writes an error response: the machine code in ErrorHeader, the
-// human message in the body.
-func (s *Server) fail(w http.ResponseWriter, status int, code, msg string) {
+// fail writes an error response — a shard's or the cluster router's: the
+// machine code in ErrorHeader, the human message in the body, and on the
+// refusals a client should retry (every 429, busy, draining) the owner's
+// Retry-After hint.
+func fail(w http.ResponseWriter, retryAfter time.Duration, status int, code, msg string) {
 	w.Header().Set(ErrorHeader, code)
 	if status == http.StatusTooManyRequests || code == CodeBusy || code == CodeDraining {
 		// Truncated to whole seconds; "0" is a legal hint meaning "retry
 		// immediately" and lets tests run sub-second backoff loops.
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.retryAfter/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 	}
 	http.Error(w, msg, status)
 }
@@ -349,36 +351,36 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errEntryBusy), errors.Is(err, executor.ErrBusy):
 		s.ins.busy.Inc()
-		s.fail(w, http.StatusConflict, CodeBusy, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusConflict, CodeBusy, err.Error())
 	case errors.Is(err, executor.ErrShed):
 		// Speculative work shed under critical pressure: same retry story
 		// as a saturated window.
 		s.ins.backpressure.Inc()
-		s.fail(w, http.StatusTooManyRequests, CodeSaturated, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusTooManyRequests, CodeSaturated, err.Error())
 	case errors.Is(err, ErrQuotaExceeded):
-		s.fail(w, http.StatusInsufficientStorage, CodeQuota, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusInsufficientStorage, CodeQuota, err.Error())
 	case errors.Is(err, devmem.ErrOutOfMemory):
-		s.fail(w, http.StatusInsufficientStorage, CodeOOM, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusInsufficientStorage, CodeOOM, err.Error())
 	case errors.Is(err, ErrUnknownTensor):
-		s.fail(w, http.StatusNotFound, CodeNotFound, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusNotFound, CodeNotFound, err.Error())
 	case errors.Is(err, ErrAlreadyRegistered):
-		s.fail(w, http.StatusConflict, CodeExists, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusConflict, CodeExists, err.Error())
 	case errors.Is(err, executor.ErrFreed):
-		s.fail(w, http.StatusGone, CodeState, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusGone, CodeState, err.Error())
 	case errors.Is(err, executor.ErrClosed):
-		s.fail(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusServiceUnavailable, CodeDraining, err.Error())
 	case errors.Is(err, errGeometry):
-		s.fail(w, http.StatusBadRequest, CodeBadFrame, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusBadRequest, CodeBadFrame, err.Error())
 	default:
 		// "already swapped/resident" misuse and everything else the state
 		// machine refuses: a conflict the client can resolve, not a server
 		// fault — but genuinely unknown failures are 500s.
 		if errors.Is(err, executor.ErrNotResident) || errors.Is(err, executor.ErrNotSwapped) ||
 			errors.Is(err, errNotPool) || errors.Is(err, errNotTensor) {
-			s.fail(w, http.StatusConflict, CodeState, err.Error())
+			fail(w, s.cfg.retryAfter, http.StatusConflict, CodeState, err.Error())
 			return
 		}
-		s.fail(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusInternalServerError, CodeInternal, err.Error())
 	}
 }
 
@@ -388,11 +390,11 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, want wire.Type, dst []float32) (*wire.Frame, bool) {
 	f, err := wire.ReadInto(r.Body, s.cfg.maxPayload, dst)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, CodeBadFrame, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusBadRequest, CodeBadFrame, err.Error())
 		return nil, false
 	}
 	if f.Type != want {
-		s.fail(w, http.StatusBadRequest, CodeBadFrame,
+		fail(w, s.cfg.retryAfter, http.StatusBadRequest, CodeBadFrame,
 			fmt.Sprintf("server: %s endpoint got %s frame", want, f.Type))
 		return nil, false
 	}
@@ -405,7 +407,7 @@ func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, want wire.Typ
 func (s *Server) respond(w http.ResponseWriter, f *wire.Frame, segs ...[]float32) {
 	enc, err := wire.Prepare(f, segs...)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -533,15 +535,15 @@ func (s *Server) admitReq(w http.ResponseWriter, r *http.Request, h sched.Hint) 
 		return true
 	case errors.Is(err, sched.ErrExpired):
 		s.ins.backpressure.Inc()
-		s.fail(w, http.StatusTooManyRequests, CodeExpired, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusTooManyRequests, CodeExpired, err.Error())
 	case errors.Is(err, sched.ErrLaneFull):
 		s.ins.backpressure.Inc()
-		s.fail(w, http.StatusTooManyRequests, CodeSaturated, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusTooManyRequests, CodeSaturated, err.Error())
 	case errors.Is(err, sched.ErrClosed):
-		s.fail(w, http.StatusServiceUnavailable, CodeDraining, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusServiceUnavailable, CodeDraining, err.Error())
 	default:
 		// The client's own context died while queued.
-		s.fail(w, http.StatusRequestTimeout, CodeTimeout, err.Error())
+		fail(w, s.cfg.retryAfter, http.StatusRequestTimeout, CodeTimeout, err.Error())
 	}
 	return false
 }
@@ -603,7 +605,7 @@ func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f
 			// runs to completion; the entry lock and admission slot follow
 			// the ticket, not the request.
 			go s.finishAsync(t, ent)
-			s.fail(w, http.StatusRequestTimeout, CodeTimeout, err.Error())
+			fail(w, s.cfg.retryAfter, http.StatusRequestTimeout, CodeTimeout, err.Error())
 			return nil, false
 		}
 	}
@@ -791,10 +793,13 @@ func (s *Server) free(w http.ResponseWriter, sess *session, f *wire.Frame) {
 	s.ack(w, f.Name)
 }
 
-// handleMetrics exposes the shared registry in Prometheus text format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = (metrics.Prometheus{W: w}).Write(s.ins.reg.Snapshot())
+// metricsHandler exposes reg — a server's registry, or the one a cluster's
+// shards share — in Prometheus text format.
+func metricsHandler(reg *metrics.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_ = (metrics.Prometheus{W: w}).Write(reg.Snapshot())
+	}
 }
 
 // handleClusterMap publishes a one-shard map, so a cluster-aware client
@@ -808,13 +813,15 @@ func (s *Server) handleClusterMap(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleHealthz reports liveness; a draining server answers 503 so load
-// balancers stop routing to it before the listener closes.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
-		s.fail(w, http.StatusServiceUnavailable, CodeDraining, "draining")
-		return
+// healthzHandler reports liveness; a draining server or cluster answers 503
+// so load balancers stop routing to it before the listener closes.
+func healthzHandler(draining func() bool, retryAfter time.Duration) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if draining() {
+			fail(w, retryAfter, http.StatusServiceUnavailable, CodeDraining, "draining")
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }

@@ -120,7 +120,7 @@ type tuner struct {
 	probeDst []float32
 	probeBuf []byte
 
-	last map[string]codecStats // by codec label, previous tick's reading
+	last map[compress.Algorithm]codecStats // previous tick's reading
 
 	verdicts  func(tenant, codec string) *metrics.Counter
 	switches  func(tenant string) *metrics.Counter
@@ -141,7 +141,7 @@ func startTuner(s *Server, cfg TunerConfig) *tuner {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		probeDst: make([]float32, cfg.ProbeElems),
-		last:     map[string]codecStats{},
+		last:     map[compress.Algorithm]codecStats{},
 		verdicts: func(tenant, codec string) *metrics.Counter {
 			return reg.Counter("server_tuner_verdicts_total",
 				metrics.L("tenant", tenant), metrics.L("codec", codec))
@@ -199,8 +199,6 @@ func (s *Server) sessionList() []*session {
 }
 
 func (t *tuner) tick() {
-	snap := t.srv.ins.reg.Snapshot()
-	base := t.srv.ins.reg.BaseLabels()
 	for _, sess := range t.srv.sessionList() {
 		prof, cur, prev := sess.tunerState()
 		if !prof.seeded || prof.swaps < int64(t.cfg.MinSwaps) {
@@ -212,9 +210,9 @@ func (t *tuner) tick() {
 			t.retune(sess, prof, cur)
 			continue
 		}
-		t.audit(snap, base, sess, cur, prev)
+		t.audit(sess, cur, prev)
 	}
-	t.remember(snap, base)
+	t.remember()
 }
 
 // audit compares the standing verdict's predicted per-swap cost against
@@ -223,13 +221,12 @@ func (t *tuner) tick() {
 // contradicts. The executor series are device-global: with several tenants
 // on one codec the attribution is approximate, which is why the revert
 // needs a RollbackFactor-sized margin, not a mere excess.
-func (t *tuner) audit(snap *metrics.Snapshot, base []metrics.Label, sess *session, cur, prev verdict) {
+func (t *tuner) audit(sess *session, cur, prev verdict) {
 	if !cur.valid || !cur.compress {
 		return
 	}
-	label := cur.alg.String()
-	now := readCodecStats(snap, base, label)
-	before, ok := t.last[label]
+	now := t.readCodecStats(cur.alg)
+	before, ok := t.last[cur.alg]
 	if !ok {
 		return
 	}
@@ -252,47 +249,18 @@ func (t *tuner) audit(snap *metrics.Snapshot, base []metrics.Label, sess *sessio
 
 // remember stores this tick's per-codec readings as the next tick's
 // baseline.
-func (t *tuner) remember(snap *metrics.Snapshot, base []metrics.Label) {
+func (t *tuner) remember() {
 	for _, a := range compress.ExtendedAlgorithms() {
-		label := a.String()
-		t.last[label] = readCodecStats(snap, base, label)
+		t.last[a] = t.readCodecStats(a)
 	}
 }
 
-// readCodecStats pulls one codec's cumulative executor series out of a
-// registry snapshot. base is the registry view's base label set: inside a
-// cluster a shard's executor writes shard-labeled series into the shared
-// store, and its tuner must read back exactly its own shard's, not a
-// sibling's.
-func readCodecStats(snap *metrics.Snapshot, base []metrics.Label, codec string) codecStats {
+// readCodecStats reads one codec's cumulative series from the cells this
+// server's own executor holds — inside a cluster, exactly this shard's.
+func (t *tuner) readCodecStats(a compress.Algorithm) codecStats {
 	var cs codecStats
-	cs.encSum, cs.encN = histTotals(snap, base, "executor_encode_seconds", codec)
-	cs.decSum, _ = histTotals(snap, base, "executor_decode_seconds", codec)
-	cs.movedBytes, _ = snap.Counter("executor_moved_bytes_by_codec_total",
-		append(append([]metrics.Label(nil), base...), metrics.L("codec", codec))...)
+	cs.encSum, cs.encN, cs.decSum, cs.movedBytes = t.srv.exec.CodecTotals(a)
 	return cs
-}
-
-// histTotals finds a histogram series by name, codec label, and the view's
-// base labels (exact label-set match, so one shard never reads another's).
-func histTotals(snap *metrics.Snapshot, base []metrics.Label, name, codec string) (sum float64, count int64) {
-	for i := range snap.Histograms {
-		h := &snap.Histograms[i]
-		if h.Name != name || h.Labels["codec"] != codec || len(h.Labels) != 1+len(base) {
-			continue
-		}
-		match := true
-		for _, l := range base {
-			if h.Labels[l.Key] != l.Value {
-				match = false
-				break
-			}
-		}
-		if match {
-			return h.Sum, h.Count
-		}
-	}
-	return 0, 0
 }
 
 // retune probes every candidate codec against a synthetic tensor shaped

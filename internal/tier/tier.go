@@ -10,9 +10,10 @@
 // URL-escaped key (keys look like the host pool's "tenant/tensor" names).
 // Each file carries a fixed header (magic, version, section lengths, a
 // CRC-32 over metadata+payload), a JSON metadata section, and the raw blob
-// bytes. Per-blob metadata is mirrored in an internal/memdb database for
-// low-latency retrieval without touching disk; the in-memory index carries
-// the occupancy accounting the capacity check runs against.
+// bytes. The in-memory index — key → committed payload bytes — is the
+// store's only in-memory record: it answers Contains, Keys and Len and
+// carries the occupancy accounting the capacity check runs against; a
+// blob's metadata lives in its file and is read with the blob (Get).
 //
 // Crash-consistency contract: Put writes the complete file to a temporary
 // name and renames it into place — the rename is the commit point. A crash
@@ -34,11 +35,11 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
 	"cswap/internal/faultinject"
-	"cswap/internal/memdb"
 )
 
 // Store errors.
@@ -74,9 +75,9 @@ type Stats struct {
 }
 
 // Store is the file-backed spill tier. All methods are safe for concurrent
-// use; operations serialize on one lock (callers bound disk concurrency
-// anyway — the executor runs tier I/O under its own small in-flight
-// window).
+// use; operations serialize on one lock held across their file I/O, which
+// is what bounds disk concurrency: one tier operation at a time, whoever
+// issues it.
 type Store struct {
 	dir string
 	cap int64 // bytes; 0 = unbounded
@@ -85,17 +86,15 @@ type Store struct {
 	mu    sync.Mutex
 	index map[string]int64 // key → committed payload bytes
 	used  int64
-	db    *memdb.DB // key → blob metadata (JSON), mirrored from the files
 	stats Stats
 }
 
 // Open creates (or reopens) a store rooted at dir with the given byte
 // capacity (0 = unbounded). Reopening a directory from a previous
-// incarnation recovers every committed blob into the index and metadata
-// database, deletes uncommitted *.tmp leftovers, and scrubs blobs that
-// fail their integrity check — restart recovery is just Open. inj
-// optionally injects a commit-point failure (faultinject.SiteTierCommit);
-// nil injects nothing.
+// incarnation recovers every committed blob into the index, deletes
+// uncommitted *.tmp leftovers, and scrubs blobs that fail their integrity
+// check — restart recovery is just Open. inj optionally injects a
+// commit-point failure (faultinject.SiteTierCommit); nil injects nothing.
 func Open(dir string, capacity int64, inj *faultinject.Injector) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("tier: empty directory")
@@ -108,7 +107,6 @@ func Open(dir string, capacity int64, inj *faultinject.Injector) (*Store, error)
 		cap:   capacity,
 		inj:   inj,
 		index: make(map[string]int64),
-		db:    memdb.New(),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -127,7 +125,7 @@ func Open(dir string, capacity int64, inj *faultinject.Injector) (*Store, error)
 			s.stats.Scrubbed++
 		case strings.HasSuffix(name, blobSuffix):
 			key, kerr := url.PathUnescape(strings.TrimSuffix(name, blobSuffix))
-			meta, payload, rerr := readBlob(filepath.Join(dir, name), fresh)
+			_, payload, rerr := readBlob(filepath.Join(dir, name), fresh)
 			if kerr != nil || rerr != nil {
 				_ = os.Remove(filepath.Join(dir, name))
 				s.stats.Scrubbed++
@@ -135,7 +133,6 @@ func Open(dir string, capacity int64, inj *faultinject.Injector) (*Store, error)
 			}
 			s.index[key] = int64(len(payload))
 			s.used += int64(len(payload))
-			_ = s.db.Put(key, json.RawMessage(meta))
 			s.stats.Recovered++
 		}
 	}
@@ -163,7 +160,16 @@ func (s *Store) Len() int {
 }
 
 // Keys returns the committed keys, sorted.
-func (s *Store) Keys() []string { return s.db.Keys("") }
+func (s *Store) Keys() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, len(s.index))
+	for k := range s.index {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
 
 // Contains reports whether a committed blob exists for key.
 func (s *Store) Contains(key string) bool {
@@ -238,7 +244,6 @@ func (s *Store) Put(key string, blob []byte, meta any) error {
 	}
 	s.index[key] = int64(len(blob))
 	s.used += int64(len(blob)) - prev
-	_ = s.db.Put(key, json.RawMessage(metaJSON))
 	s.stats.Puts++
 	return nil
 }
@@ -272,13 +277,7 @@ func (s *Store) GetInto(key string, metaOut any, alloc func(n int) []byte) ([]by
 	return payload, nil
 }
 
-// Meta unmarshals key's metadata from the in-memory database into out
-// without touching disk, reporting whether the key exists.
-func (s *Store) Meta(key string, out any) (bool, error) {
-	return s.db.Get(key, out)
-}
-
-// Delete removes key's blob and metadata. Deleting an absent key is a
+// Delete removes key's blob. Deleting an absent key is a
 // no-op returning false.
 func (s *Store) Delete(key string) (bool, error) {
 	s.mu.Lock()
@@ -292,7 +291,6 @@ func (s *Store) Delete(key string) (bool, error) {
 	}
 	delete(s.index, key)
 	s.used -= size
-	s.db.Delete(key)
 	s.stats.Deletes++
 	return true, nil
 }

@@ -46,10 +46,6 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 	if got != want {
 		t.Fatalf("meta mismatch: got %+v want %+v", got, want)
 	}
-	var fast meta
-	if ok, err := s.Meta("tenant/tensor-0", &fast); err != nil || !ok || fast != want {
-		t.Fatalf("Meta: ok=%v err=%v got %+v", ok, err, fast)
-	}
 	if ok, err := s.Delete("tenant/tensor-0"); err != nil || !ok {
 		t.Fatalf("Delete: ok=%v err=%v", ok, err)
 	}
@@ -95,7 +91,7 @@ func TestReopenRecoversCommittedBlobs(t *testing.T) {
 	}
 
 	// A new incarnation over the same directory sees exactly the committed
-	// state: both blobs, bit-identical, metadata rebuilt into memdb.
+	// state: both blobs, bit-identical, index rebuilt from the files.
 	s2 := open(t, dir, 0, nil)
 	if s2.Len() != 2 || s2.Used() != int64(len("alpha")+len("bravo-bravo")) {
 		t.Fatalf("recovered len=%d used=%d", s2.Len(), s2.Used())

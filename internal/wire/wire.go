@@ -43,8 +43,9 @@
 // IEEE-754 is the memory of a []float32 on every platform cswapd ships for:
 // Prepare leaves the field where its owner keeps it and streams it from
 // there, ReadInto reads it off the stream into the slice that will hold it.
-// Neither stages nor converts (view.go; big-endian hosts take the portable
-// pair); Encode, Append, Read and Decode are wrappers over those two.
+// Neither stages nor converts (compress.FloatBytes is the view; big-endian
+// hosts take the portable pair); Encode, Append, Read and Decode are wrappers
+// over those two.
 //
 // FlagSched's lane byte is 0 critical, 1 normal, 2 speculative
 // (internal/sched's lane values); a zero deadline is a lane hint only.
@@ -489,11 +490,18 @@ func (c *cursor) geometry(f *Frame) error {
 	return nil
 }
 
+// nativeLE reports whether this host keeps a float32 in memory the way the
+// wire's float field carries it: little-endian IEEE-754. Where it does — on
+// every platform cswapd ships for — tensor memory is the wire payload, and
+// the float-field reader and writer move it without conversion; where it
+// does not, they fall back to the portable element-by-element pair.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // floatReader streams data's wire encoding: data's own memory where that is
 // the encoding already, the portable conversion where it is not.
 func floatReader(data []float32) io.Reader {
 	if nativeLE {
-		return bytes.NewReader(floatBytes(data))
+		return bytes.NewReader(compress.FloatBytes(data))
 	}
 	return &portableReader{data: data}
 }
@@ -537,7 +545,7 @@ func (p *portableReader) Read(b []byte) (int, error) {
 func readFloats(r io.Reader, data []float32, crc uint32) (uint32, error) {
 	for len(data) > 0 {
 		part := data[:min(len(data), floatChunk/4)]
-		b := floatBytes(part)
+		b := compress.FloatBytes(part)
 		if err := readFull(r, b, "payload"); err != nil {
 			return crc, err
 		}
