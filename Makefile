@@ -38,14 +38,16 @@ test: vet
 
 # Race-check the swapping data path (the concurrent hot path, including
 # the async pipeline's bounded-window tests), the lock-free metrics
-# registry, and the serving layer (frame codec, service, client — the e2e
-# ladder drives concurrent HTTP swaps through all three). The watchdog
+# registry, the serving layer (frame codec, service, client — the e2e
+# ladder drives concurrent HTTP swaps through all three), and the daemon
+# itself: cmd/cswapd's gates re-execute the race-built test binary as
+# cswapd, so the six gates run against an instrumented daemon. The watchdog
 # turns a deadlocked drain/backpressure wait into a goroutine dump instead
 # of a hung CI job.
 race:
 	$(GO) test -race -timeout 300s -cpu 1,2,4 $(CORE_PKGS)
 	$(GO) test -race -timeout 300s ./internal/metrics/... ./internal/placement/... ./internal/sched/... \
-		./internal/tier/... ./internal/wire/... ./client/...
+		./internal/tier/... ./internal/wire/... ./client/... ./cmd/cswapd
 
 race-all:
 	$(GO) test -race -timeout 600s ./...
@@ -100,75 +102,18 @@ bench-diff:
 	$(GO) test $(BENCH_HOT) | $(GO) run ./cmd/cswap-benchdiff -baseline BENCH_compress.json -lenient 'ServerRoundTrip|BatchSwap'
 
 # Umbrella gate: everything a change must pass before it lands — build,
-# vet+test, the race detector over the swap path, the allocation-
-# regression gate against the committed benchmark baseline, and the
-# daemon smoke test.
-check: build test race bench-diff serve-smoke tune-smoke cluster-smoke kv-smoke tier-smoke slo-smoke
+# vet+test (which runs the daemon gates), the race detector over the swap
+# path and the daemon, and the allocation-regression gate against the
+# committed benchmark baseline.
+check: build test race bench-diff
 
-# The six daemon smokes share one recipe: build the real cswapd, boot it
-# on an ephemeral port with the gate's daemon flags ($(1)), drive it with
-# the example client in the gate's mode ($(2)), then SIGTERM it and require
-# a clean drained exit — once per leg ($(3), default a single leg), each leg
-# a fresh daemon over the same scratch directory.
-define smoke
-@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-$(GO) build -o "$$tmp/cswapd" ./cmd/cswapd || exit 1; \
-for leg in $(or $(3),only); do \
-	rm -f "$$tmp/addr"; \
-	"$$tmp/cswapd" -addr 127.0.0.1:0 -addr-file "$$tmp/addr" $(1) & pid=$$!; \
-	for i in $$(seq 1 100); do [ -s "$$tmp/addr" ] && break; sleep 0.1; done; \
-	[ -s "$$tmp/addr" ] || { echo "$@: daemon never wrote its address ($$leg leg)"; kill $$pid 2>/dev/null; exit 1; }; \
-	$(GO) run ./examples/swap-server -connect "http://$$(cat "$$tmp/addr")" $(2) || { kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid && wait $$pid || exit 1; \
-	echo "$@: clean drained exit ($$leg leg)"; \
-done
-endef
-
-# Serve-smoke: the example client asserts the swap counters moved via
-# /metrics.
-serve-smoke:
-	$(call smoke,-device 256 -host 1024,-smoke)
-
-# Tune-smoke: the online tuner is on; a drifting-sparsity workload goes
-# through the Auto selector and the tuner's codec-switch counter must
-# move. The tuner knobs mirror the e2e test: a small grid so Huffman's
-# per-chunk code table amortizes on smoke-sized tensors, a glacial modeled
-# link so ratio dominates kernel noise, fast ticks and a two-swap evidence
-# budget so the smoke completes in seconds.
-tune-smoke:
-	$(call smoke,-device 256 -host 1024 -grid 4 -block 64 -tune -tune-interval 50ms \
-		-tune-link 131072 -tune-min-swaps 2 -tune-probe 16384,-drift)
-
-# Cluster-smoke: a 3-shard cluster and the cluster-aware client (keys
-# spread across every shard, live drain of shard 1, bit-exact restores,
-# per-shard /metrics assertions).
-cluster-smoke:
-	$(call smoke,-shards 3 -device 256 -host 1024,-cluster)
-
-# KV-smoke: the batch block API under the example's paged KV-cache decode
-# loop: pool registration, per-step batch swap-outs/swap-ins verified
-# bit-exact, the 64-single vs one-64-block head-to-head (<25% wall time),
-# and /metrics assertions on the batch counters and the coalescing-ratio
-# histogram.
-kv-smoke:
-	$(call smoke,-device 256 -host 1024,-kv)
-
-# Tier-smoke: a deliberately tiny pinned-host pool and a disk spill tier
-# under the overflow workload (every swap-out must complete by demoting
-# cold blobs, /metrics must show executor_tier_demotions_total > 0 and
-# zero quota rejections, every restore bit-exact through the promote
-# path) — then a second daemon on the SAME tier directory, where the first
-# leg left tiered blobs behind, must report an empty tier before the
-# workload repeats: the boot-time orphan scrub reclaimed them.
-tier-smoke:
-	$(call smoke,-device 256 -host 1 -tier-dir "$$tmp/tier",-pressure,first restart)
-
-# SLO-smoke: the admission scheduler is on with a small in-flight window
-# so the lanes actually queue; the example's speculative-flood-plus-
-# critical-train workload must show via /metrics that both lanes admitted
-# work and the critical lane expired nothing.
-slo-smoke:
-	$(call smoke,-device 256 -host 1024 -max-inflight 2 -sched,-slo)
+# The six daemon gates are one table-driven Go test against the real cswapd
+# (cmd/cswapd, TestGates): boot on an ephemeral port, drive it with the
+# public client, assert /metrics, then SIGTERM and require a clean drained
+# exit. `make test` runs them all; each target here runs one.
+SMOKES = serve-smoke tune-smoke cluster-smoke kv-smoke tier-smoke slo-smoke
+$(SMOKES): %-smoke:
+	$(GO) test -count=1 -run 'TestGates/$*$$' ./cmd/cswapd
 
 # Full evaluation -> REPORT.md (and CSV series under data/).
 report:

@@ -90,8 +90,8 @@ func main() {
 	schedLanes := flag.String("sched-lanes", "", "per-lane queue depths as critical,normal,speculative (0 or empty = defaults)")
 	schedStarve := flag.Duration("sched-starve", 0, "critical queue age that sheds in-flight speculative work (0 = 20ms default)")
 	verify := flag.Bool("verify", true, "checksum-verify every restore")
-	grid := flag.Int("grid", 0, "codec launch grid (0 = executor default)")
-	block := flag.Int("block", 0, "codec launch block (0 = executor default)")
+	grid := flag.Int("grid", 0, "codec launch grid (0 = executor default, 128)")
+	block := flag.Int("block", 0, "codec launch block (0 = executor default, 64)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on waiting out open requests at shutdown")
 	tune := flag.Bool("tune", false, "enable the online per-tenant tuner (Auto swap-outs follow its verdicts)")
 	tuneInterval := flag.Duration("tune-interval", 0, "tuner tick period (0 = 2s default)")
@@ -107,6 +107,7 @@ func main() {
 		server.WithMaxInFlight(*maxInFlight),
 		server.WithTenantQuota(*quotaMiB << 20),
 		server.WithVerify(*verify),
+		server.WithLaunch(launch(*grid, *block)),
 		server.WithTuner(server.TunerConfig{
 			Enabled:         *tune,
 			Interval:        *tuneInterval,
@@ -116,9 +117,6 @@ func main() {
 			ProbeElems:      *tuneProbe,
 		}),
 	}
-	if *grid > 0 {
-		opts = append(opts, server.WithLaunch(compress.Launch{Grid: *grid, Block: *block}))
-	}
 	if *tierDir != "" {
 		opts = append(opts,
 			server.WithTierDir(*tierDir),
@@ -126,8 +124,8 @@ func main() {
 			server.WithTenantTierQuota(*tierQuotaMiB<<20),
 			server.WithTierWatermark(*tierWatermark),
 		)
-	} else if *tierWatermark != 0 {
-		log.Fatal("cswapd: -tier-watermark needs -tier-dir")
+	} else if *tierCapMiB != 0 || *tierQuotaMiB != 0 || *tierWatermark != 0 {
+		log.Fatal("cswapd: -tier-cap/-tier-quota/-tier-watermark need -tier-dir")
 	}
 	if *schedOn {
 		sc := server.SchedConfig{Enabled: true, StarveAfter: *schedStarve}
@@ -203,6 +201,20 @@ func main() {
 		log.Printf("cswapd: serve: %v", err)
 	}
 	log.Printf("cswapd: drained, exiting")
+}
+
+// launch resolves -grid/-block into the codec launch geometry: a flag left
+// at 0 keeps the executor's default for its half (grid 128, block 64 — what
+// executor.New installs for a zero Launch), so either flag alone is honoured.
+func launch(grid, block int) compress.Launch {
+	l := compress.Launch{Grid: 128, Block: 64}
+	if grid != 0 {
+		l.Grid = grid
+	}
+	if block != 0 {
+		l.Block = block
+	}
+	return l
 }
 
 // parseLanes parses "critical,normal,speculative" queue depths; empty or

@@ -372,7 +372,8 @@ func allocated(fn func()) uint64 {
 // TestSwapInAllocationBudgets: a swap-out + swap-in pair of handler calls
 // allocates O(1) in the payload — the response streams from the tensor's
 // memory — and a whole SwapOut + SwapInInto round trip over loopback, daemon
-// and client together, stays under 64 KiB for an 8 MiB tensor.
+// and client together, stays under 64 KiB for an 8 MiB tensor. Under the
+// race detector the paths still run but the budgets are not asserted.
 func TestSwapInAllocationBudgets(t *testing.T) {
 	s, url := newInternalServer(t, WithVerify(false))
 	c, ctx := client.New(url), context.Background()
@@ -395,7 +396,7 @@ func TestSwapInAllocationBudgets(t *testing.T) {
 			serve("swap-in", &wire.Frame{Type: wire.TypeSwapIn, Name: name})
 		})
 	}
-	if handler[1] > handler[0]+16<<10 || handler[1] > 64<<10 {
+	if !raceEnabled && (handler[1] > handler[0]+16<<10 || handler[1] > 64<<10) {
 		t.Errorf("swap-out + swap-in handlers allocated %d bytes for 1 MiB and %d for 8 MiB: not O(1) in the payload", handler[0], handler[1])
 	}
 
@@ -409,7 +410,7 @@ func TestSwapInAllocationBudgets(t *testing.T) {
 		}
 	})
 	t.Logf("handler pair: %d B for 1 MiB, %d B for 8 MiB; client round trip: %d B", handler[0], handler[1], trip)
-	if trip > 64<<10 {
+	if !raceEnabled && trip > 64<<10 {
 		t.Errorf("an 8 MiB SwapInInto round trip allocated %d bytes, budget 64 KiB", trip)
 	}
 }
