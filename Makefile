@@ -14,9 +14,9 @@ build:
 # the program has exactly one (internal/compress/view.go, the byte view of
 # a []float32); bench/ and test files are the harness's own business — and on
 # the service importing the reproduction: what cswapd and the client pull in
-# stays clear of the simulator, the model zoo and the figure drivers
-# (DESIGN §3 lists the closure).
-REPRO_PKGS = core|dnn|experiments|gpu|pcie|profiler|regress|sim|sparsity|swap
+# stays clear of the simulator, the model zoo, the figure drivers and the
+# paper's Bayesian launch search (DESIGN §3 lists the closure).
+REPRO_PKGS = bayesopt|core|dnn|experiments|gpu|linalg|pcie|profiler|regress|sim|sparsity|swap
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }

@@ -228,27 +228,40 @@ func driveServe(t *testing.T, base string) {
 }
 
 // driveTune swaps a dense tensor through the Auto selector until the tuner
-// issues a Huffman verdict, then a sparse one until its codec-switch counter
-// moves. The tuner acts only on tenants with fresh evidence, so each phase
-// keeps swapping until its series moves or a minute passes.
+// issues a Huffman verdict and scans the launch grid for it, then a sparse
+// one until its codec-switch counter moves. The tuner acts only on tenants
+// with fresh evidence, so each phase keeps swapping until its series move
+// or a minute passes. The installed grid must be a scan point, and no
+// Bayesian-optimisation series may appear.
 func driveTune(t *testing.T, base string) {
 	c, g := client.New(base, client.WithTenant("drifter")), tensor.NewGenerator(42)
 	for i, phase := range []struct {
 		sparsity float64
-		series   string // label sets are alphabetical: codec before tenant
+		series   []string // label sets are alphabetical: codec before tenant
 	}{
-		{0, `server_tuner_verdicts_total{codec="HUF",tenant="drifter"}`},
-		{0.95, `server_tuner_codec_switches_total{tenant="drifter"}`},
+		{0, []string{`server_tuner_verdicts_total{codec="HUF",tenant="drifter"}`, "server_tuner_reprobes_total"}},
+		{0.95, []string{`server_tuner_codec_switches_total{tenant="drifter"}`}},
 	} {
 		name, data := fmt.Sprintf("act%d", i), g.Uniform(16384, phase.sparsity).Data
 		must(t, c.Register(ctx, name, data))
-		for deadline := time.Now().Add(time.Minute); !(scrape(t, base)(phase.series) > 0); time.Sleep(20 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never moved", phase.series)
+		for _, series := range phase.series {
+			for deadline := time.Now().Add(time.Minute); !(scrape(t, base)(series) > 0); time.Sleep(20 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never moved", series)
+				}
+				cycle(t, c, name, data)
 			}
-			cycle(t, c, name, data)
 		}
 		must(t, c.Free(ctx, name))
+	}
+	grid := scrape(t, base)("server_tuner_launch_grid")
+	if g := int(grid); float64(g) != grid || g < 1 || g > 1024 || g&(g-1) != 0 {
+		t.Errorf("server_tuner_launch_grid = %v, want one of 1, 2, 4, …, 1024", grid)
+	}
+	text, err := client.New(base).Metrics(ctx)
+	must(t, err)
+	if strings.Contains(text, "bayesopt_") {
+		t.Error("/metrics exposes bayesopt_ series; the launch search is a grid scan")
 	}
 }
 
@@ -528,7 +541,10 @@ func TestFlags(t *testing.T) {
 	}
 	must(t, e.Close())
 
-	const tierRefusal = "cswapd: -tier-cap/-tier-quota/-tier-watermark need -tier-dir"
+	const (
+		tierRefusal = "cswapd: -tier-cap/-tier-quota/-tier-watermark need -tier-dir"
+		tuneRefusal = "cswapd: -tune-interval/-tune-drift/-tune-link/-tune-min-swaps/-tune-probe need -tune"
+	)
 	for _, tc := range []struct {
 		grid, block int
 		more        string          // further flags
@@ -541,6 +557,11 @@ func TestFlags(t *testing.T) {
 		{more: "-tier-quota 64", refuse: tierRefusal},
 		{more: "-tier-watermark 0.5", refuse: tierRefusal},
 		{more: "-sched-lanes 1,1,1", refuse: "cswapd: -sched-lanes/-sched-starve need -sched"},
+		{more: "-tune-interval 50ms", refuse: tuneRefusal},
+		{more: "-tune-drift 0.2", refuse: tuneRefusal},
+		{more: "-tune-link 131072", refuse: tuneRefusal},
+		{more: "-tune-min-swaps 2", refuse: tuneRefusal},
+		{more: "-tune-probe 16384", refuse: tuneRefusal},
 	} {
 		var flags []string
 		if tc.grid != 0 {

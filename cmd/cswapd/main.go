@@ -27,9 +27,12 @@
 // host pool is more than F full, cold payloads demote to the tier ahead of
 // demand (executor_tier_demotions_total{reason="watermark"}).
 // -tune enables the online per-tenant tuner: swap-outs requesting the Auto
-// algorithm follow its live codec verdicts, and the launch geometry is
-// re-probed as tenant sparsity profiles drift (see /metrics,
-// server_tuner_* series).
+// algorithm follow its live codec verdicts, retuned as tenant sparsity
+// profiles drift, and each switch to a new codec re-scans the launch grid
+// (1, 2, 4, …, 1024 at the -block in force; see /metrics, server_tuner_*
+// series). The -tune-* knobs need -tune. -grid is the codec's chunk count;
+// -block is validated and kept for the paper's geometry, but on the CPU it
+// changes neither the blob nor the worker count.
 // Admission is one path either way: each shard's scheduler (internal/sched)
 // hands out -max-inflight slots. Without -sched its lanes have depth zero —
 // a swap that finds every slot taken is refused at once with 429
@@ -90,8 +93,8 @@ func main() {
 	schedLanes := flag.String("sched-lanes", "", "per-lane queue depths as critical,normal,speculative (0 or empty = defaults)")
 	schedStarve := flag.Duration("sched-starve", 0, "critical queue age that sheds in-flight speculative work (0 = 20ms default)")
 	verify := flag.Bool("verify", true, "checksum-verify every restore")
-	grid := flag.Int("grid", 0, "codec launch grid (0 = executor default, 128)")
-	block := flag.Int("block", 0, "codec launch block (0 = executor default, 64)")
+	grid := flag.Int("grid", 0, "codec launch grid, the chunk count of a compressed blob (0 = executor default, 128)")
+	block := flag.Int("block", 0, "codec launch block, 64 or 128 (0 = executor default, 64); on the CPU it changes neither the blob nor the worker count")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on waiting out open requests at shutdown")
 	tune := flag.Bool("tune", false, "enable the online per-tenant tuner (Auto swap-outs follow its verdicts)")
 	tuneInterval := flag.Duration("tune-interval", 0, "tuner tick period (0 = 2s default)")
@@ -108,14 +111,18 @@ func main() {
 		server.WithTenantQuota(*quotaMiB << 20),
 		server.WithVerify(*verify),
 		server.WithLaunch(launch(*grid, *block)),
-		server.WithTuner(server.TunerConfig{
-			Enabled:         *tune,
+	}
+	if *tune {
+		opts = append(opts, server.WithTuner(server.TunerConfig{
+			Enabled:         true,
 			Interval:        *tuneInterval,
 			DriftThreshold:  *tuneDrift,
 			LinkBytesPerSec: *tuneLink,
 			MinSwaps:        *tuneMinSwaps,
 			ProbeElems:      *tuneProbe,
-		}),
+		}))
+	} else if *tuneInterval != 0 || *tuneDrift != 0 || *tuneLink != 0 || *tuneMinSwaps != 0 || *tuneProbe != 0 {
+		log.Fatal("cswapd: -tune-interval/-tune-drift/-tune-link/-tune-min-swaps/-tune-probe need -tune")
 	}
 	if *tierDir != "" {
 		opts = append(opts,

@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"cswap/internal/tensor"
 )
@@ -86,6 +87,57 @@ func BenchmarkParallelContainer(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLaunchSurface measures Fig. 5 on this substrate: the cost of
+// every power-of-two-grid launch in the paper's search space, with one
+// sub-benchmark per codec × tensor size × sparsity. Each iteration
+// sweeps grid 1, 2, 4, …, 4096 at block 64 and 128, scoring a point the way
+// the daemon's tuner does (launchObjective at its default 12 GB/s link:
+// encode + decode wall time plus the blob's two-way transfer), and reports
+// every point's mean as its own metric, ms/g<grid>b<block>. Run it at
+// -cpu 1,2 for both core counts; EXPERIMENTS.md, "Fig. 5 on this
+// substrate", reads it. It is not a BENCH_HOT row, so bench-diff ignores it.
+func BenchmarkLaunchSurface(b *testing.B) {
+	const link = 12e9
+	sizes := []struct {
+		name  string
+		elems int
+	}{{"4KiB", 1 << 10}, {"64KiB", 16 << 10}, {"1MiB", 256 << 10}, {"8MiB", 2 << 20}, {"64MiB", 16 << 20}}
+	for _, a := range ExtendedAlgorithms() {
+		for _, size := range sizes {
+			for _, sparsity := range []float64{0.2, 0.5, 0.8} {
+				b.Run(fmt.Sprintf("%s/%s/s%.1f", a, size.name, sparsity), func(b *testing.B) {
+					src := tensor.NewGenerator(97).Uniform(size.elems, sparsity).Data
+					dst := make([]float32, len(src))
+					var buf []byte
+					var launches []Launch
+					for grid := 1; grid <= 4096; grid *= 2 {
+						launches = append(launches, Launch{grid, 64}, Launch{grid, 128})
+					}
+					sec := make([]float64, len(launches))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for j, l := range launches {
+							start := time.Now()
+							out, err := AppendParallelEncode(buf[:0], a, src, l)
+							if err != nil {
+								b.Fatal(err)
+							}
+							buf = out
+							if err := ParallelDecodeInto(dst, buf, l); err != nil {
+								b.Fatal(err)
+							}
+							sec[j] += time.Since(start).Seconds() + 2*float64(len(buf))/link
+						}
+					}
+					for j, l := range launches {
+						b.ReportMetric(1e3*sec[j]/float64(b.N), fmt.Sprintf("ms/g%db%d", l.Grid, l.Block))
+					}
+				})
+			}
+		}
 	}
 }
 

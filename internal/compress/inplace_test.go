@@ -230,23 +230,22 @@ func TestChunkBoundsSpanCounts(t *testing.T) {
 	}
 }
 
-// TestWorkerCountBlockScalingCapped pins the documented modeling intent:
-// the Block/64 occupancy factor scales concurrency only below the
-// GOMAXPROCS cap, so at the cap the two block sizes ask for identical host
-// parallelism — the geometry changes the bytes, never the thread count.
+// TestWorkerCountBlockScalingCapped pins that Block carries no occupancy
+// factor: a launch's host parallelism is its chunk count capped at
+// GOMAXPROCS, so Block 64 and Block 128 launches of one grid ask for the
+// same worker count, at the cap and below it.
 func TestWorkerCountBlockScalingCapped(t *testing.T) {
 	maxW := runtime.GOMAXPROCS(0)
-	jobs := 4 * maxW // enough chunks that the jobs clamp is not the binding one
-	w64 := workerCount(Launch{Grid: jobs, Block: 64}, jobs)
-	w128 := workerCount(Launch{Grid: jobs, Block: 128}, jobs)
-	if w64 != maxW {
-		t.Fatalf("workerCount(Block=64) = %d, want GOMAXPROCS cap %d", w64, maxW)
-	}
-	if w128 != w64 {
-		t.Fatalf("workerCount(Block=128) = %d, want %d (Block=64) at the cap", w128, w64)
+	n := 4 * maxW * 32 // enough aligned chunks that the jobs clamp is not the binding one
+	for _, l := range []Launch{{Grid: 4 * maxW, Block: 64}, {Grid: 4 * maxW, Block: 128}} {
+		if w := workerCount(len(chunkBounds(n, l.Grid))); w != maxW {
+			t.Fatalf("workerCount(%+v) = %d, want GOMAXPROCS cap %d", l, w, maxW)
+		}
 	}
 	// Below the cap the jobs clamp binds identically for both blocks.
-	if got := workerCount(Launch{Grid: 1, Block: 128}, 1); got != 1 {
-		t.Fatalf("workerCount(1 job) = %d, want 1", got)
+	for _, l := range []Launch{{Grid: 1, Block: 64}, {Grid: 1, Block: 128}} {
+		if w := workerCount(len(chunkBounds(n, l.Grid))); w != 1 {
+			t.Fatalf("workerCount(%+v) = %d, want 1", l, w)
+		}
 	}
 }

@@ -11,7 +11,9 @@ import (
 // tunes with Bayesian optimization (Section IV-D). Grid is the number of
 // thread blocks (1–4096 in the paper's search space); Block is threads per
 // block (64 or 128, matching the 2/4 warp schedulers per SM on the
-// evaluated GPUs).
+// evaluated GPUs). On the CPU, Grid is the container's chunk count; Block
+// is validated and carried, but changes neither the blob nor the worker
+// count.
 type Launch struct {
 	Grid  int
 	Block int
@@ -77,10 +79,9 @@ const maxParallelElems = math.MaxInt32
 // ParallelEncode compresses src with the codec for alg, partitioned into
 // launch.Grid independent chunks the way a GPU kernel assigns one tensor
 // slice per thread block. Chunks are 32-element aligned so ZVC bitmap words
-// never straddle a boundary. Worker concurrency follows the launch geometry
-// capped at GOMAXPROCS — on a real GPU every block runs concurrently; on the
-// CPU host this wrapper preserves the partitioning semantics (and therefore
-// byte-exact output for a given launch) while bounding threads.
+// never straddle a boundary. On a real GPU every block runs concurrently; on
+// the CPU host the chunks share GOMAXPROCS workers, so the output is
+// byte-exact for a given grid whatever the core count.
 func ParallelEncode(alg Algorithm, src []float32, launch Launch) ([]byte, error) {
 	if err := launch.Validate(); err != nil {
 		return nil, err
@@ -154,7 +155,7 @@ func AppendParallelEncodeWith(dst []byte, alg Algorithm, src []float32, launch L
 	// on the bound).
 	encoded := make([][]byte, k)
 	errs := make([]error, k)
-	runWorkers(k, workerCount(launch, k), func(i int) {
+	runWorkers(k, workerCount(k), func(i int) {
 		if herr := hooks.chunkEncode(alg, i); herr != nil {
 			errs[i] = chunkErr(alg, i, k, herr)
 			return
@@ -185,9 +186,9 @@ func AppendParallelEncodeWith(dst []byte, alg Algorithm, src []float32, launch L
 	return dst[:w], nil
 }
 
-// ParallelDecode reverses ParallelEncode, decoding chunks concurrently with
-// the worker concurrency derived from the caller's launch geometry (the
-// same BO-tuned geometry ParallelEncode honours).
+// ParallelDecode reverses ParallelEncode, decoding chunks concurrently on
+// GOMAXPROCS workers. The chunk bounds come from the blob's directory, so
+// the launch is only validated: a blob decodes the same at any launch.
 //
 // The container is fully validated before the n-element destination is
 // allocated: the algorithm byte must name a known codec, the chunk count
@@ -205,7 +206,7 @@ func ParallelDecode(blob []byte, launch Launch) ([]float32, error) {
 		return nil, err
 	}
 	dst := make([]float32, pc.n)
-	if err := pc.decodeInto(dst, blob, launch, nil); err != nil {
+	if err := pc.decodeInto(dst, blob, nil); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -216,16 +217,18 @@ func ParallelDecode(blob []byte, launch Launch) ([]float32, error) {
 // (ErrDstSize otherwise). Each chunk scatters straight into its span of
 // dst with no intermediate slices; on success every element of dst has
 // been written, so a dirty recycled buffer is fully overwritten. On error
-// dst's contents are unspecified.
+// dst's contents are unspecified. As with ParallelDecode, the launch is
+// only validated.
 func ParallelDecodeInto(dst []float32, blob []byte, launch Launch) error {
-	return ParallelDecodeIntoWith(dst, blob, launch, nil)
-}
-
-// ParallelDecodeIntoWith is ParallelDecodeInto with per-chunk hooks.
-func ParallelDecodeIntoWith(dst []float32, blob []byte, launch Launch, hooks *Hooks) error {
 	if err := launch.Validate(); err != nil {
 		return err
 	}
+	return ParallelDecodeIntoWith(dst, blob, nil)
+}
+
+// ParallelDecodeIntoWith is ParallelDecodeInto with per-chunk hooks. It
+// takes no launch: decoding reads the chunking from the blob.
+func ParallelDecodeIntoWith(dst []float32, blob []byte, hooks *Hooks) error {
 	pc, err := parseParallelContainer(blob)
 	if err != nil {
 		return err
@@ -234,7 +237,7 @@ func ParallelDecodeIntoWith(dst []float32, blob []byte, launch Launch, hooks *Ho
 		return fmt.Errorf("%w: dst holds %d elements, container declares %d",
 			ErrDstSize, len(dst), pc.n)
 	}
-	return pc.decodeInto(dst, blob, launch, hooks)
+	return pc.decodeInto(dst, blob, hooks)
 }
 
 // parContainer is a validated view over a parallel container blob.
@@ -328,10 +331,10 @@ func parseParallelContainer(blob []byte) (parContainer, error) {
 
 // decodeInto runs the per-chunk decodes, scattering each chunk straight
 // into its span of dst.
-func (pc parContainer) decodeInto(dst []float32, blob []byte, launch Launch, hooks *Hooks) error {
+func (pc parContainer) decodeInto(dst []float32, blob []byte, hooks *Hooks) error {
 	numChunks := len(pc.bounds)
 	errs := make([]error, numChunks)
-	runWorkers(numChunks, workerCount(launch, numChunks), func(i int) {
+	runWorkers(numChunks, workerCount(numChunks), func(i int) {
 		if herr := hooks.chunkDecode(pc.alg, i); herr != nil {
 			errs[i] = chunkErr(pc.alg, i, numChunks, herr)
 			return
@@ -388,28 +391,8 @@ func chunkBounds(n, grid int) []span {
 	return out
 }
 
-// workerCount bounds host-side concurrency for a parallel codec call.
-//
-// The Block/64 factor models the launch's occupancy, not a thread count:
-// Block 64 keeps 2 warps resident per "SM" and Block 128 keeps 4, so a
-// 128-thread block asks for twice the concurrency of a 64-thread one, the
-// way the paper's two block sizes trade occupancy against scheduling slack.
-// The workers are CPU-bound here, so the scaled count never exceeds the
-// machine's parallelism: scaling applies only below the GOMAXPROCS cap,
-// not past it — at the cap, workerCount(Block=128) == workerCount(Block=64)
-// by design, and the geometry only changes the chunk partitioning (hence
-// the bytes), not the host thread count.
-func workerCount(l Launch, jobs int) int {
-	maxW := runtime.GOMAXPROCS(0)
-	w := maxW * l.Block / 64
-	if w > maxW {
-		w = maxW
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// workerCount bounds host-side concurrency for a parallel codec call: one
+// CPU-bound worker per P, and never more workers than chunks.
+func workerCount(jobs int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), jobs))
 }

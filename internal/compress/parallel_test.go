@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -150,25 +151,39 @@ func TestParallelDecodeValidatesLaunch(t *testing.T) {
 	}
 }
 
+// TestBlockIsInert pins what Block does on the CPU: nothing. Block 64 and
+// Block 128 give byte-identical blobs at the same grid for every codec.
+func TestBlockIsInert(t *testing.T) {
+	gen := tensor.NewGenerator(61)
+	for _, alg := range ExtendedAlgorithms() {
+		for _, n := range []int{1000, 16 << 10, 64 << 10} {
+			src := gen.Uniform(n, 0.5).Data
+			for _, grid := range []int{1, 7, 128} {
+				b64, err := ParallelEncode(alg, src, Launch{grid, 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b128, err := ParallelEncode(alg, src, Launch{grid, 128})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b64, b128) {
+					t.Fatalf("%s n=%d grid %d: Block 64 and Block 128 blobs differ", alg, n, grid)
+				}
+			}
+		}
+	}
+}
+
+// TestWorkerCountNeverOversubscribes pins that the worker count depends on
+// the chunk count and GOMAXPROCS alone: never more CPU-bound workers than
+// Ps or than chunks, and at least one (`make test` runs this at -cpu 1,2,4).
 func TestWorkerCountNeverOversubscribes(t *testing.T) {
 	maxW := runtime.GOMAXPROCS(0)
-	// Block=128 used to produce 2×GOMAXPROCS CPU-bound workers.
-	if w := workerCount(Launch{Grid: 4096, Block: 128}, 1<<20); w != maxW {
-		t.Fatalf("Block=128 workers = %d, want GOMAXPROCS (%d)", w, maxW)
-	}
-	if w := workerCount(Launch{Grid: 4096, Block: 64}, 1<<20); w != maxW {
-		t.Fatalf("Block=64 workers = %d, want GOMAXPROCS (%d)", w, maxW)
-	}
-	// The job count bounds workers too; zero jobs still yields one.
-	wantSmall := 2
-	if maxW < wantSmall {
-		wantSmall = maxW
-	}
-	if w := workerCount(Launch{Grid: 16, Block: 128}, 2); w != wantSmall {
-		t.Fatalf("2 jobs → %d workers, want %d", w, wantSmall)
-	}
-	if w := workerCount(Launch{Grid: 1, Block: 64}, 0); w != 1 {
-		t.Fatalf("0 jobs → %d workers", w)
+	for _, jobs := range []int{0, 1, 2, maxW, 4 * maxW, 1 << 20} {
+		if got, want := workerCount(jobs), max(1, min(maxW, jobs)); got != want {
+			t.Errorf("workerCount(%d) = %d, want %d at GOMAXPROCS %d", jobs, got, want, maxW)
+		}
 	}
 }
 

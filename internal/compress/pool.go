@@ -54,7 +54,7 @@ var (
 
 // poolStart launches the persistent workers. Sized to GOMAXPROCS at first
 // use: workerCount never asks for more host concurrency than that, so one
-// resident worker per P is enough to saturate any launch geometry.
+// resident worker per P is enough to saturate any call.
 func poolStart() {
 	n := runtime.GOMAXPROCS(0)
 	if n < 1 {

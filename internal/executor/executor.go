@@ -100,8 +100,9 @@ type ShedSignal interface {
 type Config struct {
 	// DeviceCapacity and HostCapacity are the pool sizes in bytes.
 	DeviceCapacity, HostCapacity int64
-	// Launch is the kernel geometry used to partition parallel
-	// (de)compression (the BO-tuned launch in a full deployment).
+	// Launch is the kernel geometry that partitions parallel compression:
+	// its Grid is the chunk count of every blob this executor encodes.
+	// Decoding reads the chunking from the blob, so it takes no launch.
 	Launch compress.Launch
 	// Verify takes a digest of the payload at every swap-out
 	// (compress.Checksum) and compares it after every swap-in: the

@@ -207,10 +207,9 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 		}
 		blob = b
 	}
-	launch := e.Launch() // one read; chunk bounds come from the blob itself
 	decode := func(blob []byte) error {
-		if s.compressed {
-			return compress.ParallelDecodeIntoWith(dst, blob, launch, e.hooks)
+		if s.compressed { // chunk bounds come from the blob, not the launch
+			return compress.ParallelDecodeIntoWith(dst, blob, e.hooks)
 		}
 		// The length check is what refuses a short or long raw blob; the copy
 		// overwrites every element of a dirty recycled destination.

@@ -4,8 +4,8 @@ package server
 // offline loop. The offline pipeline (Sections IV-C/IV-D) trains time
 // predictors and tunes launch geometry once, before serving; this tuner
 // re-runs the same three ingredients — measured codec cost, the Section
-// IV-B cost model, and Bayesian-optimised launch search — continuously
-// against the live workload each tenant actually swaps:
+// IV-B cost model, and a launch search — continuously against the live
+// workload each tenant actually swaps:
 //
 //   - Every swap-out folds the tensor's sparsity and size into a per-tenant
 //     EWMA profile (session.observeSwap).
@@ -19,19 +19,21 @@ package server
 //     verdict whose realized cost exceeds its prediction by the rollback
 //     factor is reverted to the previous one — the self-correction the
 //     offline pipeline cannot do.
-//   - When a retune lands on a new codec, the launch geometry is re-probed
-//     with the existing Bayesian optimiser and installed atomically on the
-//     executor (SetLaunch); in-flight decodes are unaffected because chunk
-//     bounds travel in the blob directory.
+//   - When a retune lands on a new codec, the launch grid is re-scanned
+//     (1, 2, 4, …, 1024 at the current Block, which on the CPU changes
+//     neither the blob nor the worker count, so the paper's Bayesian search
+//     over (grid, block) buys nothing here) and the cheapest point is
+//     installed atomically on the executor (SetLaunch); in-flight decodes
+//     are unaffected because chunk bounds travel in the blob directory.
 //
 // Everything the tuner concludes is observable: verdicts, codec switches,
 // rollbacks, re-probes, and the profile itself are registry series on
 // /metrics.
 
 import (
+	"math"
 	"time"
 
-	"cswap/internal/bayesopt"
 	"cswap/internal/compress"
 	"cswap/internal/costmodel"
 	"cswap/internal/metrics"
@@ -61,10 +63,7 @@ type TunerConfig struct {
 	// RollbackFactor: a verdict whose realized per-swap cost exceeds
 	// prediction by this factor is reverted (default 1.5).
 	RollbackFactor float64
-	// BOProbes is the acquisition-guided probe budget of a launch
-	// re-probe; 0 selects 6, negative disables launch re-probing.
-	BOProbes int
-	// Seed fixes the probe generator and BO seeds (default 1).
+	// Seed fixes the probe generator (default 1).
 	Seed int64
 }
 
@@ -86,9 +85,6 @@ func (c TunerConfig) withDefaults() TunerConfig {
 	}
 	if c.RollbackFactor <= 1 {
 		c.RollbackFactor = 1.5
-	}
-	if c.BOProbes == 0 {
-		c.BOProbes = 6
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -128,7 +124,6 @@ type tuner struct {
 	reprobes  *metrics.Counter
 	sparsityG func(tenant string) *metrics.Gauge
 	gridG     *metrics.Gauge
-	blockG    *metrics.Gauge
 }
 
 func startTuner(s *Server, cfg TunerConfig) *tuner {
@@ -156,12 +151,8 @@ func startTuner(s *Server, cfg TunerConfig) *tuner {
 		sparsityG: func(tenant string) *metrics.Gauge {
 			return reg.Gauge("server_tuner_sparsity", metrics.L("tenant", tenant))
 		},
-		gridG:  reg.Gauge("server_tuner_launch_grid"),
-		blockG: reg.Gauge("server_tuner_launch_block"),
+		gridG: reg.Gauge("server_tuner_launch_grid"),
 	}
-	// One deterministic probe tensor per sparsity is regenerated in place;
-	// the generator itself is re-seeded per probe so a given (sparsity,
-	// seed) always yields the same tensor regardless of tick history.
 	go t.run()
 	return t
 }
@@ -273,6 +264,7 @@ func (t *tuner) retune(sess *session, prof tenantProfile, cur verdict) {
 	probeBytes := float64(t.cfg.ProbeElems) * 4
 	scale := meanBytes / probeBytes
 
+	t.fillProbe(prof.ewmaSparsity)
 	launch := t.srv.exec.Launch()
 	base := costmodel.Params{
 		SizeBytes: int64(meanBytes),
@@ -286,7 +278,7 @@ func (t *tuner) retune(sess *session, prof tenantProfile, cur verdict) {
 		first   = true
 	)
 	for _, alg := range compress.ExtendedAlgorithms() {
-		encSec, decSec, ratio, err := t.probe(alg, prof.ewmaSparsity, launch)
+		encSec, decSec, ratio, err := t.probe(alg, launch)
 		if err != nil {
 			continue
 		}
@@ -318,16 +310,15 @@ func (t *tuner) retune(sess *session, prof tenantProfile, cur verdict) {
 		t.switches(sess.tenant).Inc()
 	}
 	if v.compress && (!cur.valid || cur.alg != v.alg) {
-		t.reprobeLaunch(v.alg, prof.ewmaSparsity)
+		t.reprobeLaunch(v.alg)
 	}
 }
 
-// probe measures one codec on a deterministic synthetic tensor at the
-// profile's sparsity: wall-clock encode and decode at the given launch,
-// plus the realized compression ratio — live measurements standing in for
-// the offline pipeline's trained predictor.
-func (t *tuner) probe(alg compress.Algorithm, sparsity float64, launch compress.Launch) (encSec, decSec, ratio float64, err error) {
-	t.fillProbe(sparsity)
+// probe measures one codec on the probe tensor fillProbe last generated:
+// wall-clock encode and decode at the given launch, plus the realized
+// compression ratio — live measurements standing in for the offline
+// pipeline's trained predictor.
+func (t *tuner) probe(alg compress.Algorithm, launch compress.Launch) (encSec, decSec, ratio float64, err error) {
 	start := time.Now()
 	t.probeBuf, err = compress.AppendParallelEncode(t.probeBuf[:0], alg, t.probeSrc, launch)
 	if err != nil {
@@ -360,40 +351,27 @@ func launchObjective(kernelSec float64, compressedBytes int, linkBytesPerSec flo
 	return kernelSec + 2*float64(compressedBytes)/linkBytesPerSec
 }
 
-// reprobeLaunch re-runs the launch-geometry search for the newly chosen
-// codec with a small Bayesian-optimisation budget and installs the winner
-// atomically. In-flight operations are unaffected: each swap reads the
-// geometry once, and decode chunk bounds come from the blob directory.
-func (t *tuner) reprobeLaunch(alg compress.Algorithm, sparsity float64) {
-	if t.cfg.BOProbes < 0 {
-		return
-	}
-	t.fillProbe(sparsity)
-	bo := &bayesopt.BO{
-		S1:       4,
-		S2:       t.cfg.BOProbes,
-		MaxGrid:  1024,
-		Seed:     t.cfg.Seed,
-		Observer: t.obs,
-	}
-	res := bo.Search(func(l compress.Launch) float64 {
-		start := time.Now()
-		buf, err := compress.AppendParallelEncode(t.probeBuf[:0], alg, t.probeSrc, l)
+// reprobeLaunch scans the launch grid for the newly chosen codec on the
+// current probe tensor — one probe per grid in 1, 2, 4, …, 1024 at the
+// executor's Block — and installs the cheapest atomically. In-flight
+// operations are unaffected: each swap reads the geometry once, and decode
+// chunk bounds come from the blob directory.
+func (t *tuner) reprobeLaunch(alg compress.Algorithm) {
+	best, bestObj := t.srv.exec.Launch(), math.Inf(1)
+	for l := (compress.Launch{Grid: 1, Block: best.Block}); l.Grid <= 1024; l.Grid *= 2 {
+		encSec, decSec, _, err := t.probe(alg, l)
 		if err != nil {
-			return 1e9
+			continue
 		}
-		t.probeBuf = buf
-		if err := compress.ParallelDecodeInto(t.probeDst, buf, l); err != nil {
-			return 1e9
+		if obj := launchObjective(encSec+decSec, len(t.probeBuf), t.cfg.LinkBytesPerSec); obj < bestObj {
+			best, bestObj = l, obj
 		}
-		return launchObjective(time.Since(start).Seconds(), len(buf), t.cfg.LinkBytesPerSec)
-	})
-	if err := t.srv.exec.SetLaunch(res.Best); err != nil {
+	}
+	if err := t.srv.exec.SetLaunch(best); err != nil {
 		return
 	}
+	t.gridG.Set(float64(best.Grid))
 	t.reprobes.Inc()
-	t.gridG.Set(float64(res.Best.Grid))
-	t.blockG.Set(float64(res.Best.Block))
 }
 
 func abs(x float64) float64 {

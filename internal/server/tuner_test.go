@@ -24,8 +24,9 @@ import (
 //     inflated ~10x by the race detector.
 //   - The probe matches the swapped tensors' size (scale factor 1), so
 //     kernel-time extrapolation adds no noise.
-//   - BOProbes -1 pins the launch: this test is about codec verdicts, and
-//     a re-probed geometry would change the chunking mid-test.
+//
+// The launch scan stays on: at this link the blob term dominates its
+// objective, so it settles on a coarse grid where the verdicts hold.
 func tunerTestTuner() server.TunerConfig {
 	return server.TunerConfig{
 		Enabled:         true,
@@ -34,7 +35,6 @@ func tunerTestTuner() server.TunerConfig {
 		DriftThreshold:  0.15,
 		LinkBytesPerSec: 128 << 10,
 		ProbeElems:      16384,
-		BOProbes:        -1,
 		Seed:            1,
 	}
 }
@@ -198,12 +198,12 @@ func TestTunerSeesBlockPoolTraffic(t *testing.T) {
 }
 
 // TestTunerReprobesLaunch exercises the geometry half of the loop: a new
-// compressing verdict triggers a Bayesian-optimisation launch re-probe,
-// and the winner lands atomically on the executor.
+// compressing verdict triggers a launch grid scan, and its winner lands
+// atomically on the executor with the Block the server booted with.
 func TestTunerReprobesLaunch(t *testing.T) {
-	tc := tunerTestTuner()
-	tc.BOProbes = 2
-	s, url := newTestServer(t, tunerTestOptions(tc)...)
+	s, url := newTestServer(t,
+		server.WithLaunch(compress.Launch{Grid: 4, Block: 128}),
+		server.WithTuner(tunerTestTuner()))
 	c := client.New(url)
 	ctx := context.Background()
 
@@ -227,16 +227,14 @@ func TestTunerReprobesLaunch(t *testing.T) {
 	if v := counterValue(t, s, "server_tuner_reprobes_total"); v < 1 {
 		t.Fatalf("server_tuner_reprobes_total = %v, want >= 1", v)
 	}
-	// The installed geometry is the BO winner: valid, and published on the
-	// tuner's launch gauges.
+	// The installed geometry is a scan point at the booted Block, and the
+	// tuner's grid gauge publishes it.
 	l := s.Executor().Launch()
-	if err := l.Validate(); err != nil {
-		t.Fatalf("executor launch after reprobe invalid: %v", err)
+	if l.Block != 128 || l.Grid < 1 || l.Grid > 1024 || l.Grid&(l.Grid-1) != 0 {
+		t.Fatalf("executor launch after reprobe %v, want a grid in 1, 2, 4, …, 1024 at Block 128", l)
 	}
-	grid, _ := s.Registry().Snapshot().Gauge("server_tuner_launch_grid")
-	block, _ := s.Registry().Snapshot().Gauge("server_tuner_launch_block")
-	if int(grid) != l.Grid || int(block) != l.Block {
-		t.Errorf("launch gauges (%v,%v) != executor launch %v", grid, block, l)
+	if grid, _ := s.Registry().Snapshot().Gauge("server_tuner_launch_grid"); int(grid) != l.Grid {
+		t.Errorf("server_tuner_launch_grid = %v, executor launch %v", grid, l)
 	}
 }
 
