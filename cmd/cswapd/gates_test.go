@@ -384,8 +384,9 @@ const pressureElems = 96 * 1024
 
 // drivePressure overflows the pinned-host pool on purpose: eight raw
 // swap-outs (raw, so blob sizes do not depend on a codec) complete only by
-// demoting cold blobs to the disk tier — demotions move, no quota 507s — and
-// every restore comes back bit-exact through the promote path. It first
+// demoting cold blobs to the disk tier — demotions move, no quota 507s, and
+// the tenant's quota buckets follow the bytes (ledger) — and every restore
+// comes back bit-exact through the promote path. It first
 // requires an empty tier (a daemon on a used directory must have scrubbed
 // its predecessor's blobs) and leaves the second half swapped out and
 // tiered, so the restart leg has orphans to find.
@@ -405,6 +406,7 @@ func drivePressure(t *testing.T, base string) {
 	if v := m(`server_quota_rejections_total{tenant="pressured"}`); v > 0 {
 		t.Errorf("server_quota_rejections_total = %v, want 0", v)
 	}
+	ledger(t, m, len(want))
 	for i := range want {
 		name := fmt.Sprintf("p%d", i)
 		got, err := c.SwapIn(ctx, name)
@@ -415,6 +417,23 @@ func drivePressure(t *testing.T, base string) {
 		} else {
 			must(t, c.SwapOut(ctx, name, client.WithRaw()))
 		}
+	}
+	ledger(t, scrape(t, base), len(want)/2)
+}
+
+// ledger requires the pressured tenant's quota buckets to be the executor's
+// own record: the tier bucket is what the tier holds (every blob is raw, so
+// its size is its tensor's), and the two buckets together are the live
+// tensors.
+func ledger(t *testing.T, m func(string) float64, live int) {
+	t.Helper()
+	used, tierUsed := m(`server_tenant_used_bytes{tenant="pressured"}`), m(`server_tenant_tier_used_bytes{tenant="pressured"}`)
+	if occ := m("executor_tier_occupancy_bytes"); tierUsed != occ {
+		t.Errorf("server_tenant_tier_used_bytes = %v, want executor_tier_occupancy_bytes %v", tierUsed, occ)
+	}
+	if want := float64(live * pressureElems * 4); used+tierUsed != want {
+		t.Errorf("server_tenant_used_bytes %v + server_tenant_tier_used_bytes %v, want the %d live tensors' %v bytes",
+			used, tierUsed, live, want)
 	}
 }
 

@@ -21,8 +21,11 @@
 // host pool runs out, promote back transparently on swap-in, and a
 // tenant-quota 507 becomes demote-then-admit (see /metrics,
 // executor_tier_* and server_tier_* series). -tier-cap 0 sizes the tier
-// at four times the host capacity; -tier-quota 0 grants each tenant the
-// full tier capacity. A cluster gives each shard DIR/shard-N.
+// at four times the host capacity. -tier-quota bounds each tenant's
+// tier-charged uncompressed bytes when demote-then-admit picks what to move
+// (0 grants the full tier capacity); demotions under host pressure or the
+// watermark are charged to the tenant but never refused. A cluster gives
+// each shard DIR/shard-N.
 // -tier-watermark F (0 < F < 1) adds a background demoter: whenever the
 // host pool is more than F full, cold payloads demote to the tier ahead of
 // demand (executor_tier_demotions_total{reason="watermark"}).
@@ -87,7 +90,7 @@ func main() {
 	quotaMiB := flag.Int64("quota", 0, "per-tenant device-memory quota, MiB (0 = full device capacity)")
 	tierDir := flag.String("tier-dir", "", "disk spill tier directory (empty disables tiering; a cluster shards it into subdirectories)")
 	tierCapMiB := flag.Int64("tier-cap", 0, "spill tier capacity, MiB (0 = 4x host capacity)")
-	tierQuotaMiB := flag.Int64("tier-quota", 0, "per-tenant tier-resident quota, MiB (0 = full tier capacity)")
+	tierQuotaMiB := flag.Int64("tier-quota", 0, "per-tenant tier quota in uncompressed MiB, bounding demote-then-admit only; pressure and watermark demotions are charged, never refused (0 = full tier capacity)")
 	tierWatermark := flag.Float64("tier-watermark", 0, "host-pool occupancy fraction that triggers background demotion to the tier (0 disables; needs -tier-dir)")
 	schedOn := flag.Bool("sched", false, "let swaps queue for an admission slot in bounded priority lanes with deadlines (default: refuse with 429 when all slots are taken)")
 	schedLanes := flag.String("sched-lanes", "", "per-lane queue depths as critical,normal,speculative (0 or empty = defaults)")

@@ -16,6 +16,7 @@ import (
 	"cswap/internal/compress"
 	"cswap/internal/devmem"
 	"cswap/internal/faultinject"
+	"cswap/internal/metrics"
 	"cswap/internal/tensor"
 )
 
@@ -42,10 +43,37 @@ type stored struct {
 	tiered    bool
 	swappedAt float64
 	tierKey   string
+	// charge is the quota ledger the payload's raw bytes count against; the
+	// zero Charge (block-pool runs, library handles) charges nothing.
+	charge Charge
 }
 
 // rawBytes is the uncompressed payload size.
 func (s *stored) rawBytes() int64 { return int64(s.elems) * tensor.BytesPerElement }
+
+// Charge is the quota ledger a tensor's bytes count against: Held while its
+// payload is on the device or in the host pool, Tiered while it lives in the
+// disk tier. The executor moves the tensor's uncompressed size between the
+// two at the only places a payload enters or leaves the tier (demote and
+// tierDelete), so the gauges say where the bytes are at every instant.
+// Whoever owns the gauges adds a tensor's bytes to Held before registering
+// it and takes them back out of Held after freeing it.
+type Charge struct{ Held, Tiered *metrics.Gauge }
+
+// toTier moves n bytes of charge from Held to Tiered (negative n: back).
+// Nil gauges charge nothing.
+func (c Charge) toTier(n int64) {
+	c.Held.Add(-float64(n))
+	c.Tiered.Add(float64(n))
+}
+
+// SetCharge attaches the quota ledger the handle's bytes count against. Call
+// it before the handle's first swap-out, while its payload is off the tier.
+func (h *Handle) SetCharge(c Charge) {
+	h.mu.Lock()
+	h.charge = c
+	h.mu.Unlock()
+}
 
 // store is the swap-out body: encode src (or copy its bytes raw), park the
 // bytes in the host pool and fill s, then run the owner's commit. The
@@ -319,6 +347,7 @@ func (e *Executor) demote(s *stored) error {
 	e.arena.put(s.blob)
 	s.blob, s.hostBlock = nil, nil
 	s.tiered = true
+	s.charge.toTier(s.rawBytes())
 	e.ins.tierDemotions.Inc()
 	e.ins.tierOccupancy.Set(float64(e.tier.Used()))
 	return nil
@@ -368,9 +397,11 @@ func (e *Executor) drop(s *stored) error {
 	return nil
 }
 
-// tierDelete removes s's committed tier entry and clears its tiered mark.
+// tierDelete removes s's committed tier entry, clears its tiered mark and
+// moves its charge back to Held.
 func (e *Executor) tierDelete(s *stored) {
 	_, _ = e.tier.Delete(s.tierKey)
 	s.tiered = false
+	s.charge.toTier(-s.rawBytes())
 	e.ins.tierOccupancy.Set(float64(e.tier.Used()))
 }

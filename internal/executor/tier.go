@@ -46,12 +46,14 @@ type tierMeta struct {
 	Checksum   uint64 `json:"checksum"`
 }
 
-// InTier reports whether the handle's swapped payload currently lives in
-// the disk tier rather than the pinned-host pool.
+// InTier reports whether the handle is Swapped with its payload in the disk
+// tier rather than the pinned-host pool. A handle some operation holds (a
+// background demotion included) reports false: its storage is that
+// operation's until it commits.
 func (h *Handle) InTier() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.tiered
+	return h.state == Swapped && h.tiered
 }
 
 // TierUsed returns the attached tier's committed bytes (0 without a tier).

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -104,6 +105,56 @@ func TestDemotePromoteRoundTrip(t *testing.T) {
 	if err := e.Free(h); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestChargeFollowsTier: a handle's charge sits in Held until its payload
+// enters the tier and moves back whenever it leaves — promotion, prefetch
+// read-ahead, free — and a re-demotion moves nothing twice.
+func TestChargeFollowsTier(t *testing.T) {
+	e, _ := newTierExecutor(t, 1<<22, 1<<22, 1<<22, nil)
+	reg := metrics.NewRegistry()
+	c := Charge{Held: reg.Gauge("held"), Tiered: reg.Gauge("tiered")}
+	h, err := e.Register("charged", tensor.NewGenerator(22).Uniform(10000, 0.6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetCharge(c)
+	n := float64(h.Bytes())
+	c.Held.Add(n) // the caller's own register-time charge
+	want := func(step string, held, tiered float64) {
+		t.Helper()
+		if c.Held.Value() != held || c.Tiered.Value() != tiered {
+			t.Fatalf("%s: held %v tiered %v, want %v and %v", step, c.Held.Value(), c.Tiered.Value(), held, tiered)
+		}
+	}
+	demoted := func(step string) {
+		t.Helper()
+		if err := e.SwapOut(h, true, compress.ZVC); err != nil {
+			t.Fatal(err)
+		}
+		want(step+": swapped to host", n, 0)
+		for i := 0; i < 2; i++ {
+			if err := e.Demote(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want(step+": demoted", 0, n)
+	}
+	demoted("promote")
+	if err := e.SwapIn(h); err != nil {
+		t.Fatal(err)
+	}
+	want("promoted", n, 0)
+	demoted("prefetch")
+	if err := e.PrefetchCtx(context.Background(), h).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want("prefetched", n, 0)
+	demoted("free")
+	if err := e.Free(h); err != nil {
+		t.Fatal(err)
+	}
+	want("freed", n, 0)
 }
 
 func TestDemoteTaxonomy(t *testing.T) {

@@ -152,7 +152,7 @@ func TestFreePoolBusyTaxonomy(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("busy free refusal carries no Retry-After hint")
 	}
-	if used := s.session(DefaultTenant).Used(); used == 0 {
+	if used := s.session(DefaultTenant).held(); used == 0 {
 		t.Fatal("refused free released the quota charge while the pool still lives")
 	}
 
@@ -162,7 +162,7 @@ func TestFreePoolBusyTaxonomy(t *testing.T) {
 	if err := c.Free(ctx, "kv"); err != nil {
 		t.Fatalf("free after batch resolved: %v", err)
 	}
-	if used := s.session(DefaultTenant).Used(); used != 0 {
+	if used := s.session(DefaultTenant).held(); used != 0 {
 		t.Fatalf("quota still charged %d bytes after successful free", used)
 	}
 }

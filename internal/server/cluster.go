@@ -540,7 +540,7 @@ func (c *Cluster) arrive(sess *session, name string, ent *entry, was *wire.Frame
 		return err
 	}
 	defer dent.mu.Unlock()
-	if dent.obj, err = newObject(dst.exec, qualified(sess.tenant, name), decoded); err == nil {
+	if dent.obj, err = newObject(dst.exec, qualified(sess.tenant, name), decoded, dsess.charge); err == nil {
 		dent.sparsity = ent.sparsity
 		if err = dst.reswap(dsess, dent, was); err != nil {
 			_ = dent.obj.free()

@@ -60,7 +60,8 @@ type object interface {
 	// write stores f's packed blocks and reports the fraction of the object
 	// they cover.
 	write(f *wire.Frame) (covered float64, err error)
-	// inTier reports whether the quota charge belongs in the tier bucket.
+	// inTier reports whether the object's payload lives in the disk tier as
+	// one unit (a pool's never does).
 	inTier() bool
 	// demote moves the swapped payload to the disk tier as one unit.
 	demote() error
@@ -83,17 +84,19 @@ func chargeOf(f *wire.Frame) int64 {
 }
 
 // newObject registers what f describes on exec under the qualified name: a
-// tensor from a register or tensor-data frame, an empty pool from a
-// register-pool frame, a pool with its content from a batch-data frame
-// whose run table starts at block zero (readAll's form). It is both the
-// register handlers' body and the arriving half of a migration.
-func newObject(exec *executor.Executor, qname string, f *wire.Frame) (object, error) {
+// tensor from a register or tensor-data frame, charged to the tenant's
+// ledger, an empty pool from a register-pool frame, a pool with its content
+// from a batch-data frame whose run table starts at block zero (readAll's
+// form). It is both the register handlers' body and the arriving half of a
+// migration.
+func newObject(exec *executor.Executor, qname string, f *wire.Frame, charge executor.Charge) (object, error) {
 	switch f.Type {
 	case wire.TypeRegister, wire.TypeTensorData:
 		h, err := exec.Register(qname, tensor.FromSlice(f.Data))
 		if err != nil {
 			return nil, err
 		}
+		h.SetCharge(charge)
 		return tensorObj{exec, h}, nil
 	case wire.TypeRegisterPool:
 		p, err := exec.RegisterBlockPool(qname, f.BlockElems, f.NumBlocks)

@@ -88,10 +88,12 @@ func WithTenantQuota(b int64) Option { return func(c *config) { c.tenantQuota = 
 // WithTierDir attaches a disk spill tier rooted at dir under the executor's
 // host pool (empty disables): swapped payloads demote into it under host
 // pressure, and a tenant-quota 507 at register time becomes
-// demote-then-admit — the tenant's swapped tensors move to disk, their
-// quota charge moves to the tier bucket, and the register proceeds; 507
-// remains only when both tiers are full. Blobs found in dir at boot belong
-// to no session (sessions do not survive a restart) and are deleted before
+// demote-then-admit — the tenant's swapped tensors move to disk and the
+// register proceeds; 507 remains only when both buckets are full. Whoever
+// demotes a tensor, the executor moves its uncompressed size from the
+// tenant's device bucket to its tier bucket in the same step, and back when
+// the payload leaves the tier. Blobs found in dir at boot belong to no
+// session (sessions do not survive a restart) and are deleted before
 // serving. A cluster gives each shard its own subdirectory under dir.
 func WithTierDir(dir string) Option { return func(c *config) { c.tierDir = dir } }
 
@@ -99,9 +101,11 @@ func WithTierDir(dir string) Option { return func(c *config) { c.tierDir = dir }
 // selects four times the host capacity).
 func WithTierCap(b int64) Option { return func(c *config) { c.tierCap = b } }
 
-// WithTenantTierQuota sets the per-tenant tier-resident-bytes quota,
-// enforced per shard like the device quota. Zero grants each tenant the
-// full tier capacity.
+// WithTenantTierQuota sets the per-tenant tier bucket's quota in
+// uncompressed bytes, per shard like the device quota. It bounds only what
+// demote-then-admit moves for a register: demotions the executor makes under
+// host pressure or above the watermark are charged to the bucket but never
+// refused. Zero grants each tenant the full tier capacity.
 func WithTenantTierQuota(b int64) Option { return func(c *config) { c.tenantTierQuota = b } }
 
 // WithTierWatermark enables each shard's background host->tier demoter at

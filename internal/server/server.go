@@ -443,7 +443,7 @@ func (s *Server) register(w http.ResponseWriter, sess *session, f *wire.Frame) {
 		s.failErr(w, err)
 		return
 	}
-	obj, err := newObject(s.exec, qualified(sess.tenant, f.Name), f)
+	obj, err := newObject(s.exec, qualified(sess.tenant, f.Name), f, sess.charge)
 	if err != nil {
 		sess.release(f.Name, ent)
 		ent.mu.Unlock()
@@ -475,11 +475,9 @@ func (s *Server) reserveDemoting(sess *session, name string, bytes int64) (*entr
 // demoteForAdmit walks the tenant's entries demoting swapped,
 // host-resident tensors into the disk tier until the device quota bucket
 // has room for `need` more bytes, reporting whether it does. Busy entries,
-// block pools and resident tensors (demote refuses them), and entries the
-// tier quota cannot take are skipped. Executor-initiated demotions the
-// server has not yet accounted (tierCharged lagging) are reconciled for
-// free: Demote on an already-tiered handle is a no-op and syncTier moves
-// the charge.
+// block pools and resident tensors (demote refuses them), tensors already
+// in the tier, and entries the tier quota cannot take are skipped. Each
+// demotion moves the entry's charge to the tier bucket inside the executor.
 func (s *Server) demoteForAdmit(sess *session, need int64) bool {
 	if sess.deviceHeadroom(need) {
 		return true
@@ -489,12 +487,7 @@ func (s *Server) demoteForAdmit(sess *session, need int64) bool {
 		if err != nil {
 			continue
 		}
-		if ent.tierCharged || !sess.tierHeadroom(ent.bytes) {
-			ent.mu.Unlock()
-			continue
-		}
-		if err := ent.obj.demote(); err == nil {
-			sess.syncTier(ent)
+		if !ent.obj.inTier() && sess.tierHeadroom(ent.bytes) && ent.obj.demote() == nil {
 			s.ins.reg.Counter("server_tier_demote_admits_total",
 				metrics.L("tenant", sess.tenant)).Inc()
 		}
@@ -620,12 +613,9 @@ func (s *Server) swapFail(w http.ResponseWriter, ent *entry, err error) {
 	s.failErr(w, err)
 }
 
-// swapAck is the tail of every swap that answers with a bare ack: settle
-// the entry's quota bucket with where its payload now lives (a demotion or
-// promotion moves the charge; pools are exempt), release the entry and the
-// admission slot, acknowledge.
-func (s *Server) swapAck(w http.ResponseWriter, sess *session, ent *entry, name string) {
-	sess.syncTier(ent)
+// swapAck is the tail of every swap that answers with a bare ack: release
+// the entry and the admission slot, acknowledge.
+func (s *Server) swapAck(w http.ResponseWriter, ent *entry, name string) {
 	ent.mu.Unlock()
 	s.sched.Release()
 	s.ack(w, name)
@@ -696,10 +686,9 @@ func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *
 	}
 	s.batchSeen(f.Type, blocks)
 	if op.Resp == wire.TypeAck {
-		s.swapAck(w, sess, ent, f.Name)
+		s.swapAck(w, ent, f.Name)
 		return
 	}
-	sess.syncTier(ent) // a promotion moves the charge back to the device bucket
 	resp, segs, err := ent.obj.read(f.Name, runs)
 	if err != nil {
 		s.swapFail(w, ent, err)

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"cswap/internal/compress"
+	"cswap/internal/executor"
 	"cswap/internal/metrics"
 )
 
@@ -35,23 +36,20 @@ var errEntryBusy = errors.New("server: tensor busy")
 // a session but keeps it (and its metric series) warm.
 type session struct {
 	tenant string
-	quota  int64 // bound on the tenant's registered (live) tensor bytes
-	// tierQuota bounds the tenant's tier-resident bytes (the second
-	// bucket quota charges migrate into when a tensor demotes to disk);
-	// zero or negative means unbounded.
+	quota  int64 // bound on the Held bucket at register time
+	// tierQuota bounds the Tiered bucket when demote-then-admit picks a
+	// tensor to demote; zero or negative means unbounded.
 	tierQuota int64
-	used      *metrics.Gauge
-	tierUsed  *metrics.Gauge
+	// charge is the tenant's one ledger, the server_tenant_used_bytes
+	// (Held) and server_tenant_tier_used_bytes (Tiered) gauges: reserve
+	// and release add and subtract Held, and the executor moves a tensor's
+	// bytes to Tiered and back as its payload enters and leaves the disk
+	// tier. Block pools charge Held only: their reservation is whole-pool,
+	// even while individual runs are tiered.
+	charge executor.Charge
 
-	mu sync.Mutex
-	// usedB charges registered tensors whose payload is device- or
-	// host-resident; tierUsedB charges the ones demoted to the disk tier.
-	// Charges migrate lazily (syncTier), as the server observes residency
-	// at operation boundaries. Block pools always charge usedB: their
-	// reservation is whole-pool, even while individual runs are tiered.
-	usedB     int64
-	tierUsedB int64
-	entries   map[string]*entry
+	mu      sync.Mutex
+	entries map[string]*entry
 
 	// Tuning state (guarded by mu): the live workload profile the tuner
 	// folds swap-outs into, and the current/previous codec verdicts. prev
@@ -167,10 +165,6 @@ type entry struct {
 	// profile the tuner tracks. Written once under mu before the register
 	// response; read under the entry lock afterwards.
 	sparsity float64
-	// tierCharged mirrors which quota bucket currently charges this
-	// entry: false = device bucket (usedB), true = tier bucket
-	// (tierUsedB). Guarded by the entry lock, reconciled by syncTier.
-	tierCharged bool
 }
 
 func newSession(tenant string, quota, tierQuota int64, reg *metrics.Registry) *session {
@@ -178,9 +172,11 @@ func newSession(tenant string, quota, tierQuota int64, reg *metrics.Registry) *s
 		tenant:    tenant,
 		quota:     quota,
 		tierQuota: tierQuota,
-		used:      reg.Gauge("server_tenant_used_bytes", metrics.L("tenant", tenant)),
-		tierUsed:  reg.Gauge("server_tenant_tier_used_bytes", metrics.L("tenant", tenant)),
-		entries:   map[string]*entry{},
+		charge: executor.Charge{
+			Held:   reg.Gauge("server_tenant_used_bytes", metrics.L("tenant", tenant)),
+			Tiered: reg.Gauge("server_tenant_tier_used_bytes", metrics.L("tenant", tenant)),
+		},
+		entries: map[string]*entry{},
 	}
 	reg.Gauge("server_tenant_quota_bytes", metrics.L("tenant", tenant)).Set(float64(quota))
 	reg.Gauge("server_tenant_tier_quota_bytes", metrics.L("tenant", tenant)).Set(float64(tierQuota))
@@ -199,77 +195,40 @@ func (s *session) reserve(name string, bytes int64) (*entry, error) {
 	if _, ok := s.entries[name]; ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrAlreadyRegistered, s.tenant, name)
 	}
-	if s.quota > 0 && s.usedB+bytes > s.quota {
+	if held := s.held(); s.quota > 0 && held+bytes > s.quota {
 		return nil, fmt.Errorf("%w: %s holds %d of %d bytes, register needs %d",
-			ErrQuotaExceeded, s.tenant, s.usedB, s.quota, bytes)
+			ErrQuotaExceeded, s.tenant, held, s.quota, bytes)
 	}
 	ent := &entry{bytes: bytes}
 	ent.mu.Lock()
 	s.entries[name] = ent
-	s.usedB += bytes
-	s.used.Set(float64(s.usedB))
+	s.charge.Held.Add(float64(bytes))
 	return ent, nil
 }
 
-// release removes an entry and returns its bytes to whichever quota
-// bucket currently charges it — the abort path of a failed register and
-// the commit path of a free. Returning a tier-charged entry's bytes to
-// the device bucket instead would leak the tenant's tier quota for good.
-// The caller holds the entry's lock.
+// release removes an entry and takes its bytes out of Held — the abort
+// path of a failed register and the commit path of a free. A freed
+// tensor's charge is back in Held by then: freeing a tiered payload
+// deletes it from the tier, which moves the charge. The caller holds the
+// entry's lock.
 func (s *session) release(name string, ent *entry) {
 	s.mu.Lock()
 	delete(s.entries, name)
-	if ent.tierCharged {
-		s.tierUsedB -= ent.bytes
-		s.tierUsed.Set(float64(s.tierUsedB))
-	} else {
-		s.usedB -= ent.bytes
-		s.used.Set(float64(s.usedB))
-	}
+	s.charge.Held.Add(-float64(ent.bytes))
 	s.mu.Unlock()
 }
 
-// moveCharge migrates `bytes` of quota charge between the device and tier
-// buckets.
-func (s *session) moveCharge(bytes int64, toTier bool) {
-	s.mu.Lock()
-	if toTier {
-		s.usedB -= bytes
-		s.tierUsedB += bytes
-	} else {
-		s.tierUsedB -= bytes
-		s.usedB += bytes
-	}
-	s.used.Set(float64(s.usedB))
-	s.tierUsed.Set(float64(s.tierUsedB))
-	s.mu.Unlock()
-}
-
-// syncTier reconciles a tensor entry's quota charge with its observed
-// tier residency. It runs at operation boundaries (after swaps, demotions,
-// promotions), so charges follow payloads lazily: an executor-initiated
-// demotion is charged to the tier bucket the next time the server touches
-// the entry. Block pools never report inTier (see the usedB comment). The
-// caller holds the entry lock.
-func (s *session) syncTier(ent *entry) {
-	if inTier := ent.obj.inTier(); inTier != ent.tierCharged {
-		s.moveCharge(ent.bytes, inTier)
-		ent.tierCharged = inTier
-	}
-}
+// held is the tenant's Held bucket in bytes.
+func (s *session) held() int64 { return int64(s.charge.Held.Value()) }
 
 // tierHeadroom reports whether the tier bucket can take `bytes` more.
 func (s *session) tierHeadroom(bytes int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tierQuota <= 0 || s.tierUsedB+bytes <= s.tierQuota
+	return s.tierQuota <= 0 || int64(s.charge.Tiered.Value())+bytes <= s.tierQuota
 }
 
 // deviceHeadroom reports whether the device bucket can admit `bytes` more.
 func (s *session) deviceHeadroom(bytes int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quota <= 0 || s.usedB+bytes <= s.quota
+	return s.quota <= 0 || s.held()+bytes <= s.quota
 }
 
 // lookup returns the tenant's entry for name.
@@ -314,19 +273,4 @@ func (s *session) entryNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Used returns the tenant's device-bucket registered bytes (for tests and
-// introspection).
-func (s *session) Used() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.usedB
-}
-
-// TierUsed returns the tenant's tier-bucket charged bytes.
-func (s *session) TierUsed() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tierUsedB
 }

@@ -84,6 +84,89 @@ func TestQuotaDemoteThenAdmit(t *testing.T) {
 	}
 }
 
+// TestDemoteAdmitCountsOnlyItsOwnDemotions: a tensor the executor demoted
+// under host pressure is charged to the tier bucket at once, so it neither
+// blocks the next register nor counts as a demote-admit when a later
+// register walks past it.
+func TestDemoteAdmitCountsOnlyItsOwnDemotions(t *testing.T) {
+	const elems = 4096
+	n := int64(elems * 4)
+	s, url := newTestServer(t,
+		server.WithTierDir(t.TempDir()),
+		server.WithTenantQuota(2*n),
+		server.WithHostCapacity(n+n/2), // one raw blob
+	)
+	c := client.New(url)
+	ctx := context.Background()
+	gen := tensor.NewGenerator(5)
+	lab := metrics.L("tenant", server.DefaultTenant)
+	want := func(step string, admits float64, demotions int, used, tierUsed int64) {
+		t.Helper()
+		if v := counterValue(t, s, "server_tier_demote_admits_total", lab); v != admits {
+			t.Errorf("%s: demote-admits = %v, want %v", step, v, admits)
+		}
+		if d := s.Executor().Stats().TierDemotions; d != demotions {
+			t.Errorf("%s: TierDemotions = %d, want %d", step, d, demotions)
+		}
+		if v := gaugeValue(t, s, "server_tenant_used_bytes", lab); v != float64(used) {
+			t.Errorf("%s: used bucket %v, want %d", step, v, used)
+		}
+		if v := gaugeValue(t, s, "server_tenant_tier_used_bytes", lab); v != float64(tierUsed) {
+			t.Errorf("%s: tier bucket %v, want %d", step, v, tierUsed)
+		}
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := c.Register(ctx, name, gen.Uniform(elems, 0.5).Data); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SwapOut(ctx, name, client.WithRaw()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want("b's swap-out demoted a", 0, 1, n, n)
+	if err := c.Register(ctx, "c", gen.Uniform(elems, 0.5).Data); err != nil {
+		t.Fatal(err)
+	}
+	want("c fits beside b", 0, 1, 2*n, n)
+	// d needs b demoted; a, first in the walk, is already in the tier.
+	if err := c.Register(ctx, "d", gen.Uniform(elems, 0.5).Data); err != nil {
+		t.Fatal(err)
+	}
+	want("d demoted b", 1, 2, 2*n, 2*n)
+}
+
+// TestWatermarkDemotionChargesTier: the background demoter moves a tenant's
+// charge to the tier bucket by itself — no request touches the tensor
+// between its swap-out and the scrape that sees the charge move.
+func TestWatermarkDemotionChargesTier(t *testing.T) {
+	const elems = 4096
+	n := float64(elems * 4)
+	s, url := newTestServer(t,
+		server.WithTierDir(t.TempDir()),
+		server.WithHostCapacity(4*elems*4),
+		server.WithTierWatermark(0.1), // one raw blob is over the mark
+	)
+	c := client.New(url)
+	ctx := context.Background()
+	if err := c.Register(ctx, "t", tensor.NewGenerator(6).Uniform(elems, 0.5).Data); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SwapOut(ctx, "t", client.WithRaw()); err != nil {
+		t.Fatal(err)
+	}
+	lab := metrics.L("tenant", server.DefaultTenant)
+	for deadline := time.Now().Add(5 * time.Second); gaugeValue(t, s, "server_tenant_tier_used_bytes", lab) != n; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("tier bucket %v five seconds after the swap-out (%v watermark demotions), want %v",
+				gaugeValue(t, s, "server_tenant_tier_used_bytes", lab),
+				counterValue(t, s, "executor_tier_demotions_total", metrics.L("reason", "watermark")), n)
+		}
+	}
+	if v := gaugeValue(t, s, "server_tenant_used_bytes", lab); v != 0 {
+		t.Fatalf("used bucket %v after the demotion, want 0", v)
+	}
+}
+
 // TestRestartReclaimsTier: blobs a previous process demoted belong to no
 // session after a restart (handles and sessions live in memory only), so a
 // server opening the same tier directory deletes them before serving —
