@@ -231,7 +231,8 @@ func driveServe(t *testing.T, base string) {
 // issues a Huffman verdict and scans the launch grid for it, then a sparse
 // one until its codec-switch counter moves. The tuner acts only on tenants
 // with fresh evidence, so each phase keeps swapping until its series move
-// or a minute passes. The installed grid must be a scan point, and no
+// or a minute passes. The gate's 16 Ki-element probe is one chunk at every
+// grid, so the scan probes grid 1 alone and installs its ceiling, 1024; no
 // Bayesian-optimisation series may appear.
 func driveTune(t *testing.T, base string) {
 	c, g := client.New(base, client.WithTenant("drifter")), tensor.NewGenerator(42)
@@ -254,9 +255,8 @@ func driveTune(t *testing.T, base string) {
 		}
 		must(t, c.Free(ctx, name))
 	}
-	grid := scrape(t, base)("server_tuner_launch_grid")
-	if g := int(grid); float64(g) != grid || g < 1 || g > 1024 || g&(g-1) != 0 {
-		t.Errorf("server_tuner_launch_grid = %v, want one of 1, 2, 4, …, 1024", grid)
+	if grid := scrape(t, base)("server_tuner_launch_grid"); grid != 1024 {
+		t.Errorf("server_tuner_launch_grid = %v, want 1024", grid)
 	}
 	text, err := client.New(base).Metrics(ctx)
 	must(t, err)

@@ -32,8 +32,10 @@
 // -tune enables the online per-tenant tuner: swap-outs requesting the Auto
 // algorithm follow its live codec verdicts, retuned as tenant sparsity
 // profiles drift, and each switch to a new codec re-scans the launch grid
-// (1, 2, 4, …, 1024 at the -block in force; see /metrics, server_tuner_*
-// series). The -tune-* knobs need -tune. -grid is the codec's chunk count;
+// (1, 2, 4, … up to 1024 at the -block in force; see /metrics,
+// server_tuner_* series). The -tune-* knobs need -tune. -grid is the most
+// chunks a compressed blob is cut into (none below 64 KiB, so a tensor
+// under 128 KiB is one chunk at any grid);
 // -block is validated and kept for the paper's geometry, but on the CPU it
 // changes neither the blob nor the worker count.
 // Admission is one path either way: each shard's scheduler (internal/sched)
@@ -96,7 +98,7 @@ func main() {
 	schedLanes := flag.String("sched-lanes", "", "per-lane queue depths as critical,normal,speculative (0 or empty = defaults)")
 	schedStarve := flag.Duration("sched-starve", 0, "critical queue age that sheds in-flight speculative work (0 = 20ms default)")
 	verify := flag.Bool("verify", true, "checksum-verify every restore")
-	grid := flag.Int("grid", 0, "codec launch grid, the chunk count of a compressed blob (0 = executor default, 128)")
+	grid := flag.Int("grid", 0, "codec launch grid, the most chunks a compressed blob is cut into, none below 64 KiB (0 = executor default, 128)")
 	block := flag.Int("block", 0, "codec launch block, 64 or 128 (0 = executor default, 64); on the CPU it changes neither the blob nor the worker count")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on waiting out open requests at shutdown")
 	tune := flag.Bool("tune", false, "enable the online per-tenant tuner (Auto swap-outs follow its verdicts)")

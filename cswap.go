@@ -146,8 +146,9 @@ func ExtendedAlgorithms() []Algorithm { return compress.ExtendedAlgorithms() }
 // NewCodec returns the codec for an algorithm.
 func NewCodec(a Algorithm) (Codec, error) { return compress.New(a) }
 
-// ParallelEncode compresses src partitioned across launch.Grid chunks, the
-// way the GPU kernels partition a tensor across thread blocks.
+// ParallelEncode compresses src partitioned across at most launch.Grid
+// chunks of at least 16 Ki elements each (a smaller tensor is one chunk),
+// the way the GPU kernels partition a tensor across thread blocks.
 func ParallelEncode(a Algorithm, src []float32, launch Launch) ([]byte, error) {
 	return compress.ParallelEncode(a, src, launch)
 }

@@ -96,7 +96,9 @@ func BenchmarkParallelContainer(b *testing.B) {
 // sweeps grid 1, 2, 4, …, 4096 at block 64 and 128, scoring a point the way
 // the daemon's tuner does (launchObjective at its default 12 GB/s link:
 // encode + decode wall time plus the blob's two-way transfer), and reports
-// every point's mean as its own metric, ms/g<grid>b<block>. Run it at
+// every point's mean as its own metric, ms/g<grid>b<block>. A grid whose
+// chunk count at that size equals the previous grid's encodes the same blob
+// under the chunk floor, so it is skipped rather than timed again. Run it at
 // -cpu 1,2 for both core counts; EXPERIMENTS.md, "Fig. 5 on this
 // substrate", reads it. It is not a BENCH_HOT row, so bench-diff ignores it.
 func BenchmarkLaunchSurface(b *testing.B) {
@@ -114,6 +116,9 @@ func BenchmarkLaunchSurface(b *testing.B) {
 					var buf []byte
 					var launches []Launch
 					for grid := 1; grid <= 4096; grid *= 2 {
+						if grid > 1 && ChunkCount(size.elems, grid) == ChunkCount(size.elems, grid/2) {
+							continue
+						}
 						launches = append(launches, Launch{grid, 64}, Launch{grid, 128})
 					}
 					sec := make([]float64, len(launches))

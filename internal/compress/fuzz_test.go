@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -56,12 +57,14 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // FuzzParallelRoundTrip drives the parallel container framing: an arbitrary
-// byte-derived tensor is encoded with one of the five algorithms at a
-// fuzz-chosen launch, then (a) decoded pristine — must round-trip
-// bit-exactly, (b) truncated at a fuzz-chosen boundary — must error, and
-// (c) bit-flipped at a fuzz-chosen position — must never panic, and must
-// never silently return wrong data when the flip lands in the container
-// header or chunk directory.
+// byte-derived tensor is encoded with one of the five algorithms by the
+// encoder body, at a fuzz-chosen chunk count with no chunk floor, then
+// (a) decoded pristine — must round-trip bit-exactly, (b) truncated at a
+// fuzz-chosen boundary — must error, and (c) bit-flipped at a fuzz-chosen
+// position — must never panic, and must never silently return wrong data
+// when the flip lands in the container header or chunk directory. The
+// fuzzed tensors are at most 16 Ki elements, so ParallelEncode makes them
+// one chunk; it must equal the body at ChunkCount.
 func FuzzParallelRoundTrip(f *testing.F) {
 	// Seeds cover all five algorithms, truncation at the framing
 	// boundaries (header, directory, chunk edges), and bit-flips inside
@@ -110,9 +113,16 @@ func FuzzParallelRoundTrip(f *testing.F) {
 			}
 			src[i] = math.Float32frombits(bits)
 		}
-		blob, err := ParallelEncode(alg, src, launch)
+		blob, err := appendParallelChunks(nil, alg, src, launch.Grid, nil)
 		if err != nil {
 			t.Fatalf("%s %v: encode: %v", alg, launch, err)
+		}
+		floored, err := ParallelEncode(alg, src, launch)
+		if err != nil {
+			t.Fatalf("%s %v: encode: %v", alg, launch, err)
+		}
+		if want, _ := appendParallelChunks(nil, alg, src, ChunkCount(n, launch.Grid), nil); !bytes.Equal(floored, want) {
+			t.Fatalf("%s %v: ParallelEncode differs from the body at ChunkCount", alg, launch)
 		}
 		got, err := ParallelDecode(blob, launch)
 		if err != nil {

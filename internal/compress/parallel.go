@@ -11,9 +11,10 @@ import (
 // tunes with Bayesian optimization (Section IV-D). Grid is the number of
 // thread blocks (1–4096 in the paper's search space); Block is threads per
 // block (64 or 128, matching the 2/4 warp schedulers per SM on the
-// evaluated GPUs). On the CPU, Grid is the container's chunk count; Block
-// is validated and carried, but changes neither the blob nor the worker
-// count.
+// evaluated GPUs). On the CPU, Grid is the most chunks the container may
+// cut a tensor into: ChunkCount caps it so that no chunk falls below 16 Ki
+// elements. Block is validated and carried, but changes neither the blob
+// nor the worker count.
 type Launch struct {
 	Grid  int
 	Block int
@@ -76,12 +77,29 @@ const parHeaderSize = 14
 // anything larger is treated as corrupt before any allocation happens.
 const maxParallelElems = math.MaxInt32
 
+// minChunkElems is the container's chunk floor: 16 Ki elements (64 KiB).
+// Below it a chunk's fixed costs dominate (its codec header and directory
+// slot, HUF's code table, LZ4's hash-table reset, and a ZVC decode that
+// never reaches its unchecked loop), so a grid that would cut smaller
+// chunks is capped (ChunkCount).
+const minChunkElems = 16 << 10
+
+// ChunkCount returns how many chunks the container encoder cuts an
+// n-element tensor into at the given grid: the grid, capped so that no chunk
+// holds fewer than minChunkElems elements, and at least one. A tensor
+// smaller than the floor is one chunk; an 8 MiB tensor at grid 128 is 128
+// chunks of exactly the floor.
+func ChunkCount(n, grid int) int {
+	_, k := chunkShape(n, min(grid, n/minChunkElems)) // chunkShape takes a grid below 1 as 1
+	return k
+}
+
 // ParallelEncode compresses src with the codec for alg, partitioned into
-// launch.Grid independent chunks the way a GPU kernel assigns one tensor
-// slice per thread block. Chunks are 32-element aligned so ZVC bitmap words
-// never straddle a boundary. On a real GPU every block runs concurrently; on
-// the CPU host the chunks share GOMAXPROCS workers, so the output is
-// byte-exact for a given grid whatever the core count.
+// ChunkCount(len(src), launch.Grid) independent chunks the way a GPU kernel
+// assigns one tensor slice per thread block. Chunks are 32-element aligned
+// so ZVC bitmap words never straddle a boundary. On a real GPU every block
+// runs concurrently; on the CPU host the chunks share GOMAXPROCS workers,
+// so the output is byte-exact for a given grid whatever the core count.
 func ParallelEncode(alg Algorithm, src []float32, launch Launch) ([]byte, error) {
 	if err := launch.Validate(); err != nil {
 		return nil, err
@@ -103,7 +121,7 @@ func MaxParallelEncodedLen(alg Algorithm, n int, launch Launch) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	per, k := chunkShape(n, launch.Grid)
+	per, k := chunkShape(n, ChunkCount(n, launch.Grid))
 	last := n - (k-1)*per
 	if last > per {
 		last = per // single-chunk case: the chunk holds all n <= per elements
@@ -126,11 +144,19 @@ func AppendParallelEncodeWith(dst []byte, alg Algorithm, src []float32, launch L
 	if err := launch.Validate(); err != nil {
 		return nil, err
 	}
+	return appendParallelChunks(dst, alg, src, ChunkCount(len(src), launch.Grid), hooks)
+}
+
+// appendParallelChunks is the encoder body: it cuts src into
+// chunkBounds(len(src), numChunks), with no floor applied. The exported path
+// passes ChunkCount; tests pass a count directly to build the small-chunk
+// directories older encoders wrote, which the decoder still accepts.
+func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks int, hooks *Hooks) ([]byte, error) {
 	codec, err := New(alg)
 	if err != nil {
 		return nil, err
 	}
-	chunks := chunkBounds(len(src), launch.Grid)
+	chunks := chunkBounds(len(src), numChunks)
 	k := len(chunks)
 
 	// Reserve the header, the directory, and one worst-case span per chunk.

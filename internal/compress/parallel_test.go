@@ -241,9 +241,11 @@ func TestParallelDecodeRejectsUnknownAlgorithmByte(t *testing.T) {
 
 func TestParallelDecodeChunkErrorContext(t *testing.T) {
 	// A chunk whose own algorithm byte disagrees with the container must
-	// surface a ChunkError naming the codec and chunk.
+	// surface a ChunkError naming the codec and chunk. The encoder body cuts
+	// 200 elements into 4 chunks, below the floor ParallelEncode applies: the
+	// decoder must keep accepting such directories, so they stay under test.
 	tn := tensor.NewGenerator(57).Uniform(200, 0.5)
-	blob, err := ParallelEncode(CSR, tn.Data, Launch{4, 64})
+	blob, err := appendParallelChunks(nil, CSR, tn.Data, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +267,14 @@ func TestParallelDecodeChunkErrorContext(t *testing.T) {
 	}
 }
 
+// The truncation and bit-flip sweeps run over 4-chunk containers of a few
+// hundred elements, built by the encoder body so that hostile and legacy
+// small-chunk directories stay covered.
 func TestParallelTruncationEveryBoundary(t *testing.T) {
 	l := Launch{4, 64}
 	for _, a := range ExtendedAlgorithms() {
 		tn := tensor.NewGenerator(61).Uniform(500, 0.5)
-		blob, err := ParallelEncode(a, tn.Data, l)
+		blob, err := appendParallelChunks(nil, a, tn.Data, l.Grid, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +295,7 @@ func TestParallelDirectoryBitFlips(t *testing.T) {
 	l := Launch{4, 64}
 	for _, a := range ExtendedAlgorithms() {
 		tn := tensor.NewGenerator(67).Uniform(200, 0.5)
-		blob, err := ParallelEncode(a, tn.Data, l)
+		blob, err := appendParallelChunks(nil, a, tn.Data, l.Grid, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,6 +325,7 @@ func TestParallelDirectoryBitFlips(t *testing.T) {
 	}
 }
 
+// A hook failure on chunk 1 of a 4-chunk body encode carries its chunk.
 func TestParallelEncodeHookFailureCarriesChunkContext(t *testing.T) {
 	tn := tensor.NewGenerator(71).Uniform(300, 0.5)
 	boom := fmt.Errorf("boom")
@@ -329,7 +335,7 @@ func TestParallelEncodeHookFailureCarriesChunkContext(t *testing.T) {
 		}
 		return nil
 	}}
-	_, err := AppendParallelEncodeWith(nil, ZVC, tn.Data, Launch{4, 64}, hooks)
+	_, err := appendParallelChunks(nil, ZVC, tn.Data, 4, hooks)
 	var ce *ChunkError
 	if !errors.As(err, &ce) || ce.Chunk != 1 || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want ChunkError for chunk 1 wrapping the hook error", err)
@@ -377,6 +383,103 @@ func TestChunkBoundsAlignment(t *testing.T) {
 		}
 		if len(spans) > tc.grid && tc.n > 0 {
 			t.Fatalf("n=%d grid=%d: %d spans exceed grid", tc.n, tc.grid, len(spans))
+		}
+	}
+}
+
+// TestChunkFloor pins the container's chunk floor: the encoder cuts a tensor
+// into at most grid chunks and never into chunks below 16 Ki elements, a
+// tensor smaller than that being one chunk.
+func TestChunkFloor(t *testing.T) {
+	grids := []int{1, 2, 7, 128, 4096}
+	cases := []struct {
+		n    int
+		want []int // chunk count per grid above
+	}{
+		{0, []int{1, 1, 1, 1, 1}},
+		{1, []int{1, 1, 1, 1, 1}},
+		{32, []int{1, 1, 1, 1, 1}},
+		{16383, []int{1, 1, 1, 1, 1}},
+		{16384, []int{1, 1, 1, 1, 1}},
+		{16385, []int{1, 1, 1, 1, 1}}, // two chunks would hold ~8 Ki each
+		{32767, []int{1, 1, 1, 1, 1}},
+		{32768, []int{1, 2, 2, 2, 2}},
+		{65536, []int{1, 2, 4, 4, 4}},
+		{262144, []int{1, 2, 7, 16, 16}},
+		{2 << 20, []int{1, 2, 7, 128, 128}},
+	}
+	gen := tensor.NewGenerator(73)
+	for _, tc := range cases {
+		src := gen.Uniform(tc.n, 0.5).Data
+		for j, grid := range grids {
+			k := ChunkCount(tc.n, grid)
+			if k != tc.want[j] {
+				t.Errorf("ChunkCount(%d, %d) = %d, want %d", tc.n, grid, k, tc.want[j])
+			}
+			launch := Launch{grid, 64}
+			blob, err := ParallelEncode(ZVC, src, launch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := int(binary.LittleEndian.Uint32(blob[10:14])); got != k {
+				t.Errorf("n=%d grid %d: container has %d chunks, ChunkCount says %d", tc.n, grid, got, k)
+			}
+			// The bound is the arithmetic over exactly the encoder's spans,
+			// so an arena sized by it always holds the container.
+			for _, alg := range ExtendedAlgorithms() {
+				bound, err := MaxParallelEncodedLen(alg, tc.n, launch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := parHeaderSize
+				for _, sp := range chunkBounds(tc.n, k) {
+					want += 8 + MustNew(alg).MaxEncodedLen(sp.hi-sp.lo)
+				}
+				if bound != want {
+					t.Errorf("%s n=%d grid %d: MaxParallelEncodedLen = %d, encoder's spans need %d",
+						alg, tc.n, grid, bound, want)
+				}
+			}
+			if bound, _ := MaxParallelEncodedLen(ZVC, tc.n, launch); len(blob) > bound {
+				t.Errorf("n=%d grid %d: container is %d bytes, bound %d", tc.n, grid, len(blob), bound)
+			}
+		}
+	}
+
+	// 8 MiB at grid 128 is already 128 chunks of exactly the floor: the
+	// training workloads' blobs are the ones the floorless body writes.
+	big := gen.Uniform(2<<20, 0.5).Data
+	for _, alg := range ExtendedAlgorithms() {
+		got, err := ParallelEncode(alg, big, Launch{128, 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := appendParallelChunks(nil, alg, big, 128, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: 8 MiB at grid 128 differs from the 128-chunk body encode", alg)
+		}
+	}
+
+	// A 4 KiB block as grid 128 cut it before the floor (32 chunks of 32
+	// elements) still decodes bit-exactly.
+	block := gen.Uniform(1024, 0.5).Data
+	for _, alg := range ExtendedAlgorithms() {
+		legacy, err := appendParallelChunks(nil, alg, block, 128, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.LittleEndian.Uint32(legacy[10:14]); got != 32 {
+			t.Fatalf("%s: legacy 4 KiB container has %d chunks, want 32", alg, got)
+		}
+		dst := dirtyFloats(len(block))
+		if err := ParallelDecodeInto(dst, legacy, Launch{128, 64}); err != nil {
+			t.Fatalf("%s: legacy 4 KiB container: %v", alg, err)
+		}
+		if !sameBits(dst, block) {
+			t.Fatalf("%s: legacy 4 KiB container not bit-exact", alg)
 		}
 	}
 }

@@ -242,10 +242,12 @@ func TestSyncConcurrentMisuseReturnsErrBusy(t *testing.T) {
 
 // TestAsyncBackpressureBoundsWindow pins the bounded window: with
 // MaxInFlight=2 and slow encodes, six submissions never hold more than
-// two slots, and at least one submitter had to wait.
+// two slots, and at least one submitter had to wait. Each tensor is one
+// chunk, so the per-chunk delay is each swap-out's whole encode: it must
+// outlast a submission even under the race detector.
 func TestAsyncBackpressureBoundsWindow(t *testing.T) {
 	inj := faultinject.New(
-		faultinject.Fault{Site: faultinject.SiteEncode, Mode: faultinject.Delay, Delay: 2 * time.Millisecond, Every: 1},
+		faultinject.Fault{Site: faultinject.SiteEncode, Mode: faultinject.Delay, Delay: 10 * time.Millisecond, Every: 1},
 	)
 	e, err := New(Config{
 		DeviceCapacity: 16 << 20,
@@ -587,7 +589,9 @@ func TestAsyncManyStreams(t *testing.T) {
 // must cost parallelism only — the swaps wait on jobs completed, not on
 // helpers dequeued. A per-chunk stall keeps every worker inside its swap
 // long enough that the window really is saturated, tensors and a
-// multi-run batch alike; the watchdog turns a wedge into a failure.
+// multi-run batch alike; the watchdog turns a wedge into a failure. Sizes
+// respect the 16 Ki-element chunk floor: a tensor is 8 chunks at grid 8,
+// and a two-block run of 16 Ki-element blocks is 2.
 func TestAsyncSaturatedWorkerPool(t *testing.T) {
 	window := 2 * runtime.GOMAXPROCS(0)
 	if window < 4 {
@@ -610,11 +614,11 @@ func TestAsyncSaturatedWorkerPool(t *testing.T) {
 	gen := tensor.NewGenerator(7)
 	handles := make([]*Handle, window)
 	for i := range handles {
-		if handles[i], err = e.Register(fmt.Sprintf("t%d", i), gen.Uniform(8192, 0.6)); err != nil {
+		if handles[i], err = e.Register(fmt.Sprintf("t%d", i), gen.Uniform(8<<14, 0.6)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p, err := e.RegisterBlockPool("kv", 1024, 4*window)
+	p, err := e.RegisterBlockPool("kv", 1<<14, 4*window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +626,7 @@ func TestAsyncSaturatedWorkerPool(t *testing.T) {
 	for i := 0; i < window; i++ {
 		ids = append(ids, 4*i, 4*i+1)
 	}
-	if err := p.WriteBlocks(ids, gen.Uniform(len(ids)*1024, 0.6).Data); err != nil {
+	if err := p.WriteBlocks(ids, gen.Uniform(len(ids)<<14, 0.6).Data); err != nil {
 		t.Fatal(err)
 	}
 

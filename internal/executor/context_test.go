@@ -14,7 +14,7 @@ import (
 // newCtxExecutor builds an executor whose encodes stall long enough for a
 // context to expire mid-operation. The launch is one chunk, so the
 // per-chunk delay is paid once per encode whatever the core count (at the
-// default 128-chunk launch it is paid 128/GOMAXPROCS times).
+// default grid 128 an 8 MiB tensor pays it 128/GOMAXPROCS times).
 func newCtxExecutor(t *testing.T, maxInFlight int, encodeDelay time.Duration) *Executor {
 	t.Helper()
 	cfg := Config{

@@ -101,7 +101,8 @@ type Config struct {
 	// DeviceCapacity and HostCapacity are the pool sizes in bytes.
 	DeviceCapacity, HostCapacity int64
 	// Launch is the kernel geometry that partitions parallel compression:
-	// its Grid is the chunk count of every blob this executor encodes.
+	// its Grid is the most chunks a blob this executor encodes is cut into
+	// (compress.ChunkCount).
 	// Decoding reads the chunking from the blob, so it takes no launch.
 	Launch compress.Launch
 	// Verify takes a digest of the payload at every swap-out

@@ -20,11 +20,12 @@ package server
 //     factor is reverted to the previous one — the self-correction the
 //     offline pipeline cannot do.
 //   - When a retune lands on a new codec, the launch grid is re-scanned
-//     (1, 2, 4, …, 1024 at the current Block, which on the CPU changes
-//     neither the blob nor the worker count, so the paper's Bayesian search
-//     over (grid, block) buys nothing here) and the cheapest point is
-//     installed atomically on the executor (SetLaunch); in-flight decodes
-//     are unaffected because chunk bounds travel in the blob directory.
+//     (1, 2, 4, … while doubling still changes the probe's chunk count, at
+//     the current Block, which on the CPU changes neither the blob nor the
+//     worker count, so the paper's Bayesian search over (grid, block) buys
+//     nothing here) and the cheapest point is installed atomically on the
+//     executor (SetLaunch); in-flight decodes are unaffected because chunk
+//     bounds travel in the blob directory.
 //
 // Everything the tuner concludes is observable: verdicts, codec switches,
 // rollbacks, re-probes, and the profile itself are registry series on
@@ -351,22 +352,43 @@ func launchObjective(kernelSec float64, compressedBytes int, linkBytesPerSec flo
 	return kernelSec + 2*float64(compressedBytes)/linkBytesPerSec
 }
 
-// reprobeLaunch scans the launch grid for the newly chosen codec on the
-// current probe tensor — one probe per grid in 1, 2, 4, …, 1024 at the
-// executor's Block — and installs the cheapest atomically. In-flight
-// operations are unaffected: each swap reads the geometry once, and decode
-// chunk bounds come from the blob directory.
-func (t *tuner) reprobeLaunch(alg compress.Algorithm) {
-	best, bestObj := t.srv.exec.Launch(), math.Inf(1)
-	for l := (compress.Launch{Grid: 1, Block: best.Block}); l.Grid <= 1024; l.Grid *= 2 {
-		encSec, decSec, _, err := t.probe(alg, l)
-		if err != nil {
-			continue
-		}
-		if obj := launchObjective(encSec+decSec, len(t.probeBuf), t.cfg.LinkBytesPerSec); obj < bestObj {
+// maxScanGrid is the launch scan's largest grid.
+const maxScanGrid = 1024
+
+// scanLaunch returns the cheapest launch at cur's Block among grids 1, 2,
+// 4, …, maxScanGrid for an n-element probe, as scored by score. It stops
+// once doubling the grid no longer changes the probe's chunk count
+// (compress.ChunkCount): past that point every grid encodes the same blob
+// and only noise could separate them. If the last grid scanned wins, the
+// chunk floor, not the probe, held the scan back, so it returns
+// maxScanGrid: a tensor larger than the probe is then not capped at the
+// probe's chunk count. If every probe fails it returns cur.
+func scanLaunch(cur compress.Launch, n int, score func(compress.Launch) (float64, error)) compress.Launch {
+	best, bestObj := cur, math.Inf(1)
+	for l := (compress.Launch{Grid: 1, Block: cur.Block}); ; l.Grid *= 2 {
+		last := l.Grid >= maxScanGrid || compress.ChunkCount(n, 2*l.Grid) == compress.ChunkCount(n, l.Grid)
+		if obj, err := score(l); err == nil && obj < bestObj {
 			best, bestObj = l, obj
+			if last {
+				best.Grid = maxScanGrid
+			}
+		}
+		if last {
+			return best
 		}
 	}
+}
+
+// reprobeLaunch scans the launch grid for the newly chosen codec on the
+// current probe tensor (scanLaunch, at the executor's Block) and installs
+// the cheapest atomically. In-flight operations are unaffected: each swap
+// reads the geometry once, and decode chunk bounds come from the blob
+// directory.
+func (t *tuner) reprobeLaunch(alg compress.Algorithm) {
+	best := scanLaunch(t.srv.exec.Launch(), len(t.probeSrc), func(l compress.Launch) (float64, error) {
+		encSec, decSec, _, err := t.probe(alg, l)
+		return launchObjective(encSec+decSec, len(t.probeBuf), t.cfg.LinkBytesPerSec), err
+	})
 	if err := t.srv.exec.SetLaunch(best); err != nil {
 		return
 	}

@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,20 +15,18 @@ import (
 	"cswap/internal/tensor"
 )
 
-// tunerTestConfig is tuned for test latency, not serving, and every knob
+// tunerTestTuner is tuned for test latency, not serving, and every knob
 // matters for determinism:
 //
-//   - Grid 4 keeps parallel-container chunks large enough that Huffman's
-//     256-byte per-chunk code table amortizes (at the 128-grid default a
-//     16 Ki-element tensor would carry more table than data).
 //   - The modeled link is glacial (128 KiB/s) so the transfer saving of a
 //     good ratio dwarfs probe kernel times, which are wall-clock and
 //     inflated ~10x by the race detector.
 //   - The probe matches the swapped tensors' size (scale factor 1), so
 //     kernel-time extrapolation adds no noise.
 //
-// The launch scan stays on: at this link the blob term dominates its
-// objective, so it settles on a coarse grid where the verdicts hold.
+// The launch scan stays on. The probe is one chunk at every grid, so the
+// scan probes once and installs grid 1024, which still cuts these tensors
+// into one chunk: the verdicts hold.
 func tunerTestTuner() server.TunerConfig {
 	return server.TunerConfig{
 		Enabled:         true,
@@ -39,20 +39,13 @@ func tunerTestTuner() server.TunerConfig {
 	}
 }
 
-func tunerTestOptions(tc server.TunerConfig) []server.Option {
-	return []server.Option{
-		server.WithLaunch(compress.Launch{Grid: 4, Block: 64}),
-		server.WithTuner(tc),
-	}
-}
-
 // TestTunerSwitchesCodecOnDrift is the tuning loop end to end: a tenant
 // swapping dense tensors through the Auto selector gets a Huffman verdict
 // (the codec the selection bug excluded), and when the same tenant's
 // workload turns sparse the tuner notices the drift and switches its
 // codec — all of it visible in the registry behind /metrics.
 func TestTunerSwitchesCodecOnDrift(t *testing.T) {
-	s, url := newTestServer(t, tunerTestOptions(tunerTestTuner())...)
+	s, url := newTestServer(t, server.WithTuner(tunerTestTuner()))
 	c := client.New(url)
 	ctx := context.Background()
 
@@ -153,7 +146,7 @@ func TestTunerSwitchesCodecOnDrift(t *testing.T) {
 // tenant that only ever moves block batches, that codec's executor series
 // — encode time and moved bytes — have advanced.
 func TestTunerSeesBlockPoolTraffic(t *testing.T) {
-	s, url := newTestServer(t, tunerTestOptions(tunerTestTuner())...)
+	s, url := newTestServer(t, server.WithTuner(tunerTestTuner()))
 	c := client.New(url)
 	ctx := context.Background()
 
@@ -199,42 +192,58 @@ func TestTunerSeesBlockPoolTraffic(t *testing.T) {
 
 // TestTunerReprobesLaunch exercises the geometry half of the loop: a new
 // compressing verdict triggers a launch grid scan, and its winner lands
-// atomically on the executor with the Block the server booted with.
+// atomically on the executor with the Block the server booted with. The
+// scan probes only grids whose chunk count at the probe's size differs from
+// the grid below: at 64 Ki elements that is 1, 2 and 4, and a win by 4 (the
+// chunk floor holding the scan back) installs 1024. A 16 Ki probe is one
+// chunk at every grid, so its single probe always installs 1024.
 func TestTunerReprobesLaunch(t *testing.T) {
-	s, url := newTestServer(t,
-		server.WithLaunch(compress.Launch{Grid: 4, Block: 128}),
-		server.WithTuner(tunerTestTuner()))
-	c := client.New(url)
-	ctx := context.Background()
+	for _, tc := range []struct {
+		probe int
+		want  []int
+	}{
+		{16 << 10, []int{1024}},
+		{64 << 10, []int{1, 2, 1024}},
+	} {
+		t.Run(fmt.Sprintf("probe-%dKi", tc.probe>>10), func(t *testing.T) {
+			cfg := tunerTestTuner()
+			cfg.ProbeElems = tc.probe
+			s, url := newTestServer(t,
+				server.WithLaunch(compress.Launch{Grid: 4, Block: 128}),
+				server.WithTuner(cfg))
+			c := client.New(url)
+			ctx := context.Background()
 
-	dense := tensor.NewGenerator(11).Uniform(16384, 0).Data
-	if err := c.Register(ctx, "d0", dense); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if err := c.SwapOut(ctx, "d0"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.SwapIn(ctx, "d0"); err != nil {
-			t.Fatal(err)
-		}
-		if counterValue(t, s, "server_tuner_reprobes_total") >= 1 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if v := counterValue(t, s, "server_tuner_reprobes_total"); v < 1 {
-		t.Fatalf("server_tuner_reprobes_total = %v, want >= 1", v)
-	}
-	// The installed geometry is a scan point at the booted Block, and the
-	// tuner's grid gauge publishes it.
-	l := s.Executor().Launch()
-	if l.Block != 128 || l.Grid < 1 || l.Grid > 1024 || l.Grid&(l.Grid-1) != 0 {
-		t.Fatalf("executor launch after reprobe %v, want a grid in 1, 2, 4, …, 1024 at Block 128", l)
-	}
-	if grid, _ := s.Registry().Snapshot().Gauge("server_tuner_launch_grid"); int(grid) != l.Grid {
-		t.Errorf("server_tuner_launch_grid = %v, executor launch %v", grid, l)
+			dense := tensor.NewGenerator(11).Uniform(16384, 0).Data
+			if err := c.Register(ctx, "d0", dense); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(15 * time.Second)
+			for time.Now().Before(deadline) {
+				if err := c.SwapOut(ctx, "d0"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.SwapIn(ctx, "d0"); err != nil {
+					t.Fatal(err)
+				}
+				if counterValue(t, s, "server_tuner_reprobes_total") >= 1 {
+					break
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if v := counterValue(t, s, "server_tuner_reprobes_total"); v < 1 {
+				t.Fatalf("server_tuner_reprobes_total = %v, want >= 1", v)
+			}
+			// The installed geometry is a scan outcome at the booted Block,
+			// and the tuner's grid gauge publishes it.
+			l := s.Executor().Launch()
+			if l.Block != 128 || !slices.Contains(tc.want, l.Grid) {
+				t.Fatalf("executor launch after reprobe %v, want a grid in %v at Block 128", l, tc.want)
+			}
+			if grid, _ := s.Registry().Snapshot().Gauge("server_tuner_launch_grid"); int(grid) != l.Grid {
+				t.Errorf("server_tuner_launch_grid = %v, executor launch %v", grid, l)
+			}
+		})
 	}
 }
 
