@@ -55,7 +55,7 @@ race-all:
 cover:
 	$(GO) test -cover ./...
 
-# Code size, the measure ROADMAP items 6, 12 and 15 are judged by: non-test Go
+# Code size, the measure ROADMAP item 14 is judged by: non-test Go
 # lines that are neither blank nor comment-only — the layers above the
 # executor per package and in total, then the stored-payload path (executor,
 # tier, pool accounting) the same way, then the whole program outside bench/.

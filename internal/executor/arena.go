@@ -20,8 +20,8 @@ import (
 // including blobs that grew past their original reservation.
 //
 // Ownership rule: a buffer leaves the arena at get and returns at exactly
-// one recycle point, after the structure that held it (a Handle's blob, a
-// transfer copy) has released it. Nothing may retain a view into a buffer
+// one recycle point, after the structure that held it (a stored run's blob,
+// a transfer copy) has released it. Nothing may retain a view into a buffer
 // across its put.
 type arena struct {
 	classes [arenaClassCount]sync.Pool

@@ -9,11 +9,12 @@ import (
 	"cswap/internal/sched"
 )
 
-// This file is the asynchronous swap pipeline built on the guarded handle
-// state machine: SwapOutAsyncCtx / SwapInAsyncCtx / PrefetchCtx claim the handle
-// synchronously (so misuse surfaces immediately as a failed Ticket), take
-// one slot of a bounded in-flight window (backpressure: submission blocks
-// while the window is full), and run the codec + pool work on the compress
+// This file is the asynchronous swap pipeline built on the guarded block
+// state machine: SwapOutAsyncCtx / SwapInAsyncCtx / PrefetchCtx, like the
+// pool's *Ctx batches they wrap, claim their blocks synchronously (so
+// misuse surfaces immediately as a failed Ticket), take one slot of a
+// bounded in-flight window per run (backpressure: submission blocks while
+// the window is full), and run the codec + pool work on the compress
 // package's persistent worker pool. Drain is the completion barrier; Close
 // drains and then refuses new work. The paper's premise — swap traffic
 // overlapping compute (Fig. 2's execution flows, Eq. 1's hidden windows) —
@@ -22,11 +23,11 @@ import (
 
 // Ticket is the awaitable future returned by the asynchronous swap API.
 // A Ticket completes exactly once, after the operation has committed (or
-// rolled back) the handle's state; Wait and Done may be used from any
+// rolled back) its blocks' state; Wait and Done may be used from any
 // number of goroutines.
 type Ticket struct {
-	op   string // "swap-out" | "swap-in" | "prefetch"
-	name string // tensor name, for spans and errors
+	op   string // "swap-out" | "swap-in" | "prefetch", "batch-" before each for a pool batch
+	name string // tensor or pool name, for spans and errors
 	done chan struct{}
 	err  error
 }
@@ -199,17 +200,17 @@ func (g *asyncGate) close() {
 	g.mu.Unlock()
 }
 
-// dispatch is the one way work gets onto the async pipeline — a tensor op or
-// each run of a block batch. It takes one slot of the bounded window in the
-// caller's goroutine (so a full window blocks the submitter until a slot
-// frees, ctx is done or the gate closes),
-// then runs body(arg) on the compress package's persistent worker pool,
-// resolving t with its result before the slot is released. A refused slot
-// is returned with nothing run and t unresolved: the caller rolls its claim
-// back. arg rides beside body so that a per-run submission costs one
-// closure, not two. With a timeline attached, the queue stage — submission
-// to execution start — is recorded as an async-queue span; the body
-// records its own swap-out/swap-in span after it.
+// dispatch is the one way work gets onto the async pipeline: each run of an
+// asynchronous operation, a tensor's one run included. It takes one slot of
+// the bounded window in the caller's goroutine (so a full window blocks the
+// submitter until a slot frees, ctx is done or the gate closes), counts the
+// submission, then runs body(arg) on the compress package's persistent
+// worker pool, resolving t with its result before the slot is released. A
+// refused slot is returned with nothing run and t unresolved: the caller
+// rolls its claim back. arg rides beside body so that a per-run submission
+// costs one closure, not two. With a timeline attached, the queue stage —
+// submission to execution start — is recorded as an async-queue span; the
+// body records its own swap-out/swap-in span after it.
 func dispatch[A any](ctx context.Context, e *Executor, t *Ticket, body func(A) error, arg A) error {
 	traced := e.obs != nil && e.obs.Trace != nil
 	var tSubmit float64
@@ -219,6 +220,7 @@ func dispatch[A any](ctx context.Context, e *Executor, t *Ticket, body func(A) e
 	if err := e.gate.acquire(ctx); err != nil {
 		return err
 	}
+	e.ins.asyncSubmitted(t.op).Inc()
 	compress.Go(func() {
 		if traced {
 			e.obs.Span("async-queue", t.op+":"+t.name, tSubmit, e.sinceEpoch())
@@ -247,34 +249,6 @@ func (e *Executor) shedPreempt(n int) {
 	e.ins.schedShedRuns.Add(float64(n))
 }
 
-// submitAsync is the shared async submission path: it claims the handle,
-// takes an in-flight slot, and dispatches the operation body to the
-// shared persistent worker pool. Claim failures (ErrBusy, wrong state,
-// ErrFreed) and a closed executor resolve the ticket immediately;
-// otherwise the ticket completes when the body has committed the handle's
-// final state. Speculative work (per the context's sched.Hint) yields here
-// with ErrShed — before taking a slot — when the scheduler reports a
-// starved critical waiter.
-func (e *Executor) submitAsync(ctx context.Context, h *Handle, op string, from, to State, body func(*Handle) error) *Ticket {
-	t := newTicket(op, h.name)
-	if err := e.claim(h, from, to, t); err != nil {
-		return t.complete(err)
-	}
-	if e.shedHint(ctx) {
-		e.shedPreempt(1)
-		h.commit(from)
-		return t.complete(fmt.Errorf("executor: %s %s: %w", op, h.name, ErrShed))
-	}
-	e.ins.asyncSubmitted(op).Inc()
-	if err := dispatch(ctx, e, t, body, h); err != nil {
-		// Closed (or the context expired) while waiting for a slot: nothing
-		// ran, so the claim rolls straight back to the state it came from.
-		h.commit(from)
-		t.complete(fmt.Errorf("executor: %s %s: %w", op, h.name, err))
-	}
-	return t
-}
-
 // SwapOutAsyncCtx is SwapOut as a pipeline stage: it claims the handle and
 // returns a Ticket immediately (blocking only for an in-flight slot when
 // the window is full). Misuse — the handle busy, already swapped, or
@@ -284,16 +258,17 @@ func (e *Executor) submitAsync(ctx context.Context, h *Handle, op string, from, 
 // back to Resident untouched. The context governs only the submission
 // wait — once the operation is dispatched it runs to completion regardless
 // of ctx (use Ticket.WaitContext to bound the wait for the result).
+// Speculative work (per the context's sched.Hint) yields with ErrShed —
+// before taking a slot — when the scheduler reports a starved critical
+// waiter.
 func (e *Executor) SwapOutAsyncCtx(ctx context.Context, h *Handle, doCompress bool, alg compress.Algorithm) *Ticket {
-	return e.submitAsync(ctx, h, "swap-out", Resident, SwappingOut, func(h *Handle) error {
-		return e.swapOut(h, doCompress, alg)
-	})
+	return h.pool.swapOutCtx(ctx, "swap-out", whole, 0, doCompress, alg)
 }
 
 // SwapInAsyncCtx is SwapIn as a pipeline stage; see SwapOutAsyncCtx for
 // the ticket and context semantics.
 func (e *Executor) SwapInAsyncCtx(ctx context.Context, h *Handle) *Ticket {
-	return e.submitAsync(ctx, h, "swap-in", Swapped, SwappingIn, e.swapIn)
+	return h.pool.swapInCtx(ctx, "swap-in", whole, 0)
 }
 
 // PrefetchCtx requests that the tensor be resident ahead of its consumer —
@@ -302,44 +277,21 @@ func (e *Executor) SwapInAsyncCtx(ctx context.Context, h *Handle) *Ticket {
 // in *asynchronously* returns that operation's ticket (both callers await
 // one restore); only a Swapped handle issues new work. A handle being
 // swapped out, freed, or held by a synchronous SwapIn resolves with
-// ErrBusy/ErrFreed like any other misuse.
+// ErrBusy/ErrFreed like any other misuse. A tier-resident payload is staged
+// back into the host pool first (read-ahead): even if the restore then
+// fails on device pressure — common for speculative work — the disk fault
+// has been paid and the eventual demand swap-in reads host memory.
 func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
-	h.mu.Lock()
-	switch h.state {
-	case Resident:
-		h.mu.Unlock()
-		return newTicket("prefetch", h.name).complete(nil)
-	case SwappingIn:
-		if t := h.pending; t != nil {
-			h.mu.Unlock()
-			return t
-		}
-		name := h.name
-		h.mu.Unlock()
-		e.ins.busyRejections.Inc()
-		return newTicket("prefetch", name).complete(
-			fmt.Errorf("%w: %s (synchronous swap-in in flight)", ErrBusy, name))
-	}
-	h.mu.Unlock()
-	// The state may change between the peek above and the claim below;
-	// submitAsync re-checks under the handle lock and resolves the ticket
-	// with the accurate error if it lost the race. A tier-resident payload
-	// is staged back into the host pool first (read-ahead): even if the
-	// restore then fails on device pressure — common for speculative work —
-	// the disk fault has been paid and the eventual demand swap-in reads
-	// host memory.
-	return e.submitAsync(ctx, h, "prefetch", Swapped, SwappingIn, func(h *Handle) error {
-		e.stage(&h.stored)
-		return e.swapIn(h)
-	})
+	return h.pool.swapInCtx(ctx, "prefetch", whole, 0)
 }
 
 // Drain blocks until every asynchronous operation in flight at any point
-// during the call has completed and committed its handle or run state —
-// every ticket the executor issues rides the one in-flight window, tier
-// reads and inline demotions included, because they run inside the swap
-// bodies that hold its slots. Synchronous calls (SwapOut, SwapIn, Demote)
-// and the watermark demoter are not tickets and are not waited for. It is a
+// during the call has completed and committed its blocks' state — every
+// ticket the executor issues rides the one in-flight window, tier reads
+// and inline demotions included, because they run inside the swap bodies
+// that hold its slots. Synchronous calls (SwapOut, SwapIn, Demote,
+// SwapOutBlocks, SwapInBlocks) and the watermark demoter are not tickets
+// and are not waited for. It is a
 // barrier, not a shutdown: submissions stay legal during and after a drain
 // (a concurrent submitter can extend the wait). All tickets issued before
 // Drain returns are resolved once it does.
@@ -357,11 +309,11 @@ func (e *Executor) InFlight() int {
 // it stops the watermark demoter (waiting out its final sweep), closes the
 // in-flight window and drains it, so every ticket ever issued is resolved
 // when it returns. Subsequent Register calls and async submissions fail
-// with ErrClosed. Live handles remain readable and may still be driven
-// synchronously, wherever their payload lives — SwapOut, SwapIn (from the
-// host pool or the disk tier), Demote and Free take no slot of the closed
-// window (swapping in a tensor you still hold is not new work). Close is
-// idempotent.
+// with ErrClosed. Live handles and pools remain readable and may still be
+// driven synchronously, wherever their payload lives — SwapOut, SwapIn
+// (from the host pool or the disk tier), Demote, Free, SwapOutBlocks and
+// SwapInBlocks take no slot of the closed window (swapping in an object you
+// still hold is not new work). Close is idempotent.
 func (e *Executor) Close() error {
 	e.mu.Lock()
 	e.closed = true

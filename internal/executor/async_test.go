@@ -473,7 +473,7 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tieredWant := append([]float32(nil), tiered.data...)
+	tieredWant := append([]float32(nil), tiered.pool.data...)
 	if err := e.SwapOut(tiered, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
@@ -519,6 +519,89 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err) // idempotent
+	}
+
+	// A pool registered before Close is driven the same way: its synchronous
+	// batches take no slot and still run, its *Ctx batches are new work.
+	e2 := newPoolExecutor(t)
+	p, err := e2.RegisterBlockPool("kv", 64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{0, 1, 2, 5}
+	var want []float32
+	for _, id := range ids {
+		want = append(want, blockFill(id, 64)...)
+	}
+	if err := p.WriteBlocks(ids, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SwapOutBlocksCtx(context.Background(), ids, true, compress.ZVC).Wait(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SwapOutBlocksCtx after Close err = %v, want ErrClosed", err)
+	}
+	if err := p.SwapOutBlocks(ids, true, compress.ZVC); err != nil {
+		t.Fatalf("SwapOutBlocks after Close: %v", err)
+	}
+	for _, tk := range []*Ticket{p.SwapInBlocksCtx(context.Background(), ids), p.PrefetchBlocksCtx(context.Background(), ids)} {
+		if err := tk.Wait(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%s after Close err = %v, want ErrClosed", tk.Op(), err)
+		}
+	}
+	if got := p.SwappedIDs(); len(got) != len(ids) {
+		t.Fatalf("refused batches moved blocks: swapped %v, want %v", got, ids)
+	}
+	if err := p.SwapInBlocks(ids); err != nil {
+		t.Fatalf("SwapInBlocks after Close: %v", err)
+	}
+	if got, err := p.ReadBlocks(ids); err != nil || !sameBits(got, want) {
+		t.Fatalf("pool after a post-Close round trip: err %v, bit-exact %v", err, sameBits(got, want))
+	}
+}
+
+// TestCompressedWhileSwapOutInFlight: Compressed reads the stored record
+// under the pool's lock and reports false unless the tensor is Swapped, so
+// polling it while an async swap-out's store writes the record is no data
+// race (run with -race).
+func TestCompressedWhileSwapOutInFlight(t *testing.T) {
+	e, err := New(Config{
+		DeviceCapacity: 1 << 22,
+		HostCapacity:   1 << 22,
+		Launch:         compress.Launch{Grid: 1, Block: 64},
+		Faults: faultinject.New(faultinject.Fault{
+			Site: faultinject.SiteEncode, Mode: faultinject.Delay, Delay: 5 * time.Millisecond, Every: 1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := e.Register("x", tensor.NewGenerator(5).Uniform(4096, 0.6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := e.SwapOutAsyncCtx(context.Background(), h, true, compress.ZVC)
+	done := func() bool {
+		select {
+		case <-tk.Done():
+			return true
+		default:
+			return false
+		}
+	}
+	polls := 0
+	for ; !done(); polls++ {
+		// The commit precedes the ticket's resolution, so true is legal once
+		// the handle reads Swapped — and it stays Swapped from then on.
+		if h.Compressed() && h.State() != Swapped {
+			t.Fatal("Compressed reported true before the swap-out committed")
+		}
+	}
+	if polls == 0 {
+		t.Fatal("the swap-out finished before Compressed was polled")
+	}
+	if err := tk.Wait(); err != nil || !h.Compressed() {
+		t.Fatalf("swap-out err %v, compressed %v", err, h.Compressed())
 	}
 }
 

@@ -1,35 +1,39 @@
 package executor
 
-// Block pools: the paged KV-cache layout for the LLM-serving workload
-// class. Where Register gives each tensor its own device reservation, a
-// BlockPool carves ONE reservation into numBlocks fixed-size blocks of
+// Block pools: the executor's one kind of swappable object. A BlockPool is
+// ONE device reservation carved into numBlocks fixed-size blocks of
 // blockElems float32s — the paged layout inference engines give their KV
-// caches — and the batch operations move *lists* of block IDs per call.
+// caches — and its operations move *lists* of block IDs. A tensor is the
+// degenerate case: Register makes a pool of one block of the tensor's
+// length, and Handle (executor.go) drives its run {0,1} through the same
+// claim, store, restore, demote and free bodies below.
 //
 // The batch ops sort and dedup the requested IDs and merge contiguous
 // runs (swiftLLM's block_swapping names exactly this merge as its own
 // future work): source and destination of a run are both sequential
 // memory, so one codec/pool operation per RUN replaces one per block —
 // the cDMA amortization that makes compressed swapping pay off at small
-// granularity. Each run rides the existing async ticket pipeline (one
-// bounded-window slot per run), so runs within a batch overlap exactly
-// like independent tensor swaps.
+// granularity. A synchronous call stores or restores its runs one after
+// another in the caller's goroutine and takes no slot of the async window;
+// a *Ctx call puts each run on the pipeline (one slot per run), so runs
+// overlap like independent swaps.
 //
-// State machine: every block carries the same State values as a Handle
-// (Resident / Swapped / SwappingOut / SwappingIn), guarded by one
-// per-pool mutex. A batch claims ALL its target blocks atomically before
-// submitting any run — a batch either starts whole or fails whole with
-// the first offending block's error — and each run commits or rolls back
-// only its own blocks. The stored run is the restore granularity: a
-// swap-in that requests any block of a stored run restores the whole run
-// (the blocks were encoded as one blob; decoding it is one operation
-// either way).
+// State machine: every block carries a State (Resident / Swapped /
+// SwappingOut / SwappingIn), guarded by one per-pool mutex. An operation
+// claims ALL its target blocks atomically before any work starts — it
+// either starts whole or fails whole with the first offending block's
+// error — and each run commits or rolls back only its own blocks. The
+// stored run is the restore granularity: a swap-in that requests any block
+// of a stored run restores the whole run (the blocks were encoded as one
+// blob; decoding it is one operation either way).
 //
-// Unlike a tensor handle, the pool's device reservation is permanent: a
-// paged KV region is allocated once for the serving engine's lifetime,
-// and swapped-out blocks' physical slots are the engine's to reuse. What
-// the batch ops move is block *contents*; host-pool bytes are charged per
-// stored run while it is swapped.
+// Device reservation: a pool holds it exactly while some block's contents
+// are on the device. The commit (or rollback) that leaves every block
+// Swapped releases it — which is what lets the next Register succeed after
+// a tensor's swap-out — and the first restore of a swap-in re-takes it
+// before it decodes. A paged KV region whose blocks are never all out keeps
+// its reservation for its lifetime; host-pool bytes are charged per stored
+// run while it is swapped.
 
 import (
 	"context"
@@ -79,22 +83,34 @@ type BlockPool struct {
 	name       string
 	blockElems int
 	numBlocks  int
-	devBlock   *devmem.Block
 	data       []float32 // the whole region; block i is [i*blockElems, (i+1)*blockElems)
 
-	// mu guards the per-block state vector and run map. Run payload fields
-	// are owned exclusively by the operation holding the transitional
-	// state, like a Handle's storage.
+	// mu guards the per-block state vector and run map, the swapped count,
+	// the device block and the charge. Run payload fields are owned
+	// exclusively by the operation holding the blocks' transitional state.
 	mu    sync.Mutex
 	state []State
 	run   []*poolRun // per block: the stored run holding it while Swapped
-	freed bool
+	// swapped counts the blocks whose contents are off the device: Swapped,
+	// or claimed by a demotion. devBlock, the reservation, is nil once it
+	// reaches numBlocks, until the next restore re-takes it.
+	swapped  int
+	devBlock *devmem.Block
+	charge   Charge // the ledger every stored run's bytes count against
+	freed    bool
+	// one is a one-block pool's run record, reused by every swap-out: a
+	// tensor's round trip allocates no record.
+	one poolRun
 }
 
 // poolRun is one stored (swapped-out) run: the shared payload record for
 // count blocks starting at start.
 type poolRun struct {
 	start, count int
+	// pending is the ticket of the asynchronous swap-in restoring the run,
+	// which a prefetch joins; nil while no swap-in, or a synchronous one,
+	// holds it.
+	pending *Ticket
 	stored
 }
 
@@ -109,26 +125,30 @@ func (e *Executor) RegisterBlockPool(name string, blockElems, numBlocks int) (*B
 		return nil, fmt.Errorf("executor: block pool %s: geometry %d elems x %d blocks must be positive",
 			name, blockElems, numBlocks)
 	}
-	total := int64(blockElems) * int64(numBlocks) * 4
-	block, err := e.device.Alloc(total)
-	if err != nil {
-		return nil, err
-	}
+	return e.registerPool(name, blockElems, numBlocks, make([]float32, blockElems*numBlocks))
+}
+
+// registerPool reserves the device region for numBlocks blocks of
+// blockElems and registers a pool over data, which becomes its memory.
+func (e *Executor) registerPool(name string, blockElems, numBlocks int, data []float32) (*BlockPool, error) {
 	p := &BlockPool{
 		e:          e,
 		name:       name,
 		blockElems: blockElems,
 		numBlocks:  numBlocks,
-		devBlock:   block,
-		data:       make([]float32, blockElems*numBlocks),
+		data:       data,
 		state:      make([]State, numBlocks),
 		run:        make([]*poolRun, numBlocks),
+	}
+	var err error
+	if p.devBlock, err = e.device.Alloc(p.Bytes()); err != nil {
+		return nil, err
 	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		_ = block.Free()
-		return nil, fmt.Errorf("%w: register block pool %s", ErrClosed, name)
+		_ = p.devBlock.Free()
+		return nil, fmt.Errorf("%w: register %s", ErrClosed, name)
 	}
 	e.nextID++
 	p.id = e.nextID
@@ -148,31 +168,6 @@ func (p *BlockPool) NumBlocks() int { return p.numBlocks }
 
 // Bytes returns the pool's device reservation size.
 func (p *BlockPool) Bytes() int64 { return int64(p.blockElems) * int64(p.numBlocks) * 4 }
-
-// BlockHandle is a lightweight per-block view into a pool — the paged
-// analogue of a tensor Handle, for callers that track residency block by
-// block.
-type BlockHandle struct {
-	pool *BlockPool
-	id   int
-}
-
-// Handle returns the per-block handle for one block ID.
-func (p *BlockPool) Handle(id int) (BlockHandle, error) {
-	if id < 0 || id >= p.numBlocks {
-		return BlockHandle{}, fmt.Errorf("executor: block pool %s: block %d out of range [0,%d)", p.name, id, p.numBlocks)
-	}
-	return BlockHandle{pool: p, id: id}, nil
-}
-
-// Pool returns the owning pool.
-func (h BlockHandle) Pool() *BlockPool { return h.pool }
-
-// ID returns the block's index in its pool.
-func (h BlockHandle) ID() int { return h.id }
-
-// State returns the block's current storage state.
-func (h BlockHandle) State() State { return h.pool.BlockState(h.id) }
 
 // BlockState returns one block's current storage state (Freed once the
 // pool itself is freed).
@@ -230,7 +225,7 @@ func (p *BlockPool) WriteBlocks(ids []int, data []float32) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.freed {
-		return fmt.Errorf("%w: block pool %s", ErrFreed, p.name)
+		return p.freedErr()
 	}
 	for _, id := range ids {
 		if st := p.state[id]; st != Resident {
@@ -252,7 +247,7 @@ func (p *BlockPool) ReadBlocks(ids []int) ([]float32, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.freed {
-		return nil, fmt.Errorf("%w: block pool %s", ErrFreed, p.name)
+		return nil, p.freedErr()
 	}
 	for _, id := range ids {
 		if st := p.state[id]; st != Resident {
@@ -278,19 +273,42 @@ func (p *BlockPool) ViewRuns(runs []BlockRun) ([][]float32, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.freed {
-		return nil, fmt.Errorf("%w: block pool %s", ErrFreed, p.name)
+		return nil, p.freedErr()
+	}
+	if err := p.inState(runs, Resident); err != nil {
+		return nil, err
 	}
 	views := make([][]float32, len(runs))
 	for i, r := range runs {
-		for id := r.Start; id < r.Start+r.Count; id++ {
-			if st := p.state[id]; st != Resident {
-				return nil, p.blockStateErr(id, st)
-			}
-		}
 		views[i] = p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
 	}
 	return views, nil
 }
+
+// inState returns the error for the first block of runs that is not in
+// st, nil when none is. Caller holds p.mu.
+func (p *BlockPool) inState(runs []BlockRun, st State) error {
+	for _, r := range runs {
+		for id := r.Start; id < r.Start+r.Count; id++ {
+			if p.state[id] != st {
+				return p.blockStateErr(id, p.state[id])
+			}
+		}
+	}
+	return nil
+}
+
+// setState puts every block of runs in st. Caller holds p.mu.
+func (p *BlockPool) setState(runs []BlockRun, st State) {
+	for _, r := range runs {
+		for id := r.Start; id < r.Start+r.Count; id++ {
+			p.state[id] = st
+		}
+	}
+}
+
+// freedErr is the error every operation on a freed pool returns.
+func (p *BlockPool) freedErr() error { return fmt.Errorf("%w: %s", ErrFreed, p.name) }
 
 // blockStateErr maps a block's offending state onto the executor error
 // taxonomy. Caller holds p.mu.
@@ -308,114 +326,168 @@ func (p *BlockPool) blockStateErr(id int, st State) error {
 }
 
 // SwapOutBlocks moves the listed blocks' contents to the host pool and
-// waits: IDs are coalesced into contiguous runs, each run is encoded and
-// stored as one operation on the async pipeline, and runs overlap within
-// the bounded in-flight window. Per-run failure semantics match SwapOut
-// (encode and compressed-alloc failures degrade to raw; only a raw-path
-// allocation failure surfaces, with that run's blocks left Resident).
+// waits: IDs are coalesced into contiguous runs, and each run is encoded
+// and stored as one operation, one after another in the caller's
+// goroutine. Per-run failure semantics match SwapOut (encode and
+// compressed-alloc failures degrade to raw; only a raw-path allocation
+// failure surfaces, with that run's blocks left Resident).
 func (p *BlockPool) SwapOutBlocks(ids []int, doCompress bool, alg compress.Algorithm) error {
-	return p.SwapOutBlocksCtx(context.Background(), ids, doCompress, alg).Wait()
+	return p.swapOut(CoalesceBlockIDs(ids), len(ids), doCompress, alg)
 }
 
-// SwapOutBlocksCtx is SwapOutBlocks as a pipeline stage: the returned
-// Ticket resolves when every run has committed. The context governs slot
-// acquisition for not-yet-submitted runs; already-running runs always
-// finish and commit.
+// SwapOutBlocksCtx is SwapOutBlocks as a pipeline stage: each run takes a
+// slot of the async window and the returned Ticket resolves when every run
+// has committed. The context governs slot acquisition for not-yet-submitted
+// runs; already-running runs always finish and commit.
 func (p *BlockPool) SwapOutBlocksCtx(ctx context.Context, ids []int, doCompress bool, alg compress.Algorithm) *Ticket {
-	runs := CoalesceBlockIDs(ids)
-	t := newTicket("batch-swap-out", p.name)
-	if err := p.claimRuns(runs, Resident, SwappingOut); err != nil {
-		return t.complete(err)
-	}
-	if len(runs) == 0 {
-		return t.complete(nil)
-	}
-	p.e.observeBatch(len(ids), runs)
-	p.submitRuns(ctx, t, runs, Resident, func(r BlockRun) error {
-		return p.storeRun(r, doCompress, alg)
-	})
-	return t
+	return p.swapOutCtx(ctx, "batch-swap-out", CoalesceBlockIDs(ids), len(ids), doCompress, alg)
 }
 
 // SwapInBlocks restores the listed blocks' contents from the host pool
-// and waits. Already-resident blocks are skipped (idempotent restore);
-// restore granularity is the stored run, so requesting any block of a
-// stored run restores the whole run.
+// and waits, run after run in the caller's goroutine. Already-resident
+// blocks are skipped (idempotent restore); restore granularity is the
+// stored run, so requesting any block of a stored run restores the whole
+// run.
 func (p *BlockPool) SwapInBlocks(ids []int) error {
-	return p.SwapInBlocksCtx(context.Background(), ids).Wait()
+	return p.swapIn("batch-swap-in", CoalesceBlockIDs(ids), len(ids))
 }
 
 // SwapInBlocksCtx is SwapInBlocks as a pipeline stage; see
 // SwapOutBlocksCtx for ticket and context semantics.
 func (p *BlockPool) SwapInBlocksCtx(ctx context.Context, ids []int) *Ticket {
-	return p.swapInCtx(ctx, "batch-swap-in", ids)
+	return p.swapInCtx(ctx, "batch-swap-in", CoalesceBlockIDs(ids), len(ids))
 }
 
 // PrefetchBlocksCtx requests residency for the listed blocks ahead of need
 // and returns immediately with the batch's aggregate ticket. It is
 // SwapInBlocksCtx under a prefetch label: already-resident blocks
-// complete without work, and tier-resident runs are staged back into the
-// host pool first (read-ahead), so a failed or shed prefetch still leaves
-// the later demand swap-in a host-memory read instead of a disk fault. A
-// speculative sched.Hint on ctx makes the batch sheddable at run
-// boundaries (ErrShed) while a critical waiter is starved.
+// complete without work, a block an asynchronous swap-in is already
+// restoring is waited for rather than refused, and tier-resident runs are
+// staged back into the host pool first (read-ahead), so a failed or shed
+// prefetch still leaves the later demand swap-in a host-memory read instead
+// of a disk fault. A speculative sched.Hint on ctx makes the batch
+// sheddable at run boundaries (ErrShed) while a critical waiter is starved.
 func (p *BlockPool) PrefetchBlocksCtx(ctx context.Context, ids []int) *Ticket {
-	return p.swapInCtx(ctx, "batch-prefetch", ids)
+	return p.swapInCtx(ctx, "batch-prefetch", CoalesceBlockIDs(ids), len(ids))
 }
 
-// swapInCtx is the shared batch swap-in/prefetch body: collect the stored
-// runs intersecting the requested IDs, claim their blocks atomically, and
-// submit one restore per run.
-func (p *BlockPool) swapInCtx(ctx context.Context, op string, ids []int) *Ticket {
+// swapOut is every synchronous swap-out: claim the runs, then store them
+// in the caller's goroutine. requested is a batch call's ID count, which
+// the batch series record; a tensor call passes 0.
+func (p *BlockPool) swapOut(runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) error {
+	if err := p.claimRuns(runs, Resident, SwappingOut); err != nil {
+		return err
+	}
+	p.e.observeBatch(requested, runs)
+	return serial(runs, func(r BlockRun) error { return p.storeRun(r, doCompress, alg) })
+}
+
+// swapOutCtx is every asynchronous swap-out: claim the runs, then submit
+// one store per run under a ticket named op.
+func (p *BlockPool) swapOutCtx(ctx context.Context, op string, runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) *Ticket {
 	t := newTicket(op, p.name)
-	reqRuns := CoalesceBlockIDs(ids)
-	if err := p.validateRuns(reqRuns); err != nil {
+	if err := p.claimRuns(runs, Resident, SwappingOut); err != nil {
 		return t.complete(err)
 	}
+	p.e.observeBatch(requested, runs)
+	return p.submit(ctx, t, runs, Resident, nil, func(r BlockRun) error {
+		return p.storeRun(r, doCompress, alg)
+	})
+}
 
-	// Claim phase, atomic under p.mu: every requested block must be
-	// Resident (skip) or Swapped (restore via its stored run); any
-	// in-flight block fails the whole batch before it starts.
-	p.mu.Lock()
-	if p.freed {
-		p.mu.Unlock()
-		return t.complete(fmt.Errorf("%w: block pool %s", ErrFreed, p.name))
+// swapIn is every synchronous swap-in: claim the stored runs the request
+// touches, then restore them in the caller's goroutine.
+func (p *BlockPool) swapIn(op string, req []BlockRun, requested int) error {
+	var buf [1]BlockRun // a tensor's one run is claimed without allocating
+	runs, _, err := p.claimIn(op, req, requested, nil, buf[:0])
+	if err != nil {
+		return err
 	}
-	var runs []BlockRun // the stored runs to restore
-	for _, r := range reqRuns {
+	return serial(runs, func(r BlockRun) error { return p.restoreRun(r, false) })
+}
+
+// serial runs body over claimed runs one after another — a synchronous
+// call takes no slot of the async window — and returns the first error;
+// every run commits or rolls back whatever its siblings do.
+func serial(runs []BlockRun, body func(BlockRun) error) error {
+	var first error
+	for _, r := range runs {
+		if err := body(r); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// swapInCtx is every asynchronous swap-in and prefetch: claim the stored
+// runs the request touches and submit one restore per run. A prefetch
+// that only joins one in-flight swap-in hands back that swap-in's ticket.
+func (p *BlockPool) swapInCtx(ctx context.Context, op string, req []BlockRun, requested int) *Ticket {
+	t := newTicket(op, p.name)
+	var buf [1]BlockRun // as in swapIn: submit does not keep runs
+	runs, joined, err := p.claimIn(op, req, requested, t, buf[:0])
+	if err != nil {
+		return t.complete(err)
+	}
+	if len(runs) == 0 && len(joined) == 1 {
+		return joined[0]
+	}
+	prefetch := isPrefetch(op)
+	return p.submit(ctx, t, runs, Swapped, joined, func(r BlockRun) error {
+		return p.restoreRun(r, prefetch)
+	})
+}
+
+func isPrefetch(op string) bool { return op == "prefetch" || op == "batch-prefetch" }
+
+// claimIn is every swap-in's claim, atomic under p.mu: it collects the
+// stored runs holding the requested blocks, appends them to dst and claims
+// their blocks SwappingIn for t (nil: a synchronous call). A Resident block
+// is skipped — except by a tensor's swap-in, op "swap-in", which refuses
+// it — and a prefetch that finds a block under an asynchronous swap-in
+// returns that swap-in's ticket in joined instead of failing with ErrBusy.
+// Any other block in flight fails the whole call before it starts.
+func (p *BlockPool) claimIn(op string, req []BlockRun, requested int, t *Ticket, dst []BlockRun) (runs []BlockRun, joined []*Ticket, err error) {
+	if err := p.validateRuns(req); err != nil {
+		return nil, nil, err
+	}
+	prefetch := isPrefetch(op)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.freed {
+		return nil, nil, p.freedErr()
+	}
+	runs, n := dst, 0
+	for _, r := range req {
 		for id := r.Start; id < r.Start+r.Count; id++ {
-			switch p.state[id] {
-			case Resident:
-			case Swapped:
+			switch st, pr := p.state[id], p.run[id]; {
+			case st == Swapped:
 				// IDs ascend and a stored run is contiguous, so one run's
 				// blocks arrive back to back.
-				if b := p.run[id].blocks(); len(runs) == 0 || runs[len(runs)-1] != b {
+				if b := pr.blocks(); len(runs) == 0 || runs[len(runs)-1] != b {
 					runs = append(runs, b)
+					n += b.Count
+				}
+			case st == Resident && op != "swap-in":
+			case st == SwappingIn && prefetch && pr.pending != nil:
+				if len(joined) == 0 || joined[len(joined)-1] != pr.pending {
+					joined = append(joined, pr.pending)
 				}
 			default:
-				err := p.blockStateErr(id, p.state[id])
-				p.mu.Unlock()
-				return t.complete(err)
+				return nil, nil, p.blockStateErr(id, st)
 			}
 		}
 	}
-	p.setRuns(runs, SwappingIn)
-	p.mu.Unlock()
-
-	if len(runs) == 0 {
-		return t.complete(nil)
+	if err := p.inState(runs, Swapped); err != nil { // a stored run's unrequested blocks too
+		return nil, nil, err
 	}
-	p.e.observeBatch(len(ids), runs)
-	p.submitRuns(ctx, t, runs, Swapped, func(r BlockRun) error {
-		p.mu.Lock()
-		pr := p.run[r.Start]
-		p.mu.Unlock()
-		if op == "batch-prefetch" {
-			p.e.stage(&pr.stored)
-		}
-		return p.restoreRun(pr)
-	})
-	return t
+	p.swapped -= n
+	p.setState(runs, SwappingIn)
+	for _, r := range runs {
+		p.run[r.Start].pending = t
+	}
+	p.e.observeBatch(requested, runs)
+	return runs, joined, nil
 }
 
 // claimRuns atomically moves every block of every run from `from` to
@@ -427,44 +499,83 @@ func (p *BlockPool) claimRuns(runs []BlockRun, from, to State) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.freed {
-		return fmt.Errorf("%w: block pool %s", ErrFreed, p.name)
+		return p.freedErr()
 	}
-	for _, r := range runs {
-		for id := r.Start; id < r.Start+r.Count; id++ {
-			if p.state[id] != from {
-				return p.blockStateErr(id, p.state[id])
-			}
-		}
+	if err := p.inState(runs, from); err != nil {
+		return err
 	}
-	p.setRuns(runs, to)
+	p.setState(runs, to)
 	return nil
 }
 
-// setRuns stamps every block of every run with st. Caller holds p.mu.
-func (p *BlockPool) setRuns(runs []BlockRun, st State) {
+// settle returns claimed blocks to the stable state st: a failed or
+// refused run rolls back, and a demotion hands its run back. Blocks a
+// swap-in had claimed leave the device again, so the rollback that makes
+// every block Swapped releases the reservation.
+func (p *BlockPool) settle(runs []BlockRun, st State) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
 	for _, r := range runs {
 		for id := r.Start; id < r.Start+r.Count; id++ {
+			if p.state[id] == SwappingIn {
+				n++
+			}
 			p.state[id] = st
 		}
+		if pr := p.run[r.Start]; pr != nil {
+			pr.pending = nil
+		}
 	}
-}
-
-// rollbackRuns reverts claimed blocks to the stable state they came from.
-func (p *BlockPool) rollbackRuns(runs []BlockRun, to State) {
-	p.mu.Lock()
-	p.setRuns(runs, to)
-	p.mu.Unlock()
+	_ = p.swapOff(n)
 }
 
 // commitRun publishes a finished run: its blocks take the stable state st
-// and point at the stored run that now holds them (nil once restored).
-func (p *BlockPool) commitRun(r BlockRun, st State, pr *poolRun) {
+// and point at the stored run that now holds them (nil once restored). A
+// swap-out commit that leaves no block on the device releases the
+// reservation; if that fails, nothing is published.
+func (p *BlockPool) commitRun(r BlockRun, st State, pr *poolRun) error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if st == Swapped {
+		if err := p.swapOff(r.Count); err != nil {
+			p.swapped -= r.Count
+			return err
+		}
+	}
 	for id := r.Start; id < r.Start+r.Count; id++ {
 		p.state[id] = st
 		p.run[id] = pr
 	}
-	p.mu.Unlock()
+	return nil
+}
+
+// swapOff counts n more blocks off the device and releases the
+// reservation once every block is. The reservation is dropped even when
+// its release fails — devmem refuses only a block already released — and
+// the error is returned for a commit to surface. Caller holds p.mu.
+func (p *BlockPool) swapOff(n int) (err error) {
+	if n > 0 && p.swapped+n == p.numBlocks && p.devBlock != nil {
+		err, p.devBlock = p.devBlock.Free(), nil
+	}
+	p.swapped += n
+	return err
+}
+
+// reserve re-takes the device reservation the pool gave up when its last
+// block was swapped out, for a restore about to write into the region.
+func (p *BlockPool) reserve() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.devBlock != nil {
+		return nil
+	}
+	b, err := p.e.device.Alloc(p.Bytes())
+	if err != nil {
+		return fmt.Errorf("executor: device pool: %w", err)
+	}
+	p.devBlock = b
+	return nil
 }
 
 // validateRuns bounds-checks coalesced runs against the pool. Runs come
@@ -480,40 +591,38 @@ func (p *BlockPool) validateRuns(runs []BlockRun) error {
 	return nil
 }
 
-// submitRuns dispatches one pipeline operation per claimed run and wires
-// the aggregate ticket: it resolves with the first run error (nil when
-// all commit) once every run has committed or rolled back. Submission
-// happens in the caller's goroutine, so a full in-flight window applies
-// the same backpressure as submitAsync; if the gate refuses mid-batch
-// (closed executor, dead context), the not-yet-submitted runs roll back
-// to `from`, the state they were claimed out of, and the refusal joins the
-// aggregate error.
-// Each run boundary also consults the scheduler's shed signal: a batch
-// whose context carries a speculative sched.Hint yields its remaining
-// runs with ErrShed while a critical waiter is starved — the mid-batch
-// preemption point that keeps a long speculative prefetch from holding
-// the window against latency-critical work.
-func (p *BlockPool) submitRuns(ctx context.Context, t *Ticket, runs []BlockRun, from State, body func(BlockRun) error) {
-	e := p.e
-	e.ins.asyncSubmitted(t.op).Add(float64(len(runs)))
-	children := make([]*Ticket, 0, len(runs))
-	var submitErr error
-	for i, r := range runs {
-		var err error
-		if e.shedHint(ctx) {
-			e.shedPreempt(len(runs) - i)
-			err = ErrShed
-		} else {
-			ct := newTicket(t.op, p.name)
-			if err = dispatch(ctx, e, ct, body, r); err == nil {
-				children = append(children, ct)
-			}
+// submit puts claimed runs on the async pipeline under t, whose in-flight
+// swap-ins joined are also waited for. One run with nothing to join
+// dispatches on t itself; otherwise each run gets a child ticket and t
+// resolves with the first error (nil when all commit) once every child
+// and joined ticket has. Submission happens in the caller's goroutine, so
+// a full in-flight window blocks it — the pipeline's backpressure; if the
+// gate refuses mid-batch (closed executor, dead context), the
+// not-yet-submitted runs roll back to `from`, the state they were claimed
+// out of, and the refusal joins the aggregate error.
+// Each run boundary also consults the scheduler's shed signal: work whose
+// context carries a speculative sched.Hint yields its remaining runs with
+// ErrShed while a critical waiter is starved — the mid-batch preemption
+// point that keeps a long speculative prefetch from holding the window
+// against latency-critical work.
+func (p *BlockPool) submit(ctx context.Context, t *Ticket, runs []BlockRun, from State, joined []*Ticket, body func(BlockRun) error) *Ticket {
+	switch {
+	case len(runs) == 0 && len(joined) == 0:
+		return t.complete(nil)
+	case len(runs) == 1 && len(joined) == 0:
+		if err := p.dispatchRun(ctx, t, runs, from, body); err != nil {
+			t.complete(err)
 		}
-		if err != nil {
-			p.rollbackRuns(runs[i:], from)
-			submitErr = fmt.Errorf("executor: %s %s: %w", t.op, p.name, err)
+		return t
+	}
+	children := append(make([]*Ticket, 0, len(joined)+len(runs)), joined...)
+	var submitErr error
+	for i := range runs {
+		ct := newTicket(t.op, p.name)
+		if submitErr = p.dispatchRun(ctx, ct, runs[i:], from, body); submitErr != nil {
 			break
 		}
+		children = append(children, ct)
 	}
 	go func() {
 		err := submitErr
@@ -524,48 +633,82 @@ func (p *BlockPool) submitRuns(ctx context.Context, t *Ticket, runs []BlockRun, 
 		}
 		t.complete(err)
 	}()
+	return t
+}
+
+// dispatchRun runs body(runs[0]) on the pipeline under t, unless the
+// scheduler sheds it or the gate refuses a slot: then runs — that one and
+// every later one — roll back to from and the error is returned.
+func (p *BlockPool) dispatchRun(ctx context.Context, t *Ticket, runs []BlockRun, from State, body func(BlockRun) error) error {
+	e := p.e
+	var err error
+	if e.shedHint(ctx) {
+		e.shedPreempt(len(runs))
+		err = ErrShed
+	} else {
+		err = dispatch(ctx, e, t, body, runs[0])
+	}
+	if err != nil {
+		p.settle(runs, from)
+		return fmt.Errorf("executor: %s %s: %w", t.op, p.name, err)
+	}
+	return nil
 }
 
 // storeRun runs the shared store body for one contiguous run. The blocks
 // are claimed SwappingOut; commit publishes the stored run and marks them
 // Swapped, rollback returns them to Resident with the device copy intact.
 func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm) error {
-	e := p.e
+	pr := &p.one
+	if p.numBlocks > 1 {
+		pr = new(poolRun)
+	}
+	// The charge is set before the first swap-out, and the claim ordered
+	// this read after it.
+	*pr = poolRun{start: r.Start, count: r.Count, stored: stored{elems: r.Count * p.blockElems, charge: p.charge}}
 	src := p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
-	pr := &poolRun{start: r.Start, count: r.Count}
-	pr.elems = len(src)
-	err := e.store(&pr.stored, p.name, src, doCompress, alg, func() error {
-		p.commitRun(r, Swapped, pr)
-		return nil
+	err := p.e.store(&pr.stored, p.name, src, doCompress, alg, func() error {
+		return p.commitRun(r, Swapped, pr)
 	})
 	if err != nil {
-		p.rollbackRuns([]BlockRun{r}, Resident)
+		p.settle([]BlockRun{r}, Resident)
 	}
 	return err
 }
 
-// restoreRun runs the shared restore body for one stored run, decoding
-// into the pool's device region. The blocks are claimed SwappingIn; any
-// surfaced failure leaves the run cleanly Swapped with its blob intact —
-// retry-safe, never silently wrong data.
-func (p *BlockPool) restoreRun(pr *poolRun) error {
-	dst := p.data[pr.start*p.blockElems : (pr.start+pr.count)*p.blockElems]
-	err := p.e.restore(&pr.stored, p.name, dst, func() { p.commitRun(pr.blocks(), Resident, nil) })
+// restoreRun runs the shared restore body for the stored run r, decoding
+// into the pool's region once the reservation is held — staging it from
+// the tier first for a prefetch. The blocks are claimed SwappingIn; any
+// surfaced failure, an OOM re-taking the reservation included, leaves the
+// run cleanly Swapped with its blob intact — retry-safe, never silently
+// wrong data.
+func (p *BlockPool) restoreRun(r BlockRun, stage bool) error {
+	p.mu.Lock()
+	pr := p.run[r.Start]
+	p.mu.Unlock()
+	if stage {
+		p.e.stage(&pr.stored)
+	}
+	err := p.reserve()
+	if err == nil {
+		dst := p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
+		err = p.e.restore(&pr.stored, p.name, dst, func() { _ = p.commitRun(r, Resident, nil) })
+	}
 	if err != nil {
-		p.rollbackRuns([]BlockRun{pr.blocks()}, Swapped)
-		return fmt.Errorf("executor: restore %s run [%d,+%d): %w", p.name, pr.start, pr.count, err)
+		p.settle([]BlockRun{r}, Swapped)
+		return fmt.Errorf("executor: restore %s run [%d,+%d): %w", p.name, r.Start, r.Count, err)
 	}
 	return nil
 }
 
 // Free releases the pool: the device reservation and every stored run's
-// host bytes. Any block with a swap in flight refuses with ErrBusy — wait
-// for the batch tickets, then Free. Freeing twice returns ErrFreed.
+// host or tier bytes. Any block with a swap in flight refuses with ErrBusy
+// — wait for the tickets, then Free. Freeing twice returns ErrFreed.
 func (p *BlockPool) Free() error {
 	p.mu.Lock()
 	if p.freed {
 		p.mu.Unlock()
-		return fmt.Errorf("%w: block pool %s", ErrFreed, p.name)
+		return p.freedErr()
 	}
 	for id, st := range p.state {
 		if st == SwappingOut || st == SwappingIn {
@@ -575,22 +718,22 @@ func (p *BlockPool) Free() error {
 		}
 	}
 	p.freed = true
-	var stored []*poolRun
-	for id, pr := range p.run {
-		if pr != nil && pr.start == id { // each stored run once, at its first block
-			stored = append(stored, pr)
+	dev := p.devBlock
+	p.mu.Unlock()
+	if dev != nil {
+		if err := dev.Free(); err != nil {
+			p.mu.Lock()
+			p.freed = false
+			p.mu.Unlock()
+			return err
 		}
 	}
-	p.mu.Unlock()
-	if err := p.devBlock.Free(); err != nil {
-		p.mu.Lock()
-		p.freed = false
-		p.mu.Unlock()
-		return err
-	}
+	// Freed, the pool admits no claim, so its run map is this call's.
 	e := p.e
-	for _, pr := range stored {
-		_ = e.drop(&pr.stored)
+	for id, pr := range p.run {
+		if pr != nil && pr.start == id { // each stored run once, at its first block
+			_ = e.drop(&pr.stored)
+		}
 	}
 	e.mu.Lock()
 	delete(e.pools, p.id)
@@ -598,24 +741,14 @@ func (p *BlockPool) Free() error {
 	return nil
 }
 
-// runCandidate is one stored run's demotion ranking, computed under p.mu
-// (the poolRun fields themselves may only be read by whoever owns the
-// run's transitional state).
-type runCandidate struct {
-	pr    *poolRun
-	score float64
-	bytes int64
-}
-
-// storedRuns ranks the pool's stored, host-resident runs — its demotion
-// candidates — at time now. Tiered and in-flight runs are excluded.
-func (p *BlockPool) storedRuns(now float64) []runCandidate {
+// victims appends the pool's demotion candidates — stored, host-resident
+// runs — ranked at time now. Tiered and in-flight runs are excluded.
+func (p *BlockPool) victims(vs []tierVictim, now float64) []tierVictim {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.freed {
-		return nil
+		return vs
 	}
-	var out []runCandidate
 	for id, pr := range p.run {
 		// State first: a run's record may only be read while no claim
 		// holds its blocks, which Swapped under p.mu guarantees.
@@ -623,30 +756,30 @@ func (p *BlockPool) storedRuns(now float64) []runCandidate {
 			continue
 		}
 		score, bytes := pr.demotionScore(now)
-		out = append(out, runCandidate{pr: pr, score: score, bytes: bytes})
+		vs = append(vs, tierVictim{p: p, r: pr.blocks(), score: score, bytes: bytes})
 	}
-	return out
+	return vs
 }
 
-// demoteRun runs the shared demote body for one stored run: the run's
-// blocks are claimed for the move (concurrent batch swap-ins see ErrBusy)
-// and return to Swapped afterwards, tiered on success. A snapshot that
-// aged out — the run was restored or replaced since ranking — is skipped
-// without error.
-func (p *BlockPool) demoteRun(pr *poolRun) error {
+// demoteRun runs the shared demote body for the stored run at r: its
+// blocks are claimed for the move (concurrent swap-ins see ErrBusy) and
+// return to Swapped afterwards, tiered on success. A range that no longer
+// holds one stored run — a ranking snapshot that aged out — is skipped
+// without error, and so is a run already in the tier.
+func (p *BlockPool) demoteRun(r BlockRun) error {
 	e := p.e
 	if e.tier == nil {
 		return ErrNoTier
 	}
-	r := []BlockRun{pr.blocks()}
-	if err := p.claimRuns(r, Swapped, SwappingOut); err != nil {
+	runs := []BlockRun{r}
+	if err := p.claimRuns(runs, Swapped, SwappingOut); err != nil {
 		return err
 	}
-	defer p.rollbackRuns(r, Swapped)
+	defer p.settle(runs, Swapped)
 	p.mu.Lock()
-	stale := p.run[pr.start] != pr
+	pr := p.run[r.Start]
 	p.mu.Unlock()
-	if stale {
+	if pr.blocks() != r {
 		return nil
 	}
 	// Pool name, pool ID (re-registrations of one name must not collide),
@@ -662,13 +795,14 @@ func (p *BlockPool) demoteRun(pr *poolRun) error {
 // observeBatch records one batch's coalescing outcome: how many blocks
 // the caller asked for (pre-dedup), how many runs they merged into, and
 // the batch size — the "requests and frames, not bytes" win this layout
-// exists for.
+// exists for. A tensor call (requested 0) is not a batch and records
+// nothing.
 func (e *Executor) observeBatch(requested int, runs []BlockRun) {
 	blocks := 0
 	for _, r := range runs {
 		blocks += r.Count
 	}
-	if blocks == 0 {
+	if requested == 0 || blocks == 0 {
 		return
 	}
 	e.ins.batchBlocks.Add(float64(blocks))

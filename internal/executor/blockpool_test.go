@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"cswap/internal/compress"
+	"cswap/internal/devmem"
+	"cswap/internal/faultinject"
+	"cswap/internal/tensor"
 )
 
 func newPoolExecutor(t *testing.T) *Executor {
@@ -298,27 +302,133 @@ func TestBlockPoolConcurrentBatches(t *testing.T) {
 	}
 }
 
-func TestBlockHandle(t *testing.T) {
-	e := newPoolExecutor(t)
-	p, err := e.RegisterBlockPool("kv", 8, 4)
+// TestPoolReservationFollowsSwappedBlocks pins the device-reservation rule a
+// pool shares with a tensor: the commit that leaves every block Swapped
+// releases the reservation, the first swap-in re-takes it, and an OOM on
+// that re-take fails the whole batch with every block still Swapped and its
+// blob intact.
+func TestPoolReservationFollowsSwappedBlocks(t *testing.T) {
+	const elems, blocks = 256, 4
+	all := []int{0, 1, 2, 3}
+	e, err := New(Config{DeviceCapacity: 6000, HostCapacity: 1 << 20, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := p.Handle(2)
+	p, err := e.RegisterBlockPool("kv", elems, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Pool() != p || h.ID() != 2 || h.State() != Resident {
-		t.Fatalf("handle view wrong: %+v state %s", h, h.State())
+	var want []float32
+	for _, id := range all {
+		want = append(want, blockFill(id, elems)...)
 	}
-	if _, err := p.Handle(4); err == nil {
-		t.Fatal("out-of-range handle accepted")
-	}
-	if err := p.SwapOutBlocks([]int{2}, false, 0); err != nil {
+	if err := p.WriteBlocks(all, want); err != nil {
 		t.Fatal(err)
 	}
-	if h.State() != Swapped {
-		t.Fatalf("handle state %s after swap-out", h.State())
+	used := func(step string, want int64) {
+		t.Helper()
+		if got := e.DeviceStats().Used; got != want {
+			t.Fatalf("%s: device holds %d bytes, want %d", step, got, want)
+		}
+	}
+	used("registered", p.Bytes())
+	if err := p.SwapOutBlocks([]int{0, 1, 2}, true, compress.ZVC); err != nil {
+		t.Fatal(err)
+	}
+	used("one block resident", p.Bytes())
+	if err := p.SwapOutBlocks([]int{3}, true, compress.ZVC); err != nil {
+		t.Fatal(err)
+	}
+	used("every block swapped", 0)
+	if err := p.SwapInBlocks([]int{3}); err != nil {
+		t.Fatal(err)
+	}
+	used("first block back", p.Bytes())
+	if err := p.SwapOutBlocks([]int{3}, true, compress.ZVC); err != nil {
+		t.Fatal(err)
+	}
+	used("every block swapped again", 0)
+
+	// The released bytes are someone else's now: the re-take cannot fit.
+	other, err := e.Register("other", tensor.FromSlice(make([]float32, elems*blocks)))
+	if err != nil {
+		t.Fatalf("register into the released reservation: %v", err)
+	}
+	if err := p.SwapInBlocks(all); !errors.Is(err, devmem.ErrOutOfMemory) {
+		t.Fatalf("swap-in with the device full: %v, want ErrOutOfMemory", err)
+	}
+	if got := p.SwappedIDs(); len(got) != blocks {
+		t.Fatalf("failed re-take left swapped blocks %v, want all %d", got, blocks)
+	}
+	used("failed re-take", p.Bytes()) // the tensor's
+	if err := e.Free(other); err != nil {
+		t.Fatal(err)
+	}
+	// Two stored runs restore concurrently; one of them re-takes the
+	// reservation and both decode into it.
+	if err := p.SwapInBlocksCtx(context.Background(), all).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	used("restored", p.Bytes())
+	if got, err := p.ReadBlocks(all); err != nil || !sameBits(got, want) {
+		t.Fatalf("restore after a failed re-take: err %v, bit-exact %v", err, sameBits(got, want))
+	}
+}
+
+// TestPoolPrefetchJoinsAsyncSwapIn: a prefetch that finds blocks under an
+// asynchronous swap-in waits on that swap-in's ticket instead of failing
+// with ErrBusy, and restores whatever else it asked for alongside; a block
+// held by a swap-out still refuses it.
+func TestPoolPrefetchJoinsAsyncSwapIn(t *testing.T) {
+	e, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: true,
+		Faults: faultinject.New(
+			faultinject.Fault{Site: faultinject.SiteEncode, Mode: faultinject.Delay, Delay: 50 * time.Millisecond, After: 3},
+			faultinject.Fault{Site: faultinject.SiteDecode, Mode: faultinject.Delay, Delay: 50 * time.Millisecond, Every: 1},
+		)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Close() })
+	p, err := e.RegisterBlockPool("kv", 64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{0, 1, 2, 3}
+	if err := p.SwapOutBlocks(ids, true, compress.ZVC); err != nil { // encode 1
+		t.Fatal(err)
+	}
+	if err := p.SwapOutBlocks([]int{8}, true, compress.ZVC); err != nil { // encode 2
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	in := p.SwapInBlocksCtx(ctx, ids)
+	pf := p.PrefetchBlocksCtx(ctx, []int{2, 3, 8})
+	if err := pf.Wait(); err != nil {
+		t.Fatalf("prefetch overlapping an async swap-in: %v, want nil", err)
+	}
+	select {
+	case <-in.Done():
+	default:
+		t.Fatal("prefetch resolved before the swap-in it joined")
+	}
+	if err := in.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 3, 8} {
+		if st := p.BlockState(id); st != Resident {
+			t.Fatalf("block %d state %s after the joined prefetch", id, st)
+		}
+	}
+	if st := e.Stats(); st.SwapIns != 2 || st.BusyRejections != 0 {
+		t.Fatalf("stats %+v, want 2 restores (one joined) and no busy refusal", st)
+	}
+
+	out := p.SwapOutBlocksCtx(ctx, ids, true, compress.ZVC) // encode 3: delayed
+	if err := p.PrefetchBlocksCtx(ctx, ids).Wait(); !errors.Is(err, ErrBusy) {
+		t.Fatalf("prefetch over an in-flight swap-out: %v, want ErrBusy", err)
+	}
+	if err := out.Wait(); err != nil {
+		t.Fatal(err)
 	}
 }
 

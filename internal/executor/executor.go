@@ -24,15 +24,17 @@
 //
 // # Concurrency
 //
-// Every handle carries a guarded state machine: an operation first claims
-// the handle (Resident→SwappingOut, Swapped→SwappingIn) under the handle's
-// lock, owns its storage exclusively while the transitional state holds,
-// and commits the final state when done. Concurrent misuse of one handle —
-// two goroutines swapping it at once, a Free racing a swap — fails fast
-// with ErrBusy instead of corrupting memory. Distinct handles may always
-// be driven concurrently; the async API (SwapOutAsyncCtx /
-// SwapInAsyncCtx / PrefetchCtx, see async.go) builds its bounded in-flight
-// pipeline on exactly this guarantee.
+// There is one kind of swappable object, the block pool (blockpool.go); a
+// tensor Handle is a pool of one block. Every block carries a guarded
+// state machine: an operation first claims its blocks (Resident→SwappingOut,
+// Swapped→SwappingIn) under the pool's lock, owns their storage exclusively
+// while the transitional state holds, and commits the final state when
+// done. Concurrent misuse of one object — two goroutines swapping it at
+// once, a Free racing a swap — fails fast with ErrBusy instead of
+// corrupting memory. Distinct objects, and disjoint blocks of one pool, may
+// always be driven concurrently; the async API (SwapOutAsyncCtx /
+// SwapInAsyncCtx / PrefetchCtx and the pool's *Ctx calls, see async.go)
+// builds its bounded in-flight pipeline on exactly this guarantee.
 package executor
 
 import (
@@ -114,10 +116,11 @@ type Config struct {
 	// digest is taken at all.
 	Verify bool
 	// MaxInFlight bounds how many asynchronous operations (SwapOutAsyncCtx,
-	// SwapInAsyncCtx, PrefetchCtx) may be in flight at once; a submission
-	// past the bound blocks until a slot frees — backpressure, not an error.
-	// Zero selects DefaultMaxInFlight. Synchronous SwapOut/SwapIn calls
-	// do not consume slots.
+	// SwapInAsyncCtx, PrefetchCtx, one per run of a pool's *Ctx batch) may
+	// be in flight at once; a submission past the bound blocks until a slot
+	// frees — backpressure, not an error. Zero selects DefaultMaxInFlight.
+	// Synchronous calls (SwapOut, SwapIn, Demote, Free, SwapOutBlocks,
+	// SwapInBlocks) do not consume slots.
 	MaxInFlight int
 	// Faults optionally injects deterministic failures into the data path
 	// (codec work, pool allocations, transfers). Nil injects nothing.
@@ -189,13 +192,12 @@ type Executor struct {
 	// shared hardware, unlike the per-tenant codec choice.
 	launch atomic.Uint64
 
-	// mu guards the handle registry and the closed flag; counters are
-	// atomic registry cells. Per-handle state is guarded by each handle's
-	// own lock (see Handle).
+	// mu guards the object registry and the closed flag; counters are
+	// atomic registry cells. Per-block state is guarded by each pool's own
+	// lock (see BlockPool).
 	mu     sync.Mutex
 	closed bool
 	nextID int
-	live   map[int]*Handle
 	pools  map[int]*BlockPool
 }
 
@@ -237,18 +239,18 @@ func (s Stats) Ratio() float64 {
 // Fallbacks returns the total number of swap-outs that degraded to raw.
 func (s Stats) Fallbacks() int { return s.EncodeFallbacks + s.AllocFallbacks }
 
-// State of a handle's backing storage.
+// State of a block's (or a tensor's) backing storage.
 type State int
 
-// Handle states. Resident/Swapped/Freed are the stable states;
+// Block states. Resident/Swapped/Freed are the stable states;
 // SwappingOut/SwappingIn are transitional claims held by exactly one
 // in-flight operation (DESIGN.md §10 documents the legal transitions).
 const (
 	Resident    State = iota // data lives in the device pool
 	Swapped                  // data lives (possibly compressed) in the host pool
 	Freed                    // released
-	SwappingOut              // a swap-out owns the handle
-	SwappingIn               // a swap-in owns the handle
+	SwappingOut              // a swap-out (or a demotion) owns the block
+	SwappingIn               // a swap-in owns the block
 )
 
 // String names the state for errors and logs.
@@ -269,96 +271,50 @@ func (s State) String() string {
 	}
 }
 
-// Handle identifies one registered tensor.
+// Handle identifies one registered tensor: a block pool of one block of
+// the tensor's length, every operation on it the pool's run path for the
+// run {0,1}.
 type Handle struct {
-	id   int
-	name string
-
-	// mu guards state and pending. The storage fields below are owned
-	// exclusively by whichever operation holds the transitional state, so
-	// they need no lock of their own: claim and commit both pass through
-	// mu, which orders one operation's writes before the next one's reads.
-	mu      sync.Mutex
-	state   State
-	pending *Ticket // the async ticket driving a transitional state, if any
-
-	data     []float32 // resident payload
-	devBlock *devmem.Block
-
-	// stored is the swapped payload (payload.go); elems is set once at
-	// Register and describes the tensor in either state.
-	stored
-
-	// scratch retains the tensor's float32 backing across a swap-out so the
-	// swap-in decodes straight into it instead of allocating a fresh slice.
-	// It models the device allocation the real executor would reuse; its
-	// contents are meaningless while the handle is Swapped.
-	scratch []float32
+	pool *BlockPool
 }
+
+// whole is a tensor's one run, shared read-only by every tensor call.
+var whole = []BlockRun{{Start: 0, Count: 1}}
 
 // Name returns the tensor's registration name.
-func (h *Handle) Name() string { return h.name }
+func (h *Handle) Name() string { return h.pool.name }
 
 // State returns the handle's current storage state.
-func (h *Handle) State() State {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state
-}
+func (h *Handle) State() State { return h.pool.BlockState(0) }
 
 // Compressed reports whether the swapped payload is a codec blob — false
-// for raw swaps, including compressed swap-outs that fell back to raw.
-func (h *Handle) Compressed() bool { return h.compressed }
+// for raw swaps, including compressed swap-outs that fell back to raw, and
+// whenever the tensor is not Swapped: an operation in flight owns the
+// record until it commits.
+func (h *Handle) Compressed() bool {
+	return h.pool.swappedIs(func(s *stored) bool { return s.compressed })
+}
 
 // Bytes returns the uncompressed tensor size.
-func (h *Handle) Bytes() int64 { return h.rawBytes() }
+func (h *Handle) Bytes() int64 { return h.pool.Bytes() }
 
 // Data returns the resident payload, or ErrNotResident.
 func (h *Handle) Data() ([]float32, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.state != Resident {
-		return nil, fmt.Errorf("%w: %s", ErrNotResident, h.name)
+	p := h.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.freed || p.state[0] != Resident {
+		return nil, fmt.Errorf("%w: %s", ErrNotResident, p.name)
 	}
-	return h.data, nil
+	return p.data, nil
 }
 
-// claim moves the handle from the stable state `from` into the
-// transitional state `to`, recording the async ticket (nil for the
-// synchronous API) that now owns it. A handle in any other state refuses
-// the claim with an error naming why: ErrBusy for transitional states,
-// ErrFreed after Free, or a plain misuse error for the wrong stable state.
-func (h *Handle) claim(from, to State, t *Ticket) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.state == from {
-		h.state = to
-		h.pending = t
-		return nil
-	}
-	switch h.state {
-	case Freed:
-		return fmt.Errorf("%w: %s", ErrFreed, h.name)
-	case SwappingOut, SwappingIn:
-		return fmt.Errorf("%w: %s (%s in flight)", ErrBusy, h.name, h.state)
-	case Swapped:
-		// Wrapped so callers (the serving layer especially) can classify
-		// state-machine misuse without parsing message text.
-		return fmt.Errorf("%w: %s already swapped out", ErrNotResident, h.name)
-	case Resident:
-		return fmt.Errorf("%w: %s already resident", ErrNotSwapped, h.name)
-	}
-	return fmt.Errorf("executor: %s in unexpected state %s", h.name, h.state)
-}
-
-// commit releases a claim by installing the final (or, on failure, the
-// rolled-back original) stable state. Only the operation holding the
-// transitional state may call it.
-func (h *Handle) commit(to State) {
-	h.mu.Lock()
-	h.state = to
-	h.pending = nil
-	h.mu.Unlock()
+// swappedIs reports whether block 0 is Swapped with a stored record that
+// satisfies f, which runs under the pool's lock.
+func (p *BlockPool) swappedIs(f func(*stored) bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return !p.freed && p.state[0] == Swapped && f(&p.run[0].stored)
 }
 
 // New creates an executor with the given pools.
@@ -387,7 +343,6 @@ func New(cfg Config) (*Executor, error) {
 		device: devmem.NewPool("device", cfg.DeviceCapacity),
 		host:   devmem.NewPool("pinned-host", cfg.HostCapacity),
 		arena:  newArena(reg),
-		live:   map[int]*Handle{},
 		pools:  map[int]*BlockPool{},
 		reg:    reg,
 		ins:    newInstruments(reg),
@@ -433,45 +388,25 @@ func New(cfg Config) (*Executor, error) {
 	return e, nil
 }
 
-// Register places a tensor into device memory, taking ownership of its
-// data slice. It fails with devmem.ErrOutOfMemory when the device pool is
-// full — the caller must swap something out first, exactly the pressure
-// that motivates swapping — and with ErrClosed after Close; the device
-// reservation is released whenever registration cannot complete.
+// Register places a tensor into device memory as a one-block pool, taking
+// ownership of its data slice as the pool's region. It fails with
+// devmem.ErrOutOfMemory when the device pool is full — the caller must swap
+// something out first, exactly the pressure that motivates swapping — and
+// with ErrClosed after Close; the device reservation is released whenever
+// registration cannot complete.
 func (e *Executor) Register(name string, t *tensor.Tensor) (*Handle, error) {
-	block, err := e.device.Alloc(int64(t.SizeBytes()))
+	p, err := e.registerPool(name, t.Len(), 1, t.Data)
 	if err != nil {
 		return nil, err
 	}
-	h := &Handle{
-		name:     name,
-		state:    Resident,
-		data:     t.Data,
-		devBlock: block,
-		stored:   stored{elems: t.Len()},
-	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		_ = block.Free()
-		return nil, fmt.Errorf("%w: register %s", ErrClosed, name)
-	}
-	e.nextID++
-	h.id = e.nextID
-	if e.tier != nil {
-		// The registration name plus the handle ID, so re-registrations of
-		// one name can never collide on disk.
-		h.tierKey = fmt.Sprintf("%s#h%d", name, h.id)
-	}
-	e.live[h.id] = h
-	e.mu.Unlock()
-	return h, nil
+	return &Handle{pool: p}, nil
 }
 
 // SwapOut moves the tensor to the host pool. With compress true, the data
 // is encoded with alg (partitioned by the configured launch) and only the
 // compressed bytes consume host capacity and count as moved; otherwise the
-// tensor's own bytes move.
+// tensor's own bytes move. The commit releases the tensor's device
+// reservation, which is what lets the next Register succeed under pressure.
 //
 // A compressed swap-out never fails on the codec: if the encode errors, or
 // the compressed blob cannot be allocated in the host pool, the tensor
@@ -480,41 +415,7 @@ func (e *Executor) Register(name string, t *tensor.Tensor) (*Handle, error) {
 // the tensor resident and intact. A handle already being swapped by
 // another goroutine returns ErrBusy.
 func (e *Executor) SwapOut(h *Handle, doCompress bool, alg compress.Algorithm) error {
-	if err := e.claim(h, Resident, SwappingOut, nil); err != nil {
-		return err
-	}
-	return e.swapOut(h, doCompress, alg)
-}
-
-// claim is Handle.claim plus the executor-level busy accounting.
-func (e *Executor) claim(h *Handle, from, to State, t *Ticket) error {
-	err := h.claim(from, to, t)
-	if err != nil && errors.Is(err, ErrBusy) {
-		e.ins.busyRejections.Inc()
-	}
-	return err
-}
-
-// swapOut runs the shared store body for a handle. The caller has claimed
-// SwappingOut; the handle's storage is owned here until it commits Swapped
-// (success: the device reservation is released, which is what lets the next
-// Register succeed under pressure) or rolls back to Resident (failure,
-// tensor intact).
-func (e *Executor) swapOut(h *Handle, doCompress bool, alg compress.Algorithm) error {
-	err := e.store(&h.stored, h.name, h.data, doCompress, alg, func() error {
-		if err := h.devBlock.Free(); err != nil {
-			return err
-		}
-		h.scratch = h.data // retained for the swap-in to decode into
-		h.data = nil
-		h.devBlock = nil
-		h.commit(Swapped)
-		return nil
-	})
-	if err != nil {
-		h.commit(Resident)
-	}
-	return err
+	return h.pool.swapOut(whole, 0, doCompress, alg)
 }
 
 func packLaunch(l compress.Launch) uint64 {
@@ -570,51 +471,11 @@ func (e *Executor) arenaEncode(alg compress.Algorithm, data []float32) ([]byte, 
 // decode failure carries codec and chunk context (compress.ChunkError);
 // wrong data is never returned silently. Every failure is atomic: the
 // handle stays cleanly Swapped with its retained blob intact, so the call
-// is safe to retry. A handle already being swapped by another goroutine
-// returns ErrBusy.
-func (e *Executor) SwapIn(h *Handle) error {
-	if err := e.claim(h, Swapped, SwappingIn, nil); err != nil {
-		return err
-	}
-	return e.swapIn(h)
-}
-
-// swapIn runs the shared restore body for a handle. The caller has claimed
-// SwappingIn; the handle's storage is owned here until it commits Resident
-// (success) or rolls back to Swapped (failure, retained blob — or committed
-// tier entry — intact, retry-safe).
-func (e *Executor) swapIn(h *Handle) error {
-	devBlock, err := e.device.Alloc(h.Bytes())
-	if err != nil {
-		h.commit(Swapped)
-		return fmt.Errorf("executor: device pool: %w", err)
-	}
-	// The decode lands in the float32 backing retained at swap-out — the
-	// tensor's own storage, so a warm round trip allocates no new slice.
-	// The defensive make only fires for handles predating the retention
-	// (there are none in practice).
-	dst := h.scratch
-	if cap(dst) < h.elems {
-		dst = make([]float32, h.elems)
-	} else {
-		dst = dst[:h.elems]
-	}
-	err = e.restore(&h.stored, h.name, dst, func() {
-		h.data = dst
-		h.scratch = nil
-		h.devBlock = devBlock
-		h.commit(Resident)
-	})
-	if err != nil {
-		_ = devBlock.Free()
-		// Keep the (possibly grown) decode buffer on the handle so a retry
-		// reuses it; its contents are meaningless while Swapped.
-		h.scratch = dst
-		h.commit(Swapped)
-		return fmt.Errorf("executor: restore %s: %w", h.name, err)
-	}
-	return nil
-}
+// is safe to retry. The device reservation is re-taken before the decode,
+// into the tensor's own registered slice, so a warm round trip allocates no
+// new one; a full device pool fails the call with devmem.ErrOutOfMemory. A
+// handle already being swapped by another goroutine returns ErrBusy.
+func (e *Executor) SwapIn(h *Handle) error { return h.pool.swapIn("swap-in", whole, 0) }
 
 // retryable reports whether a failed first restore attempt is worth a
 // second decode from the retained host blob: always when the transfer copy
@@ -633,42 +494,7 @@ func retryable(err error, transient bool) bool {
 
 // Free releases the tensor from whichever pool holds it. A handle with a
 // swap in flight returns ErrBusy — wait for the operation, then Free.
-func (e *Executor) Free(h *Handle) error {
-	h.mu.Lock()
-	prev := h.state
-	switch prev {
-	case SwappingOut, SwappingIn:
-		h.mu.Unlock()
-		e.ins.busyRejections.Inc()
-		return fmt.Errorf("%w: %s (%s in flight)", ErrBusy, h.name, prev)
-	case Freed:
-		h.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrFreed, h.name)
-	}
-	// Claim the handle directly into Freed; storage below is released
-	// outside the lock under the same exclusive-ownership rule as swaps.
-	h.state = Freed
-	h.mu.Unlock()
-	switch prev {
-	case Resident:
-		if err := h.devBlock.Free(); err != nil {
-			h.commit(prev)
-			return err
-		}
-	case Swapped:
-		if err := e.drop(&h.stored); err != nil {
-			h.commit(prev)
-			return err
-		}
-	}
-	h.data = nil
-	h.scratch = nil
-	h.devBlock = nil
-	e.mu.Lock()
-	delete(e.live, h.id)
-	e.mu.Unlock()
-	return nil
-}
+func (e *Executor) Free(h *Handle) error { return h.pool.Free() }
 
 // Stats returns a snapshot of executor activity, read from the backing
 // metrics registry. Each field is read atomically; a snapshot taken while
@@ -711,5 +537,5 @@ func (e *Executor) FaultStats() faultinject.Stats { return e.cfg.Faults.Stats() 
 func (e *Executor) Live() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.live) + len(e.pools)
+	return len(e.pools)
 }

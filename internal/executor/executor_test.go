@@ -29,6 +29,19 @@ func newTestExecutor(t *testing.T, dev, host int64) *Executor {
 	return e
 }
 
+// storedOf returns the record of the tensor's stored run, nil when none is
+// stored. Tests read it while the handle is Swapped and nothing is in
+// flight.
+func storedOf(h *Handle) *stored {
+	p := h.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pr := p.run[0]; pr != nil {
+		return &pr.stored
+	}
+	return nil
+}
+
 func TestNewValidatesConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("zero capacities accepted")
@@ -232,7 +245,8 @@ func TestSwapInDetectsCorruptedHostData(t *testing.T) {
 			t.Fatalf("%s: %v", alg, err)
 		}
 		// Corrupt a payload byte past the container directory.
-		h.blob[len(h.blob)/2] ^= 0xFF
+		blob := storedOf(h).blob
+		blob[len(blob)/2] ^= 0xFF
 		err = e.SwapIn(h)
 		if err == nil {
 			// Some corruptions decode structurally but must then fail
@@ -259,7 +273,7 @@ func TestRawSwapCorruptionCaughtByChecksum(t *testing.T) {
 	if err := e.SwapOut(h, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	h.blob[100] ^= 0x01
+	storedOf(h).blob[100] ^= 0x01
 	if err := e.SwapIn(h); !errors.Is(err, ErrVerification) {
 		t.Fatalf("err = %v, want ErrVerification", err)
 	}
@@ -459,8 +473,9 @@ func TestTransferOutCorruptionSurfacesChunkContext(t *testing.T) {
 	}
 	// Flip the first chunk's algorithm byte — deterministic structural
 	// corruption the decoder pins to chunk 0.
-	numChunks := int(binary.LittleEndian.Uint32(h.blob[10:14]))
-	h.blob[14+8*numChunks] ^= 0xFF
+	blob := storedOf(h).blob
+	numChunks := int(binary.LittleEndian.Uint32(blob[10:14]))
+	blob[14+8*numChunks] ^= 0xFF
 	err = e.SwapIn(h)
 	if err == nil {
 		t.Fatal("persistently corrupted blob accepted")
@@ -675,7 +690,7 @@ func TestSwapOutDevFreeFailureRecyclesBlob(t *testing.T) {
 		}
 		// Sabotage: release the device block out from under the handle so
 		// the swap-out's own Free fails with ErrDoubleFree.
-		if err := h.devBlock.Free(); err != nil {
+		if err := h.pool.devBlock.Free(); err != nil {
 			t.Fatal(err)
 		}
 		arenaPuts := e.arena.puts.Value()
@@ -697,11 +712,12 @@ func TestSwapOutDevFreeFailureRecyclesBlob(t *testing.T) {
 // TestSwapInHostFreeFailureAtomic pins the atomic-failure fix: when the
 // host block cannot be released after a successful decode, the handle
 // must stay cleanly Swapped — retained blob intact, device reservation
-// released, bookkeeping consistent — and the failure must look identical
-// on a retry.
+// released, registered region kept for the retry, bookkeeping consistent —
+// and the failure must look identical on a retry.
 func TestSwapInHostFreeFailureAtomic(t *testing.T) {
 	e := newTestExecutor(t, 1<<22, 1<<22)
 	tn := tensor.NewGenerator(61).Uniform(20000, 0.6)
+	region := tn.Data
 	h, err := e.Register("x", tn)
 	if err != nil {
 		t.Fatal(err)
@@ -711,10 +727,11 @@ func TestSwapInHostFreeFailureAtomic(t *testing.T) {
 	}
 	// Sabotage: release the host block out from under the handle so the
 	// swap-in's commit-time Free fails with ErrDoubleFree.
-	if err := h.hostBlock.Free(); err != nil {
+	rec := storedOf(h)
+	if err := rec.hostBlock.Free(); err != nil {
 		t.Fatal(err)
 	}
-	blob := h.blob
+	blob := rec.blob
 	for attempt := 0; attempt < 2; attempt++ { // the failure is retry-stable
 		if err := e.SwapIn(h); !errors.Is(err, devmem.ErrDoubleFree) {
 			t.Fatalf("attempt %d: err = %v, want ErrDoubleFree", attempt, err)
@@ -722,14 +739,14 @@ func TestSwapInHostFreeFailureAtomic(t *testing.T) {
 		if h.State() != Swapped {
 			t.Fatalf("attempt %d: failed swap-in left state %s, want swapped", attempt, h.State())
 		}
-		if &h.blob[0] != &blob[0] || h.hostBlock == nil {
+		if rec := storedOf(h); &rec.blob[0] != &blob[0] || rec.hostBlock == nil {
 			t.Fatalf("attempt %d: retained blob or host block lost on the failure path", attempt)
 		}
 		if e.DeviceStats().Used != 0 {
 			t.Fatalf("attempt %d: failed swap-in leaked device memory", attempt)
 		}
-		if h.scratch == nil {
-			t.Fatalf("attempt %d: decode buffer dropped instead of retained", attempt)
+		if &h.pool.data[0] != &region[0] {
+			t.Fatalf("attempt %d: decode region dropped instead of retained", attempt)
 		}
 		if st := e.Stats(); st.SwapIns != 0 {
 			t.Fatalf("attempt %d: failed swap-in counted as committed: %+v", attempt, st)

@@ -1,13 +1,11 @@
 package executor
 
-// The stored-payload path: one record for a swapped-out payload and the
-// four bodies that act on it — store, restore, demote, stage — written once
-// and shared by tensor handles and block-pool runs, the way cDMA puts one
-// compressing engine with one raw path beside it under every transfer,
-// whatever its granularity. Handle and BlockPool keep only what genuinely
-// differs between them: how a claim is taken, committed and rolled back
-// (one state word vs. a state vector under the pool lock), and the handle's
-// device-block and scratch bookkeeping, which ride in as commit callbacks.
+// The stored-payload path: one record for a swapped-out payload — a pool
+// run's, a tensor's one run included — and the four bodies that act on it:
+// store, restore, demote, stage. They are written once, the way cDMA puts
+// one compressing engine with one raw path beside it under every transfer,
+// whatever its granularity. The claim, its commit and its rollback belong
+// to the pool (blockpool.go), which passes the commit in as a callback.
 
 import (
 	"fmt"
@@ -21,30 +19,32 @@ import (
 )
 
 // stored is one swapped-out payload. Its fields are owned exclusively by
-// whichever operation holds the owner's transitional state (a handle's
-// SwappingOut/SwappingIn, a run's blocks'), so they need no lock of their
-// own; readers outside a claim snapshot them under the owner's lock.
+// whichever operation holds the run's blocks in a transitional state
+// (SwappingOut/SwappingIn), so they need no lock of their own; readers
+// outside a claim read them under the pool's lock while the blocks are
+// Swapped.
 type stored struct {
 	blob       []byte // codec blob or the payload's own bytes, in an arena buffer; nil while tiered
 	hostBlock  *devmem.Block
 	alg        compress.Algorithm
 	compressed bool
-	// elems is the uncompressed payload's element count; the owner fills it
-	// (a handle at Register, a run at swap-out) before store. checksum is
-	// its digest as store found it, taken only when Config.Verify is on.
+	// elems is the uncompressed payload's element count; the pool fills it
+	// at swap-out, before store. checksum is its digest as store found it,
+	// taken only when Config.Verify is on.
 	elems    int
 	checksum uint64
 	// tiered marks a payload that lives in the disk tier instead of the
 	// host pool (blob and hostBlock are nil), under tierKey — set by the
-	// owner before the first demotion, unique per live payload so
-	// re-registrations of one name can never collide on disk. swappedAt is
+	// pool at each demotion, unique per live payload so re-registrations
+	// of one name can never collide on disk. swappedAt is
 	// the executor-epoch time of the last store, feeding the re-access
 	// prediction that ranks demotion victims.
 	tiered    bool
 	swappedAt float64
 	tierKey   string
-	// charge is the quota ledger the payload's raw bytes count against; the
-	// zero Charge (block-pool runs, library handles) charges nothing.
+	// charge is the quota ledger the payload's raw bytes count against,
+	// the pool's at swap-out; the zero Charge (block pools, library
+	// tensors) charges nothing.
 	charge Charge
 }
 
@@ -70,9 +70,9 @@ func (c Charge) toTier(n int64) {
 // SetCharge attaches the quota ledger the handle's bytes count against. Call
 // it before the handle's first swap-out, while its payload is off the tier.
 func (h *Handle) SetCharge(c Charge) {
-	h.mu.Lock()
-	h.charge = c
-	h.mu.Unlock()
+	h.pool.mu.Lock()
+	h.pool.charge = c
+	h.pool.mu.Unlock()
 }
 
 // store is the swap-out body: encode src (or copy its bytes raw), park the

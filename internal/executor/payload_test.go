@@ -19,8 +19,9 @@ import (
 )
 
 // payloadOwner drives one stored payload through the executor, so the
-// equivalence test can push the same script through a tensor Handle and
-// through a single-run BlockPool.
+// equivalence test can push the same script through both public entry
+// points: a tensor Handle (a one-block pool) and a four-block BlockPool
+// swapped as one run.
 type payloadOwner struct {
 	swapOut  func(doCompress bool, alg compress.Algorithm) error
 	swapIn   func() error
@@ -43,7 +44,7 @@ func handleOwner(t *testing.T, e *Executor, data []float32) payloadOwner {
 		prefetch: func() error { return e.PrefetchCtx(context.Background(), h).Wait() },
 		demote:   func() error { return e.Demote(h) },
 		swapped:  func() bool { return h.State() == Swapped },
-		record:   func() *stored { return &h.stored },
+		record:   func() *stored { return storedOf(h) },
 		read:     h.Data,
 		free:     func() error { return e.Free(h) },
 	}
@@ -63,13 +64,8 @@ func poolOwner(t *testing.T, e *Executor, data []float32) payloadOwner {
 		swapOut:  func(c bool, a compress.Algorithm) error { return p.SwapOutBlocks(ids, c, a) },
 		swapIn:   func() error { return p.SwapInBlocks(ids) },
 		prefetch: func() error { return p.PrefetchBlocksCtx(context.Background(), ids).Wait() },
-		demote: func() error {
-			p.mu.Lock()
-			pr := p.run[0]
-			p.mu.Unlock()
-			return p.demoteRun(pr)
-		},
-		swapped: func() bool { return p.BlockState(0) == Swapped },
+		demote:   func() error { return p.demoteRun(BlockRun{Start: 0, Count: blocks}) },
+		swapped:  func() bool { return p.BlockState(0) == Swapped },
 		record: func() *stored {
 			p.mu.Lock()
 			defer p.mu.Unlock()
@@ -434,7 +430,7 @@ func TestDigestTakenAtSwapOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.checksum != 0 {
+		if rec := storedOf(h); rec != nil && rec.checksum != 0 {
 			t.Fatal("Register took a digest")
 		}
 		live, err := h.Data()
@@ -487,11 +483,12 @@ func TestVerifyOffTakesNoDigest(t *testing.T) {
 		p.mu.Lock()
 		runDigest := p.run[0].checksum
 		p.mu.Unlock()
-		if took := h.checksum != 0 || runDigest != 0; took != verify {
-			t.Fatalf("Verify=%v: digests taken: handle %#x, run %#x", verify, h.checksum, runDigest)
+		handleDigest := storedOf(h).checksum
+		if took := handleDigest != 0 || runDigest != 0; took != verify {
+			t.Fatalf("Verify=%v: digests taken: handle %#x, run %#x", verify, handleDigest, runDigest)
 		}
-		if verify && h.checksum != runDigest {
-			t.Fatalf("one payload, two digests: handle %#x, run %#x", h.checksum, runDigest)
+		if verify && handleDigest != runDigest {
+			t.Fatalf("one payload, two digests: handle %#x, run %#x", handleDigest, runDigest)
 		}
 		if err := e.SwapIn(h); err != nil {
 			t.Fatal(err)

@@ -266,11 +266,11 @@ func TestBatchPrefetchReadahead(t *testing.T) {
 	if err := p.SwapOutBlocks(ids, true, compress.RLE); err != nil {
 		t.Fatal(err)
 	}
-	runs := p.storedRuns(0)
+	runs := p.victims(nil, 0)
 	if len(runs) != 1 {
 		t.Fatalf("stored runs = %d, want 1", len(runs))
 	}
-	if err := p.demoteRun(runs[0].pr); err != nil {
+	if err := p.demoteRun(runs[0].r); err != nil {
 		t.Fatal(err)
 	}
 	if ts.Len() != 1 {

@@ -2,8 +2,8 @@ package executor
 
 // The executor's tier manager: demotion of cold swapped payloads from the
 // pinned-host pool into the disk spill tier (Config.Tier), and transparent
-// promotion back on swap-in. Demotion candidates — swapped tensor handles
-// and stored block-pool runs — are ranked by costmodel.DemotionScore
+// promotion back on swap-in. Demotion candidates — stored runs, a swapped
+// tensor's one run among them — are ranked by costmodel.DemotionScore
 // (compression ratio × re-access prediction): well-compressed blobs are
 // the cheapest to re-fetch and cold ones the least likely to be needed,
 // so they go first. Tier I/O runs in the goroutine that asked for it and is
@@ -17,12 +17,11 @@ package executor
 //     and the tier without a committed entry (at most a *.tmp the store
 //     scrubs at Open), never in neither place;
 //   - promote: the tier entry is deleted only AFTER the restore commits —
-//     a failed promotion leaves the handle Swapped and tiered with the
+//     a failed promotion leaves the run Swapped and tiered with the
 //     committed entry intact, retry-safe.
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -51,9 +50,7 @@ type tierMeta struct {
 // background demotion included) reports false: its storage is that
 // operation's until it commits.
 func (h *Handle) InTier() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state == Swapped && h.tiered
+	return h.pool.swappedIs(func(s *stored) bool { return s.tiered })
 }
 
 // TierUsed returns the attached tier's committed bytes (0 without a tier).
@@ -70,24 +67,11 @@ func (e *Executor) TierUsed() int64 {
 // flight, the usual taxonomy otherwise); demoting an already-tiered
 // handle is a no-op. Fails with ErrNoTier when no tier is configured and
 // tier.ErrFull when the tier cannot hold the blob — in both cases the
-// payload stays host-resident and intact.
-func (e *Executor) Demote(h *Handle) error {
-	if e.tier == nil {
-		return ErrNoTier
-	}
-	if err := e.claim(h, Swapped, SwappingOut, nil); err != nil {
-		return err
-	}
-	// The demotion runs in the caller's goroutine: inline demotion
-	// (freeHostSpace) happens inside swap bodies that are themselves pool
-	// work, so it must never go through compress.Go.
-	err := e.demote(&h.stored)
-	h.commit(Swapped) // whatever the outcome
-	if err != nil {
-		return fmt.Errorf("executor: demote %s: %w", h.name, err)
-	}
-	return nil
-}
+// payload stays host-resident and intact. Like every demotion it runs in
+// the caller's goroutine: inline demotion (freeHostSpace) happens inside
+// swap bodies that are themselves pool work, so it must never go through
+// compress.Go.
+func (e *Executor) Demote(h *Handle) error { return h.pool.demoteRun(whole[0]) }
 
 // promoteRead reads one committed tier blob into an arena buffer, counting
 // the tier hit. The buffer is the caller's to recycle; the tier entry itself
@@ -113,26 +97,22 @@ func (s *stored) demotionScore(now float64) (score float64, bytes int64) {
 	return costmodel.DemotionScore(float64(bytes)/float64(s.rawBytes()), now-s.swappedAt, 0), bytes
 }
 
-// tierVictim is one demotion candidate: its eviction score and the bytes
-// its demotion would free from the host pool.
+// tierVictim is one demotion candidate: a stored run of a pool, its
+// eviction score and the bytes its demotion would free from the host pool.
 type tierVictim struct {
-	score  float64
-	bytes  int64
-	demote func() error
+	p     *BlockPool
+	r     BlockRun
+	score float64
+	bytes int64
 }
 
-// tierVictims snapshots and ranks every demotable payload — swapped,
-// host-resident tensor handles and stored block-pool runs — cheapest
-// expected re-fetch first. Races are benign: each victim's demote
-// re-claims its handle or blocks, and a candidate that moved on is
-// skipped.
+// tierVictims snapshots and ranks every demotable payload — the stored,
+// host-resident runs of every pool — cheapest expected re-fetch first.
+// Races are benign: each victim's demote re-claims its blocks, and a
+// candidate that moved on is skipped.
 func (e *Executor) tierVictims() []tierVictim {
 	now := e.sinceEpoch()
 	e.mu.Lock()
-	handles := make([]*Handle, 0, len(e.live))
-	for _, h := range e.live {
-		handles = append(handles, h)
-	}
 	pools := make([]*BlockPool, 0, len(e.pools))
 	for _, p := range e.pools {
 		pools = append(pools, p)
@@ -140,21 +120,8 @@ func (e *Executor) tierVictims() []tierVictim {
 	e.mu.Unlock()
 
 	var vs []tierVictim
-	for _, h := range handles {
-		h := h
-		h.mu.Lock()
-		if h.state == Swapped && !h.tiered && h.hostBlock != nil {
-			score, bytes := h.stored.demotionScore(now)
-			vs = append(vs, tierVictim{score: score, bytes: bytes, demote: func() error { return e.Demote(h) }})
-		}
-		h.mu.Unlock()
-	}
 	for _, p := range pools {
-		p := p
-		for _, c := range p.storedRuns(now) {
-			c := c
-			vs = append(vs, tierVictim{score: c.score, bytes: c.bytes, demote: func() error { return p.demoteRun(c.pr) }})
-		}
+		vs = p.victims(vs, now)
 	}
 	sort.Slice(vs, func(i, j int) bool { return vs[i].score < vs[j].score })
 	return vs
@@ -170,7 +137,7 @@ func (e *Executor) demoteUntil(done func() bool) int {
 		if done() {
 			break
 		}
-		if err := v.demote(); err == nil {
+		if err := v.p.demoteRun(v.r); err == nil {
 			moved++
 		} else if errors.Is(err, tier.ErrFull) {
 			break

@@ -308,9 +308,9 @@ func TestVictimRankingPrefersWellCompressedCold(t *testing.T) {
 
 	// Make the dense payload much colder than the sparse one: idleness
 	// decays its score below even the poorly-compressed ratio.
-	dense.mu.Lock()
-	dense.swappedAt -= 1000
-	dense.mu.Unlock()
+	dense.pool.mu.Lock()
+	dense.pool.run[0].swappedAt -= 1000
+	dense.pool.mu.Unlock()
 	vs = e.tierVictims()
 	if vs[0].bytes <= vs[1].bytes {
 		t.Fatal("cold dense payload should now demote first")
@@ -662,21 +662,21 @@ func TestPoolRunDemotePromoteRoundTrip(t *testing.T) {
 	if err := p.SwapOutBlocks(all, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	runs := p.storedRuns(0)
+	runs := p.victims(nil, 0)
 	if len(runs) != 1 {
 		t.Fatalf("stored runs = %d, want 1 coalesced run", len(runs))
 	}
-	if err := p.demoteRun(runs[0].pr); err != nil {
+	if err := p.demoteRun(runs[0].r); err != nil {
 		t.Fatal(err)
 	}
 	if e.TierUsed() == 0 || ts.Len() != 1 {
 		t.Fatalf("tier holds %d bytes / %d blobs after run demotion", e.TierUsed(), ts.Len())
 	}
-	if len(p.storedRuns(0)) != 0 {
+	if len(p.victims(nil, 0)) != 0 {
 		t.Fatal("tiered run still offered as a demotion candidate")
 	}
 	// Re-demoting a stale snapshot is a silent no-op.
-	if err := p.demoteRun(runs[0].pr); err != nil {
+	if err := p.demoteRun(runs[0].r); err != nil {
 		t.Fatalf("stale re-demote: %v", err)
 	}
 	if err := p.SwapInBlocks(all); err != nil {
@@ -714,8 +714,8 @@ func TestPoolFreeReleasesTieredRuns(t *testing.T) {
 	if err := p.SwapOutBlocks(ids, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range p.storedRuns(0) {
-		if err := p.demoteRun(c.pr); err != nil {
+	for _, c := range p.victims(nil, 0) {
+		if err := p.demoteRun(c.r); err != nil {
 			t.Fatal(err)
 		}
 	}
