@@ -380,21 +380,26 @@ func driveKV(t *testing.T, base string) {
 }
 
 // pressureElems is 384 KiB a tensor: a -host 1 pool holds two raw blobs.
+// The pressured tenant's block pool is the same size, in four blocks.
 const pressureElems = 96 * 1024
 
-// drivePressure overflows the pinned-host pool on purpose: eight raw
-// swap-outs (raw, so blob sizes do not depend on a codec) complete only by
-// demoting cold blobs to the disk tier — demotions move, no quota 507s, and
-// the tenant's quota buckets follow the bytes (ledger) — and every restore
-// comes back bit-exact through the promote path. It first
-// requires an empty tier (a daemon on a used directory must have scrubbed
-// its predecessor's blobs) and leaves the second half swapped out and
-// tiered, so the restart leg has orphans to find.
+// drivePressure overflows the pinned-host pool on purpose: a block pool's
+// runs, then eight tensors, swapped out raw (so blob sizes do not depend on
+// a codec) complete only by demoting cold blobs — the pool's runs first,
+// the oldest — to the disk tier: demotions move, no quota 507s, and the
+// tenant's quota buckets follow the bytes of tensors and pool runs alike
+// (ledger), and every restore comes back bit-exact through the promote
+// path. It first requires an empty tier (a daemon on a used directory must
+// have scrubbed its predecessor's blobs) and leaves the pool and the second
+// half of the tensors swapped out and tiered, so the restart leg has
+// orphans to find.
 func drivePressure(t *testing.T, base string) {
 	c, m := client.New(base, client.WithTenant("pressured")), scrape(t, base)
 	if occ := m("executor_tier_occupancy_bytes"); occ != 0 {
 		t.Fatalf("executor_tier_occupancy_bytes = %v at start, want 0 (a restart leaked tier capacity)", occ)
 	}
+	must(t, c.RegisterPool(ctx, "kv", pressureElems/4, 4))
+	must(t, c.SwapOutBlocks(ctx, "kv", []int{0, 1, 3}, client.WithRaw())) // two runs
 	g, want := tensor.NewGenerator(42), make([][]float32, 8)
 	for i := range want {
 		want[i] = g.Uniform(pressureElems, 0.5).Data
@@ -406,7 +411,7 @@ func drivePressure(t *testing.T, base string) {
 	if v := m(`server_quota_rejections_total{tenant="pressured"}`); v > 0 {
 		t.Errorf("server_quota_rejections_total = %v, want 0", v)
 	}
-	ledger(t, m, len(want))
+	ledger(t, m, len(want)+1)
 	for i := range want {
 		name := fmt.Sprintf("p%d", i)
 		got, err := c.SwapIn(ctx, name)
@@ -418,13 +423,13 @@ func drivePressure(t *testing.T, base string) {
 			must(t, c.SwapOut(ctx, name, client.WithRaw()))
 		}
 	}
-	ledger(t, scrape(t, base), len(want)/2)
+	ledger(t, scrape(t, base), len(want)/2+1)
 }
 
 // ledger requires the pressured tenant's quota buckets to be the executor's
 // own record: the tier bucket is what the tier holds (every blob is raw, so
-// its size is its tensor's), and the two buckets together are the live
-// tensors.
+// its size is its tensor's or its pool run's), and the two buckets together
+// are the live objects, tensors and the pool, each pressureElems.
 func ledger(t *testing.T, m func(string) float64, live int) {
 	t.Helper()
 	used, tierUsed := m(`server_tenant_used_bytes{tenant="pressured"}`), m(`server_tenant_tier_used_bytes{tenant="pressured"}`)
@@ -432,7 +437,7 @@ func ledger(t *testing.T, m func(string) float64, live int) {
 		t.Errorf("server_tenant_tier_used_bytes = %v, want executor_tier_occupancy_bytes %v", tierUsed, occ)
 	}
 	if want := float64(live * pressureElems * 4); used+tierUsed != want {
-		t.Errorf("server_tenant_used_bytes %v + server_tenant_tier_used_bytes %v, want the %d live tensors' %v bytes",
+		t.Errorf("server_tenant_used_bytes %v + server_tenant_tier_used_bytes %v, want the %d live objects' %v bytes",
 			used, tierUsed, live, want)
 	}
 }

@@ -19,12 +19,14 @@
 // -tier-dir attaches a compressed disk spill tier under the pinned-host
 // pool: cold swapped payloads demote to CRC-checked blobs in DIR when the
 // host pool runs out, promote back transparently on swap-in, and a
-// tenant-quota 507 becomes demote-then-admit (see /metrics,
-// executor_tier_* and server_tier_* series). -tier-cap 0 sizes the tier
-// at four times the host capacity. -tier-quota bounds each tenant's
-// tier-charged uncompressed bytes when demote-then-admit picks what to move
-// (0 grants the full tier capacity); demotions under host pressure or the
-// watermark are charged to the tenant but never refused. A cluster gives
+// tenant-quota 507 becomes demote-then-admit, which moves the tenant's
+// swapped tensors and block-pool runs alike (see /metrics, executor_tier_*
+// and server_tier_* series). -tier-cap 0 sizes the tier at four times the
+// host capacity. -tier-quota bounds each tenant's tier-charged uncompressed
+// bytes when demote-then-admit picks what to move — it demotes an object
+// only while the object's whole size still fits (0 grants the full tier
+// capacity); demotions under host pressure or the watermark are charged to
+// the tenant, tensors and pool runs alike, but never refused. A cluster gives
 // each shard DIR/shard-N.
 // -tier-watermark F (0 < F < 1) adds a background demoter: whenever the
 // host pool is more than F full, cold payloads demote to the tier ahead of
@@ -92,7 +94,7 @@ func main() {
 	quotaMiB := flag.Int64("quota", 0, "per-tenant device-memory quota, MiB (0 = full device capacity)")
 	tierDir := flag.String("tier-dir", "", "disk spill tier directory (empty disables tiering; a cluster shards it into subdirectories)")
 	tierCapMiB := flag.Int64("tier-cap", 0, "spill tier capacity, MiB (0 = 4x host capacity)")
-	tierQuotaMiB := flag.Int64("tier-quota", 0, "per-tenant tier quota in uncompressed MiB, bounding demote-then-admit only; pressure and watermark demotions are charged, never refused (0 = full tier capacity)")
+	tierQuotaMiB := flag.Int64("tier-quota", 0, "per-tenant tier quota in uncompressed MiB, bounding demote-then-admit only (it demotes a tensor or pool only while the object's whole size fits); pressure and watermark demotions are charged, never refused (0 = full tier capacity)")
 	tierWatermark := flag.Float64("tier-watermark", 0, "host-pool occupancy fraction that triggers background demotion to the tier (0 disables; needs -tier-dir)")
 	schedOn := flag.Bool("sched", false, "let swaps queue for an admission slot in bounded priority lanes with deadlines (default: refuse with 429 when all slots are taken)")
 	schedLanes := flag.String("sched-lanes", "", "per-lane queue depths as critical,normal,speculative (0 or empty = defaults)")

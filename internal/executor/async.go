@@ -10,8 +10,9 @@ import (
 )
 
 // This file is the asynchronous swap pipeline built on the guarded block
-// state machine: SwapOutAsyncCtx / SwapInAsyncCtx / PrefetchCtx, like the
-// pool's *Ctx batches they wrap, claim their blocks synchronously (so
+// state machine: a pool's SwapOutCtx / SwapInCtx / PrefetchCtx (which the
+// Executor's SwapOutAsyncCtx / SwapInAsyncCtx / PrefetchCtx forward to for a
+// Handle) and its *BlocksCtx batches claim their blocks synchronously (so
 // misuse surfaces immediately as a failed Ticket), take one slot of a
 // bounded in-flight window per run (backpressure: submission blocks while
 // the window is full), and run the codec + pool work on the compress
@@ -249,40 +250,59 @@ func (e *Executor) shedPreempt(n int) {
 	e.ins.schedShedRuns.Add(float64(n))
 }
 
-// SwapOutAsyncCtx is SwapOut as a pipeline stage: it claims the handle and
+// SwapOutCtx is the tensor swap-out of the pool's block 0 — the whole of a
+// one-block pool, a Handle's — as a pipeline stage: it claims the block and
 // returns a Ticket immediately (blocking only for an in-flight slot when
-// the window is full). Misuse — the handle busy, already swapped, or
-// freed — resolves the ticket with the same error the synchronous call
-// would return. If ctx is done before a slot in the bounded window frees
-// up, the ticket resolves with the context's error and the handle rolls
-// back to Resident untouched. The context governs only the submission
+// the window is full). Misuse — the block busy, already swapped, or the
+// pool freed — resolves the ticket with the same error the synchronous
+// call would return. If ctx is done before a slot in the bounded window
+// frees up, the ticket resolves with the context's error and the block
+// rolls back to Resident untouched. The context governs only the submission
 // wait — once the operation is dispatched it runs to completion regardless
 // of ctx (use Ticket.WaitContext to bound the wait for the result).
 // Speculative work (per the context's sched.Hint) yields with ErrShed —
 // before taking a slot — when the scheduler reports a starved critical
-// waiter.
-func (e *Executor) SwapOutAsyncCtx(ctx context.Context, h *Handle, doCompress bool, alg compress.Algorithm) *Ticket {
-	return h.pool.swapOutCtx(ctx, "swap-out", whole, 0, doCompress, alg)
+// waiter. Its ticket's op is "swap-out", and executor_batch_* does not
+// count it.
+func (p *BlockPool) SwapOutCtx(ctx context.Context, doCompress bool, alg compress.Algorithm) *Ticket {
+	return p.swapOutCtx(ctx, "swap-out", whole, 0, doCompress, alg)
 }
 
-// SwapInAsyncCtx is SwapIn as a pipeline stage; see SwapOutAsyncCtx for
-// the ticket and context semantics.
-func (e *Executor) SwapInAsyncCtx(ctx context.Context, h *Handle) *Ticket {
-	return h.pool.swapInCtx(ctx, "swap-in", whole, 0)
+// SwapInCtx is the tensor swap-in of block 0 as a pipeline stage; see
+// SwapOutCtx for the ticket and context semantics. Unlike SwapInBlocksCtx
+// it refuses a Resident block with ErrNotSwapped.
+func (p *BlockPool) SwapInCtx(ctx context.Context) *Ticket {
+	return p.swapInCtx(ctx, "swap-in", whole, 0)
 }
 
-// PrefetchCtx requests that the tensor be resident ahead of its consumer —
-// DELTA-style lookahead. It is an idempotent SwapInAsyncCtx: a Resident
-// handle completes immediately with nil; a handle already being swapped
-// in *asynchronously* returns that operation's ticket (both callers await
-// one restore); only a Swapped handle issues new work. A handle being
-// swapped out, freed, or held by a synchronous SwapIn resolves with
+// PrefetchCtx requests that block 0 be resident ahead of its consumer —
+// DELTA-style lookahead. It is an idempotent SwapInCtx: a Resident block
+// completes immediately with nil; a block already being swapped in
+// *asynchronously* returns that operation's ticket (both callers await one
+// restore); only a Swapped block issues new work. A block being swapped
+// out, a freed pool, or a block held by a synchronous swap-in resolves with
 // ErrBusy/ErrFreed like any other misuse. A tier-resident payload is staged
 // back into the host pool first (read-ahead): even if the restore then
 // fails on device pressure — common for speculative work — the disk fault
 // has been paid and the eventual demand swap-in reads host memory.
+func (p *BlockPool) PrefetchCtx(ctx context.Context) *Ticket {
+	return p.swapInCtx(ctx, "prefetch", whole, 0)
+}
+
+// SwapOutAsyncCtx is SwapOut as a pipeline stage: h.Pool().SwapOutCtx.
+func (e *Executor) SwapOutAsyncCtx(ctx context.Context, h *Handle, doCompress bool, alg compress.Algorithm) *Ticket {
+	return h.pool.SwapOutCtx(ctx, doCompress, alg)
+}
+
+// SwapInAsyncCtx is SwapIn as a pipeline stage: h.Pool().SwapInCtx.
+func (e *Executor) SwapInAsyncCtx(ctx context.Context, h *Handle) *Ticket {
+	return h.pool.SwapInCtx(ctx)
+}
+
+// PrefetchCtx requests that the tensor be resident ahead of its consumer:
+// h.Pool().PrefetchCtx.
 func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
-	return h.pool.swapInCtx(ctx, "prefetch", whole, 0)
+	return h.pool.PrefetchCtx(ctx)
 }
 
 // Drain blocks until every asynchronous operation in flight at any point

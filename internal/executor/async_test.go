@@ -477,8 +477,8 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	if err := e.SwapOut(tiered, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Demote(tiered); err != nil || !tiered.InTier() {
-		t.Fatalf("Demote before Close: err %v, in tier %v", err, tiered.InTier())
+	if err := e.Demote(tiered); err != nil || !inTier(tiered) {
+		t.Fatalf("Demote before Close: err %v, in tier %v", err, inTier(tiered))
 	}
 	tk := e.SwapOutAsyncCtx(context.Background(), h, true, compress.ZVC)
 	if err := e.Close(); err != nil {

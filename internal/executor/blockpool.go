@@ -761,35 +761,53 @@ func (p *BlockPool) victims(vs []tierVictim, now float64) []tierVictim {
 	return vs
 }
 
-// demoteRun runs the shared demote body for the stored run at r: its
-// blocks are claimed for the move (concurrent swap-ins see ErrBusy) and
-// return to Swapped afterwards, tiered on success. A range that no longer
-// holds one stored run — a ranking snapshot that aged out — is skipped
-// without error, and so is a run already in the tier.
-func (p *BlockPool) demoteRun(r BlockRun) error {
+// demoteRun runs the shared demote body for the stored run at r and
+// reports the raw bytes it moved into the tier: its blocks are claimed for
+// the move (concurrent swap-ins see ErrBusy) and return to Swapped
+// afterwards, tiered on success. A range that no longer holds one stored
+// run — a ranking snapshot that aged out — is skipped without error, and so
+// is a run already in the tier; both move nothing.
+func (p *BlockPool) demoteRun(r BlockRun) (int64, error) {
 	e := p.e
 	if e.tier == nil {
-		return ErrNoTier
+		return 0, ErrNoTier
 	}
 	runs := []BlockRun{r}
 	if err := p.claimRuns(runs, Swapped, SwappingOut); err != nil {
-		return err
+		return 0, err
 	}
 	defer p.settle(runs, Swapped)
 	p.mu.Lock()
 	pr := p.run[r.Start]
 	p.mu.Unlock()
-	if pr.blocks() != r {
-		return nil
+	if pr.blocks() != r || pr.tiered {
+		return 0, nil
 	}
 	// Pool name, pool ID (re-registrations of one name must not collide),
 	// and the run's start block (unique per stored run at any instant — one
 	// stored run per block).
 	pr.tierKey = fmt.Sprintf("%s#p%d@%d", p.name, p.id, pr.start)
 	if err := e.demote(&pr.stored); err != nil {
-		return fmt.Errorf("executor: demote %s run [%d,+%d): %w", p.name, pr.start, pr.count, err)
+		return 0, fmt.Errorf("executor: demote %s run [%d,+%d): %w", p.name, pr.start, pr.count, err)
 	}
-	return nil
+	return pr.rawBytes(), nil
+}
+
+// DemoteSwapped moves every swapped, host-resident run of the pool into the
+// disk tier and reports the raw bytes it moved — what the pool's Charge
+// moved from Held to Tiered. Resident blocks, runs already tiered and runs
+// an operation holds are left alone, so a pool with nothing to demote moves
+// 0 bytes without error. It stops at the first failed demotion (ErrNoTier,
+// tier.ErrFull, ...), reporting what moved before it.
+func (p *BlockPool) DemoteSwapped() (moved int64, err error) {
+	for _, v := range p.victims(nil, 0) {
+		var n int64
+		if n, err = p.demoteRun(v.r); err != nil {
+			break
+		}
+		moved += n
+	}
+	return moved, err
 }
 
 // observeBatch records one batch's coalescing outcome: how many blocks

@@ -281,6 +281,9 @@ type Handle struct {
 // whole is a tensor's one run, shared read-only by every tensor call.
 var whole = []BlockRun{{Start: 0, Count: 1}}
 
+// Pool returns the one-block pool behind the tensor.
+func (h *Handle) Pool() *BlockPool { return h.pool }
+
 // Name returns the tensor's registration name.
 func (h *Handle) Name() string { return h.pool.name }
 

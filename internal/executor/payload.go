@@ -43,21 +43,22 @@ type stored struct {
 	swappedAt float64
 	tierKey   string
 	// charge is the quota ledger the payload's raw bytes count against,
-	// the pool's at swap-out; the zero Charge (block pools, library
-	// tensors) charges nothing.
+	// the pool's at swap-out; the zero Charge (a pool or tensor no one
+	// charged, the library's) charges nothing.
 	charge Charge
 }
 
 // rawBytes is the uncompressed payload size.
 func (s *stored) rawBytes() int64 { return int64(s.elems) * tensor.BytesPerElement }
 
-// Charge is the quota ledger a tensor's bytes count against: Held while its
-// payload is on the device or in the host pool, Tiered while it lives in the
-// disk tier. The executor moves the tensor's uncompressed size between the
-// two at the only places a payload enters or leaves the tier (demote and
-// tierDelete), so the gauges say where the bytes are at every instant.
-// Whoever owns the gauges adds a tensor's bytes to Held before registering
-// it and takes them back out of Held after freeing it.
+// Charge is the quota ledger a pool's bytes — a tensor's, a one-block pool's
+// — count against: Held while they are on the device or in the host pool,
+// Tiered while a stored run holds them in the disk tier. The executor moves
+// each run's uncompressed size between the two at the only places a payload
+// enters or leaves the tier (demote and tierDelete), so the gauges say where
+// the bytes are at every instant. Whoever owns the gauges adds a pool's bytes
+// to Held before registering it and takes them back out of Held after
+// freeing it.
 type Charge struct{ Held, Tiered *metrics.Gauge }
 
 // toTier moves n bytes of charge from Held to Tiered (negative n: back).
@@ -67,12 +68,12 @@ func (c Charge) toTier(n int64) {
 	c.Tiered.Add(float64(n))
 }
 
-// SetCharge attaches the quota ledger the handle's bytes count against. Call
-// it before the handle's first swap-out, while its payload is off the tier.
-func (h *Handle) SetCharge(c Charge) {
-	h.pool.mu.Lock()
-	h.pool.charge = c
-	h.pool.mu.Unlock()
+// SetCharge attaches the quota ledger the pool's stored runs count against.
+// Call it before the pool's first swap-out, while no run is in the tier.
+func (p *BlockPool) SetCharge(c Charge) {
+	p.mu.Lock()
+	p.charge = c
+	p.mu.Unlock()
 }
 
 // store is the swap-out body: encode src (or copy its bytes raw), park the
@@ -318,14 +319,11 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 	return nil
 }
 
-// demote is the demotion body: move s's blob from the host pool into the
-// disk tier. The caller holds the claim and returns the owner to Swapped
-// whatever the outcome — s is tiered on success, unchanged on failure, and an
-// already-tiered payload is a no-op.
+// demote is the demotion body: move s's host-resident blob into the disk
+// tier. The caller holds the claim, has checked s is not already tiered, and
+// returns the owner to Swapped whatever the outcome — s is tiered on
+// success, unchanged on failure.
 func (e *Executor) demote(s *stored) error {
-	if s.tiered {
-		return nil
-	}
 	meta := tierMeta{
 		RawBytes:   s.rawBytes(),
 		BlobBytes:  int64(len(s.blob)),

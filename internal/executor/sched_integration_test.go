@@ -229,7 +229,7 @@ func TestPrefetchReadahead(t *testing.T) {
 	if err := e.PrefetchCtx(context.Background(), ha).Wait(); err == nil {
 		t.Fatal("prefetch restored a into a full device pool")
 	}
-	if ha.InTier() {
+	if inTier(ha) {
 		t.Fatal("prefetch read-ahead left the handle tiered")
 	}
 	if ts.Len() != 0 {
@@ -270,7 +270,7 @@ func TestBatchPrefetchReadahead(t *testing.T) {
 	if len(runs) != 1 {
 		t.Fatalf("stored runs = %d, want 1", len(runs))
 	}
-	if err := p.demoteRun(runs[0].r); err != nil {
+	if _, err := p.demoteRun(runs[0].r); err != nil {
 		t.Fatal(err)
 	}
 	if ts.Len() != 1 {

@@ -45,14 +45,6 @@ type tierMeta struct {
 	Checksum   uint64 `json:"checksum"`
 }
 
-// InTier reports whether the handle is Swapped with its payload in the disk
-// tier rather than the pinned-host pool. A handle some operation holds (a
-// background demotion included) reports false: its storage is that
-// operation's until it commits.
-func (h *Handle) InTier() bool {
-	return h.pool.swappedIs(func(s *stored) bool { return s.tiered })
-}
-
 // TierUsed returns the attached tier's committed bytes (0 without a tier).
 func (e *Executor) TierUsed() int64 {
 	if e.tier == nil {
@@ -71,7 +63,10 @@ func (e *Executor) TierUsed() int64 {
 // the caller's goroutine: inline demotion (freeHostSpace) happens inside
 // swap bodies that are themselves pool work, so it must never go through
 // compress.Go.
-func (e *Executor) Demote(h *Handle) error { return h.pool.demoteRun(whole[0]) }
+func (e *Executor) Demote(h *Handle) error {
+	_, err := h.pool.demoteRun(whole[0])
+	return err
+}
 
 // promoteRead reads one committed tier blob into an arena buffer, counting
 // the tier hit. The buffer is the caller's to recycle; the tier entry itself
@@ -128,7 +123,8 @@ func (e *Executor) tierVictims() []tierVictim {
 }
 
 // demoteUntil demotes ranked victims, cheapest expected re-fetch first,
-// until done reports true, returning how many it moved. Individual demote
+// until done reports true, returning how many it moved (a victim skipped as
+// aged out or already tiered is not counted). Individual demote
 // failures (a victim turned busy) skip to the next candidate; a full tier
 // fails every remaining candidate the same way, so it ends the sweep.
 func (e *Executor) demoteUntil(done func() bool) int {
@@ -137,10 +133,12 @@ func (e *Executor) demoteUntil(done func() bool) int {
 		if done() {
 			break
 		}
-		if err := v.p.demoteRun(v.r); err == nil {
-			moved++
-		} else if errors.Is(err, tier.ErrFull) {
+		n, err := v.p.demoteRun(v.r)
+		if errors.Is(err, tier.ErrFull) {
 			break
+		}
+		if n > 0 {
+			moved++
 		}
 	}
 	return moved

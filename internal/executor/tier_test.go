@@ -37,6 +37,13 @@ func newTierExecutor(t *testing.T, dev, host, tierCap int64, inj *faultinject.In
 	return e, ts
 }
 
+// inTier reports whether the handle is Swapped with its payload in the
+// disk tier rather than the pinned-host pool (false while an operation holds
+// it).
+func inTier(h *Handle) bool {
+	return h.pool.swappedIs(func(s *stored) bool { return s.tiered })
+}
+
 func assertBitExact(t *testing.T, h *Handle, want []float32) {
 	t.Helper()
 	got, err := h.Data()
@@ -69,7 +76,7 @@ func TestDemotePromoteRoundTrip(t *testing.T) {
 	if err := e.Demote(h); err != nil {
 		t.Fatal(err)
 	}
-	if !h.InTier() {
+	if !inTier(h) {
 		t.Fatal("handle not tiered after Demote")
 	}
 	if h.State() != Swapped {
@@ -93,7 +100,7 @@ func TestDemotePromoteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertBitExact(t, h, want)
-	if h.InTier() {
+	if inTier(h) {
 		t.Fatal("handle still tiered after restore")
 	}
 	if e.TierUsed() != 0 || ts.Len() != 0 {
@@ -118,7 +125,7 @@ func TestChargeFollowsTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.SetCharge(c)
+	h.Pool().SetCharge(c)
 	n := float64(h.Bytes())
 	c.Held.Add(n) // the caller's own register-time charge
 	want := func(step string, held, tiered float64) {
@@ -155,6 +162,35 @@ func TestChargeFollowsTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	want("freed", n, 0)
+}
+
+// TestDemoteSwappedChargesRuns: a pool's DemoteSwapped moves exactly its
+// swapped, host-resident runs into the tier, reports their raw bytes, moves
+// them from Held to Tiered, and moves nothing on a second call.
+func TestDemoteSwappedChargesRuns(t *testing.T) {
+	e, ts := newTierExecutor(t, 1<<22, 1<<22, 1<<22, nil)
+	reg := metrics.NewRegistry()
+	c := Charge{Held: reg.Gauge("held"), Tiered: reg.Gauge("tiered")}
+	const elems = 1000
+	p, err := e.RegisterBlockPool("kv", elems, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetCharge(c)
+	c.Held.Add(float64(p.Bytes()))
+	if err := p.SwapOutBlocks([]int{0, 1, 4}, false, 0); err != nil { // runs {0,2} and {4,1}
+		t.Fatal(err)
+	}
+	moved, err := p.DemoteSwapped()
+	if want := int64(3 * elems * 4); err != nil || moved != want {
+		t.Fatalf("DemoteSwapped = %d, %v, want %d bytes", moved, err, want)
+	}
+	if ts.Len() != 2 || c.Tiered.Value() != float64(moved) || c.Held.Value() != float64(p.Bytes()-moved) {
+		t.Fatalf("%d blobs, held %v, tiered %v after demoting %d bytes", ts.Len(), c.Held.Value(), c.Tiered.Value(), moved)
+	}
+	if again, err := p.DemoteSwapped(); again != 0 || err != nil {
+		t.Fatalf("second DemoteSwapped = %d, %v, want 0, nil", again, err)
+	}
 }
 
 func TestDemoteTaxonomy(t *testing.T) {
@@ -199,7 +235,7 @@ func TestDemoteTaxonomy(t *testing.T) {
 	if err := small.Demote(h3); !errors.Is(err, tier.ErrFull) {
 		t.Fatalf("Demote into full tier = %v, want tier.ErrFull", err)
 	}
-	if h3.InTier() || small.HostStats().Used != before {
+	if inTier(h3) || small.HostStats().Used != before {
 		t.Fatal("failed demotion disturbed the host-resident payload")
 	}
 	if err := small.SwapIn(h3); err != nil {
@@ -252,10 +288,10 @@ func TestSwapOutDemotesUnderHostPressure(t *testing.T) {
 	if err := e.SwapOut(b, false, 0); err != nil {
 		t.Fatalf("swap-out under host pressure: %v", err)
 	}
-	if !a.InTier() {
+	if !inTier(a) {
 		t.Fatal("cold payload was not demoted to make room")
 	}
-	if b.InTier() {
+	if inTier(b) {
 		t.Fatal("fresh swap-out landed in the tier, want host pool")
 	}
 	if st := e.Stats(); st.TierDemotions != 1 {
@@ -506,7 +542,7 @@ func TestTierCommitCrashConsistency(t *testing.T) {
 	if err := e.Demote(h); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("Demote = %v, want injected commit failure", err)
 	}
-	if h.InTier() {
+	if inTier(h) {
 		t.Fatal("handle marked tiered after failed commit")
 	}
 	if e.HostStats().Used != hostUsed {
@@ -666,7 +702,7 @@ func TestPoolRunDemotePromoteRoundTrip(t *testing.T) {
 	if len(runs) != 1 {
 		t.Fatalf("stored runs = %d, want 1 coalesced run", len(runs))
 	}
-	if err := p.demoteRun(runs[0].r); err != nil {
+	if _, err := p.demoteRun(runs[0].r); err != nil {
 		t.Fatal(err)
 	}
 	if e.TierUsed() == 0 || ts.Len() != 1 {
@@ -676,7 +712,7 @@ func TestPoolRunDemotePromoteRoundTrip(t *testing.T) {
 		t.Fatal("tiered run still offered as a demotion candidate")
 	}
 	// Re-demoting a stale snapshot is a silent no-op.
-	if err := p.demoteRun(runs[0].r); err != nil {
+	if _, err := p.demoteRun(runs[0].r); err != nil {
 		t.Fatalf("stale re-demote: %v", err)
 	}
 	if err := p.SwapInBlocks(all); err != nil {
@@ -715,7 +751,7 @@ func TestPoolFreeReleasesTieredRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range p.victims(nil, 0) {
-		if err := p.demoteRun(c.r); err != nil {
+		if _, err := p.demoteRun(c.r); err != nil {
 			t.Fatal(err)
 		}
 	}

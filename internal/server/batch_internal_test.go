@@ -132,7 +132,7 @@ func TestFreePoolBusyTaxonomy(t *testing.T) {
 	// Submit the batch on the executor directly: the entry lock stays
 	// free, so the free request reaches pool.Free() while the run's blocks
 	// are genuinely mid-swap (the delayed encode holds them SwappingOut).
-	tk := ent.obj.(poolObj).p.SwapOutBlocksCtx(context.Background(), ids, true, compress.ZVC)
+	tk := ent.obj.p.SwapOutBlocksCtx(context.Background(), ids, true, compress.ZVC)
 
 	body, err := wire.Encode(&wire.Frame{Type: wire.TypeFree, Name: "kv"})
 	if err != nil {
@@ -164,5 +164,27 @@ func TestFreePoolBusyTaxonomy(t *testing.T) {
 	}
 	if used := s.session(DefaultTenant).held(); used != 0 {
 		t.Fatalf("quota still charged %d bytes after successful free", used)
+	}
+}
+
+// TestSwapPricedAfterCoalescing: a batch swap-out of one block named four
+// times moves one block, so the tuner's tenant profile is fed one block's
+// bytes — the request's blocks after coalescing, as the batch series count
+// them — not four.
+func TestSwapPricedAfterCoalescing(t *testing.T) {
+	const blockElems = 64
+	s, url := newInternalServer(t)
+	c := client.New(url)
+	ctx := context.Background()
+	if err := c.RegisterPool(ctx, "kv", blockElems, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SwapOutBlocks(ctx, "kv", []int{3, 3, 3, 3}); err != nil {
+		t.Fatal(err)
+	}
+	prof, _, _ := s.session(DefaultTenant).tunerState()
+	if want := float64(blockElems * 4); prof.swaps != 1 || prof.ewmaBytes != want {
+		t.Fatalf("profile after one swap-out of block 3 x4: %d swaps, %v bytes, want 1 swap of %v bytes",
+			prof.swaps, prof.ewmaBytes, want)
 	}
 }

@@ -171,6 +171,17 @@ func TestBatchKindMismatch(t *testing.T) {
 	if err := c.SwapOut(ctx, "paged", client.WithCodec(client.ZVC)); !isErr(err, client.ErrState) {
 		t.Errorf("tensor op on pool: %v, want ErrState", err)
 	}
+	// A pool of one block is the executor's tensor shape, but the frame
+	// family it was registered with decides what it accepts.
+	if err := c.RegisterPool(ctx, "one", 64, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SwapOut(ctx, "one"); !isErr(err, client.ErrState) {
+		t.Errorf("tensor op on a one-block pool: %v, want ErrState", err)
+	}
+	if err := c.WriteBlocks(ctx, "plain", []int{0}, make([]float32, 64)); !isErr(err, client.ErrState) {
+		t.Errorf("batch-write on tensor: %v, want ErrState", err)
+	}
 	if err := c.SwapOutBlocks(ctx, "ghost", []int{0}); !isErr(err, client.ErrNotFound) {
 		t.Errorf("batch op on unknown name: %v, want ErrNotFound", err)
 	}

@@ -506,7 +506,7 @@ func (c *Cluster) migrate(src *Server, sess *session, name string, dst *Server) 
 		_ = src.reswap(sess, ent, was)
 		return 0, err
 	}
-	if err := ent.obj.free(); err != nil {
+	if err := ent.obj.p.Free(); err != nil {
 		// The destination copy is live and owns the name on the ring; a
 		// failed source free leaks pool bytes on a shard that is going away,
 		// which the drained state eventually reclaims via Close.
@@ -543,7 +543,7 @@ func (c *Cluster) arrive(sess *session, name string, ent *entry, was *wire.Frame
 	if dent.obj, err = newObject(dst.exec, qualified(sess.tenant, name), decoded, dsess.charge); err == nil {
 		dent.sparsity = ent.sparsity
 		if err = dst.reswap(dsess, dent, was); err != nil {
-			_ = dent.obj.free()
+			_ = dent.obj.p.Free()
 		}
 	}
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,8 +16,8 @@ import (
 )
 
 // books is one tenant's ledger on one shard beside what it should say: the
-// two buckets, the bytes of the tenant's live tensors, and the bytes of
-// those whose payload is in the tier.
+// two buckets, the bytes of the tenant's live objects, and the raw bytes of
+// its stored runs — tensors' and pool runs' — that the tier holds.
 type books struct{ held, tiered, live, inTier int64 }
 
 // sessionsOf snapshots s's sessions.
@@ -30,59 +31,73 @@ func sessionsOf(s *Server) []*session {
 	return sessions
 }
 
-// eachTensor calls f with each of sess's registered tensors, under its
-// entry lock.
-func eachTensor(sess *session, f func(ent *entry, h *executor.Handle)) {
+// eachObject calls f with each of sess's registered objects, tensors and
+// block pools alike, under its entry lock.
+func eachObject(sess *session, f func(ent *entry)) {
 	for _, name := range sess.entryNames() {
 		if ent, err := sess.lookup(name); err == nil {
 			ent.mu.Lock()
-			if o, ok := ent.obj.(tensorObj); ok {
-				f(ent, o.h)
+			if ent.obj.p != nil {
+				f(ent)
 			}
 			ent.mu.Unlock()
 		}
 	}
 }
 
-// ledger reads every session's books on s.
-func ledger(s *Server) map[string]books {
+// ledger reads every session's books on s. What the tier holds is read from
+// the tier itself: each blob's key starts with its tenant, and its metadata
+// records the run's raw bytes.
+func ledger(t *testing.T, s *Server) map[string]books {
+	t.Helper()
 	out := map[string]books{}
 	for _, sess := range sessionsOf(s) {
 		b := books{held: sess.held(), tiered: int64(sess.charge.Tiered.Value())}
-		eachTensor(sess, func(ent *entry, h *executor.Handle) {
-			b.live += ent.bytes
-			if h.InTier() {
-				b.inTier += h.Bytes()
-			}
-		})
+		eachObject(sess, func(ent *entry) { b.live += ent.bytes })
 		out[sess.tenant] = b
+	}
+	for _, key := range s.tier.Keys() {
+		var meta struct {
+			RawBytes int64 `json:"raw_bytes"`
+		}
+		if _, err := s.tier.Get(key, &meta); err != nil {
+			t.Fatal(err)
+		}
+		tenant, _, _ := strings.Cut(key, "/")
+		b := out[tenant]
+		b.inTier += meta.RawBytes
+		out[tenant] = b
 	}
 	return out
 }
 
 // quiet reports whether s's watermark demoter has nothing left to do — the
-// host pool at or under the mark — and no tensor is mid-operation, so every
-// demotion that was under way has committed, its charge move included.
+// host pool at or under the mark — and no block of any object is
+// mid-operation, so every demotion that was under way has committed, its
+// charge move included.
 func quiet(s *Server) bool {
 	hs := s.exec.HostStats()
 	busy := float64(hs.Used) > s.cfg.tierWatermark*float64(hs.Capacity)
 	for _, sess := range sessionsOf(s) {
-		eachTensor(sess, func(_ *entry, h *executor.Handle) {
-			st := h.State()
-			busy = busy || (st != executor.Resident && st != executor.Swapped)
+		eachObject(sess, func(ent *entry) {
+			for id := 0; id < ent.obj.p.NumBlocks(); id++ {
+				st := ent.obj.p.BlockState(id)
+				busy = busy || (st != executor.Resident && st != executor.Swapped)
+			}
 		})
 	}
 	return !busy
 }
 
-// TestLedgerConservation drives two tenants through every operation that
-// moves a tensor's bytes — register, swap-out raw and ZVC, prefetch,
-// swap-in, free, demote-then-admit and a shard drain — on a two-shard
-// cluster whose watermark demoter moves payloads between requests. At each
-// quiescent point, on each shard and for each tenant, Held + Tiered is the
-// bytes of the live entries and Tiered is the bytes of the tiered tensors;
-// while every tiered payload is raw, Σ Tiered is what the shard's tier
-// holds.
+// TestLedgerConservation drives two tensor tenants and a block-pool tenant
+// through every operation that moves an object's bytes — register,
+// register-pool and batch-write, swap-out raw and ZVC, batch swap-out,
+// prefetch and swap-in of both kinds, free, demote-then-admit and a shard
+// drain — on a two-shard cluster whose watermark demoter moves payloads
+// between requests. At each quiescent point, on each shard and for each
+// tenant, Held + Tiered is the bytes of the live entries and Tiered is the
+// raw bytes of the tenant's runs in the tier; while every tiered payload is
+// raw, Σ Tiered is what the shard's tier holds.
 func TestLedgerConservation(t *testing.T) {
 	const elems = 8192
 	n := int64(elems * 4)
@@ -120,7 +135,7 @@ func TestLedgerConservation(t *testing.T) {
 		}
 		for i := 0; i < cl.NumShards(); i++ {
 			var tiered int64
-			for tenant, b := range ledger(cl.Shard(i)) {
+			for tenant, b := range ledger(t, cl.Shard(i)) {
 				if b.held+b.tiered != b.live || b.tiered != b.inTier {
 					t.Errorf("%s: shard %d, %s: held %d + tiered %d, want live %d with %d tiered",
 						step, i, tenant, b.held, b.tiered, b.live, b.inTier)
@@ -192,6 +207,52 @@ func TestLedgerConservation(t *testing.T) {
 	check("demote-then-admit", true)
 	do(alpha.Free(ctx, big)) // room on shard 0 for what the drain brings
 
+	// A KV tenant: one pool per shard, whose raw run swap-outs alone
+	// (3.5 blobs' worth) push the host pool past the mark, so the watermark
+	// has to demote pool runs.
+	const blockElems, poolBlocks = elems / 4, 16
+	blockRange := func(start, n int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = start + i
+		}
+		return ids
+	}
+	outRun, inRun := blockRange(0, 7), blockRange(8, 7)
+	kv := client.New(hs.URL, client.WithTenant("gamma"))
+	pools := [2]string{owned("gamma", "kv", 0)[0], owned("gamma", "kv", 1)[0]}
+	kvData := gen.Uniform(poolBlocks*blockElems, 0.5).Data
+	for _, pool := range pools {
+		do(kv.RegisterPool(ctx, pool, blockElems, poolBlocks))
+		do(kv.WriteBlocks(ctx, pool, blockRange(0, poolBlocks), kvData))
+	}
+	check("pools registered", true)
+	for _, pool := range pools {
+		do(kv.SwapOutBlocks(ctx, pool, outRun, client.WithRaw()))
+		do(kv.SwapOutBlocks(ctx, pool, inRun, client.WithRaw()))
+	}
+	check("pool runs swapped out raw", true)
+	for i := 0; i < cl.NumShards(); i++ {
+		if ledger(t, cl.Shard(i))["gamma"].inTier == 0 {
+			t.Fatalf("shard %d: the watermark demoted no pool run", i)
+		}
+	}
+	for _, pool := range pools {
+		do(kv.PrefetchBlocks(ctx, pool, outRun))
+		bd, err := kv.SwapInBlocks(ctx, pool, inRun)
+		do(err)
+		for j, v := range bd.Data {
+			if want := kvData[inRun[0]*blockElems+j]; v != want {
+				t.Fatalf("%s restored[%d] = %v, want %v", pool, j, v, want)
+			}
+		}
+	}
+	check("pool runs prefetched and swapped in", true)
+	for _, pool := range pools {
+		do(kv.SwapOutBlocks(ctx, pool, outRun, client.WithRaw())) // for the drain to move
+	}
+	check("pool run swapped out again", true)
+
 	beta := client.New(hs.URL, client.WithTenant("beta"))
 	b := [2][]string{owned("beta", "b", 0), owned("beta", "b", 1)}
 	for _, names := range b {
@@ -215,6 +276,9 @@ func TestLedgerConservation(t *testing.T) {
 		for _, name := range names {
 			do(beta.Free(ctx, name))
 		}
+	}
+	for _, pool := range pools {
+		do(kv.Free(ctx, pool))
 	}
 	check("all freed", true) // live 0: both buckets and both tiers empty
 }

@@ -88,11 +88,11 @@ func WithTenantQuota(b int64) Option { return func(c *config) { c.tenantQuota = 
 // WithTierDir attaches a disk spill tier rooted at dir under the executor's
 // host pool (empty disables): swapped payloads demote into it under host
 // pressure, and a tenant-quota 507 at register time becomes
-// demote-then-admit — the tenant's swapped tensors move to disk and the
-// register proceeds; 507 remains only when both buckets are full. Whoever
-// demotes a tensor, the executor moves its uncompressed size from the
-// tenant's device bucket to its tier bucket in the same step, and back when
-// the payload leaves the tier. Blobs found in dir at boot belong to no
+// demote-then-admit — the tenant's swapped tensors and block-pool runs move
+// to disk and the register proceeds; 507 remains only when both buckets are
+// full. Whoever demotes a tensor or a pool run, the executor moves its
+// uncompressed size from the tenant's device bucket to its tier bucket in
+// the same step, and back when the payload leaves the tier. Blobs found in dir at boot belong to no
 // session (sessions do not survive a restart) and are deleted before
 // serving. A cluster gives each shard its own subdirectory under dir.
 func WithTierDir(dir string) Option { return func(c *config) { c.tierDir = dir } }
@@ -103,9 +103,11 @@ func WithTierCap(b int64) Option { return func(c *config) { c.tierCap = b } }
 
 // WithTenantTierQuota sets the per-tenant tier bucket's quota in
 // uncompressed bytes, per shard like the device quota. It bounds only what
-// demote-then-admit moves for a register: demotions the executor makes under
-// host pressure or above the watermark are charged to the bucket but never
-// refused. Zero grants each tenant the full tier capacity.
+// demote-then-admit moves for a register, which demotes a tensor or a
+// pool's swapped runs only while the object's whole registered size still
+// fits under it: demotions the executor makes under host pressure or above
+// the watermark are charged to the bucket — tensors and pool runs alike —
+// but never refused. Zero grants each tenant the full tier capacity.
 func WithTenantTierQuota(b int64) Option { return func(c *config) { c.tenantTierQuota = b } }
 
 // WithTierWatermark enables each shard's background host->tier demoter at

@@ -10,10 +10,12 @@
 // swap-in, prefetch, free) and five on paged block pools (register-pool,
 // batch-write, batch-swap-out, batch-swap-in, batch-prefetch). Every one of
 // them enters through the same handler, which reads the URL, the request
-// frame type, the admission lane and the kind of object addressed from the
-// table; what a tensor and a pool do differently sits behind the object
-// seam (object.go). /metrics exposes the shared registry in Prometheus text
-// format and /healthz the liveness/draining state.
+// frame type, the admission lane and the family of frames (tensor or pool)
+// from the table. Every name holds one kind of object, an executor block
+// pool — a tensor is a pool of one block (object.go) — so every operation
+// has one body whatever the name was registered as. /metrics exposes the
+// shared registry in Prometheus text format and /healthz the
+// liveness/draining state.
 //
 // Three admission layers keep the shared executor healthy under load:
 //
@@ -376,7 +378,7 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 		// machine refuses: a conflict the client can resolve, not a server
 		// fault — but genuinely unknown failures are 500s.
 		if errors.Is(err, executor.ErrNotResident) || errors.Is(err, executor.ErrNotSwapped) ||
-			errors.Is(err, errNotPool) || errors.Is(err, errNotTensor) {
+			errors.Is(err, errKind) {
 			fail(w, s.cfg.retryAfter, http.StatusConflict, CodeState, err.Error())
 			return
 		}
@@ -433,7 +435,8 @@ func (s *Server) ack(w http.ResponseWriter, name string) {
 
 // register admits the tensor's bytes — or a pool's whole device
 // reservation: the batch ops that follow are pre-paid — against the tenant
-// quota, then places it in the shared device pool.
+// quota, then places it in the shared device pool, charged to the tenant's
+// ledger.
 func (s *Server) register(w http.ResponseWriter, sess *session, f *wire.Frame) {
 	ent, err := s.reserveDemoting(sess, f.Name, chargeOf(f))
 	if err != nil {
@@ -443,14 +446,12 @@ func (s *Server) register(w http.ResponseWriter, sess *session, f *wire.Frame) {
 		s.failErr(w, err)
 		return
 	}
-	obj, err := newObject(s.exec, qualified(sess.tenant, f.Name), f, sess.charge)
-	if err != nil {
+	if ent.obj, err = newObject(s.exec, qualified(sess.tenant, f.Name), f, sess.charge); err != nil {
 		sess.release(f.Name, ent)
 		ent.mu.Unlock()
 		s.failErr(w, err)
 		return
 	}
-	ent.obj = obj
 	// A pool's region starts zeroed (sparsity 1, what an empty payload
 	// measures); batch-write re-measures.
 	ent.sparsity = sliceSparsity(f.Data)
@@ -461,9 +462,10 @@ func (s *Server) register(w http.ResponseWriter, sess *session, f *wire.Frame) {
 
 // reserveDemoting is reserve with the demote-then-admit fallback: a
 // tenant-quota refusal with a spill tier attached first tries to demote
-// the tenant's swapped tensors to disk — migrating their quota charge to
-// the tier bucket — and retries the reservation. 507 survives only when
-// both the device quota and the tier quota are exhausted.
+// the tenant's swapped tensors and pool runs to disk — migrating their
+// quota charge to the tier bucket — and retries the reservation. 507
+// survives only when both the device quota and the tier quota are
+// exhausted.
 func (s *Server) reserveDemoting(sess *session, name string, bytes int64) (*entry, error) {
 	ent, err := sess.reserve(name, bytes)
 	if err != nil && errors.Is(err, ErrQuotaExceeded) && s.tier != nil && s.demoteForAdmit(sess, bytes) {
@@ -472,29 +474,33 @@ func (s *Server) reserveDemoting(sess *session, name string, bytes int64) (*entr
 	return ent, err
 }
 
-// demoteForAdmit walks the tenant's entries demoting swapped,
-// host-resident tensors into the disk tier until the device quota bucket
-// has room for `need` more bytes, reporting whether it does. Busy entries,
-// block pools and resident tensors (demote refuses them), tensors already
-// in the tier, and entries the tier quota cannot take are skipped. Each
-// demotion moves the entry's charge to the tier bucket inside the executor.
+// demoteForAdmit walks the tenant's entries, tensors and block pools alike,
+// demoting each one's swapped, host-resident runs into the disk tier until
+// the device quota bucket has room for `need` more bytes, reporting whether
+// it does. The executor moves each demoted run's charge to the tier bucket.
+// Busy entries are skipped, and so is an entry whose whole size (ent.bytes,
+// the most its demotion can move) the tier quota cannot take: demote-then-
+// admit never charges the tier bucket past its quota. An entry counts as a
+// demote-admit only when its demotion moved bytes — a resident tensor, or
+// one already in the tier, moves none.
 func (s *Server) demoteForAdmit(sess *session, need int64) bool {
-	if sess.deviceHeadroom(need) {
-		return true
-	}
 	for _, name := range sess.entryNames() {
+		if sess.deviceHeadroom(need) {
+			break
+		}
 		ent, err := sess.acquire(name)
 		if err != nil {
 			continue
 		}
-		if !ent.obj.inTier() && sess.tierHeadroom(ent.bytes) && ent.obj.demote() == nil {
-			s.ins.reg.Counter("server_tier_demote_admits_total",
-				metrics.L("tenant", sess.tenant)).Inc()
+		if sess.tierHeadroom(ent.bytes) {
+			// A failed demotion (a full tier) only leaves less room, which
+			// the reservation's retry reports.
+			if moved, _ := ent.obj.p.DemoteSwapped(); moved > 0 {
+				s.ins.reg.Counter("server_tier_demote_admits_total",
+					metrics.L("tenant", sess.tenant)).Inc()
+			}
 		}
 		ent.mu.Unlock()
-		if sess.deviceHeadroom(need) {
-			return true
-		}
 	}
 	return sess.deviceHeadroom(need)
 }
@@ -554,20 +560,14 @@ func (s *Server) finishAsync(t *executor.Ticket, ent *entry) {
 // swapOp runs one admission-gated async operation against the entry f
 // names — a tensor swap or a whole block batch, which claims ONE slot and
 // one lane entry regardless of its block count — and waits for it under the
-// request context. The entry must hold the kind of object the operation
-// addresses: the per-tensor endpoints don't apply to a pool name, nor the
-// batch ones to a tensor. The hint picks the admission lane/deadline and
-// rides the operation context so the executor can shed speculative work at
-// run boundaries. On success the entry is returned still locked and still
-// holding the admission slot — the caller reads what it needs, then
-// finishes with swapAck or swapData.
-func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op) (*entry, bool) {
-	ent, err := sess.acquire(f.Name)
-	if err == nil {
-		if err = ent.obj.accepts(op); err != nil {
-			ent.mu.Unlock()
-		}
-	}
+// request context. The entry must accept f's family of frames (acquireFor).
+// A swap-out is priced by its blocks, counted after coalescing. The hint
+// picks the admission lane/deadline and rides the operation context so the
+// executor can shed speculative work at run boundaries. On success the
+// entry is returned still locked and still holding the admission slot — the
+// caller reads what it needs, then finishes with swapAck or swapData.
+func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op, blocks int) (*entry, bool) {
+	ent, err := sess.acquireFor(f)
 	if err != nil {
 		s.failErr(w, err)
 		return nil, false
@@ -580,7 +580,7 @@ func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f
 	var doCompress bool
 	var alg compress.Algorithm
 	if f.Type == wire.TypeSwapOut || f.Type == wire.TypeBatchSwapOut {
-		sess.observeSwap(ent.sparsity, ent.obj.swapBytes(f))
+		sess.observeSwap(ent.sparsity, ent.obj.swapBytes(blocks))
 		doCompress, alg = s.resolveCodec(sess, ent, f.Compress, f.Alg)
 	}
 	t := ent.obj.submit(sched.WithHint(r.Context(), hint), f, doCompress, alg)
@@ -672,24 +672,29 @@ func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame, segs
 // swap is the body of the six schedulable operations: one admission slot,
 // one executor operation (for a pool: one coalesced batch), then an ack —
 // or, for the swap-ins, the restored content streamed back as one data
-// frame. Pool requests count the blocks they address after coalescing, so
-// a duplicated ID counts once on every operation.
+// frame. The request's blocks are coalesced once, up front — block 0 for a
+// scalar frame — and that run list prices a swap-out, counts a pool
+// request's blocks (a duplicated ID counts once on every operation) and
+// selects what a swap-in answers with.
 func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op) {
-	ent, ok := s.swapOp(w, r, sess, f, op)
-	if !ok {
-		return
+	runs := block0
+	if op.Pool {
+		runs = executor.CoalesceBlockIDs(f.BlockIDs)
 	}
-	runs := executor.CoalesceBlockIDs(f.BlockIDs) // nil for a tensor
 	blocks := 0
 	for _, run := range runs {
 		blocks += run.Count
+	}
+	ent, ok := s.swapOp(w, r, sess, f, op, blocks)
+	if !ok {
+		return
 	}
 	s.batchSeen(f.Type, blocks)
 	if op.Resp == wire.TypeAck {
 		s.swapAck(w, ent, f.Name)
 		return
 	}
-	resp, segs, err := ent.obj.read(f.Name, runs)
+	resp, segs, err := ent.obj.read(op.Resp, f.Name, runs)
 	if err != nil {
 		s.swapFail(w, ent, err)
 		return
@@ -700,7 +705,7 @@ func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *
 // write stores packed block contents into resident blocks. It is a
 // device-memory write, not a swap: no admission slot is consumed.
 func (s *Server) write(w http.ResponseWriter, sess *session, f *wire.Frame) {
-	ent, err := sess.acquire(f.Name)
+	ent, err := sess.acquireFor(f)
 	if err != nil {
 		s.failErr(w, err)
 		return
@@ -772,7 +777,7 @@ func (s *Server) free(w http.ResponseWriter, sess *session, f *wire.Frame) {
 		s.failErr(w, err)
 		return
 	}
-	if err := ent.obj.free(); err != nil {
+	if err := ent.obj.p.Free(); err != nil {
 		ent.mu.Unlock()
 		s.failErr(w, err)
 		return

@@ -37,15 +37,14 @@ var errEntryBusy = errors.New("server: tensor busy")
 type session struct {
 	tenant string
 	quota  int64 // bound on the Held bucket at register time
-	// tierQuota bounds the Tiered bucket when demote-then-admit picks a
-	// tensor to demote; zero or negative means unbounded.
+	// tierQuota bounds the Tiered bucket when demote-then-admit picks an
+	// entry to demote; zero or negative means unbounded.
 	tierQuota int64
 	// charge is the tenant's one ledger, the server_tenant_used_bytes
 	// (Held) and server_tenant_tier_used_bytes (Tiered) gauges: reserve
-	// and release add and subtract Held, and the executor moves a tensor's
-	// bytes to Tiered and back as its payload enters and leaves the disk
-	// tier. Block pools charge Held only: their reservation is whole-pool,
-	// even while individual runs are tiered.
+	// and release add and subtract an entry's whole size from Held, and the
+	// executor moves each stored run's bytes — a tensor's one run, a pool's
+	// runs — to Tiered and back as it enters and leaves the disk tier.
 	charge executor.Charge
 
 	mu      sync.Mutex
@@ -154,8 +153,8 @@ func (s *session) rollbackVerdict() (verdict, bool) {
 // while it is encoded.
 type entry struct {
 	mu sync.Mutex
-	// obj is the tensor or block pool behind the name (object.go): one
-	// name, one quota charge. Nil until the register commits.
+	// obj is the block pool behind the name (object.go): one name, one
+	// quota charge. Its pool is nil until the register commits.
 	obj object
 	// bytes is the object's uncompressed footprint, the unit of quota
 	// accounting (what it pins on device while resident).
@@ -253,7 +252,7 @@ func (s *session) acquire(name string) (*entry, error) {
 	if !ent.mu.TryLock() {
 		return nil, fmt.Errorf("%w: %s/%s (request in flight)", errEntryBusy, s.tenant, name)
 	}
-	if ent.obj == nil {
+	if ent.obj.p == nil {
 		// A placeholder whose register aborted between lookup and lock.
 		ent.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownTensor, s.tenant, name)

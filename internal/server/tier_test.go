@@ -25,62 +25,107 @@ func gaugeValue(t *testing.T, s *server.Server, name string, labels ...metrics.L
 
 // TestQuotaDemoteThenAdmit pins the tentpole's service-level contract: a
 // register that would previously have drawn a tenant-quota 507 instead
-// demotes the tenant's swapped tensors to the disk tier, migrates their
-// quota charge to the tier bucket, and admits.
+// demotes the tenant's swapped tensors — or a KV tenant's swapped pool runs
+// — to the disk tier, migrates their quota charge to the tier bucket, and
+// admits.
 func TestQuotaDemoteThenAdmit(t *testing.T) {
 	const elems = 4096
 	quota := int64(elems * 4)
-	s, url := newTestServer(t,
-		server.WithTierDir(t.TempDir()),
-		server.WithTenantQuota(quota),
-	)
-	c := client.New(url)
+	half := blockRange(0, 4) // of an 8-block pool at quota: one run
 	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		moved int64 // what the demotion moves to the tier bucket
+		// fill registers data at quota and swaps the part to be demoted out;
+		// again is the register that needs it demoted; back restores it.
+		fill  func(c *client.Client, data []float32) error
+		again func(c *client.Client, data []float32) error
+		back  func(c *client.Client) ([]float32, error)
+	}{
+		{
+			name: "tensor", moved: quota,
+			fill: func(c *client.Client, data []float32) error {
+				if err := c.Register(ctx, "t1", data); err != nil {
+					return err
+				}
+				return c.SwapOut(ctx, "t1", client.WithCodec(client.ZVC))
+			},
+			again: func(c *client.Client, data []float32) error { return c.Register(ctx, "t2", data) },
+			back:  func(c *client.Client) ([]float32, error) { return c.SwapIn(ctx, "t1") },
+		},
+		{
+			name: "pool", moved: quota / 2,
+			fill: func(c *client.Client, data []float32) error {
+				if err := c.RegisterPool(ctx, "kv", elems/8, 8); err != nil {
+					return err
+				}
+				if err := c.WriteBlocks(ctx, "kv", blockRange(0, 8), data); err != nil {
+					return err
+				}
+				return c.SwapOutBlocks(ctx, "kv", half, client.WithCodec(client.ZVC))
+			},
+			again: func(c *client.Client, _ []float32) error { return c.RegisterPool(ctx, "kv2", elems/8, 4) },
+			back: func(c *client.Client) ([]float32, error) {
+				bd, err := c.SwapInBlocks(ctx, "kv", half)
+				if err != nil {
+					return nil, err
+				}
+				return bd.Data, nil
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, url := newTestServer(t,
+				server.WithTierDir(t.TempDir()),
+				server.WithTenantQuota(quota),
+			)
+			c := client.New(url)
 
-	gen := tensor.NewGenerator(1)
-	d1 := gen.Uniform(elems, 0.6).Data
-	want1 := append([]float32(nil), d1...)
-	if err := c.Register(ctx, "t1", d1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SwapOut(ctx, "t1", client.WithCodec(client.ZVC)); err != nil {
-		t.Fatal(err)
-	}
-	// The quota is full; without the tier this register answers 507.
-	d2 := gen.Uniform(elems, 0.5).Data
-	if err := c.Register(ctx, "t2", d2); err != nil {
-		t.Fatalf("register under full quota with tier attached: %v", err)
-	}
-	lab := metrics.L("tenant", server.DefaultTenant)
-	if n := counterValue(t, s, "server_tier_demote_admits_total", lab); n != 1 {
-		t.Fatalf("demote-admits = %v, want 1", n)
-	}
-	if n := counterValue(t, s, "server_quota_rejections_total", lab); n != 0 {
-		t.Fatalf("quota rejections = %v, want 0", n)
-	}
-	if st := s.Executor().Stats(); st.TierDemotions != 1 {
-		t.Fatalf("TierDemotions = %d, want 1", st.TierDemotions)
-	}
-	if v := gaugeValue(t, s, "server_tenant_tier_used_bytes", lab); v != float64(quota) {
-		t.Fatalf("tier bucket holds %v bytes, want %v", v, quota)
-	}
+			gen := tensor.NewGenerator(1)
+			d1 := gen.Uniform(elems, 0.6).Data
+			want1 := append([]float32(nil), d1[:tc.moved/4]...)
+			if err := tc.fill(c, d1); err != nil {
+				t.Fatal(err)
+			}
+			// The quota is full; without the tier this register answers 507.
+			if err := tc.again(c, gen.Uniform(elems, 0.5).Data); err != nil {
+				t.Fatalf("register under full quota with tier attached: %v", err)
+			}
+			lab := metrics.L("tenant", server.DefaultTenant)
+			if n := counterValue(t, s, "server_tier_demote_admits_total", lab); n != 1 {
+				t.Fatalf("demote-admits = %v, want 1", n)
+			}
+			if n := counterValue(t, s, "server_quota_rejections_total", lab); n != 0 {
+				t.Fatalf("quota rejections = %v, want 0", n)
+			}
+			if st := s.Executor().Stats(); st.TierDemotions != 1 {
+				t.Fatalf("TierDemotions = %d, want 1", st.TierDemotions)
+			}
+			if v := gaugeValue(t, s, "server_tenant_tier_used_bytes", lab); v != float64(tc.moved) {
+				t.Fatalf("tier bucket holds %v bytes, want %v", v, tc.moved)
+			}
 
-	// The demoted tensor restores bit-exact through the real HTTP path,
-	// and promotion returns its charge to the device bucket.
-	got, err := c.SwapIn(ctx, "t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want1 {
-		if got[i] != want1[i] {
-			t.Fatalf("restored[%d] = %v, want %v", i, got[i], want1[i])
-		}
-	}
-	if v := gaugeValue(t, s, "server_tenant_tier_used_bytes", lab); v != 0 {
-		t.Fatalf("tier bucket holds %v bytes after promotion, want 0", v)
-	}
-	if st := s.Executor().Stats(); st.TierPromotions != 1 {
-		t.Fatalf("TierPromotions = %d, want 1", st.TierPromotions)
+			// The demoted payload restores bit-exact through the real HTTP
+			// path, and promotion returns its charge to the device bucket.
+			got, err := tc.back(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want1) {
+				t.Fatalf("restored %d elements, want %d", len(got), len(want1))
+			}
+			for i := range want1 {
+				if got[i] != want1[i] {
+					t.Fatalf("restored[%d] = %v, want %v", i, got[i], want1[i])
+				}
+			}
+			if v := gaugeValue(t, s, "server_tenant_tier_used_bytes", lab); v != 0 {
+				t.Fatalf("tier bucket holds %v bytes after promotion, want 0", v)
+			}
+			if st := s.Executor().Stats(); st.TierPromotions != 1 {
+				t.Fatalf("TierPromotions = %d, want 1", st.TierPromotions)
+			}
+		})
 	}
 }
 
@@ -136,34 +181,56 @@ func TestDemoteAdmitCountsOnlyItsOwnDemotions(t *testing.T) {
 }
 
 // TestWatermarkDemotionChargesTier: the background demoter moves a tenant's
-// charge to the tier bucket by itself — no request touches the tensor
-// between its swap-out and the scrape that sees the charge move.
+// charge to the tier bucket by itself — no request touches the tensor, or
+// the pool's runs, between the swap-out and the scrape that sees the charge
+// move.
 func TestWatermarkDemotionChargesTier(t *testing.T) {
 	const elems = 4096
 	n := float64(elems * 4)
-	s, url := newTestServer(t,
-		server.WithTierDir(t.TempDir()),
-		server.WithHostCapacity(4*elems*4),
-		server.WithTierWatermark(0.1), // one raw blob is over the mark
-	)
-	c := client.New(url)
 	ctx := context.Background()
-	if err := c.Register(ctx, "t", tensor.NewGenerator(6).Uniform(elems, 0.5).Data); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SwapOut(ctx, "t", client.WithRaw()); err != nil {
-		t.Fatal(err)
-	}
-	lab := metrics.L("tenant", server.DefaultTenant)
-	for deadline := time.Now().Add(5 * time.Second); gaugeValue(t, s, "server_tenant_tier_used_bytes", lab) != n; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("tier bucket %v five seconds after the swap-out (%v watermark demotions), want %v",
-				gaugeValue(t, s, "server_tenant_tier_used_bytes", lab),
-				counterValue(t, s, "executor_tier_demotions_total", metrics.L("reason", "watermark")), n)
-		}
-	}
-	if v := gaugeValue(t, s, "server_tenant_used_bytes", lab); v != 0 {
-		t.Fatalf("used bucket %v after the demotion, want 0", v)
+	for _, tc := range []struct {
+		name string
+		fill func(c *client.Client) error // register n bytes, swap them all out raw
+	}{
+		{"tensor", func(c *client.Client) error {
+			if err := c.Register(ctx, "t", tensor.NewGenerator(6).Uniform(elems, 0.5).Data); err != nil {
+				return err
+			}
+			return c.SwapOut(ctx, "t", client.WithRaw())
+		}},
+		{"pool", func(c *client.Client) error {
+			if err := c.RegisterPool(ctx, "kv", elems/4, 4); err != nil {
+				return err
+			}
+			for _, run := range [][]int{{0, 1}, {2, 3}} { // two runs, each over the mark
+				if err := c.SwapOutBlocks(ctx, "kv", run, client.WithRaw()); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, url := newTestServer(t,
+				server.WithTierDir(t.TempDir()),
+				server.WithHostCapacity(4*elems*4),
+				server.WithTierWatermark(0.1), // one raw blob is over the mark
+			)
+			if err := tc.fill(client.New(url)); err != nil {
+				t.Fatal(err)
+			}
+			lab := metrics.L("tenant", server.DefaultTenant)
+			for deadline := time.Now().Add(5 * time.Second); gaugeValue(t, s, "server_tenant_tier_used_bytes", lab) != n; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("tier bucket %v five seconds after the swap-out (%v watermark demotions), want %v",
+						gaugeValue(t, s, "server_tenant_tier_used_bytes", lab),
+						counterValue(t, s, "executor_tier_demotions_total", metrics.L("reason", "watermark")), n)
+				}
+			}
+			if v := gaugeValue(t, s, "server_tenant_used_bytes", lab); v != 0 {
+				t.Fatalf("used bucket %v after the demotion, want 0", v)
+			}
+		})
 	}
 }
 
