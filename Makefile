@@ -77,7 +77,7 @@ bench:
 	$(GO) test -bench=. -benchmem -json -run='^$$' ./... > BENCH_metrics.json
 	@grep -c '"Action":"output"' BENCH_metrics.json >/dev/null && echo "wrote BENCH_metrics.json"
 
-# Codec hot-path benchmarks -> machine-readable BENCH_compress.json
+# Codec hot-path benchmarks (and the spill tier store's cycle) -> machine-readable BENCH_compress.json
 # baseline (committed). They run at -cpu 1 whatever the box: allocs/op is
 # the gate's strict criterion and depends on the core count (sync.Pool is
 # per-P, so at two cores the container rows read 5 allocs for the recorded
@@ -87,8 +87,8 @@ bench:
 # placement (a new function can shift a hot loop onto an unlucky address
 # for ~2x ns/op with identical machine code), so ns/op is only comparable
 # between binaries with the same layout. allocs/op is layout-immune.
-BENCH_HOT = -cpu 1 -bench='BenchmarkCodec|BenchmarkParallelContainer|BenchmarkSwapHotPath|BenchmarkServerRoundTrip|BenchmarkBatchSwap' \
-	-benchmem -count=3 -run='^$$' ./internal/compress/ ./internal/executor/ ./internal/server/
+BENCH_HOT = -cpu 1 -bench='BenchmarkCodec|BenchmarkParallelContainer|BenchmarkSwapHotPath|BenchmarkServerRoundTrip|BenchmarkBatchSwap|BenchmarkTierCycle' \
+	-benchmem -count=3 -run='^$$' ./internal/compress/ ./internal/executor/ ./internal/server/ ./internal/tier/
 
 bench-compress:
 	$(GO) test $(BENCH_HOT) | $(GO) run ./cmd/cswap-benchdiff -write BENCH_compress.json
@@ -96,10 +96,11 @@ bench-compress:
 # Allocation-regression gate: rerun the codec benchmarks and fail on >10%
 # ns/op or ANY allocs/op regression against the committed baseline. The
 # server round trip and the batch head-to-head cross the HTTP stack and
-# the scheduler, so they get the lenient band (5x ns/op threshold, 10%
-# allocs/op) instead of the strict codec-loop rules.
+# the scheduler, and the tier cycle the kernel's page cache, so they get
+# the lenient band (5x ns/op threshold, 10% allocs/op) instead of the
+# strict codec-loop rules.
 bench-diff:
-	$(GO) test $(BENCH_HOT) | $(GO) run ./cmd/cswap-benchdiff -baseline BENCH_compress.json -lenient 'ServerRoundTrip|BatchSwap'
+	$(GO) test $(BENCH_HOT) | $(GO) run ./cmd/cswap-benchdiff -baseline BENCH_compress.json -lenient 'ServerRoundTrip|BatchSwap|TierCycle'
 
 # Umbrella gate: everything a change must pass before it lands — build,
 # vet+test (which runs the daemon gates), the race detector over the swap

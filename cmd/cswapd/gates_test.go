@@ -23,6 +23,7 @@ import (
 	"cswap/internal/placement"
 	"cswap/internal/sim"
 	"cswap/internal/tensor"
+	"cswap/internal/tier"
 )
 
 // daemonEnv turns the test binary into cswapd: a gate re-executes it with
@@ -57,7 +58,8 @@ var gates = []struct {
 	{"tune", "-device 256 -host 1024 -grid 4 -block 64 -tune -tune-interval 50ms -tune-link 131072 -tune-min-swaps 2 -tune-probe 16384", 1, driveTune},
 	{"cluster", "-shards 3 -device 256 -host 1024", 1, driveCluster},
 	{"kv", "-device 256 -host 1024", 1, driveKV},
-	// The second leg boots on the tier directory the first left blobs in.
+	// The second leg boots on the tier directory the first exited with
+	// blobs in; that clean exit removed the spill file.
 	{"tier", tierFlags, 2, drivePressure},
 	// A two-slot window, so the lanes actually queue.
 	{"slo", "-device 256 -host 1024 -max-inflight 2 -sched", 1, driveSLO},
@@ -389,10 +391,10 @@ const pressureElems = 96 * 1024
 // the oldest — to the disk tier: demotions move, no quota 507s, and the
 // tenant's quota buckets follow the bytes of tensors and pool runs alike
 // (ledger), and every restore comes back bit-exact through the promote
-// path. It first requires an empty tier (a daemon on a used directory must
-// have scrubbed its predecessor's blobs) and leaves the pool and the second
-// half of the tensors swapped out and tiered, so the restart leg has
-// orphans to find.
+// path. It first requires an empty tier (a daemon on a used directory
+// starts with none of its predecessor's blobs) and leaves the pool and the
+// second half of the tensors swapped out and tiered, so the daemon exits
+// with blobs in the tier.
 func drivePressure(t *testing.T, base string) {
 	c, m := client.New(base, client.WithTenant("pressured")), scrape(t, base)
 	if occ := m("executor_tier_occupancy_bytes"); occ != 0 {
@@ -500,10 +502,11 @@ func driveSLO(t *testing.T, base string) {
 // TestTierCrashLeg kills the tier gate's daemon with SIGKILL while the
 // overflow workload demotes — right after the 3rd, 5th and 7th swap-out is
 // acknowledged, with the next one written to the wire — and boots a fresh
-// daemon on the directory it left. Write-then-rename keeps the tier
-// consistent across a process crash: no *.tmp survives the boot, the orphan
-// scrub counts exactly the committed blobs the dead process left, the tier
-// starts empty, and the workload then runs bit-exact.
+// daemon on the directory it left. The tier is scratch for one process:
+// the new daemon removes the spill file the dead one left, unread, and
+// counts its bytes (server_tier_orphan_bytes_scrubbed_total), the tier
+// starts empty with the spill file its only entry, and the workload then
+// runs bit-exact.
 func TestTierCrashLeg(t *testing.T) {
 	for _, acked := range []int{3, 5, 7} {
 		t.Run(fmt.Sprintf("after-%d", acked), func(t *testing.T) {
@@ -533,19 +536,21 @@ func TestTierCrashLeg(t *testing.T) {
 			d.kill()
 			<-returned
 
-			left := func(suffix string) int {
-				files, err := filepath.Glob(filepath.Join(dir, "tier", "*"+suffix))
-				must(t, err)
-				return len(files)
+			tierDir := filepath.Join(dir, "tier")
+			spill, err := os.Stat(filepath.Join(tierDir, tier.SpillName))
+			must(t, err)
+			if spill.Size() == 0 {
+				t.Fatal("the killed daemon demoted nothing")
 			}
-			blobs := left(".blob")
-			t.Logf("killed with %d blobs and %d *.tmp files in the tier", blobs, left(".tmp"))
+			t.Logf("killed with a %d-byte spill file in the tier", spill.Size())
 			d = boot(t, dir, strings.Fields(tierFlags)...)
-			if n := left(".tmp"); n != 0 {
-				t.Errorf("%d *.tmp files survived the boot", n)
+			if v := scrape(t, d.base)("server_tier_orphan_bytes_scrubbed_total"); v != float64(spill.Size()) {
+				t.Errorf("server_tier_orphan_bytes_scrubbed_total = %v, want the %d bytes the killed daemon left", v, spill.Size())
 			}
-			if v := scrape(t, d.base)("server_tier_orphans_scrubbed_total"); v != float64(blobs) {
-				t.Errorf("server_tier_orphans_scrubbed_total = %v, want the %d blobs the killed daemon left", v, blobs)
+			entries, err := os.ReadDir(tierDir)
+			must(t, err)
+			if len(entries) != 1 || entries[0].Name() != tier.SpillName {
+				t.Errorf("tier directory after the boot holds %d entries, want the new spill file alone", len(entries))
 			}
 			drivePressure(t, d.base) // requires executor_tier_occupancy_bytes 0 first
 			d.stop(t)

@@ -129,7 +129,9 @@ type Config struct {
 	// pinned-host pool: under host pressure, cold swapped payloads demote
 	// into it (ranked by compression ratio × re-access prediction) instead
 	// of failing the allocation, and swap-ins promote back transparently.
-	// Nil disables tiering; see tier.go.
+	// The store is one scratch file that starts empty; its owner closes it
+	// (removing the file) after the executor, which never does. Nil
+	// disables tiering; see tier.go.
 	Tier *tier.Store
 	// TierWatermark, in (0,1), enables background watermark demotion: a
 	// timer goroutine demotes ranked cold payloads whenever host-pool

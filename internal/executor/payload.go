@@ -368,6 +368,7 @@ func (e *Executor) stage(s *stored) {
 	}
 	hostBlock, err := e.host.Alloc(int64(len(blob)))
 	if err != nil {
+		e.arena.put(blob)
 		return
 	}
 	// Same ordering as a committed restore: the host copy is installed

@@ -14,8 +14,8 @@ package executor
 // Ordering rules (the crash-consistency contract, DESIGN.md §15):
 //   - demote: tier.Put commits the blob on disk BEFORE the host block is
 //     freed — an interrupted demotion leaves the payload host-resident
-//     and the tier without a committed entry (at most a *.tmp the store
-//     scrubs at Open), never in neither place;
+//     and the tier without a committed entry (the extent the write used
+//     goes back to the store's free list), never in neither place;
 //   - promote: the tier entry is deleted only AFTER the restore commits —
 //     a failed promotion leaves the run Swapped and tiered with the
 //     committed entry intact, retry-safe.

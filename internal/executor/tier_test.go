@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -23,6 +25,7 @@ func newTierExecutor(t *testing.T, dev, host, tierCap int64, inj *faultinject.In
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = ts.Close() }) // after the executor's
 	e, err := New(Config{
 		DeviceCapacity: dev,
 		HostCapacity:   host,
@@ -523,8 +526,10 @@ func TestDemoteVsSwapCycleObserved(t *testing.T) {
 
 // TestTierCommitCrashConsistency pins the crash contract: a failure
 // between the tier blob write and the index commit (SiteTierCommit) leaves
-// the payload fully host-resident and the tier directory cleanly absent of
-// the blob — a restart of the store finds nothing torn.
+// the payload fully host-resident and the tier without the blob, and the
+// retried demotion commits into the extent the failed one gave back. A
+// restart of the store starts empty — the tier is scratch for one process —
+// and reports the spill file it removed.
 func TestTierCommitCrashConsistency(t *testing.T) {
 	inj := faultinject.New(faultinject.Fault{Site: faultinject.SiteTierCommit, Mode: faultinject.Fail})
 	e, ts := newTierExecutor(t, 1<<22, 1<<22, 1<<22, inj)
@@ -548,15 +553,13 @@ func TestTierCommitCrashConsistency(t *testing.T) {
 	if e.HostStats().Used != hostUsed {
 		t.Fatal("failed demotion released the host copy")
 	}
-
-	// Simulated restart: reopening the directory must find no committed
-	// blob and no torn remnants.
-	re, err := tier.Open(ts.Dir(), 1<<22, nil)
+	if ts.Len() != 0 || ts.Used() != 0 {
+		t.Fatalf("failed commit left %d blobs / %d bytes in the tier", ts.Len(), ts.Used())
+	}
+	spill := filepath.Join(ts.Dir(), tier.SpillName)
+	written, err := os.Stat(spill)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if re.Len() != 0 || re.Used() != 0 {
-		t.Fatalf("restarted store found %d blobs / %d bytes, want none", re.Len(), re.Used())
 	}
 
 	// The payload is fully recoverable from host state...
@@ -565,19 +568,32 @@ func TestTierCommitCrashConsistency(t *testing.T) {
 	}
 	assertBitExact(t, h, want)
 
-	// ...and the fault fired once, so a retried demotion commits durably.
+	// ...and the fault fired once, so a retried demotion commits, into the
+	// extent the failed write gave back.
 	if err := e.SwapOut(h, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Demote(h); err != nil {
 		t.Fatal(err)
 	}
-	re2, err := tier.Open(ts.Dir(), 1<<22, nil)
+	retried, err := os.Stat(spill)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re2.Len() != 1 {
-		t.Fatalf("restarted store found %d blobs, want the committed one", re2.Len())
+	if ts.Len() != 1 || retried.Size() != written.Size() {
+		t.Fatalf("retried demotion: %d blobs, spill file %d → %d bytes", ts.Len(), written.Size(), retried.Size())
+	}
+
+	// Simulated restart: a store opened on the directory starts empty and
+	// reports the spill file it removed, unread.
+	re, err := tier.Open(ts.Dir(), 1<<22, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 0 || re.Used() != 0 || re.Reclaimed() != retried.Size() {
+		t.Fatalf("restarted store: %d blobs / %d bytes, reclaimed %d; want empty, reclaimed %d",
+			re.Len(), re.Used(), re.Reclaimed(), retried.Size())
 	}
 }
 
@@ -795,5 +811,56 @@ func TestPromotionReadsThroughArena(t *testing.T) {
 		if puts.Value() != p0+1 {
 			t.Fatalf("round %d: promotion returned %v buffers to the arena, want 1", round, puts.Value()-p0)
 		}
+	}
+}
+
+// TestStageReturnsBufferWhenHostFull: a prefetch of a tiered tensor while
+// the host pool is full reads the blob ahead (stage) but cannot install it
+// in the host pool, so the arena buffer it read into goes back, and the
+// restore promotes from disk as usual. Once every block is resident, every
+// arena get has been matched by a put.
+func TestStageReturnsBufferWhenHostFull(t *testing.T) {
+	const elems = 16 << 10 // 64 KiB raw: the host pool holds one, not two
+	e, _ := newTierExecutor(t, 1<<22, 96<<10, 1<<22, nil)
+	gen := tensor.NewGenerator(23)
+	var hs []*Handle
+	var wants [][]float32
+	for _, name := range []string{"a", "b"} {
+		tn := gen.Uniform(elems, 0.5)
+		wants = append(wants, append([]float32(nil), tn.Data...))
+		h, err := e.Register(name, tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	if err := e.SwapOut(hs[0], false, compress.ZVC); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Demote(hs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SwapOut(hs[1], false, compress.ZVC); err != nil { // fills the host pool
+		t.Fatal(err)
+	}
+	reg := e.Registry()
+	hits := reg.Counter("executor_tier_hits_total")
+	if err := e.PrefetchCtx(context.Background(), hs[0]).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if hits.Value() != 2 || reg.Counter("executor_tier_readahead_total").Value() != 0 {
+		t.Fatalf("prefetch read the tier %v times with %v read-aheads, want a failed stage and a promotion (2, 0)",
+			hits.Value(), reg.Counter("executor_tier_readahead_total").Value())
+	}
+	if err := e.SwapIn(hs[1]); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hs {
+		assertBitExact(t, h, wants[i])
+	}
+	gets := reg.Counter("executor_arena_gets_total", metrics.L("outcome", "hit")).Value() +
+		reg.Counter("executor_arena_gets_total", metrics.L("outcome", "miss")).Value()
+	if puts := reg.Counter("executor_arena_puts_total").Value(); gets != puts {
+		t.Fatalf("arena gets %v, puts %v with every block resident: a buffer leaked", gets, puts)
 	}
 }

@@ -92,9 +92,11 @@ func WithTenantQuota(b int64) Option { return func(c *config) { c.tenantQuota = 
 // to disk and the register proceeds; 507 remains only when both buckets are
 // full. Whoever demotes a tensor or a pool run, the executor moves its
 // uncompressed size from the tenant's device bucket to its tier bucket in
-// the same step, and back when the payload leaves the tier. Blobs found in dir at boot belong to no
-// session (sessions do not survive a restart) and are deleted before
-// serving. A cluster gives each shard its own subdirectory under dir.
+// the same step, and back when the payload leaves the tier. The tier is one
+// scratch file, dir/spill: what an earlier process left in dir belongs to no
+// session (sessions do not survive a restart), so boot removes it unread,
+// and Close removes the file. A cluster gives each shard its own
+// subdirectory under dir.
 func WithTierDir(dir string) Option { return func(c *config) { c.tierDir = dir } }
 
 // WithTierCap bounds each shard's tier directory in committed bytes (zero

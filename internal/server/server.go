@@ -146,16 +146,10 @@ func newServer(cfg config) (*Server, error) {
 		if ts, err = tier.Open(cfg.tierDir, cfg.tierCap, cfg.faults); err != nil {
 			return nil, fmt.Errorf("server: spill tier: %w", err)
 		}
-		// Handles and sessions live only in memory, so every blob a previous
-		// process committed is an orphan no swap-in can ever name; left in
-		// place it would hold tier capacity for good.
-		orphans := reg.Counter("server_tier_orphans_scrubbed_total")
-		for _, key := range ts.Keys() {
-			if _, err := ts.Delete(key); err != nil {
-				return nil, fmt.Errorf("server: spill tier: scrubbing orphan %q: %w", key, err)
-			}
-			orphans.Inc()
-		}
+		// Handles and sessions live only in memory, so what a previous
+		// process left in the directory is an orphan no swap-in can name:
+		// Open removed it, unread.
+		reg.Counter("server_tier_orphan_bytes_scrubbed_total").Add(float64(ts.Reclaimed()))
 	}
 	// sched.Config's negative depth (never queue) is this package's way to
 	// spell Enabled false, not a value SchedConfig.LaneDepth can carry.
@@ -173,6 +167,7 @@ func newServer(cfg config) (*Server, error) {
 		Prefix:      "server",
 	})
 	if err != nil {
+		_ = ts.Close()
 		return nil, fmt.Errorf("server: sched: %w", err)
 	}
 	exec, err := executor.New(executor.Config{
@@ -190,6 +185,7 @@ func newServer(cfg config) (*Server, error) {
 		Sched: schd,
 	})
 	if err != nil {
+		_ = ts.Close()
 		return nil, err
 	}
 	s := &Server{
@@ -242,7 +238,8 @@ func (s *Server) Drain() {
 }
 
 // Close shuts the service down in order: stop intake, wait out the
-// executor's in-flight tickets (Drain barrier), then close the executor.
+// executor's in-flight tickets (Drain barrier), then close the executor
+// and the spill tier, whose scratch file goes with it.
 // The HTTP listener's own shutdown — waiting for handlers to return — is
 // the caller's first step (http.Server.Shutdown), so by the time Close's
 // Drain runs, no handler is still submitting.
@@ -258,7 +255,8 @@ func (s *Server) Close() error {
 	// granted.
 	s.sched.Close()
 	s.exec.Drain()
-	return s.exec.Close()
+	// The tier closes last: the executor's watermark demoter has stopped.
+	return errors.Join(s.exec.Close(), s.tier.Close())
 }
 
 // session returns the tenant's session, creating it on first use.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"cswap/internal/placement"
 	"cswap/internal/server"
 	"cswap/internal/tensor"
+	"cswap/internal/tier"
 )
 
 // gaugeValue reads one gauge from the server registry.
@@ -234,10 +237,11 @@ func TestWatermarkDemotionChargesTier(t *testing.T) {
 	}
 }
 
-// TestRestartReclaimsTier: blobs a previous process demoted belong to no
-// session after a restart (handles and sessions live in memory only), so a
-// server opening the same tier directory deletes them before serving —
-// without the scrub every restart would permanently lose that capacity.
+// TestRestartReclaimsTier: blobs a process demoted belong to no session
+// after a restart (handles and sessions live in memory only), so the tier
+// is scratch: a clean Close removes the spill file, and a server opening
+// the same directory starts with an empty, usable tier. (A killed daemon's
+// leftovers are TestTierCrashLeg's, in cmd/cswapd.)
 func TestRestartReclaimsTier(t *testing.T) {
 	const elems = 4096
 	dir := t.TempDir()
@@ -264,26 +268,35 @@ func TestRestartReclaimsTier(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, tier.SpillName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the spill file survived a clean Close: %v", err)
+	}
 
 	// Second life on the same directory.
 	s2, url2 := newTestServer(t, opts...)
 	if used, n := s2.Tier().Used(), s2.Tier().Len(); used != 0 || n != 0 {
 		t.Fatalf("restarted server's tier holds %d bytes in %d blobs, want empty", used, n)
 	}
-	if got := counterValue(t, s2, "server_tier_orphans_scrubbed_total"); got != float64(left) {
-		t.Fatalf("server_tier_orphans_scrubbed_total = %v, want %d", got, left)
+	if got := counterValue(t, s2, "server_tier_orphan_bytes_scrubbed_total"); got != 0 {
+		t.Fatalf("server_tier_orphan_bytes_scrubbed_total = %v after a clean Close, want 0", got)
 	}
 	if v := gaugeValue(t, s2, "executor_tier_occupancy_bytes"); v != 0 {
 		t.Fatalf("executor_tier_occupancy_bytes = %v after the scrub, want 0", v)
 	}
-	// The names are free again and the reclaimed capacity is usable.
+	// The names are free again and the tier takes demotions: the first
+	// life's workload runs again, and t1 comes back from the tier bit-exact.
 	c2 := client.New(url2)
 	want := gen.Uniform(elems, 0.5).Data
-	if err := c2.Register(ctx, "t1", append([]float32(nil), want...)); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"t1", "t2"} {
+		if err := c2.Register(ctx, name, append([]float32(nil), want...)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c2.SwapOut(ctx, name); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := c2.SwapOut(ctx, "t1"); err != nil {
-		t.Fatal(err)
+	if s2.Tier().Len() == 0 {
+		t.Fatal("second life demoted nothing")
 	}
 	got, err := c2.SwapIn(ctx, "t1")
 	if err != nil {
