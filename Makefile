@@ -10,9 +10,11 @@ build:
 	$(GO) build ./...
 
 # vet also fails on any file gofmt would rewrite, so `make test`, `make
-# check` and CI enforce formatting — and on a second import of "unsafe":
-# the program has exactly one (internal/compress/view.go, the byte view of
-# a []float32); bench/ and test files are the harness's own business — and on
+# check` and CI enforce formatting — and on any other import of "unsafe"
+# than the program's two (internal/compress/view.go, the byte view of a
+# []float32, and internal/compress/huffman.go, the paired Huffman decode
+# loop's pointer cursors); bench/ and test files are the harness's own
+# business — and on
 # the service importing the reproduction: what cswapd and the client pull in
 # stays clear of the simulator, the model zoo, the figure drivers and the
 # paper's Bayesian launch search (DESIGN §3 lists the closure).
@@ -20,8 +22,8 @@ REPRO_PKGS = bayesopt|core|dnn|experiments|gpu|linalg|pcie|profiler|regress|sim|
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
-	@unsafe=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '^\s*(import\s+)?(\w+\s+)?"unsafe"$$' .); \
-		[ "$$unsafe" = "./internal/compress/view.go" ] || { echo 'files importing "unsafe" (want only internal/compress/view.go):'; echo "$$unsafe"; exit 1; }
+	@unsafe=$$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '^\s*(import\s+)?(\w+\s+)?"unsafe"$$' . | sort); \
+		[ "$$(echo $$unsafe)" = "./internal/compress/huffman.go ./internal/compress/view.go" ] || { echo 'files importing "unsafe" (want only internal/compress/huffman.go and view.go):'; echo "$$unsafe"; exit 1; }
 	@repro=$$($(GO) list -deps ./cmd/cswapd ./client | grep -E '^cswap/internal/($(REPRO_PKGS))$$'); \
 		[ -z "$$repro" ] || { echo 'reproduction packages in the import closure of ./cmd/cswapd ./client:'; echo "$$repro"; exit 1; }
 

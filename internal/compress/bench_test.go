@@ -88,6 +88,24 @@ func BenchmarkParallelContainer(b *testing.B) {
 			}
 		})
 	}
+	// The benchmark workloads' HUF tensor: 8 MiB at sparsity 0.2, at the
+	// daemon's launch, so 128 chunks of 64 KiB that decode in pairs.
+	b.Run("decode-HUF-8MiB", func(b *testing.B) {
+		src := tensor.NewGenerator(97).Uniform(2<<20, 0.2).Data
+		launch := Launch{Grid: 128, Block: 64}
+		blob, err := ParallelEncode(Huffman, src, launch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst := make([]float32, len(src))
+		b.SetBytes(int64(len(src) * 4))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ParallelDecodeInto(dst, blob, launch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkLaunchSurface measures Fig. 5 on this substrate: the cost of
@@ -162,6 +180,39 @@ func BenchmarkCodecChecksum(b *testing.B) {
 			b.SetBytes(int64(len(src) * 4))
 			for i := 0; i < b.N; i++ {
 				checksumSink = Checksum(src)
+			}
+		})
+	}
+}
+
+// BenchmarkHUFDecodeKernel times the Huffman decode loops on two 64 KiB
+// chunks, the container's chunk floor, at two sparsities: decoded one after
+// the other by the single-stream loop, and together by the paired loop.
+// Run it at -cpu 1; EXPERIMENTS.md, "HUF decode at twice the speed", reads
+// it. It is not a BENCH_HOT row, so bench-diff ignores it.
+func BenchmarkHUFDecodeKernel(b *testing.B) {
+	for _, s := range []float64{0.2, 0.5} {
+		gen := tensor.NewGenerator(97)
+		srcA, srcB := gen.Uniform(16<<10, s).Data, gen.Uniform(16<<10, s).Data
+		blobA, blobB := huffmanCodec{}.Encode(srcA), huffmanCodec{}.Encode(srcB)
+		dstA, dstB := make([]float32, len(srcA)), make([]float32, len(srcB))
+		b.Run(fmt.Sprintf("single/s%.1f", s), func(b *testing.B) {
+			b.SetBytes(int64(4 * (len(srcA) + len(srcB))))
+			for i := 0; i < b.N; i++ {
+				if err := (huffmanCodec{}).DecodeInto(dstA, blobA); err != nil {
+					b.Fatal(err)
+				}
+				if err := (huffmanCodec{}).DecodeInto(dstB, blobB); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("pair/s%.1f", s), func(b *testing.B) {
+			b.SetBytes(int64(4 * (len(srcA) + len(srcB))))
+			for i := 0; i < b.N; i++ {
+				if errA, errB := huffDecodePair(dstA, blobA, dstB, blobB); errA != nil || errB != nil {
+					b.Fatal(errA, errB)
+				}
 			}
 		})
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"cswap/internal/tensor"
 )
 
 // FuzzRoundTrip drives every codec with arbitrary byte-derived tensors.
@@ -92,6 +94,28 @@ func FuzzParallelRoundTrip(f *testing.F) {
 	// table position is stable.
 	for off := uint32(0); off < 256; off += 37 {
 		f.Add(payload, uint8(4), uint16(0), uint32(14+8+9)+off, uint8(2))
+	}
+
+	// Paired Huffman decoding: 16 Ki elements in 8 chunks of 2 Ki and in 7
+	// of 2368, an even and an odd count (the container pairs the 8 at up
+	// to two workers, the 7 at one), decoded pristine and truncated; then
+	// the 8 with a byte of the second chunk's stream flipped.
+	huf := make([]byte, 4<<14)
+	hufSrc := tensor.NewGenerator(71).Uniform(1<<14, 0.2).Data
+	for i, v := range hufSrc {
+		binary.LittleEndian.PutUint32(huf[4*i:], math.Float32bits(v))
+	}
+	f.Add(huf, uint8(4), uint16(7), uint32(40000), uint8(0))
+	f.Add(huf, uint8(4), uint16(6), uint32(40000), uint8(0))
+	for i, v := range hufSrc {
+		if math.Float32bits(v)%3 == 0 {
+			hufSrc[i] = 0
+		}
+	}
+	if blob, err := appendParallelChunks(nil, Huffman, hufSrc, 8, nil); err == nil {
+		if pc, err := parseParallelContainer(blob); err == nil {
+			f.Add(huf, uint8(4), uint16(7), uint32(pc.offsets[1]+headerSize+256+1000), uint8(2))
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte, algSel uint8, gridSel uint16, pos uint32, op uint8) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // Huffman is an extension codec beyond the paper's four ("we wish to
@@ -181,28 +182,12 @@ func (c huffmanCodec) Decode(blob []byte) ([]float32, error) {
 }
 
 func (huffmanCodec) DecodeInto(dst []float32, blob []byte) error {
-	n, payload, err := parseHeader(blob, Huffman)
-	if err != nil {
+	var s huffStream
+	if err := s.open(dst, blob); err != nil || s.d == nil {
 		return err
 	}
-	if err := checkDst(dst, n); err != nil {
-		return err
-	}
-	if n == 0 {
-		if len(payload) != 0 {
-			return ErrCorrupt
-		}
-		return nil
-	}
-	if len(payload) < 256 {
-		return ErrTruncated
-	}
-	d := huffDecoders.Get().(*huffmanDecoder)
-	defer huffDecoders.Put(d)
-	if err := d.build((*[256]byte)(payload)); err != nil {
-		return err
-	}
-	return d.decode(dst, payload[256:])
+	defer s.close()
+	return s.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -529,135 +514,122 @@ func fillEntries(t *[1<<huffTableBits + huffFillSlack]uint32, p, n int, e uint32
 	}
 }
 
-// huffCursor is a decode in progress. bits is left-aligned: its top n bits
-// are the stream bits after the last consumed one, taken from data[:pos];
-// whatever lies below them is data[pos:] read ahead, which a later refill
-// ORs in again unchanged. out holds the cnt < 4 symbols decoded for dst[i]
-// so far, first one lowest.
-type huffCursor struct {
-	bits, out uint64
-	n, cnt    uint
-	pos, i    int
+// huffStream is one blob's decode in progress. bits is left-aligned: its
+// top n bits are the stream bits after the last consumed one, taken from
+// data[:pos]; whatever lies below them is data[pos:] read ahead, which a
+// later refill ORs in again unchanged. out is the destination's bytes in
+// stream order — each element's four symbols, least significant first — of
+// which the first o are decoded.
+type huffStream struct {
+	d         *huffmanDecoder
+	data, out []byte
+	bits      uint64
+	n         uint
+	pos, o    int
 }
 
-// decode restores dst from the bit stream: the unchecked table loop for as
-// long as it can run, then one checked step — a table window if the stream
-// still covers it and it stays inside the last element, the scalar decoder
-// for one symbol otherwise — and the table loop again.
-func (d *huffmanDecoder) decode(dst []float32, data []byte) error {
-	var c huffCursor
+// open readies s to decode blob into dst with a decoder borrowed from
+// huffDecoders, which the caller returns once s is done. It leaves s.d nil
+// when there is nothing to decode: on an error, and for an empty tensor.
+func (s *huffStream) open(dst []float32, blob []byte) error {
+	n, payload, err := parseHeader(blob, Huffman)
+	if err != nil {
+		return err
+	}
+	if err := checkDst(dst, n); err != nil {
+		return err
+	}
+	if n == 0 {
+		if len(payload) != 0 {
+			return ErrCorrupt
+		}
+		return nil
+	}
+	if len(payload) < 256 {
+		return ErrTruncated
+	}
+	d := huffDecoders.Get().(*huffmanDecoder)
+	if err := d.build((*[256]byte)(payload)); err != nil {
+		huffDecoders.Put(d)
+		return err
+	}
+	*s = huffStream{d: d, data: payload[256:], out: FloatBytes(dst)}
+	return nil
+}
+
+// close returns s's decoder to huffDecoders.
+func (s *huffStream) close() {
+	if s.d != nil {
+		huffDecoders.Put(s.d)
+	}
+}
+
+func (s *huffStream) done() bool { return s.o == len(s.out) }
+
+// finish decodes what is left of s on its own — the table loop for as long
+// as its budget lasts, then one checked step, and the table loop again —
+// and gives the stream's verdict.
+func (s *huffStream) finish() error {
 	for {
-		d.decodeFast(dst, data, &c)
-		rem := uint(len(dst)-c.i)*4 - c.cnt
-		if rem == 0 {
+		s.fast()
+		if s.done() {
 			break
 		}
-		for c.n < 56 && c.pos < len(data) {
-			c.bits |= uint64(data[c.pos]) << (56 - c.n)
-			c.pos++
-			c.n += 8
-		}
-		e := d.table[c.bits>>(64-huffTableBits)]
-		if ln := uint(e & 63); e != 0 && ln <= c.n && uint(e>>huffEntryCount&3) <= rem {
-			c.bits <<= ln
-			c.n -= ln
-		} else {
-			sym, err := d.scalarSymbol(data, &c)
-			if err != nil {
-				return err
-			}
-			e = uint32(sym)<<huffEntrySyms | 1<<huffEntryCount
-		}
-		c.out |= uint64(e>>huffEntrySyms) << (8 * c.cnt)
-		if c.cnt += uint(e >> huffEntryCount & 3); c.cnt >= 4 {
-			dst[c.i] = math.Float32frombits(uint32(c.out))
-			c.i, c.out, c.cnt = c.i+1, c.out>>32, c.cnt-4
+		if err := s.step(); err != nil {
+			return err
 		}
 	}
 	// Every stream byte must have been needed, and what is left of the last
 	// one must be padding only.
-	if c.pos-int(c.n>>3) != len(data) {
+	if s.pos-int(s.n>>3) != len(s.data) {
 		return ErrCorrupt
+	}
+	if !hostLE {
+		fixByteOrder(s.out)
 	}
 	return nil
 }
 
-// decodeFast advances c through the table for as long as nothing needs
-// checking: one 8-byte load brings n to at least 56, enough for four table
-// windows, and each lookup yields up to three symbols, stores the low word
-// of out to dst[i] and moves on once that was a whole element. It returns
-// in front of a window the table does not hold, with fewer than 8 stream
-// bytes left to load, or with fewer than 4 elements to go — four lookups
-// can finish three, and must not run past the last one into the padding.
-func (d *huffmanDecoder) decodeFast(dst []float32, data []byte, c *huffCursor) {
-	bits, out, n, cnt, pos, i := c.bits, c.out, c.n, c.cnt, c.pos, c.i
-	j := 0
-	for ; len(dst)-i >= 4 && len(data)-pos >= 8; i, j = i+j, 0 {
-		bits |= binary.BigEndian.Uint64(data[pos:]) >> (n & 63)
-		adv := (63 - n) >> 3
-		pos += int(adv)
-		n += adv << 3
-		w := (*[4]float32)(dst[i:])
-		// The lookup step, four times over: a counted inner loop costs the
-		// bits → entry → bits chain a spilled register.
-		e := d.table[bits>>(64-huffTableBits)]
-		if e == 0 {
-			break
-		}
-		bits <<= e & 63
-		n -= uint(e & 63)
-		out |= uint64(e>>huffEntrySyms) << (8 * cnt & 63)
-		cnt += uint(e >> huffEntryCount & 3)
-		w[j&3] = math.Float32frombits(uint32(out))
-		if cnt >= 4 {
-			out >>= 32
-			j++
-		}
-		cnt &= 3
-		e = d.table[bits>>(64-huffTableBits)]
-		if e == 0 {
-			break
-		}
-		bits <<= e & 63
-		n -= uint(e & 63)
-		out |= uint64(e>>huffEntrySyms) << (8 * cnt & 63)
-		cnt += uint(e >> huffEntryCount & 3)
-		w[j&3] = math.Float32frombits(uint32(out))
-		if cnt >= 4 {
-			out >>= 32
-			j++
-		}
-		cnt &= 3
-		e = d.table[bits>>(64-huffTableBits)]
-		if e == 0 {
-			break
-		}
-		bits <<= e & 63
-		n -= uint(e & 63)
-		out |= uint64(e>>huffEntrySyms) << (8 * cnt & 63)
-		cnt += uint(e >> huffEntryCount & 3)
-		w[j&3] = math.Float32frombits(uint32(out))
-		if cnt >= 4 {
-			out >>= 32
-			j++
-		}
-		cnt &= 3
-		e = d.table[bits>>(64-huffTableBits)]
-		if e == 0 {
-			break
-		}
-		bits <<= e & 63
-		n -= uint(e & 63)
-		out |= uint64(e>>huffEntrySyms) << (8 * cnt & 63)
-		cnt += uint(e >> huffEntryCount & 3)
-		w[j&3] = math.Float32frombits(uint32(out))
-		if cnt >= 4 {
-			out >>= 32
-			j++
-		}
-		cnt &= 3
+// hostLE reports whether this host keeps a float32 in memory least
+// significant byte first: the order a stream's symbols arrive in, and so
+// the order the table loops write them.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// fixByteOrder turns b, a float32 slice's memory holding each element's
+// little-endian layout, into the host's layout, word by word: a byte swap
+// on a big-endian host, the identity on a little-endian one.
+func fixByteOrder(b []byte) {
+	for i := 0; i+4 <= len(b); i += 4 {
+		binary.NativeEndian.PutUint32(b[i:], binary.LittleEndian.Uint32(b[i:]))
 	}
-	c.bits, c.out, c.n, c.cnt, c.pos, c.i = bits, out, n, cnt, pos, i+j
+}
+
+// step is the checked step: a table window if the remaining stream covers
+// it and its symbols stay inside out, the scalar decoder for one symbol
+// otherwise. It takes every case the table loops leave, so its verdicts are
+// the decoder's.
+func (s *huffStream) step() error {
+	for s.n < 56 && s.pos < len(s.data) {
+		s.bits |= uint64(s.data[s.pos]) << (56 - s.n)
+		s.pos++
+		s.n += 8
+	}
+	e := s.d.table[s.bits>>(64-huffTableBits)]
+	if ln := uint(e & 63); e != 0 && ln <= s.n && int(e>>huffEntryCount&3) <= len(s.out)-s.o {
+		s.bits <<= ln
+		s.n -= ln
+	} else {
+		sym, err := s.scalarSymbol()
+		if err != nil {
+			return err
+		}
+		e = uint32(sym)<<huffEntrySyms | 1<<huffEntryCount
+	}
+	for k := range e >> huffEntryCount & 3 {
+		s.out[s.o] = byte(e >> (huffEntrySyms + 8*k))
+		s.o++
+	}
+	return nil
 }
 
 // scalarSymbol decodes one symbol the way the decoder did before the table
@@ -665,26 +637,270 @@ func (d *huffmanDecoder) decodeFast(dst []float32, data []byte, c *huffCursor) {
 // until next finds a code. Its verdicts — truncated when the stream ends
 // inside a code, corrupt when 56 bits match nothing — are therefore the
 // scalar decoder's.
-func (d *huffmanDecoder) scalarSymbol(data []byte, c *huffCursor) (byte, error) {
-	pos := c.pos - int(c.n>>3)
-	nbits := c.n & 7
-	acc := c.bits >> (64 - nbits)
-	sym, consumed, ok := d.next(acc, nbits)
+func (s *huffStream) scalarSymbol() (byte, error) {
+	pos := s.pos - int(s.n>>3)
+	nbits := s.n & 7
+	acc := s.bits >> (64 - nbits)
+	sym, consumed, ok := s.d.next(acc, nbits)
 	for !ok {
-		if pos >= len(data) {
+		if pos >= len(s.data) {
 			return 0, ErrTruncated
 		}
-		acc = acc<<8 | uint64(data[pos])
+		acc = acc<<8 | uint64(s.data[pos])
 		nbits += 8
 		pos++
 		if nbits > 64-8 {
 			return 0, fmt.Errorf("%w: oversized huffman code", ErrCorrupt)
 		}
-		sym, consumed, ok = d.next(acc, nbits)
+		sym, consumed, ok = s.d.next(acc, nbits)
 	}
 	nbits -= consumed
-	c.bits, c.n, c.pos = acc<<(64-nbits), nbits, pos
+	s.bits, s.n, s.pos = acc<<(64-nbits), nbits, pos
 	return sym, nil
+}
+
+// The table loops run a number of groups fixed on entry instead of testing
+// bounds. A group is one refill and huffGroup lookups, and the budget
+// argument is this:
+//   - The refill is one 8-byte load at pos, after which pos advances by at
+//     most 7 bytes. budget ≤ (len(data)-pos-1)/7 groups therefore keep every
+//     load inside data.
+//   - The refill brings n to at least 56 bits. That covers huffGroup windows
+//     of huffTableBits, so a lookup never reads past the stream bits loaded.
+//   - A lookup stores 4 bytes at o and advances o by its symbol count, at
+//     most 3. A group's last store therefore ends at most 3·huffGroup+1 bytes
+//     past the group's first o. budget ≤ (len(out)-o-1)/(3·huffGroup) groups
+//     keep every store inside out, and every decoded symbol inside the
+//     tensor, never in its padding.
+//
+// A store writes 4 bytes whatever the entry's symbol count; the bytes past
+// its symbols are overwritten by the symbols decoded next. The loops test nothing but e == 0, a window the table
+// does not hold (a code longer than huffTableBits, or a hole in an
+// under-subscribed table). That window, the stream's last bytes and the
+// tensor's last elements go to the checked step, and the loop runs again on
+// a budget recomputed after it.
+const huffGroup = 5
+
+func (s *huffStream) budget() int {
+	return min((len(s.data)-s.pos-1)/7, (len(s.out)-s.o-1)/(3*huffGroup))
+}
+
+// fast runs s's table loop for its budget. A lookup is a shift, a load and
+// a shift on the bits → entry → bits chain, and one 4-byte store of the
+// entry's symbols. The lookups are written out: a counted inner loop costs
+// the chain a spilled register.
+func (s *huffStream) fast() {
+	t := &s.d.table
+	data, out := s.data, s.out
+	bits, n, pos, o := s.bits, s.n, s.pos, s.o
+	for g := s.budget(); g > 0; g-- {
+		bits |= binary.BigEndian.Uint64(data[pos:]) >> (n & 63)
+		adv := (63 - n) >> 3
+		pos += int(adv)
+		n += adv << 3
+		e := t[bits>>(64-huffTableBits)]
+		if e == 0 {
+			break
+		}
+		bits <<= e & 63
+		n -= uint(e & 63)
+		binary.LittleEndian.PutUint32(out[o:], e>>huffEntrySyms|e<<(32-huffEntrySyms))
+		o += int(e >> huffEntryCount & 3)
+		e = t[bits>>(64-huffTableBits)]
+		if e == 0 {
+			break
+		}
+		bits <<= e & 63
+		n -= uint(e & 63)
+		binary.LittleEndian.PutUint32(out[o:], e>>huffEntrySyms|e<<(32-huffEntrySyms))
+		o += int(e >> huffEntryCount & 3)
+		e = t[bits>>(64-huffTableBits)]
+		if e == 0 {
+			break
+		}
+		bits <<= e & 63
+		n -= uint(e & 63)
+		binary.LittleEndian.PutUint32(out[o:], e>>huffEntrySyms|e<<(32-huffEntrySyms))
+		o += int(e >> huffEntryCount & 3)
+		e = t[bits>>(64-huffTableBits)]
+		if e == 0 {
+			break
+		}
+		bits <<= e & 63
+		n -= uint(e & 63)
+		binary.LittleEndian.PutUint32(out[o:], e>>huffEntrySyms|e<<(32-huffEntrySyms))
+		o += int(e >> huffEntryCount & 3)
+		e = t[bits>>(64-huffTableBits)]
+		if e == 0 {
+			break
+		}
+		bits <<= e & 63
+		n -= uint(e & 63)
+		binary.LittleEndian.PutUint32(out[o:], e>>huffEntrySyms|e<<(32-huffEntrySyms))
+		o += int(e >> huffEntryCount & 3)
+	}
+	s.bits, s.n, s.pos, s.o = bits, n, pos, o
+}
+
+// huffDecodePair decodes blobA into dstA and blobB into dstB, their two bit
+// streams interleaved in one loop, and returns each one's verdict. A blob
+// that fails to open leaves the other to decode alone.
+func huffDecodePair(dstA []float32, blobA []byte, dstB []float32, blobB []byte) (errA, errB error) {
+	var a, b huffStream
+	errA, errB = a.open(dstA, blobA), b.open(dstB, blobB)
+	defer a.close()
+	defer b.close()
+	switch {
+	case a.d != nil && b.d != nil:
+		return huffPair(&a, &b)
+	case a.d != nil:
+		errA = a.finish()
+	case b.d != nil:
+		errB = b.finish()
+	}
+	return errA, errB
+}
+
+// huffPair runs the paired table loop over a and b. When it stops — a
+// budget spent, or a window a table does not hold — each stream takes a
+// checked step and the loop runs again. Once one stream is done, or has
+// failed, the other finishes alone.
+func huffPair(a, b *huffStream) (errA, errB error) {
+	for !a.done() && !b.done() {
+		fastPair(a, b)
+		if !a.done() {
+			if errA = a.step(); errA != nil {
+				break
+			}
+		}
+		if !b.done() {
+			if errB = b.step(); errB != nil {
+				break
+			}
+		}
+	}
+	if errA == nil {
+		errA = a.finish()
+	}
+	if errB == nil {
+		errB = b.finish()
+	}
+	return errA, errB
+}
+
+// fastPair is fast over two streams at once, for the smaller of their two
+// budgets: each group refills both and interleaves their lookups, so the
+// two bits → entry → bits chains overlap. Its cursors are raw pointers, the
+// one place outside the byte view that the package uses unsafe: two
+// streams' slice bounds and indices do not fit the registers beside the
+// chains. The budget argument above is what keeps them inside data and out,
+// and under -race checkptr stops a pointer that leaves its allocation.
+func fastPair(a, b *huffStream) {
+	g := min(a.budget(), b.budget())
+	if g <= 0 {
+		return
+	}
+	tA, tB := &a.d.table, &b.d.table
+	bitsA, nA, bitsB, nB := a.bits, a.n, b.bits, b.n
+	pA, oA := unsafe.Pointer(&a.data[a.pos]), unsafe.Pointer(&a.out[a.o])
+	pB, oB := unsafe.Pointer(&b.data[b.pos]), unsafe.Pointer(&b.out[b.o])
+	for ; g > 0; g-- {
+		bitsA |= binary.BigEndian.Uint64((*[8]byte)(pA)[:]) >> (nA & 63)
+		advA := (63 - nA) >> 3
+		pA = unsafe.Add(pA, advA)
+		nA += advA << 3
+		bitsB |= binary.BigEndian.Uint64((*[8]byte)(pB)[:]) >> (nB & 63)
+		advB := (63 - nB) >> 3
+		pB = unsafe.Add(pB, advB)
+		nB += advB << 3
+		eA := tA[bitsA>>(64-huffTableBits)]
+		if eA == 0 {
+			break
+		}
+		bitsA <<= eA & 63
+		nA -= uint(eA & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oA)[:], eA>>huffEntrySyms|eA<<(32-huffEntrySyms))
+		oA = unsafe.Add(oA, eA>>huffEntryCount&3)
+		eB := tB[bitsB>>(64-huffTableBits)]
+		if eB == 0 {
+			break
+		}
+		bitsB <<= eB & 63
+		nB -= uint(eB & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oB)[:], eB>>huffEntrySyms|eB<<(32-huffEntrySyms))
+		oB = unsafe.Add(oB, eB>>huffEntryCount&3)
+		eA = tA[bitsA>>(64-huffTableBits)]
+		if eA == 0 {
+			break
+		}
+		bitsA <<= eA & 63
+		nA -= uint(eA & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oA)[:], eA>>huffEntrySyms|eA<<(32-huffEntrySyms))
+		oA = unsafe.Add(oA, eA>>huffEntryCount&3)
+		eB = tB[bitsB>>(64-huffTableBits)]
+		if eB == 0 {
+			break
+		}
+		bitsB <<= eB & 63
+		nB -= uint(eB & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oB)[:], eB>>huffEntrySyms|eB<<(32-huffEntrySyms))
+		oB = unsafe.Add(oB, eB>>huffEntryCount&3)
+		eA = tA[bitsA>>(64-huffTableBits)]
+		if eA == 0 {
+			break
+		}
+		bitsA <<= eA & 63
+		nA -= uint(eA & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oA)[:], eA>>huffEntrySyms|eA<<(32-huffEntrySyms))
+		oA = unsafe.Add(oA, eA>>huffEntryCount&3)
+		eB = tB[bitsB>>(64-huffTableBits)]
+		if eB == 0 {
+			break
+		}
+		bitsB <<= eB & 63
+		nB -= uint(eB & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oB)[:], eB>>huffEntrySyms|eB<<(32-huffEntrySyms))
+		oB = unsafe.Add(oB, eB>>huffEntryCount&3)
+		eA = tA[bitsA>>(64-huffTableBits)]
+		if eA == 0 {
+			break
+		}
+		bitsA <<= eA & 63
+		nA -= uint(eA & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oA)[:], eA>>huffEntrySyms|eA<<(32-huffEntrySyms))
+		oA = unsafe.Add(oA, eA>>huffEntryCount&3)
+		eB = tB[bitsB>>(64-huffTableBits)]
+		if eB == 0 {
+			break
+		}
+		bitsB <<= eB & 63
+		nB -= uint(eB & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oB)[:], eB>>huffEntrySyms|eB<<(32-huffEntrySyms))
+		oB = unsafe.Add(oB, eB>>huffEntryCount&3)
+		eA = tA[bitsA>>(64-huffTableBits)]
+		if eA == 0 {
+			break
+		}
+		bitsA <<= eA & 63
+		nA -= uint(eA & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oA)[:], eA>>huffEntrySyms|eA<<(32-huffEntrySyms))
+		oA = unsafe.Add(oA, eA>>huffEntryCount&3)
+		eB = tB[bitsB>>(64-huffTableBits)]
+		if eB == 0 {
+			break
+		}
+		bitsB <<= eB & 63
+		nB -= uint(eB & 63)
+		binary.LittleEndian.PutUint32((*[4]byte)(oB)[:], eB>>huffEntrySyms|eB<<(32-huffEntrySyms))
+		oB = unsafe.Add(oB, eB>>huffEntryCount&3)
+	}
+	a.bits, a.n, a.pos, a.o = bitsA, nA, a.pos+offset(&a.data[a.pos], pA), a.o+offset(&a.out[a.o], oA)
+	b.bits, b.n, b.pos, b.o = bitsB, nB, b.pos+offset(&b.data[b.pos], pB), b.o+offset(&b.out[b.o], oB)
+}
+
+// offset is how many bytes p lies past from.
+func offset(from *byte, p unsafe.Pointer) int {
+	return int(uintptr(p) - uintptr(unsafe.Pointer(from)))
 }
 
 // next attempts to decode one symbol from the top of the accumulator

@@ -531,13 +531,21 @@ func TestHUFPackerFlushCadences(t *testing.T) {
 	}
 }
 
-// TestHUFMalformedMatchesScalarReference holds the kernels to the
-// reference's verdict on damaged input: every prefix of a blob, every
-// single-bit flip of its header, its length table and the first and last
-// 16 stream bytes, and one appended byte must land in the same class —
-// and, where the damaged blob still decodes, produce the same elements —
-// never panic.
-func TestHUFMalformedMatchesScalarReference(t *testing.T) {
+// hufMalformedCase is a damaged Huffman blob and the destination length a
+// decode of it is given.
+type hufMalformedCase struct {
+	name   string
+	blob   []byte
+	dstLen int
+}
+
+// hufMalformedCases returns every prefix of a few blobs, every single-bit
+// flip of their header, their length table and the first and last 16
+// stream bytes, and the blobs with one byte appended. Each blob is an
+// exact-capacity copy, so a read past its end cannot land in spare
+// capacity unnoticed, and a flip in the element count gives the
+// destination the length it asks for.
+func hufMalformedCases() []hufMalformedCase {
 	blobs := map[string][]byte{}
 	gen := tensor.NewGenerator(41)
 	for _, s := range []float64{0, 0.2, 0.9} {
@@ -550,45 +558,61 @@ func TestHUFMalformedMatchesScalarReference(t *testing.T) {
 	}
 	blobs["fibonacci"] = hufFibonacciBlob(raw)
 
+	var cases []hufMalformedCase
 	for name, blob := range blobs {
-		n := int(binary.LittleEndian.Uint64(blob[1:]))
-		check := func(what string, damaged []byte) {
-			t.Helper()
-			// An exact-capacity copy: a read past the end cannot land in
-			// spare capacity unnoticed.
-			damaged = append(make([]byte, 0, len(damaged)), damaged...)
-			dstLen := n
-			if len(damaged) >= headerSize {
-				// Flips in the count: give both the length they ask for.
-				if claimed := binary.LittleEndian.Uint64(damaged[1:]); claimed < 1<<16 {
-					dstLen = int(claimed)
-				}
-			}
-			dst, ref := dirtyFloats(dstLen), dirtyFloats(dstLen)
-			got, want := huffmanCodec{}.DecodeInto(dst, damaged), refHUFDecodeInto(ref, damaged)
-			if decodeClass(got) != decodeClass(want) {
-				t.Fatalf("%s %s: kernel says %q, reference %q", name, what, decodeClass(got), decodeClass(want))
-			}
-			if want == nil && !sameBits(dst, ref) {
-				t.Fatalf("%s %s: decodes differ", name, what)
+		cases = append(cases, hufDamage(name, blob)...)
+	}
+	return cases
+}
+
+// hufDamage returns the damaged copies of blob that hufMalformedCases
+// makes, named after name.
+func hufDamage(name string, blob []byte) []hufMalformedCase {
+	var cases []hufMalformedCase
+	n := int(binary.LittleEndian.Uint64(blob[1:]))
+	add := func(what string, damaged []byte) {
+		damaged = append(make([]byte, 0, len(damaged)), damaged...)
+		dstLen := n
+		if len(damaged) >= headerSize {
+			if claimed := binary.LittleEndian.Uint64(damaged[1:]); claimed < 1<<16 {
+				dstLen = int(claimed)
 			}
 		}
-		for cut := 0; cut <= len(blob); cut++ {
-			check(fmt.Sprintf("prefix %d", cut), blob[:cut])
+		cases = append(cases, hufMalformedCase{name + " " + what, damaged, dstLen})
+	}
+	for cut := 0; cut <= len(blob); cut++ {
+		add(fmt.Sprintf("prefix %d", cut), blob[:cut])
+	}
+	stream := headerSize + 256
+	for i := range blob {
+		if i >= stream+16 && i < len(blob)-16 {
+			continue
 		}
-		stream := headerSize + 256
-		for i := range blob {
-			if i >= stream+16 && i < len(blob)-16 {
-				continue
-			}
-			for bit := 0; bit < 8; bit++ {
-				flipped := append([]byte(nil), blob...)
-				flipped[i] ^= 1 << bit
-				check(fmt.Sprintf("byte %d bit %d", i, bit), flipped)
-			}
+		for bit := 0; bit < 8; bit++ {
+			flipped := append([]byte(nil), blob...)
+			flipped[i] ^= 1 << bit
+			add(fmt.Sprintf("byte %d bit %d", i, bit), flipped)
 		}
-		check("appended byte", append(append([]byte(nil), blob...), 0))
-		check("appended set byte", append(append([]byte(nil), blob...), 0xff))
+	}
+	add("appended byte", append(append([]byte(nil), blob...), 0))
+	add("appended set byte", append(append([]byte(nil), blob...), 0xff))
+	return cases
+}
+
+// TestHUFMalformedMatchesScalarReference holds the kernels to the
+// reference's verdict on damaged input: every case of hufMalformedCases
+// must land in the same class — and, where the damaged blob still decodes,
+// produce the same elements — never panic.
+func TestHUFMalformedMatchesScalarReference(t *testing.T) {
+	for _, c := range hufMalformedCases() {
+		dst, ref := dirtyFloats(c.dstLen), dirtyFloats(c.dstLen)
+		got, want := huffmanCodec{}.DecodeInto(dst, c.blob), refHUFDecodeInto(ref, c.blob)
+		if decodeClass(got) != decodeClass(want) {
+			t.Fatalf("%s: kernel says %q, reference %q", c.name, decodeClass(got), decodeClass(want))
+		}
+		if want == nil && !sameBits(dst, ref) {
+			t.Fatalf("%s: decodes differ", c.name)
+		}
 	}
 
 	// A table with a hole in its code space — "0" is the only code — and a

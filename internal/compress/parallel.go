@@ -356,26 +356,65 @@ func parseParallelContainer(blob []byte) (parContainer, error) {
 }
 
 // decodeInto runs the per-chunk decodes, scattering each chunk straight
-// into its span of dst.
+// into its span of dst. HUF chunks go to the workers in adjacent pairs while
+// there are at least two pairs per worker; below that, pairing would leave
+// a core idle, and chunks go singly. An odd last chunk decodes alone.
 func (pc parContainer) decodeInto(dst []float32, blob []byte, hooks *Hooks) error {
 	numChunks := len(pc.bounds)
 	errs := make([]error, numChunks)
-	runWorkers(numChunks, workerCount(numChunks), func(i int) {
-		if herr := hooks.chunkDecode(pc.alg, i); herr != nil {
-			errs[i] = chunkErr(pc.alg, i, numChunks, herr)
-			return
-		}
-		chunk := blob[pc.offsets[i]:pc.offsets[i+1]]
-		if derr := pc.codec.DecodeInto(dst[pc.bounds[i].lo:pc.bounds[i].hi], chunk); derr != nil {
-			errs[i] = chunkErr(pc.alg, i, numChunks, derr)
-		}
-	})
+	if workers := workerCount(numChunks); pc.alg != Huffman || numChunks/2 < 2*workers {
+		runWorkers(numChunks, workers, func(i int) {
+			pc.decodeChunks(dst, blob, hooks, errs, i, i+1)
+		})
+	} else {
+		pairs := (numChunks + 1) / 2
+		runWorkers(pairs, workerCount(pairs), func(p int) {
+			pc.decodeChunks(dst, blob, hooks, errs, 2*p, min(2*p+2, numChunks))
+		})
+	}
 	for _, e := range errs {
 		if e != nil {
 			return e
 		}
 	}
 	return nil
+}
+
+// decodeChunks decodes chunks lo to hi-1, one or two of them, recording
+// each chunk's error in errs. Two chunks that pass their hooks decode as a
+// pair, their two HUF bit streams interleaved in one loop, so the two
+// dependency chains overlap; a chunk whose partner's hook failed decodes
+// alone.
+func (pc parContainer) decodeChunks(dst []float32, blob []byte, hooks *Hooks, errs []error, lo, hi int) {
+	var live [2]int
+	n := 0
+	for i := lo; i < hi; i++ {
+		if herr := hooks.chunkDecode(pc.alg, i); herr != nil {
+			errs[i] = chunkErr(pc.alg, i, len(errs), herr)
+		} else {
+			live[n] = i
+			n++
+		}
+	}
+	var err [2]error
+	switch n {
+	case 1:
+		err[0] = pc.codec.DecodeInto(pc.chunk(dst, blob, live[0]))
+	case 2:
+		dA, bA := pc.chunk(dst, blob, live[0])
+		dB, bB := pc.chunk(dst, blob, live[1])
+		err[0], err[1] = huffDecodePair(dA, bA, dB, bB)
+	}
+	for k, i := range live[:n] {
+		if err[k] != nil {
+			errs[i] = chunkErr(pc.alg, i, len(errs), err[k])
+		}
+	}
+}
+
+// chunk returns chunk i's span of dst and its codec blob.
+func (pc parContainer) chunk(dst []float32, blob []byte, i int) ([]float32, []byte) {
+	return dst[pc.bounds[i].lo:pc.bounds[i].hi], blob[pc.offsets[i]:pc.offsets[i+1]]
 }
 
 type span struct{ lo, hi int }

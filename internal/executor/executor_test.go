@@ -457,6 +457,40 @@ func TestInjectedDecodeFailureRecovered(t *testing.T) {
 	}
 }
 
+// TestHUFDecodeRetryRestoresPairedTensor: a 16-chunk HUF tensor, whose
+// chunks decode in interleaved pairs at up to four cores, survives a
+// one-shot corrupted transfer and a one-shot failed chunk decode through the
+// retry from the retained blob, and restores bit-exact.
+func TestHUFDecodeRetryRestoresPairedTensor(t *testing.T) {
+	for _, f := range []faultinject.Fault{
+		{Site: faultinject.SiteTransferIn, Mode: faultinject.Corrupt},
+		{Site: faultinject.SiteDecode, Mode: faultinject.Fail},
+	} {
+		e := newFaultyExecutor(t, 1<<23, 1<<23, f)
+		tn := tensor.NewGenerator(18).Uniform(16*16<<10, 0.2)
+		want := append([]float32(nil), tn.Data...)
+		h, err := e.Register("x", tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SwapOut(h, true, compress.Huffman); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SwapIn(h); err != nil {
+			t.Fatalf("%s: one-shot fault must be recovered: %v", f.Site, err)
+		}
+		if st := e.Stats(); st.DecodeRetries != 1 || st.DecodeRecoveries != 1 {
+			t.Fatalf("%s: stats %+v", f.Site, st)
+		}
+		got, _ := h.Data()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: recovered data mismatch at %d", f.Site, i)
+			}
+		}
+	}
+}
+
 func TestTransferOutCorruptionSurfacesChunkContext(t *testing.T) {
 	// Persistent corruption of the stored blob (the transfer-out copy is
 	// what the host pool retains): the retry rereads the same bad bytes,
