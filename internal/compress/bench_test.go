@@ -89,10 +89,27 @@ func BenchmarkParallelContainer(b *testing.B) {
 		})
 	}
 	// The benchmark workloads' HUF tensor: 8 MiB at sparsity 0.2, at the
-	// daemon's launch, so 128 chunks of 64 KiB that decode in pairs.
+	// daemon's launch, so 128 chunks of 64 KiB, which decode in pairs.
+	hufSrc := tensor.NewGenerator(97).Uniform(2<<20, 0.2).Data
+	hufLaunch := Launch{Grid: 128, Block: 64}
+	b.Run("encode-HUF-8MiB", func(b *testing.B) {
+		bound, err := MaxParallelEncodedLen(Huffman, len(hufSrc), hufLaunch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]byte, 0, bound)
+		b.SetBytes(int64(len(hufSrc) * 4))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := AppendParallelEncode(buf[:0], Huffman, hufSrc, hufLaunch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = out[:0]
+		}
+	})
 	b.Run("decode-HUF-8MiB", func(b *testing.B) {
-		src := tensor.NewGenerator(97).Uniform(2<<20, 0.2).Data
-		launch := Launch{Grid: 128, Block: 64}
+		src, launch := hufSrc, hufLaunch
 		blob, err := ParallelEncode(Huffman, src, launch)
 		if err != nil {
 			b.Fatal(err)
@@ -213,6 +230,45 @@ func BenchmarkHUFDecodeKernel(b *testing.B) {
 				if errA, errB := huffDecodePair(dstA, blobA, dstB, blobB); errA != nil || errB != nil {
 					b.Fatal(errA, errB)
 				}
+			}
+		})
+	}
+}
+
+// lengthsSink keeps the built code lengths live.
+var lengthsSink [256]byte
+
+// BenchmarkHUFEncodeKernel times the three stages of a Huffman encode of one
+// 64 KiB chunk, the container's chunk floor, each on its own at two
+// sparsities: the byte histogram, the code lengths built from it, and the
+// packing of the bit stream. Run it at -cpu 1; EXPERIMENTS.md, "HUF
+// encode at 1.4× speed", reads it. It is not a BENCH_HOT row, so
+// bench-diff ignores it.
+func BenchmarkHUFEncodeKernel(b *testing.B) {
+	for _, s := range []float64{0.2, 0.5} {
+		src := tensor.NewGenerator(97).Uniform(16<<10, s).Data
+		var freq [256]int64
+		huffHistogram(&freq, src)
+		var codes huffCodeTable
+		streamBits, maxLen := codes.set(huffmanCodeLengths(freq[:]), &freq)
+		stream := make([]byte, (streamBits+7)/8+huffSlack)
+		b.Run(fmt.Sprintf("histogram/s%.1f", s), func(b *testing.B) {
+			b.SetBytes(int64(4 * len(src)))
+			for i := 0; i < b.N; i++ {
+				var f [256]int64
+				huffHistogram(&f, src)
+			}
+		})
+		b.Run(fmt.Sprintf("tree/s%.1f", s), func(b *testing.B) {
+			b.SetBytes(int64(4 * len(src)))
+			for i := 0; i < b.N; i++ {
+				lengthsSink = huffmanCodeLengths(freq[:])
+			}
+		})
+		b.Run(fmt.Sprintf("pack/s%.1f", s), func(b *testing.B) {
+			b.SetBytes(int64(4 * len(src)))
+			for i := 0; i < b.N; i++ {
+				huffPack(stream, src, &codes, maxLen)
 			}
 		})
 	}

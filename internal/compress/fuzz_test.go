@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"cswap/internal/tensor"
@@ -116,6 +118,32 @@ func FuzzParallelRoundTrip(f *testing.F) {
 		if pc, err := parseParallelContainer(blob); err == nil {
 			f.Add(huf, uint8(4), uint16(7), uint32(pc.offsets[1]+headerSize+256+1000), uint8(2))
 		}
+	}
+
+	// The longest code the one-flush-per-element packer takes and the
+	// shortest it leaves: one chunk whose code runs to exactly 14 bits, and
+	// one to 15. longest+1 symbols in Fibonacci proportions make a tree
+	// longest deep; padding the commonest to whole elements keeps it so.
+	// The symbols are the bytes 1, 4, 7, …, so every element's bytes sum to
+	// 1 mod 3, and no element is zeroed below.
+	for _, longest := range []int{huffShortCode, huffShortCode + 1} {
+		var raw []byte
+		for k, a, b := 0, 1, 1; k <= longest; k, a, b = k+1, b, a+b {
+			raw = append(raw, bytes.Repeat([]byte{byte(3*k + 1)}, a)...)
+		}
+		for len(raw)%4 != 0 {
+			raw = append(raw, raw[len(raw)-1])
+		}
+		rand.New(rand.NewSource(37)).Shuffle(len(raw), func(i, j int) { raw[i], raw[j] = raw[j], raw[i] })
+		var freq [256]int64
+		for _, b := range raw {
+			freq[b]++
+		}
+		lengths := huffmanCodeLengths(freq[:])
+		if got := slices.Max(lengths[:]); int(got) != longest {
+			f.Fatalf("the %d-bit seed's longest code is %d bits", longest, got)
+		}
+		f.Add(raw, uint8(4), uint16(0), uint32(len(raw)/2), uint8(0))
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte, algSel uint8, gridSel uint16, pos uint32, op uint8) {

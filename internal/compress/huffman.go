@@ -66,16 +66,8 @@ func (huffmanCodec) AppendEncode(dst []byte, src []float32) []byte {
 	var freq [256]int64
 	huffHistogram(&freq, src)
 	lengths := huffmanCodeLengths(freq[:])
-	codes := canonicalCodes(lengths)
-	// code<<8 | len: one load per symbol in the packing loops.
-	var packed [256]uint64
-	var streamBits int64
-	var maxLen byte
-	for s, c := range codes {
-		packed[s] = c.code<<8 | uint64(c.len)
-		streamBits += freq[s] * int64(c.len)
-		maxLen = max(maxLen, c.len)
-	}
+	var codes huffCodeTable
+	streamBits, maxLen := codes.set(lengths, &freq)
 
 	base := len(dst)
 	size := headerSize + 256 + int((streamBits+7)/8)
@@ -87,8 +79,27 @@ func (huffmanCodec) AppendEncode(dst []byte, src []float32) []byte {
 	out := dst[base : base+size+huffSlack]
 	putHeader(out[:0], Huffman, len(src))
 	copy(out[headerSize:], lengths[:])
-	huffPack(out[headerSize+256:], src, &packed, maxLen)
+	huffPack(out[headerSize+256:], src, &codes, maxLen)
 	return dst[:base+size]
+}
+
+// huffCodeTable is a code in the form the packing loops read it: each
+// symbol's code left-aligned in a word, so that one shift by the count of
+// pending bits puts it behind them, and its length.
+type huffCodeTable struct {
+	code [256]uint64
+	len  [256]byte
+}
+
+// set makes t the canonical code for lengths and returns the stream's
+// length in bits for the symbol counts freq, and the longest code.
+func (t *huffCodeTable) set(lengths [256]byte, freq *[256]int64) (streamBits int64, maxLen byte) {
+	for s, c := range canonicalCodes(lengths) {
+		t.code[s], t.len[s] = c.code<<(64-c.len), c.len
+		streamBits += freq[s] * int64(c.len)
+		maxLen = max(maxLen, c.len)
+	}
+	return streamBits, maxLen
 }
 
 // huffHistogram counts the byte values of src into freq. One table per
@@ -121,52 +132,111 @@ func huffHistogram(freq *[256]int64, src []float32) {
 	}
 }
 
-// huffPack packs src into stream under the packed codes, whose longest is
-// maxLen bits. Codes collect right-aligned in a 64-bit accumulator that
-// holds nbits < 8 pending bits in its low end between flushes; whatever
-// lies above them is shifted out by the next flush. A flush is one
-// big-endian 8-byte store of which only the whole bytes are kept, so stream
-// needs huffSlack bytes past its last one; the final flush leaves the last
-// partial byte zero-padded. The accumulator takes 56 bits on top of the
-// pending ones, so an element is flushed once when four codes fit that,
-// after every second symbol when two do, and after every symbol otherwise:
-// the same loop, the two tests in it fixed for the call. A packed entry
-// serves as its own shift count, its length being its low six bits.
-func huffPack(stream []byte, src []float32, packed *[256]uint64, maxLen byte) {
-	flush2, flush1 := maxLen > 56/4, maxLen > 56/2
+// huffShortCode is the longest code huffPackShort takes: four codes of it
+// fit the 56 bits the accumulator takes on top of the pending ones.
+const huffShortCode = 56 / 4
+
+// huffPack packs src into stream under the code t, whose longest code is
+// maxLen bits. Codes collect left-aligned in a 64-bit accumulator: its top
+// nbits are the bits not yet written whole, everything below them zero, and
+// a code is ORed in behind them with one shift. Between flushes fewer than
+// 8 bits are pending. A flush is one big-endian 8-byte store of the
+// accumulator at the cursor, of which only the whole bytes are kept: the
+// cursor advances past them and the accumulator shifts them out. stream
+// therefore needs huffSlack bytes past its last one, and the final flush
+// leaves the last partial byte zero-padded.
+//
+// Codes of at most huffShortCode bits, every code the workloads' tensors
+// get, go to huffPackShort on a little-endian host, for as many elements as
+// its budget allows; what is left, and longer codes, take the general
+// loop. There an element is flushed once when four codes fit the 56 bits
+// the accumulator takes on top of the pending ones, after every second
+// symbol when two do, and after every symbol otherwise: the same loop, the
+// two tests in it fixed for the call.
+func huffPack(stream []byte, src []float32, t *huffCodeTable, maxLen byte) {
 	var acc uint64
 	var nbits uint
 	pos := 0
+	if maxLen <= huffShortCode && hostLE {
+		for len(src) > 0 {
+			g := min(len(src), (len(stream)-pos-1)/7)
+			if g <= 0 {
+				break
+			}
+			var n int
+			acc, nbits, n = huffPackShort(stream[pos:], src[:g], t, acc, nbits)
+			pos += n
+			src = src[g:]
+		}
+	}
+	flush2, flush1 := maxLen > 56/4, maxLen > 56/2
 	for _, v := range src {
 		b := math.Float32bits(v)
-		e0, e1, e2, e3 := packed[b&0xff], packed[b>>8&0xff], packed[b>>16&0xff], packed[b>>24]
-		acc = acc<<(e0&63) | e0>>8
-		nbits += uint(e0 & 63)
+		s0, s1, s2, s3 := b&0xff, b>>8&0xff, b>>16&0xff, b>>24
+		acc |= t.code[s0] >> (nbits & 63)
+		nbits += uint(t.len[s0])
 		if flush1 {
-			binary.BigEndian.PutUint64(stream[pos:pos+8], acc<<(-nbits&63))
+			binary.BigEndian.PutUint64(stream[pos:pos+8], acc)
 			pos += int(nbits >> 3)
+			acc <<= nbits & 56
 			nbits &= 7
 		}
-		acc = acc<<(e1&63) | e1>>8
-		nbits += uint(e1 & 63)
+		acc |= t.code[s1] >> (nbits & 63)
+		nbits += uint(t.len[s1])
 		if flush2 {
-			binary.BigEndian.PutUint64(stream[pos:pos+8], acc<<(-nbits&63))
+			binary.BigEndian.PutUint64(stream[pos:pos+8], acc)
 			pos += int(nbits >> 3)
+			acc <<= nbits & 56
 			nbits &= 7
 		}
-		acc = acc<<(e2&63) | e2>>8
-		nbits += uint(e2 & 63)
+		acc |= t.code[s2] >> (nbits & 63)
+		nbits += uint(t.len[s2])
 		if flush1 {
-			binary.BigEndian.PutUint64(stream[pos:pos+8], acc<<(-nbits&63))
+			binary.BigEndian.PutUint64(stream[pos:pos+8], acc)
 			pos += int(nbits >> 3)
+			acc <<= nbits & 56
 			nbits &= 7
 		}
-		acc = acc<<(e3&63) | e3>>8
-		nbits += uint(e3 & 63)
-		binary.BigEndian.PutUint64(stream[pos:pos+8], acc<<(-nbits&63))
+		acc |= t.code[s3] >> (nbits & 63)
+		nbits += uint(t.len[s3])
+		binary.BigEndian.PutUint64(stream[pos:pos+8], acc)
 		pos += int(nbits >> 3)
+		acc <<= nbits & 56
 		nbits &= 7
 	}
+}
+
+// huffPackShort packs src into stream for codes of at most huffShortCode
+// bits, carrying on from the accumulator acc with nbits pending bits, and
+// returns the two with the number of whole bytes it wrote. An element is
+// four codes, at most 56 bits, on top of fewer than 8 pending, so one flush
+// per element writes 8 bytes at the cursor and advances it at most 7. The
+// caller's budget, len(src) ≤ (len(stream)-1)/7, therefore keeps every
+// store inside stream, whatever src holds. The element's bytes are read
+// from memory, least significant first, which is why the caller takes this
+// loop on a little-endian host only. Its cursors are raw pointers, on
+// fastPair's argument: the loop is bound by the instructions it issues, and
+// a bounds check per flush, or a shift to take each byte out of the
+// element, is a sixth of them.
+func huffPackShort(stream []byte, src []float32, t *huffCodeTable, acc uint64, nbits uint) (uint64, uint, int) {
+	out, in := unsafe.Pointer(&stream[0]), unsafe.Pointer(&src[0])
+	for off, end := uintptr(0), 4*uintptr(len(src)); off < end; off += 4 {
+		e := (*[4]byte)(unsafe.Add(in, off))
+		s0, s1, s2, s3 := e[0], e[1], e[2], e[3]
+		acc |= t.code[s0] >> (nbits & 63)
+		nbits += uint(t.len[s0])
+		acc |= t.code[s1] >> (nbits & 63)
+		nbits += uint(t.len[s1])
+		acc |= t.code[s2] >> (nbits & 63)
+		nbits += uint(t.len[s2])
+		acc |= t.code[s3] >> (nbits & 63)
+		nbits += uint(t.len[s3])
+		binary.BigEndian.PutUint64((*[8]byte)(out)[:], acc)
+		out = unsafe.Add(out, nbits>>3)
+		acc <<= nbits & 56
+		nbits &= 7
+	}
+	return acc, nbits, offset(&stream[0], out)
 }
 
 func (c huffmanCodec) Decode(blob []byte) ([]float32, error) {
@@ -194,77 +264,39 @@ func (huffmanCodec) DecodeInto(dst []float32, blob []byte) error {
 // Code construction.
 
 // huffBuilder holds the whole tree-construction workspace as fixed-size
-// arrays so building code lengths performs no per-node heap allocations:
-// nodes are integer ids (leaves first, in symbol order, then internals in
-// creation order) with a binary min-heap of ids keyed on (freq, id). The
-// (freq, id) key is a total order, so the pop sequence — and therefore the
-// emitted code lengths — is byte-identical to the previous
-// container/heap-of-pointers construction.
+// arrays, so building code lengths performs no heap allocation. Nodes are
+// integer ids: leaves first, in symbol order, then internal nodes in
+// creation order. The tree is built by the two-queue method. The leaves are
+// sorted once by (freq, id); the internal nodes queue in creation order,
+// which is already (freq, id) order, because each merge sums the two
+// smallest nodes left, so merged sums never decrease, and ids only grow.
+// Each merge therefore takes the smaller of the two queue heads, twice,
+// where a tie in frequency goes to the leaf, whose id is the smaller. That
+// is exactly the order in which a binary min-heap keyed on (freq, id) pops
+// the same nodes, so the tree, and every code length, is the heap's:
+// kernel_test.go keeps the heap construction as the reference the builder
+// is held to. A parent's id is above its children's, so depths are assigned
+// top down by walking the ids in reverse creation order.
 type huffBuilder struct {
 	nodeFreq [511]int64 // id → subtree frequency
-	parent   [511]int16 // id → parent id (root: -1)
-	sym      [256]int16 // leaf id → byte symbol
-	heap     [256]int16 // live node ids, min-heap order
-	size     int
-}
-
-func (b *huffBuilder) less(i, j int) bool {
-	x, y := b.heap[i], b.heap[j]
-	if b.nodeFreq[x] != b.nodeFreq[y] {
-		return b.nodeFreq[x] < b.nodeFreq[y]
-	}
-	return x < y
-}
-
-func (b *huffBuilder) siftDown(i int) {
-	for {
-		l := 2*i + 1
-		if l >= b.size {
-			return
-		}
-		m := l
-		if r := l + 1; r < b.size && b.less(r, l) {
-			m = r
-		}
-		if !b.less(m, i) {
-			return
-		}
-		b.heap[i], b.heap[m] = b.heap[m], b.heap[i]
-		i = m
-	}
-}
-
-func (b *huffBuilder) pop() int16 {
-	top := b.heap[0]
-	b.size--
-	b.heap[0] = b.heap[b.size]
-	b.siftDown(0)
-	return top
-}
-
-func (b *huffBuilder) push(id int16) {
-	i := b.size
-	b.heap[i] = id
-	b.size++
-	for i > 0 {
-		p := (i - 1) / 2
-		if !b.less(i, p) {
-			break
-		}
-		b.heap[i], b.heap[p] = b.heap[p], b.heap[i]
-		i = p
-	}
+	parent   [511]int16 // id → parent id
+	depth    [511]byte  // id → depth below the root
+	sym      [256]byte  // leaf id → byte symbol
+	leaves   [256]int16 // leaf ids, sorted by (freq, id)
+	spare    [256]int16 // the sort's other buffer
 }
 
 // build computes code lengths for freq into lengths and returns the
 // maximum depth (0 when freq is empty). Absent symbols keep length 0.
 func (b *huffBuilder) build(freq *[256]int64, lengths *[256]byte) int {
 	n := 0
+	var maxFreq int64
 	for s, f := range freq {
 		if f > 0 {
 			b.nodeFreq[n] = f
-			b.sym[n] = int16(s)
-			b.heap[n] = int16(n)
+			b.sym[n] = byte(s)
+			b.leaves[n] = int16(n)
+			maxFreq = max(maxFreq, f)
 			n++
 		}
 	}
@@ -275,34 +307,58 @@ func (b *huffBuilder) build(freq *[256]int64, lengths *[256]byte) int {
 		lengths[b.sym[0]] = 1
 		return 1
 	}
-	b.size = n
-	for i := n/2 - 1; i >= 0; i-- {
-		b.siftDown(i)
+	leaves := b.sortLeaves(n, maxFreq)
+	// The leaf queue is leaves[li:], the internal queue the ids [in, next).
+	li, in := 0, n
+	for next := n; next < 2*n-1; next++ {
+		var pair [2]int
+		for k := range pair {
+			if li < n && (in == next || b.nodeFreq[leaves[li]] <= b.nodeFreq[in]) {
+				pair[k] = int(leaves[li])
+				li++
+			} else {
+				pair[k] = in
+				in++
+			}
+		}
+		b.nodeFreq[next] = b.nodeFreq[pair[0]] + b.nodeFreq[pair[1]]
+		b.parent[pair[0]], b.parent[pair[1]] = int16(next), int16(next)
 	}
-	next := int16(n)
-	for b.size > 1 {
-		x := b.pop()
-		y := b.pop()
-		b.nodeFreq[next] = b.nodeFreq[x] + b.nodeFreq[y]
-		b.parent[x] = next
-		b.parent[y] = next
-		b.push(next)
-		next++
+	root := 2*n - 2
+	b.depth[root] = 0
+	for id := root - 1; id >= 0; id-- {
+		b.depth[id] = b.depth[b.parent[id]] + 1
 	}
-	root := b.heap[0]
-	b.parent[root] = -1
 	maxDepth := 0
-	for i := 0; i < n; i++ {
-		d := 0
-		for p := int16(i); b.parent[p] >= 0; p = b.parent[p] {
-			d++
-		}
-		if d > maxDepth {
-			maxDepth = d
-		}
-		lengths[b.sym[i]] = byte(d)
+	for i, d := range b.depth[:n] {
+		maxDepth = max(maxDepth, int(d))
+		lengths[b.sym[i]] = d
 	}
 	return maxDepth
+}
+
+// sortLeaves returns the n leaf ids, which start in id order, sorted by
+// (freq, id): a least-significant-digit radix sort on the frequencies, a
+// byte per pass for as many bytes as maxFreq has. Each pass is stable, so
+// leaves of equal frequency keep their id order.
+func (b *huffBuilder) sortLeaves(n int, maxFreq int64) []int16 {
+	from, to := b.leaves[:n], b.spare[:n]
+	for shift := uint(0); maxFreq>>shift != 0; shift += 8 {
+		var start [257]int16
+		for _, id := range from {
+			start[1+b.nodeFreq[id]>>shift&0xff]++
+		}
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		for _, id := range from {
+			d := b.nodeFreq[id] >> shift & 0xff
+			to[start[d]] = id
+			start[d]++
+		}
+		from, to = to, from
+	}
+	return from
 }
 
 // huffmanCodeLengths returns the per-symbol code lengths for the frequency

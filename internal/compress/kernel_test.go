@@ -236,7 +236,156 @@ func refHUFEncode(src []float32) []byte {
 	for _, b := range raw {
 		freq[b]++
 	}
-	return refHUFPack(len(src), huffmanCodeLengths(freq[:]), raw)
+	return refHUFPack(len(src), refHuffmanCodeLengths(freq[:]), raw)
+}
+
+// refHuffmanCodeLengths is the code-length construction the two-queue
+// builder replaced, kept as the reference it is held to: a binary min-heap
+// of node ids keyed on (freq, id), with leaves first in symbol order and
+// internal nodes in creation order, each leaf's depth found by walking its
+// parent chain, and the same dampening loop.
+func refHuffmanCodeLengths(freq []int64) [256]byte {
+	var lengths [256]byte
+	var f [256]int64
+	copy(f[:], freq)
+	for {
+		if refHuffBuild(&f, &lengths) <= huffMaxCodeLen {
+			return lengths
+		}
+		for i := range f {
+			if f[i] > 0 {
+				f[i] = f[i]>>1 | 1
+			}
+		}
+	}
+}
+
+func refHuffBuild(freq *[256]int64, lengths *[256]byte) int {
+	var nodeFreq [511]int64
+	var parent [511]int16
+	var sym [256]int16
+	var heap [256]int16
+	size := 0
+	less := func(i, j int) bool {
+		x, y := heap[i], heap[j]
+		if nodeFreq[x] != nodeFreq[y] {
+			return nodeFreq[x] < nodeFreq[y]
+		}
+		return x < y
+	}
+	siftDown := func(i int) {
+		for {
+			l := 2*i + 1
+			if l >= size {
+				return
+			}
+			m := l
+			if r := l + 1; r < size && less(r, l) {
+				m = r
+			}
+			if !less(m, i) {
+				return
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+	}
+	pop := func() int16 {
+		top := heap[0]
+		size--
+		heap[0] = heap[size]
+		siftDown(0)
+		return top
+	}
+	push := func(id int16) {
+		i := size
+		heap[i] = id
+		size++
+		for i > 0 {
+			p := (i - 1) / 2
+			if !less(i, p) {
+				break
+			}
+			heap[i], heap[p] = heap[p], heap[i]
+			i = p
+		}
+	}
+	n := 0
+	for s, f := range freq {
+		if f > 0 {
+			nodeFreq[n] = f
+			sym[n] = int16(s)
+			heap[n] = int16(n)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	if n == 1 {
+		lengths[sym[0]] = 1
+		return 1
+	}
+	size = n
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	next := int16(n)
+	for size > 1 {
+		x := pop()
+		y := pop()
+		nodeFreq[next] = nodeFreq[x] + nodeFreq[y]
+		parent[x] = next
+		parent[y] = next
+		push(next)
+		next++
+	}
+	parent[heap[0]] = -1
+	maxDepth := 0
+	for i := 0; i < n; i++ {
+		d := 0
+		for p := int16(i); parent[p] >= 0; p = parent[p] {
+			d++
+		}
+		maxDepth = max(maxDepth, d)
+		lengths[sym[i]] = byte(d)
+	}
+	return maxDepth
+}
+
+// TestHuffmanCodeLengthsMatchHeapReference holds the two-queue builder to
+// the heap construction on seeded random tables — few and many symbols,
+// narrow and wide frequency ranges, so ties of every kind — and on the
+// edge tables: one, two and all 256 symbols, all frequencies equal, and the
+// Fibonacci table, which takes the dampening path.
+func TestHuffmanCodeLengthsMatchHeapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	var tables [][]int64
+	for _, syms := range []int{1, 2, 3, 17, 255, 256} {
+		for _, span := range []int64{1, 2, 5, 1000, 1 << 40} {
+			for range 70 {
+				freq := make([]int64, 256)
+				for _, s := range rng.Perm(256)[:syms] {
+					freq[s] = 1 + rng.Int63n(span)
+				}
+				tables = append(tables, freq)
+			}
+		}
+	}
+	equal := make([]int64, 256)
+	for i := range equal {
+		equal[i] = 7
+	}
+	skewed := make([]int64, 256)
+	for i := range skewed {
+		skewed[i] = int64(1 + i*i)
+	}
+	tables = append(tables, make([]int64, 256), equal, skewed, fibonacciFreq())
+	for ti, freq := range tables {
+		if got, want := huffmanCodeLengths(freq), refHuffmanCodeLengths(freq); got != want {
+			t.Fatalf("table %d: lengths %v, the heap builds %v (freq %v)", ti, got, want, freq)
+		}
+	}
 }
 
 // refHuffmanDecoder is the decoder the scalar loop ran on: a single-symbol
@@ -435,7 +584,7 @@ func hufFibonacciTensor(syms int) []float32 {
 // hufFibonacciBlob packs raw (a whole number of elements) under the
 // length-limited Fibonacci table, whose codes run to huffMaxCodeLen.
 func hufFibonacciBlob(raw []byte) []byte {
-	return refHUFPack(len(raw)/4, huffmanCodeLengths(fibonacciFreq()), raw)
+	return refHUFPack(len(raw)/4, refHuffmanCodeLengths(fibonacciFreq()), raw)
 }
 
 func TestHUFKernelsMatchScalarReference(t *testing.T) {
@@ -496,37 +645,58 @@ func TestHUFKernelsMatchScalarReference(t *testing.T) {
 	}
 }
 
-// TestHUFPackerFlushCadences drives the bit writer at the code lengths where
-// its flush cadence changes and at the longest it takes: elements made of
-// four longest codes, behind every count of pending bits, must pack as the
-// scalar reference packs them.
+// TestHUFPackerFlushCadences drives the bit writer at every longest code
+// its one-flush-per-element loop takes, at the lengths where the general
+// loop's flush cadence changes, and at the longest it takes: elements made
+// of four longest codes, behind every count of pending bits, must pack as
+// the scalar reference packs them. It runs once as this host packs and once
+// with the little-endian loop turned off, so the general loop is held to
+// every length too.
 func TestHUFPackerFlushCadences(t *testing.T) {
+	defer func(was bool) { hostLE = was }(hostLE)
 	rng := rand.New(rand.NewSource(47))
-	for _, long := range []byte{56 / 4, 56/4 + 1, 56 / 2, 56/2 + 1, huffMaxCodeLen} {
-		// Symbols 0–3 are the first four codes of the long length; the two-
-		// and three-bit symbols 4 and 5 between them leave every count of
-		// pending bits.
-		lengths := [256]byte{long, long, long, long, 2, 3}
-		var packed [256]uint64
-		for s, c := range canonicalCodes(lengths) {
-			packed[s] = c.code<<8 | uint64(c.len)
-		}
-		raw := make([]byte, 4*512)
-		for i := range raw {
-			raw[i] = byte(rng.Intn(6))
-		}
-		for i := 0; i < len(raw); i += 64 {
-			copy(raw[i:], []byte{0, 1, 2, 3, 3, 2, 1, 0})
-		}
-		src := make([]float32, len(raw)/4)
-		for i := range src {
-			src[i] = readFloat32(raw[i*4:])
-		}
-		want := refHUFPack(len(src), lengths, raw)[headerSize+256:]
-		stream := make([]byte, len(want)+huffSlack)
-		huffPack(stream, src, &packed, long)
-		if !bytes.Equal(stream[:len(want)], want) {
-			t.Fatalf("longest code %d bits: packed stream differs from the scalar reference", long)
+	longest := []byte{56 / 2, 56/2 + 1, huffMaxCodeLen}
+	for l := byte(1); l <= huffShortCode+1; l++ {
+		longest = append(longest, l)
+	}
+	for _, le := range []bool{hostLE, false} {
+		hostLE = le
+		for _, long := range longest {
+			// Symbols 0–3 are the first four codes of the long length, or
+			// its first two at lengths 1 and 2; the shorter symbols between
+			// them leave every count of pending bits.
+			lengths := [256]byte{long, long, long, long, 2, 3}
+			switch long {
+			case 1:
+				lengths = [256]byte{1, 1}
+			case 2:
+				lengths = [256]byte{2, 2, 1}
+			}
+			syms := bytes.IndexByte(lengths[:], 0)
+			var codes huffCodeTable
+			codes.set(lengths, new([256]int64))
+			raw := make([]byte, 4*512)
+			for i := range raw {
+				raw[i] = byte(rng.Intn(syms))
+			}
+			for i := 0; i < len(raw); i += 64 {
+				for k, s := range []byte{0, 1, 2, 3, 3, 2, 1, 0} {
+					if lengths[s] != long {
+						s = 0
+					}
+					raw[i+k] = s
+				}
+			}
+			src := make([]float32, len(raw)/4)
+			for i := range src {
+				src[i] = readFloat32(raw[i*4:])
+			}
+			want := refHUFPack(len(src), lengths, raw)[headerSize+256:]
+			stream := make([]byte, len(want)+huffSlack)
+			huffPack(stream, src, &codes, long)
+			if !bytes.Equal(stream[:len(want)], want) {
+				t.Fatalf("longest code %d bits, little-endian loop %v: packed stream differs from the scalar reference", long, le)
+			}
 		}
 	}
 }

@@ -64,6 +64,12 @@ func EstimateCompressedBytes(a Algorithm, originalBytes int64, sparsity float64)
 // of compression entirely. Ties break in favour of the cheaper codec: the
 // strict `<` keeps the earlier entry, and ExtendedAlgorithms() is ordered
 // by ascending modeled kernel time.
+//
+// Huffman wins below ≈ 0.36 sparsity and ZVC above it. The benchmark's
+// train-* workloads cycle sparsities 0.2, 0.5 and 0.8, and kv-decode and
+// tier-spill run at 0.5, so only the s = 0.2 tensors go to Huffman: 4 of
+// train-*'s 12, and none elsewhere. That is why a Huffman kernel's speed
+// shows in the train-* tails and nowhere else.
 func BestRatioAlgorithm(sparsity float64) Algorithm {
 	algs := ExtendedAlgorithms()
 	best := algs[0]
