@@ -12,8 +12,9 @@ build:
 # vet also fails on any file gofmt would rewrite, so `make test`, `make
 # check` and CI enforce formatting — and on any other import of "unsafe"
 # than the program's two (internal/compress/view.go, the byte view of a
-# []float32, and internal/compress/huffman.go, the pointer cursors of the
-# paired Huffman decode loop and of the packer); bench/ and test files are
+# []float32 and the ZVC loops' pointer cursors, and
+# internal/compress/huffman.go, the pointer cursors of the paired Huffman
+# decode loop and of the packer); bench/ and test files are
 # the harness's own business — and on
 # the service importing the reproduction: what cswapd and the client pull in
 # stays clear of the simulator, the model zoo, the figure drivers and the

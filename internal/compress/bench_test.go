@@ -88,41 +88,46 @@ func BenchmarkParallelContainer(b *testing.B) {
 			}
 		})
 	}
-	// The benchmark workloads' HUF tensor: 8 MiB at sparsity 0.2, at the
-	// daemon's launch, so 128 chunks of 64 KiB, which decode in pairs.
-	hufSrc := tensor.NewGenerator(97).Uniform(2<<20, 0.2).Data
-	hufLaunch := Launch{Grid: 128, Block: 64}
-	b.Run("encode-HUF-8MiB", func(b *testing.B) {
-		bound, err := MaxParallelEncodedLen(Huffman, len(hufSrc), hufLaunch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]byte, 0, bound)
-		b.SetBytes(int64(len(hufSrc) * 4))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, err := AppendParallelEncode(buf[:0], Huffman, hufSrc, hufLaunch)
+	// The benchmark workloads' 8 MiB tensors at the daemon's launch, so 128
+	// chunks of 64 KiB: HUF's at sparsity 0.2 (its chunks decode in pairs),
+	// ZVC's at 0.5.
+	for _, big := range []struct {
+		a        Algorithm
+		sparsity float64
+	}{{Huffman, 0.2}, {ZVC, 0.5}} {
+		a, src := big.a, tensor.NewGenerator(97).Uniform(2<<20, big.sparsity).Data
+		launch := Launch{Grid: 128, Block: 64}
+		b.Run(fmt.Sprintf("encode-%s-8MiB", a), func(b *testing.B) {
+			bound, err := MaxParallelEncodedLen(a, len(src), launch)
 			if err != nil {
 				b.Fatal(err)
 			}
-			buf = out[:0]
-		}
-	})
-	b.Run("decode-HUF-8MiB", func(b *testing.B) {
-		src, launch := hufSrc, hufLaunch
-		blob, err := ParallelEncode(Huffman, src, launch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst := make([]float32, len(src))
-		b.SetBytes(int64(len(src) * 4))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ParallelDecodeInto(dst, blob, launch); err != nil {
+			buf := make([]byte, 0, bound)
+			b.SetBytes(int64(len(src) * 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := AppendParallelEncode(buf[:0], a, src, launch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buf = out[:0]
+			}
+		})
+		b.Run(fmt.Sprintf("decode-%s-8MiB", a), func(b *testing.B) {
+			blob, err := ParallelEncode(a, src, launch)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			dst := make([]float32, len(src))
+			b.SetBytes(int64(len(src) * 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := ParallelDecodeInto(dst, blob, launch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkLaunchSurface measures Fig. 5 on this substrate: the cost of
@@ -269,6 +274,34 @@ func BenchmarkHUFEncodeKernel(b *testing.B) {
 			b.SetBytes(int64(4 * len(src)))
 			for i := 0; i < b.N; i++ {
 				huffPack(stream, src, &codes, maxLen)
+			}
+		})
+	}
+}
+
+// BenchmarkZVCKernel times the ZVC encode and decode of one 64 KiB chunk,
+// the container's chunk floor, at the workloads' three sparsities. Run it
+// at -cpu 1; EXPERIMENTS.md, "ZVC at twice the speed", reads it. It is not a
+// BENCH_HOT row, so bench-diff ignores it.
+func BenchmarkZVCKernel(b *testing.B) {
+	c := zvcCodec{}
+	for _, s := range []float64{0.2, 0.5, 0.8} {
+		src := tensor.NewGenerator(97).Uniform(16<<10, s).Data
+		buf := make([]byte, 0, c.MaxEncodedLen(len(src)))
+		blob := c.Encode(src)
+		dst := make([]float32, len(src))
+		b.Run(fmt.Sprintf("encode/s%.1f", s), func(b *testing.B) {
+			b.SetBytes(int64(4 * len(src)))
+			for i := 0; i < b.N; i++ {
+				buf = c.AppendEncode(buf[:0], src)
+			}
+		})
+		b.Run(fmt.Sprintf("decode/s%.1f", s), func(b *testing.B) {
+			b.SetBytes(int64(4 * len(src)))
+			for i := 0; i < b.N; i++ {
+				if err := c.DecodeInto(dst, blob); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

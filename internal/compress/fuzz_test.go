@@ -146,6 +146,42 @@ func FuzzParallelRoundTrip(f *testing.F) {
 		f.Add(raw, uint8(4), uint16(0), uint32(len(raw)/2), uint8(0))
 	}
 
+	// ZVC at its unchecked loops' budget edges: four all-dense chunks, whose
+	// payloads end exactly where a worst-case group does, truncated one
+	// byte short and flipped; one chunk whose last full group is dense
+	// behind sparse ones; and dense tails of 1 and 31 elements. Dense words
+	// are 1 mod 3, so none is zeroed below.
+	zvcSel := uint8(slices.Index(ExtendedAlgorithms(), ZVC))
+	zvcSeed := func(groups, tail int, sparse bool) ([]byte, int) {
+		raw := make([]byte, 4*(zvcGroup*groups+tail))
+		for i := range len(raw) / 4 {
+			if sparse && i < zvcGroup*(groups-1) && i%4 != 0 {
+				continue
+			}
+			w := uint32(0x3F800000 + 3*i)
+			binary.LittleEndian.PutUint32(raw[4*i:], w-w%3+1)
+		}
+		blob, err := appendParallelChunks(nil, ZVC, fuzzFloats(raw), 1, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if worst := 14 + 8 + MustNew(ZVC).MaxEncodedLen(len(raw)/4); !sparse && len(blob) != worst {
+			f.Fatalf("a dense ZVC seed encodes to %d bytes, not its worst case %d", len(blob), worst)
+		}
+		return raw, len(blob)
+	}
+	dense, _ := zvcSeed(40, 0, false)
+	f.Add(dense, zvcSel, uint16(3), uint32(14+4*8+4*(9+10*zvcGroupMax)-1), uint8(0))
+	f.Add(dense, zvcSel, uint16(3), uint32(5000), uint8(2))
+	for _, tc := range []struct {
+		groups, tail int
+		sparse       bool
+	}{{9, 0, true}, {9, 31, true}, {8, 1, false}, {8, 31, false}} {
+		raw, blobLen := zvcSeed(tc.groups, tc.tail, tc.sparse)
+		f.Add(raw, zvcSel, uint16(0), uint32(blobLen-1), uint8(0))
+		f.Add(raw, zvcSel, uint16(0), uint32(blobLen-5), uint8(2))
+	}
+
 	f.Fuzz(func(t *testing.T, raw []byte, algSel uint8, gridSel uint16, pos uint32, op uint8) {
 		algs := ExtendedAlgorithms()
 		alg := algs[int(algSel)%len(algs)]
@@ -153,18 +189,8 @@ func FuzzParallelRoundTrip(f *testing.F) {
 		if op&0x80 != 0 {
 			launch.Block = 128
 		}
-		n := len(raw) / 4
-		if n > 1<<14 {
-			n = 1 << 14
-		}
-		src := make([]float32, n)
-		for i := 0; i < n; i++ {
-			bits := binary.LittleEndian.Uint32(raw[i*4:])
-			if bits%3 == 0 {
-				bits = 0
-			}
-			src[i] = math.Float32frombits(bits)
-		}
+		src := fuzzFloats(raw)
+		n := len(src)
 		blob, err := appendParallelChunks(nil, alg, src, launch.Grid, nil)
 		if err != nil {
 			t.Fatalf("%s %v: encode: %v", alg, launch, err)
@@ -241,9 +267,16 @@ func FuzzDecodeRobustness(f *testing.F) {
 	oversub[9+0], oversub[9+1], oversub[9+2] = 1, 1, 1
 	f.Add(oversub)
 
+	// A ZVC header claiming 2²⁷ elements over 8 payload bytes, which ZVC's
+	// Decode refuses before allocating.
+	f.Add(hostileZVCBlob())
+
 	f.Fuzz(func(t *testing.T, blob []byte) {
+		// ZVC's Decode allocates no more than 32 elements per payload word,
+		// whatever the header claims, so it takes every blob.
+		_, _ = zvcCodec{}.Decode(blob)
 		// Cap the claimed element count so a hostile header cannot force
-		// a giant allocation in the fuzz harness.
+		// a giant allocation in the other decoders.
 		if len(blob) >= 9 {
 			n := binary.LittleEndian.Uint64(blob[1:9])
 			if n > 1<<20 {
@@ -256,4 +289,18 @@ func FuzzDecodeRobustness(f *testing.F) {
 			_, _ = codec.Decode(blob)
 		}
 	})
+}
+
+// fuzzFloats is FuzzParallelRoundTrip's tensor for raw: its first 16 Ki
+// little-endian words, each zeroed when it is 0 mod 3.
+func fuzzFloats(raw []byte) []float32 {
+	src := make([]float32, min(len(raw)/4, 1<<14))
+	for i := range src {
+		bits := binary.LittleEndian.Uint32(raw[i*4:])
+		if bits%3 == 0 {
+			bits = 0
+		}
+		src[i] = math.Float32frombits(bits)
+	}
+	return src
 }

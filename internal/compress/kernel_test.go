@@ -113,40 +113,120 @@ func sameBits(a, b []float32) bool {
 	return true
 }
 
+// zvcBudgetRounds replays DecodeInto's budget on a well-formed blob: how many
+// times the unchecked loop computes a non-zero budget, and how many groups
+// those budgets leave to the checked loop.
+func zvcBudgetRounds(blob []byte) (rounds, checked int) {
+	n := int(binary.LittleEndian.Uint64(blob[1:9]))
+	payload := blob[headerSize:]
+	pos, done := 0, 0
+	for {
+		g := min((n-done)/zvcGroup, (len(payload)-pos)/zvcGroupMax)
+		if g == 0 {
+			return rounds, (n - done + zvcGroup - 1) / zvcGroup
+		}
+		rounds++
+		for ; g > 0; g-- {
+			pos += 4 + 4*bits.OnesCount32(binary.LittleEndian.Uint32(payload[pos:]))
+			done += zvcGroup
+		}
+	}
+}
+
+// zvcDense is n non-zero floats, none of them a zero bit pattern.
+func zvcDense(n int) []float32 {
+	src := make([]float32, n)
+	for i := range src {
+		src[i] = float32(i%251) + 0.5
+	}
+	return src
+}
+
+// zvcBudgetEdgeTensors are the tensors at the edges of the unchecked loops'
+// budgets: payloads that end exactly where a worst-case group does, or 4
+// bytes short of it, so the last group goes to the checked loop; tails of 1
+// and 31 behind dense groups; and dense groups followed by sparse ones, so
+// the decode budget runs out and is recomputed mid-stream.
+func zvcBudgetEdgeTensors() map[string][]float32 {
+	gen := tensor.NewGenerator(41)
+	cases := map[string][]float32{}
+	for _, groups := range []int{1, 2, 5, 64} {
+		dense := zvcDense(zvcGroup * groups)
+		cases[fmt.Sprintf("dense %d groups", groups)] = dense
+		short := slices.Clone(dense)
+		short[len(short)-1] = 0
+		cases[fmt.Sprintf("dense %d groups, last element zero", groups)] = short
+		for _, tail := range []int{1, 31} {
+			cases[fmt.Sprintf("dense %d groups, tail %d", groups, tail)] = zvcDense(zvcGroup*groups + tail)
+		}
+	}
+	cases["dense then sparse"] = append(zvcDense(zvcGroup*16), gen.Uniform(zvcGroup*48+7, 0.9).Data...)
+	cases["sparse then dense"] = append(gen.Uniform(zvcGroup*48, 0.9).Data, zvcDense(zvcGroup*16+3)...)
+	return cases
+}
+
 func TestZVCKernelsMatchScalarReference(t *testing.T) {
-	gen := tensor.NewGenerator(29)
 	c := zvcCodec{}
+	check := func(what string, src []float32) {
+		t.Helper()
+		n := len(src)
+		want := refZVCEncode(src)
+		// Appended after a prefix, into exactly the promised capacity.
+		buf := append(make([]byte, 0, 3+c.MaxEncodedLen(n)), "pre"...)
+		got := c.AppendEncode(buf, src)
+		if !bytes.Equal(got[3:], want) || string(got[:3]) != "pre" {
+			t.Fatalf("%s: blob differs from the scalar reference", what)
+		}
+		if &got[0] != &buf[0] {
+			t.Fatalf("%s: AppendEncode reallocated a sufficient buffer", what)
+		}
+		if grown := c.AppendEncode([]byte("pre"), src); !bytes.Equal(grown, got) {
+			t.Fatalf("%s: growing append differs", what)
+		}
+		dst, ref := dirtyFloats(n), dirtyFloats(n)
+		if err := c.DecodeInto(dst, want); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if err := refZVCDecodeInto(ref, want); err != nil {
+			t.Fatalf("%s: reference: %v", what, err)
+		}
+		if !sameBits(dst, ref) || !sameBits(dst, src) {
+			t.Fatalf("%s: decode differs from the scalar reference", what)
+		}
+	}
+	gen := tensor.NewGenerator(29)
 	for _, s := range []float64{0, 0.2, 0.5, 0.8, 0.95, 1} {
-		for _, n := range []int{0, 1, 31, 32, 33, 16384, 16385} {
+		for n := 0; n <= 257; n++ {
 			src := gen.Uniform(n, s).Data
 			if n > 2 {
 				// The bit patterns a numeric zero test would mishandle.
 				src[0] = math.Float32frombits(0x80000000)
 				src[n/2] = math.Float32frombits(0x7FC00001)
 			}
-			want := refZVCEncode(src)
-			// Appended after a prefix, into exactly the promised capacity.
-			buf := append(make([]byte, 0, 3+c.MaxEncodedLen(n)), "pre"...)
-			got := c.AppendEncode(buf, src)
-			if !bytes.Equal(got[3:], want) || string(got[:3]) != "pre" {
-				t.Fatalf("s=%v n=%d: blob differs from the scalar reference", s, n)
-			}
-			if &got[0] != &buf[0] {
-				t.Fatalf("s=%v n=%d: AppendEncode reallocated a sufficient buffer", s, n)
-			}
-			if grown := c.AppendEncode([]byte("pre"), src); !bytes.Equal(grown, got) {
-				t.Fatalf("s=%v n=%d: growing append differs", s, n)
-			}
-			dst, ref := dirtyFloats(n), dirtyFloats(n)
-			if err := c.DecodeInto(dst, want); err != nil {
-				t.Fatalf("s=%v n=%d: %v", s, n, err)
-			}
-			if err := refZVCDecodeInto(ref, want); err != nil {
-				t.Fatalf("s=%v n=%d: reference: %v", s, n, err)
-			}
-			if !sameBits(dst, ref) || !sameBits(dst, src) {
-				t.Fatalf("s=%v n=%d: decode differs from the scalar reference", s, n)
-			}
+			check(fmt.Sprintf("s=%v n=%d", s, n), src)
+		}
+		for _, n := range []int{16384, 16385} {
+			check(fmt.Sprintf("s=%v n=%d", s, n), gen.Uniform(n, s).Data)
+		}
+	}
+	edges := zvcBudgetEdgeTensors()
+	for name, src := range edges {
+		check(name, src)
+	}
+	// The edges are where the tensors say they are. checked < 0 is any.
+	for _, tc := range []struct {
+		name               string
+		minRounds, checked int
+	}{
+		{"dense 64 groups", 1, 0},
+		{"dense 64 groups, last element zero", 1, 1},
+		{"dense 64 groups, tail 31", 1, 1},
+		{"dense then sparse", 3, -1},
+	} {
+		rounds, checked := zvcBudgetRounds(c.Encode(edges[tc.name]))
+		if rounds < tc.minRounds || tc.checked >= 0 && checked != tc.checked {
+			t.Errorf("%s: %d budget rounds, %d checked groups; want ≥ %d rounds, %d checked",
+				tc.name, rounds, checked, tc.minRounds, tc.checked)
 		}
 	}
 }
@@ -158,10 +238,24 @@ func TestZVCKernelsMatchScalarReference(t *testing.T) {
 // decodes, produce the same elements — never panic.
 func TestZVCMalformedMatchesScalarReference(t *testing.T) {
 	// Long enough that the unchecked loop runs for several groups before
-	// the checked one takes over, with a tail group at the end.
+	// the checked one takes over, with a tail group at the end; a blob whose
+	// payload ends exactly at a worst-case group, so one of its prefixes is
+	// one byte short of one; and one long enough that the decode budget is
+	// recomputed at least twice.
 	const n = 32*9 + 7
+	cases := map[string][]float32{}
 	for _, s := range []float64{0, 0.3, 0.9, 1} {
-		src := tensor.NewGenerator(31).Uniform(n, s).Data
+		cases[fmt.Sprintf("s=%v", s)] = tensor.NewGenerator(31).Uniform(n, s).Data
+	}
+	edges := zvcBudgetEdgeTensors()
+	for _, name := range []string{"dense 5 groups", "dense then sparse"} {
+		cases[name] = edges[name]
+	}
+	if rounds, _ := zvcBudgetRounds(refZVCEncode(cases["dense then sparse"])); rounds < 3 {
+		t.Fatalf("dense then sparse: %d budget rounds, want ≥ 3", rounds)
+	}
+	for name, src := range cases {
+		n := len(src)
 		blob := refZVCEncode(src)
 		check := func(what string, dstLen int, damaged []byte) {
 			t.Helper()
@@ -171,10 +265,17 @@ func TestZVCMalformedMatchesScalarReference(t *testing.T) {
 			dst, ref := dirtyFloats(dstLen), dirtyFloats(dstLen)
 			got, want := zvcCodec{}.DecodeInto(dst, damaged), refZVCDecodeInto(ref, damaged)
 			if decodeClass(got) != decodeClass(want) {
-				t.Fatalf("s=%v %s: kernel says %q, reference %q", s, what, decodeClass(got), decodeClass(want))
+				t.Fatalf("%s %s: kernel says %q, reference %q", name, what, decodeClass(got), decodeClass(want))
 			}
 			if want == nil && !sameBits(dst, ref) {
-				t.Fatalf("s=%v %s: decodes differ", s, what)
+				t.Fatalf("%s %s: decodes differ", name, what)
+			}
+			// The allocating decode refuses some blobs before it allocates,
+			// with the class the reference gives them.
+			if dstLen == n {
+				if _, err := (zvcCodec{}).Decode(damaged); decodeClass(err) != decodeClass(want) {
+					t.Fatalf("%s %s: Decode says %q, reference %q", name, what, decodeClass(err), decodeClass(want))
+				}
 			}
 		}
 		for cut := 0; cut <= len(blob); cut++ {
@@ -192,6 +293,30 @@ func TestZVCMalformedMatchesScalarReference(t *testing.T) {
 		check("trailing bytes", n, append(append([]byte(nil), blob...), 0, 0, 0, 0))
 		check("short dst", n-1, blob)
 		check("long dst", n+1, blob)
+	}
+}
+
+// hostileZVCBlob is a 17-byte ZVC blob whose header claims 2²⁷ elements
+// (512 MiB of float32) over an 8-byte payload.
+func hostileZVCBlob() []byte {
+	return append(putHeader(nil, ZVC, 1<<27), make([]byte, 8)...)
+}
+
+// TestZVCDecodeRefusesHostileCount: a payload too short to hold a bitmap
+// word per group of the claimed count is refused as truncated before the
+// destination is allocated.
+func TestZVCDecodeRefusesHostileCount(t *testing.T) {
+	blob := hostileZVCBlob()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, errCodec := zvcCodec{}.Decode(blob)
+	_, errPkg := Decode(blob)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(errCodec, ErrTruncated) || !errors.Is(errPkg, ErrTruncated) {
+		t.Fatalf("Decode = %v, package Decode = %v; want ErrTruncated", errCodec, errPkg)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("refusing a %d-byte blob allocated %d bytes", len(blob), got)
 	}
 }
 

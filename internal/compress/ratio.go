@@ -51,12 +51,6 @@ func EstimateRatio(a Algorithm, sparsity float64) float64 {
 	}
 }
 
-// EstimateCompressedBytes predicts the compressed size in bytes of a tensor
-// of originalBytes at the given sparsity.
-func EstimateCompressedBytes(a Algorithm, originalBytes int64, sparsity float64) int64 {
-	return int64(float64(originalBytes) * EstimateRatio(a, sparsity))
-}
-
 // BestRatioAlgorithm returns the algorithm with the smallest estimated
 // ratio at the given sparsity, over the full extended codec set — Huffman
 // is the only codec that beats 1.0 on dense tensors, so excluding it (as

@@ -59,14 +59,6 @@ func TestEstimateRatioUnknownAlgorithm(t *testing.T) {
 	}
 }
 
-func TestEstimateCompressedBytes(t *testing.T) {
-	got := EstimateCompressedBytes(ZVC, 3200, 0.5)
-	want := int64(3200 * (0.5 + 1.0/32))
-	if got != want {
-		t.Fatalf("EstimateCompressedBytes = %d, want %d", got, want)
-	}
-}
-
 func TestBestRatioAlgorithmBySparsityRegime(t *testing.T) {
 	// Huffman is the only codec whose modeled ratio beats 1.0 on dense
 	// tensors (0.895 at s=0 vs ZVC's 1.03), so it must win the dense/low-

@@ -38,7 +38,8 @@ func (c zvcCodec) Encode(src []float32) []byte {
 // AppendEncode reserves the worst-case span once and then writes each group
 // in a single pass with no data-dependent branch: every value is stored at
 // the cursor, and the cursor only moves past it when the value is non-zero,
-// so a zero is overwritten by whatever comes next.
+// so a zero is overwritten by whatever comes next. The full groups go
+// through zvcEncodeGroups; the tail group takes a checked loop.
 func (c zvcCodec) AppendEncode(dst []byte, src []float32) []byte {
 	base := len(dst)
 	need := c.MaxEncodedLen(len(src))
@@ -49,13 +50,12 @@ func (c zvcCodec) AppendEncode(dst []byte, src []float32) []byte {
 	}
 	out := dst[base : base+need]
 	putHeader(out[:0], ZVC, len(src))
-	pos := headerSize
-	for len(src) > 0 {
-		group := src[:min(zvcGroup, len(src))]
-		src = src[len(group):]
+	full := len(src) &^ (zvcGroup - 1)
+	pos := zvcEncodeGroups(out, headerSize, floatWords(src[:full]))
+	if tail := src[full:]; len(tail) > 0 {
 		var bitmap uint32
 		k := pos + 4
-		for i, v := range group {
+		for i, v := range tail {
 			b := math.Float32bits(v)
 			binary.LittleEndian.PutUint32(out[k:], b)
 			nz := (b | -b) >> 31 // 1 when any bit of b is set
@@ -68,10 +68,41 @@ func (c zvcCodec) AppendEncode(dst []byte, src []float32) []byte {
 	return dst[:base+pos]
 }
 
+// zvcEncodeGroups encodes src, whole groups, into out from pos on, and
+// returns where it stopped. Its stores are unchecked, on this budget: after
+// i of a group's elements the cursor is at most 4+4i bytes past the group's
+// start, so element i's store ends at most 4+4(i+1) past it, and every store
+// of the group, its bitmap's included, lands inside the group's worst-case
+// encoding, zvcGroupMax bytes from where it starts. The caller's out holds
+// MaxEncodedLen bytes, that worst case for every group, so every store is
+// inside out whatever src holds. The bitmap fills from the top, one shift
+// per element, and the group's first element ends at bit 0.
+func zvcEncodeGroups(out []byte, pos int, src []uint32) int {
+	o := rawOf(out) // out holds the header at least
+	for ; len(src) > 0; src = src[zvcGroup:] {
+		var bitmap uint32
+		k := pos + 4
+		for _, b := range (*[zvcGroup]uint32)(src) {
+			o.store32(k, b)
+			nz := b | -b // top bit set when any bit of b is
+			bitmap = bitmap>>1 | nz&(1<<31)
+			k += int(nz>>31) * 4
+		}
+		o.store32(pos, bitmap)
+		pos = k
+	}
+	return pos
+}
+
 func (c zvcCodec) Decode(blob []byte) ([]float32, error) {
-	n, _, err := parseHeader(blob, ZVC)
+	n, payload, err := parseHeader(blob, ZVC)
 	if err != nil {
 		return nil, err
+	}
+	// Every group costs at least its bitmap word. A payload shorter than
+	// that is refused before n elements are allocated on the header's claim.
+	if len(payload)/4 < (n+zvcGroup-1)/zvcGroup {
+		return nil, ErrTruncated
 	}
 	dst := make([]float32, n)
 	if err := c.DecodeInto(dst, blob); err != nil {
@@ -88,30 +119,9 @@ func (zvcCodec) DecodeInto(dst []float32, blob []byte) error {
 	if err := checkDst(dst, n); err != nil {
 		return err
 	}
-	pos, done := 0, 0
-	// Fast loop: while a full group's worst-case encoding remains, every read
-	// below is in bounds whatever the bitmap says, so nothing needs checking
-	// and nothing branches on the data. Each element reads the value at the
-	// cursor, keeps it or masks it to zero by its bitmap bit, and advances
-	// the cursor by that bit. Zeros are written explicitly either way: dst
-	// may be a dirty recycled buffer. The cursor k is a multiple of 4 no
-	// larger than 4·31, so masking it changes nothing; it lets the compiler
-	// drop the bounds check on the fixed-size window.
-	for n-done >= zvcGroup && len(payload)-pos >= zvcGroupMax {
-		bitmap := binary.LittleEndian.Uint32(payload[pos:])
-		vals := (*[4 * zvcGroup]byte)(payload[pos+4:])
-		group := dst[done : done+zvcGroup]
-		k := 0
-		for i := range group {
-			bit := bitmap >> uint(i) & 1
-			group[i] = math.Float32frombits(binary.LittleEndian.Uint32(vals[k&(4*zvcGroup-4):]) & -bit)
-			k += int(bit) * 4
-		}
-		pos += 4 + k
-		done += zvcGroup
-	}
-	// Checked loop: the last groups, where the payload may end mid-group, and
-	// the tail group.
+	pos, done := zvcDecodeGroups(floatWords(dst), payload)
+	// Checked loop: the groups the budget leaves, where the payload may end
+	// mid-group, and the tail group.
 	for done < n {
 		if pos+4 > len(payload) {
 			return ErrTruncated
@@ -143,4 +153,40 @@ func (zvcCodec) DecodeInto(dst []float32, blob []byte) error {
 		return ErrCorrupt
 	}
 	return nil
+}
+
+// zvcDecodeGroups decodes whole groups of payload into dst from the start
+// for as long as its budget lasts, and returns how far it read and wrote; the
+// checked loop takes the rest. A group reads its bitmap and then one 4-byte
+// value at the cursor per element, kept or masked to zero by its bitmap bit,
+// and advances the cursor by that bit. Zeros are written explicitly either
+// way: dst may be a dirty recycled buffer. The reads are unchecked, on this
+// budget: after i elements the cursor is at most 4+4i bytes past the group's
+// start, so every read of a group lies inside its worst-case encoding,
+// zvcGroupMax bytes from where it starts, and the group advances pos by at
+// most that much. g ≤ (len(payload)-pos)/zvcGroupMax groups therefore keep
+// every read inside payload whatever the bitmaps say, and
+// g ≤ (len(dst)-done)/zvcGroup every write inside dst, so nothing is tested
+// and nothing branches on the data. A group usually takes less than its
+// worst case, so the budget is recomputed until it runs out.
+func zvcDecodeGroups(dst []uint32, payload []byte) (pos, done int) {
+	for {
+		g := min((len(dst)-done)/zvcGroup, (len(payload)-pos)/zvcGroupMax)
+		if g <= 0 {
+			return pos, done
+		}
+		p := rawOf(payload)
+		for ; g > 0; g-- {
+			bitmap := p.load32(pos)
+			pos += 4
+			group := (*[zvcGroup]uint32)(dst[done:])
+			for i := range group {
+				bit := bitmap & 1
+				bitmap >>= 1
+				group[i] = p.load32(pos) & -bit
+				pos += int(bit) * 4
+			}
+			done += zvcGroup
+		}
+	}
 }
