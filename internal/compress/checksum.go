@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"math"
 	"math/bits"
 	"runtime"
 	"sync/atomic"
@@ -65,18 +64,22 @@ func Checksum(data []float32) uint64 {
 // segmentDigest digests one segment: eight floats per step, two per 64-bit
 // word, one word into each of four independent lanes, so the four
 // multiply-rotate chains pipeline instead of waiting on one another. The
-// under-eight tail goes into the first lane one float per word.
+// under-eight tail goes into the first lane one float per word. Each word is
+// built from the elements' bit patterns, read through floatWords, so the two
+// 32-bit loads of a word merge into one 64-bit load where the host allows it
+// and the value is the same on every host.
 func segmentDigest(seg []float32) uint64 {
 	s0, s1, s2, s3 := uint64(csPrime2), uint64(csPrime3), uint64(csPrime4), uint64(csPrime5)
-	for len(seg) >= 8 {
-		s0 = csMix(s0, uint64(math.Float32bits(seg[0]))|uint64(math.Float32bits(seg[1]))<<32)
-		s1 = csMix(s1, uint64(math.Float32bits(seg[2]))|uint64(math.Float32bits(seg[3]))<<32)
-		s2 = csMix(s2, uint64(math.Float32bits(seg[4]))|uint64(math.Float32bits(seg[5]))<<32)
-		s3 = csMix(s3, uint64(math.Float32bits(seg[6]))|uint64(math.Float32bits(seg[7]))<<32)
-		seg = seg[8:]
+	w := floatWords(seg)
+	for ; len(w) >= 8; w = w[8:] {
+		x := (*[8]uint32)(w)
+		s0 = csMix(s0, uint64(x[0])|uint64(x[1])<<32)
+		s1 = csMix(s1, uint64(x[2])|uint64(x[3])<<32)
+		s2 = csMix(s2, uint64(x[4])|uint64(x[5])<<32)
+		s3 = csMix(s3, uint64(x[6])|uint64(x[7])<<32)
 	}
-	for _, v := range seg {
-		s0 = csMix(s0, uint64(math.Float32bits(v)))
+	for _, v := range w {
+		s0 = csMix(s0, uint64(v))
 	}
 	return csMix(csMix(csMix(s0, s1), s2), s3)
 }

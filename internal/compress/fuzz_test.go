@@ -291,6 +291,34 @@ func FuzzDecodeRobustness(f *testing.F) {
 	})
 }
 
+// FuzzChecksum holds the pooled word-view digest to the per-float reference
+// definition (checksumSerial) at the current GOMAXPROCS. The tensor is raw's
+// little-endian words as bit patterns, repeated to off%8 + n%(3 segments + 10)
+// elements, and digested from element off%8 on, so the word view starts at
+// every 4-byte alignment and the pool runs up to four segments.
+func FuzzChecksum(f *testing.F) {
+	special := binary.LittleEndian.AppendUint32(nil, 0x80000000) // −0
+	for _, w := range []uint32{0x7FC00001, 0x7F800001, 0xFFFFFFFF, 0, 0x3F800000} {
+		special = binary.LittleEndian.AppendUint32(special, w) // NaN payloads, +0, 1
+	}
+	for i, n := range []uint32{0, 1, 7, 8, 9, 300, checksumSegment - 9, checksumSegment, checksumSegment + 9, 2*checksumSegment + 1} {
+		f.Add(special, uint8([]int{0, 1, 3, 7}[i%4]), n)
+	}
+	f.Add([]byte{}, uint8(3), uint32(checksumSegment+1))
+	f.Fuzz(func(t *testing.T, raw []byte, off uint8, n uint32) {
+		start, words := int(off%8), len(raw)/4
+		data := make([]float32, start+int(n%(3*checksumSegment+10)))
+		if words > 0 {
+			for i, w := 0, floatWords(data); i < len(w); i++ {
+				w[i] = binary.LittleEndian.Uint32(raw[i%words*4:])
+			}
+		}
+		if got, want := Checksum(data[start:]), checksumSerial(data[start:]); got != want {
+			t.Fatalf("%d elements from offset %d: %#x, reference %#x", len(data)-start, start, got, want)
+		}
+	})
+}
+
 // fuzzFloats is FuzzParallelRoundTrip's tensor for raw: its first 16 Ki
 // little-endian words, each zeroed when it is 0 mod 3.
 func fuzzFloats(raw []byte) []float32 {

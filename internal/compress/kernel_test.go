@@ -986,14 +986,33 @@ func TestHuffmanDecoderBuildMatchesReference(t *testing.T) {
 	}
 }
 
+// segmentDigestRef is segmentDigest as it was written before the word view:
+// each bit pattern taken by math.Float32bits, one float at a time. It is
+// the oracle the word-view kernel is held to.
+func segmentDigestRef(seg []float32) uint64 {
+	s0, s1, s2, s3 := uint64(csPrime2), uint64(csPrime3), uint64(csPrime4), uint64(csPrime5)
+	for len(seg) >= 8 {
+		s0 = csMix(s0, uint64(math.Float32bits(seg[0]))|uint64(math.Float32bits(seg[1]))<<32)
+		s1 = csMix(s1, uint64(math.Float32bits(seg[2]))|uint64(math.Float32bits(seg[3]))<<32)
+		s2 = csMix(s2, uint64(math.Float32bits(seg[4]))|uint64(math.Float32bits(seg[5]))<<32)
+		s3 = csMix(s3, uint64(math.Float32bits(seg[6]))|uint64(math.Float32bits(seg[7]))<<32)
+		seg = seg[8:]
+	}
+	for _, v := range seg {
+		s0 = csMix(s0, uint64(math.Float32bits(v)))
+	}
+	return csMix(csMix(csMix(s0, s1), s2), s3)
+}
+
 // checksumSerial is Checksum's definition computed on one goroutine with
-// per-segment storage: the value the pooled computation must reproduce.
+// per-segment storage, over the reference segment digest: the value the
+// pooled word-view computation must reproduce.
 func checksumSerial(data []float32) uint64 {
 	var keyed []uint64
 	for i := 0; i == 0 || i*checksumSegment < len(data); i++ {
 		seg := data[i*checksumSegment:]
 		seg = seg[:min(len(seg), checksumSegment)]
-		keyed = append(keyed, csMix(segmentDigest(seg), uint64(i)))
+		keyed = append(keyed, csMix(segmentDigestRef(seg), uint64(i)))
 	}
 	var sum uint64
 	for i := len(keyed) - 1; i >= 0; i-- { // reversed: the sum has no order
@@ -1015,6 +1034,39 @@ func lcgFloats(n int) []float32 {
 		}
 	}
 	return out
+}
+
+func TestSegmentDigestMatchesReference(t *testing.T) {
+	// Random words with −0, NaN payloads (quiet, signalling, negative) and
+	// infinities written as bit patterns, and all-zero input; at element
+	// offsets 1, 3 and 7 the word view starts 4 but not 8 bytes aligned.
+	mixed := lcgFloats(checksumSegment + 16)
+	w := floatWords(mixed)
+	for i, special := range []uint32{0x80000000, 0x7FC00000, 0x7FC00001, 0x7F800001, 0xFFFFFFFF, 0x7F800000, 0xFF800000} {
+		for j := i; j < len(w); j += 61 {
+			w[j] = special
+		}
+	}
+	var lengths []int // every length up to 300, and around a segment
+	for n := 0; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	for n := checksumSegment - 9; n <= checksumSegment+9; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, in := range []struct {
+		name string
+		data []float32
+	}{{"mixed", mixed}, {"zero", make([]float32, checksumSegment+16)}} {
+		for _, off := range []int{0, 1, 3, 7} {
+			for _, n := range lengths {
+				seg := in.data[off : off+n]
+				if got, want := segmentDigest(seg), segmentDigestRef(seg); got != want {
+					t.Fatalf("%s, offset %d, %d elements: %#x, reference %#x", in.name, off, n, got, want)
+				}
+			}
+		}
+	}
 }
 
 func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
@@ -1052,6 +1104,18 @@ func TestChecksumOrderLengthAndSign(t *testing.T) {
 			t.Fatalf("swapping elements %d and %d left the digest unchanged", p[0], p[1])
 		}
 		data[p[0]], data[p[1]] = data[p[1]], data[p[0]]
+	}
+	// Whole 64-bit words (element pairs 2k, 2k+1) exchanged: in one lane,
+	// in neighbouring lanes, across a segment boundary, the same word of
+	// two segments, and one segment's first and last words.
+	const segWords = checksumSegment / 2
+	for _, p := range [][2]int{{0, 4}, {0, 1}, {segWords - 1, segWords}, {3, segWords + 3}, {0, segWords - 1}} {
+		a, b := data[2*p[0]:2*p[0]+2], data[2*p[1]:2*p[1]+2]
+		a[0], a[1], b[0], b[1] = b[0], b[1], a[0], a[1]
+		if Checksum(data) == want {
+			t.Fatalf("swapping words %d and %d left the digest unchanged", p[0], p[1])
+		}
+		a[0], a[1], b[0], b[1] = b[0], b[1], a[0], a[1]
 	}
 	// Whole segments exchanged.
 	swapped := append([]float32(nil), data...)

@@ -18,8 +18,10 @@ func FloatBytes(data []float32) []byte {
 }
 
 // floatWords is data's memory as its elements' bit patterns, for the ZVC
-// loops, which move bit patterns and never look at a value: math.Float32bits
-// over a []float32 costs a move through a float register per element.
+// loops, which move bit patterns and never look at a value, and for the
+// verify digest, whose lanes read two patterns per 64-bit word:
+// math.Float32bits over a []float32 costs a move through a float register
+// per element.
 func floatWords(data []float32) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(data))), len(data))
 }

@@ -30,9 +30,6 @@ var (
 	ImageNet = Dataset{Name: "ImageNet", H: 224, W: 224, C: 3, Classes: 1000}
 )
 
-// Datasets lists both evaluated datasets.
-func Datasets() []Dataset { return []Dataset{CIFAR10, ImageNet} }
-
 // Op is a layer operator type.
 type Op int
 

@@ -193,34 +193,6 @@ func TestDefaultLaunchValid(t *testing.T) {
 	}
 }
 
-func TestOptimalLaunchHintNearSurfaceMinimum(t *testing.T) {
-	d := V100()
-	p := fig5Params(0, 64) // launch filled below
-	hint := d.OptimalLaunchHint(p)
-	p.Launch = hint
-	atHint := d.CompressionTimeTotal(p)
-	// The hint must be within 15 % of the exhaustive block-64 minimum.
-	best := math.Inf(1)
-	for g := 1; g <= 4096; g++ {
-		q := fig5Params(g, 64)
-		if v := d.CompressionTimeTotal(q); v < best {
-			best = v
-		}
-	}
-	if atHint > 1.15*best {
-		t.Fatalf("hint %v gives %v, exhaustive best %v", hint, atHint, best)
-	}
-	// Hint stays in range for extreme sizes.
-	tiny := KernelParams{Alg: compress.ZVC, SizeBytes: 1 << 10, Sparsity: 0.5}
-	if g := d.OptimalLaunchHint(tiny).Grid; g < 1 {
-		t.Fatalf("tiny-tensor hint grid %d", g)
-	}
-	huge := KernelParams{Alg: compress.LZ4, SizeBytes: 1 << 40, Sparsity: 0.5}
-	if g := d.OptimalLaunchHint(huge).Grid; g > 4096 {
-		t.Fatalf("huge-tensor hint grid %d", g)
-	}
-}
-
 func TestCompressionTimeNoisyDeterministicPerStream(t *testing.T) {
 	d := V100()
 	p := fig5Params(197, 64)

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"math"
 	"math/rand"
 
 	"cswap/internal/compress"
@@ -153,19 +152,4 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
-}
-
-// OptimalLaunchHint returns the analytic minimiser of the smooth part of
-// the surface (≈ √(A/B), independent of size and algorithm because both
-// scale the A and B terms uniformly), useful for tests and as a sanity
-// bound; the true optimum differs by the ripple.
-func (d *Device) OptimalLaunchHint(p KernelParams) compress.Launch {
-	g := int(math.Sqrt(kernelA / kernelB))
-	if g < 1 {
-		g = 1
-	}
-	if g > 4096 {
-		g = 4096
-	}
-	return compress.Launch{Grid: g, Block: 64}
 }

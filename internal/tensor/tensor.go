@@ -64,17 +64,6 @@ func (t *Tensor) Sparsity() float64 {
 	return float64(zeros) / float64(len(t.Data))
 }
 
-// CountNonZero returns the number of non-zero elements.
-func (t *Tensor) CountNonZero() int {
-	nz := 0
-	for _, v := range t.Data {
-		if v != 0 {
-			nz++
-		}
-	}
-	return nz
-}
-
 // Clone returns a deep copy of the tensor.
 func (t *Tensor) Clone() *Tensor {
 	cp := &Tensor{

@@ -32,9 +32,6 @@ func TestSparsityCounts(t *testing.T) {
 	if got := tn.Sparsity(); got != 5.0/8 {
 		t.Fatalf("Sparsity = %v, want 0.625", got)
 	}
-	if got := tn.CountNonZero(); got != 3 {
-		t.Fatalf("CountNonZero = %d, want 3", got)
-	}
 	if got := (&Tensor{}).Sparsity(); got != 0 {
 		t.Fatalf("empty tensor sparsity = %v, want 0", got)
 	}
