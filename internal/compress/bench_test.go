@@ -281,8 +281,8 @@ func BenchmarkHUFEncodeKernel(b *testing.B) {
 
 // BenchmarkZVCKernel times the ZVC encode and decode of one 64 KiB chunk,
 // the container's chunk floor, at the workloads' three sparsities. Run it
-// at -cpu 1; EXPERIMENTS.md, "ZVC at twice the speed", reads it. It is not a
-// BENCH_HOT row, so bench-diff ignores it.
+// at -cpu 1; EXPERIMENTS.md, "ZVC groups as straight-line code", reads it.
+// It is not a BENCH_HOT row, so bench-diff ignores it.
 func BenchmarkZVCKernel(b *testing.B) {
 	c := zvcCodec{}
 	for _, s := range []float64{0.2, 0.5, 0.8} {

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -350,9 +351,8 @@ func TestRLEFavoursChannelStructuredSparsity(t *testing.T) {
 	// Whole-channel zeros (structured sparsity) are RLE's best case: long
 	// runs collapse to single tokens, beating its uniform-sparsity ratio
 	// and approaching ZVC.
-	gen := tensor.NewGenerator(51)
-	structured := gen.ChannelSparse(128000, 128, 0.5)
-	uniform := gen.Uniform(128000, structured.Sparsity())
+	structured := &tensor.Tensor{Data: deadChannels(rand.New(rand.NewSource(51)), 128000, 128, 0.5)}
+	uniform := tensor.NewGenerator(51).Uniform(128000, structured.Sparsity())
 	rle := MustNew(RLE)
 	rStructured := Ratio(rle.Encode(structured.Data), structured.Len())
 	rUniform := Ratio(rle.Encode(uniform.Data), uniform.Len())
@@ -363,4 +363,21 @@ func TestRLEFavoursChannelStructuredSparsity(t *testing.T) {
 	if rStructured > zvc+0.05 {
 		t.Fatalf("structured RLE %v should approach ZVC %v", rStructured, zvc)
 	}
+}
+
+// deadChannels is n floats in channels equal channels, each of them wholly
+// zero with probability p: the structured sparsity BN+ReLU dead channels
+// produce, and the favourable layout for run-length codecs.
+func deadChannels(rng *rand.Rand, n, channels int, p float64) []float32 {
+	data := make([]float32, n)
+	per := n / channels
+	for c := range channels {
+		if rng.Float64() < p {
+			continue
+		}
+		for i := c * per; i < (c+1)*per; i++ {
+			data[i] = float32(rng.Float64()*4 + 1e-3)
+		}
+	}
+	return data
 }

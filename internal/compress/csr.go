@@ -78,9 +78,15 @@ func (csrCodec) AppendEncode(dst []byte, src []float32) []byte {
 }
 
 func (c csrCodec) Decode(blob []byte) ([]float32, error) {
-	n, _, err := parseHeader(blob, CSR)
+	n, payload, err := parseHeader(blob, CSR)
 	if err != nil {
 		return nil, err
+	}
+	// The row pointers alone take 4 bytes per row and one more. A payload
+	// shorter than that is refused before n elements are allocated on the
+	// header's claim.
+	if len(payload)/4 < (n+csrRowWidth-1)/csrRowWidth+1 {
+		return nil, ErrTruncated
 	}
 	dst := make([]float32, n)
 	if err := c.DecodeInto(dst, blob); err != nil {

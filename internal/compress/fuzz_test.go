@@ -235,6 +235,68 @@ func FuzzParallelRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzZVCKernels holds the ZVC kernels to the scalar reference on
+// arbitrary tensors: raw's little-endian words as float32 bit patterns, each
+// forced to zero when zeros is not 0 and the word is 0 mod zeros, so every
+// sparsity is reachable. AppendEncode must equal refZVCEncode, and
+// DecodeInto of that blob refZVCDecodeInto, into dirty destinations. The
+// blob, cut to at%(len+1) bytes when op is even, or with byte at%len XORed
+// with op when it is odd, must then get the same verdict from both, and the
+// same elements where it still decodes.
+func FuzzZVCKernels(f *testing.F) {
+	words := func(src []float32) []byte {
+		raw := make([]byte, 0, 4*len(src))
+		for _, v := range src {
+			raw = binary.LittleEndian.AppendUint32(raw, math.Float32bits(v))
+		}
+		return raw
+	}
+	special := words([]float32{1, float32(math.Copysign(0, -1)), 0, float32(math.NaN()), 2})
+	f.Add([]byte{}, uint8(0), uint32(0), uint8(0))
+	f.Add(special, uint8(0), uint32(3), uint8(1))
+	for _, n := range []int{31, 32, 33, 5*zvcGroup - 1} {
+		f.Add(words(zvcDense(n)), uint8(0), uint32(n), uint8(0))
+		f.Add(words(zvcDense(n)), uint8(3), uint32(4*n), uint8(0x81))
+	}
+	edges := zvcBudgetEdgeTensors()
+	for _, name := range []string{"dense 5 groups", "dense 5 groups, last element zero", "dense then sparse"} {
+		raw := words(edges[name])
+		f.Add(raw, uint8(0), uint32(len(raw)/2), uint8(0))
+		f.Add(raw, uint8(0), uint32(headerSize), uint8(0x10))
+	}
+
+	f.Fuzz(func(t *testing.T, raw []byte, zeros uint8, at uint32, op uint8) {
+		src := make([]float32, len(raw)/4)
+		for i := range src {
+			w := binary.LittleEndian.Uint32(raw[4*i:])
+			if zeros != 0 && w%uint32(zeros) == 0 {
+				w = 0
+			}
+			src[i] = math.Float32frombits(w)
+		}
+		checkZVCKernels(t, "pristine", src)
+		blob := refZVCEncode(src)
+		var damaged []byte
+		if op%2 == 0 {
+			damaged = blob[:int(at%uint32(len(blob)+1))]
+		} else {
+			damaged = slices.Clone(blob)
+			damaged[int(at%uint32(len(blob)))] ^= op
+		}
+		// An exact-capacity copy: a read past the end cannot land in spare
+		// capacity unnoticed.
+		damaged = append(make([]byte, 0, len(damaged)), damaged...)
+		dst, ref := dirtyFloats(len(src)), dirtyFloats(len(src))
+		got, want := zvcCodec{}.DecodeInto(dst, damaged), refZVCDecodeInto(ref, damaged)
+		if decodeClass(got) != decodeClass(want) {
+			t.Fatalf("damaged blob: kernel says %q, reference %q", decodeClass(got), decodeClass(want))
+		}
+		if want == nil && !sameBits(dst, ref) {
+			t.Fatal("damaged blob: decodes differ")
+		}
+	})
+}
+
 // FuzzDecodeRobustness feeds arbitrary bytes to every decoder: any outcome
 // but a panic or a hang is acceptable.
 func FuzzDecodeRobustness(f *testing.F) {
@@ -267,14 +329,18 @@ func FuzzDecodeRobustness(f *testing.F) {
 	oversub[9+0], oversub[9+1], oversub[9+2] = 1, 1, 1
 	f.Add(oversub)
 
-	// A ZVC header claiming 2²⁷ elements over 8 payload bytes, which ZVC's
-	// Decode refuses before allocating.
-	f.Add(hostileZVCBlob())
+	// ZVC, Huffman and CSR headers claiming 2²⁷ elements over 8 payload
+	// bytes, which their Decode refuses before allocating.
+	for _, a := range []Algorithm{ZVC, Huffman, CSR} {
+		f.Add(hostileBlob(a))
+	}
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		// ZVC's Decode allocates no more than 32 elements per payload word,
-		// whatever the header claims, so it takes every blob.
+		// and Huffman's no more than 2 per payload byte, whatever the header
+		// claims, so they take every blob.
 		_, _ = zvcCodec{}.Decode(blob)
+		_, _ = huffmanCodec{}.Decode(blob)
 		// Cap the claimed element count so a hostile header cannot force
 		// a giant allocation in the other decoders.
 		if len(blob) >= 9 {

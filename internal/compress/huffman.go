@@ -240,9 +240,15 @@ func huffPackShort(stream []byte, src []float32, t *huffCodeTable, acc uint64, n
 }
 
 func (c huffmanCodec) Decode(blob []byte) ([]float32, error) {
-	n, _, err := parseHeader(blob, Huffman)
+	n, payload, err := parseHeader(blob, Huffman)
 	if err != nil {
 		return nil, err
+	}
+	// Every code is at least one bit, so the 4n symbols of n elements need
+	// the code table and ⌈n/2⌉ stream bytes. A payload shorter than that is
+	// refused before n elements are allocated on the header's claim.
+	if n > 0 && len(payload) < 256+(n+1)/2 {
+		return nil, ErrTruncated
 	}
 	dst := make([]float32, n)
 	if err := c.DecodeInto(dst, blob); err != nil {

@@ -165,35 +165,40 @@ func zvcBudgetEdgeTensors() map[string][]float32 {
 	return cases
 }
 
+// checkZVCKernels holds AppendEncode to refZVCEncode, byte for byte, and
+// DecodeInto of that blob to refZVCDecodeInto and to src, bit for bit, both
+// decoding into dirty buffers.
+func checkZVCKernels(t *testing.T, what string, src []float32) {
+	t.Helper()
+	c := zvcCodec{}
+	n := len(src)
+	want := refZVCEncode(src)
+	// Appended after a prefix, into exactly the promised capacity.
+	buf := append(make([]byte, 0, 3+c.MaxEncodedLen(n)), "pre"...)
+	got := c.AppendEncode(buf, src)
+	if !bytes.Equal(got[3:], want) || string(got[:3]) != "pre" {
+		t.Fatalf("%s: blob differs from the scalar reference", what)
+	}
+	if &got[0] != &buf[0] {
+		t.Fatalf("%s: AppendEncode reallocated a sufficient buffer", what)
+	}
+	if grown := c.AppendEncode([]byte("pre"), src); !bytes.Equal(grown, got) {
+		t.Fatalf("%s: growing append differs", what)
+	}
+	dst, ref := dirtyFloats(n), dirtyFloats(n)
+	if err := c.DecodeInto(dst, want); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if err := refZVCDecodeInto(ref, want); err != nil {
+		t.Fatalf("%s: reference: %v", what, err)
+	}
+	if !sameBits(dst, ref) || !sameBits(dst, src) {
+		t.Fatalf("%s: decode differs from the scalar reference", what)
+	}
+}
+
 func TestZVCKernelsMatchScalarReference(t *testing.T) {
 	c := zvcCodec{}
-	check := func(what string, src []float32) {
-		t.Helper()
-		n := len(src)
-		want := refZVCEncode(src)
-		// Appended after a prefix, into exactly the promised capacity.
-		buf := append(make([]byte, 0, 3+c.MaxEncodedLen(n)), "pre"...)
-		got := c.AppendEncode(buf, src)
-		if !bytes.Equal(got[3:], want) || string(got[:3]) != "pre" {
-			t.Fatalf("%s: blob differs from the scalar reference", what)
-		}
-		if &got[0] != &buf[0] {
-			t.Fatalf("%s: AppendEncode reallocated a sufficient buffer", what)
-		}
-		if grown := c.AppendEncode([]byte("pre"), src); !bytes.Equal(grown, got) {
-			t.Fatalf("%s: growing append differs", what)
-		}
-		dst, ref := dirtyFloats(n), dirtyFloats(n)
-		if err := c.DecodeInto(dst, want); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		if err := refZVCDecodeInto(ref, want); err != nil {
-			t.Fatalf("%s: reference: %v", what, err)
-		}
-		if !sameBits(dst, ref) || !sameBits(dst, src) {
-			t.Fatalf("%s: decode differs from the scalar reference", what)
-		}
-	}
 	gen := tensor.NewGenerator(29)
 	for _, s := range []float64{0, 0.2, 0.5, 0.8, 0.95, 1} {
 		for n := 0; n <= 257; n++ {
@@ -203,15 +208,15 @@ func TestZVCKernelsMatchScalarReference(t *testing.T) {
 				src[0] = math.Float32frombits(0x80000000)
 				src[n/2] = math.Float32frombits(0x7FC00001)
 			}
-			check(fmt.Sprintf("s=%v n=%d", s, n), src)
+			checkZVCKernels(t, fmt.Sprintf("s=%v n=%d", s, n), src)
 		}
 		for _, n := range []int{16384, 16385} {
-			check(fmt.Sprintf("s=%v n=%d", s, n), gen.Uniform(n, s).Data)
+			checkZVCKernels(t, fmt.Sprintf("s=%v n=%d", s, n), gen.Uniform(n, s).Data)
 		}
 	}
 	edges := zvcBudgetEdgeTensors()
 	for name, src := range edges {
-		check(name, src)
+		checkZVCKernels(t, name, src)
 	}
 	// The edges are where the tensors say they are. checked < 0 is any.
 	for _, tc := range []struct {
@@ -227,6 +232,52 @@ func TestZVCKernelsMatchScalarReference(t *testing.T) {
 		if rounds < tc.minRounds || tc.checked >= 0 && checked != tc.checked {
 			t.Errorf("%s: %d budget rounds, %d checked groups; want ≥ %d rounds, %d checked",
 				tc.name, rounds, checked, tc.minRounds, tc.checked)
+		}
+	}
+}
+
+// TestZVCEveryGroupPosition pins each of the 32 written-out steps of a
+// group, which random tensors may not single out: for every position i, a
+// group whose only non-zero is element i, one whose only zero is element i,
+// and ones whose only non-zero element i is −0 or a NaN payload. Each is
+// placed as a tensor's first group, as a middle group, as the group a
+// decode budget round ends on, and as the last full group of every
+// budget-edge tensor.
+func TestZVCEveryGroupPosition(t *testing.T) {
+	sparse := tensor.NewGenerator(43).Uniform(zvcGroup*9+7, 0.5).Data
+	edges := zvcBudgetEdgeTensors()
+	for i := range zvcGroup {
+		only := func(bits uint32) []float32 {
+			group := make([]float32, zvcGroup)
+			group[i] = math.Float32frombits(bits)
+			return group
+		}
+		allBut := zvcDense(zvcGroup)
+		allBut[i] = 0
+		for kind, group := range map[string][]float32{
+			"only non-zero": only(0x3FC00000),
+			"only zero":     allBut,
+			"only −0":       only(0x80000000),
+			"only NaN":      only(0x7FC00001),
+		} {
+			at := func(where string, src []float32) {
+				t.Helper()
+				checkZVCKernels(t, fmt.Sprintf("%s element %d, %s", kind, i, where), src)
+			}
+			at("first group", slices.Concat(group, sparse))
+			at("middle group", slices.Concat(sparse[:4*zvcGroup], group, sparse[4*zvcGroup:]))
+			// Four dense groups, this one, and a dense one: the first decode
+			// budget is five groups, and ends on this one.
+			edge := slices.Concat(zvcDense(4*zvcGroup), group, zvcDense(zvcGroup))
+			if rounds, checked := zvcBudgetRounds(refZVCEncode(edge)); rounds != 2 || checked != 0 {
+				t.Fatalf("%s element %d: %d budget rounds, %d checked groups; want 2, 0", kind, i, rounds, checked)
+			}
+			at("a budget round's last group", edge)
+			for name, e := range edges {
+				if full := len(e) &^ (zvcGroup - 1); full > 0 {
+					at("last full group of "+name, slices.Concat(e[:full-zvcGroup], group, e[full:]))
+				}
+			}
 		}
 	}
 }
@@ -296,29 +347,41 @@ func TestZVCMalformedMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// hostileZVCBlob is a 17-byte ZVC blob whose header claims 2²⁷ elements
-// (512 MiB of float32) over an 8-byte payload.
-func hostileZVCBlob() []byte {
-	return append(putHeader(nil, ZVC, 1<<27), make([]byte, 8)...)
+// hostileBlob is a 17-byte blob of algorithm a whose header claims 2²⁷
+// elements (512 MiB of float32) over an 8-byte payload.
+func hostileBlob(a Algorithm) []byte {
+	return append(putHeader(nil, a, 1<<27), make([]byte, 8)...)
 }
 
-// TestZVCDecodeRefusesHostileCount: a payload too short to hold a bitmap
-// word per group of the claimed count is refused as truncated before the
-// destination is allocated.
-func TestZVCDecodeRefusesHostileCount(t *testing.T) {
-	blob := hostileZVCBlob()
+// checkRefusesHostileCount requires a's Decode and the package Decode to
+// refuse hostileBlob(a) as truncated before the destination is allocated.
+func checkRefusesHostileCount(t *testing.T, a Algorithm) {
+	t.Helper()
+	blob := hostileBlob(a)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, errCodec := zvcCodec{}.Decode(blob)
+	_, errCodec := MustNew(a).Decode(blob)
 	_, errPkg := Decode(blob)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(errCodec, ErrTruncated) || !errors.Is(errPkg, ErrTruncated) {
-		t.Fatalf("Decode = %v, package Decode = %v; want ErrTruncated", errCodec, errPkg)
+		t.Fatalf("%s: Decode = %v, package Decode = %v; want ErrTruncated", a, errCodec, errPkg)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
-		t.Fatalf("refusing a %d-byte blob allocated %d bytes", len(blob), got)
+		t.Fatalf("%s: refusing a %d-byte blob allocated %d bytes", a, len(blob), got)
 	}
 }
+
+// TestZVCDecodeRefusesHostileCount: a payload too short to hold a bitmap
+// word per group of the claimed count is refused.
+func TestZVCDecodeRefusesHostileCount(t *testing.T) { checkRefusesHostileCount(t, ZVC) }
+
+// TestHUFDecodeRefusesHostileCount: a payload too short to hold the code
+// table and a bit per symbol of the claimed count is refused.
+func TestHUFDecodeRefusesHostileCount(t *testing.T) { checkRefusesHostileCount(t, Huffman) }
+
+// TestCSRDecodeRefusesHostileCount: a payload too short to hold the row
+// pointers of the claimed count is refused.
+func TestCSRDecodeRefusesHostileCount(t *testing.T) { checkRefusesHostileCount(t, CSR) }
 
 // The scalar Huffman coder the word-wide kernels in huffman.go replaced,
 // kept as the reference the kernels are held to: a raw-byte staging pass,

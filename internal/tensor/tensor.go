@@ -166,30 +166,3 @@ func (g *Generator) SizedUniform(sizeBytes int, sparsity float64) *Tensor {
 	n -= n % 32
 	return g.Uniform(n, sparsity)
 }
-
-// ChannelSparse returns a tensor of `channels` equal-length channels where
-// each whole channel is zero with probability channelSparsity — the
-// structured sparsity that BN+ReLU dead channels produce. Block-structured
-// zeros are the favourable layout for run-length style codecs.
-func (g *Generator) ChannelSparse(n, channels int, channelSparsity float64) *Tensor {
-	if channels < 1 {
-		channels = 1
-	}
-	t := &Tensor{Data: make([]float32, n), Shape: []int{channels, (n + channels - 1) / channels}}
-	per := (n + channels - 1) / channels
-	for c := 0; c < channels; c++ {
-		dead := g.rng.Float64() < channelSparsity
-		lo, hi := c*per, (c+1)*per
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			if dead {
-				t.Data[i] = 0
-			} else {
-				t.Data[i] = float32(g.rng.Float64()*4 + 1e-3)
-			}
-		}
-	}
-	return t
-}

@@ -151,35 +151,3 @@ func TestSizedUniform(t *testing.T) {
 		t.Fatalf("minimum tensor length = %d, want 32", tiny.Len())
 	}
 }
-
-func TestChannelSparseStructure(t *testing.T) {
-	g := NewGenerator(21)
-	tn := g.ChannelSparse(64000, 64, 0.5)
-	if tn.Len() != 64000 {
-		t.Fatalf("len = %d", tn.Len())
-	}
-	// Each channel must be entirely zero or entirely non-zero.
-	per := 1000
-	dead := 0
-	for c := 0; c < 64; c++ {
-		zeros := 0
-		for i := c * per; i < (c+1)*per; i++ {
-			if tn.Data[i] == 0 {
-				zeros++
-			}
-		}
-		if zeros != 0 && zeros != per {
-			t.Fatalf("channel %d partially zero (%d of %d)", c, zeros, per)
-		}
-		if zeros == per {
-			dead++
-		}
-	}
-	if dead < 20 || dead > 44 {
-		t.Fatalf("dead channels = %d, want ≈32", dead)
-	}
-	// Degenerate channel count clamps.
-	if g.ChannelSparse(100, 0, 0.5).Len() != 100 {
-		t.Fatal("channel clamp failed")
-	}
-}
