@@ -54,6 +54,15 @@ type object struct {
 	// pool is the Pool flag of the frame that created the object: the
 	// family of frames it accepts.
 	pool bool
+	// A tensor's float-field CRC as its frame arrived (wire.Frame.DataCRC),
+	// stamped on every tensor-data frame read answers with, so a swap-in
+	// makes no CRC pass over the payload. It stays right because a tensor's
+	// content never changes after register — batch-write refuses tensors
+	// and every swap, demotion and promotion is bit-exact — and were it
+	// ever wrong, the reader would refuse the frame, never accept bad data.
+	// Pools record none: batch-write rewrites their blocks.
+	hasDataCRC bool
+	dataCRC    uint32
 }
 
 // chargeOf is the quota a register request pre-pays: a tensor's bytes, or a
@@ -68,7 +77,8 @@ func chargeOf(f *wire.Frame) int64 {
 // frame, an empty pool from a register-pool frame, a pool with its content
 // from a batch-data frame whose run table starts at block zero (readAll's
 // form). It is both the register handlers' body and the arriving half of a
-// migration.
+// migration, so a tensor keeps the float-field CRC its frame was read with
+// wherever it lives.
 func newObject(exec *executor.Executor, qname string, f *wire.Frame, charge executor.Charge) (object, error) {
 	o := object{pool: wire.Ops[f.Type].Pool}
 	var err error
@@ -77,7 +87,7 @@ func newObject(exec *executor.Executor, qname string, f *wire.Frame, charge exec
 	} else {
 		var h *executor.Handle
 		if h, err = exec.Register(qname, tensor.FromSlice(f.Data)); err == nil {
-			o.p = h.Pool()
+			o.p, o.hasDataCRC, o.dataCRC = h.Pool(), f.HasDataCRC, f.DataCRC
 		}
 	}
 	if err == nil && f.Type == wire.TypeBatchData {
@@ -131,9 +141,9 @@ func (o object) submit(ctx context.Context, f *wire.Frame, doCompress bool, alg 
 // read answers with the resident content runs cover as a frame of type typ
 // (tensor-data or batch-data), in place: its float field is the object's
 // own memory, one segment per run, valid while the caller holds the entry
-// lock.
+// lock. A tensor's frame carries the CRC recorded when it arrived.
 func (o object) read(typ wire.Type, name string, runs []executor.BlockRun) (*wire.Frame, [][]float32, error) {
-	f := &wire.Frame{Type: typ, Name: name}
+	f := &wire.Frame{Type: typ, Name: name, HasDataCRC: o.hasDataCRC, DataCRC: o.dataCRC}
 	if typ == wire.TypeBatchData {
 		f.BlockElems, f.Runs = o.p.BlockElems(), make([]wire.BlockRun, len(runs))
 		for i, r := range runs {

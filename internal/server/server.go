@@ -403,7 +403,8 @@ func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, want wire.Typ
 
 // respond streams a response frame with its length declared: the fields
 // before the float field from a small buffer, the float field — f.Data, or
-// segs in its place — from the memory it lives in, after one CRC pass.
+// segs in its place — from the memory it lives in, after one CRC pass (none
+// when f carries the field's recorded CRC, as a tensor's does).
 func (s *Server) respond(w http.ResponseWriter, f *wire.Frame, segs ...[]float32) {
 	enc, err := wire.Prepare(f, segs...)
 	if err != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -146,9 +147,19 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			return
 		}
 		// Anything that decodes must re-encode canonically and round-trip.
+		// The re-encoding takes the float field's CRC as recorded by the
+		// decode, and must be the very bytes a full CRC pass gives.
 		out, err := Encode(fr)
 		if err != nil {
 			t.Fatalf("decoded frame %+v refuses to re-encode: %v", fr, err)
+		}
+		if fr.HasDataCRC != fr.Type.hasFloats() {
+			t.Fatalf("%s frame decoded with HasDataCRC = %v", fr.Type, fr.HasDataCRC)
+		}
+		passed := *fr
+		passed.HasDataCRC = false
+		if full := mustEncode(t, &passed); !bytes.Equal(out, full) {
+			t.Fatalf("re-encoding from the recorded CRC\n  %x\ndiffers from a full pass\n  %x", out, full)
 		}
 		back, err := decodeAllWays(t, out, 1<<20)
 		if err != nil {

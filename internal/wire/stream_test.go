@@ -50,7 +50,8 @@ var awkward = []struct {
 
 // decodeAllWays is Decode, held against the streaming reader behind each
 // awkward reader, natively and portably: all must land in the same class
-// and, on success, on the same frame. It returns Decode's own result.
+// and, on success, on the same frame with the same recorded float-field
+// CRC. It returns Decode's own result.
 func decodeAllWays(t testing.TB, b []byte, maxPayload uint32) (*Frame, error) {
 	t.Helper()
 	want, werr := Decode(b, maxPayload)
@@ -68,7 +69,7 @@ func decodeAllWays(t testing.TB, b []byte, maxPayload uint32) (*Frame, error) {
 				if errClass(err) != errClass(werr) {
 					t.Fatalf("%s (native=%v): %v, but Decode: %v", a.name, native, err, werr)
 				}
-				if err == nil && !Equal(got, want) {
+				if err == nil && (!Equal(got, want) || got.HasDataCRC != want.HasDataCRC || got.DataCRC != want.DataCRC) {
 					t.Fatalf("%s (native=%v): decoded %+v, Decode %+v", a.name, native, got, want)
 				}
 			})

@@ -244,6 +244,13 @@ type Frame struct {
 	HasSched       bool
 	Lane           uint8
 	DeadlineMicros uint64
+
+	// DataCRC is the CRC-32 (IEEE) of the float field's wire bytes alone,
+	// known when HasDataCRC is set: ReadInto records it, and Prepare takes
+	// it in place of a pass over the field. Both are derived, not part of
+	// the frame's meaning, and Equal ignores them.
+	HasDataCRC bool
+	DataCRC    uint32
 }
 
 // truncErr and corruptErr wrap the compress taxonomy with frame context.
@@ -539,10 +546,11 @@ func (p *portableReader) Read(b []byte) (int, error) {
 }
 
 // readFloats fills data with the next 4*len(data) bytes of r, read straight
-// into data's memory and folded into crc chunk by chunk. Where that memory
-// is not the wire encoding, each chunk is then converted where it lies —
-// the portable float-field reader, and the native one's test reference.
-func readFloats(r io.Reader, data []float32, crc uint32) (uint32, error) {
+// into data's memory, and returns their CRC, folded chunk by chunk. Where
+// that memory is not the wire encoding, each chunk is then converted where
+// it lies — the portable float-field reader, and the native one's test
+// reference.
+func readFloats(r io.Reader, data []float32) (crc uint32, err error) {
 	for len(data) > 0 {
 		part := data[:min(len(data), floatChunk/4)]
 		b := compress.FloatBytes(part)
@@ -562,8 +570,9 @@ func readFloats(r io.Reader, data []float32, crc uint32) (uint32, error) {
 
 // floats consumes the rest of the payload as exactly elems little-endian
 // float32 values: the buffered bytes first, then the stream, into c.dst when
-// it is large enough. It is where a streamed payload's CRC verdict falls —
-// after the last byte, so the destination's content is unspecified on error.
+// it is large enough, and records their CRC. It is where a streamed
+// payload's CRC verdict falls — after the last byte, so the destination's
+// content is unspecified on error.
 func (c *cursor) floats(f *Frame, elems int) error {
 	if len(c.b)+c.rest != 4*elems {
 		return corruptErr("%s frame claims %d elements but carries %d bytes", f.Type, elems, len(c.b)+c.rest)
@@ -578,14 +587,14 @@ func (c *cursor) floats(f *Frame, elems int) error {
 		src = io.MultiReader(src, c.r)
 	}
 	parsed := c.buf[:len(c.buf)-len(c.b)]
-	crc, err := readFloats(src, data, crc32.ChecksumIEEE(parsed))
+	dataCRC, err := readFloats(src, data)
 	if err != nil {
 		return err
 	}
-	if crc != c.sum {
+	if crc := crcCombine(crc32.ChecksumIEEE(parsed), dataCRC, 4*int64(elems)); crc != c.sum {
 		return corruptErr("payload CRC %#x, header says %#x", crc, c.sum)
 	}
-	f.Data, c.b, c.rest = data, nil, 0
+	f.Data, f.DataCRC, f.HasDataCRC, c.b, c.rest = data, dataCRC, true, nil, 0
 	return nil
 }
 
@@ -769,9 +778,12 @@ type Encoding struct {
 	n    int64 // the whole encoding's size in bytes
 }
 
-// Prepare validates f, encodes all of it but the float field and makes the
-// one CRC pass over the whole payload. segs, when given, is the float field
-// in pieces (a pool's runs, each in place) and stands in for f.Data.
+// Prepare validates f, encodes all of it but the float field and takes the
+// payload CRC. segs, when given, is the float field in pieces (a pool's
+// runs, each in place) and stands in for f.Data. When f carries the float
+// field's recorded CRC (HasDataCRC) the field is not read: its CRC is
+// combined with that of the bytes before it. Otherwise Prepare makes the
+// one CRC pass over the whole payload.
 func Prepare(f *Frame, segs ...[]float32) (*Encoding, error) {
 	if !f.Type.hasFloats() {
 		segs = nil
@@ -801,8 +813,12 @@ func Prepare(f *Frame, segs ...[]float32) (*Encoding, error) {
 	_ = c.walk(f)
 	e := &Encoding{head: c.b, segs: segs, n: int64(HeaderLen + plen)}
 	sum := crcSum(crc32.ChecksumIEEE(e.head[HeaderLen:]))
-	for _, seg := range segs {
-		_, _ = io.Copy(&sum, floatReader(seg))
+	if f.HasDataCRC && segs != nil {
+		sum = crcSum(crcCombine(uint32(sum), f.DataCRC, 4*int64(elems)))
+	} else {
+		for _, seg := range segs {
+			_, _ = io.Copy(&sum, floatReader(seg))
+		}
 	}
 	binary.BigEndian.PutUint32(e.head[12:16], uint32(sum))
 	return e, nil
@@ -935,7 +951,9 @@ func Read(r io.Reader, maxPayload uint32) (*Frame, error) {
 // hostile length prefix is rejected before any payload allocation), then
 // the fields before the float field from a small buffer, then the float
 // field from r directly into dst — or into a fresh slice when dst is too
-// short for it — with the CRC folded chunk by chunk. Every inner length is
+// short for it — with its own CRC folded chunk by chunk, combined with the
+// prefix's for the header check and recorded on the frame (DataCRC), so the
+// frame prepared again needs no pass over the field. Every inner length is
 // checked against the payload bounds and trailing bytes are refused, so
 // corruption the CRC happened to miss still cannot decode; but the CRC's own
 // verdict comes after the last byte, so dst's content is unspecified on any
@@ -1018,7 +1036,8 @@ func PeekName(b []byte, maxPayload uint32) (Type, string, error) {
 
 // Equal reports whether two frames are semantically identical — the
 // round-trip invariant the fuzzer pins (float payloads compare by bit
-// pattern, so NaNs round-trip like any other tensor value).
+// pattern, so NaNs round-trip like any other tensor value). The recorded
+// float-field CRC is derived and not compared.
 func Equal(a, b *Frame) bool {
 	return a.Type == b.Type && a.Name == b.Name && a.Compress == b.Compress && a.Alg == b.Alg &&
 		a.HasSched == b.HasSched && a.Lane == b.Lane && a.DeadlineMicros == b.DeadlineMicros &&
