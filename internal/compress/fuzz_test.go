@@ -329,9 +329,9 @@ func FuzzDecodeRobustness(f *testing.F) {
 	oversub[9+0], oversub[9+1], oversub[9+2] = 1, 1, 1
 	f.Add(oversub)
 
-	// ZVC, Huffman and CSR headers claiming 2²⁷ elements over 8 payload
-	// bytes, which their Decode refuses before allocating.
-	for _, a := range []Algorithm{ZVC, Huffman, CSR} {
+	// Headers claiming 2²⁷ elements over 8 payload bytes, which every
+	// codec's Decode refuses before allocating.
+	for _, a := range ExtendedAlgorithms() {
 		f.Add(hostileBlob(a))
 	}
 

@@ -383,6 +383,49 @@ func TestHUFDecodeRefusesHostileCount(t *testing.T) { checkRefusesHostileCount(t
 // pointers of the claimed count is refused.
 func TestCSRDecodeRefusesHostileCount(t *testing.T) { checkRefusesHostileCount(t, CSR) }
 
+// TestLZ4DecodeRefusesHostileCount: a payload shorter than ⌈4n/255⌉ bytes,
+// less than any block of n elements costs, is refused.
+func TestLZ4DecodeRefusesHostileCount(t *testing.T) { checkRefusesHostileCount(t, LZ4) }
+
+// TestRLEDecodeRefusesHostileCount: a payload shorter than 4·⌈n/65535⌉
+// bytes, one token per longest zero run, is refused.
+func TestRLEDecodeRefusesHostileCount(t *testing.T) { checkRefusesHostileCount(t, RLE) }
+
+// TestMaximalRatioBlobsDecode: the payload bounds LZ4's and RLE's Decode
+// refuse below admit the most compressed blob each encoder writes — an
+// all-zero tensor's — at lengths either side of the steps of both bounds,
+// through Decode and DecodeInto. RLE's blob sits exactly on its bound.
+func TestMaximalRatioBlobsDecode(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 1019, 1020, 1021, 65534, 65535, 65536, 131070, 131071, 1 << 20} {
+		zeros := make([]float32, n)
+		for _, a := range []Algorithm{LZ4, RLE} {
+			blob := MustNew(a).Encode(zeros)
+			payload := len(blob) - headerSize
+			bound := (4*n + 254) / 255
+			if a == RLE {
+				bound = 4 * ((n + rleMaxRun - 1) / rleMaxRun)
+				if payload != bound {
+					t.Errorf("RLE n=%d: all-zero payload is %d bytes, bound %d", n, payload, bound)
+				}
+			}
+			if payload < bound {
+				t.Fatalf("%s n=%d: all-zero payload is %d bytes, below the bound %d", a, n, payload, bound)
+			}
+			got, err := MustNew(a).Decode(blob)
+			if err != nil || !slices.Equal(got, zeros) {
+				t.Fatalf("%s n=%d: Decode = %d elements, %v", a, n, len(got), err)
+			}
+			dst := make([]float32, n)
+			for i := range dst {
+				dst[i] = 1 // dirty: DecodeInto must write every element
+			}
+			if err := MustNew(a).DecodeInto(dst, blob); err != nil || !slices.Equal(dst, zeros) {
+				t.Fatalf("%s n=%d: DecodeInto: %v", a, n, err)
+			}
+		}
+	}
+}
+
 // The scalar Huffman coder the word-wide kernels in huffman.go replaced,
 // kept as the reference the kernels are held to: a raw-byte staging pass,
 // one append per stream byte on encode; a freshly allocated decoder whose

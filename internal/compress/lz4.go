@@ -158,9 +158,17 @@ func lz4CompressBlock(dst, raw []byte) []byte {
 }
 
 func (c lz4Codec) Decode(blob []byte) ([]float32, error) {
-	n, _, err := parseHeader(blob, LZ4)
+	n, payload, err := parseHeader(blob, LZ4)
 	if err != nil {
 		return nil, err
+	}
+	// No sequence yields more than 255 output bytes per byte it costs: a
+	// match of at most 19 bytes costs token and offset, 3 bytes, and each
+	// length extension byte adds at most 255. A payload shorter than
+	// ⌈4n/255⌉ is refused before n elements are allocated on the header's
+	// claim.
+	if len(payload)*255 < 4*n {
+		return nil, ErrTruncated
 	}
 	dst := make([]float32, n)
 	if err := c.DecodeInto(dst, blob); err != nil {

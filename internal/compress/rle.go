@@ -90,9 +90,16 @@ func (rleCodec) AppendEncode(dst []byte, src []float32) []byte {
 }
 
 func (c rleCodec) Decode(blob []byte) ([]float32, error) {
-	n, _, err := parseHeader(blob, RLE)
+	n, payload, err := parseHeader(blob, RLE)
 	if err != nil {
 		return nil, err
+	}
+	// A 4-byte token covers at most rleMaxRun zeros and each literal costs
+	// 4 bytes, so n elements cost at least 4·⌈n/rleMaxRun⌉ bytes. A shorter
+	// payload is refused before n elements are allocated on the header's
+	// claim.
+	if len(payload)/4 < (n+rleMaxRun-1)/rleMaxRun {
+		return nil, ErrTruncated
 	}
 	dst := make([]float32, n)
 	if err := c.DecodeInto(dst, blob); err != nil {

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"math"
 	"math/bits"
 	"sync"
 
@@ -23,8 +24,20 @@ import (
 // one recycle point, after the structure that held it (a stored run's blob,
 // a transfer copy) has released it. Nothing may retain a view into a buffer
 // across its put.
+//
+// Idle buffers wait in per-class free lists under one mutex, up to keep
+// bytes of capacity (the host pool's size: what it could hold parked at
+// once); past that they go to a per-class sync.Pool, which the garbage
+// collector may empty. The lists make reuse depend only on the order of
+// gets and puts: a sync.Pool alone keeps each P's last put in a slot other
+// Ps cannot take, so a get that ran on the other P missed and allocated a
+// whole new buffer — megabytes for an 8 MiB tensor's blob — at random.
 type arena struct {
-	classes [arenaClassCount]sync.Pool
+	mu   sync.Mutex
+	free [arenaClassCount][][]byte
+	// idle is the capacity the free lists hold, at most keep.
+	idle, keep int
+	overflow   [arenaClassCount]sync.Pool
 	// hits/misses split gets by whether a pooled buffer was available;
 	// puts counts buffers accepted back. Registered so the Observer's
 	// registry exposes reuse effectiveness next to the swap counters.
@@ -37,8 +50,9 @@ const (
 	arenaClassCount = arenaMaxShift - arenaMinShift + 1
 )
 
-func newArena(r *metrics.Registry) *arena {
+func newArena(r *metrics.Registry, keep int64) *arena {
 	return &arena{
+		keep:   int(min(keep, math.MaxInt)),
 		hits:   r.Counter("executor_arena_gets_total", metrics.L("outcome", "hit")),
 		misses: r.Counter("executor_arena_gets_total", metrics.L("outcome", "miss")),
 		puts:   r.Counter("executor_arena_puts_total"),
@@ -72,7 +86,18 @@ func (a *arena) get(n int) []byte {
 		a.misses.Inc()
 		return make([]byte, 0, n)
 	}
-	if p, _ := a.classes[class].Get().(*[]byte); p != nil {
+	a.mu.Lock()
+	if l := a.free[class]; len(l) > 0 {
+		b := l[len(l)-1]
+		l[len(l)-1] = nil
+		a.free[class] = l[:len(l)-1]
+		a.idle -= cap(b)
+		a.mu.Unlock()
+		a.hits.Inc()
+		return b
+	}
+	a.mu.Unlock()
+	if p, _ := a.overflow[class].Get().(*[]byte); p != nil {
 		a.hits.Inc()
 		return (*p)[:0]
 	}
@@ -89,9 +114,17 @@ func (a *arena) put(b []byte) {
 		return
 	}
 	class := bits.Len(uint(c)) - 1 - arenaMinShift // floor(log2(cap))
-	// The boxed header is declared past the early return, so only a buffer
-	// that is actually pooled pays for it: put(nil) allocates nothing.
-	buf := b[:0]
-	a.classes[class].Put(&buf)
 	a.puts.Inc()
+	a.mu.Lock()
+	if a.idle+c <= a.keep {
+		a.free[class] = append(a.free[class], b[:0])
+		a.idle += c
+		a.mu.Unlock()
+		return
+	}
+	a.mu.Unlock()
+	// The boxed header is declared in this branch, so only a buffer past
+	// the lists' bound pays for it: put(nil) allocates nothing.
+	buf := b[:0]
+	a.overflow[class].Put(&buf)
 }

@@ -101,6 +101,16 @@ type BlockPool struct {
 	// one is a one-block pool's run record, reused by every swap-out: a
 	// tensor's round trip allocates no record.
 	one poolRun
+	// sealed marks a pool whose memory only a verified restore writes
+	// (Seal): WriteBlocks refuses it. A sealed one-block pool's first store
+	// under Config.Verify keeps its digest here, and every later store
+	// reuses it instead of reading the payload again — every resident copy
+	// since was written by a restore that checked against that digest. The
+	// block's claim serializes store and restore, so the claim holder owns
+	// digest and digested.
+	sealed   bool
+	digested bool
+	digest   uint64
 }
 
 // poolRun is one stored (swapped-out) run: the shared payload record for
@@ -210,10 +220,18 @@ func (p *BlockPool) checkIDs(ids []int) error {
 	return nil
 }
 
+// seal marks the pool's memory immutable; see BlockPool.sealed.
+func (p *BlockPool) seal() {
+	p.mu.Lock()
+	p.sealed = true
+	p.mu.Unlock()
+}
+
 // WriteBlocks stores packed block contents: data holds len(ids) blocks
 // back to back, in the order of the strictly-ascending ID list. Every
 // target block must be Resident (a swapped or in-flight block refuses —
-// its stored copy would silently diverge from the device copy).
+// its stored copy would silently diverge from the device copy), and the
+// pool must not be sealed.
 func (p *BlockPool) WriteBlocks(ids []int, data []float32) error {
 	if err := p.checkIDs(ids); err != nil {
 		return err
@@ -226,6 +244,9 @@ func (p *BlockPool) WriteBlocks(ids []int, data []float32) error {
 	defer p.mu.Unlock()
 	if p.freed {
 		return p.freedErr()
+	}
+	if p.sealed {
+		return fmt.Errorf("%w: %s", ErrSealed, p.name)
 	}
 	for _, id := range ids {
 		if st := p.state[id]; st != Resident {
@@ -658,16 +679,21 @@ func (p *BlockPool) dispatchRun(ctx context.Context, t *Ticket, runs []BlockRun,
 // storeRun runs the shared store body for one contiguous run. The blocks
 // are claimed SwappingOut; commit publishes the stored run and marks them
 // Swapped, rollback returns them to Resident with the device copy intact.
+// A sealed one-block pool hands store the digest its first store took.
 func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm) error {
 	pr := &p.one
 	if p.numBlocks > 1 {
 		pr = new(poolRun)
 	}
-	// The charge is set before the first swap-out, and the claim ordered
-	// this read after it.
-	*pr = poolRun{start: r.Start, count: r.Count, stored: stored{elems: r.Count * p.blockElems, charge: p.charge}}
+	// The charge and the seal are set before the first swap-out, and the
+	// claim ordered these reads after them.
+	*pr = poolRun{start: r.Start, count: r.Count, stored: stored{elems: r.Count * p.blockElems, charge: p.charge, checksum: p.digest}}
+	keep := p.sealed && p.numBlocks == 1 && p.e.cfg.Verify
 	src := p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
-	err := p.e.store(&pr.stored, p.name, src, doCompress, alg, func() error {
+	err := p.e.store(&pr.stored, p.name, src, keep && p.digested, doCompress, alg, func() error {
+		if keep { // before the commit hands the record to the next claim
+			p.digest, p.digested = pr.checksum, true
+		}
 		return p.commitRun(r, Swapped, pr)
 	})
 	if err != nil {

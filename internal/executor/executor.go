@@ -59,6 +59,8 @@ var (
 	ErrNotSwapped   = errors.New("executor: tensor not swapped out")
 	ErrFreed        = errors.New("executor: tensor already freed")
 	ErrVerification = errors.New("executor: swapped-in tensor differs from original")
+	// ErrSealed reports a write to a sealed tensor's memory (Handle.Seal).
+	ErrSealed = errors.New("executor: tensor is sealed")
 	// ErrBusy reports that another operation holds the handle: a swap is
 	// in flight on it (SwappingOut/SwappingIn). The caller raced itself —
 	// wait for the in-flight operation (its Ticket, or the synchronous
@@ -107,13 +109,14 @@ type Config struct {
 	// (compress.ChunkCount).
 	// Decoding reads the chunking from the blob, so it takes no launch.
 	Launch compress.Launch
-	// Verify takes a digest of the payload at every swap-out
-	// (compress.Checksum) and compares it after every swap-in: the
-	// executor's end-to-end integrity guarantee, and the daemon default.
-	// It reads the payload once per direction at ≈ 7 GB/s per core,
-	// measured 0.15 ms per MiB swapped in (EXPERIMENTS.md) beside
-	// 0.3–0.5 ms per MiB for ZVC, the fastest codec. With Verify off no
-	// digest is taken at all.
+	// Verify compares every restored payload with a digest of what was
+	// swapped out (compress.Checksum): the executor's end-to-end integrity
+	// guarantee, and the daemon default. An unsealed payload is digested
+	// at every swap-out, because its owner may have rewritten it since the
+	// last; a sealed tensor (Handle.Seal) only at its first, and every
+	// later swap-out reuses that digest. Each digest is one more pass over
+	// the payload beside the codec's. With Verify off no digest is taken at
+	// all.
 	Verify bool
 	// MaxInFlight bounds how many asynchronous operations (SwapOutAsyncCtx,
 	// SwapInAsyncCtx, PrefetchCtx, one per run of a pool's *Ctx batch) may
@@ -286,6 +289,16 @@ var whole = []BlockRun{{Start: 0, Count: 1}}
 // Pool returns the one-block pool behind the tensor.
 func (h *Handle) Pool() *BlockPool { return h.pool }
 
+// Seal promises that nothing writes the tensor's memory from now on but
+// its own restores — its owner neither rewrites the slice it registered nor
+// calls WriteBlocks on its pool, which refuses with ErrSealed. Under
+// Config.Verify a sealed tensor is then digested at its first swap-out
+// only: every later swap-out reuses that digest, and every restore is still
+// checked against it, so memory that changed behind the seal fails its next
+// swap-in with ErrVerification instead of coming back. Call it while no
+// swap of the tensor is in flight.
+func (h *Handle) Seal() { h.pool.seal() }
+
 // Name returns the tensor's registration name.
 func (h *Handle) Name() string { return h.pool.name }
 
@@ -347,7 +360,7 @@ func New(cfg Config) (*Executor, error) {
 		cfg:    cfg,
 		device: devmem.NewPool("device", cfg.DeviceCapacity),
 		host:   devmem.NewPool("pinned-host", cfg.HostCapacity),
-		arena:  newArena(reg),
+		arena:  newArena(reg, cfg.HostCapacity),
 		pools:  map[int]*BlockPool{},
 		reg:    reg,
 		ins:    newInstruments(reg),

@@ -79,22 +79,24 @@ func (p *BlockPool) SetCharge(c Charge) {
 // store is the swap-out body: encode src (or copy its bytes raw), park the
 // bytes in the host pool and fill s, then run the owner's commit. The
 // caller holds the claim and rolls it back when store fails — src is then
-// untouched and nothing is held.
+// untouched and nothing is held. digested says s.checksum already holds
+// src's verify digest (a sealed tensor's), so store takes none.
 //
 // A compressed store never fails on the codec: an encode error, or a host
 // allocation failure for the compressed blob, degrades to the raw path.
 // Only a raw-path allocation failure (after the spill tier, if any, was
 // asked to make room) or a commit error surfaces. Counters move only once
 // commit has succeeded, so they describe committed outcomes.
-func (e *Executor) store(s *stored, name string, src []float32, doCompress bool, alg compress.Algorithm, commit func() error) error {
+func (e *Executor) store(s *stored, name string, src []float32, digested, doCompress bool, alg compress.Algorithm, commit func() error) error {
 	timed := e.obs != nil // deep instrumentation only when observed
 	var t0 float64
 	if timed {
 		t0 = e.sinceEpoch()
 	}
-	if e.cfg.Verify {
+	if e.cfg.Verify && !digested {
 		// Taken here, of the bytes about to be stored, not at registration:
-		// the owner may have rewritten the payload in place since.
+		// the owner of an unsealed payload may have rewritten it in place
+		// since.
 		s.checksum = compress.Checksum(src)
 	}
 	compressed := doCompress

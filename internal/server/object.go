@@ -57,10 +57,11 @@ type object struct {
 	// A tensor's float-field CRC as its frame arrived (wire.Frame.DataCRC),
 	// stamped on every tensor-data frame read answers with, so a swap-in
 	// makes no CRC pass over the payload. It stays right because a tensor's
-	// content never changes after register — batch-write refuses tensors
-	// and every swap, demotion and promotion is bit-exact — and were it
-	// ever wrong, the reader would refuse the frame, never accept bad data.
-	// Pools record none: batch-write rewrites their blocks.
+	// content never changes after register — batch-write refuses tensors,
+	// their sealed pools refuse writes, and every swap, demotion and
+	// promotion is bit-exact — and were it ever wrong, the reader would
+	// refuse the frame, never accept bad data. Pools record none:
+	// batch-write rewrites their blocks.
 	hasDataCRC bool
 	dataCRC    uint32
 }
@@ -78,7 +79,10 @@ func chargeOf(f *wire.Frame) int64 {
 // from a batch-data frame whose run table starts at block zero (readAll's
 // form). It is both the register handlers' body and the arriving half of a
 // migration, so a tensor keeps the float-field CRC its frame was read with
-// wherever it lives.
+// wherever it lives. A tensor is sealed (executor.Handle.Seal): nothing
+// here writes its memory — batch-write refuses it with errKind, and reads
+// go through ViewRuns — so under Verify it is digested at its first
+// swap-out only, and again after a migration, on its new shard.
 func newObject(exec *executor.Executor, qname string, f *wire.Frame, charge executor.Charge) (object, error) {
 	o := object{pool: wire.Ops[f.Type].Pool}
 	var err error
@@ -87,6 +91,7 @@ func newObject(exec *executor.Executor, qname string, f *wire.Frame, charge exec
 	} else {
 		var h *executor.Handle
 		if h, err = exec.Register(qname, tensor.FromSlice(f.Data)); err == nil {
+			h.Seal()
 			o.p, o.hasDataCRC, o.dataCRC = h.Pool(), f.HasDataCRC, f.DataCRC
 		}
 	}

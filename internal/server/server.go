@@ -87,8 +87,7 @@ const (
 )
 
 // instruments are the server's pre-resolved metric cells; per-tenant
-// series are resolved per request (registry lookups are cheap and the
-// label space is small).
+// series live on the tenant's session, each resolved once.
 type instruments struct {
 	backpressure *metrics.Counter // 429s: admission refused (lane full, deadline expired, work shed)
 	busy         *metrics.Counter // 409s: per-tensor contention
@@ -279,6 +278,15 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
+// intake is a request's one look at the server's state: whether intake is
+// stopped, and the tenant's session (nil before its first well-formed
+// request).
+func (s *Server) intake(tenant string) (*session, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sessions[tenant], s.draining
+}
+
 // tenantOf extracts the request's tenant name.
 func tenantOf(r *http.Request) string {
 	if t := r.Header.Get(TenantHeader); t != "" {
@@ -299,13 +307,18 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 		cells.batchBlocks = s.ins.reg.Counter("server_batch_blocks_total", label)
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.isDraining() {
+		tenant := tenantOf(r)
+		sess, draining := s.intake(tenant)
+		if draining {
 			fail(w, s.cfg.retryAfter, http.StatusServiceUnavailable, CodeDraining, "server is draining")
 			return
 		}
-		tenant := tenantOf(r)
-		s.ins.reg.Counter("server_requests_total",
-			metrics.L("tenant", tenant), metrics.L("op", op.Path)).Inc()
+		if sess != nil {
+			sess.countRequest(typ)
+		} else { // a tenant's first request: its session waits for a well-formed frame
+			s.ins.reg.Counter("server_requests_total",
+				metrics.L("tenant", tenant), metrics.L("op", op.Path)).Inc()
+		}
 		start := time.Now()
 		// Only a batch-write's payload is staging — verified whole, then
 		// copied into the pool under the lock — so only it decodes into a
@@ -315,7 +328,9 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 			stage, _ = s.staging.Get().([]float32)
 		}
 		if f, ok := s.readFrame(w, r, typ, stage); ok {
-			sess := s.session(tenant)
+			if sess == nil {
+				sess = s.session(tenant)
+			}
 			switch {
 			case op.Register:
 				s.register(w, sess, f)
@@ -740,12 +755,7 @@ func (s *Server) resolveCodec(sess *session, ent *entry, reqCompress bool, reqAl
 	if v, ok := sess.currentVerdict(); ok {
 		doCompress, alg = v.compress, v.alg
 	}
-	label := "raw"
-	if doCompress {
-		label = alg.String()
-	}
-	s.ins.reg.Counter("server_auto_codec_total",
-		metrics.L("tenant", sess.tenant), metrics.L("codec", label)).Inc()
+	sess.countAuto(doCompress, alg)
 	if !doCompress {
 		// The executor ignores the algorithm on a raw swap; ZVC keeps the
 		// value well-formed.

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cswap/internal/compress"
 	"cswap/internal/executor"
 	"cswap/internal/metrics"
+	"cswap/internal/wire"
 )
 
 // ErrQuotaExceeded reports that a register would push a tenant past its
@@ -46,6 +48,14 @@ type session struct {
 	// executor moves each stored run's bytes — a tensor's one run, a pool's
 	// runs — to Tiered and back as it enters and leaves the disk tier.
 	charge executor.Charge
+	// reg, requests and autoCodec: the tenant's per-request counters,
+	// server_requests_total by operation and server_auto_codec_total by
+	// resolved codec (raw in Auto's slot, which never resolves). Each is
+	// looked up in reg at its first use — so it is exported from the first
+	// request that counts in it — and read without a lookup after.
+	reg       *metrics.Registry
+	requests  [len(wire.Ops)]atomic.Pointer[metrics.Counter]
+	autoCodec [compress.Huffman + 1]atomic.Pointer[metrics.Counter]
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -92,6 +102,31 @@ func (v verdict) codecLabel() string {
 		return "raw"
 	}
 	return v.alg.String()
+}
+
+// cell returns *c, resolving it as the counter (name, tenant, label) first.
+// Racing first uses resolve the same registry cell.
+func (s *session) cell(c *atomic.Pointer[metrics.Counter], name string, label metrics.Label) *metrics.Counter {
+	if v := c.Load(); v != nil {
+		return v
+	}
+	v := s.reg.Counter(name, metrics.L("tenant", s.tenant), label)
+	c.Store(v)
+	return v
+}
+
+// countRequest counts one request of typ.
+func (s *session) countRequest(typ wire.Type) {
+	s.cell(&s.requests[typ], "server_requests_total", metrics.L("op", wire.Ops[typ].Path)).Inc()
+}
+
+// countAuto counts one Auto swap-out resolved to alg, or to raw.
+func (s *session) countAuto(doCompress bool, alg compress.Algorithm) {
+	slot, label := compress.Auto, "raw"
+	if doCompress {
+		slot, label = alg, alg.String()
+	}
+	s.cell(&s.autoCodec[slot], "server_auto_codec_total", metrics.L("codec", label)).Inc()
 }
 
 // observeSwap folds one swap-out into the tenant profile.
@@ -175,6 +210,7 @@ func newSession(tenant string, quota, tierQuota int64, reg *metrics.Registry) *s
 			Held:   reg.Gauge("server_tenant_used_bytes", metrics.L("tenant", tenant)),
 			Tiered: reg.Gauge("server_tenant_tier_used_bytes", metrics.L("tenant", tenant)),
 		},
+		reg:     reg,
 		entries: map[string]*entry{},
 	}
 	reg.Gauge("server_tenant_quota_bytes", metrics.L("tenant", tenant)).Set(float64(quota))

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"cswap/client"
+	"cswap/internal/compress"
 	"cswap/internal/wire"
 )
 
@@ -412,5 +413,50 @@ func TestSwapInAllocationBudgets(t *testing.T) {
 	t.Logf("handler pair: %d B for 1 MiB, %d B for 8 MiB; client round trip: %d B", handler[0], handler[1], trip)
 	if !raceEnabled && trip > 64<<10 {
 		t.Errorf("an 8 MiB SwapInInto round trip allocated %d bytes, budget 64 KiB", trip)
+	}
+}
+
+// TestSwapOutAllocationBudget: a served Auto swap-out of a sealed tensor —
+// admission, codec resolution, the executor's store, the acknowledgement —
+// allocates at most swapOutAllocs times, the least of five handler calls
+// with the request built beforehand. The tenant's per-request counters are
+// resolved once per session: looked up in the registry per request, as
+// before, the two cost 7 allocations each, and the call made 41.
+func TestSwapOutAllocationBudget(t *testing.T) {
+	const swapOutAllocs = 30 // 25–26 at -cpu 1, 2 and 4
+	s, url := newInternalServer(t)
+	c, ctx := client.New(url), context.Background()
+	data := make([]float32, 64<<10)
+	for i := range data {
+		if i%3 == 0 {
+			data[i] = float32(i)
+		}
+	}
+	if err := c.Register(ctx, "t", data); err != nil {
+		t.Fatal(err)
+	}
+	request := func(path string, f *wire.Frame) *http.Request {
+		body, err := wire.Encode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return httptest.NewRequest(http.MethodPost, "/v1/"+path, bytes.NewReader(body))
+	}
+	least := ^uint64(0)
+	for run := 0; run < 6; run++ {
+		out := request("swap-out", &wire.Frame{Type: wire.TypeSwapOut, Name: "t", Compress: true, Alg: compress.Auto})
+		in := request("swap-in", &wire.Frame{Type: wire.TypeSwapIn, Name: "t"})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(discard{http.Header{}}, out)
+		runtime.ReadMemStats(&after)
+		if run > 0 { // the first call resolves the session's cells
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		s.Handler().ServeHTTP(discard{http.Header{}}, in)
+	}
+	t.Logf("served Auto swap-out: %d allocations", least)
+	if !raceEnabled && least > swapOutAllocs {
+		t.Errorf("served Auto swap-out allocated %d times, budget %d", least, swapOutAllocs)
 	}
 }

@@ -30,9 +30,6 @@ func NewEngine() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Processed returns the total number of events executed.
-func (e *Engine) Processed() int { return e.events }
-
 // Schedule runs fn at Now()+delay. A negative delay panics: events cannot
 // be scheduled in the past.
 func (e *Engine) Schedule(delay float64, fn func()) {
@@ -123,26 +120,8 @@ func (r *Resource) Submit(duration float64, done func(start, end float64)) float
 	return end
 }
 
-// BusyUntil returns the time at which currently queued work drains.
-func (r *Resource) BusyUntil() float64 { return r.busyUntil }
-
-// Utilization returns the fraction of [0, horizon] the resource was busy.
-func (r *Resource) Utilization(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	u := r.busyTotal / horizon
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // BusyTotal returns the cumulative busy seconds.
 func (r *Resource) BusyTotal() float64 { return r.busyTotal }
-
-// Jobs returns the number of jobs submitted.
-func (r *Resource) Jobs() int { return r.jobs }
 
 // Barrier tracks a set of dependencies and fires a callback once all of
 // them (and the arm call) have completed. It is the join primitive used to

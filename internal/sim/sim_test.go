@@ -17,8 +17,8 @@ func TestScheduleOrdering(t *testing.T) {
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("event order = %v", order)
 	}
-	if e.Processed() != 3 {
-		t.Fatalf("Processed = %d, want 3", e.Processed())
+	if e.events != 3 {
+		t.Fatalf("events processed = %d, want 3", e.events)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestResourceSerialises(t *testing.T) {
 	if r.BusyTotal() != 6 {
 		t.Fatalf("BusyTotal = %v, want 6", r.BusyTotal())
 	}
-	if r.Jobs() != 3 {
-		t.Fatalf("Jobs = %d, want 3", r.Jobs())
+	if r.jobs != 3 {
+		t.Fatalf("jobs = %d, want 3", r.jobs)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestResourceIdleGapThenWork(t *testing.T) {
 	if start2 != 5 {
 		t.Fatalf("job after idle gap started at %v, want 5", start2)
 	}
-	if got := r.Utilization(10); got != 0.3 {
-		t.Fatalf("Utilization = %v, want 0.3", got)
+	if got := r.BusyTotal(); got != 3 {
+		t.Fatalf("BusyTotal = %v, want 3 (the idle gap is not busy)", got)
 	}
 }
 
@@ -127,19 +127,6 @@ func TestResourceRejectsInvalidDuration(t *testing.T) {
 		}
 	}()
 	r.Submit(-1, nil)
-}
-
-func TestUtilizationBounds(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "x")
-	r.Submit(10, nil)
-	e.Run()
-	if got := r.Utilization(5); got != 1 {
-		t.Fatalf("Utilization clamped = %v, want 1", got)
-	}
-	if got := r.Utilization(0); got != 0 {
-		t.Fatalf("Utilization(0) = %v, want 0", got)
-	}
 }
 
 func TestBarrierFiresWhenAllDone(t *testing.T) {
@@ -260,7 +247,7 @@ func TestEngineStressRandomWorkload(t *testing.T) {
 		if lastEnd[i] > final {
 			t.Fatalf("resource %d finished after the engine: %v > %v", i, lastEnd[i], final)
 		}
-		if r.Jobs() == 0 {
+		if r.jobs == 0 {
 			t.Fatalf("resource %d never used", i)
 		}
 	}
