@@ -60,6 +60,22 @@ func (c huffmanCodec) Encode(src []float32) []byte {
 // sizes the stream exactly from the code lengths, and packs it with a
 // word-wide bit writer into the reserved span.
 func (huffmanCodec) AppendEncode(dst []byte, src []float32) []byte {
+	return huffEncode(dst, src, nil)
+}
+
+// hufChunkPlan is what a HUF encode of one chunk records for the next
+// encode of the same bytes (EncodePlan): the code-length table its
+// histogram built, the length in bytes of the stream it packed, and the
+// chunk's digest, which is the key the record is reused under.
+type hufChunkPlan struct {
+	lengths [256]byte
+	stream  int
+	digest  uint64
+}
+
+// huffEncode is AppendEncode, recording the chunk's table, stream length
+// and digest into rec when rec is not nil.
+func huffEncode(dst []byte, src []float32, rec *hufChunkPlan) []byte {
 	if len(src) == 0 {
 		return putHeader(dst, Huffman, 0)
 	}
@@ -67,20 +83,61 @@ func (huffmanCodec) AppendEncode(dst []byte, src []float32) []byte {
 	huffHistogram(&freq, src)
 	lengths := huffmanCodeLengths(freq[:])
 	var codes huffCodeTable
-	streamBits, maxLen := codes.set(lengths, &freq)
-
+	maxLen := codes.set(lengths)
+	size := huffStreamLen(&freq, &lengths)
 	base := len(dst)
-	size := headerSize + 256 + int((streamBits+7)/8)
-	if cap(dst)-base < size+huffSlack {
-		grown := make([]byte, base, base+size+huffSlack)
+	if cap(dst)-base < headerSize+256+size+huffSlack {
+		grown := make([]byte, base, base+headerSize+256+size+huffSlack)
 		copy(grown, dst)
 		dst = grown
 	}
-	out := dst[base : base+size+huffSlack]
-	putHeader(out[:0], Huffman, len(src))
+	huffPack(huffReserve(dst, len(src), &lengths, size), src, &codes, maxLen)
+	if rec != nil {
+		rec.lengths, rec.stream, rec.digest = lengths, size, segmentDigest(src)
+	}
+	return dst[:base+headerSize+256+size]
+}
+
+// huffEncodePlanned encodes src with the table of rec, recorded by an
+// encode of the same bytes, so it builds no histogram and no tree. It
+// reports false, with nothing appended, unless src's digest is rec's and
+// the stream packs to exactly rec's length inside the room dst has: a
+// stale record costs the caller a fresh encode, never a wrong blob or a
+// write past the record's stream. The digest is what makes the result the
+// fresh encode's byte for byte: the stream length alone can match on
+// changed bytes whose own histogram builds a different table.
+func huffEncodePlanned(dst []byte, src []float32, rec *hufChunkPlan) ([]byte, bool) {
+	base := len(dst)
+	end := base + headerSize + 256 + rec.stream
+	if len(src) == 0 || cap(dst)-end < huffSlack || segmentDigest(src) != rec.digest {
+		return dst, false
+	}
+	var codes huffCodeTable
+	maxLen := codes.set(rec.lengths)
+	if huffPack(huffReserve(dst, len(src), &rec.lengths, rec.stream), src, &codes, maxLen) != rec.stream {
+		return dst, false
+	}
+	return dst[:end], true
+}
+
+// huffStreamLen is the length in bytes of the stream packing symbols
+// counted by freq under the code lengths.
+func huffStreamLen(freq *[256]int64, lengths *[256]byte) int {
+	var bits int64
+	for s, f := range freq {
+		bits += f * int64(lengths[s])
+	}
+	return int((bits + 7) / 8)
+}
+
+// huffReserve writes a blob's header and length table after the end of
+// dst, whose capacity holds them and a stream of size bytes with its
+// slack, and returns that stream's span, slack included.
+func huffReserve(dst []byte, n int, lengths *[256]byte, size int) []byte {
+	out := dst[len(dst) : len(dst)+headerSize+256+size+huffSlack]
+	putHeader(out[:0], Huffman, n)
 	copy(out[headerSize:], lengths[:])
-	huffPack(out[headerSize+256:], src, &codes, maxLen)
-	return dst[:base+size]
+	return out[headerSize+256:]
 }
 
 // huffCodeTable is a code in the form the packing loops read it: each
@@ -91,15 +148,13 @@ type huffCodeTable struct {
 	len  [256]byte
 }
 
-// set makes t the canonical code for lengths and returns the stream's
-// length in bits for the symbol counts freq, and the longest code.
-func (t *huffCodeTable) set(lengths [256]byte, freq *[256]int64) (streamBits int64, maxLen byte) {
+// set makes t the canonical code for lengths and returns its longest code.
+func (t *huffCodeTable) set(lengths [256]byte) (maxLen byte) {
 	for s, c := range canonicalCodes(lengths) {
 		t.code[s], t.len[s] = c.code<<(64-c.len), c.len
-		streamBits += freq[s] * int64(c.len)
 		maxLen = max(maxLen, c.len)
 	}
-	return streamBits, maxLen
+	return maxLen
 }
 
 // huffHistogram counts the byte values of src into freq. One table per
@@ -152,8 +207,14 @@ const huffShortCode = 56 / 4
 // loop. There an element is flushed once when four codes fit the 56 bits
 // the accumulator takes on top of the pending ones, after every second
 // symbol when two do, and after every symbol otherwise: the same loop, the
-// two tests in it fixed for the call.
-func huffPack(stream []byte, src []float32, t *huffCodeTable, maxLen byte) {
+// two tests in it fixed for the call. Each of its stores is checked against
+// the end of stream.
+//
+// huffPack returns the stream's length in bytes, or -1 if it would not fit
+// stream with its slack: a caller that sized stream from the code and the
+// bytes' own histogram never sees -1, one that packs under a table recorded
+// from other bytes may.
+func huffPack(stream []byte, src []float32, t *huffCodeTable, maxLen byte) int {
 	var acc uint64
 	var nbits uint
 	pos := 0
@@ -176,7 +237,10 @@ func huffPack(stream []byte, src []float32, t *huffCodeTable, maxLen byte) {
 		acc |= t.code[s0] >> (nbits & 63)
 		nbits += uint(t.len[s0])
 		if flush1 {
-			binary.BigEndian.PutUint64(stream[pos:pos+8], acc)
+			if len(stream)-pos < 8 {
+				return -1
+			}
+			binary.BigEndian.PutUint64(stream[pos:], acc)
 			pos += int(nbits >> 3)
 			acc <<= nbits & 56
 			nbits &= 7
@@ -184,7 +248,10 @@ func huffPack(stream []byte, src []float32, t *huffCodeTable, maxLen byte) {
 		acc |= t.code[s1] >> (nbits & 63)
 		nbits += uint(t.len[s1])
 		if flush2 {
-			binary.BigEndian.PutUint64(stream[pos:pos+8], acc)
+			if len(stream)-pos < 8 {
+				return -1
+			}
+			binary.BigEndian.PutUint64(stream[pos:], acc)
 			pos += int(nbits >> 3)
 			acc <<= nbits & 56
 			nbits &= 7
@@ -192,18 +259,25 @@ func huffPack(stream []byte, src []float32, t *huffCodeTable, maxLen byte) {
 		acc |= t.code[s2] >> (nbits & 63)
 		nbits += uint(t.len[s2])
 		if flush1 {
-			binary.BigEndian.PutUint64(stream[pos:pos+8], acc)
+			if len(stream)-pos < 8 {
+				return -1
+			}
+			binary.BigEndian.PutUint64(stream[pos:], acc)
 			pos += int(nbits >> 3)
 			acc <<= nbits & 56
 			nbits &= 7
 		}
 		acc |= t.code[s3] >> (nbits & 63)
 		nbits += uint(t.len[s3])
-		binary.BigEndian.PutUint64(stream[pos:pos+8], acc)
+		if len(stream)-pos < 8 {
+			return -1
+		}
+		binary.BigEndian.PutUint64(stream[pos:], acc)
 		pos += int(nbits >> 3)
 		acc <<= nbits & 56
 		nbits &= 7
 	}
+	return pos + int(nbits+7)/8
 }
 
 // huffPackShort packs src into stream for codes of at most huffShortCode

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
@@ -246,6 +247,46 @@ func TestWorkerCountBlockScalingCapped(t *testing.T) {
 	for _, l := range []Launch{{Grid: 1, Block: 64}, {Grid: 1, Block: 128}} {
 		if w := workerCount(len(chunkBounds(n, l.Grid))); w != 1 {
 			t.Fatalf("workerCount(%+v) = %d, want 1", l, w)
+		}
+	}
+}
+
+// TestChunkMovesStopAtAnEscapedBlob drives the chunk mover by hand over
+// four spans of 8 bytes: chunk 1's blob escaped its span (12 bytes, held
+// elsewhere), so moving it would overwrite chunk 2's span. The moves stop
+// there, and finish appends chunk 1 and every chunk after it into a copy,
+// leaving each blob and directory slot exactly once, in order.
+func TestChunkMovesStopAtAnEscapedBlob(t *testing.T) {
+	const dir, dirEnd, maxPer = 0, 32, 8
+	dst := make([]byte, dirEnd+4*maxPer)
+	blobs := [][]byte{
+		[]byte("aaaaa"),
+		[]byte("bbbbbbbbbbbb"),
+		[]byte("ccccccc"),
+		[]byte("dd"),
+	}
+	c := &chunkEncoder{dst: dst, dir: dir, dirEnd: dirEnd, maxPer: maxPer, w: dirEnd, out: make([]chunkOut, 4)}
+	for i, b := range blobs {
+		if i == 1 {
+			c.out[i].blob = b
+		} else {
+			c.out[i].blob = append(dst[dirEnd+i*maxPer:dirEnd+i*maxPer], b...)
+		}
+	}
+	for c.front < len(c.out) && c.place(c.front) {
+		c.front++
+	}
+	if c.front != 1 {
+		t.Fatalf("moves stopped before chunk %d, want 1", c.front)
+	}
+	got := c.finish()
+	want := []byte("aaaaabbbbbbbbbbbbcccccccdd")
+	if !bytes.Equal(got[dirEnd:], want) {
+		t.Fatalf("payload %q, want %q", got[dirEnd:], want)
+	}
+	for i, b := range blobs {
+		if n := binary.LittleEndian.Uint64(got[dir+8*i:]); n != uint64(len(b)) {
+			t.Fatalf("directory slot %d = %d, want %d", i, n, len(b))
 		}
 	}
 }

@@ -905,7 +905,7 @@ func TestHUFPackerFlushCadences(t *testing.T) {
 			}
 			syms := bytes.IndexByte(lengths[:], 0)
 			var codes huffCodeTable
-			codes.set(lengths, new([256]int64))
+			codes.set(lengths)
 			raw := make([]byte, 4*512)
 			for i := range raw {
 				raw[i] = byte(rng.Intn(syms))

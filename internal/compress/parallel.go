@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
 )
 
 // Launch is a GPU kernel launch geometry: the (grid, block) pair CSWAP
@@ -133,38 +135,102 @@ func MaxParallelEncodedLen(alg Algorithm, n int, launch Launch) (int, error) {
 // dst, returning the extended slice. The appended bytes are identical to
 // ParallelEncode's output for the same launch. When cap(dst)-len(dst) is at
 // least MaxParallelEncodedLen, no allocation occurs: every chunk encodes
-// directly into a disjoint span of dst and the spans are then compacted in
-// place — there is no per-chunk blob or concatenation copy.
+// directly into a disjoint span of dst and moves down into place as soon as
+// every chunk before it has — there is no per-chunk blob or concatenation
+// copy.
 func AppendParallelEncode(dst []byte, alg Algorithm, src []float32, launch Launch) ([]byte, error) {
-	return AppendParallelEncodeWith(dst, alg, src, launch, nil)
+	return AppendParallelEncodeWith(dst, alg, src, launch, nil, nil)
 }
 
-// AppendParallelEncodeWith is AppendParallelEncode with per-chunk hooks.
-func AppendParallelEncodeWith(dst []byte, alg Algorithm, src []float32, launch Launch, hooks *Hooks) ([]byte, error) {
+// AppendParallelEncodeWith is AppendParallelEncode with per-chunk hooks and
+// an optional plan (EncodePlan), which the encode uses when it matches and
+// leaves describing src.
+func AppendParallelEncodeWith(dst []byte, alg Algorithm, src []float32, launch Launch, hooks *Hooks, plan *EncodePlan) ([]byte, error) {
 	if err := launch.Validate(); err != nil {
 		return nil, err
 	}
-	return appendParallelChunks(dst, alg, src, ChunkCount(len(src), launch.Grid), hooks)
+	return appendParallelChunks(dst, alg, src, ChunkCount(len(src), launch.Grid), hooks, plan)
+}
+
+// EncodePlan is what a container encode learned that depends only on the
+// tensor's bytes and the chunking, kept so that an encode of the same bytes
+// can skip rebuilding it: for HUF, each chunk's code-length table, the
+// length of its packed stream and its digest. The other codecs build no
+// tables, so their plan holds only the shape.
+//
+// An encode handed a plan uses it when it was recorded at the same
+// algorithm, element count and chunk count, and ignores it otherwise. A HUF
+// chunk reuses its record only when the chunk's digest is the recorded one
+// and it packs to exactly the recorded length; any other chunk is encoded
+// afresh. The blob is the unplanned encode's byte for byte either way: a
+// plan saves time, it never changes output. A successful encode leaves the
+// plan describing src; a failed one leaves it empty. The zero value is an
+// empty plan. One encode may use a plan at a time.
+type EncodePlan struct {
+	alg  Algorithm
+	n, k int // element and chunk count it was recorded at; k == 0: empty
+	huf  []hufChunkPlan
+}
+
+// Reset empties the plan, keeping its memory. A nil plan is a no-op.
+func (p *EncodePlan) Reset() {
+	if p != nil {
+		p.k, p.huf = 0, p.huf[:0]
+	}
+}
+
+// Tables returns the number of chunk code tables the plan holds.
+func (p *EncodePlan) Tables() int { return len(p.huf) }
+
+// prepare readies the plan for an encode of n elements in k chunks with
+// alg, reporting whether its records are reusable; if not, it is reshaped
+// to record this encode. Its HUF records are returned, one per chunk (nil
+// for a nil plan or another codec).
+func (p *EncodePlan) prepare(alg Algorithm, n, k int) (huf []hufChunkPlan, reuse bool) {
+	if p == nil {
+		return nil, false
+	}
+	reuse = p.k == k && p.alg == alg && p.n == n
+	if !reuse {
+		p.alg, p.n, p.k = alg, n, k
+		p.huf = p.huf[:0]
+		if alg == Huffman {
+			p.huf = slices.Grow(p.huf, k)[:k]
+		}
+	}
+	if len(p.huf) == 0 {
+		return nil, reuse
+	}
+	return p.huf, reuse
 }
 
 // appendParallelChunks is the encoder body: it cuts src into
 // chunkBounds(len(src), numChunks), with no floor applied. The exported path
 // passes ChunkCount; tests pass a count directly to build the small-chunk
 // directories older encoders wrote, which the decoder still accepts.
-func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks int, hooks *Hooks) ([]byte, error) {
+func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks int, hooks *Hooks, plan *EncodePlan) ([]byte, error) {
 	codec, err := New(alg)
 	if err != nil {
 		return nil, err
 	}
-	chunks := chunkBounds(len(src), numChunks)
-	k := len(chunks)
+	per, k := chunkShape(len(src), numChunks)
 
 	// Reserve the header, the directory, and one worst-case span per chunk.
 	// Every non-last chunk has the same element count, hence the same bound.
 	base := len(dst)
-	dirEnd := base + parHeaderSize + 8*k
-	maxPer := codec.MaxEncodedLen(chunks[0].hi - chunks[0].lo)
-	need := dirEnd + (k-1)*maxPer + codec.MaxEncodedLen(chunks[k-1].hi-chunks[k-1].lo)
+	c := &chunkEncoder{
+		codec:  codec,
+		alg:    alg,
+		src:    src,
+		per:    per,
+		dir:    base + parHeaderSize,
+		dirEnd: base + parHeaderSize + 8*k,
+		maxPer: codec.MaxEncodedLen(min(per, len(src))),
+		hooks:  hooks,
+		out:    make([]chunkOut, k),
+	}
+	c.huf, c.reuse = plan.prepare(alg, len(src), k)
+	need := c.dirEnd + (k-1)*c.maxPer + codec.MaxEncodedLen(len(src)-(k-1)*per)
 	if cap(dst) < need {
 		grown := make([]byte, need, need+(need-base)/4)
 		copy(grown, dst)
@@ -172,44 +238,147 @@ func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks in
 	} else {
 		dst = dst[:need]
 	}
-
-	// Each chunk encodes into its own capacity-capped span; the three-index
-	// slice keeps appends inside the reservation. encoded records where each
-	// blob actually lives — normally the span itself, or an escaped append
-	// allocation if a MaxEncodedLen bound were ever violated (the compaction
-	// below copies from wherever the blob is, so correctness never depends
-	// on the bound).
-	encoded := make([][]byte, k)
-	errs := make([]error, k)
-	runWorkers(k, workerCount(k), func(i int) {
-		if herr := hooks.chunkEncode(alg, i); herr != nil {
-			errs[i] = chunkErr(alg, i, k, herr)
-			return
-		}
-		off := dirEnd + i*maxPer
-		lim := off + codec.MaxEncodedLen(chunks[i].hi-chunks[i].lo)
-		encoded[i] = codec.AppendEncode(dst[off:off:lim], src[chunks[i].lo:chunks[i].hi])
-	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+	c.dst, c.w = dst, c.dirEnd
+	runWorkers(k, workerCount(k), func(i int) { c.encode(i) })
+	for _, o := range c.out {
+		if o.err != nil {
+			plan.Reset()
+			return nil, o.err
 		}
 	}
-
-	// Header, directory, then left-compaction. Chunk i's final position
-	// starts at dirEnd + sum(len(b_j), j<i) <= dirEnd + i*maxPer, its
-	// scratch position, so the ascending copy never clobbers unread bytes.
+	dst = c.finish()
 	dst[base] = parallelMarker
 	dst[base+1] = byte(alg)
 	binary.LittleEndian.PutUint64(dst[base+2:], uint64(len(src)))
 	binary.LittleEndian.PutUint32(dst[base+10:], uint32(k))
-	w := dirEnd
-	for i, b := range encoded {
-		binary.LittleEndian.PutUint64(dst[base+parHeaderSize+8*i:], uint64(len(b)))
-		copy(dst[w:], b)
-		w += len(b)
+	return dst, nil
+}
+
+// chunkEncoder is one container encode in flight. Each chunk encodes into
+// its own capacity-capped span of dst, maxPer bytes apart; the three-index
+// slice keeps appends inside the reservation. A finished chunk then moves
+// down to its final place, directly after the chunk before it, as soon as
+// every chunk before it has moved: the worker that finishes the frontier
+// chunk moves it and every finished chunk after it while the other workers
+// keep encoding. Moves go in index order, one mover at a time, so chunk i's
+// destination starts at dirEnd + sum(len(b_j), j<i) <= dirEnd + i*maxPer,
+// its own span's start: it may overlap its own source and the spans of
+// chunks already moved, never a later chunk's span, which a worker may
+// still be writing.
+type chunkEncoder struct {
+	codec  Codec
+	alg    Algorithm
+	src    []float32
+	per    int
+	dst    []byte
+	dir    int // the directory's offset in dst
+	dirEnd int // the first span's offset
+	maxPer int // the span stride
+	hooks  *Hooks
+	huf    []hufChunkPlan // the plan's HUF records, nil without a plan
+	reuse  bool           // the records describe the last encode of this shape
+	out    []chunkOut
+
+	// mu guards done, front and moving; w belongs to the mover.
+	mu     sync.Mutex
+	front  int  // the next chunk to move
+	moving bool // a worker is moving chunks
+	w      int  // where chunk front moves to
+}
+
+// chunkOut is one chunk's outcome. blob is normally the chunk's span of
+// dst, or an escaped append allocation if a MaxEncodedLen bound were ever
+// violated: finish copies from wherever the blob is, so correctness never
+// depends on the bound.
+type chunkOut struct {
+	blob []byte
+	err  error
+	done bool
+}
+
+// encode encodes chunk i into its span, then moves it and the finished
+// chunks after it into place if it completed the frontier and no other
+// worker is moving. A lone chunk has no one to race and takes no lock.
+func (c *chunkEncoder) encode(i int) {
+	lo := i * c.per
+	hi := min(lo+c.per, len(c.src))
+	o := &c.out[i]
+	if herr := c.hooks.chunkEncode(c.alg, i); herr != nil {
+		o.err = chunkErr(c.alg, i, len(c.out), herr)
+	} else {
+		off := c.dirEnd + i*c.maxPer
+		o.blob = c.encodeChunk(c.dst[off:off:off+c.codec.MaxEncodedLen(hi-lo)], c.src[lo:hi], i)
 	}
-	return dst[:w], nil
+	if len(c.out) == 1 {
+		if c.place(0) {
+			c.front = 1
+		}
+		return
+	}
+	c.mu.Lock()
+	o.done = true
+	if c.moving {
+		c.mu.Unlock()
+		return
+	}
+	c.moving = true
+	for c.front < len(c.out) && c.out[c.front].done {
+		c.mu.Unlock()
+		placed := c.place(c.front)
+		c.mu.Lock()
+		if !placed {
+			break // finish takes it from here
+		}
+		c.front++
+	}
+	c.moving = false
+	c.mu.Unlock()
+}
+
+// encodeChunk encodes chunk i of src into span: under the plan's record for
+// a reusable HUF plan, afresh (recording) otherwise.
+func (c *chunkEncoder) encodeChunk(span []byte, src []float32, i int) []byte {
+	if c.huf == nil {
+		return c.codec.AppendEncode(span, src)
+	}
+	if c.reuse {
+		if blob, ok := huffEncodePlanned(span, src, &c.huf[i]); ok {
+			return blob
+		}
+	}
+	return huffEncode(span, src, &c.huf[i])
+}
+
+// place moves chunk j to c.w and fills its directory slot. It moves nothing
+// and reports false for a failed chunk, or one whose blob would reach into
+// the next chunk's span or past the reservation.
+func (c *chunkEncoder) place(j int) bool {
+	o := &c.out[j]
+	end := c.w + len(o.blob)
+	if o.err != nil || end > len(c.dst) || j+1 < len(c.out) && end > c.dirEnd+(j+1)*c.maxPer {
+		return false
+	}
+	binary.LittleEndian.PutUint64(c.dst[c.dir+8*j:], uint64(len(o.blob)))
+	copy(c.dst[c.w:], o.blob)
+	c.w = end
+	return true
+}
+
+// finish returns the container's bytes once every chunk has encoded: dst
+// up to the last moved chunk, with any chunk that could not move in place
+// and every one after it appended into a copy, which leaves every source
+// unread by a write.
+func (c *chunkEncoder) finish() []byte {
+	dst := c.dst[:c.w]
+	if c.front == len(c.out) {
+		return dst
+	}
+	dst = dst[:c.w:c.w] // full, so the first non-empty append moves it out
+	for j := c.front; j < len(c.out); j++ {
+		binary.LittleEndian.PutUint64(dst[c.dir+8*j:], uint64(len(c.out[j].blob)))
+		dst = append(dst, c.out[j].blob...)
+	}
+	return dst
 }
 
 // ParallelDecode reverses ParallelEncode, decoding chunks concurrently on

@@ -105,12 +105,16 @@ type BlockPool struct {
 	// (Seal): WriteBlocks refuses it. A sealed one-block pool's first store
 	// under Config.Verify keeps its digest here, and every later store
 	// reuses it instead of reading the payload again — every resident copy
-	// since was written by a restore that checked against that digest. The
+	// since was written by a restore that checked against that digest. For
+	// the same reason it keeps the encode plan (compress.EncodePlan) its
+	// last committed compressed store recorded, whose HUF code tables the
+	// next compressed store packs with instead of building them again. The
 	// block's claim serializes store and restore, so the claim holder owns
-	// digest and digested.
+	// digest, digested and plan.
 	sealed   bool
 	digested bool
 	digest   uint64
+	plan     compress.EncodePlan
 }
 
 // poolRun is one stored (swapped-out) run: the shared payload record for
@@ -178,6 +182,12 @@ func (p *BlockPool) NumBlocks() int { return p.numBlocks }
 
 // Bytes returns the pool's device reservation size.
 func (p *BlockPool) Bytes() int64 { return int64(p.blockElems) * int64(p.numBlocks) * 4 }
+
+// PlanTables returns how many HUF chunk code tables the pool keeps for its
+// next compressed swap-out: none unless it is a sealed tensor whose last
+// committed compressed swap-out, under Config.Verify, was HUF. Call it while
+// no swap of the pool is in flight.
+func (p *BlockPool) PlanTables() int { return p.plan.Tables() }
 
 // BlockState returns one block's current storage state (Freed once the
 // pool itself is freed).
@@ -679,7 +689,8 @@ func (p *BlockPool) dispatchRun(ctx context.Context, t *Ticket, runs []BlockRun,
 // storeRun runs the shared store body for one contiguous run. The blocks
 // are claimed SwappingOut; commit publishes the stored run and marks them
 // Swapped, rollback returns them to Resident with the device copy intact.
-// A sealed one-block pool hands store the digest its first store took.
+// A sealed one-block pool hands store the digest its first store took and
+// its encode plan.
 func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm) error {
 	pr := &p.one
 	if p.numBlocks > 1 {
@@ -689,8 +700,12 @@ func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm
 	// claim ordered these reads after them.
 	*pr = poolRun{start: r.Start, count: r.Count, stored: stored{elems: r.Count * p.blockElems, charge: p.charge, checksum: p.digest}}
 	keep := p.sealed && p.numBlocks == 1 && p.e.cfg.Verify
+	var plan *compress.EncodePlan
+	if keep {
+		plan = &p.plan
+	}
 	src := p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
-	err := p.e.store(&pr.stored, p.name, src, keep && p.digested, doCompress, alg, func() error {
+	err := p.e.store(&pr.stored, p.name, src, keep && p.digested, doCompress, alg, plan, func() error {
 		if keep { // before the commit hands the record to the next claim
 			p.digest, p.digested = pr.checksum, true
 		}

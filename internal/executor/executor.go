@@ -114,9 +114,11 @@ type Config struct {
 	// guarantee, and the daemon default. An unsealed payload is digested
 	// at every swap-out, because its owner may have rewritten it since the
 	// last; a sealed tensor (Handle.Seal) only at its first, and every
-	// later swap-out reuses that digest. Each digest is one more pass over
-	// the payload beside the codec's. With Verify off no digest is taken at
-	// all.
+	// later swap-out reuses that digest. For the same reason a sealed
+	// tensor's HUF swap-outs reuse the code tables the last one built
+	// (compress.EncodePlan), byte for byte the same blob. Each digest is one
+	// more pass over the payload beside the codec's. With Verify off no
+	// digest is taken and no plan kept.
 	Verify bool
 	// MaxInFlight bounds how many asynchronous operations (SwapOutAsyncCtx,
 	// SwapInAsyncCtx, PrefetchCtx, one per run of a pool's *Ctx batch) may
@@ -295,8 +297,11 @@ func (h *Handle) Pool() *BlockPool { return h.pool }
 // Config.Verify a sealed tensor is then digested at its first swap-out
 // only: every later swap-out reuses that digest, and every restore is still
 // checked against it, so memory that changed behind the seal fails its next
-// swap-in with ErrVerification instead of coming back. Call it while no
-// swap of the tensor is in flight.
+// swap-in with ErrVerification instead of coming back. Its compressed
+// swap-outs also keep the encode plan the last one recorded, so a HUF
+// swap-out packs with the code tables the previous one built; a chunk whose
+// bytes changed is encoded afresh. Call it while no swap of the tensor is
+// in flight.
 func (h *Handle) Seal() { h.pool.seal() }
 
 // Name returns the tensor's registration name.
@@ -460,17 +465,18 @@ func (e *Executor) SetLaunch(l compress.Launch) error {
 }
 
 // arenaEncode runs the parallel encode into an arena buffer sized by the
-// codec's worst-case bound, so the encode itself allocates nothing. On
-// error the buffer goes straight back to the arena; on success the caller
-// owns the returned blob and recycles it via arena.put.
-func (e *Executor) arenaEncode(alg compress.Algorithm, data []float32) ([]byte, error) {
+// codec's worst-case bound, so the encode itself allocates nothing, under
+// plan (nil for none). On error the buffer goes straight back to the arena;
+// on success the caller owns the returned blob and recycles it via
+// arena.put.
+func (e *Executor) arenaEncode(alg compress.Algorithm, data []float32, plan *compress.EncodePlan) ([]byte, error) {
 	launch := e.Launch() // one read: bound and encode must agree
 	bound, err := compress.MaxParallelEncodedLen(alg, len(data), launch)
 	if err != nil {
 		return nil, err
 	}
 	buf := e.arena.get(bound)
-	blob, err := compress.AppendParallelEncodeWith(buf, alg, data, launch, e.hooks)
+	blob, err := compress.AppendParallelEncodeWith(buf, alg, data, launch, e.hooks, plan)
 	if err != nil {
 		e.arena.put(buf)
 		return nil, err

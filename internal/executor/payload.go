@@ -80,14 +80,18 @@ func (p *BlockPool) SetCharge(c Charge) {
 // bytes in the host pool and fill s, then run the owner's commit. The
 // caller holds the claim and rolls it back when store fails — src is then
 // untouched and nothing is held. digested says s.checksum already holds
-// src's verify digest (a sealed tensor's), so store takes none.
+// src's verify digest (a sealed tensor's), so store takes none. plan, nil
+// unless the owner is sealed, is the encode plan of the owner's last
+// committed compressed store: a compressed store encodes under it and
+// leaves it recorded from src, before a transfer fault can touch the blob,
+// and empties it unless the store commits compressed.
 //
 // A compressed store never fails on the codec: an encode error, or a host
 // allocation failure for the compressed blob, degrades to the raw path.
 // Only a raw-path allocation failure (after the spill tier, if any, was
 // asked to make room) or a commit error surfaces. Counters move only once
 // commit has succeeded, so they describe committed outcomes.
-func (e *Executor) store(s *stored, name string, src []float32, digested, doCompress bool, alg compress.Algorithm, commit func() error) error {
+func (e *Executor) store(s *stored, name string, src []float32, digested, doCompress bool, alg compress.Algorithm, plan *compress.EncodePlan, commit func() error) error {
 	timed := e.obs != nil // deep instrumentation only when observed
 	var t0 float64
 	if timed {
@@ -111,7 +115,7 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 		// The encode output lands in an arena buffer sized by the codec's
 		// worst-case bound, so the whole compressed path allocates nothing
 		// once the arena is warm.
-		b, err := e.arenaEncode(alg, src)
+		b, err := e.arenaEncode(alg, src, plan)
 		if timed {
 			encDur = time.Since(encStart)
 		}
@@ -156,6 +160,9 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 			blob, hostBlock, err = raw, rawBlock, nil
 		}
 	}
+	if doCompress && !compressed {
+		plan.Reset()
+	}
 	if err != nil {
 		e.arena.put(blob) // nothing ships
 		return fmt.Errorf("executor: host pool: %w", err)
@@ -168,6 +175,7 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 	// below needs is taken from s here, while the claim is still held.
 	cells, rawBytes, moved := e.ins.forPayload(s), s.rawBytes(), len(blob)
 	if err := commit(); err != nil {
+		plan.Reset()
 		_ = e.drop(s)
 		s.alg, s.compressed = 0, false // a rolled-back owner reports no stale encoding
 		return err

@@ -1,13 +1,17 @@
 package executor
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"cswap/internal/compress"
+	"cswap/internal/faultinject"
 	"cswap/internal/tensor"
 )
 
@@ -225,4 +229,122 @@ func TestSealedDigestConcurrentSwaps(t *testing.T) {
 		}
 	}
 	assertBitExact(t, h, want)
+}
+
+// TestSealedTensorKeepsPlan: with Verify on, a sealed tensor's first
+// compressed swap-out records the encode plan, which holds a code table per
+// chunk for HUF and none for the other codecs, and every swap-out, the ones
+// that pack under the plan included, stores exactly the unplanned encode of
+// the registered bytes. An unsealed tensor and a block pool, sealed or not,
+// keep no plan.
+func TestSealedTensorKeepsPlan(t *testing.T) {
+	want := sealPayload(3<<14 + 5)
+	for _, alg := range compress.ExtendedAlgorithms() {
+		t.Run(alg.String(), func(t *testing.T) {
+			e := newTestExecutor(t, 1<<22, 1<<22)
+			blob, err := compress.AppendParallelEncode(nil, alg, want, e.Launch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := e.Register("sealed", tensor.FromSlice(append([]float32(nil), want...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Seal()
+			tables := 0
+			if alg == compress.Huffman {
+				tables = compress.ChunkCount(len(want), e.Launch().Grid)
+			}
+			for cycle := 0; cycle < 3; cycle++ {
+				if err := e.SwapOut(h, true, alg); err != nil {
+					t.Fatal(err)
+				}
+				if got := h.pool.plan.Tables(); got != tables {
+					t.Fatalf("cycle %d: plan holds %d tables, want %d", cycle, got, tables)
+				}
+				if !bytes.Equal(storedOf(h).blob, blob) {
+					t.Fatalf("cycle %d: stored blob is not the unplanned encode", cycle)
+				}
+				if err := e.SwapIn(h); err != nil {
+					t.Fatal(err)
+				}
+				assertBitExact(t, h, want)
+			}
+		})
+	}
+
+	e := newTestExecutor(t, 1<<22, 1<<22)
+	lib, err := e.Register("lib", tensor.FromSlice(append([]float32(nil), want...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools := []*BlockPool{lib.pool}
+	for _, sealed := range []bool{false, true} {
+		p, err := e.RegisterBlockPool(fmt.Sprintf("pool-%v", sealed), 1<<14, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(p.data, want)
+		if sealed {
+			p.seal()
+		}
+		pools = append(pools, p)
+	}
+	for _, p := range pools {
+		all := []int{0}
+		if p.numBlocks > 1 {
+			all = []int{0, 1, 2}
+		}
+		for cycle := 0; cycle < 2; cycle++ {
+			if err := p.SwapOutBlocks(all, true, compress.Huffman); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.plan.Tables(); got != 0 {
+				t.Fatalf("%s: plan holds %d tables", p.name, got)
+			}
+			if err := p.SwapInBlocks(all); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSealedPlanSurvivesTransferCorruption: a transfer-out fault corrupts
+// the stored copy of a sealed HUF tensor's first swap-out, and its swap-in
+// is refused; the plan that swap-out kept was recorded from the resident
+// bytes, not the corrupted copy, so it is the plan a clean encode records,
+// and a later swap-out's encode under it is the clean blob.
+func TestSealedPlanSurvivesTransferCorruption(t *testing.T) {
+	e := newFaultyExecutor(t, 1<<22, 1<<23,
+		faultinject.Fault{Site: faultinject.SiteTransferOut, Mode: faultinject.Corrupt})
+	want := sealPayload(3<<14 + 5)
+	h, err := e.Register("sealed", tensor.FromSlice(append([]float32(nil), want...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Seal()
+	if err := e.SwapOut(h, true, compress.Huffman); err != nil {
+		t.Fatal(err)
+	}
+	if e.FaultStats().Corruptions != 1 {
+		t.Fatal("the transfer-out fault did not fire")
+	}
+	if err := e.SwapIn(h); err == nil {
+		t.Fatal("a corrupted stored copy was restored")
+	}
+	var clean compress.EncodePlan
+	blob, err := compress.AppendParallelEncodeWith(nil, compress.Huffman, want, e.Launch(), nil, &clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(h.pool.plan, clean) {
+		t.Fatal("the kept plan is not the one a clean encode of the registered bytes records")
+	}
+	next, err := e.arenaEncode(compress.Huffman, want, &h.pool.plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(next, blob) {
+		t.Fatal("an encode under the kept plan differs from the clean blob")
+	}
 }

@@ -466,7 +466,7 @@ func (c *Cluster) DrainShard(id int) (tensors int, bytesMoved int64, err error) 
 func acquireForMigration(sess *session, name string) (*entry, error) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ent, err := sess.acquire(name)
+		ent, err := sess.acquire(name, 0)
 		if err == nil {
 			return ent, nil
 		}

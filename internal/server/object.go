@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"cswap/internal/compress"
 	"cswap/internal/executor"
@@ -110,8 +111,8 @@ func newObject(exec *executor.Executor, qname string, f *wire.Frame, charge exec
 // acquireFor is session.acquire for a frame addressed to an existing object:
 // a frame of the other family than the object's creator is refused with
 // errKind.
-func (s *session) acquireFor(f *wire.Frame) (*entry, error) {
-	ent, err := s.acquire(f.Name)
+func (s *session) acquireFor(f *wire.Frame, wait time.Duration) (*entry, error) {
+	ent, err := s.acquire(f.Name, wait)
 	if err == nil && wire.Ops[f.Type].Pool != ent.obj.pool {
 		ent.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s/%s", errKind, s.tenant, f.Name)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cswap/client"
+	"cswap/internal/compress"
 	"cswap/internal/executor"
 	"cswap/internal/faultinject"
 	"cswap/internal/placement"
@@ -150,6 +151,65 @@ func TestSealedTensorCycles(t *testing.T) {
 		}
 		verified(t, dst, before, cycles*len(names))
 	})
+}
+
+// TestDrainedTensorStartsWithoutPlan: a served tensor's HUF code tables
+// stay with its pool. After a drain moves a resident tensor whose swap-outs
+// on the old shard kept a plan, the arriving object holds none; its first
+// HUF swap-out on the new shard records one afresh, and every restore after
+// is the registered bytes.
+func TestDrainedTensorStartsWithoutPlan(t *testing.T) {
+	const elems = 3<<14 + 5
+	data := crcPayload(elems)
+	ctx := context.Background()
+	cl, err := NewCluster(WithShards(2), WithDeviceCapacity(64<<20), WithHostCapacity(64<<20),
+		WithVerify(true), WithRetryAfter(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(cl.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		_ = cl.Close()
+	})
+	c := client.New(hs.URL)
+	m := cl.Map()
+	name := ""
+	for i := 0; name == ""; i++ {
+		if o, _ := m.Ring().Owner(placement.Key(DefaultTenant, fmt.Sprintf("huf/%d", i))); o == 1 {
+			name = fmt.Sprintf("huf/%d", i)
+		}
+	}
+	if err := c.Register(ctx, name, data); err != nil {
+		t.Fatal(err)
+	}
+	huf := client.WithCodec(client.HUF)
+	for i := 0; i < 2; i++ {
+		if err := c.SwapOut(ctx, name, huf); err != nil {
+			t.Fatal(err)
+		}
+		checkSwapIn(t, cl.Shard(1), hs.URL, name, data)
+	}
+	tables := compress.ChunkCount(elems, cl.Shard(1).Executor().Launch().Grid)
+	if got := sealedPool(t, cl.Shard(1), name).PlanTables(); got != tables {
+		t.Fatalf("old shard keeps %d tables, want %d", got, tables)
+	}
+	if n, _, err := cl.DrainShard(1); err != nil || n != 1 {
+		t.Fatalf("drain moved %d tensors: %v", n, err)
+	}
+	dst := cl.Shard(0)
+	if got := sealedPool(t, dst, name).PlanTables(); got != 0 {
+		t.Fatalf("arriving tensor holds %d tables, want none", got)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.SwapOut(ctx, name, huf); err != nil {
+			t.Fatal(err)
+		}
+		if got := sealedPool(t, dst, name).PlanTables(); got != tables {
+			t.Fatalf("swap-out %d on the new shard: %d tables, want %d", i, got, tables)
+		}
+		checkSwapIn(t, dst, hs.URL, name, data)
+	}
 }
 
 // TestSealedTensorCorruptTransferRefused: a sealed tensor's stored copy

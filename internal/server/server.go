@@ -287,6 +287,10 @@ func (s *Server) intake(tenant string) (*session, bool) {
 	return s.sessions[tenant], s.draining
 }
 
+// unframedTenant is the tenant label server_requests_total counts a request
+// under when its frame was refused before its tenant had a session.
+const unframedTenant = "-"
+
 // tenantOf extracts the request's tenant name.
 func tenantOf(r *http.Request) string {
 	if t := r.Header.Get(TenantHeader); t != "" {
@@ -315,9 +319,6 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 		}
 		if sess != nil {
 			sess.countRequest(typ)
-		} else { // a tenant's first request: its session waits for a well-formed frame
-			s.ins.reg.Counter("server_requests_total",
-				metrics.L("tenant", tenant), metrics.L("op", op.Path)).Inc()
 		}
 		start := time.Now()
 		// Only a batch-write's payload is staging — verified whole, then
@@ -327,10 +328,17 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 		if typ == wire.TypeBatchData {
 			stage, _ = s.staging.Get().([]float32)
 		}
-		if f, ok := s.readFrame(w, r, typ, stage); ok {
-			if sess == nil {
-				sess = s.session(tenant)
-			}
+		f, ok := s.readFrame(w, r, typ, stage)
+		switch {
+		case sess != nil:
+		case ok: // a tenant's first request: its session waits for a well-formed frame
+			sess = s.session(tenant)
+			sess.countRequest(typ)
+		default: // no series for a name only a refused frame carried
+			s.ins.reg.Counter("server_requests_total",
+				metrics.L("tenant", unframedTenant), metrics.L("op", op.Path)).Inc()
+		}
+		if ok {
 			switch {
 			case op.Register:
 				s.register(w, sess, f)
@@ -502,7 +510,7 @@ func (s *Server) demoteForAdmit(sess *session, need int64) bool {
 		if sess.deviceHeadroom(need) {
 			break
 		}
-		ent, err := sess.acquire(name)
+		ent, err := sess.acquire(name, 0)
 		if err != nil {
 			continue
 		}
@@ -581,7 +589,7 @@ func (s *Server) finishAsync(t *executor.Ticket, ent *entry) {
 // entry is returned still locked and still holding the admission slot — the
 // caller reads what it needs, then finishes with swapAck or swapData.
 func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op, blocks int) (*entry, bool) {
-	ent, err := sess.acquireFor(f)
+	ent, err := sess.acquireFor(f, s.cfg.retryAfter)
 	if err != nil {
 		s.failErr(w, err)
 		return nil, false
@@ -648,7 +656,10 @@ const (
 // under the entry lock, which still excludes concurrent mutation, so
 // nothing is staged or copied. The admission slot bounds executor work, not
 // socket time, and goes back first; the write deadline bounds how long a
-// stalled reader can hold the lock.
+// stalled reader can hold the lock. The reader may send its next request
+// on the tensor before the write returns, so a request that finds the lock
+// held by the write waits for it, for up to its Retry-After hint, rather
+// than being told to retry in that long (session.acquire).
 //
 // A pool's scattered runs are the exception: written one by one, each few
 // KiB is a socket write and a wakeup of the reader (six writes where an
@@ -678,8 +689,12 @@ func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame, segs
 	// A writer without deadlines (a test recorder) has no slow reader either.
 	rc := http.NewResponseController(w)
 	_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.writeGrace + time.Duration(ent.bytes/writeFloorRate)*time.Second))
+	// The write token goes back after mu, so that a request waiting for the
+	// write (session.acquire) finds mu free.
+	ent.writing <- struct{}{}
 	s.respond(w, f, segs...)
 	ent.mu.Unlock()
+	<-ent.writing
 	_ = rc.SetWriteDeadline(time.Time{}) // the connection outlives this response
 }
 
@@ -719,7 +734,7 @@ func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *
 // write stores packed block contents into resident blocks. It is a
 // device-memory write, not a swap: no admission slot is consumed.
 func (s *Server) write(w http.ResponseWriter, sess *session, f *wire.Frame) {
-	ent, err := sess.acquireFor(f)
+	ent, err := sess.acquireFor(f, s.cfg.retryAfter)
 	if err != nil {
 		s.failErr(w, err)
 		return
@@ -781,7 +796,7 @@ func sliceSparsity(data []float32) float64 {
 
 // free releases the tensor or pool and returns its bytes to the quota.
 func (s *Server) free(w http.ResponseWriter, sess *session, f *wire.Frame) {
-	ent, err := sess.acquire(f.Name)
+	ent, err := sess.acquire(f.Name, s.cfg.retryAfter)
 	if err != nil {
 		s.failErr(w, err)
 		return

@@ -413,3 +413,54 @@ func TestMalformedFramesRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedFramesCreateNoTenantSeries: 200 requests with garbage bodies,
+// each under its own tenant name and spread over the operations, add at
+// most one server_requests_total series per operation, and leave the
+// series of a tenant that sent well-formed frames as they were.
+func TestRefusedFramesCreateNoTenantSeries(t *testing.T) {
+	_, url := newTestServer(t)
+	c, ctx := client.New(url), context.Background()
+	if err := c.Register(ctx, "m", make([]float32, 256)); err != nil {
+		t.Fatal(err)
+	}
+	requestSeries := func() map[string]string {
+		text, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		series := map[string]string{}
+		for _, line := range strings.Split(text, "\n") {
+			if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "server_requests_total{") {
+				series[name] = value
+			}
+		}
+		return series
+	}
+	before := requestSeries()
+	ops := []string{"register", "swap-out", "swap-in", "free"}
+	for i := 0; i < 200; i++ {
+		req, err := http.NewRequest(http.MethodPost, url+"/v1/"+ops[i%len(ops)], strings.NewReader("not a frame at all"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(server.TenantHeader, fmt.Sprintf("stranger-%d", i))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("garbage frame %d: status %d, want 400", i, resp.StatusCode)
+		}
+	}
+	after := requestSeries()
+	if added := len(after) - len(before); added > len(ops) {
+		t.Fatalf("200 refused frames added %d server_requests_total series, want at most %d", added, len(ops))
+	}
+	for name, value := range before {
+		if after[name] != value {
+			t.Fatalf("%s: %s before the refused frames, %s after", name, value, after[name])
+		}
+	}
+}

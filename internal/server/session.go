@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cswap/internal/compress"
 	"cswap/internal/executor"
@@ -188,6 +189,12 @@ func (s *session) rollbackVerdict() (verdict, bool) {
 // while it is encoded.
 type entry struct {
 	mu sync.Mutex
+	// writing is a one-slot token a handler holds while it writes a
+	// response from the entry's memory under mu (swapData), until just past
+	// mu's release. The caller that read that response may send its next
+	// request before mu is free; acquire waits for the token instead of
+	// answering busy.
+	writing chan struct{}
 	// obj is the block pool behind the name (object.go): one name, one
 	// quota charge. Its pool is nil until the register commits.
 	obj object
@@ -234,7 +241,7 @@ func (s *session) reserve(name string, bytes int64) (*entry, error) {
 		return nil, fmt.Errorf("%w: %s holds %d of %d bytes, register needs %d",
 			ErrQuotaExceeded, s.tenant, held, s.quota, bytes)
 	}
-	ent := &entry{bytes: bytes}
+	ent := &entry{bytes: bytes, writing: make(chan struct{}, 1)}
 	ent.mu.Lock()
 	s.entries[name] = ent
 	s.charge.Held.Add(float64(bytes))
@@ -278,14 +285,16 @@ func (s *session) lookup(name string) (*entry, error) {
 }
 
 // acquire looks the tensor up and claims its request lock without
-// blocking: contention answers errEntryBusy — the HTTP layer's bounded
-// analogue of the executor's ErrBusy — rather than queueing the request.
-func (s *session) acquire(name string) (*entry, error) {
+// queueing: contention answers errEntryBusy — the HTTP layer's bounded
+// analogue of the executor's ErrBusy. The one wait is for a response write
+// from the entry's memory, for up to wait: its reader may be the caller
+// whose next request this is, and the write deadline bounds it anyway.
+func (s *session) acquire(name string, wait time.Duration) (*entry, error) {
 	ent, err := s.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	if !ent.mu.TryLock() {
+	if !ent.mu.TryLock() && (!ent.awaitWrite(wait) || !ent.mu.TryLock()) {
 		return nil, fmt.Errorf("%w: %s/%s (request in flight)", errEntryBusy, s.tenant, name)
 	}
 	if ent.obj.p == nil {
@@ -294,6 +303,24 @@ func (s *session) acquire(name string) (*entry, error) {
 		return nil, fmt.Errorf("%w: %s/%s", ErrUnknownTensor, s.tenant, name)
 	}
 	return ent, nil
+}
+
+// awaitWrite waits up to wait for a response write from the entry's memory
+// to finish, reporting whether none is in progress by then. It returns at
+// once when none is: mu is then held by an operation, not a write.
+func (e *entry) awaitWrite(wait time.Duration) bool {
+	if wait <= 0 {
+		return false
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case e.writing <- struct{}{}:
+		<-e.writing
+		return true
+	case <-t.C:
+		return false
+	}
 }
 
 // entryNames snapshots the tenant's registered tensor names, sorted — the

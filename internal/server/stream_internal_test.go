@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +182,72 @@ func TestStalledReaderFreesEntry(t *testing.T) {
 	got, err := c.SwapIn(ctx, "pinned")
 	if err != nil || !wire.Equal(&wire.Frame{Data: got}, &wire.Frame{Data: data}) {
 		t.Fatalf("swap-in after the stalled reader was cut off: %v", err)
+	}
+}
+
+// lastByteStall is a ResponseWriter that stalls inside the Write that
+// delivers a response's last byte: the moment a client has read the whole
+// response while the handler that wrote it has not yet returned.
+type lastByteStall struct {
+	h         http.Header
+	got       int
+	delivered chan struct{}
+	stall     time.Duration
+}
+
+func (w *lastByteStall) Header() http.Header { return w.h }
+func (w *lastByteStall) WriteHeader(int)     {}
+func (w *lastByteStall) Write(b []byte) (int, error) {
+	w.got += len(b)
+	if strconv.Itoa(w.got) == w.h.Get("Content-Length") {
+		close(w.delivered)
+		time.Sleep(w.stall)
+	}
+	return len(b), nil
+}
+
+// TestNextRequestWaitsForResponseWrite: a swap-in answers from the
+// tensor's memory under its entry lock. The caller that has read the whole
+// answer sends its next operation on the tensor while the write has not
+// returned; that operation waits for the write and goes through, where it
+// used to be answered 409 with a Retry-After of a second.
+func TestNextRequestWaitsForResponseWrite(t *testing.T) {
+	s, url := newInternalServer(t, WithRetryAfter(time.Second))
+	c, ctx := client.New(url, client.WithRetry(0, 0)), context.Background()
+	data := make([]float32, 64<<10)
+	for i := range data {
+		data[i] = float32(i % 7)
+	}
+	if err := c.Register(ctx, "t", data); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SwapOut(ctx, "t", client.WithRaw()); err != nil {
+		t.Fatal(err)
+	}
+	request := func(f *wire.Frame) *http.Request {
+		body, err := wire.Encode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return httptest.NewRequest(http.MethodPost, "/v1/"+wire.Ops[f.Type].Path, bytes.NewReader(body))
+	}
+	const stall = 100 * time.Millisecond
+	w := &lastByteStall{h: http.Header{}, delivered: make(chan struct{}), stall: stall}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(w, request(&wire.Frame{Type: wire.TypeSwapIn, Name: "t"}))
+	}()
+	<-w.delivered
+	start := time.Now()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, request(&wire.Frame{Type: wire.TypeSwapOut, Name: "t"}))
+	<-done
+	if rec.Code != http.StatusOK {
+		t.Fatalf("swap-out sent after the swap-in's last byte: %d %s, want 200", rec.Code, rec.Header().Get(ErrorHeader))
+	}
+	if waited := time.Since(start); waited > stall+time.Second/2 {
+		t.Fatalf("swap-out waited %v for a %v write", waited, stall)
 	}
 }
 
