@@ -246,8 +246,7 @@ var lengthsSink [256]byte
 // BenchmarkHUFEncodeKernel times the three stages of a Huffman encode of one
 // 64 KiB chunk, the container's chunk floor, each on its own at two
 // sparsities: the byte histogram, the code lengths built from it, and the
-// packing of the bit stream; then a whole container encode with and without
-// a plan. Run it at -cpu 1; EXPERIMENTS.md, "HUF
+// packing of the bit stream. Run it at -cpu 1; EXPERIMENTS.md, "HUF
 // encode at 1.4× speed", reads it. It is not a BENCH_HOT row, so
 // bench-diff ignores it.
 func BenchmarkHUFEncodeKernel(b *testing.B) {
@@ -278,41 +277,6 @@ func BenchmarkHUFEncodeKernel(b *testing.B) {
 				huffPack(stream, src, &codes, maxLen)
 			}
 		})
-	}
-	// The container encode of an 8 MiB tensor at (128,64), 128 chunks:
-	// full builds every chunk's table; planned reuses the tables an encode
-	// of the same bytes recorded (EncodePlan), as a sealed tensor's
-	// swap-outs after its first do. EXPERIMENTS.md, "A sealed tensor's
-	// swap-out reuses its Huffman code tables", reads these rows.
-	launch := Launch{Grid: 128, Block: 64}
-	for _, s := range []float64{0.2, 0.5} {
-		src := tensor.NewGenerator(97).Uniform(2<<20, s).Data
-		bound, err := MaxParallelEncodedLen(Huffman, len(src), launch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf := make([]byte, 0, bound)
-		var plan EncodePlan
-		for _, planned := range []bool{false, true} {
-			name := "container8MiB/full"
-			if planned {
-				name = "container8MiB/planned"
-			}
-			b.Run(fmt.Sprintf("%s/s%.1f", name, s), func(b *testing.B) {
-				var p *EncodePlan
-				if planned {
-					p = &plan
-				}
-				b.SetBytes(int64(4 * len(src)))
-				for i := 0; i < b.N; i++ {
-					out, err := AppendParallelEncodeWith(buf[:0], Huffman, src, launch, nil, p)
-					if err != nil {
-						b.Fatal(err)
-					}
-					buf = out
-				}
-			})
-		}
 	}
 }
 

@@ -114,7 +114,7 @@ func FuzzParallelRoundTrip(f *testing.F) {
 			hufSrc[i] = 0
 		}
 	}
-	if blob, err := appendParallelChunks(nil, Huffman, hufSrc, 8, nil, nil); err == nil {
+	if blob, err := appendParallelChunks(nil, Huffman, hufSrc, 8, nil); err == nil {
 		if pc, err := parseParallelContainer(blob); err == nil {
 			f.Add(huf, uint8(4), uint16(7), uint32(pc.offsets[1]+headerSize+256+1000), uint8(2))
 		}
@@ -161,7 +161,7 @@ func FuzzParallelRoundTrip(f *testing.F) {
 			w := uint32(0x3F800000 + 3*i)
 			binary.LittleEndian.PutUint32(raw[4*i:], w-w%3+1)
 		}
-		blob, err := appendParallelChunks(nil, ZVC, fuzzFloats(raw), 1, nil, nil)
+		blob, err := appendParallelChunks(nil, ZVC, fuzzFloats(raw), 1, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func FuzzParallelRoundTrip(f *testing.F) {
 		}
 		src := fuzzFloats(raw)
 		n := len(src)
-		blob, err := appendParallelChunks(nil, alg, src, launch.Grid, nil, nil)
+		blob, err := appendParallelChunks(nil, alg, src, launch.Grid, nil)
 		if err != nil {
 			t.Fatalf("%s %v: encode: %v", alg, launch, err)
 		}
@@ -199,7 +199,7 @@ func FuzzParallelRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s %v: encode: %v", alg, launch, err)
 		}
-		if want, _ := appendParallelChunks(nil, alg, src, ChunkCount(n, launch.Grid), nil, nil); !bytes.Equal(floored, want) {
+		if want, _ := appendParallelChunks(nil, alg, src, ChunkCount(n, launch.Grid), nil); !bytes.Equal(floored, want) {
 			t.Fatalf("%s %v: ParallelEncode differs from the body at ChunkCount", alg, launch)
 		}
 		got, err := ParallelDecode(blob, launch)

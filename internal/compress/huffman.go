@@ -60,22 +60,6 @@ func (c huffmanCodec) Encode(src []float32) []byte {
 // sizes the stream exactly from the code lengths, and packs it with a
 // word-wide bit writer into the reserved span.
 func (huffmanCodec) AppendEncode(dst []byte, src []float32) []byte {
-	return huffEncode(dst, src, nil)
-}
-
-// hufChunkPlan is what a HUF encode of one chunk records for the next
-// encode of the same bytes (EncodePlan): the code-length table its
-// histogram built, the length in bytes of the stream it packed, and the
-// chunk's digest, which is the key the record is reused under.
-type hufChunkPlan struct {
-	lengths [256]byte
-	stream  int
-	digest  uint64
-}
-
-// huffEncode is AppendEncode, recording the chunk's table, stream length
-// and digest into rec when rec is not nil.
-func huffEncode(dst []byte, src []float32, rec *hufChunkPlan) []byte {
 	if len(src) == 0 {
 		return putHeader(dst, Huffman, 0)
 	}
@@ -84,40 +68,18 @@ func huffEncode(dst []byte, src []float32, rec *hufChunkPlan) []byte {
 	lengths := huffmanCodeLengths(freq[:])
 	var codes huffCodeTable
 	maxLen := codes.set(lengths)
-	size := huffStreamLen(&freq, &lengths)
+	size := headerSize + 256 + huffStreamLen(&freq, &lengths)
 	base := len(dst)
-	if cap(dst)-base < headerSize+256+size+huffSlack {
-		grown := make([]byte, base, base+headerSize+256+size+huffSlack)
+	if cap(dst)-base < size+huffSlack {
+		grown := make([]byte, base, base+size+huffSlack)
 		copy(grown, dst)
 		dst = grown
 	}
-	huffPack(huffReserve(dst, len(src), &lengths, size), src, &codes, maxLen)
-	if rec != nil {
-		rec.lengths, rec.stream, rec.digest = lengths, size, segmentDigest(src)
-	}
-	return dst[:base+headerSize+256+size]
-}
-
-// huffEncodePlanned encodes src with the table of rec, recorded by an
-// encode of the same bytes, so it builds no histogram and no tree. It
-// reports false, with nothing appended, unless src's digest is rec's and
-// the stream packs to exactly rec's length inside the room dst has: a
-// stale record costs the caller a fresh encode, never a wrong blob or a
-// write past the record's stream. The digest is what makes the result the
-// fresh encode's byte for byte: the stream length alone can match on
-// changed bytes whose own histogram builds a different table.
-func huffEncodePlanned(dst []byte, src []float32, rec *hufChunkPlan) ([]byte, bool) {
-	base := len(dst)
-	end := base + headerSize + 256 + rec.stream
-	if len(src) == 0 || cap(dst)-end < huffSlack || segmentDigest(src) != rec.digest {
-		return dst, false
-	}
-	var codes huffCodeTable
-	maxLen := codes.set(rec.lengths)
-	if huffPack(huffReserve(dst, len(src), &rec.lengths, rec.stream), src, &codes, maxLen) != rec.stream {
-		return dst, false
-	}
-	return dst[:end], true
+	out := dst[base : base+size+huffSlack]
+	putHeader(out[:0], Huffman, len(src))
+	copy(out[headerSize:], lengths[:])
+	huffPack(out[headerSize+256:], src, &codes, maxLen)
+	return dst[:base+size]
 }
 
 // huffStreamLen is the length in bytes of the stream packing symbols
@@ -128,16 +90,6 @@ func huffStreamLen(freq *[256]int64, lengths *[256]byte) int {
 		bits += f * int64(lengths[s])
 	}
 	return int((bits + 7) / 8)
-}
-
-// huffReserve writes a blob's header and length table after the end of
-// dst, whose capacity holds them and a stream of size bytes with its
-// slack, and returns that stream's span, slack included.
-func huffReserve(dst []byte, n int, lengths *[256]byte, size int) []byte {
-	out := dst[len(dst) : len(dst)+headerSize+256+size+huffSlack]
-	putHeader(out[:0], Huffman, n)
-	copy(out[headerSize:], lengths[:])
-	return out[headerSize+256:]
 }
 
 // huffCodeTable is a code in the form the packing loops read it: each
@@ -212,8 +164,8 @@ const huffShortCode = 56 / 4
 //
 // huffPack returns the stream's length in bytes, or -1 if it would not fit
 // stream with its slack: a caller that sized stream from the code and the
-// bytes' own histogram never sees -1, one that packs under a table recorded
-// from other bytes may.
+// bytes' own histogram never sees -1, and no stream too short is written
+// past its end.
 func huffPack(stream []byte, src []float32, t *huffCodeTable, maxLen byte) int {
 	var acc uint64
 	var nbits uint

@@ -325,3 +325,47 @@ func TestCanonicalCodesPrefixFree(t *testing.T) {
 		t.Fatalf("Kraft sum %v, want 1", kraft)
 	}
 }
+
+// TestHuffPackBoundedByStream: a stream too short for the bytes under the
+// code — half the length they pack to, or a valid but over-long code in
+// which nearly every symbol takes 40 bits, whose packing takes the checked
+// general loop — makes huffPack return -1 without writing past the stream
+// and its slack, and never panics. A stream of the packed length packs to
+// exactly that length.
+func TestHuffPackBoundedByStream(t *testing.T) {
+	src := tensor.NewGenerator(331).Uniform(4096, 0.2).Data
+	var freq [256]int64
+	huffHistogram(&freq, src)
+	lengths := huffmanCodeLengths(freq[:])
+	size := huffStreamLen(&freq, &lengths)
+	long := lengths
+	for s := range long {
+		long[s] = 40
+	}
+	long[0], long[1] = 8, 8
+	for _, tc := range []struct {
+		name         string
+		lengths      [256]byte
+		stream, want int
+	}{
+		{"exact stream", lengths, size, size},
+		{"short stream", lengths, size / 2, -1},
+		{"long codes", long, size, -1},
+	} {
+		var codes huffCodeTable
+		maxLen := codes.set(tc.lengths)
+		end := tc.stream + huffSlack
+		buf := make([]byte, end+64)
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+		if got := huffPack(buf[:end], src, &codes, maxLen); got != tc.want {
+			t.Fatalf("%s: packed length %d, want %d", tc.name, got, tc.want)
+		}
+		for i, v := range buf[end:] {
+			if v != 0xEE {
+				t.Fatalf("%s: wrote byte %d past the stream and its slack", tc.name, i)
+			}
+		}
+	}
+}

@@ -129,7 +129,7 @@ func pairedChunkCounts() []int {
 func hufContainerChunks(t *testing.T, k, per int) (blob []byte, src []float32, chunks [][]byte) {
 	t.Helper()
 	src = tensor.NewGenerator(59).Uniform(k*per, 0.2).Data
-	blob, err := appendParallelChunks(nil, Huffman, src, k, nil, nil)
+	blob, err := appendParallelChunks(nil, Huffman, src, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 )
 
@@ -139,76 +138,22 @@ func MaxParallelEncodedLen(alg Algorithm, n int, launch Launch) (int, error) {
 // every chunk before it has — there is no per-chunk blob or concatenation
 // copy.
 func AppendParallelEncode(dst []byte, alg Algorithm, src []float32, launch Launch) ([]byte, error) {
-	return AppendParallelEncodeWith(dst, alg, src, launch, nil, nil)
+	return AppendParallelEncodeWith(dst, alg, src, launch, nil)
 }
 
-// AppendParallelEncodeWith is AppendParallelEncode with per-chunk hooks and
-// an optional plan (EncodePlan), which the encode uses when it matches and
-// leaves describing src.
-func AppendParallelEncodeWith(dst []byte, alg Algorithm, src []float32, launch Launch, hooks *Hooks, plan *EncodePlan) ([]byte, error) {
+// AppendParallelEncodeWith is AppendParallelEncode with per-chunk hooks.
+func AppendParallelEncodeWith(dst []byte, alg Algorithm, src []float32, launch Launch, hooks *Hooks) ([]byte, error) {
 	if err := launch.Validate(); err != nil {
 		return nil, err
 	}
-	return appendParallelChunks(dst, alg, src, ChunkCount(len(src), launch.Grid), hooks, plan)
-}
-
-// EncodePlan is what a container encode learned that depends only on the
-// tensor's bytes and the chunking, kept so that an encode of the same bytes
-// can skip rebuilding it: for HUF, each chunk's code-length table, the
-// length of its packed stream and its digest. The other codecs build no
-// tables, so their plan holds only the shape.
-//
-// An encode handed a plan uses it when it was recorded at the same
-// algorithm, element count and chunk count, and ignores it otherwise. A HUF
-// chunk reuses its record only when the chunk's digest is the recorded one
-// and it packs to exactly the recorded length; any other chunk is encoded
-// afresh. The blob is the unplanned encode's byte for byte either way: a
-// plan saves time, it never changes output. A successful encode leaves the
-// plan describing src; a failed one leaves it empty. The zero value is an
-// empty plan. One encode may use a plan at a time.
-type EncodePlan struct {
-	alg  Algorithm
-	n, k int // element and chunk count it was recorded at; k == 0: empty
-	huf  []hufChunkPlan
-}
-
-// Reset empties the plan, keeping its memory. A nil plan is a no-op.
-func (p *EncodePlan) Reset() {
-	if p != nil {
-		p.k, p.huf = 0, p.huf[:0]
-	}
-}
-
-// Tables returns the number of chunk code tables the plan holds.
-func (p *EncodePlan) Tables() int { return len(p.huf) }
-
-// prepare readies the plan for an encode of n elements in k chunks with
-// alg, reporting whether its records are reusable; if not, it is reshaped
-// to record this encode. Its HUF records are returned, one per chunk (nil
-// for a nil plan or another codec).
-func (p *EncodePlan) prepare(alg Algorithm, n, k int) (huf []hufChunkPlan, reuse bool) {
-	if p == nil {
-		return nil, false
-	}
-	reuse = p.k == k && p.alg == alg && p.n == n
-	if !reuse {
-		p.alg, p.n, p.k = alg, n, k
-		p.huf = p.huf[:0]
-		if alg == Huffman {
-			p.huf = slices.Grow(p.huf, k)[:k]
-		}
-	}
-	if len(p.huf) == 0 {
-		return nil, reuse
-	}
-	return p.huf, reuse
+	return appendParallelChunks(dst, alg, src, ChunkCount(len(src), launch.Grid), hooks)
 }
 
 // appendParallelChunks is the encoder body: it cuts src into
 // chunkBounds(len(src), numChunks), with no floor applied. The exported path
 // passes ChunkCount; tests pass a count directly to build the small-chunk
 // directories older encoders wrote, which the decoder still accepts.
-func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks int, hooks *Hooks, plan *EncodePlan) ([]byte, error) {
+func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks int, hooks *Hooks) ([]byte, error) {
 	codec, err := New(alg)
 	if err != nil {
 		return nil, err
@@ -229,7 +174,6 @@ func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks in
 		hooks:  hooks,
 		out:    make([]chunkOut, k),
 	}
-	c.huf, c.reuse = plan.prepare(alg, len(src), k)
 	need := c.dirEnd + (k-1)*c.maxPer + codec.MaxEncodedLen(len(src)-(k-1)*per)
 	if cap(dst) < need {
 		grown := make([]byte, need, need+(need-base)/4)
@@ -242,7 +186,6 @@ func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks in
 	runWorkers(k, workerCount(k), func(i int) { c.encode(i) })
 	for _, o := range c.out {
 		if o.err != nil {
-			plan.Reset()
 			return nil, o.err
 		}
 	}
@@ -275,8 +218,6 @@ type chunkEncoder struct {
 	dirEnd int // the first span's offset
 	maxPer int // the span stride
 	hooks  *Hooks
-	huf    []hufChunkPlan // the plan's HUF records, nil without a plan
-	reuse  bool           // the records describe the last encode of this shape
 	out    []chunkOut
 
 	// mu guards done, front and moving; w belongs to the mover.
@@ -307,7 +248,7 @@ func (c *chunkEncoder) encode(i int) {
 		o.err = chunkErr(c.alg, i, len(c.out), herr)
 	} else {
 		off := c.dirEnd + i*c.maxPer
-		o.blob = c.encodeChunk(c.dst[off:off:off+c.codec.MaxEncodedLen(hi-lo)], c.src[lo:hi], i)
+		o.blob = c.codec.AppendEncode(c.dst[off:off:off+c.codec.MaxEncodedLen(hi-lo)], c.src[lo:hi])
 	}
 	if len(c.out) == 1 {
 		if c.place(0) {
@@ -333,20 +274,6 @@ func (c *chunkEncoder) encode(i int) {
 	}
 	c.moving = false
 	c.mu.Unlock()
-}
-
-// encodeChunk encodes chunk i of src into span: under the plan's record for
-// a reusable HUF plan, afresh (recording) otherwise.
-func (c *chunkEncoder) encodeChunk(span []byte, src []float32, i int) []byte {
-	if c.huf == nil {
-		return c.codec.AppendEncode(span, src)
-	}
-	if c.reuse {
-		if blob, ok := huffEncodePlanned(span, src, &c.huf[i]); ok {
-			return blob
-		}
-	}
-	return huffEncode(span, src, &c.huf[i])
 }
 
 // place moves chunk j to c.w and fills its directory slot. It moves nothing

@@ -245,7 +245,7 @@ func TestParallelDecodeChunkErrorContext(t *testing.T) {
 	// 200 elements into 4 chunks, below the floor ParallelEncode applies: the
 	// decoder must keep accepting such directories, so they stay under test.
 	tn := tensor.NewGenerator(57).Uniform(200, 0.5)
-	blob, err := appendParallelChunks(nil, CSR, tn.Data, 4, nil, nil)
+	blob, err := appendParallelChunks(nil, CSR, tn.Data, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestParallelTruncationEveryBoundary(t *testing.T) {
 	l := Launch{4, 64}
 	for _, a := range ExtendedAlgorithms() {
 		tn := tensor.NewGenerator(61).Uniform(500, 0.5)
-		blob, err := appendParallelChunks(nil, a, tn.Data, l.Grid, nil, nil)
+		blob, err := appendParallelChunks(nil, a, tn.Data, l.Grid, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestParallelDirectoryBitFlips(t *testing.T) {
 	l := Launch{4, 64}
 	for _, a := range ExtendedAlgorithms() {
 		tn := tensor.NewGenerator(67).Uniform(200, 0.5)
-		blob, err := appendParallelChunks(nil, a, tn.Data, l.Grid, nil, nil)
+		blob, err := appendParallelChunks(nil, a, tn.Data, l.Grid, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +335,7 @@ func TestParallelEncodeHookFailureCarriesChunkContext(t *testing.T) {
 		}
 		return nil
 	}}
-	_, err := appendParallelChunks(nil, ZVC, tn.Data, 4, hooks, nil)
+	_, err := appendParallelChunks(nil, ZVC, tn.Data, 4, hooks)
 	var ce *ChunkError
 	if !errors.As(err, &ce) || ce.Chunk != 1 || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want ChunkError for chunk 1 wrapping the hook error", err)
@@ -454,7 +454,7 @@ func TestChunkFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := appendParallelChunks(nil, alg, big, 128, nil, nil)
+		want, err := appendParallelChunks(nil, alg, big, 128, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +467,7 @@ func TestChunkFloor(t *testing.T) {
 	// elements) still decodes bit-exactly.
 	block := gen.Uniform(1024, 0.5).Data
 	for _, alg := range ExtendedAlgorithms() {
-		legacy, err := appendParallelChunks(nil, alg, block, 128, nil, nil)
+		legacy, err := appendParallelChunks(nil, alg, block, 128, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

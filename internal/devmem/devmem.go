@@ -21,6 +21,13 @@ var ErrDoubleFree = errors.New("devmem: double free")
 
 // Pool is a fixed-capacity accounting allocator. It tracks usage, never
 // hands out more than its capacity, and records high-water statistics.
+//
+// A block may be marked as a cache (Block.Cache): a copy of bytes that live
+// elsewhere too, kept only while nothing needs the room. Its bytes count
+// against the capacity as before but are reported as Cached, not Used — as
+// an operating system reports its page cache apart from used memory — and
+// the pool's owner gives cached blocks up before anything else when an
+// allocation finds no room.
 type Pool struct {
 	name     string
 	capacity int64
@@ -28,6 +35,7 @@ type Pool struct {
 	mu     sync.Mutex
 	hook   func(n int64) error
 	used   int64
+	cached int64
 	peak   int64
 	allocs int64
 	frees  int64
@@ -57,8 +65,9 @@ type Block struct {
 	pool *Pool
 	size int64
 
-	mu    sync.Mutex
-	freed bool
+	mu     sync.Mutex
+	freed  bool
+	cached bool
 }
 
 // Alloc reserves n bytes, failing with ErrOutOfMemory when the pool cannot
@@ -75,15 +84,12 @@ func (p *Pool) Alloc(n int64) (*Block, error) {
 			return nil, fmt.Errorf("%s pool: %w", p.name, err)
 		}
 	}
-	if p.used+n > p.capacity {
+	if p.used+p.cached+n > p.capacity {
 		p.fails++
-		return nil, fmt.Errorf("%w: %s needs %d, %d of %d in use",
-			ErrOutOfMemory, p.name, n, p.used, p.capacity)
+		return nil, fmt.Errorf("%w: %s needs %d, %d of %d in use, %d cached",
+			ErrOutOfMemory, p.name, n, p.used, p.capacity, p.cached)
 	}
-	p.used += n
-	if p.used > p.peak {
-		p.peak = p.used
-	}
+	p.use(n)
 	p.allocs++
 	return &Block{pool: p, size: n}, nil
 }
@@ -102,10 +108,43 @@ func (b *Block) Free() error {
 	b.freed = true
 	p := b.pool
 	p.mu.Lock()
-	p.used -= b.size
+	if b.cached {
+		p.cached -= b.size
+	} else {
+		p.used -= b.size
+	}
 	p.frees++
 	p.mu.Unlock()
 	return nil
+}
+
+// Cache marks the live block as a cache (see Pool), or with cached false as
+// in use again, moving its bytes between the pool's Cached and Used counts.
+// It allocates nothing and cannot fail: the bytes counted against the
+// capacity all along.
+func (b *Block) Cache(cached bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.freed || b.cached == cached {
+		return
+	}
+	b.cached = cached
+	p := b.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if cached {
+		p.used -= b.size
+		p.cached += b.size
+	} else {
+		p.cached -= b.size
+		p.use(b.size)
+	}
+}
+
+// use counts n more bytes in use. Caller holds p.mu.
+func (p *Pool) use(n int64) {
+	p.used += n
+	p.peak = max(p.peak, p.used)
 }
 
 // Stats is a snapshot of pool accounting.
@@ -113,6 +152,7 @@ type Stats struct {
 	Name         string
 	Capacity     int64
 	Used         int64
+	Cached       int64
 	Peak         int64
 	Allocs       int64
 	Frees        int64
@@ -125,16 +165,17 @@ func (p *Pool) Stats() Stats {
 	defer p.mu.Unlock()
 	return Stats{
 		Name: p.name, Capacity: p.capacity,
-		Used: p.used, Peak: p.peak,
+		Used: p.used, Cached: p.cached, Peak: p.peak,
 		Allocs: p.allocs, Frees: p.frees, FailedAllocs: p.fails,
 	}
 }
 
-// Used returns the bytes currently allocated.
-func (p *Pool) Used() int64 {
+// Available returns the bytes an allocation can take now: the capacity
+// less the bytes in use and cached.
+func (p *Pool) Available() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.used
+	return p.capacity - p.used - p.cached
 }
 
 // Capacity returns the pool's byte capacity.

@@ -16,8 +16,8 @@ func TestPoolAllocFreeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Used() != 1000 {
-		t.Fatalf("Used = %d", p.Used())
+	if p.Stats().Used != 1000 {
+		t.Fatalf("Used = %d", p.Stats().Used)
 	}
 	if _, err := p.Alloc(1); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("over-capacity alloc err = %v", err)
@@ -25,8 +25,8 @@ func TestPoolAllocFreeAccounting(t *testing.T) {
 	if err := a.Free(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Used() != 600 {
-		t.Fatalf("Used after free = %d", p.Used())
+	if p.Stats().Used != 600 {
+		t.Fatalf("Used after free = %d", p.Stats().Used)
 	}
 	st := p.Stats()
 	if st.Peak != 1000 || st.Allocs != 2 || st.Frees != 1 || st.FailedAllocs != 1 {
@@ -46,7 +46,7 @@ func TestPoolDoubleFree(t *testing.T) {
 	if err := a.Free(); !errors.Is(err, ErrDoubleFree) {
 		t.Fatalf("double free err = %v", err)
 	}
-	if p.Used() != 0 {
+	if p.Stats().Used != 0 {
 		t.Fatal("double free corrupted accounting")
 	}
 }
@@ -88,8 +88,8 @@ func TestPoolConcurrentAllocFree(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if p.Used() != 0 {
-		t.Fatalf("leaked %d bytes", p.Used())
+	if p.Stats().Used != 0 {
+		t.Fatalf("leaked %d bytes", p.Stats().Used)
 	}
 	if st := p.Stats(); st.Allocs != 4000 || st.Frees != 4000 {
 		t.Fatalf("stats %+v", st)
@@ -122,5 +122,43 @@ func TestAllocHookGatesAllocations(t *testing.T) {
 	p.SetAllocHook(nil)
 	if _, err := p.Alloc(100); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCachedBlocks: a block marked as a cache moves its bytes from Used to
+// Cached and back, counts against the capacity either way, and frees from
+// whichever count holds it; Peak follows Used alone.
+func TestCachedBlocks(t *testing.T) {
+	p := NewPool("host", 1000)
+	a, err := p.Alloc(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Cache(true)
+	a.Cache(true) // idempotent
+	if st := p.Stats(); st.Used != 0 || st.Cached != 600 || p.Available() != 400 {
+		t.Fatalf("cached block: %+v, available %d", st, p.Available())
+	}
+	if _, err := p.Alloc(401); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("alloc past the cached bytes: %v", err)
+	}
+	b, err := p.Alloc(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Cache(false)
+	if st := p.Stats(); st.Used != 1000 || st.Cached != 0 || st.Peak != 1000 {
+		t.Fatalf("uncached block: %+v", st)
+	}
+	a.Cache(true)
+	if err := a.Free(); err != nil {
+		t.Fatal(err)
+	}
+	a.Cache(false) // a freed block stays out of the counts
+	if err := b.Free(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Used != 0 || st.Cached != 0 || p.Available() != 1000 {
+		t.Fatalf("after frees: %+v", st)
 	}
 }

@@ -106,15 +106,13 @@ type BlockPool struct {
 	// under Config.Verify keeps its digest here, and every later store
 	// reuses it instead of reading the payload again — every resident copy
 	// since was written by a restore that checked against that digest. For
-	// the same reason it keeps the encode plan (compress.EncodePlan) its
-	// last committed compressed store recorded, whose HUF code tables the
-	// next compressed store packs with instead of building them again. The
-	// block's claim serializes store and restore, so the claim holder owns
-	// digest, digested and plan.
+	// the same reason its verified restores keep the stored blob as a clean
+	// copy (cleanCopy), which the next swap-out commits instead of encoding
+	// again. The block's claim serializes store and restore, so the claim
+	// holder owns digest and digested.
 	sealed   bool
 	digested bool
 	digest   uint64
-	plan     compress.EncodePlan
 }
 
 // poolRun is one stored (swapped-out) run: the shared payload record for
@@ -182,12 +180,6 @@ func (p *BlockPool) NumBlocks() int { return p.numBlocks }
 
 // Bytes returns the pool's device reservation size.
 func (p *BlockPool) Bytes() int64 { return int64(p.blockElems) * int64(p.numBlocks) * 4 }
-
-// PlanTables returns how many HUF chunk code tables the pool keeps for its
-// next compressed swap-out: none unless it is a sealed tensor whose last
-// committed compressed swap-out, under Config.Verify, was HUF. Call it while
-// no swap of the pool is in flight.
-func (p *BlockPool) PlanTables() int { return p.plan.Tables() }
 
 // BlockState returns one block's current storage state (Freed once the
 // pool itself is freed).
@@ -406,7 +398,7 @@ func (p *BlockPool) PrefetchBlocksCtx(ctx context.Context, ids []int) *Ticket {
 // in the caller's goroutine. requested is a batch call's ID count, which
 // the batch series record; a tensor call passes 0.
 func (p *BlockPool) swapOut(runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) error {
-	if err := p.claimRuns(runs, Resident, SwappingOut); err != nil {
+	if err := p.claimOut(runs, doCompress, alg); err != nil {
 		return err
 	}
 	p.e.observeBatch(requested, runs)
@@ -417,7 +409,7 @@ func (p *BlockPool) swapOut(runs []BlockRun, requested int, doCompress bool, alg
 // one store per run under a ticket named op.
 func (p *BlockPool) swapOutCtx(ctx context.Context, op string, runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) *Ticket {
 	t := newTicket(op, p.name)
-	if err := p.claimRuns(runs, Resident, SwappingOut); err != nil {
+	if err := p.claimOut(runs, doCompress, alg); err != nil {
 		return t.complete(err)
 	}
 	p.e.observeBatch(requested, runs)
@@ -523,7 +515,9 @@ func (p *BlockPool) claimIn(op string, req []BlockRun, requested int, t *Ticket,
 
 // claimRuns atomically moves every block of every run from `from` to
 // `to`, or changes nothing and returns the first offending block's error.
-func (p *BlockPool) claimRuns(runs []BlockRun, from, to State) error {
+// before, if not nil, runs under the same lock once the claim is sure to
+// succeed, while every block is still in from.
+func (p *BlockPool) claimRuns(runs []BlockRun, from, to State, before func()) error {
 	if err := p.validateRuns(runs); err != nil {
 		return err
 	}
@@ -535,9 +529,51 @@ func (p *BlockPool) claimRuns(runs []BlockRun, from, to State) error {
 	if err := p.inState(runs, from); err != nil {
 		return err
 	}
+	if before != nil {
+		before()
+	}
 	p.setState(runs, to)
 	return nil
 }
+
+// claimOut is a swap-out's claim. A clean copy the store cannot stand for —
+// one encoded with another codec or at another launch — is dropped under
+// the claim's lock while its owner is still Resident; one that matches stays
+// for storeRun to commit.
+func (p *BlockPool) claimOut(runs []BlockRun, doCompress bool, alg compress.Algorithm) error {
+	return p.claimRuns(runs, Resident, SwappingOut, func() {
+		if pr := p.cleanCopy(); pr != nil && !pr.encodedAs(doCompress, alg, p.e.Launch()) {
+			p.dropClean()
+		}
+	})
+}
+
+// cleanCopy returns the pool's clean copy: the stored record a verified
+// restore of a sealed one-block pool left in place, with its blob still in
+// the host pool (cached, see devmem.Pool) while the block is Resident. Only
+// a pool that keeps (keeps) has one. Caller holds p.mu.
+func (p *BlockPool) cleanCopy() *poolRun {
+	if p.freed || p.numBlocks > 1 || p.state[0] != Resident {
+		return nil
+	}
+	return p.run[0]
+}
+
+// dropClean releases the pool's clean copy, if it has one. Caller holds
+// p.mu.
+func (p *BlockPool) dropClean() {
+	if pr := p.cleanCopy(); pr != nil {
+		_ = p.e.drop(&pr.stored) // a host block freed twice is the only failure, and mu rules it out
+		p.run[0] = nil
+		p.e.ins.cleanDrops.Inc()
+	}
+}
+
+// keeps reports whether the pool's verified restores keep a clean copy and
+// its stores reuse their first digest: a sealed one-block pool under
+// Config.Verify. The seal is set before the first swap-out, and the claim
+// orders this read after it.
+func (p *BlockPool) keeps() bool { return p.sealed && p.numBlocks == 1 && p.e.cfg.Verify }
 
 // settle returns claimed blocks to the stable state st: a failed or
 // refused run rolls back, and a demotion hands its run back. Blocks a
@@ -562,7 +598,8 @@ func (p *BlockPool) settle(runs []BlockRun, st State) {
 }
 
 // commitRun publishes a finished run: its blocks take the stable state st
-// and point at the stored run that now holds them (nil once restored). A
+// and point at the stored run that now holds them — once restored, nil, or
+// the clean copy the restore kept. A
 // swap-out commit that leaves no block on the device releases the
 // reservation; if that fails, nothing is published.
 func (p *BlockPool) commitRun(r BlockRun, st State, pr *poolRun) error {
@@ -689,28 +726,33 @@ func (p *BlockPool) dispatchRun(ctx context.Context, t *Ticket, runs []BlockRun,
 // storeRun runs the shared store body for one contiguous run. The blocks
 // are claimed SwappingOut; commit publishes the stored run and marks them
 // Swapped, rollback returns them to Resident with the device copy intact.
-// A sealed one-block pool hands store the digest its first store took and
-// its encode plan.
+// A clean copy the claim found matching is committed as it is; otherwise a
+// sealed one-block pool hands store the digest its first store took.
 func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm) error {
-	pr := &p.one
-	if p.numBlocks > 1 {
-		pr = new(poolRun)
-	}
-	// The charge and the seal are set before the first swap-out, and the
-	// claim ordered these reads after them.
-	*pr = poolRun{start: r.Start, count: r.Count, stored: stored{elems: r.Count * p.blockElems, charge: p.charge, checksum: p.digest}}
-	keep := p.sealed && p.numBlocks == 1 && p.e.cfg.Verify
-	var plan *compress.EncodePlan
-	if keep {
-		plan = &p.plan
-	}
-	src := p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
-	err := p.e.store(&pr.stored, p.name, src, keep && p.digested, doCompress, alg, plan, func() error {
-		if keep { // before the commit hands the record to the next claim
-			p.digest, p.digested = pr.checksum, true
+	p.mu.Lock()
+	pr := p.run[r.Start] // nil but for a clean copy
+	p.mu.Unlock()
+	commit := func() error { return p.commitRun(r, Swapped, pr) }
+	var err error
+	if pr != nil {
+		err = p.e.storeClean(&pr.stored, commit)
+	} else {
+		pr = &p.one
+		if p.numBlocks > 1 {
+			pr = new(poolRun)
 		}
-		return p.commitRun(r, Swapped, pr)
-	})
+		// The charge is set before the first swap-out, and the claim
+		// ordered this read after it.
+		*pr = poolRun{start: r.Start, count: r.Count, stored: stored{elems: r.Count * p.blockElems, charge: p.charge, checksum: p.digest}}
+		keep := p.keeps()
+		src := p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
+		err = p.e.store(&pr.stored, p.name, src, keep && p.digested, doCompress, alg, func() error {
+			if keep { // before the commit hands the record to the next claim
+				p.digest, p.digested = pr.checksum, true
+			}
+			return commit()
+		})
+	}
 	if err != nil {
 		p.settle([]BlockRun{r}, Resident)
 	}
@@ -722,7 +764,9 @@ func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm
 // the tier first for a prefetch. The blocks are claimed SwappingIn; any
 // surfaced failure, an OOM re-taking the reservation included, leaves the
 // run cleanly Swapped with its blob intact — retry-safe, never silently
-// wrong data.
+// wrong data. A pool that keeps (keeps) keeps a host-resident blob as its
+// clean copy once the restore has passed; one read from the tier is not
+// kept.
 func (p *BlockPool) restoreRun(r BlockRun, stage bool) error {
 	p.mu.Lock()
 	pr := p.run[r.Start]
@@ -730,10 +774,14 @@ func (p *BlockPool) restoreRun(r BlockRun, stage bool) error {
 	if stage {
 		p.e.stage(&pr.stored)
 	}
+	var clean *poolRun
+	if p.keeps() && !pr.tiered {
+		clean = pr
+	}
 	err := p.reserve()
 	if err == nil {
 		dst := p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
-		err = p.e.restore(&pr.stored, p.name, dst, func() { _ = p.commitRun(r, Resident, nil) })
+		err = p.e.restore(&pr.stored, p.name, dst, clean != nil, func() { _ = p.commitRun(r, Resident, clean) })
 	}
 	if err != nil {
 		p.settle([]BlockRun{r}, Swapped)
@@ -758,6 +806,7 @@ func (p *BlockPool) Free() error {
 			return err
 		}
 	}
+	p.dropClean()
 	p.freed = true
 	dev := p.devBlock
 	p.mu.Unlock()
@@ -814,7 +863,7 @@ func (p *BlockPool) demoteRun(r BlockRun) (int64, error) {
 		return 0, ErrNoTier
 	}
 	runs := []BlockRun{r}
-	if err := p.claimRuns(runs, Swapped, SwappingOut); err != nil {
+	if err := p.claimRuns(runs, Swapped, SwappingOut, nil); err != nil {
 		return 0, err
 	}
 	defer p.settle(runs, Swapped)

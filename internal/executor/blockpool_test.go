@@ -11,6 +11,7 @@ import (
 	"cswap/internal/compress"
 	"cswap/internal/devmem"
 	"cswap/internal/faultinject"
+	"cswap/internal/sim"
 	"cswap/internal/tensor"
 )
 
@@ -61,6 +62,23 @@ func TestCoalesceBlockIDs(t *testing.T) {
 			if got[i] != c.want[i] {
 				t.Fatalf("Coalesce(%v) = %v, want %v", c.ids, got, c.want)
 			}
+		}
+	}
+}
+
+// TestEvictionRegionsCoalesce pins the workload shape the paged layout
+// exists for: on the default KV decode trace, each step's eviction is one
+// sequence's sequential region, so its swap-out coalesces to a single run of
+// the whole region.
+func TestEvictionRegionsCoalesce(t *testing.T) {
+	cfg := sim.DefaultKVTrace()
+	cfg.ScatterPerStep = 0 // isolate eviction traffic
+	for i, st := range sim.GenKVTrace(cfg) {
+		if len(st.Out) == 0 {
+			continue
+		}
+		if runs := CoalesceBlockIDs(st.Out); len(runs) != 1 || runs[0].Count != cfg.BlocksPerSeq {
+			t.Fatalf("step %d eviction coalesced to %v, want one run of %d blocks", i, runs, cfg.BlocksPerSeq)
 		}
 	}
 }

@@ -115,10 +115,10 @@ type Config struct {
 	// at every swap-out, because its owner may have rewritten it since the
 	// last; a sealed tensor (Handle.Seal) only at its first, and every
 	// later swap-out reuses that digest. For the same reason a sealed
-	// tensor's HUF swap-outs reuse the code tables the last one built
-	// (compress.EncodePlan), byte for byte the same blob. Each digest is one
-	// more pass over the payload beside the codec's. With Verify off no
-	// digest is taken and no plan kept.
+	// tensor's verified restore keeps its stored blob as a clean copy,
+	// which its next swap-out commits instead of encoding again. Each
+	// digest is one more pass over the payload beside the codec's. With
+	// Verify off no digest is taken and no clean copy kept.
 	Verify bool
 	// MaxInFlight bounds how many asynchronous operations (SwapOutAsyncCtx,
 	// SwapInAsyncCtx, PrefetchCtx, one per run of a pool's *Ctx batch) may
@@ -296,12 +296,16 @@ func (h *Handle) Pool() *BlockPool { return h.pool }
 // calls WriteBlocks on its pool, which refuses with ErrSealed. Under
 // Config.Verify a sealed tensor is then digested at its first swap-out
 // only: every later swap-out reuses that digest, and every restore is still
-// checked against it, so memory that changed behind the seal fails its next
-// swap-in with ErrVerification instead of coming back. Its compressed
-// swap-outs also keep the encode plan the last one recorded, so a HUF
-// swap-out packs with the code tables the previous one built; a chunk whose
-// bytes changed is encoded afresh. Call it while no swap of the tensor is
-// in flight.
+// checked against it. Each verified restore from the host pool also keeps
+// the stored blob there as a clean copy, its bytes reported as cached
+// (devmem.Stats.Cached): the next swap-out with the same codec at the same
+// launch commits it, with no encode, no digest and no host allocation, and
+// one with another codec or launch drops it and encodes afresh. Memory that
+// changed behind the seal never comes back: an encode of it fails the next
+// swap-in with ErrVerification, and a committed clean copy restores the
+// sealed bytes over it. Free drops the clean copy, and whatever needs host
+// room drops clean copies before it demotes a payload to the tier. Call it
+// while no swap of the tensor is in flight.
 func (h *Handle) Seal() { h.pool.seal() }
 
 // Name returns the tensor's registration name.
@@ -464,19 +468,17 @@ func (e *Executor) SetLaunch(l compress.Launch) error {
 	return nil
 }
 
-// arenaEncode runs the parallel encode into an arena buffer sized by the
-// codec's worst-case bound, so the encode itself allocates nothing, under
-// plan (nil for none). On error the buffer goes straight back to the arena;
-// on success the caller owns the returned blob and recycles it via
-// arena.put.
-func (e *Executor) arenaEncode(alg compress.Algorithm, data []float32, plan *compress.EncodePlan) ([]byte, error) {
-	launch := e.Launch() // one read: bound and encode must agree
+// arenaEncode runs the parallel encode at launch into an arena buffer sized
+// by the codec's worst-case bound, so the encode itself allocates nothing.
+// On error the buffer goes straight back to the arena; on success the
+// caller owns the returned blob and recycles it via arena.put.
+func (e *Executor) arenaEncode(alg compress.Algorithm, data []float32, launch compress.Launch) ([]byte, error) {
 	bound, err := compress.MaxParallelEncodedLen(alg, len(data), launch)
 	if err != nil {
 		return nil, err
 	}
 	buf := e.arena.get(bound)
-	blob, err := compress.AppendParallelEncodeWith(buf, alg, data, launch, e.hooks, plan)
+	blob, err := compress.AppendParallelEncodeWith(buf, alg, data, launch, e.hooks)
 	if err != nil {
 		e.arena.put(buf)
 		return nil, err

@@ -18,6 +18,9 @@ type instruments struct {
 	encodeFallbacks, allocFallbacks *metrics.Counter
 	decodeRetries, decodeRecoveries *metrics.Counter
 	busyRejections                  *metrics.Counter
+	// Clean copies (BlockPool.cleanCopy): swap-outs that committed one
+	// instead of storing, and copies given up before reuse.
+	cleanSwapOuts, cleanDrops *metrics.Counter
 
 	// Async pipeline instruments: the in-flight gauge and its high-water
 	// mark, the queue-depth histogram (one observation per submission, of
@@ -85,6 +88,8 @@ func newInstruments(r *metrics.Registry) instruments {
 		decodeRetries:    r.Counter("executor_decode_retries_total"),
 		decodeRecoveries: r.Counter("executor_decode_recoveries_total"),
 		busyRejections:   r.Counter("executor_busy_rejections_total"),
+		cleanSwapOuts:    r.Counter("executor_clean_swapouts_total"),
+		cleanDrops:       r.Counter("executor_clean_drops_total"),
 
 		asyncInflight:     r.Gauge("executor_async_inflight"),
 		asyncPeak:         r.Gauge("executor_async_inflight_peak"),

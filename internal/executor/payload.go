@@ -8,6 +8,7 @@ package executor
 // to the pool (blockpool.go), which passes the commit in as a callback.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -28,6 +29,7 @@ type stored struct {
 	hostBlock  *devmem.Block
 	alg        compress.Algorithm
 	compressed bool
+	launch     compress.Launch // the launch a codec blob was encoded at
 	// elems is the uncompressed payload's element count; the pool fills it
 	// at swap-out, before store. checksum is its digest as store found it,
 	// taken only when Config.Verify is on.
@@ -50,6 +52,14 @@ type stored struct {
 
 // rawBytes is the uncompressed payload size.
 func (s *stored) rawBytes() int64 { return int64(s.elems) * tensor.BytesPerElement }
+
+// encodedAs reports whether s holds what a store of the same bytes would
+// store for the request: a codec blob of alg encoded at launch, or for a raw
+// request a raw copy, which depends on neither. A compressed request that
+// fell back to raw does not match, so the next store tries the codec again.
+func (s *stored) encodedAs(doCompress bool, alg compress.Algorithm, launch compress.Launch) bool {
+	return s.compressed == doCompress && (!doCompress || s.alg == alg && s.launch == launch)
+}
 
 // Charge is the quota ledger a pool's bytes — a tensor's, a one-block pool's
 // — count against: Held while they are on the device or in the host pool,
@@ -80,18 +90,14 @@ func (p *BlockPool) SetCharge(c Charge) {
 // bytes in the host pool and fill s, then run the owner's commit. The
 // caller holds the claim and rolls it back when store fails — src is then
 // untouched and nothing is held. digested says s.checksum already holds
-// src's verify digest (a sealed tensor's), so store takes none. plan, nil
-// unless the owner is sealed, is the encode plan of the owner's last
-// committed compressed store: a compressed store encodes under it and
-// leaves it recorded from src, before a transfer fault can touch the blob,
-// and empties it unless the store commits compressed.
+// src's verify digest (a sealed tensor's), so store takes none.
 //
 // A compressed store never fails on the codec: an encode error, or a host
 // allocation failure for the compressed blob, degrades to the raw path.
 // Only a raw-path allocation failure (after the spill tier, if any, was
 // asked to make room) or a commit error surfaces. Counters move only once
 // commit has succeeded, so they describe committed outcomes.
-func (e *Executor) store(s *stored, name string, src []float32, digested, doCompress bool, alg compress.Algorithm, plan *compress.EncodePlan, commit func() error) error {
+func (e *Executor) store(s *stored, name string, src []float32, digested, doCompress bool, alg compress.Algorithm, commit func() error) error {
 	timed := e.obs != nil // deep instrumentation only when observed
 	var t0 float64
 	if timed {
@@ -107,6 +113,7 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 	encodeFellBack, allocFellBack := false, false
 	var blob []byte
 	var encDur time.Duration
+	launch := e.Launch() // one read: the encode and the record must agree
 	if doCompress {
 		var encStart time.Time
 		if timed {
@@ -115,7 +122,7 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 		// The encode output lands in an arena buffer sized by the codec's
 		// worst-case bound, so the whole compressed path allocates nothing
 		// once the arena is warm.
-		b, err := e.arenaEncode(alg, src, plan)
+		b, err := e.arenaEncode(alg, src, launch)
 		if timed {
 			encDur = time.Since(encStart)
 		}
@@ -160,22 +167,18 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 			blob, hostBlock, err = raw, rawBlock, nil
 		}
 	}
-	if doCompress && !compressed {
-		plan.Reset()
-	}
 	if err != nil {
 		e.arena.put(blob) // nothing ships
 		return fmt.Errorf("executor: host pool: %w", err)
 	}
 	s.blob, s.hostBlock = blob, hostBlock
-	s.alg, s.compressed = alg, compressed
+	s.alg, s.compressed, s.launch = alg, compressed, launch
 	s.swappedAt = e.sinceEpoch()
 	// commit publishes the owner as Swapped, after which a demotion or the
 	// next swap-in may claim it and rewrite s: everything the accounting
 	// below needs is taken from s here, while the claim is still held.
 	cells, rawBytes, moved := e.ins.forPayload(s), s.rawBytes(), len(blob)
 	if err := commit(); err != nil {
-		plan.Reset()
 		_ = e.drop(s)
 		s.alg, s.compressed = 0, false // a rolled-back owner reports no stale encoding
 		return err
@@ -199,6 +202,30 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 	return nil
 }
 
+// storeClean is store for a payload whose clean copy stands in for it: s
+// still holds the blob a store of the same bytes with the same codec at the
+// same launch would write, and its host bytes, so the swap-out is only the
+// commit. It counts as that store in the swap-out, raw and moved series,
+// but not in the per-codec ones or the Observer's spans, since no encode
+// ran and no bytes moved. A failed commit leaves the clean copy as it was.
+func (e *Executor) storeClean(s *stored, commit func() error) error {
+	s.hostBlock.Cache(false)
+	s.swappedAt = e.sinceEpoch()
+	rawBytes, moved, compressed := s.rawBytes(), len(s.blob), s.compressed
+	if err := commit(); err != nil {
+		s.hostBlock.Cache(true)
+		return err
+	}
+	e.ins.swapOuts.Inc()
+	e.ins.rawBytes.Add(float64(rawBytes))
+	e.ins.movedBytes.Add(float64(moved))
+	e.ins.cleanSwapOuts.Inc()
+	if compressed {
+		e.ins.compressed.Inc()
+	}
+	return nil
+}
+
 // rawCopy is the raw path's whole encoding: the payload's byte view copied
 // into an arena buffer, host byte order — a raw blob never leaves the process
 // that wrote it, so it needs no portable form.
@@ -207,11 +234,11 @@ func (e *Executor) rawCopy(src []float32) []byte {
 	return append(e.arena.get(len(view)), view...)
 }
 
-// hostAlloc reserves n host-pool bytes; under pressure with a spill tier
-// attached it demotes cold swapped payloads to disk and retries once.
+// hostAlloc reserves n host-pool bytes; when the pool is out of room it
+// makes some (freeHostSpace) and retries once.
 func (e *Executor) hostAlloc(n int64) (*devmem.Block, error) {
 	b, err := e.host.Alloc(n)
-	if err != nil && e.freeHostSpace(n) {
+	if errors.Is(err, devmem.ErrOutOfMemory) && e.freeHostSpace(n) {
 		b, err = e.host.Alloc(n)
 	}
 	return b, err
@@ -219,15 +246,17 @@ func (e *Executor) hostAlloc(n int64) (*devmem.Block, error) {
 
 // restore is the swap-in body: decode s into dst — promoting it from the
 // disk tier first if it lives there — verify it, release the stored copy
-// and run the owner's commit. The caller holds the claim and rolls it back
-// when restore fails.
+// and run the owner's commit. With keep, which the caller sets only for a
+// host-resident s, the stored copy stays as the owner's clean copy, its
+// host bytes cached, instead of being released. The caller holds the claim
+// and rolls it back when restore fails.
 //
 // The stored blob (for a tiered payload, the in-memory copy just read) is
 // retained until the restore has passed: a first attempt that fails
 // recoverably retries exactly once from it. Every failure is atomic — s is
 // left as it was, still tiered with its committed tier entry if it was —
 // so the call is safe to retry.
-func (e *Executor) restore(s *stored, name string, dst []float32, commit func()) error {
+func (e *Executor) restore(s *stored, name string, dst []float32, keep bool, commit func()) error {
 	timed := e.obs != nil
 	var t0 float64
 	var decDur time.Duration
@@ -308,7 +337,9 @@ func (e *Executor) restore(s *stored, name string, dst []float32, commit func())
 	// recycling (or deleting from the tier) earlier would destroy the
 	// bytes a failed swap-in still needs for its retry.
 	promoted := s.tiered
-	if err := e.drop(s); err != nil {
+	if keep {
+		s.hostBlock.Cache(true)
+	} else if err := e.drop(s); err != nil {
 		return err
 	}
 	if promoted {
@@ -391,8 +422,9 @@ func (e *Executor) stage(s *stored) {
 }
 
 // drop releases a stored payload from whichever tier holds it, once nothing
-// will read it again: its restore has passed, its owner is freed, or the
-// store that produced it failed to commit.
+// will read it again: its restore has passed, its owner is freed, the
+// store that produced it failed to commit, or it was a clean copy given
+// up.
 func (e *Executor) drop(s *stored) error {
 	if s.tiered {
 		e.tierDelete(s)

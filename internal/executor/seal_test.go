@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 
 	"cswap/internal/compress"
-	"cswap/internal/faultinject"
+	"cswap/internal/devmem"
+	"cswap/internal/metrics"
 	"cswap/internal/tensor"
 )
 
@@ -45,10 +45,13 @@ func codecName(alg compress.Algorithm) string {
 
 // TestSealedTensorReusesDigest: with Verify on, a sealed tensor's first
 // swap-out digests it, and every later swap-out stores that digest without
-// reading the payload — shown by an element flipped in resident memory
-// between a restore and the next swap-out, whose stored digest is still
-// the registered bytes'. The next swap-in refuses the flip with
-// ErrVerification (after its one retry) and leaves the tensor Swapped.
+// reading the payload. An element flipped in resident memory between a
+// restore and the next swap-out shows it. A swap-out with the same codec
+// commits the clean copy, and the restore after it brings back the
+// registered bytes, the flip overwritten. A swap-out with another codec
+// encodes the flipped bytes but stores the registered bytes' digest, so the
+// next swap-in refuses the flip with ErrVerification (after its one retry)
+// and leaves the tensor Swapped.
 func TestSealedTensorReusesDigest(t *testing.T) {
 	for _, alg := range sealCodecs {
 		t.Run(codecName(alg), func(t *testing.T) {
@@ -60,7 +63,11 @@ func TestSealedTensorReusesDigest(t *testing.T) {
 			}
 			h.Seal()
 			digest := compress.Checksum(want)
+			flip := func() { h.pool.data[7] = math.Float32frombits(math.Float32bits(h.pool.data[7]) ^ 1) }
 			for cycle := 0; cycle < 3; cycle++ {
+				if cycle == 2 {
+					flip()
+				}
 				if err := swapOutWith(e, h, alg); err != nil {
 					t.Fatal(err)
 				}
@@ -76,8 +83,12 @@ func TestSealedTensorReusesDigest(t *testing.T) {
 				t.Fatalf("pool keeps digest %#x (set %v), want %#x", h.pool.digest, h.pool.digested, digest)
 			}
 
-			h.pool.data[7] = math.Float32frombits(math.Float32bits(h.pool.data[7]) ^ 1)
-			if err := swapOutWith(e, h, alg); err != nil {
+			flip()
+			other := compress.Auto
+			if alg == compress.Auto {
+				other = compress.ZVC
+			}
+			if err := swapOutWith(e, h, other); err != nil {
 				t.Fatal(err)
 			}
 			if got := storedOf(h).checksum; got != digest || got == compress.Checksum(h.pool.data) {
@@ -231,48 +242,238 @@ func TestSealedDigestConcurrentSwaps(t *testing.T) {
 	assertBitExact(t, h, want)
 }
 
-// TestSealedTensorKeepsPlan: with Verify on, a sealed tensor's first
-// compressed swap-out records the encode plan, which holds a code table per
-// chunk for HUF and none for the other codecs, and every swap-out, the ones
-// that pack under the plan included, stores exactly the unplanned encode of
-// the registered bytes. An unsealed tensor and a block pool, sealed or not,
-// keep no plan.
-func TestSealedTensorKeepsPlan(t *testing.T) {
+// cleanOf returns the tensor's clean copy, nil when it has none. Tests read
+// it while nothing is in flight.
+func cleanOf(h *Handle) *stored {
+	p := h.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pr := p.cleanCopy(); pr != nil {
+		return &pr.stored
+	}
+	return nil
+}
+
+// cycleSealed registers want as a sealed tensor, swaps it out with alg and
+// back in, and requires the restore to have kept a clean copy whose host
+// bytes the pool reports as cached, not used.
+func cycleSealed(t *testing.T, e *Executor, name string, want []float32, alg compress.Algorithm) *Handle {
+	t.Helper()
+	h, err := e.Register(name, tensor.FromSlice(append([]float32(nil), want...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Seal()
+	used, cached := e.HostStats().Used, e.HostStats().Cached
+	if err := swapOutWith(e, h, alg); err != nil {
+		t.Fatal(err)
+	}
+	blob := len(storedOf(h).blob)
+	if err := e.SwapIn(h); err != nil {
+		t.Fatal(err)
+	}
+	assertBitExact(t, h, want)
+	if c := cleanOf(h); c == nil || len(c.blob) != blob {
+		t.Fatalf("%s: the restore kept no clean copy of its %d-byte blob", name, blob)
+	}
+	if st := e.HostStats(); st.Used != used || st.Cached != cached+int64(blob) {
+		t.Fatalf("%s: host used %d, cached %d after the restore, want %d and %d", name, st.Used, st.Cached, used, cached+int64(blob))
+	}
+	return h
+}
+
+// TestCleanSwapOutCommitsCleanCopy: with Verify on, a sealed tensor's
+// restore keeps its blob, and the next swap-out with the same codec at the
+// same launch commits that blob — the same bytes in the same buffer, no
+// encode, no host allocation — for raw and every codec, cycle after cycle.
+// It counts in the swap-out, raw and moved series exactly as the store it
+// stands for, and leaves the per-codec series alone.
+func TestCleanSwapOutCommitsCleanCopy(t *testing.T) {
 	want := sealPayload(3<<14 + 5)
-	for _, alg := range compress.ExtendedAlgorithms() {
-		t.Run(alg.String(), func(t *testing.T) {
-			e := newTestExecutor(t, 1<<22, 1<<22)
-			blob, err := compress.AppendParallelEncode(nil, alg, want, e.Launch())
+	for _, alg := range sealCodecs {
+		t.Run(codecName(alg), func(t *testing.T) {
+			e, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: true,
+				Launch: compress.Launch{Grid: 16, Block: 64}, Observer: metrics.NewObserver()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := e.Register("sealed", tensor.FromSlice(append([]float32(nil), want...)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.Seal()
-			tables := 0
-			if alg == compress.Huffman {
-				tables = compress.ChunkCount(len(want), e.Launch().Grid)
-			}
+			before := e.Stats()
+			h := cycleSealed(t, e, "sealed", want, alg)
+			first := e.Stats()
+			enc, encodes, _, moved := e.CodecTotals(alg)
+			blob := cleanOf(h).blob
 			for cycle := 0; cycle < 3; cycle++ {
-				if err := e.SwapOut(h, true, alg); err != nil {
+				prev := e.Stats()
+				allocs := e.HostStats().Allocs
+				if err := swapOutWith(e, h, alg); err != nil {
 					t.Fatal(err)
 				}
-				if got := h.pool.plan.Tables(); got != tables {
-					t.Fatalf("cycle %d: plan holds %d tables, want %d", cycle, got, tables)
+				now := e.Stats()
+				if got := storedOf(h).blob; &got[0] != &blob[0] || len(got) != len(blob) {
+					t.Fatalf("cycle %d: the swap-out stored another blob than the clean copy", cycle)
 				}
-				if !bytes.Equal(storedOf(h).blob, blob) {
-					t.Fatalf("cycle %d: stored blob is not the unplanned encode", cycle)
+				if now.SwapOuts != prev.SwapOuts+1 || now.RawBytes-prev.RawBytes != first.RawBytes-before.RawBytes ||
+					now.MovedBytes-prev.MovedBytes != first.MovedBytes-before.MovedBytes ||
+					now.CompressedTensors-prev.CompressedTensors != first.CompressedTensors-before.CompressedTensors {
+					t.Fatalf("cycle %d: a clean swap-out counted %+v, the store it stands for %+v", cycle, now, first)
+				}
+				if st := e.HostStats(); st.Allocs != allocs || st.Cached != 0 || st.Used != int64(len(blob)) {
+					t.Fatalf("cycle %d: host pool %+v after a clean swap-out of a %d-byte blob", cycle, st, len(blob))
 				}
 				if err := e.SwapIn(h); err != nil {
 					t.Fatal(err)
 				}
 				assertBitExact(t, h, want)
 			}
+			if enc2, encodes2, _, moved2 := e.CodecTotals(alg); enc2 != enc || encodes2 != encodes || moved2 != moved {
+				t.Fatalf("clean swap-outs moved the per-codec series: %v/%d/%v → %v/%d/%v", enc, encodes, moved, enc2, encodes2, moved2)
+			}
+			if got := e.ins.cleanSwapOuts.Value(); got != 3 {
+				t.Fatalf("executor_clean_swapouts_total = %v, want 3", got)
+			}
 		})
 	}
+}
 
+// TestCleanCopyDroppedOnMismatch: a swap-out with another codec, another
+// launch, or raw after a codec drops the clean copy and stores afresh, and
+// the fresh blob is byte for byte what a fresh executor stores for the same
+// bytes with that codec at that launch.
+func TestCleanCopyDroppedOnMismatch(t *testing.T) {
+	want := sealPayload(3<<14 + 5)
+	e := newTestExecutor(t, 1<<22, 1<<22)
+	h := cycleSealed(t, e, "sealed", want, compress.ZVC)
+	fresh := func(alg compress.Algorithm, launch compress.Launch) []byte {
+		f, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: true, Launch: launch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := f.Register("fresh", tensor.FromSlice(append([]float32(nil), want...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := swapOutWith(f, g, alg); err != nil {
+			t.Fatal(err)
+		}
+		return storedOf(g).blob
+	}
+	one := compress.Launch{Grid: 1, Block: 64}
+	for i, step := range []struct {
+		alg    compress.Algorithm
+		launch compress.Launch
+	}{
+		{compress.Huffman, e.Launch()}, // another codec
+		{compress.Huffman, one},        // another launch
+		{compress.Auto, one},           // raw after a codec
+		{compress.ZVC, one},            // a codec after raw
+	} {
+		if err := e.SetLaunch(step.launch); err != nil {
+			t.Fatal(err)
+		}
+		drops, clean := e.ins.cleanDrops.Value(), e.ins.cleanSwapOuts.Value()
+		if err := swapOutWith(e, h, step.alg); err != nil {
+			t.Fatal(err)
+		}
+		if e.ins.cleanDrops.Value() != drops+1 || e.ins.cleanSwapOuts.Value() != clean {
+			t.Fatalf("step %d: %s at %v did not drop the clean copy", i, codecName(step.alg), step.launch)
+		}
+		if !bytes.Equal(storedOf(h).blob, fresh(step.alg, step.launch)) {
+			t.Fatalf("step %d: %s at %v stored another blob than a fresh executor", i, codecName(step.alg), step.launch)
+		}
+		if st := e.HostStats(); st.Cached != 0 || st.Used != int64(len(storedOf(h).blob)) {
+			t.Fatalf("step %d: host pool %+v", i, st)
+		}
+		if err := e.SwapIn(h); err != nil {
+			t.Fatal(err)
+		}
+		assertBitExact(t, h, want)
+	}
+}
+
+// TestCorruptCleanCopyRefused: a clean copy corrupted in the host pool while
+// its tensor is resident is committed by the next swap-out unread, and the
+// restore after refuses it with ErrVerification after its one retry,
+// leaving the tensor Swapped, as it refuses any persistently corrupted
+// stored copy; so does the next attempt.
+func TestCorruptCleanCopyRefused(t *testing.T) {
+	want := sealPayload(3<<14 + 5)
+	for _, alg := range []compress.Algorithm{compress.Auto, compress.ZVC} {
+		t.Run(codecName(alg), func(t *testing.T) {
+			e := newTestExecutor(t, 1<<22, 1<<22)
+			h := cycleSealed(t, e, "sealed", want, alg)
+			c := cleanOf(h)
+			c.blob[len(c.blob)-1] ^= 0x01 // the last value's top byte, raw or ZVC
+			if err := swapOutWith(e, h, alg); err != nil {
+				t.Fatal(err)
+			}
+			if e.ins.cleanSwapOuts.Value() != 1 {
+				t.Fatal("the swap-out did not commit the clean copy")
+			}
+			for try := 0; try < 2; try++ {
+				retries := e.Stats().DecodeRetries
+				if err := e.SwapIn(h); !errors.Is(err, ErrVerification) {
+					t.Fatalf("swap-in %d of a corrupted clean copy: %v, want ErrVerification", try, err)
+				}
+				if h.State() != Swapped || cleanOf(h) != nil {
+					t.Fatalf("swap-in %d: state %s after the refused restore, want swapped with no clean copy", try, h.State())
+				}
+				if got := e.Stats().DecodeRetries; got != retries+1 {
+					t.Fatalf("swap-in %d: decode retries %d → %d, want one retry", try, retries, got)
+				}
+			}
+		})
+	}
+}
+
+// TestCleanCopiesMakeHostRoom: without a tier, a host pool full of clean
+// copies still takes another tensor's swap-out: the clean copies are
+// dropped until it fits, and the bytes in use are the new blob alone.
+func TestCleanCopiesMakeHostRoom(t *testing.T) {
+	const elems = 1 << 14
+	raw := int64(4 * elems)
+	e := newTestExecutor(t, 1<<22, 3*raw)
+	for i := 0; i < 3; i++ {
+		cycleSealed(t, e, fmt.Sprintf("sealed%d", i), sealPayload(elems), compress.Auto)
+	}
+	if st := e.HostStats(); st.Used+st.Cached != st.Capacity {
+		t.Fatalf("host pool %+v: want it full of clean copies", st)
+	}
+	other := sealPayload(elems)
+	h, err := e.Register("other", tensor.FromSlice(append([]float32(nil), other...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SwapOut(h, false, compress.ZVC); err != nil {
+		t.Fatalf("swap-out into a host pool of clean copies: %v", err)
+	}
+	if st := e.HostStats(); st.Used != raw || st.Cached != 2*raw || e.ins.cleanDrops.Value() != 1 {
+		t.Fatalf("host pool %+v after %v clean drops, want %d used and %d cached after one", st, e.ins.cleanDrops.Value(), raw, 2*raw)
+	}
+	if err := e.SwapIn(h); err != nil {
+		t.Fatal(err)
+	}
+	assertBitExact(t, h, other)
+}
+
+// TestFreeDropsCleanCopy: freeing a tensor that holds a clean copy returns
+// its host bytes, so the pool is empty again.
+func TestFreeDropsCleanCopy(t *testing.T) {
+	e := newTestExecutor(t, 1<<22, 1<<22)
+	h := cycleSealed(t, e, "sealed", sealPayload(3<<14+5), compress.Huffman)
+	if err := e.Free(h); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.HostStats(); st.Used != 0 || st.Cached != 0 || e.ins.cleanDrops.Value() != 1 {
+		t.Fatalf("host pool %+v after Free, %v clean drops", st, e.ins.cleanDrops.Value())
+	}
+}
+
+// TestNoCleanCopyUnlessSealedTensor: an unsealed tensor, a block pool sealed
+// or not, a sealed tensor with Verify off, and a sealed tensor restored
+// from the tier keep no clean copy: every restore leaves the host pool
+// empty.
+func TestNoCleanCopyUnlessSealedTensor(t *testing.T) {
+	want := sealPayload(3<<14 + 5)
 	e := newTestExecutor(t, 1<<22, 1<<22)
 	lib, err := e.Register("lib", tensor.FromSlice(append([]float32(nil), want...)))
 	if err != nil {
@@ -290,61 +491,113 @@ func TestSealedTensorKeepsPlan(t *testing.T) {
 		}
 		pools = append(pools, p)
 	}
+	unverified, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := unverified.Register("sealed", tensor.FromSlice(append([]float32(nil), want...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Seal()
+	pools = append(pools, h.pool)
 	for _, p := range pools {
 		all := []int{0}
 		if p.numBlocks > 1 {
 			all = []int{0, 1, 2}
 		}
 		for cycle := 0; cycle < 2; cycle++ {
-			if err := p.SwapOutBlocks(all, true, compress.Huffman); err != nil {
+			if err := p.SwapOutBlocks(all, true, compress.ZVC); err != nil {
 				t.Fatal(err)
-			}
-			if got := p.plan.Tables(); got != 0 {
-				t.Fatalf("%s: plan holds %d tables", p.name, got)
 			}
 			if err := p.SwapInBlocks(all); err != nil {
 				t.Fatal(err)
 			}
+			if st := p.e.HostStats(); st.Used != 0 || st.Cached != 0 {
+				t.Fatalf("%s: host pool %+v after a restore", p.name, st)
+			}
 		}
+	}
+
+	tiered, _ := newTierExecutor(t, 1<<22, 1<<22, 1<<24, nil)
+	th, err := tiered.Register("sealed", tensor.FromSlice(append([]float32(nil), want...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Seal()
+	if err := tiered.SwapOut(th, true, compress.ZVC); err != nil {
+		t.Fatal(err)
+	}
+	if err := tiered.Demote(th); err != nil {
+		t.Fatal(err)
+	}
+	if err := tiered.SwapIn(th); err != nil {
+		t.Fatal(err)
+	}
+	if st := tiered.HostStats(); st.Used != 0 || st.Cached != 0 || cleanOf(th) != nil {
+		t.Fatalf("host pool %+v after a restore from the tier", st)
 	}
 }
 
-// TestSealedPlanSurvivesTransferCorruption: a transfer-out fault corrupts
-// the stored copy of a sealed HUF tensor's first swap-out, and its swap-in
-// is refused; the plan that swap-out kept was recorded from the resident
-// bytes, not the corrupted copy, so it is the plan a clean encode records,
-// and a later swap-out's encode under it is the clean blob.
-func TestSealedPlanSurvivesTransferCorruption(t *testing.T) {
-	e := newFaultyExecutor(t, 1<<22, 1<<23,
-		faultinject.Fault{Site: faultinject.SiteTransferOut, Mode: faultinject.Corrupt})
-	want := sealPayload(3<<14 + 5)
-	h, err := e.Register("sealed", tensor.FromSlice(append([]float32(nil), want...)))
-	if err != nil {
-		t.Fatal(err)
+// TestCleanCopyDropRacesItsOwner: two goroutines cycle their own sealed
+// tensor raw through a host pool that holds one and a half raw copies, over
+// a tier, so a store finds the other tensor's clean copy in the way and
+// drops it — while its owner may be restoring it, committing it or about to
+// — or demotes its stored copy. A swap-out may still find no room while
+// the other tensor's copy is in flight, and then leaves its tensor resident,
+// and a swap-in may find its copy claimed by the other's demotion and retry;
+// every other swap succeeds and restores the registered bytes, and the pool
+// is empty once both are freed. -race checks that only the pool's lock
+// orders the drop and the owner.
+func TestCleanCopyDropRacesItsOwner(t *testing.T) {
+	const elems = 1 << 14
+	e, _ := newTierExecutor(t, 1<<22, 3*4*elems/2, 1<<24, nil)
+	var wg sync.WaitGroup
+	handles := make([]*Handle, 2)
+	for g := range handles {
+		want := sealPayload(elems)
+		want[9] = float32(g + 1)
+		h, err := e.Register(fmt.Sprintf("sealed%d", g), tensor.FromSlice(append([]float32(nil), want...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Seal()
+		handles[g] = h
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if err := e.SwapOut(h, false, compress.ZVC); errors.Is(err, devmem.ErrOutOfMemory) {
+					continue
+				} else if err != nil {
+					t.Errorf("%s cycle %d: swap-out: %v", h.Name(), i, err)
+					return
+				}
+				err := e.SwapIn(h)
+				for errors.Is(err, ErrBusy) { // the other goroutine is demoting the copy
+					err = e.SwapIn(h)
+				}
+				if err != nil {
+					t.Errorf("%s cycle %d: swap-in: %v", h.Name(), i, err)
+					return
+				}
+				if got, _ := h.Data(); !sameBits(got, want) {
+					t.Errorf("%s cycle %d: restore differs from the registered bytes", h.Name(), i)
+					return
+				}
+			}
+		}()
 	}
-	h.Seal()
-	if err := e.SwapOut(h, true, compress.Huffman); err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if e.ins.cleanDrops.Value() == 0 {
+		t.Fatal("no clean copy was dropped: the race was not run")
 	}
-	if e.FaultStats().Corruptions != 1 {
-		t.Fatal("the transfer-out fault did not fire")
+	for _, h := range handles {
+		if err := e.Free(h); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := e.SwapIn(h); err == nil {
-		t.Fatal("a corrupted stored copy was restored")
-	}
-	var clean compress.EncodePlan
-	blob, err := compress.AppendParallelEncodeWith(nil, compress.Huffman, want, e.Launch(), nil, &clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(h.pool.plan, clean) {
-		t.Fatal("the kept plan is not the one a clean encode of the registered bytes records")
-	}
-	next, err := e.arenaEncode(compress.Huffman, want, &h.pool.plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(next, blob) {
-		t.Fatal("an encode under the kept plan differs from the clean blob")
+	if st := e.HostStats(); st.Used != 0 || st.Cached != 0 {
+		t.Fatalf("host pool %+v after both were freed", st)
 	}
 }

@@ -107,15 +107,8 @@ type tierVictim struct {
 // candidate that moved on is skipped.
 func (e *Executor) tierVictims() []tierVictim {
 	now := e.sinceEpoch()
-	e.mu.Lock()
-	pools := make([]*BlockPool, 0, len(e.pools))
-	for _, p := range e.pools {
-		pools = append(pools, p)
-	}
-	e.mu.Unlock()
-
 	var vs []tierVictim
-	for _, p := range pools {
+	for _, p := range e.livePools() {
 		vs = p.victims(vs, now)
 	}
 	sort.Slice(vs, func(i, j int) bool { return vs[i].score < vs[j].score })
@@ -144,17 +137,38 @@ func (e *Executor) demoteUntil(done func() bool) int {
 	return moved
 }
 
-// freeHostSpace demotes victims until the host pool has room for `need`
-// more bytes, reporting whether it does — false without a tier, or
-// without enough demotable bytes.
+// livePools snapshots the registered pools.
+func (e *Executor) livePools() []*BlockPool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	pools := make([]*BlockPool, 0, len(e.pools))
+	for _, p := range e.pools {
+		pools = append(pools, p)
+	}
+	return pools
+}
+
+// dropCleanUntil drops clean copies until done reports true. Giving one up
+// costs no tier write, so every path that makes host room drops them
+// before it demotes anything.
+func (e *Executor) dropCleanUntil(done func() bool) {
+	for _, p := range e.livePools() {
+		if done() {
+			return
+		}
+		p.mu.Lock()
+		p.dropClean()
+		p.mu.Unlock()
+	}
+}
+
+// freeHostSpace drops clean copies, then demotes victims if there is a
+// tier, until the host pool has room for `need` more bytes, reporting
+// whether it does.
 func (e *Executor) freeHostSpace(need int64) bool {
-	if e.tier == nil {
-		return false
-	}
-	headroom := func() bool {
-		return e.host.Capacity()-e.host.Used() >= need
-	}
-	if !headroom() {
+	headroom := func() bool { return e.host.Available() >= need }
+	e.dropCleanUntil(headroom)
+	if e.tier != nil && !headroom() {
 		e.demoteUntil(headroom)
 	}
 	return headroom()
@@ -180,12 +194,13 @@ func (e *Executor) watermarkLoop(interval time.Duration) {
 	}
 }
 
-// demoteToWatermark demotes victims until host occupancy is at or under
-// TierWatermark×capacity.
+// demoteToWatermark drops clean copies, then demotes victims, until host
+// occupancy, cached bytes included, is at or under TierWatermark×capacity.
 func (e *Executor) demoteToWatermark() {
 	target := int64(e.cfg.TierWatermark * float64(e.host.Capacity()))
-	moved := e.demoteUntil(func() bool { return e.host.Used() <= target })
-	e.ins.watermarkDemotions.Add(float64(moved))
+	done := func() bool { return e.host.Capacity()-e.host.Available() <= target }
+	e.dropCleanUntil(done)
+	e.ins.watermarkDemotions.Add(float64(e.demoteUntil(done)))
 }
 
 // stopWatermark shuts the background demoter down, idempotently, and

@@ -197,8 +197,9 @@ func TestDemoteSwappedChargesRuns(t *testing.T) {
 }
 
 func TestDemoteTaxonomy(t *testing.T) {
-	// No tier configured: ErrNoTier, and the host-pressure fallback path
-	// reports no headroom rather than inventing any.
+	// No tier configured: ErrNoTier, and the host-pressure fallback path,
+	// with no clean copy to drop, reports no headroom rather than inventing
+	// any.
 	plain := newTestExecutor(t, 1<<20, 1<<20)
 	tn := tensor.NewGenerator(12).Uniform(1000, 0.5)
 	h, err := plain.Register("x", tn)
@@ -211,7 +212,7 @@ func TestDemoteTaxonomy(t *testing.T) {
 	if err := plain.Demote(h); !errors.Is(err, ErrNoTier) {
 		t.Fatalf("Demote without tier = %v, want ErrNoTier", err)
 	}
-	if plain.freeHostSpace(1) {
+	if plain.freeHostSpace(plain.host.Capacity()) {
 		t.Fatal("freeHostSpace claimed headroom without a tier")
 	}
 

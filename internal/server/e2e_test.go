@@ -62,7 +62,14 @@ func TestE2EBitExactSparsityLadder(t *testing.T) {
 				return
 			}
 			for round := 0; round < rounds; round++ {
-				if err := c.SwapOut(ctx, r.name, client.WithCodec(r.alg)); err != nil {
+				// Odd rounds swap out raw, so that no swap-out finds a clean
+				// copy of its request (executor.Handle.Seal): every one
+				// encodes afresh and draws its buffer from the arena.
+				opt := client.WithCodec(r.alg)
+				if round%2 == 1 {
+					opt = client.WithRaw()
+				}
+				if err := c.SwapOut(ctx, r.name, opt); err != nil {
 					t.Errorf("%s round %d: swap-out: %v", r.name, round, err)
 					return
 				}

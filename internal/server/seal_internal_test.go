@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cswap/client"
-	"cswap/internal/compress"
 	"cswap/internal/executor"
 	"cswap/internal/faultinject"
 	"cswap/internal/placement"
@@ -153,14 +152,14 @@ func TestSealedTensorCycles(t *testing.T) {
 	})
 }
 
-// TestDrainedTensorStartsWithoutPlan: a served tensor's HUF code tables
-// stay with its pool. After a drain moves a resident tensor whose swap-outs
-// on the old shard kept a plan, the arriving object holds none; its first
-// HUF swap-out on the new shard records one afresh, and every restore after
-// is the registered bytes.
-func TestDrainedTensorStartsWithoutPlan(t *testing.T) {
-	const elems = 3<<14 + 5
-	data := crcPayload(elems)
+// TestDrainedTensorStartsWithoutCleanCopy: a served tensor's clean copy
+// stays with its pool. After a drain moves a resident tensor that holds one,
+// the source shard's host pool is empty again and the arriving object holds
+// none: its first swap-out on the new shard encodes, its restore keeps a
+// clean copy, and the swap-out after commits it. Every restore is the
+// registered bytes.
+func TestDrainedTensorStartsWithoutCleanCopy(t *testing.T) {
+	data := crcPayload(3<<14 + 5)
 	ctx := context.Background()
 	cl, err := NewCluster(WithShards(2), WithDeviceCapacity(64<<20), WithHostCapacity(64<<20),
 		WithVerify(true), WithRetryAfter(time.Millisecond))
@@ -184,31 +183,36 @@ func TestDrainedTensorStartsWithoutPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	huf := client.WithCodec(client.HUF)
+	src, dst := cl.Shard(1).Executor(), cl.Shard(0).Executor()
+	cleanOuts := func(e *executor.Executor) float64 {
+		return e.Registry().Counter("executor_clean_swapouts_total").Value()
+	}
 	for i := 0; i < 2; i++ {
 		if err := c.SwapOut(ctx, name, huf); err != nil {
 			t.Fatal(err)
 		}
 		checkSwapIn(t, cl.Shard(1), hs.URL, name, data)
 	}
-	tables := compress.ChunkCount(elems, cl.Shard(1).Executor().Launch().Grid)
-	if got := sealedPool(t, cl.Shard(1), name).PlanTables(); got != tables {
-		t.Fatalf("old shard keeps %d tables, want %d", got, tables)
+	if st := src.HostStats(); st.Used != 0 || st.Cached == 0 || cleanOuts(src) != 1 {
+		t.Fatalf("old shard: host pool %+v after %v clean swap-outs, want a clean copy after one", st, cleanOuts(src))
 	}
 	if n, _, err := cl.DrainShard(1); err != nil || n != 1 {
 		t.Fatalf("drain moved %d tensors: %v", n, err)
 	}
-	dst := cl.Shard(0)
-	if got := sealedPool(t, dst, name).PlanTables(); got != 0 {
-		t.Fatalf("arriving tensor holds %d tables, want none", got)
+	if st := src.HostStats(); st.Used != 0 || st.Cached != 0 {
+		t.Fatalf("old shard's host pool %+v after the drain, want it empty", st)
 	}
 	for i := 0; i < 2; i++ {
+		if st := dst.HostStats(); (st.Cached != 0) != (i > 0) {
+			t.Fatalf("swap-out %d on the new shard: host pool %+v", i, st)
+		}
 		if err := c.SwapOut(ctx, name, huf); err != nil {
 			t.Fatal(err)
 		}
-		if got := sealedPool(t, dst, name).PlanTables(); got != tables {
-			t.Fatalf("swap-out %d on the new shard: %d tables, want %d", i, got, tables)
+		if got := cleanOuts(dst); got != float64(i) {
+			t.Fatalf("swap-out %d on the new shard: %v clean swap-outs, want %d", i, got, i)
 		}
-		checkSwapIn(t, dst, hs.URL, name, data)
+		checkSwapIn(t, cl.Shard(0), hs.URL, name, data)
 	}
 }
 
@@ -216,13 +220,13 @@ func TestDrainedTensorStartsWithoutPlan(t *testing.T) {
 // corrupted on the way to the host pool at its second swap-out — the first
 // reused digest — fails the next swap-in, its retry included, and every one
 // after: wrong data never comes back. The verify check holds with the
-// digest taken at the first swap-out, for raw and a codec alike.
+// digest taken at the first swap-out, for raw and a codec alike. The first
+// swap-out uses the other of the two, so that the second stores afresh
+// rather than committing the clean copy the first restore kept.
 func TestSealedTensorCorruptTransferRefused(t *testing.T) {
 	ctx := context.Background()
-	for _, cd := range []struct {
-		name string
-		opt  client.SwapOption
-	}{crcCodecs[0], crcCodecs[1]} {
+	pair := crcCodecs[:2]
+	for i, cd := range pair {
 		inj := faultinject.New(faultinject.Fault{Site: faultinject.SiteTransferOut, Mode: faultinject.Corrupt, After: 2})
 		s, url := newInternalServer(t, WithFaults(inj))
 		c := client.New(url)
@@ -230,7 +234,7 @@ func TestSealedTensorCorruptTransferRefused(t *testing.T) {
 		if err := c.Register(ctx, "t", data); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SwapOut(ctx, "t", cd.opt); err != nil {
+		if err := c.SwapOut(ctx, "t", pair[1-i].opt); err != nil {
 			t.Fatal(err)
 		}
 		checkSwapIn(t, s, url, "t", data)
@@ -260,7 +264,7 @@ func TestSealedHistory(t *testing.T) {
 	if testing.Short() {
 		steps = 60
 	}
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { sealHistory(t, seed, steps) })
 	}
 }
@@ -268,7 +272,7 @@ func TestSealedHistory(t *testing.T) {
 // FuzzSealedHistory searches for seeds whose history breaks sealHistory's
 // invariants.
 func FuzzSealedHistory(f *testing.F) {
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) { sealHistory(t, seed, 60) })
@@ -302,9 +306,12 @@ type modelObject struct {
 // tensors and unsealed one-block pools — swap-out with raw or a random
 // codec, swap-in, a batch-write (refused for tensors), a tier demotion and
 // a shard drain — with up to two faults armed at random sites for half the
-// seeds. The invariants: every answered read is bit-exact to the model,
-// −0 and NaN payloads included; a tensor write is refused; and with no
-// fault armed every operation succeeds.
+// seeds, and for a third of them a host pool of two raw objects per shard,
+// so that swap-outs drop the clean copies restores kept. The invariants:
+// every answered read is bit-exact to the model, −0 and NaN payloads
+// included; a tensor write is refused; with no fault armed every operation
+// succeeds; and once every object is freed, no shard's host pool holds a
+// byte, used or cached.
 func sealHistory(t *testing.T, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	var faults []faultinject.Fault
@@ -319,7 +326,11 @@ func sealHistory(t *testing.T, seed int64, steps int) {
 		}
 	}
 	const shards, elems = 3, 3<<14 + 5
-	cl, err := NewCluster(WithShards(shards), WithDeviceCapacity(64<<20), WithHostCapacity(64<<20),
+	host := int64(64 << 20)
+	if seed%3 == 0 {
+		host = 2 * 4 * elems
+	}
+	cl, err := NewCluster(WithShards(shards), WithDeviceCapacity(64<<20), WithHostCapacity(host),
 		WithVerify(true), WithRetryAfter(time.Millisecond), WithTierDir(t.TempDir()),
 		WithFaults(faultinject.New(faults...)))
 	if err != nil {
@@ -480,5 +491,18 @@ func sealHistory(t *testing.T, seed int64, steps int) {
 	for _, o := range objs {
 		read(steps, o)
 	}
-	t.Logf("seed %d, faults %v: %v", seed, faults, done)
+	for _, o := range objs {
+		if err := c.Free(ctx, o.name); err != nil {
+			t.Fatalf("seed %d: free %s: %v", seed, o.name, err)
+		}
+	}
+	for i := 0; i < shards; i++ {
+		e := cl.Shard(i).Executor()
+		if st := e.HostStats(); st.Used != 0 || st.Cached != 0 {
+			t.Fatalf("seed %d: shard %d's host pool holds %d bytes used, %d cached after every object was freed", seed, i, st.Used, st.Cached)
+		}
+		done["clean swap-out"] += int(e.Registry().Counter("executor_clean_swapouts_total").Value())
+		done["clean drop"] += int(e.Registry().Counter("executor_clean_drops_total").Value())
+	}
+	t.Logf("seed %d, host %d, faults %v: %v", seed, host, faults, done)
 }

@@ -61,12 +61,15 @@ type TunerConfig struct {
 	// ProbeElems sizes the synthetic probe tensor (default 64Ki elements;
 	// probe times are scaled to the profile's mean tensor size).
 	ProbeElems int
-	// RollbackFactor: a verdict whose realized per-swap cost exceeds
-	// prediction by this factor is reverted (default 1.5).
-	RollbackFactor float64
-	// Seed fixes the probe generator (default 1).
-	Seed int64
 }
+
+// rollbackFactor: a verdict whose realized per-swap cost exceeds its
+// prediction by this factor is reverted. probeSeed fixes the probe
+// generator.
+const (
+	rollbackFactor = 1.5
+	probeSeed      = 1
+)
 
 func (c TunerConfig) withDefaults() TunerConfig {
 	if c.Interval <= 0 {
@@ -83,12 +86,6 @@ func (c TunerConfig) withDefaults() TunerConfig {
 	}
 	if c.ProbeElems <= 0 {
 		c.ProbeElems = 64 << 10
-	}
-	if c.RollbackFactor <= 1 {
-		c.RollbackFactor = 1.5
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -212,7 +209,7 @@ func (t *tuner) tick() {
 // cost model's realized-error series and reverting verdicts that the data
 // contradicts. The executor series are device-global: with several tenants
 // on one codec the attribution is approximate, which is why the revert
-// needs a RollbackFactor-sized margin, not a mere excess.
+// needs a rollbackFactor-sized margin, not a mere excess.
 func (t *tuner) audit(sess *session, cur, prev verdict) {
 	if !cur.valid || !cur.compress {
 		return
@@ -230,7 +227,7 @@ func (t *tuner) audit(sess *session, cur, prev verdict) {
 	link := (now.movedBytes - before.movedBytes) / float64(ops) / t.cfg.LinkBytesPerSec
 	realized := kernel + link
 	costmodel.RecordRealized(t.obs, cur.predicted, realized)
-	if realized > t.cfg.RollbackFactor*cur.predicted &&
+	if realized > rollbackFactor*cur.predicted &&
 		prev.valid && (prev.alg != cur.alg || prev.compress != cur.compress) {
 		if v, ok := sess.rollbackVerdict(); ok {
 			t.rollbacks(sess.tenant).Inc()
@@ -338,7 +335,7 @@ func (t *tuner) probe(alg compress.Algorithm, launch compress.Launch) (encSec, d
 // per call keeps the probe a pure function of (seed, sparsity), so repeated
 // retunes compare codecs on identical data.
 func (t *tuner) fillProbe(sparsity float64) {
-	src := tensor.NewGenerator(t.cfg.Seed).Uniform(t.cfg.ProbeElems, sparsity)
+	src := tensor.NewGenerator(probeSeed).Uniform(t.cfg.ProbeElems, sparsity)
 	t.probeSrc = src.Data
 }
 

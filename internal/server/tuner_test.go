@@ -35,7 +35,6 @@ func tunerTestTuner() server.TunerConfig {
 		DriftThreshold:  0.15,
 		LinkBytesPerSec: 128 << 10,
 		ProbeElems:      16384,
-		Seed:            1,
 	}
 }
 

@@ -1,8 +1,7 @@
 package sim
 
 // KV-cache decode-step traces: a deterministic generator for the block
-// access pattern of paged-attention serving, and a link-cost scorer that
-// quantifies what contiguous-run coalescing buys on it.
+// access pattern of paged-attention serving.
 //
 // The workload shape follows the paged KV-cache layout: each sequence
 // owns a contiguous region of blocks, appended to as it decodes. When
@@ -10,10 +9,7 @@ package sim
 // sequential ID range, perfectly coalescible — and returns the same way
 // when the scheduler resumes it. On top rides a fragmented tail: single
 // blocks touched out of order (sampled sequences re-scored, beam
-// candidates), which do not coalesce. The scorer prices both with a fixed
-// per-operation control cost plus bytes over the link, so the ratio of
-// coalesced to per-block cost is exactly the cDMA amortization argument:
-// fewer, larger transfers beat many small ones at equal byte volume.
+// candidates), which do not coalesce.
 
 import (
 	"math/rand"
@@ -107,86 +103,4 @@ func GenKVTrace(cfg KVTraceConfig) []KVStep {
 		steps[s] = st
 	}
 	return steps
-}
-
-// CoalesceIDs sorts and dedups ids and merges contiguous runs, returning
-// the run count and total distinct blocks — the same rule the executor's
-// block pools apply, restated here so the simulator carries no executor
-// dependency.
-func CoalesceIDs(ids []int) (runs, blocks int) {
-	if len(ids) == 0 {
-		return 0, 0
-	}
-	sorted := append([]int(nil), ids...)
-	insertionSort(sorted)
-	runs, blocks = 1, 1
-	for i := 1; i < len(sorted); i++ {
-		switch sorted[i] {
-		case sorted[i-1]: // duplicate
-		case sorted[i-1] + 1:
-			blocks++
-		default:
-			runs++
-			blocks++
-		}
-	}
-	return runs, blocks
-}
-
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// LinkCost prices block movement: a fixed per-operation control cost
-// (request framing, admission, codec launch) plus bytes over the link.
-type LinkCost struct {
-	PerOpSeconds float64
-	BytesPerSec  float64
-	BlockBytes   int
-}
-
-// Seconds prices moving a step's ID list as `ops` operations carrying
-// `blocks` blocks total.
-func (lc LinkCost) Seconds(ops, blocks int) float64 {
-	return float64(ops)*lc.PerOpSeconds + float64(blocks*lc.BlockBytes)/lc.BytesPerSec
-}
-
-// KVScore is the scorer's verdict over one trace.
-type KVScore struct {
-	// CoalescedSeconds and PerBlockSeconds are total link-time with runs
-	// merged versus one operation per block.
-	CoalescedSeconds, PerBlockSeconds float64
-	// Ops and Blocks are total issued operations (coalesced) and blocks
-	// moved.
-	Ops, Blocks int
-}
-
-// Speedup is the per-block / coalesced cost ratio (>1 when coalescing
-// wins).
-func (s KVScore) Speedup() float64 {
-	if s.CoalescedSeconds == 0 {
-		return 1
-	}
-	return s.PerBlockSeconds / s.CoalescedSeconds
-}
-
-// ScoreKVTrace prices a trace both ways. Byte volume is identical in the
-// two columns; only the per-operation control cost differs — the scorer
-// isolates exactly what batching amortizes.
-func ScoreKVTrace(trace []KVStep, lc LinkCost) KVScore {
-	var sc KVScore
-	for _, st := range trace {
-		for _, ids := range [][]int{st.Out, st.In} {
-			runs, blocks := CoalesceIDs(ids)
-			sc.CoalescedSeconds += lc.Seconds(runs, blocks)
-			sc.PerBlockSeconds += lc.Seconds(blocks, blocks)
-			sc.Ops += runs
-			sc.Blocks += blocks
-		}
-	}
-	return sc
 }
