@@ -99,7 +99,8 @@ func (t *Ticket) Op() string { return t.op }
 // asyncGate is the executor's one bounded in-flight window. Slots are
 // acquired at submission time in the caller's goroutine — a full window
 // blocks the submitter, which is the backpressure the pipeline promises —
-// and released when the operation commits. The gauge, peak, and queue-depth
+// and released when the operation commits; a served request holds one for
+// its whole swap (AcquireSlot). The gauge, peak, and queue-depth
 // instruments are updated under the gate's lock so their readings are
 // consistent with the count.
 type asyncGate struct {
@@ -259,11 +260,8 @@ func (e *Executor) shedPreempt(n int) {
 // frees up, the ticket resolves with the context's error and the block
 // rolls back to Resident untouched. The context governs only the submission
 // wait — once the operation is dispatched it runs to completion regardless
-// of ctx (use Ticket.WaitContext to bound the wait for the result).
-// Speculative work (per the context's sched.Hint) yields with ErrShed —
-// before taking a slot — when the scheduler reports a starved critical
-// waiter. Its ticket's op is "swap-out", and executor_batch_* does not
-// count it.
+// of ctx (use Ticket.WaitContext to bound the wait for the result). Its
+// ticket's op is "swap-out", and executor_batch_* does not count it.
 func (p *BlockPool) SwapOutCtx(ctx context.Context, doCompress bool, alg compress.Algorithm) *Ticket {
 	return p.swapOutCtx(ctx, "swap-out", whole, 0, doCompress, alg)
 }
@@ -305,20 +303,31 @@ func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
 	return h.pool.PrefetchCtx(ctx)
 }
 
+// AcquireSlot takes one slot of the async window for work the caller runs
+// itself — a swap service holds one for the whole of a request whose
+// synchronous swap (BlockPool.Swap) runs in its handler — so that Drain and
+// Close wait for that work as for a ticket. It blocks while the window is
+// full, and fails with ErrClosed after Close or with ctx's error if ctx is
+// done first. Each slot taken goes back with one ReleaseSlot.
+func (e *Executor) AcquireSlot(ctx context.Context) error { return e.gate.acquire(ctx) }
+
+// ReleaseSlot returns a slot AcquireSlot took.
+func (e *Executor) ReleaseSlot() { e.gate.release() }
+
 // Drain blocks until every asynchronous operation in flight at any point
 // during the call has completed and committed its blocks' state — every
 // ticket the executor issues rides the one in-flight window, tier reads
 // and inline demotions included, because they run inside the swap bodies
-// that hold its slots. Synchronous calls (SwapOut, SwapIn, Demote,
-// SwapOutBlocks, SwapInBlocks) and the watermark demoter are not tickets
-// and are not waited for. It is a
+// that hold its slots — and every slot AcquireSlot handed out has come
+// back. Other synchronous calls (SwapOut, SwapIn, Demote, SwapOutBlocks,
+// SwapInBlocks, Swap) and the watermark demoter are not waited for. It is a
 // barrier, not a shutdown: submissions stay legal during and after a drain
 // (a concurrent submitter can extend the wait). All tickets issued before
 // Drain returns are resolved once it does.
 func (e *Executor) Drain() { e.gate.drain() }
 
-// InFlight returns the number of asynchronous operations currently
-// holding a slot in the bounded window.
+// InFlight returns the number of slots of the bounded window currently held:
+// asynchronous operations and AcquireSlot holders.
 func (e *Executor) InFlight() int {
 	e.gate.mu.Lock()
 	defer e.gate.mu.Unlock()
@@ -328,9 +337,10 @@ func (e *Executor) InFlight() int {
 // Close shuts the executor's intake and waits for what is already running:
 // it stops the watermark demoter (waiting out its final sweep), closes the
 // in-flight window and drains it, so every ticket ever issued is resolved
-// when it returns. Subsequent Register calls and async submissions fail
-// with ErrClosed. Live handles and pools remain readable and may still be
-// driven synchronously, wherever their payload lives — SwapOut, SwapIn
+// and every slot returned when it returns. Subsequent Register calls, async
+// submissions and AcquireSlot calls fail with ErrClosed. Live handles and
+// pools remain readable and may still be driven synchronously, wherever
+// their payload lives — SwapOut, SwapIn
 // (from the host pool or the disk tier), Demote, Free, SwapOutBlocks and
 // SwapInBlocks take no slot of the closed window (swapping in an object you
 // still hold is not new work). Close is idempotent.

@@ -545,10 +545,8 @@ func TestCloseRejectsNewWork(t *testing.T) {
 	if err := p.SwapOutBlocks(ids, true, compress.ZVC); err != nil {
 		t.Fatalf("SwapOutBlocks after Close: %v", err)
 	}
-	for _, tk := range []*Ticket{p.SwapInBlocksCtx(context.Background(), ids), p.PrefetchBlocksCtx(context.Background(), ids)} {
-		if err := tk.Wait(); !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s after Close err = %v, want ErrClosed", tk.Op(), err)
-		}
+	if err := p.SwapInBlocksCtx(context.Background(), ids).Wait(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SwapInBlocksCtx after Close err = %v, want ErrClosed", err)
 	}
 	if got := p.SwappedIDs(); len(got) != len(ids) {
 		t.Fatalf("refused batches moved blocks: swapped %v, want %v", got, ids)

@@ -13,16 +13,20 @@ package executor
 // future work): source and destination of a run are both sequential
 // memory, so one codec/pool operation per RUN replaces one per block —
 // the cDMA amortization that makes compressed swapping pay off at small
-// granularity. A synchronous call stores or restores its runs one after
-// another in the caller's goroutine and takes no slot of the async window;
-// a *Ctx call puts each run on the pipeline (one slot per run), so runs
-// overlap like independent swaps.
+// granularity. A synchronous call — SwapOutBlocks, SwapInBlocks, and Swap,
+// a swap service's six operations under the request's context — stores or
+// restores its runs one after another in the caller's goroutine and takes no
+// slot of the async window; a *Ctx call puts each run on the pipeline (one
+// slot per run), so runs overlap like independent swaps.
 //
 // State machine: every block carries a State (Resident / Swapped /
 // SwappingOut / SwappingIn), guarded by one per-pool mutex. An operation
 // claims ALL its target blocks atomically before any work starts — it
 // either starts whole or fails whole with the first offending block's
-// error — and each run commits or rolls back only its own blocks. The
+// error — and each run commits or rolls back only its own blocks. The one
+// exception is a block a demotion holds: a demotion is one tier write that
+// never waits on the pool's owner, so a swap-in or Free that meets one waits
+// for it (settled) instead of failing with ErrBusy. The
 // stored run is the restore granularity: a swap-in that requests any block
 // of a stored run restores the whole run (the blocks were encoded as one
 // blob; decoding it is one operation either way).
@@ -39,6 +43,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"cswap/internal/compress"
@@ -113,6 +118,9 @@ type BlockPool struct {
 	sealed   bool
 	digested bool
 	digest   uint64
+	// settled is signalled, on mu, whenever claimed blocks return to a
+	// stable state (settle) — what a claim waiting out a demotion waits on.
+	settled sync.Cond
 }
 
 // poolRun is one stored (swapped-out) run: the shared payload record for
@@ -123,6 +131,9 @@ type poolRun struct {
 	// which a prefetch joins; nil while no swap-in, or a synchronous one,
 	// holds it.
 	pending *Ticket
+	// demoting marks a run whose blocks a demotion holds; guarded by the
+	// pool's mu, like pending.
+	demoting bool
 	stored
 }
 
@@ -152,6 +163,7 @@ func (e *Executor) registerPool(name string, blockElems, numBlocks int, data []f
 		state:      make([]State, numBlocks),
 		run:        make([]*poolRun, numBlocks),
 	}
+	p.settled.L = &p.mu
 	var err error
 	if p.devBlock, err = e.device.Alloc(p.Bytes()); err != nil {
 		return nil, err
@@ -355,7 +367,7 @@ func (p *BlockPool) blockStateErr(id int, st State) error {
 // compressed-alloc failures degrade to raw; only a raw-path allocation
 // failure surfaces, with that run's blocks left Resident).
 func (p *BlockPool) SwapOutBlocks(ids []int, doCompress bool, alg compress.Algorithm) error {
-	return p.swapOut(CoalesceBlockIDs(ids), len(ids), doCompress, alg)
+	return p.swapOut(context.Background(), "batch-swap-out", CoalesceBlockIDs(ids), len(ids), doCompress, alg)
 }
 
 // SwapOutBlocksCtx is SwapOutBlocks as a pipeline stage: each run takes a
@@ -372,7 +384,7 @@ func (p *BlockPool) SwapOutBlocksCtx(ctx context.Context, ids []int, doCompress 
 // stored run, so requesting any block of a stored run restores the whole
 // run.
 func (p *BlockPool) SwapInBlocks(ids []int) error {
-	return p.swapIn("batch-swap-in", CoalesceBlockIDs(ids), len(ids))
+	return p.swapIn(context.Background(), "batch-swap-in", CoalesceBlockIDs(ids), len(ids))
 }
 
 // SwapInBlocksCtx is SwapInBlocks as a pipeline stage; see
@@ -381,28 +393,44 @@ func (p *BlockPool) SwapInBlocksCtx(ctx context.Context, ids []int) *Ticket {
 	return p.swapInCtx(ctx, "batch-swap-in", CoalesceBlockIDs(ids), len(ids))
 }
 
-// PrefetchBlocksCtx requests residency for the listed blocks ahead of need
-// and returns immediately with the batch's aggregate ticket. It is
-// SwapInBlocksCtx under a prefetch label: already-resident blocks
-// complete without work, a block an asynchronous swap-in is already
-// restoring is waited for rather than refused, and tier-resident runs are
-// staged back into the host pool first (read-ahead), so a failed or shed
-// prefetch still leaves the later demand swap-in a host-memory read instead
-// of a disk fault. A speculative sched.Hint on ctx makes the batch
-// sheddable at run boundaries (ErrShed) while a critical waiter is starved.
-func (p *BlockPool) PrefetchBlocksCtx(ctx context.Context, ids []int) *Ticket {
-	return p.swapInCtx(ctx, "batch-prefetch", CoalesceBlockIDs(ids), len(ids))
+// Swap runs one operation of a swap service synchronously, in the
+// caller's goroutine: op is "swap-out", "swap-in" or "prefetch" on block 0 —
+// with its tensor meaning — or the "batch-" form of one of them on ids. It is
+// the loop SwapOutBlocks and SwapInBlocks run, under ctx: a speculative
+// sched.Hint on ctx makes the operation sheddable at run boundaries while
+// Config.Sched reports a starved critical waiter (ErrShed, the runs not yet
+// started back in the state they were claimed from). A prefetch is an
+// idempotent swap-in: resident blocks need no work, a block an asynchronous
+// swap-in is restoring is waited for rather than refused, and tier-resident
+// runs are staged back into the host pool first (read-ahead), so a failed or
+// shed prefetch still leaves the later demand swap-in a host-memory read. A
+// run once started commits or rolls back whatever ctx does. Swap takes no
+// slot of the async window; a caller that wants Drain and Close to wait for
+// it holds one (Executor.AcquireSlot).
+func (p *BlockPool) Swap(ctx context.Context, op string, ids []int, doCompress bool, alg compress.Algorithm) error {
+	runs, requested := whole, 0
+	kind, batch := strings.CutPrefix(op, "batch-")
+	if batch {
+		runs, requested = CoalesceBlockIDs(ids), len(ids)
+	}
+	switch kind {
+	case "swap-out":
+		return p.swapOut(ctx, op, runs, requested, doCompress, alg)
+	case "swap-in", "prefetch":
+		return p.swapIn(ctx, op, runs, requested)
+	}
+	return fmt.Errorf("executor: block pool %s: unknown operation %q", p.name, op)
 }
 
 // swapOut is every synchronous swap-out: claim the runs, then store them
 // in the caller's goroutine. requested is a batch call's ID count, which
 // the batch series record; a tensor call passes 0.
-func (p *BlockPool) swapOut(runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) error {
+func (p *BlockPool) swapOut(ctx context.Context, op string, runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) error {
 	if err := p.claimOut(runs, doCompress, alg); err != nil {
 		return err
 	}
 	p.e.observeBatch(requested, runs)
-	return serial(runs, func(r BlockRun) error { return p.storeRun(r, doCompress, alg) })
+	return p.serial(ctx, op, runs, Resident, func(r BlockRun) error { return p.storeRun(r, doCompress, alg) })
 }
 
 // swapOutCtx is every asynchronous swap-out: claim the runs, then submit
@@ -418,28 +446,55 @@ func (p *BlockPool) swapOutCtx(ctx context.Context, op string, runs []BlockRun, 
 	})
 }
 
-// swapIn is every synchronous swap-in: claim the stored runs the request
-// touches, then restore them in the caller's goroutine.
-func (p *BlockPool) swapIn(op string, req []BlockRun, requested int) error {
+// swapIn is every synchronous swap-in and prefetch: claim the stored runs
+// the request touches, then restore them in the caller's goroutine. A
+// prefetch also waits for the asynchronous swap-ins it joined.
+func (p *BlockPool) swapIn(ctx context.Context, op string, req []BlockRun, requested int) error {
 	var buf [1]BlockRun // a tensor's one run is claimed without allocating
-	runs, _, err := p.claimIn(op, req, requested, nil, buf[:0])
+	runs, joined, err := p.claimIn(op, req, requested, nil, buf[:0])
 	if err != nil {
 		return err
 	}
-	return serial(runs, func(r BlockRun) error { return p.restoreRun(r, false) })
+	prefetch := isPrefetch(op)
+	err = p.serial(ctx, op, runs, Swapped, func(r BlockRun) error { return p.restoreRun(r, prefetch) })
+	for _, j := range joined {
+		if jerr := j.Wait(); jerr != nil && err == nil {
+			err = jerr
+		}
+	}
+	return err
 }
 
-// serial runs body over claimed runs one after another — a synchronous
-// call takes no slot of the async window — and returns the first error;
-// every run commits or rolls back whatever its siblings do.
-func serial(runs []BlockRun, body func(BlockRun) error) error {
+// serial is the one synchronous run loop: body over claimed runs one after
+// another in the caller's goroutine, taking no slot of the async window. It
+// returns the first error; every run commits or rolls back whatever its
+// siblings do. Each run boundary consults the shed signal first (shed).
+func (p *BlockPool) serial(ctx context.Context, op string, runs []BlockRun, from State, body func(BlockRun) error) error {
 	var first error
-	for _, r := range runs {
+	for i, r := range runs {
+		if err := p.shed(ctx, op, runs[i:], from); err != nil {
+			return err
+		}
 		if err := body(r); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
+}
+
+// shed is the preemption point at every run boundary: work whose context
+// carries a speculative sched.Hint yields while the scheduler reports a
+// starved critical waiter — runs, the ones not yet started, roll back to
+// from, the state they were claimed out of, and ErrShed is returned. It keeps
+// a long speculative prefetch from holding a slot against latency-critical
+// work.
+func (p *BlockPool) shed(ctx context.Context, op string, runs []BlockRun, from State) error {
+	if !p.e.shedHint(ctx) {
+		return nil
+	}
+	p.e.shedPreempt(len(runs))
+	p.settle(runs, from)
+	return fmt.Errorf("executor: %s %s: %w", op, p.name, ErrShed)
 }
 
 // swapInCtx is every asynchronous swap-in and prefetch: claim the stored
@@ -469,7 +524,8 @@ func isPrefetch(op string) bool { return op == "prefetch" || op == "batch-prefet
 // is skipped — except by a tensor's swap-in, op "swap-in", which refuses
 // it — and a prefetch that finds a block under an asynchronous swap-in
 // returns that swap-in's ticket in joined instead of failing with ErrBusy.
-// Any other block in flight fails the whole call before it starts.
+// A block a demotion holds is waited for (awaitDemotions); any other block
+// in flight fails the whole call before it starts.
 func (p *BlockPool) claimIn(op string, req []BlockRun, requested int, t *Ticket, dst []BlockRun) (runs []BlockRun, joined []*Ticket, err error) {
 	if err := p.validateRuns(req); err != nil {
 		return nil, nil, err
@@ -477,6 +533,9 @@ func (p *BlockPool) claimIn(op string, req []BlockRun, requested int, t *Ticket,
 	prefetch := isPrefetch(op)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// A demotion holds a whole stored run, so waiting out the requested
+	// blocks' covers their runs' other blocks too.
+	p.awaitDemotions(req)
 	if p.freed {
 		return nil, nil, p.freedErr()
 	}
@@ -516,8 +575,9 @@ func (p *BlockPool) claimIn(op string, req []BlockRun, requested int, t *Ticket,
 // claimRuns atomically moves every block of every run from `from` to
 // `to`, or changes nothing and returns the first offending block's error.
 // before, if not nil, runs under the same lock once the claim is sure to
-// succeed, while every block is still in from.
-func (p *BlockPool) claimRuns(runs []BlockRun, from, to State, before func()) error {
+// succeed, while every block is still in from; if it returns false, the
+// claim is abandoned with nothing changed and nil returned.
+func (p *BlockPool) claimRuns(runs []BlockRun, from, to State, before func() bool) error {
 	if err := p.validateRuns(runs); err != nil {
 		return err
 	}
@@ -529,8 +589,8 @@ func (p *BlockPool) claimRuns(runs []BlockRun, from, to State, before func()) er
 	if err := p.inState(runs, from); err != nil {
 		return err
 	}
-	if before != nil {
-		before()
+	if before != nil && !before() {
+		return nil
 	}
 	p.setState(runs, to)
 	return nil
@@ -541,10 +601,11 @@ func (p *BlockPool) claimRuns(runs []BlockRun, from, to State, before func()) er
 // the claim's lock while its owner is still Resident; one that matches stays
 // for storeRun to commit.
 func (p *BlockPool) claimOut(runs []BlockRun, doCompress bool, alg compress.Algorithm) error {
-	return p.claimRuns(runs, Resident, SwappingOut, func() {
+	return p.claimRuns(runs, Resident, SwappingOut, func() bool {
 		if pr := p.cleanCopy(); pr != nil && !pr.encodedAs(doCompress, alg, p.e.Launch()) {
 			p.dropClean()
 		}
+		return true
 	})
 }
 
@@ -576,7 +637,8 @@ func (p *BlockPool) dropClean() {
 func (p *BlockPool) keeps() bool { return p.sealed && p.numBlocks == 1 && p.e.cfg.Verify }
 
 // settle returns claimed blocks to the stable state st: a failed or
-// refused run rolls back, and a demotion hands its run back. Blocks a
+// refused run rolls back, and a demotion hands its run back, waking the
+// claims that wait for it (awaitDemotions). Blocks a
 // swap-in had claimed leave the device again, so the rollback that makes
 // every block Swapped releases the reservation.
 func (p *BlockPool) settle(runs []BlockRun, st State) {
@@ -591,10 +653,34 @@ func (p *BlockPool) settle(runs []BlockRun, st State) {
 			p.state[id] = st
 		}
 		if pr := p.run[r.Start]; pr != nil {
-			pr.pending = nil
+			pr.pending, pr.demoting = nil, false
 		}
 	}
 	_ = p.swapOff(n)
+	p.settled.Broadcast()
+}
+
+// demoting reports whether a demotion holds a block of runs. Caller holds
+// p.mu.
+func (p *BlockPool) demoting(runs []BlockRun) bool {
+	for _, r := range runs {
+		for id := r.Start; id < r.Start+r.Count; id++ {
+			if pr := p.run[id]; pr != nil && pr.demoting {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// awaitDemotions waits, on p.mu, until no demotion holds a block of runs.
+// A demotion is one tier write that never waits on the pool's owner, so the
+// owner's claim waiting for it cannot deadlock — and the owner, who raced
+// no one, is not told ErrBusy.
+func (p *BlockPool) awaitDemotions(runs []BlockRun) {
+	for p.demoting(runs) {
+		p.settled.Wait()
+	}
 }
 
 // commitRun publishes a finished run: its blocks take the stable state st
@@ -667,12 +753,8 @@ func (p *BlockPool) validateRuns(runs []BlockRun) error {
 // a full in-flight window blocks it — the pipeline's backpressure; if the
 // gate refuses mid-batch (closed executor, dead context), the
 // not-yet-submitted runs roll back to `from`, the state they were claimed
-// out of, and the refusal joins the aggregate error.
-// Each run boundary also consults the scheduler's shed signal: work whose
-// context carries a speculative sched.Hint yields its remaining runs with
-// ErrShed while a critical waiter is starved — the mid-batch preemption
-// point that keeps a long speculative prefetch from holding the window
-// against latency-critical work.
+// out of, and the refusal joins the aggregate error. The pipeline never
+// sheds: only the synchronous loop consults the shed signal (serial).
 func (p *BlockPool) submit(ctx context.Context, t *Ticket, runs []BlockRun, from State, joined []*Ticket, body func(BlockRun) error) *Ticket {
 	switch {
 	case len(runs) == 0 && len(joined) == 0:
@@ -704,19 +786,11 @@ func (p *BlockPool) submit(ctx context.Context, t *Ticket, runs []BlockRun, from
 	return t
 }
 
-// dispatchRun runs body(runs[0]) on the pipeline under t, unless the
-// scheduler sheds it or the gate refuses a slot: then runs — that one and
-// every later one — roll back to from and the error is returned.
+// dispatchRun runs body(runs[0]) on the pipeline under t, unless the gate
+// refuses a slot: then runs — that one and every later one — roll back to
+// from and the error is returned.
 func (p *BlockPool) dispatchRun(ctx context.Context, t *Ticket, runs []BlockRun, from State, body func(BlockRun) error) error {
-	e := p.e
-	var err error
-	if e.shedHint(ctx) {
-		e.shedPreempt(len(runs))
-		err = ErrShed
-	} else {
-		err = dispatch(ctx, e, t, body, runs[0])
-	}
-	if err != nil {
+	if err := dispatch(ctx, p.e, t, body, runs[0]); err != nil {
 		p.settle(runs, from)
 		return fmt.Errorf("executor: %s %s: %w", t.op, p.name, err)
 	}
@@ -791,10 +865,12 @@ func (p *BlockPool) restoreRun(r BlockRun, stage bool) error {
 }
 
 // Free releases the pool: the device reservation and every stored run's
-// host or tier bytes. Any block with a swap in flight refuses with ErrBusy
-// — wait for the tickets, then Free. Freeing twice returns ErrFreed.
+// host or tier bytes. A demotion in flight is waited for; any block with a
+// swap in flight refuses with ErrBusy — wait for the tickets, then Free.
+// Freeing twice returns ErrFreed.
 func (p *BlockPool) Free() error {
 	p.mu.Lock()
+	p.awaitDemotions([]BlockRun{{Count: p.numBlocks}})
 	if p.freed {
 		p.mu.Unlock()
 		return p.freedErr()
@@ -853,26 +929,29 @@ func (p *BlockPool) victims(vs []tierVictim, now float64) []tierVictim {
 
 // demoteRun runs the shared demote body for the stored run at r and
 // reports the raw bytes it moved into the tier: its blocks are claimed for
-// the move (concurrent swap-ins see ErrBusy) and return to Swapped
-// afterwards, tiered on success. A range that no longer holds one stored
-// run — a ranking snapshot that aged out — is skipped without error, and so
-// is a run already in the tier; both move nothing.
+// the move and return to Swapped afterwards, tiered on success. A range that
+// no longer holds one stored run — a ranking snapshot that aged out — is not
+// claimed and moves nothing, and neither is a run already in the tier; so a
+// demotion only ever holds one whole stored run, and a swap-in or Free that
+// meets it waits for it (awaitDemotions).
 func (p *BlockPool) demoteRun(r BlockRun) (int64, error) {
 	e := p.e
 	if e.tier == nil {
 		return 0, ErrNoTier
 	}
 	runs := []BlockRun{r}
-	if err := p.claimRuns(runs, Swapped, SwappingOut, nil); err != nil {
+	var pr *poolRun
+	if err := p.claimRuns(runs, Swapped, SwappingOut, func() bool {
+		if pr = p.run[r.Start]; pr.blocks() != r || pr.tiered {
+			pr = nil
+			return false
+		}
+		pr.demoting = true
+		return true
+	}); err != nil || pr == nil {
 		return 0, err
 	}
 	defer p.settle(runs, Swapped)
-	p.mu.Lock()
-	pr := p.run[r.Start]
-	p.mu.Unlock()
-	if pr.blocks() != r || pr.tiered {
-		return 0, nil
-	}
 	// Pool name, pool ID (re-registrations of one name must not collide),
 	// and the run's start block (unique per stored run at any instant — one
 	// stored run per block).

@@ -223,7 +223,7 @@ func TestBlockPoolStateErrors(t *testing.T) {
 	if err := p.SwapOutBlocks(nil, false, 0); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := p.PrefetchBlocksCtx(context.Background(), nil).Wait(); err != nil {
+	if err := p.Swap(context.Background(), "batch-prefetch", nil, false, 0); err != nil {
 		t.Fatalf("empty prefetch: %v", err)
 	}
 }
@@ -237,10 +237,8 @@ func TestBlockPoolPrefetchOverlap(t *testing.T) {
 	if err := p.SwapOutBlocks([]int{0, 1, 2, 3, 10, 11, 30}, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	// Prefetch returns immediately with an aggregate ticket; Wait restores
-	// all three runs.
-	tk := p.PrefetchBlocksCtx(context.Background(), []int{0, 1, 2, 3, 10, 11, 30})
-	if err := tk.Wait(); err != nil {
+	// One batch prefetch restores all three runs.
+	if err := p.Swap(context.Background(), "batch-prefetch", []int{0, 1, 2, 3, 10, 11, 30}, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []int{0, 3, 10, 30} {
@@ -420,14 +418,13 @@ func TestPoolPrefetchJoinsAsyncSwapIn(t *testing.T) {
 	}
 	ctx := context.Background()
 	in := p.SwapInBlocksCtx(ctx, ids)
-	pf := p.PrefetchBlocksCtx(ctx, []int{2, 3, 8})
-	if err := pf.Wait(); err != nil {
+	if err := p.Swap(ctx, "batch-prefetch", []int{2, 3, 8}, false, 0); err != nil {
 		t.Fatalf("prefetch overlapping an async swap-in: %v, want nil", err)
 	}
 	select {
 	case <-in.Done():
 	default:
-		t.Fatal("prefetch resolved before the swap-in it joined")
+		t.Fatal("prefetch returned before the swap-in it joined")
 	}
 	if err := in.Wait(); err != nil {
 		t.Fatal(err)
@@ -442,7 +439,7 @@ func TestPoolPrefetchJoinsAsyncSwapIn(t *testing.T) {
 	}
 
 	out := p.SwapOutBlocksCtx(ctx, ids, true, compress.ZVC) // encode 3: delayed
-	if err := p.PrefetchBlocksCtx(ctx, ids).Wait(); !errors.Is(err, ErrBusy) {
+	if err := p.Swap(ctx, "batch-prefetch", ids, false, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("prefetch over an in-flight swap-out: %v, want ErrBusy", err)
 	}
 	if err := out.Wait(); err != nil {

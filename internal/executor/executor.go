@@ -31,13 +31,17 @@
 // while the transitional state holds, and commits the final state when
 // done. Concurrent misuse of one object — two goroutines swapping it at
 // once, a Free racing a swap — fails fast with ErrBusy instead of
-// corrupting memory. Distinct objects, and disjoint blocks of one pool, may
-// always be driven concurrently; the async API (SwapOutAsyncCtx /
+// corrupting memory; only a block a demotion holds is waited for. Distinct
+// objects, and disjoint blocks of one pool, may always be driven
+// concurrently; the async API (SwapOutAsyncCtx /
 // SwapInAsyncCtx / PrefetchCtx and the pool's *Ctx calls, see async.go)
-// builds its bounded in-flight pipeline on exactly this guarantee.
+// builds its bounded in-flight pipeline on exactly this guarantee. A swap
+// service runs each request's swap synchronously in its own goroutine
+// (BlockPool.Swap) under one slot of the same window (AcquireSlot).
 package executor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -121,11 +125,13 @@ type Config struct {
 	// Verify off no digest is taken and no clean copy kept.
 	Verify bool
 	// MaxInFlight bounds how many asynchronous operations (SwapOutAsyncCtx,
-	// SwapInAsyncCtx, PrefetchCtx, one per run of a pool's *Ctx batch) may
-	// be in flight at once; a submission past the bound blocks until a slot
-	// frees — backpressure, not an error. Zero selects DefaultMaxInFlight.
-	// Synchronous calls (SwapOut, SwapIn, Demote, Free, SwapOutBlocks,
-	// SwapInBlocks) do not consume slots.
+	// SwapInAsyncCtx, PrefetchCtx, one per run of a pool's *Ctx batch) and
+	// AcquireSlot holders — a swap service's requests, one slot each,
+	// however many runs the request's batch has — may be in flight at once;
+	// a submission past the bound blocks until a slot frees — backpressure,
+	// not an error. Zero selects DefaultMaxInFlight. Synchronous calls
+	// (SwapOut, SwapIn, Demote, Free, SwapOutBlocks, SwapInBlocks, Swap)
+	// take no slot themselves.
 	MaxInFlight int
 	// Faults optionally injects deterministic failures into the data path
 	// (codec work, pool allocations, transfers). Nil injects nothing.
@@ -148,10 +154,10 @@ type Config struct {
 	// DefaultTierWatermarkInterval.
 	TierWatermarkInterval time.Duration
 	// Sched optionally couples the executor to an admission scheduler's
-	// shed signal: at each run boundary of an operation whose context
+	// shed signal: at each run boundary of a BlockPool.Swap whose context
 	// carries a speculative sched.Hint, the executor asks ShouldShed and
 	// yields the remaining work with ErrShed when a critical waiter is
-	// starved. Nil never sheds. This is a signal, not a slot pool — the
+	// starved. Nil never sheds, and neither does the async pipeline. This is a signal, not a slot pool — the
 	// executor never acquires scheduler slots.
 	Sched ShedSignal
 	// Observer optionally receives deep instrumentation: per-codec encode/
@@ -442,7 +448,7 @@ func (e *Executor) Register(name string, t *tensor.Tensor) (*Handle, error) {
 // the tensor resident and intact. A handle already being swapped by
 // another goroutine returns ErrBusy.
 func (e *Executor) SwapOut(h *Handle, doCompress bool, alg compress.Algorithm) error {
-	return h.pool.swapOut(whole, 0, doCompress, alg)
+	return h.pool.swapOut(context.Background(), "swap-out", whole, 0, doCompress, alg)
 }
 
 func packLaunch(l compress.Launch) uint64 {
@@ -501,7 +507,9 @@ func (e *Executor) arenaEncode(alg compress.Algorithm, data []float32, launch co
 // into the tensor's own registered slice, so a warm round trip allocates no
 // new one; a full device pool fails the call with devmem.ErrOutOfMemory. A
 // handle already being swapped by another goroutine returns ErrBusy.
-func (e *Executor) SwapIn(h *Handle) error { return h.pool.swapIn("swap-in", whole, 0) }
+func (e *Executor) SwapIn(h *Handle) error {
+	return h.pool.swapIn(context.Background(), "swap-in", whole, 0)
+}
 
 // retryable reports whether a failed first restore attempt is worth a
 // second decode from the retained host blob: always when the transfer copy

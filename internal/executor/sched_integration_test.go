@@ -55,7 +55,7 @@ func TestShedScalarPrefetch(t *testing.T) {
 	// Shedding on, speculative hint: the prefetch yields without running.
 	sig.shed.Store(true)
 	spec := sched.WithHint(context.Background(), sched.Hint{Lane: sched.LaneSpeculative})
-	if err := e.PrefetchCtx(spec, h).Wait(); !errors.Is(err, ErrShed) {
+	if err := h.Pool().Swap(spec, "prefetch", nil, false, 0); !errors.Is(err, ErrShed) {
 		t.Fatalf("speculative prefetch under shed: %v, want ErrShed", err)
 	}
 	if st := h.State(); st != Swapped {
@@ -70,13 +70,13 @@ func TestShedScalarPrefetch(t *testing.T) {
 
 	// A critical hint is never shed, and neither is a hint-less context.
 	crit := sched.WithHint(context.Background(), sched.Hint{Lane: sched.LaneCritical})
-	if err := e.PrefetchCtx(crit, h).Wait(); err != nil {
+	if err := h.Pool().Swap(crit, "prefetch", nil, false, 0); err != nil {
 		t.Fatalf("critical prefetch under shed: %v", err)
 	}
 	if err := e.SwapOut(h, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.PrefetchCtx(context.Background(), h).Wait(); err != nil {
+	if err := h.Pool().Swap(context.Background(), "prefetch", nil, false, 0); err != nil {
 		t.Fatalf("hint-less prefetch under shed: %v", err)
 	}
 
@@ -85,7 +85,7 @@ func TestShedScalarPrefetch(t *testing.T) {
 	if err := e.SwapOut(h, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.PrefetchCtx(spec, h).Wait(); err != nil {
+	if err := h.Pool().Swap(spec, "prefetch", nil, false, 0); err != nil {
 		t.Fatalf("speculative prefetch after shed cleared: %v", err)
 	}
 }
@@ -109,7 +109,7 @@ func TestShedBatchMidRuns(t *testing.T) {
 
 	sig.shed.Store(true)
 	spec := sched.WithHint(context.Background(), sched.Hint{Lane: sched.LaneSpeculative})
-	if err := p.PrefetchBlocksCtx(spec, ids).Wait(); !errors.Is(err, ErrShed) {
+	if err := p.Swap(spec, "batch-prefetch", ids, false, 0); !errors.Is(err, ErrShed) {
 		t.Fatalf("speculative batch prefetch under shed: %v, want ErrShed", err)
 	}
 	for _, id := range ids {
@@ -124,7 +124,7 @@ func TestShedBatchMidRuns(t *testing.T) {
 	// The shed is load shedding, not failure: the same request resubmits
 	// cleanly once the backlog clears.
 	sig.shed.Store(false)
-	if err := p.PrefetchBlocksCtx(spec, ids).Wait(); err != nil {
+	if err := p.Swap(spec, "batch-prefetch", ids, false, 0); err != nil {
 		t.Fatalf("resubmitted batch prefetch: %v", err)
 	}
 	for _, id := range ids {
@@ -277,7 +277,7 @@ func TestBatchPrefetchReadahead(t *testing.T) {
 		t.Fatalf("tier holds %d blobs after run demotion, want 1", ts.Len())
 	}
 
-	if err := p.PrefetchBlocksCtx(context.Background(), ids).Wait(); err != nil {
+	if err := p.Swap(context.Background(), "batch-prefetch", ids, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {

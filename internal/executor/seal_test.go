@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cswap/internal/compress"
 	"cswap/internal/devmem"
@@ -544,14 +546,21 @@ func TestNoCleanCopyUnlessSealedTensor(t *testing.T) {
 // a tier, so a store finds the other tensor's clean copy in the way and
 // drops it — while its owner may be restoring it, committing it or about to
 // — or demotes its stored copy. A swap-out may still find no room while
-// the other tensor's copy is in flight, and then leaves its tensor resident,
-// and a swap-in may find its copy claimed by the other's demotion and retry;
-// every other swap succeeds and restores the registered bytes, and the pool
-// is empty once both are freed. -race checks that only the pool's lock
-// orders the drop and the owner.
+// the other tensor's copy is in flight, and then leaves its tensor resident;
+// a swap-in that finds its copy claimed by the other's demotion waits for
+// it. Every other swap succeeds — none with ErrBusy — and restores the
+// registered bytes, and the pool is empty once both are freed. -race checks
+// that only the pool's lock orders the drop, the demotion and the owner.
+// Both goroutines cycle until a clean drop and a demotion have each been
+// counted, so that the race is run whatever the scheduling, and at most
+// raceBound long. Each yields after every swap: a drop needs the other
+// goroutine to store while this tensor is resident, a demotion while it is
+// swapped out, and a lone P would rarely switch in either window.
 func TestCleanCopyDropRacesItsOwner(t *testing.T) {
-	const elems = 1 << 14
+	const elems, raceBound = 1 << 14, 20 * time.Second
 	e, _ := newTierExecutor(t, 1<<22, 3*4*elems/2, 1<<24, nil)
+	raced := func() bool { return e.ins.cleanDrops.Value() > 0 && e.ins.tierDemotions.Value() > 0 }
+	deadline := time.Now().Add(raceBound)
 	var wg sync.WaitGroup
 	handles := make([]*Handle, 2)
 	for g := range handles {
@@ -566,18 +575,16 @@ func TestCleanCopyDropRacesItsOwner(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
+			for i := 0; (i < 100 || !raced()) && !t.Failed() && time.Now().Before(deadline); i++ {
+				runtime.Gosched()
 				if err := e.SwapOut(h, false, compress.ZVC); errors.Is(err, devmem.ErrOutOfMemory) {
 					continue
 				} else if err != nil {
 					t.Errorf("%s cycle %d: swap-out: %v", h.Name(), i, err)
 					return
 				}
-				err := e.SwapIn(h)
-				for errors.Is(err, ErrBusy) { // the other goroutine is demoting the copy
-					err = e.SwapIn(h)
-				}
-				if err != nil {
+				runtime.Gosched()
+				if err := e.SwapIn(h); err != nil {
 					t.Errorf("%s cycle %d: swap-in: %v", h.Name(), i, err)
 					return
 				}
@@ -589,8 +596,9 @@ func TestCleanCopyDropRacesItsOwner(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if e.ins.cleanDrops.Value() == 0 {
-		t.Fatal("no clean copy was dropped: the race was not run")
+	if !raced() && !t.Failed() {
+		t.Fatalf("%v of cycling made %v clean drops and %v demotions: the race was not run",
+			raceBound, e.ins.cleanDrops.Value(), e.ins.tierDemotions.Value())
 	}
 	for _, h := range handles {
 		if err := e.Free(h); err != nil {

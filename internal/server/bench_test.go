@@ -14,8 +14,8 @@ import (
 // swap-out resolved by the server plus the swap-in streaming the tensor
 // back — through the real HTTP stack and wire codec. It rides in the
 // bench-diff gate under the lenient rules (cswap-benchdiff -lenient): the
-// path crosses the network stack, the scheduler, and the executor's async
-// pipeline, so its ns/op and allocs/op carry noise the tight codec-loop
+// path crosses the network stack, the scheduler, and the executor's run
+// loop, so its ns/op and allocs/op carry noise the tight codec-loop
 // thresholds would flake on; what the gate catches here is gross
 // regressions — an allocation storm or a serialization cliff, not a cache
 // miss.
@@ -61,7 +61,7 @@ func BenchmarkServerRoundTrip(b *testing.B) {
 // well under a quarter of the single-block wall time (the kv-smoke target
 // asserts the <25% bound end to end); like ServerRoundTrip it rides in
 // bench-diff's lenient band, since the path crosses the HTTP stack and
-// the async pipeline.
+// the executor's run loop.
 func BenchmarkBatchSwap(b *testing.B) {
 	const blockElems, numBlocks = 256, 64
 	run := func(b *testing.B, batch [][]int) {

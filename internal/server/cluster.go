@@ -559,5 +559,5 @@ func (s *Server) reswap(sess *session, ent *entry, was *wire.Frame) error {
 		return nil
 	}
 	doCompress, alg := s.resolveCodec(sess, ent, true, compress.Auto)
-	return ent.obj.submit(context.Background(), was, doCompress, alg).Wait()
+	return ent.obj.p.Swap(context.Background(), wire.Ops[was.Type].Path, was.BlockIDs, doCompress, alg)
 }

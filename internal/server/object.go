@@ -21,12 +21,10 @@ package server
 // stored run's bytes to the tier bucket and back as it demotes and promotes.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
-	"cswap/internal/compress"
 	"cswap/internal/executor"
 	"cswap/internal/tensor"
 	"cswap/internal/wire"
@@ -125,25 +123,6 @@ func (o object) swapBytes(blocks int) int64 {
 	return int64(blocks) * int64(o.p.BlockElems()) * tensor.BytesPerElement
 }
 
-// submit starts the swap f asks for — out (with the resolved codec), in, or
-// prefetch — on the executor's async pipeline: a scalar frame's on block 0,
-// with its tensor meaning, a batch frame's on its block IDs.
-func (o object) submit(ctx context.Context, f *wire.Frame, doCompress bool, alg compress.Algorithm) *executor.Ticket {
-	switch f.Type {
-	case wire.TypeSwapOut:
-		return o.p.SwapOutCtx(ctx, doCompress, alg)
-	case wire.TypeSwapIn:
-		return o.p.SwapInCtx(ctx)
-	case wire.TypePrefetch:
-		return o.p.PrefetchCtx(ctx)
-	case wire.TypeBatchSwapOut:
-		return o.p.SwapOutBlocksCtx(ctx, f.BlockIDs, doCompress, alg)
-	case wire.TypeBatchSwapIn:
-		return o.p.SwapInBlocksCtx(ctx, f.BlockIDs)
-	}
-	return o.p.PrefetchBlocksCtx(ctx, f.BlockIDs)
-}
-
 // read answers with the resident content runs cover as a frame of type typ
 // (tensor-data or batch-data), in place: its float field is the object's
 // own memory, one segment per run, valid while the caller holds the entry
@@ -179,7 +158,7 @@ func (o object) write(f *wire.Frame) (covered float64, err error) {
 // restoreAll, the migration's first half, makes everything resident —
 // serially, in the caller's goroutine, taking no slot of the async window —
 // and returns the swap-out request that puts back what had been swapped:
-// submit takes it, here or on the copy a migration built (nil: nothing had
+// reswap runs it, here or on the copy a migration built (nil: nothing had
 // been).
 func (o object) restoreAll() (was *wire.Frame, err error) {
 	ids := o.p.SwappedIDs()

@@ -66,8 +66,9 @@ func WithDeviceCapacity(b int64) Option { return func(c *config) { c.deviceCapac
 // WithHostCapacity sizes each shard's host (swap-target) pool in bytes.
 func WithHostCapacity(b int64) Option { return func(c *config) { c.hostCapacity = b } }
 
-// WithMaxInFlight bounds each shard's async executor window and, equally,
-// its admission slots: at most this many swap operations run at once. Zero
+// WithMaxInFlight bounds each shard's admission slots and, equally, its
+// executor window: at most this many swap requests run at once, each in its
+// handler under one slot of each, however many runs its batch has. Zero
 // selects the executor default.
 func WithMaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
 

@@ -30,15 +30,21 @@
 //     speculative work, and in-flight speculative prefetches shed at run
 //     boundaries when critical work starves. SchedConfig.Enabled selects
 //     only the queue depth: false is depth zero — all slots taken means 429
-//     at once, the refuse-don't-queue face of the async pipeline's
+//     at once, the refuse-don't-queue face of the executor window's
 //     backpressure.
 //   - Per-name request locks that answer 409 "busy" on contention — the
 //     executor's ErrBusy discipline surfaced at the HTTP boundary, and the
 //     guarantee that a response encodes an object no concurrent request is
 //     mutating.
 //
+// A swap runs in its handler's goroutine, from admission to commit: the
+// handler holds one admission slot and one slot of the executor's window for
+// the whole request and drives the executor's synchronous run loop itself
+// (executor.BlockPool.Swap), so no run is handed to a worker pool.
+//
 // Shutdown is ordered: stop intake (everything answers 503), let in-flight
-// handlers finish, Drain() the executor's ticket window, then Close it.
+// handlers finish their swaps, Drain() the executor's window — the barrier
+// for any slot a handler still holds — then Close it.
 package server
 
 import (
@@ -82,7 +88,7 @@ const (
 	CodeState     = "state"     // operation illegal in the tensor's state
 	CodeDraining  = "draining"  // server shutting down
 	CodeBadFrame  = "bad-frame" // malformed wire frame
-	CodeTimeout   = "timeout"   // request context died mid-operation
+	CodeTimeout   = "timeout"   // request context died while queued for admission
 	CodeInternal  = "internal"
 )
 
@@ -229,19 +235,20 @@ func (s *Server) Tier() *tier.Store { return s.tier }
 func (s *Server) Registry() *metrics.Registry { return s.ins.reg }
 
 // Drain stops intake: every subsequent /v1/ request (and /healthz) answers
-// 503 with the draining code. In-flight requests are unaffected.
+// 503 with the draining code. In-flight requests are unaffected: each
+// finishes its swap under the one executor window slot it holds.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
 }
 
-// Close shuts the service down in order: stop intake, wait out the
-// executor's in-flight tickets (Drain barrier), then close the executor
-// and the spill tier, whose scratch file goes with it.
-// The HTTP listener's own shutdown — waiting for handlers to return — is
-// the caller's first step (http.Server.Shutdown), so by the time Close's
-// Drain runs, no handler is still submitting.
+// Close shuts the service down in order: stop intake, wait out the swaps
+// handlers still run (the executor's Drain barrier: each holds a window
+// slot), then close the executor and the spill tier, whose scratch file
+// goes with it. The HTTP listener's own shutdown — waiting for handlers to
+// return — is the caller's first step (http.Server.Shutdown), so by the
+// time Close's Drain runs, no handler is still swapping.
 func (s *Server) Close() error {
 	s.Drain()
 	if s.tuner != nil {
@@ -547,13 +554,18 @@ func hintOf(f *wire.Frame, fallback sched.Lane) sched.Hint {
 // place in its lane's bounded EDF queue. A full lane (always, at depth zero)
 // answers 429 saturated immediately, a deadline that passes while queued
 // answers 429 "expired" (retrying the same deadline is pointless), and a
-// granted request proceeds holding one of the MaxInFlight slots until
-// s.sched.Release.
+// granted request proceeds holding one of the MaxInFlight slots — and one
+// of the executor window's, which the scheduler's count keeps free, so
+// taking it never waits — until s.release.
 func (s *Server) admitReq(w http.ResponseWriter, r *http.Request, h sched.Hint) bool {
 	err := s.sched.Acquire(r.Context(), h.Lane, h.Deadline)
 	switch {
 	case err == nil:
-		return true
+		if err = s.exec.AcquireSlot(r.Context()); err == nil {
+			return true
+		}
+		s.sched.Release()
+		s.failErr(w, err)
 	case errors.Is(err, sched.ErrExpired):
 		s.ins.backpressure.Inc()
 		fail(w, s.cfg.retryAfter, http.StatusTooManyRequests, CodeExpired, err.Error())
@@ -569,25 +581,25 @@ func (s *Server) admitReq(w http.ResponseWriter, r *http.Request, h sched.Hint) 
 	return false
 }
 
-// finishAsync releases an entry lock and admission slot once the ticket
-// has fully resolved. When the handler's context died first, the release
-// runs in a goroutine so the admission slot stays held exactly as long as
-// the executor window slot it mirrors.
-func (s *Server) finishAsync(t *executor.Ticket, ent *entry) {
-	_ = t.Wait()
-	ent.mu.Unlock()
+// release returns a swap's executor window slot, then its admission slot,
+// so that the request the scheduler admits next finds a window slot free.
+func (s *Server) release() {
+	s.exec.ReleaseSlot()
 	s.sched.Release()
 }
 
-// swapOp runs one admission-gated async operation against the entry f
-// names — a tensor swap or a whole block batch, which claims ONE slot and
-// one lane entry regardless of its block count — and waits for it under the
-// request context. The entry must accept f's family of frames (acquireFor).
-// A swap-out is priced by its blocks, counted after coalescing. The hint
-// picks the admission lane/deadline and rides the operation context so the
-// executor can shed speculative work at run boundaries. On success the
-// entry is returned still locked and still holding the admission slot — the
-// caller reads what it needs, then finishes with swapAck or swapData.
+// swapOp runs one admission-gated swap against the entry f names — a tensor
+// swap or a whole block batch, which claims ONE admission slot, one lane
+// entry and one executor window slot regardless of its block count — in the
+// handler's own goroutine, run after run (executor.BlockPool.Swap). The
+// entry must accept f's family of frames (acquireFor). A swap-out is priced
+// by its blocks, counted after coalescing. The hint picks the admission
+// lane/deadline and rides the operation context so the executor can shed
+// speculative work at run boundaries. A client that gives up mid-operation
+// does not stop it: the swap runs to commit, holding the entry and the
+// slots until it returns. On success the entry is returned still locked and
+// still holding the slots — the caller reads what it needs, then finishes
+// with swapAck or swapData.
 func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op, blocks int) (*entry, bool) {
 	ent, err := sess.acquireFor(f, s.cfg.retryAfter)
 	if err != nil {
@@ -605,41 +617,26 @@ func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f
 		sess.observeSwap(ent.sparsity, ent.obj.swapBytes(blocks))
 		doCompress, alg = s.resolveCodec(sess, ent, f.Compress, f.Alg)
 	}
-	t := ent.obj.submit(sched.WithHint(r.Context(), hint), f, doCompress, alg)
-	if err := t.WaitContext(r.Context()); err != nil {
-		select {
-		case <-t.Done():
-			// The ticket resolved (possibly racing the dying context):
-			// report its actual outcome.
-			if opErr := t.Err(); opErr != nil {
-				s.swapFail(w, ent, opErr)
-				return nil, false
-			}
-		default:
-			// The client stopped waiting mid-operation. The work still
-			// runs to completion; the entry lock and admission slot follow
-			// the ticket, not the request.
-			go s.finishAsync(t, ent)
-			fail(w, s.cfg.retryAfter, http.StatusRequestTimeout, CodeTimeout, err.Error())
-			return nil, false
-		}
+	if err := ent.obj.p.Swap(sched.WithHint(r.Context(), hint), op.Path, f.BlockIDs, doCompress, alg); err != nil {
+		s.swapFail(w, ent, err)
+		return nil, false
 	}
 	return ent, true
 }
 
-// swapFail releases the entry and admission slot a swapOp holds and
-// answers with err.
+// swapFail releases the entry and the slots a swapOp holds and answers with
+// err.
 func (s *Server) swapFail(w http.ResponseWriter, ent *entry, err error) {
 	ent.mu.Unlock()
-	s.sched.Release()
+	s.release()
 	s.failErr(w, err)
 }
 
 // swapAck is the tail of every swap that answers with a bare ack: release
-// the entry and the admission slot, acknowledge.
+// the entry and the slots, acknowledge.
 func (s *Server) swapAck(w http.ResponseWriter, ent *entry, name string) {
 	ent.mu.Unlock()
-	s.sched.Release()
+	s.release()
 	s.ack(w, name)
 }
 
@@ -654,8 +651,8 @@ const (
 // swapData is the tail of the swaps that answer with the restored bytes,
 // served from the object's own memory: the frame is summed and written
 // under the entry lock, which still excludes concurrent mutation, so
-// nothing is staged or copied. The admission slot bounds executor work, not
-// socket time, and goes back first; the write deadline bounds how long a
+// nothing is staged or copied. The slots bound executor work, not socket
+// time, and go back first; the write deadline bounds how long a
 // stalled reader can hold the lock. The reader may send its next request
 // on the tensor before the write returns, so a request that finds the lock
 // held by the write waits for it, for up to its Retry-After hint, rather
@@ -667,7 +664,7 @@ const (
 // tails from run to run), so they are gathered into pooled staging and
 // leave as one piece, after the lock.
 func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame, segs [][]float32) {
-	s.sched.Release()
+	s.release()
 	if len(segs) > 1 {
 		n := 0
 		for _, seg := range segs {
@@ -699,7 +696,8 @@ func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame, segs
 }
 
 // swap is the body of the six schedulable operations: one admission slot,
-// one executor operation (for a pool: one coalesced batch), then an ack —
+// one executor operation run in this goroutine (for a pool: one coalesced
+// batch, run after run), then an ack —
 // or, for the swap-ins, the restored content streamed back as one data
 // frame. The request's blocks are coalesced once, up front — block 0 for a
 // scalar frame — and that run list prices a swap-out, counts a pool
