@@ -29,8 +29,9 @@ vet:
 		[ -z "$$repro" ] || { echo 'reproduction packages in the import closure of ./cmd/cswapd ./client:'; echo "$$repro"; exit 1; }
 
 # The packages whose liveness depends on the core count: the shared worker
-# pool, the executor's async pipeline on top of it, and the serving layer
-# on top of that. They run at GOMAXPROCS 1, 2 and 4 on every gate, because
+# pool, the executor's async calls on top of it (each one job on that pool,
+# under one slot of the executor's window), and the serving layer on top of
+# that. They run at GOMAXPROCS 1, 2 and 4 on every gate, because
 # a pool deadlock that only bites at low core counts passed unnoticed on
 # an 8-core box once.
 CORE_PKGS = ./internal/compress ./internal/executor ./internal/server
@@ -40,7 +41,8 @@ test: vet
 	$(GO) test -cpu 1,2,4 $(CORE_PKGS)
 
 # Race-check the swapping data path (the concurrent hot path, including
-# the async pipeline's bounded-window tests), the lock-free metrics
+# the tests of the bounded window that async calls and served requests
+# share, one slot per call), the lock-free metrics
 # registry, the serving layer (frame codec, service, client — the e2e
 # ladder drives concurrent HTTP swaps through all three), and the daemon
 # itself: cmd/cswapd's gates re-execute the race-built test binary as

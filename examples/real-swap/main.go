@@ -91,9 +91,10 @@ func main() {
 	fmt.Printf("  every tensor restored bit-exact: %d verified\n", iterExec.Stats().Verified)
 
 	// Part 3: the async pipeline. Eight activations stream out through
-	// SwapOutAsyncCtx — the executor keeps up to MaxInFlight swaps running on
-	// its worker pool while the caller moves on — then PrefetchCtx brings them
-	// back ahead of use. The observer's gauges show the overlap.
+	// SwapOutAsyncCtx — each call takes one slot of the MaxInFlight window
+	// and runs as one job on the executor's worker pool, so up to four swaps
+	// overlap while the caller moves on — then PrefetchCtx brings them back
+	// ahead of use. The observer's gauges show the overlap.
 	obs := cswap.NewObserver()
 	asyncExec, err := cswap.NewExecutor(cswap.ExecutorConfig{
 		DeviceCapacity: 64 << 20,

@@ -3,6 +3,7 @@ package executor
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"cswap/internal/compress"
@@ -10,17 +11,18 @@ import (
 )
 
 // This file is the asynchronous swap pipeline built on the guarded block
-// state machine: a pool's SwapOutCtx / SwapInCtx / PrefetchCtx (which the
-// Executor's SwapOutAsyncCtx / SwapInAsyncCtx / PrefetchCtx forward to for a
-// Handle) and its *BlocksCtx batches claim their blocks synchronously (so
-// misuse surfaces immediately as a failed Ticket), take one slot of a
-// bounded in-flight window per run (backpressure: submission blocks while
-// the window is full), and run the codec + pool work on the compress
-// package's persistent worker pool. Drain is the completion barrier; Close
-// drains and then refuses new work. The paper's premise — swap traffic
-// overlapping compute (Fig. 2's execution flows, Eq. 1's hidden windows) —
-// is exactly what this buys the caller: issue transfers ahead of the
-// consumer, keep computing, and Wait only when the data is needed.
+// state machine. Every asynchronous call — the Executor's SwapOutAsyncCtx /
+// SwapInAsyncCtx / PrefetchCtx on a tensor and a pool's *BlocksCtx batches —
+// goes through one entry, dispatch: it claims its blocks synchronously, as
+// the synchronous call does (so misuse surfaces immediately as a failed
+// Ticket), takes one slot of a bounded in-flight window (backpressure:
+// submission blocks while the window is full), and runs the synchronous
+// call's run loop as one job on the compress package's persistent worker
+// pool. Drain is the completion barrier; Close drains and then refuses new
+// work. The paper's premise — swap traffic overlapping compute (Fig. 2's
+// execution flows, Eq. 1's hidden windows) — is exactly what this buys the
+// caller: issue transfers ahead of the consumer, keep computing, and Wait
+// only when the data is needed.
 
 // Ticket is the awaitable future returned by the asynchronous swap API.
 // A Ticket completes exactly once, after the operation has committed (or
@@ -92,10 +94,6 @@ func (t *Ticket) Err() error {
 	}
 }
 
-// Op returns which operation the ticket tracks ("swap-out", "swap-in",
-// or "prefetch").
-func (t *Ticket) Op() string { return t.op }
-
 // asyncGate is the executor's one bounded in-flight window. Slots are
 // acquired at submission time in the caller's goroutine — a full window
 // blocks the submitter, which is the backpressure the pipeline promises —
@@ -151,29 +149,20 @@ func (g *asyncGate) acquire(ctx context.Context) error {
 }
 
 // waitCtx is cond.Wait with an additional wake-up when ctx is done. The
-// caller holds g.mu. The watcher goroutine takes g.mu before broadcasting:
-// since Wait releases the lock atomically as it sleeps, a watcher started
-// while the lock is held cannot broadcast before the waiter is actually
-// waiting — no missed wake-up. The broadcast may rouse unrelated waiters;
-// they re-check their condition and sleep again.
+// caller holds g.mu. The wake-up takes g.mu before broadcasting: since Wait
+// releases the lock atomically as it sleeps, a wake-up registered while the
+// lock is held cannot broadcast before the waiter is actually waiting — no
+// missed wake-up. It runs only once ctx is done, so a wait starts no
+// goroutine of its own. The broadcast may rouse unrelated waiters; they
+// re-check their condition and sleep again.
 func (g *asyncGate) waitCtx(ctx context.Context) {
-	done := ctx.Done()
-	if done == nil {
-		g.cond.Wait()
-		return
-	}
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			g.mu.Lock()
-			g.mu.Unlock() //nolint:staticcheck // empty section: the lock cycle orders us after cond.Wait's release
-			g.cond.Broadcast()
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() {
+		g.mu.Lock()
+		g.mu.Unlock() //nolint:staticcheck // empty section: the lock cycle orders us after cond.Wait's release
+		g.cond.Broadcast()
+	})
 	g.cond.Wait()
-	close(stop)
+	stop()
 }
 
 // release returns one slot and wakes blocked submitters and drainers.
@@ -202,37 +191,6 @@ func (g *asyncGate) close() {
 	g.mu.Unlock()
 }
 
-// dispatch is the one way work gets onto the async pipeline: each run of an
-// asynchronous operation, a tensor's one run included. It takes one slot of
-// the bounded window in the caller's goroutine (so a full window blocks the
-// submitter until a slot frees, ctx is done or the gate closes), counts the
-// submission, then runs body(arg) on the compress package's persistent
-// worker pool, resolving t with its result before the slot is released. A
-// refused slot is returned with nothing run and t unresolved: the caller
-// rolls its claim back. arg rides beside body so that a per-run submission
-// costs one closure, not two. With a timeline attached, the queue stage —
-// submission to execution start — is recorded as an async-queue span; the
-// body records its own swap-out/swap-in span after it.
-func dispatch[A any](ctx context.Context, e *Executor, t *Ticket, body func(A) error, arg A) error {
-	traced := e.obs != nil && e.obs.Trace != nil
-	var tSubmit float64
-	if traced {
-		tSubmit = e.sinceEpoch()
-	}
-	if err := e.gate.acquire(ctx); err != nil {
-		return err
-	}
-	e.ins.asyncSubmitted(t.op).Inc()
-	compress.Go(func() {
-		if traced {
-			e.obs.Span("async-queue", t.op+":"+t.name, tSubmit, e.sinceEpoch())
-		}
-		t.complete(body(arg)) // body commits or rolls back the claim first
-		e.gate.release()
-	})
-	return nil
-}
-
 // shedHint reports whether ctx carries a scheduling hint on a lane the
 // admission scheduler wants shed right now. The caller records the actual
 // preemption with shedPreempt — only when it really rolled work back.
@@ -251,56 +209,95 @@ func (e *Executor) shedPreempt(n int) {
 	e.ins.schedShedRuns.Add(float64(n))
 }
 
-// SwapOutCtx is the tensor swap-out of the pool's block 0 — the whole of a
-// one-block pool, a Handle's — as a pipeline stage: it claims the block and
-// returns a Ticket immediately (blocking only for an in-flight slot when
-// the window is full). Misuse — the block busy, already swapped, or the
-// pool freed — resolves the ticket with the same error the synchronous
-// call would return. If ctx is done before a slot in the bounded window
-// frees up, the ticket resolves with the context's error and the block
-// rolls back to Resident untouched. The context governs only the submission
-// wait — once the operation is dispatched it runs to completion regardless
-// of ctx (use Ticket.WaitContext to bound the wait for the result). Its
-// ticket's op is "swap-out", and executor_batch_* does not count it.
-func (p *BlockPool) SwapOutCtx(ctx context.Context, doCompress bool, alg compress.Algorithm) *Ticket {
-	return p.swapOutCtx(ctx, "swap-out", whole, 0, doCompress, alg)
+// dispatch is the one asynchronous entry, every *Ctx call's: it claims op's
+// runs in the caller's goroutine as the synchronous call does (misuse
+// resolves the ticket at once), takes one slot of the bounded window — a
+// full window blocks the submitter until a slot frees, ctx is done or the
+// gate closes — and runs the synchronous call's loop (storeRuns or
+// restoreRuns, shedding under ctx as Swap does) as one job on the compress
+// package's persistent worker pool, resolving the ticket before the slot is
+// released. A refused slot rolls every claimed run back to the state it was
+// claimed from. Only a tensor prefetch joins, and a joined one has no run of
+// its own: it hands back the ticket of the swap-in it joined. With a timeline
+// attached, the queue stage — submission to execution start — is recorded
+// as an async-queue span; the loop records its own swap-out/swap-in spans.
+func (p *BlockPool) dispatch(ctx context.Context, op string, req []BlockRun, requested int, doCompress bool, alg compress.Algorithm) *Ticket {
+	e, t := p.e, newTicket(op, p.name)
+	out := strings.HasSuffix(op, "swap-out")
+	runs, from := req, Resident
+	var joined []*Ticket
+	var err error
+	if out {
+		err = p.claimOut(runs, requested, doCompress, alg)
+	} else {
+		runs, joined, err = p.claimIn(op, req, requested, t, nil)
+		from = Swapped
+	}
+	switch {
+	case err != nil:
+		return t.complete(err)
+	case len(runs) == 0 && len(joined) == 1:
+		return joined[0]
+	case len(runs) == 0:
+		return t.complete(nil)
+	}
+	traced := e.obs != nil && e.obs.Trace != nil
+	var tSubmit float64
+	if traced {
+		tSubmit = e.sinceEpoch()
+	}
+	if err = e.gate.acquire(ctx); err != nil {
+		p.settle(runs, from)
+		return t.complete(fmt.Errorf("executor: %s %s: %w", op, p.name, err))
+	}
+	e.ins.asyncSubmitted(op).Inc()
+	compress.Go(func() {
+		if traced {
+			e.obs.Span("async-queue", op+":"+p.name, tSubmit, e.sinceEpoch())
+		}
+		if out {
+			t.complete(p.storeRuns(ctx, op, runs, doCompress, alg))
+		} else {
+			t.complete(p.restoreRuns(ctx, op, runs, joined))
+		}
+		e.gate.release()
+	})
+	return t
 }
 
-// SwapInCtx is the tensor swap-in of block 0 as a pipeline stage; see
-// SwapOutCtx for the ticket and context semantics. Unlike SwapInBlocksCtx
-// it refuses a Resident block with ErrNotSwapped.
-func (p *BlockPool) SwapInCtx(ctx context.Context) *Ticket {
-	return p.swapInCtx(ctx, "swap-in", whole, 0)
+// SwapOutAsyncCtx is SwapOut as a pipeline stage: it claims the tensor and
+// returns a Ticket immediately (blocking only for an in-flight slot when the
+// window is full). Misuse — the tensor busy, already swapped, or freed —
+// resolves the ticket with the same error the synchronous call would return.
+// If ctx is done before a slot frees up, the ticket resolves with the
+// context's error and the tensor rolls back to Resident untouched. Once
+// dispatched, the swap runs to completion whatever ctx does, unless ctx
+// carries a speculative sched.Hint the executor sheds (Swap); use
+// Ticket.WaitContext to bound the wait for the result. executor_batch_*
+// does not count it.
+func (e *Executor) SwapOutAsyncCtx(ctx context.Context, h *Handle, doCompress bool, alg compress.Algorithm) *Ticket {
+	return h.pool.dispatch(ctx, "swap-out", whole, 0, doCompress, alg)
 }
 
-// PrefetchCtx requests that block 0 be resident ahead of its consumer —
-// DELTA-style lookahead. It is an idempotent SwapInCtx: a Resident block
-// completes immediately with nil; a block already being swapped in
+// SwapInAsyncCtx is SwapIn as a pipeline stage; see SwapOutAsyncCtx for the
+// ticket and context semantics. Unlike SwapInBlocksCtx it refuses a Resident
+// tensor with ErrNotSwapped.
+func (e *Executor) SwapInAsyncCtx(ctx context.Context, h *Handle) *Ticket {
+	return h.pool.dispatch(ctx, "swap-in", whole, 0, false, 0)
+}
+
+// PrefetchCtx requests that the tensor be resident ahead of its consumer —
+// DELTA-style lookahead. It is an idempotent SwapInAsyncCtx: a Resident
+// tensor completes immediately with nil; one already being swapped in
 // *asynchronously* returns that operation's ticket (both callers await one
-// restore); only a Swapped block issues new work. A block being swapped
-// out, a freed pool, or a block held by a synchronous swap-in resolves with
+// restore); only a Swapped tensor issues new work. A tensor being swapped
+// out, a freed one, or one held by a synchronous swap-in resolves with
 // ErrBusy/ErrFreed like any other misuse. A tier-resident payload is staged
 // back into the host pool first (read-ahead): even if the restore then
 // fails on device pressure — common for speculative work — the disk fault
 // has been paid and the eventual demand swap-in reads host memory.
-func (p *BlockPool) PrefetchCtx(ctx context.Context) *Ticket {
-	return p.swapInCtx(ctx, "prefetch", whole, 0)
-}
-
-// SwapOutAsyncCtx is SwapOut as a pipeline stage: h.Pool().SwapOutCtx.
-func (e *Executor) SwapOutAsyncCtx(ctx context.Context, h *Handle, doCompress bool, alg compress.Algorithm) *Ticket {
-	return h.pool.SwapOutCtx(ctx, doCompress, alg)
-}
-
-// SwapInAsyncCtx is SwapIn as a pipeline stage: h.Pool().SwapInCtx.
-func (e *Executor) SwapInAsyncCtx(ctx context.Context, h *Handle) *Ticket {
-	return h.pool.SwapInCtx(ctx)
-}
-
-// PrefetchCtx requests that the tensor be resident ahead of its consumer:
-// h.Pool().PrefetchCtx.
 func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
-	return h.pool.PrefetchCtx(ctx)
+	return h.pool.dispatch(ctx, "prefetch", whole, 0, false, 0)
 }
 
 // AcquireSlot takes one slot of the async window for work the caller runs

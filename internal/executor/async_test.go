@@ -244,7 +244,10 @@ func TestSyncConcurrentMisuseReturnsErrBusy(t *testing.T) {
 // MaxInFlight=2 and slow encodes, six submissions never hold more than
 // two slots, and at least one submitter had to wait. Each tensor is one
 // chunk, so the per-chunk delay is each swap-out's whole encode: it must
-// outlast a submission even under the race detector.
+// outlast a submission even under the race detector. The window counts
+// calls, not runs: at MaxInFlight=1 a three-run batch is one submission
+// that never waits on itself, and a second call issued while it runs
+// waits until the batch's ticket has resolved.
 func TestAsyncBackpressureBoundsWindow(t *testing.T) {
 	inj := faultinject.New(
 		faultinject.Fault{Site: faultinject.SiteEncode, Mode: faultinject.Delay, Delay: 10 * time.Millisecond, Every: 1},
@@ -284,6 +287,46 @@ func TestAsyncBackpressureBoundsWindow(t *testing.T) {
 	}
 	if bp := e.reg.Counter("executor_async_backpressure_total").Value(); bp < 1 {
 		t.Fatalf("backpressure stalls = %v, want >= 1 (six submissions through a window of two)", bp)
+	}
+
+	one := newCtxExecutor(t, 1, 10*time.Millisecond)
+	p, err := one.RegisterBlockPool("kv", 64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{0, 1, 3, 4, 6} // runs [0,2), [3,5) and [6,7)
+	var want []float32
+	for _, id := range ids {
+		want = append(want, blockFill(id, 64)...)
+	}
+	if err := p.WriteBlocks(ids, want); err != nil {
+		t.Fatal(err)
+	}
+	next, _ := registerTensor(t, one, "next", 256)
+	batch := p.SwapOutBlocksCtx(context.Background(), ids, true, compress.ZVC)
+	// A batch counts under its operation's label, swap-out.
+	if n := counterValue(t, one, "executor_async_submitted_total", metrics.L("op", "swap-out")); n != 1 {
+		t.Fatalf("a three-run batch made %v submissions, want 1", n)
+	}
+	if bp := counterValue(t, one, "executor_async_backpressure_total"); bp != 0 {
+		t.Fatalf("backpressure stalls = %v after one batch at a window of one, want 0", bp)
+	}
+	second := one.SwapOutAsyncCtx(context.Background(), next, true, compress.ZVC)
+	select {
+	case <-batch.Done():
+	default:
+		t.Fatal("a second call took the window's one slot before the batch's ticket resolved")
+	}
+	for _, tk := range []*Ticket{batch, second} {
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.SwapInBlocks(ids); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.ReadBlocks(ids); err != nil || !sameBits(got, want) {
+		t.Fatalf("batch after its round trip: err %v, bit-exact %v", err, sameBits(got, want))
 	}
 }
 
@@ -669,8 +712,9 @@ func TestAsyncManyStreams(t *testing.T) {
 // out to the same pool. Chunk helpers that no worker is free to pick up
 // must cost parallelism only — the swaps wait on jobs completed, not on
 // helpers dequeued. A per-chunk stall keeps every worker inside its swap
-// long enough that the window really is saturated, tensors and a
-// multi-run batch alike; the watchdog turns a wedge into a failure. Sizes
+// long enough that the window really is saturated, by tensors and by a
+// multi-run batch, which is one call and so one job for all of its runs;
+// the watchdog turns a wedge into a failure. Sizes
 // respect the 16 Ki-element chunk floor: a tensor is 8 chunks at grid 8,
 // and a two-block run of 16 Ki-element blocks is 2.
 func TestAsyncSaturatedWorkerPool(t *testing.T) {

@@ -13,11 +13,12 @@ package executor
 // future work): source and destination of a run are both sequential
 // memory, so one codec/pool operation per RUN replaces one per block —
 // the cDMA amortization that makes compressed swapping pay off at small
-// granularity. A synchronous call — SwapOutBlocks, SwapInBlocks, and Swap,
-// a swap service's six operations under the request's context — stores or
-// restores its runs one after another in the caller's goroutine and takes no
-// slot of the async window; a *Ctx call puts each run on the pipeline (one
-// slot per run), so runs overlap like independent swaps.
+// granularity. Every call stores or restores its runs one after another in
+// one loop (serial): a synchronous call — SwapOutBlocks, SwapInBlocks, and
+// Swap, a swap service's six operations under the request's context — runs
+// it in the caller's goroutine and takes no slot of the async window; a *Ctx
+// call runs it as one job on the worker pool under one slot (dispatch,
+// async.go), so calls overlap one another while a call's runs do not.
 //
 // State machine: every block carries a State (Resident / Swapped /
 // SwappingOut / SwappingIn), guarded by one per-pool mutex. An operation
@@ -370,12 +371,14 @@ func (p *BlockPool) SwapOutBlocks(ids []int, doCompress bool, alg compress.Algor
 	return p.swapOut(context.Background(), "batch-swap-out", CoalesceBlockIDs(ids), len(ids), doCompress, alg)
 }
 
-// SwapOutBlocksCtx is SwapOutBlocks as a pipeline stage: each run takes a
-// slot of the async window and the returned Ticket resolves when every run
-// has committed. The context governs slot acquisition for not-yet-submitted
-// runs; already-running runs always finish and commit.
+// SwapOutBlocksCtx is SwapOutBlocks as a pipeline stage: the blocks are
+// claimed at once, and the call then takes one slot of the async window and
+// stores its runs one after another on the worker pool (dispatch). The
+// returned Ticket resolves once every run has committed or rolled back. ctx
+// governs the slot acquisition — a refused slot rolls every claimed block
+// back — and, as for Swap, the shed signal at each run boundary.
 func (p *BlockPool) SwapOutBlocksCtx(ctx context.Context, ids []int, doCompress bool, alg compress.Algorithm) *Ticket {
-	return p.swapOutCtx(ctx, "batch-swap-out", CoalesceBlockIDs(ids), len(ids), doCompress, alg)
+	return p.dispatch(ctx, "batch-swap-out", CoalesceBlockIDs(ids), len(ids), doCompress, alg)
 }
 
 // SwapInBlocks restores the listed blocks' contents from the host pool
@@ -390,7 +393,7 @@ func (p *BlockPool) SwapInBlocks(ids []int) error {
 // SwapInBlocksCtx is SwapInBlocks as a pipeline stage; see
 // SwapOutBlocksCtx for ticket and context semantics.
 func (p *BlockPool) SwapInBlocksCtx(ctx context.Context, ids []int) *Ticket {
-	return p.swapInCtx(ctx, "batch-swap-in", CoalesceBlockIDs(ids), len(ids))
+	return p.dispatch(ctx, "batch-swap-in", CoalesceBlockIDs(ids), len(ids), false, 0)
 }
 
 // Swap runs one operation of a swap service synchronously, in the
@@ -426,37 +429,33 @@ func (p *BlockPool) Swap(ctx context.Context, op string, ids []int, doCompress b
 // in the caller's goroutine. requested is a batch call's ID count, which
 // the batch series record; a tensor call passes 0.
 func (p *BlockPool) swapOut(ctx context.Context, op string, runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) error {
-	if err := p.claimOut(runs, doCompress, alg); err != nil {
+	if err := p.claimOut(runs, requested, doCompress, alg); err != nil {
 		return err
 	}
-	p.e.observeBatch(requested, runs)
+	return p.storeRuns(ctx, op, runs, doCompress, alg)
+}
+
+// storeRuns is every swap-out's loop over its claimed runs.
+func (p *BlockPool) storeRuns(ctx context.Context, op string, runs []BlockRun, doCompress bool, alg compress.Algorithm) error {
 	return p.serial(ctx, op, runs, Resident, func(r BlockRun) error { return p.storeRun(r, doCompress, alg) })
 }
 
-// swapOutCtx is every asynchronous swap-out: claim the runs, then submit
-// one store per run under a ticket named op.
-func (p *BlockPool) swapOutCtx(ctx context.Context, op string, runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) *Ticket {
-	t := newTicket(op, p.name)
-	if err := p.claimOut(runs, doCompress, alg); err != nil {
-		return t.complete(err)
-	}
-	p.e.observeBatch(requested, runs)
-	return p.submit(ctx, t, runs, Resident, nil, func(r BlockRun) error {
-		return p.storeRun(r, doCompress, alg)
-	})
-}
-
 // swapIn is every synchronous swap-in and prefetch: claim the stored runs
-// the request touches, then restore them in the caller's goroutine. A
-// prefetch also waits for the asynchronous swap-ins it joined.
+// the request touches, then restore them in the caller's goroutine.
 func (p *BlockPool) swapIn(ctx context.Context, op string, req []BlockRun, requested int) error {
 	var buf [1]BlockRun // a tensor's one run is claimed without allocating
 	runs, joined, err := p.claimIn(op, req, requested, nil, buf[:0])
 	if err != nil {
 		return err
 	}
+	return p.restoreRuns(ctx, op, runs, joined)
+}
+
+// restoreRuns is every swap-in's loop over its claimed runs; a prefetch
+// then also waits for the asynchronous swap-ins it joined.
+func (p *BlockPool) restoreRuns(ctx context.Context, op string, runs []BlockRun, joined []*Ticket) error {
 	prefetch := isPrefetch(op)
-	err = p.serial(ctx, op, runs, Swapped, func(r BlockRun) error { return p.restoreRun(r, prefetch) })
+	err := p.serial(ctx, op, runs, Swapped, func(r BlockRun) error { return p.restoreRun(r, prefetch) })
 	for _, j := range joined {
 		if jerr := j.Wait(); jerr != nil && err == nil {
 			err = jerr
@@ -465,10 +464,10 @@ func (p *BlockPool) swapIn(ctx context.Context, op string, req []BlockRun, reque
 	return err
 }
 
-// serial is the one synchronous run loop: body over claimed runs one after
-// another in the caller's goroutine, taking no slot of the async window. It
-// returns the first error; every run commits or rolls back whatever its
-// siblings do. Each run boundary consults the shed signal first (shed).
+// serial is the one run loop, synchronous calls' and async jobs' alike: body
+// over claimed runs one after another in the calling goroutine. It returns
+// the first error; every run commits or rolls back whatever its siblings do.
+// Each run boundary consults the shed signal first (shed).
 func (p *BlockPool) serial(ctx context.Context, op string, runs []BlockRun, from State, body func(BlockRun) error) error {
 	var first error
 	for i, r := range runs {
@@ -495,25 +494,6 @@ func (p *BlockPool) shed(ctx context.Context, op string, runs []BlockRun, from S
 	p.e.shedPreempt(len(runs))
 	p.settle(runs, from)
 	return fmt.Errorf("executor: %s %s: %w", op, p.name, ErrShed)
-}
-
-// swapInCtx is every asynchronous swap-in and prefetch: claim the stored
-// runs the request touches and submit one restore per run. A prefetch
-// that only joins one in-flight swap-in hands back that swap-in's ticket.
-func (p *BlockPool) swapInCtx(ctx context.Context, op string, req []BlockRun, requested int) *Ticket {
-	t := newTicket(op, p.name)
-	var buf [1]BlockRun // as in swapIn: submit does not keep runs
-	runs, joined, err := p.claimIn(op, req, requested, t, buf[:0])
-	if err != nil {
-		return t.complete(err)
-	}
-	if len(runs) == 0 && len(joined) == 1 {
-		return joined[0]
-	}
-	prefetch := isPrefetch(op)
-	return p.submit(ctx, t, runs, Swapped, joined, func(r BlockRun) error {
-		return p.restoreRun(r, prefetch)
-	})
 }
 
 func isPrefetch(op string) bool { return op == "prefetch" || op == "batch-prefetch" }
@@ -596,17 +576,21 @@ func (p *BlockPool) claimRuns(runs []BlockRun, from, to State, before func() boo
 	return nil
 }
 
-// claimOut is a swap-out's claim. A clean copy the store cannot stand for —
-// one encoded with another codec or at another launch — is dropped under
-// the claim's lock while its owner is still Resident; one that matches stays
-// for storeRun to commit.
-func (p *BlockPool) claimOut(runs []BlockRun, doCompress bool, alg compress.Algorithm) error {
-	return p.claimRuns(runs, Resident, SwappingOut, func() bool {
+// claimOut is every swap-out's claim; requested is as for swapOut. A clean
+// copy the store cannot stand for — one encoded with another codec or at
+// another launch — is dropped under the claim's lock while its owner is still
+// Resident; one that matches stays for storeRun to commit.
+func (p *BlockPool) claimOut(runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) error {
+	err := p.claimRuns(runs, Resident, SwappingOut, func() bool {
 		if pr := p.cleanCopy(); pr != nil && !pr.encodedAs(doCompress, alg, p.e.Launch()) {
 			p.dropClean()
 		}
 		return true
 	})
+	if err == nil {
+		p.e.observeBatch(requested, runs)
+	}
+	return err
 }
 
 // cleanCopy returns the pool's clean copy: the stored record a verified
@@ -741,58 +725,6 @@ func (p *BlockPool) validateRuns(runs []BlockRun) error {
 			return fmt.Errorf("executor: block pool %s: run [%d,+%d) out of range [0,%d)",
 				p.name, r.Start, r.Count, p.numBlocks)
 		}
-	}
-	return nil
-}
-
-// submit puts claimed runs on the async pipeline under t, whose in-flight
-// swap-ins joined are also waited for. One run with nothing to join
-// dispatches on t itself; otherwise each run gets a child ticket and t
-// resolves with the first error (nil when all commit) once every child
-// and joined ticket has. Submission happens in the caller's goroutine, so
-// a full in-flight window blocks it — the pipeline's backpressure; if the
-// gate refuses mid-batch (closed executor, dead context), the
-// not-yet-submitted runs roll back to `from`, the state they were claimed
-// out of, and the refusal joins the aggregate error. The pipeline never
-// sheds: only the synchronous loop consults the shed signal (serial).
-func (p *BlockPool) submit(ctx context.Context, t *Ticket, runs []BlockRun, from State, joined []*Ticket, body func(BlockRun) error) *Ticket {
-	switch {
-	case len(runs) == 0 && len(joined) == 0:
-		return t.complete(nil)
-	case len(runs) == 1 && len(joined) == 0:
-		if err := p.dispatchRun(ctx, t, runs, from, body); err != nil {
-			t.complete(err)
-		}
-		return t
-	}
-	children := append(make([]*Ticket, 0, len(joined)+len(runs)), joined...)
-	var submitErr error
-	for i := range runs {
-		ct := newTicket(t.op, p.name)
-		if submitErr = p.dispatchRun(ctx, ct, runs[i:], from, body); submitErr != nil {
-			break
-		}
-		children = append(children, ct)
-	}
-	go func() {
-		err := submitErr
-		for _, ct := range children {
-			if cerr := ct.Wait(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-		t.complete(err)
-	}()
-	return t
-}
-
-// dispatchRun runs body(runs[0]) on the pipeline under t, unless the gate
-// refuses a slot: then runs — that one and every later one — roll back to
-// from and the error is returned.
-func (p *BlockPool) dispatchRun(ctx context.Context, t *Ticket, runs []BlockRun, from State, body func(BlockRun) error) error {
-	if err := dispatch(ctx, p.e, t, body, runs[0]); err != nil {
-		p.settle(runs, from)
-		return fmt.Errorf("executor: %s %s: %w", t.op, p.name, err)
 	}
 	return nil
 }

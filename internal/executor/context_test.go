@@ -125,7 +125,9 @@ func TestAcquireCtxExpiresWhileBlocked(t *testing.T) {
 }
 
 // TestAcquireCtxAlreadyExpired submits with a dead context while the
-// window is full: the claim must roll back without ever waiting.
+// window is full: the claim must roll back without ever waiting — a
+// batch's every claimed run alike, each left bit-exact in the state it was
+// claimed from.
 func TestAcquireCtxAlreadyExpired(t *testing.T) {
 	e := newCtxExecutor(t, 1, 200*time.Millisecond)
 	slow, _ := registerTensor(t, e, "slow", 4096)
@@ -142,6 +144,48 @@ func TestAcquireCtxAlreadyExpired(t *testing.T) {
 	}
 	if err := blocker.Wait(); err != nil {
 		t.Fatal(err)
+	}
+
+	p, err := e.RegisterBlockPool("kv", 64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{0, 1, 3, 4, 6} // three runs
+	var want []float32
+	for _, id := range ids {
+		want = append(want, blockFill(id, 64)...)
+	}
+	if err := p.WriteBlocks(ids, want); err != nil {
+		t.Fatal(err)
+	}
+	inState := func(st State) {
+		t.Helper()
+		for _, id := range ids {
+			if got := p.BlockState(id); got != st {
+				t.Fatalf("block %d state = %v after a refused batch, want %v", id, got, st)
+			}
+		}
+	}
+	if err := e.AcquireSlot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SwapOutBlocksCtx(ctx, ids, true, compress.ZVC).Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dead-context batch swap-out: %v, want context.Canceled", err)
+	}
+	inState(Resident)
+	if err := p.SwapOutBlocks(ids, false, 0); err != nil { // raw: no encode to wait out
+		t.Fatal(err)
+	}
+	if err := p.SwapInBlocksCtx(ctx, ids).Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dead-context batch swap-in: %v, want context.Canceled", err)
+	}
+	inState(Swapped)
+	e.ReleaseSlot()
+	if err := p.SwapInBlocks(ids); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := p.ReadBlocks(ids); err != nil || !sameBits(got, want) {
+		t.Fatalf("batch after refused submissions: err %v, bit-exact %v", err, sameBits(got, want))
 	}
 }
 

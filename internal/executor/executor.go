@@ -33,10 +33,11 @@
 // once, a Free racing a swap — fails fast with ErrBusy instead of
 // corrupting memory; only a block a demotion holds is waited for. Distinct
 // objects, and disjoint blocks of one pool, may always be driven
-// concurrently; the async API (SwapOutAsyncCtx /
-// SwapInAsyncCtx / PrefetchCtx and the pool's *Ctx calls, see async.go)
-// builds its bounded in-flight pipeline on exactly this guarantee. A swap
-// service runs each request's swap synchronously in its own goroutine
+// concurrently; the async API (SwapOutAsyncCtx / SwapInAsyncCtx /
+// PrefetchCtx and the pool's *BlocksCtx calls, see async.go) builds its
+// bounded in-flight pipeline on exactly this guarantee: each call runs the
+// synchronous loop as one job under one slot of the window. A swap service
+// runs each request's swap synchronously in its own goroutine
 // (BlockPool.Swap) under one slot of the same window (AcquireSlot).
 package executor
 
@@ -124,11 +125,11 @@ type Config struct {
 	// digest is one more pass over the payload beside the codec's. With
 	// Verify off no digest is taken and no clean copy kept.
 	Verify bool
-	// MaxInFlight bounds how many asynchronous operations (SwapOutAsyncCtx,
-	// SwapInAsyncCtx, PrefetchCtx, one per run of a pool's *Ctx batch) and
-	// AcquireSlot holders — a swap service's requests, one slot each,
-	// however many runs the request's batch has — may be in flight at once;
-	// a submission past the bound blocks until a slot frees — backpressure,
+	// MaxInFlight bounds how many calls may be in flight at once:
+	// asynchronous ones (SwapOutAsyncCtx, SwapInAsyncCtx, PrefetchCtx and a
+	// pool's *BlocksCtx batches) and AcquireSlot holders — a swap service's
+	// requests — one slot each, however many runs the call's batch has. A
+	// submission past the bound blocks until a slot frees — backpressure,
 	// not an error. Zero selects DefaultMaxInFlight. Synchronous calls
 	// (SwapOut, SwapIn, Demote, Free, SwapOutBlocks, SwapInBlocks, Swap)
 	// take no slot themselves.
@@ -154,11 +155,12 @@ type Config struct {
 	// DefaultTierWatermarkInterval.
 	TierWatermarkInterval time.Duration
 	// Sched optionally couples the executor to an admission scheduler's
-	// shed signal: at each run boundary of a BlockPool.Swap whose context
-	// carries a speculative sched.Hint, the executor asks ShouldShed and
-	// yields the remaining work with ErrShed when a critical waiter is
-	// starved. Nil never sheds, and neither does the async pipeline. This is a signal, not a slot pool — the
-	// executor never acquires scheduler slots.
+	// shed signal: at each run boundary of a call whose context carries a
+	// speculative sched.Hint — BlockPool.Swap, or an asynchronous call,
+	// which runs the same loop — the executor asks ShouldShed and yields
+	// the remaining work with ErrShed when a critical waiter is starved.
+	// Nil never sheds. This is a signal, not a slot pool — the executor
+	// never acquires scheduler slots.
 	Sched ShedSignal
 	// Observer optionally receives deep instrumentation: per-codec encode/
 	// decode timings and byte volumes, wall-clock swap spans, and fallback/

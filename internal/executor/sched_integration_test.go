@@ -67,6 +67,17 @@ func TestShedScalarPrefetch(t *testing.T) {
 	if v := counterValue(t, e, "executor_sched_preemptions_total"); v != 1 {
 		t.Fatalf("executor_sched_preemptions_total = %v, want 1", v)
 	}
+	// An asynchronous prefetch runs the same loop under its context, so it
+	// sheds alike.
+	if err := e.PrefetchCtx(spec, h).Wait(); !errors.Is(err, ErrShed) {
+		t.Fatalf("speculative async prefetch under shed: %v, want ErrShed", err)
+	}
+	if st := h.State(); st != Swapped {
+		t.Fatalf("shed handle state %v after the async prefetch, want Swapped", st)
+	}
+	if n := sig.preempts.Load(); n != 2 {
+		t.Fatalf("Preempted calls = %d, want 2", n)
+	}
 
 	// A critical hint is never shed, and neither is a hint-less context.
 	crit := sched.WithHint(context.Background(), sched.Hint{Lane: sched.LaneCritical})

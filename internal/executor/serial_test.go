@@ -152,7 +152,7 @@ func TestClaimWaitsOutDemotion(t *testing.T) {
 	}
 
 	// An owner's in-flight swap is no demotion: a second claim is refused.
-	if err := p.claimOut(whole, false, 0); err != nil {
+	if err := p.claimOut(whole, 0, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SwapIn(h); !errors.Is(err, ErrBusy) {

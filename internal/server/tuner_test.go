@@ -18,9 +18,13 @@ import (
 // tunerTestTuner is tuned for test latency, not serving, and every knob
 // matters for determinism:
 //
-//   - The modeled link is glacial (128 KiB/s) so the transfer saving of a
+//   - The modeled link is glacial (16 KiB/s) so the transfer saving of a
 //     good ratio dwarfs probe kernel times, which are wall-clock and
-//     inflated ~10x by the race detector.
+//     inflated ~10x by the race detector. HUF shrinks the dense probe by
+//     only ~10 %, which on a 64 KiB tensor saves ~0.8 s of modeled
+//     transfer out and back: the HUF verdict holds until one probe's
+//     encode+decode takes that long (~14 ms unloaded under -race; at
+//     128 KiB/s one ~100 ms scheduler stall was enough to turn it raw).
 //   - The probe matches the swapped tensors' size (scale factor 1), so
 //     kernel-time extrapolation adds no noise.
 //
@@ -33,7 +37,7 @@ func tunerTestTuner() server.TunerConfig {
 		Interval:        20 * time.Millisecond,
 		MinSwaps:        2,
 		DriftThreshold:  0.15,
-		LinkBytesPerSec: 128 << 10,
+		LinkBytesPerSec: 16 << 10,
 		ProbeElems:      16384,
 	}
 }
