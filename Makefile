@@ -41,10 +41,11 @@ test: vet
 	$(GO) test -cpu 1,2,4 $(CORE_PKGS)
 
 # Race-check the swapping data path (the concurrent hot path, including
-# the tests of the bounded window that async calls and served requests
-# share, one slot per call), the lock-free metrics
-# registry, the serving layer (frame codec, service, client — the e2e
-# ladder drives concurrent HTTP swaps through all three), and the daemon
+# the tests of the executor's bounded window, one slot per async call), the
+# scheduler whose one slot per served swap is the service's admission and
+# shutdown barrier, the lock-free metrics registry, the serving layer
+# (frame codec, service, client — the e2e ladder drives concurrent HTTP
+# swaps through all three), and the daemon
 # itself: cmd/cswapd's gates re-execute the race-built test binary as
 # cswapd, so the six gates run against an instrumented daemon. The watchdog
 # turns a deadlocked drain/backpressure wait into a goroutine dump instead

@@ -11,7 +11,7 @@
 //
 //	cswapd [-addr :7077] [-addr-file PATH] [-shards 1] [-device 1024]
 //	       [-host 4096] [-max-inflight 4] [-quota 0] [-verify] [-grid 128]
-//	       [-block 64] [-tune] [-tune-interval 2s] [-tune-drift 0.15]
+//	       [-tune] [-tune-interval 2s] [-tune-drift 0.15]
 //	       [-tier-dir DIR] [-tier-cap 0] [-tier-quota 0] [-tier-watermark 0]
 //	       [-sched] [-sched-lanes C,N,S] [-sched-starve 20ms]
 //
@@ -36,13 +36,11 @@
 // demand (executor_tier_demotions_total{reason="watermark"}).
 // -tune enables the online per-tenant tuner: swap-outs requesting the Auto
 // algorithm follow its live codec verdicts, retuned as tenant sparsity
-// profiles drift, and each switch to a new codec re-scans the launch grid
-// (1, 2, 4, … up to 1024 at the -block in force; see /metrics,
-// server_tuner_* series). The -tune-* knobs need -tune. -grid is the most
-// chunks a compressed blob is cut into (none below 64 KiB, so a tensor
-// under 128 KiB is one chunk at any grid);
-// -block is validated and kept for the paper's geometry, but on the CPU it
-// changes neither the blob nor the worker count.
+// profiles drift (see /metrics, server_tuner_* series). The -tune-* knobs
+// need -tune. -grid is the most chunks a compressed blob is cut into (none
+// below 64 KiB, so a tensor under 128 KiB is one chunk at any grid), fixed
+// for the daemon's life: the tuner picks codecs, not launches. The launch
+// block is 64; on the CPU it changes neither the blob nor the worker count.
 // Admission is one path either way: each shard's scheduler (internal/sched)
 // hands out -max-inflight slots. Without -sched its lanes have depth zero —
 // a swap that finds every slot taken is refused at once with 429
@@ -63,8 +61,8 @@
 // POST /admin/drain?shard=N live-migrates one shard's tensors onto the
 // rest.
 // SIGINT/SIGTERM shut the daemon down gracefully: intake stops (503s),
-// open requests finish, the executor drains its in-flight tickets, and
-// only then does the process exit.
+// open requests finish, every admitted swap releases its admission slot,
+// and only then does the process exit.
 package main
 
 import (
@@ -104,7 +102,6 @@ func main() {
 	schedStarve := flag.Duration("sched-starve", 0, "critical queue age that sheds in-flight speculative work (0 = 20ms default)")
 	verify := flag.Bool("verify", true, "checksum-verify every restore")
 	grid := flag.Int("grid", 0, "codec launch grid, the most chunks a compressed blob is cut into, none below 64 KiB (0 = executor default, 128)")
-	block := flag.Int("block", 0, "codec launch block, 64 or 128 (0 = executor default, 64); on the CPU it changes neither the blob nor the worker count")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on waiting out open requests at shutdown")
 	tune := flag.Bool("tune", false, "enable the online per-tenant tuner (Auto swap-outs follow its verdicts)")
 	tuneInterval := flag.Duration("tune-interval", 0, "tuner tick period (0 = 2s default)")
@@ -120,7 +117,7 @@ func main() {
 		server.WithMaxInFlight(*maxInFlight),
 		server.WithTenantQuota(*quotaMiB << 20),
 		server.WithVerify(*verify),
-		server.WithLaunch(launch(*grid, *block)),
+		server.WithLaunch(launch(*grid)),
 	}
 	if *tune {
 		opts = append(opts, server.WithTuner(server.TunerConfig{
@@ -203,8 +200,8 @@ func main() {
 	}
 
 	// Shutdown ordering: stop intake first so new requests see 503 while
-	// open ones finish, wait the handlers out, then drain and close the
-	// executor — no in-flight ticket is abandoned.
+	// open ones finish, wait the handlers out, then close the service,
+	// which waits out any swap still holding an admission slot.
 	svc.Drain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
@@ -220,16 +217,13 @@ func main() {
 	log.Printf("cswapd: drained, exiting")
 }
 
-// launch resolves -grid/-block into the codec launch geometry: a flag left
-// at 0 keeps the executor's default for its half (grid 128, block 64 — what
-// executor.New installs for a zero Launch), so either flag alone is honoured.
-func launch(grid, block int) compress.Launch {
+// launch resolves -grid into the codec launch geometry: grid 0 keeps the
+// executor's default (grid 128, block 64 — what executor.New installs for a
+// zero Launch); the block is always 64.
+func launch(grid int) compress.Launch {
 	l := compress.Launch{Grid: 128, Block: 64}
 	if grid != 0 {
 		l.Grid = grid
-	}
-	if block != 0 {
-		l.Block = block
 	}
 	return l
 }

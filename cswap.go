@@ -529,7 +529,7 @@ var (
 	WithSwapTenantQuota = server.WithTenantQuota
 	// WithSwapVerify enables checksum verification of every restore.
 	WithSwapVerify = server.WithVerify
-	// WithSwapLaunch sets the initial codec launch geometry.
+	// WithSwapLaunch sets the codec launch geometry, fixed for the service's life.
 	WithSwapLaunch = server.WithLaunch
 	// WithSwapTuner configures the online per-tenant tuner.
 	WithSwapTuner = server.WithTuner

@@ -133,9 +133,9 @@ func BenchmarkParallelContainer(b *testing.B) {
 // BenchmarkLaunchSurface measures Fig. 5 on this substrate: the cost of
 // every power-of-two-grid launch in the paper's search space, with one
 // sub-benchmark per codec × tensor size × sparsity. Each iteration
-// sweeps grid 1, 2, 4, …, 4096 at block 64 and 128, scoring a point the way
-// the daemon's tuner does (launchObjective at its default 12 GB/s link:
-// encode + decode wall time plus the blob's two-way transfer), and reports
+// sweeps grid 1, 2, 4, …, 4096 at block 64 and 128, scoring a point as
+// encode + decode wall time plus the blob's two-way transfer over a 12 GB/s
+// link (the daemon tuner's default), and reports
 // every point's mean as its own metric, ms/g<grid>b<block>. A grid whose
 // chunk count at that size equals the previous grid's encodes the same blob
 // under the chunk floor, so it is skipped rather than timed again. Run it at

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"cswap/internal/compress"
-	"cswap/internal/sched"
 )
 
 // This file is the asynchronous swap pipeline built on the guarded block
@@ -97,8 +96,7 @@ func (t *Ticket) Err() error {
 // asyncGate is the executor's one bounded in-flight window. Slots are
 // acquired at submission time in the caller's goroutine — a full window
 // blocks the submitter, which is the backpressure the pipeline promises —
-// and released when the operation commits; a served request holds one for
-// its whole swap (AcquireSlot). The gauge, peak, and queue-depth
+// and released when the operation commits. The gauge, peak, and queue-depth
 // instruments are updated under the gate's lock so their readings are
 // consistent with the count.
 type asyncGate struct {
@@ -191,24 +189,6 @@ func (g *asyncGate) close() {
 	g.mu.Unlock()
 }
 
-// shedHint reports whether ctx carries a scheduling hint on a lane the
-// admission scheduler wants shed right now. The caller records the actual
-// preemption with shedPreempt — only when it really rolled work back.
-func (e *Executor) shedHint(ctx context.Context) bool {
-	if e.sched == nil {
-		return false
-	}
-	h, ok := sched.HintFrom(ctx)
-	return ok && e.sched.ShouldShed(h.Lane)
-}
-
-// shedPreempt records one shed event that rolled back n runs.
-func (e *Executor) shedPreempt(n int) {
-	e.sched.Preempted()
-	e.ins.schedPreemptions.Inc()
-	e.ins.schedShedRuns.Add(float64(n))
-}
-
 // dispatch is the one asynchronous entry, every *Ctx call's: it claims op's
 // runs in the caller's goroutine as the synchronous call does (misuse
 // resolves the ticket at once), takes one slot of the bounded window — a
@@ -271,8 +251,8 @@ func (p *BlockPool) dispatch(ctx context.Context, op string, req []BlockRun, req
 // resolves the ticket with the same error the synchronous call would return.
 // If ctx is done before a slot frees up, the ticket resolves with the
 // context's error and the tensor rolls back to Resident untouched. Once
-// dispatched, the swap runs to completion whatever ctx does, unless ctx
-// carries a speculative sched.Hint the executor sheds (Swap); use
+// dispatched, the swap runs to completion whatever ctx does, unless a yield
+// function on ctx fires at a run boundary (WithYield); use
 // Ticket.WaitContext to bound the wait for the result. executor_batch_*
 // does not count it.
 func (e *Executor) SwapOutAsyncCtx(ctx context.Context, h *Handle, doCompress bool, alg compress.Algorithm) *Ticket {
@@ -300,47 +280,37 @@ func (e *Executor) PrefetchCtx(ctx context.Context, h *Handle) *Ticket {
 	return h.pool.dispatch(ctx, "prefetch", whole, 0, false, 0)
 }
 
-// AcquireSlot takes one slot of the async window for work the caller runs
-// itself — a swap service holds one for the whole of a request whose
-// synchronous swap (BlockPool.Swap) runs in its handler — so that Drain and
-// Close wait for that work as for a ticket. It blocks while the window is
-// full, and fails with ErrClosed after Close or with ctx's error if ctx is
-// done first. Each slot taken goes back with one ReleaseSlot.
-func (e *Executor) AcquireSlot(ctx context.Context) error { return e.gate.acquire(ctx) }
-
-// ReleaseSlot returns a slot AcquireSlot took.
-func (e *Executor) ReleaseSlot() { e.gate.release() }
-
 // Drain blocks until every asynchronous operation in flight at any point
 // during the call has completed and committed its blocks' state — every
 // ticket the executor issues rides the one in-flight window, tier reads
 // and inline demotions included, because they run inside the swap bodies
-// that hold its slots — and every slot AcquireSlot handed out has come
-// back. Other synchronous calls (SwapOut, SwapIn, Demote, SwapOutBlocks,
-// SwapInBlocks, Swap) and the watermark demoter are not waited for. It is a
-// barrier, not a shutdown: submissions stay legal during and after a drain
-// (a concurrent submitter can extend the wait). All tickets issued before
-// Drain returns are resolved once it does.
+// that hold its slots. Synchronous calls (SwapOut, SwapIn, Demote,
+// SwapOutBlocks, SwapInBlocks, Swap) and the watermark demoter are not
+// waited for. It is a barrier, not a shutdown: submissions stay legal
+// during and after a drain (a concurrent submitter can extend the wait).
+// All tickets issued before Drain returns are resolved once it does.
 func (e *Executor) Drain() { e.gate.drain() }
 
-// InFlight returns the number of slots of the bounded window currently held:
-// asynchronous operations and AcquireSlot holders.
+// InFlight returns the number of asynchronous operations holding a slot of
+// the bounded window.
 func (e *Executor) InFlight() int {
 	e.gate.mu.Lock()
 	defer e.gate.mu.Unlock()
 	return e.gate.inflight
 }
 
-// Close shuts the executor's intake and waits for what is already running:
-// it stops the watermark demoter (waiting out its final sweep), closes the
-// in-flight window and drains it, so every ticket ever issued is resolved
-// and every slot returned when it returns. Subsequent Register calls, async
-// submissions and AcquireSlot calls fail with ErrClosed. Live handles and
-// pools remain readable and may still be driven synchronously, wherever
-// their payload lives — SwapOut, SwapIn
-// (from the host pool or the disk tier), Demote, Free, SwapOutBlocks and
-// SwapInBlocks take no slot of the closed window (swapping in an object you
-// still hold is not new work). Close is idempotent.
+// Close shuts the executor's intake and waits for what is already running
+// in the background: it stops the watermark demoter (waiting out its final
+// sweep), closes the in-flight window and drains it, so every ticket ever
+// issued is resolved and every slot returned when it returns. It does not
+// wait for synchronous calls; a swap service waits out the swaps it runs
+// with Swap before it closes the executor. Subsequent Register calls and
+// async submissions fail with ErrClosed. Live handles and pools remain
+// readable and may still be driven synchronously, wherever their payload
+// lives — SwapOut, SwapIn (from the host pool or the disk tier), Demote,
+// Free, SwapOutBlocks, SwapInBlocks and Swap take no slot of the closed
+// window (swapping in an object you still hold is not new work). Close is
+// idempotent.
 func (e *Executor) Close() error {
 	e.mu.Lock()
 	e.closed = true

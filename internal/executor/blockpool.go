@@ -399,17 +399,17 @@ func (p *BlockPool) SwapInBlocksCtx(ctx context.Context, ids []int) *Ticket {
 // Swap runs one operation of a swap service synchronously, in the
 // caller's goroutine: op is "swap-out", "swap-in" or "prefetch" on block 0 —
 // with its tensor meaning — or the "batch-" form of one of them on ids. It is
-// the loop SwapOutBlocks and SwapInBlocks run, under ctx: a speculative
-// sched.Hint on ctx makes the operation sheddable at run boundaries while
-// Config.Sched reports a starved critical waiter (ErrShed, the runs not yet
-// started back in the state they were claimed from). A prefetch is an
-// idempotent swap-in: resident blocks need no work, a block an asynchronous
-// swap-in is restoring is waited for rather than refused, and tier-resident
-// runs are staged back into the host pool first (read-ahead), so a failed or
-// shed prefetch still leaves the later demand swap-in a host-memory read. A
-// run once started commits or rolls back whatever ctx does. Swap takes no
-// slot of the async window; a caller that wants Drain and Close to wait for
-// it holds one (Executor.AcquireSlot).
+// the loop SwapOutBlocks and SwapInBlocks run, under ctx: a yield function
+// on ctx (WithYield) makes the operation sheddable at run boundaries
+// (ErrShed, the runs not yet started back in the state they were claimed
+// from). A prefetch is an idempotent swap-in: resident blocks need no work,
+// a block an asynchronous swap-in is restoring is waited for rather than
+// refused, and tier-resident runs are staged back into the host pool first
+// (read-ahead), so a failed or shed prefetch still leaves the later demand
+// swap-in a host-memory read. A run once started commits or rolls back
+// whatever ctx does. Swap takes no
+// slot of the async window, so Drain and Close do not wait for it: its
+// caller bounds and waits out its own swaps.
 func (p *BlockPool) Swap(ctx context.Context, op string, ids []int, doCompress bool, alg compress.Algorithm) error {
 	runs, requested := whole, 0
 	kind, batch := strings.CutPrefix(op, "batch-")
@@ -467,12 +467,14 @@ func (p *BlockPool) restoreRuns(ctx context.Context, op string, runs []BlockRun,
 // serial is the one run loop, synchronous calls' and async jobs' alike: body
 // over claimed runs one after another in the calling goroutine. It returns
 // the first error; every run commits or rolls back whatever its siblings do.
-// Each run boundary consults the shed signal first (shed).
+// Each run boundary first asks ctx's yield function, if any, whether to
+// stop (shed).
 func (p *BlockPool) serial(ctx context.Context, op string, runs []BlockRun, from State, body func(BlockRun) error) error {
+	yield, _ := ctx.Value(yieldKey{}).(func() bool)
 	var first error
 	for i, r := range runs {
-		if err := p.shed(ctx, op, runs[i:], from); err != nil {
-			return err
+		if yield != nil && yield() {
+			return p.shed(op, runs[i:], from)
 		}
 		if err := body(r); err != nil && first == nil {
 			first = err
@@ -481,17 +483,25 @@ func (p *BlockPool) serial(ctx context.Context, op string, runs []BlockRun, from
 	return first
 }
 
-// shed is the preemption point at every run boundary: work whose context
-// carries a speculative sched.Hint yields while the scheduler reports a
-// starved critical waiter — runs, the ones not yet started, roll back to
-// from, the state they were claimed out of, and ErrShed is returned. It keeps
-// a long speculative prefetch from holding a slot against latency-critical
-// work.
-func (p *BlockPool) shed(ctx context.Context, op string, runs []BlockRun, from State) error {
-	if !p.e.shedHint(ctx) {
-		return nil
-	}
-	p.e.shedPreempt(len(runs))
+type yieldKey struct{}
+
+// WithYield returns a context under which a swap — BlockPool.Swap, or an
+// asynchronous call, which runs the same loop — calls yield at every run
+// boundary, and stops when it reports true: the runs not yet started roll
+// back to the state they were claimed from and the call fails with ErrShed.
+// It is how a swap service preempts work it admitted, say a long
+// speculative prefetch that holds a slot a latency-critical request waits
+// for; which work may yield, and when, is the service's policy.
+func WithYield(ctx context.Context, yield func() bool) context.Context {
+	return context.WithValue(ctx, yieldKey{}, yield)
+}
+
+// shed is the preemption at a run boundary whose yield fired: runs, the
+// ones not yet started, roll back to from, the state they were claimed out
+// of, and ErrShed is returned.
+func (p *BlockPool) shed(op string, runs []BlockRun, from State) error {
+	p.e.ins.schedPreemptions.Inc()
+	p.e.ins.schedShedRuns.Add(float64(len(runs)))
 	p.settle(runs, from)
 	return fmt.Errorf("executor: %s %s: %w", op, p.name, ErrShed)
 }
@@ -577,12 +587,12 @@ func (p *BlockPool) claimRuns(runs []BlockRun, from, to State, before func() boo
 }
 
 // claimOut is every swap-out's claim; requested is as for swapOut. A clean
-// copy the store cannot stand for — one encoded with another codec or at
-// another launch — is dropped under the claim's lock while its owner is still
-// Resident; one that matches stays for storeRun to commit.
+// copy the store cannot stand for — one encoded with another codec — is
+// dropped under the claim's lock while its owner is still Resident; one that
+// matches stays for storeRun to commit.
 func (p *BlockPool) claimOut(runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) error {
 	err := p.claimRuns(runs, Resident, SwappingOut, func() bool {
-		if pr := p.cleanCopy(); pr != nil && !pr.encodedAs(doCompress, alg, p.e.Launch()) {
+		if pr := p.cleanCopy(); pr != nil && !pr.encodedAs(doCompress, alg) {
 			p.dropClean()
 		}
 		return true

@@ -166,7 +166,7 @@ func TestAcquireCtxAlreadyExpired(t *testing.T) {
 			}
 		}
 	}
-	if err := e.AcquireSlot(context.Background()); err != nil {
+	if err := e.gate.acquire(context.Background()); err != nil { // the window's one slot
 		t.Fatal(err)
 	}
 	if err := p.SwapOutBlocksCtx(ctx, ids, true, compress.ZVC).Wait(); !errors.Is(err, context.Canceled) {
@@ -180,7 +180,7 @@ func TestAcquireCtxAlreadyExpired(t *testing.T) {
 		t.Fatalf("dead-context batch swap-in: %v, want context.Canceled", err)
 	}
 	inState(Swapped)
-	e.ReleaseSlot()
+	e.gate.release()
 	if err := p.SwapInBlocks(ids); err != nil {
 		t.Fatal(err)
 	}

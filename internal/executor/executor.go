@@ -38,7 +38,7 @@
 // bounded in-flight pipeline on exactly this guarantee: each call runs the
 // synchronous loop as one job under one slot of the window. A swap service
 // runs each request's swap synchronously in its own goroutine
-// (BlockPool.Swap) under one slot of the same window (AcquireSlot).
+// (BlockPool.Swap), outside the window: it admits its requests itself.
 package executor
 
 import (
@@ -46,14 +46,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cswap/internal/compress"
 	"cswap/internal/devmem"
 	"cswap/internal/faultinject"
 	"cswap/internal/metrics"
-	"cswap/internal/sched"
 	"cswap/internal/tensor"
 	"cswap/internal/tier"
 )
@@ -74,12 +72,11 @@ var (
 	// ErrClosed reports that the executor has been closed; no new tensors
 	// or async work are accepted.
 	ErrClosed = errors.New("executor: closed")
-	// ErrShed reports that speculative work was yielded at a run boundary
-	// because the admission scheduler (Config.Sched) signalled a starved
-	// critical waiter. The shed operation did not run: the handle (or the
-	// batch's remaining runs) rolled back to the state it was claimed from,
-	// so the caller may simply resubmit later — it is load shedding, not
-	// failure.
+	// ErrShed reports that a swap yielded at a run boundary because the
+	// yield function on its context (WithYield) asked it to. The runs not
+	// yet started did not run: the handle (or the batch's remaining runs)
+	// rolled back to the state it was claimed from, so the caller may
+	// simply resubmit later — it is load shedding, not failure.
 	ErrShed = errors.New("executor: speculative work shed for critical backlog")
 )
 
@@ -91,28 +88,14 @@ const DefaultMaxInFlight = 4
 // demoter wakes when Config.TierWatermark is set but no interval is given.
 const DefaultTierWatermarkInterval = 100 * time.Millisecond
 
-// ShedSignal is the narrow view of an admission scheduler the executor
-// consults at run boundaries: whether work on a given lane should yield
-// right now, and a callback to record that it did. It is deliberately NOT
-// a slot pool — the executor keeps its own in-flight gate, so a scheduler
-// passed here can never deadlock against it by holding both windows.
-// internal/sched.Scheduler satisfies it.
-type ShedSignal interface {
-	// ShouldShed reports whether in-flight work on the lane should yield
-	// its remaining runs to a starved higher-priority waiter.
-	ShouldShed(lane sched.Lane) bool
-	// Preempted records that one shed actually happened.
-	Preempted()
-}
-
 // Config configures an executor.
 type Config struct {
 	// DeviceCapacity and HostCapacity are the pool sizes in bytes.
 	DeviceCapacity, HostCapacity int64
-	// Launch is the kernel geometry that partitions parallel compression:
-	// its Grid is the most chunks a blob this executor encodes is cut into
-	// (compress.ChunkCount).
-	// Decoding reads the chunking from the blob, so it takes no launch.
+	// Launch is the kernel geometry that partitions parallel compression,
+	// fixed for the executor's life: its Grid is the most chunks a blob
+	// this executor encodes is cut into (compress.ChunkCount). Decoding
+	// reads the chunking from the blob, so it takes no launch.
 	Launch compress.Launch
 	// Verify compares every restored payload with a digest of what was
 	// swapped out (compress.Checksum): the executor's end-to-end integrity
@@ -125,14 +108,14 @@ type Config struct {
 	// digest is one more pass over the payload beside the codec's. With
 	// Verify off no digest is taken and no clean copy kept.
 	Verify bool
-	// MaxInFlight bounds how many calls may be in flight at once:
-	// asynchronous ones (SwapOutAsyncCtx, SwapInAsyncCtx, PrefetchCtx and a
-	// pool's *BlocksCtx batches) and AcquireSlot holders — a swap service's
-	// requests — one slot each, however many runs the call's batch has. A
-	// submission past the bound blocks until a slot frees — backpressure,
-	// not an error. Zero selects DefaultMaxInFlight. Synchronous calls
-	// (SwapOut, SwapIn, Demote, Free, SwapOutBlocks, SwapInBlocks, Swap)
-	// take no slot themselves.
+	// MaxInFlight bounds how many asynchronous calls (SwapOutAsyncCtx,
+	// SwapInAsyncCtx, PrefetchCtx and a pool's *BlocksCtx batches) may be in
+	// flight at once, one slot each, however many runs the call's batch
+	// has. A submission past the bound blocks until a slot frees —
+	// backpressure, not an error. Zero selects DefaultMaxInFlight.
+	// Synchronous calls (SwapOut, SwapIn, Demote, Free, SwapOutBlocks,
+	// SwapInBlocks, Swap) take no slot: a swap service that runs its
+	// requests' swaps with Swap bounds them with its own admission.
 	MaxInFlight int
 	// Faults optionally injects deterministic failures into the data path
 	// (codec work, pool allocations, transfers). Nil injects nothing.
@@ -154,14 +137,6 @@ type Config struct {
 	// TierWatermarkInterval is the demoter's wake period. Zero selects
 	// DefaultTierWatermarkInterval.
 	TierWatermarkInterval time.Duration
-	// Sched optionally couples the executor to an admission scheduler's
-	// shed signal: at each run boundary of a call whose context carries a
-	// speculative sched.Hint — BlockPool.Swap, or an asynchronous call,
-	// which runs the same loop — the executor asks ShouldShed and yields
-	// the remaining work with ErrShed when a critical waiter is starved.
-	// Nil never sheds. This is a signal, not a slot pool — the executor
-	// never acquires scheduler slots.
-	Sched ShedSignal
 	// Observer optionally receives deep instrumentation: per-codec encode/
 	// decode timings and byte volumes, wall-clock swap spans, and fallback/
 	// retry events. When it carries a metrics registry, that registry also
@@ -190,22 +165,14 @@ type Executor struct {
 
 	// gate is the async pipeline's bounded in-flight window (async.go), the
 	// only one: tier I/O is serialized by the store's own lock (tier.go).
-	// tier is the optional disk spill tier; sched is the optional admission
-	// scheduler's shed signal. The watermark channels drive the background
-	// demoter's lifecycle (watermarkOnce makes Close idempotent against it).
+	// tier is the optional disk spill tier. The watermark channels drive
+	// the background demoter's lifecycle (watermarkOnce makes Close
+	// idempotent against it).
 	gate          asyncGate
 	tier          *tier.Store
-	sched         ShedSignal
 	watermarkStop chan struct{}
 	watermarkDone chan struct{}
 	watermarkOnce sync.Once
-
-	// launch is the active codec partitioning geometry, packed grid<<32 |
-	// block in an atomic so the tuner can retarget it while swaps are in
-	// flight; each operation reads it exactly once. It is device-global:
-	// launch geometry models how the kernel occupies the GPU, which is
-	// shared hardware, unlike the per-tenant codec choice.
-	launch atomic.Uint64
 
 	// mu guards the object registry and the closed flag; counters are
 	// atomic registry cells. Per-block state is guarded by each pool's own
@@ -306,9 +273,9 @@ func (h *Handle) Pool() *BlockPool { return h.pool }
 // only: every later swap-out reuses that digest, and every restore is still
 // checked against it. Each verified restore from the host pool also keeps
 // the stored blob there as a clean copy, its bytes reported as cached
-// (devmem.Stats.Cached): the next swap-out with the same codec at the same
-// launch commits it, with no encode, no digest and no host allocation, and
-// one with another codec or launch drops it and encodes afresh. Memory that
+// (devmem.Stats.Cached): the next swap-out with the same codec commits it,
+// with no encode, no digest and no host allocation, and one with another
+// codec drops it and encodes afresh. Memory that
 // changed behind the seal never comes back: an encode of it fails the next
 // swap-in with ErrVerification, and a committed clean copy restores the
 // sealed bytes over it. Free drops the clean copy, and whatever needs host
@@ -389,7 +356,6 @@ func New(cfg Config) (*Executor, error) {
 	// The gauge reports what the directory holds from the first scrape on,
 	// not only after this process's first demotion.
 	e.ins.tierOccupancy.Set(float64(e.TierUsed()))
-	e.sched = cfg.Sched
 	if cfg.TierWatermark != 0 {
 		if cfg.TierWatermark < 0 || cfg.TierWatermark >= 1 {
 			return nil, fmt.Errorf("executor: TierWatermark %v outside (0,1)", cfg.TierWatermark)
@@ -405,7 +371,6 @@ func New(cfg Config) (*Executor, error) {
 		e.watermarkDone = make(chan struct{})
 		go e.watermarkLoop(interval)
 	}
-	e.launch.Store(packLaunch(cfg.Launch))
 	if inj := cfg.Faults; inj != nil {
 		e.device.SetAllocHook(func(int64) error { return inj.Fail(faultinject.SiteDeviceAlloc) })
 		e.host.SetAllocHook(func(int64) error { return inj.Fail(faultinject.SiteHostAlloc) })
@@ -453,34 +418,16 @@ func (e *Executor) SwapOut(h *Handle, doCompress bool, alg compress.Algorithm) e
 	return h.pool.swapOut(context.Background(), "swap-out", whole, 0, doCompress, alg)
 }
 
-func packLaunch(l compress.Launch) uint64 {
-	return uint64(l.Grid)<<32 | uint64(l.Block)
-}
+// Launch returns the launch geometry the executor encodes at.
+func (e *Executor) Launch() compress.Launch { return e.cfg.Launch }
 
-// Launch returns the active launch geometry.
-func (e *Executor) Launch() compress.Launch {
-	v := e.launch.Load()
-	return compress.Launch{Grid: int(v >> 32), Block: int(v & 0xffffffff)}
-}
-
-// SetLaunch retargets the codec partitioning geometry for subsequent
-// swaps; in-flight operations finish at the geometry they started with
-// (each reads the launch once at entry). Decode partitioning comes from
-// the blob's chunk directory, so a blob encoded at the old geometry
-// decodes correctly after a retune.
-func (e *Executor) SetLaunch(l compress.Launch) error {
-	if err := l.Validate(); err != nil {
-		return err
-	}
-	e.launch.Store(packLaunch(l))
-	return nil
-}
-
-// arenaEncode runs the parallel encode at launch into an arena buffer sized
-// by the codec's worst-case bound, so the encode itself allocates nothing.
-// On error the buffer goes straight back to the arena; on success the
-// caller owns the returned blob and recycles it via arena.put.
-func (e *Executor) arenaEncode(alg compress.Algorithm, data []float32, launch compress.Launch) ([]byte, error) {
+// arenaEncode runs the parallel encode at the executor's launch into an
+// arena buffer sized by the codec's worst-case bound, so the encode itself
+// allocates nothing. On error the buffer goes straight back to the arena;
+// on success the caller owns the returned blob and recycles it via
+// arena.put.
+func (e *Executor) arenaEncode(alg compress.Algorithm, data []float32) ([]byte, error) {
+	launch := e.cfg.Launch
 	bound, err := compress.MaxParallelEncodedLen(alg, len(data), launch)
 	if err != nil {
 		return nil, err

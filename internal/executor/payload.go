@@ -29,7 +29,6 @@ type stored struct {
 	hostBlock  *devmem.Block
 	alg        compress.Algorithm
 	compressed bool
-	launch     compress.Launch // the launch a codec blob was encoded at
 	// elems is the uncompressed payload's element count; the pool fills it
 	// at swap-out, before store. checksum is its digest as store found it,
 	// taken only when Config.Verify is on.
@@ -54,11 +53,11 @@ type stored struct {
 func (s *stored) rawBytes() int64 { return int64(s.elems) * tensor.BytesPerElement }
 
 // encodedAs reports whether s holds what a store of the same bytes would
-// store for the request: a codec blob of alg encoded at launch, or for a raw
-// request a raw copy, which depends on neither. A compressed request that
-// fell back to raw does not match, so the next store tries the codec again.
-func (s *stored) encodedAs(doCompress bool, alg compress.Algorithm, launch compress.Launch) bool {
-	return s.compressed == doCompress && (!doCompress || s.alg == alg && s.launch == launch)
+// store for the request: a codec blob of alg (the launch is the executor's,
+// fixed), or for a raw request a raw copy. A compressed request that fell
+// back to raw does not match, so the next store tries the codec again.
+func (s *stored) encodedAs(doCompress bool, alg compress.Algorithm) bool {
+	return s.compressed == doCompress && (!doCompress || s.alg == alg)
 }
 
 // Charge is the quota ledger a pool's bytes — a tensor's, a one-block pool's
@@ -113,7 +112,6 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 	encodeFellBack, allocFellBack := false, false
 	var blob []byte
 	var encDur time.Duration
-	launch := e.Launch() // one read: the encode and the record must agree
 	if doCompress {
 		var encStart time.Time
 		if timed {
@@ -122,7 +120,7 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 		// The encode output lands in an arena buffer sized by the codec's
 		// worst-case bound, so the whole compressed path allocates nothing
 		// once the arena is warm.
-		b, err := e.arenaEncode(alg, src, launch)
+		b, err := e.arenaEncode(alg, src)
 		if timed {
 			encDur = time.Since(encStart)
 		}
@@ -172,7 +170,7 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 		return fmt.Errorf("executor: host pool: %w", err)
 	}
 	s.blob, s.hostBlock = blob, hostBlock
-	s.alg, s.compressed, s.launch = alg, compressed, launch
+	s.alg, s.compressed = alg, compressed
 	s.swappedAt = e.sinceEpoch()
 	// commit publishes the owner as Swapped, after which a demotion or the
 	// next swap-in may claim it and rewrite s: everything the accounting
@@ -203,8 +201,8 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 }
 
 // storeClean is store for a payload whose clean copy stands in for it: s
-// still holds the blob a store of the same bytes with the same codec at the
-// same launch would write, and its host bytes, so the swap-out is only the
+// still holds the blob a store of the same bytes with the same codec would
+// write, and its host bytes, so the swap-out is only the
 // commit. It counts as that store in the swap-out, raw and moved series,
 // but not in the per-codec ones or the Observer's spans, since no encode
 // ran and no bytes moved. A failed commit leaves the clean copy as it was.

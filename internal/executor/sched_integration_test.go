@@ -1,8 +1,7 @@
 package executor
 
-// Tests for the executor's coupling to the admission scheduler (ErrShed at
-// run boundaries), the background watermark demoter, and tier prefetch
-// read-ahead staging.
+// Tests for the yield hook (ErrShed at run boundaries), the background
+// watermark demoter, and tier prefetch read-ahead staging.
 
 import (
 	"context"
@@ -13,22 +12,15 @@ import (
 
 	"cswap/internal/compress"
 	"cswap/internal/metrics"
-	"cswap/internal/sched"
 	"cswap/internal/tensor"
 	"cswap/internal/tier"
 )
 
-// fakeShed is a hand-cranked ShedSignal: sheds speculative work while the
-// flag is up, and counts Preempted calls.
-type fakeShed struct {
-	shed     atomic.Bool
-	preempts atomic.Int64
+// shedding returns a context whose yield function fires while the flag is
+// up: a hand-cranked shed.
+func shedding(flag *atomic.Bool) context.Context {
+	return WithYield(context.Background(), flag.Load)
 }
-
-func (f *fakeShed) ShouldShed(l sched.Lane) bool {
-	return l == sched.LaneSpeculative && f.shed.Load()
-}
-func (f *fakeShed) Preempted() { f.preempts.Add(1) }
 
 func counterValue(t *testing.T, e *Executor, name string, labels ...metrics.Label) float64 {
 	t.Helper()
@@ -37,8 +29,8 @@ func counterValue(t *testing.T, e *Executor, name string, labels ...metrics.Labe
 }
 
 func TestShedScalarPrefetch(t *testing.T) {
-	sig := &fakeShed{}
-	e, err := New(Config{DeviceCapacity: 1 << 20, HostCapacity: 1 << 20, Verify: true, Sched: sig})
+	var shed atomic.Bool
+	e, err := New(Config{DeviceCapacity: 1 << 20, HostCapacity: 1 << 20, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,17 +44,14 @@ func TestShedScalarPrefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shedding on, speculative hint: the prefetch yields without running.
-	sig.shed.Store(true)
-	spec := sched.WithHint(context.Background(), sched.Hint{Lane: sched.LaneSpeculative})
+	// The yield fires: the prefetch yields without running.
+	shed.Store(true)
+	spec := shedding(&shed)
 	if err := h.Pool().Swap(spec, "prefetch", nil, false, 0); !errors.Is(err, ErrShed) {
-		t.Fatalf("speculative prefetch under shed: %v, want ErrShed", err)
+		t.Fatalf("prefetch under a firing yield: %v, want ErrShed", err)
 	}
 	if st := h.State(); st != Swapped {
 		t.Fatalf("shed handle state %v, want Swapped (clean rollback)", st)
-	}
-	if n := sig.preempts.Load(); n != 1 {
-		t.Fatalf("Preempted calls = %d, want 1", n)
 	}
 	if v := counterValue(t, e, "executor_sched_preemptions_total"); v != 1 {
 		t.Fatalf("executor_sched_preemptions_total = %v, want 1", v)
@@ -70,40 +59,36 @@ func TestShedScalarPrefetch(t *testing.T) {
 	// An asynchronous prefetch runs the same loop under its context, so it
 	// sheds alike.
 	if err := e.PrefetchCtx(spec, h).Wait(); !errors.Is(err, ErrShed) {
-		t.Fatalf("speculative async prefetch under shed: %v, want ErrShed", err)
+		t.Fatalf("async prefetch under a firing yield: %v, want ErrShed", err)
 	}
 	if st := h.State(); st != Swapped {
 		t.Fatalf("shed handle state %v after the async prefetch, want Swapped", st)
 	}
-	if n := sig.preempts.Load(); n != 2 {
-		t.Fatalf("Preempted calls = %d, want 2", n)
+	if v := counterValue(t, e, "executor_sched_preemptions_total"); v != 2 {
+		t.Fatalf("executor_sched_preemptions_total = %v, want 2", v)
 	}
 
-	// A critical hint is never shed, and neither is a hint-less context.
-	crit := sched.WithHint(context.Background(), sched.Hint{Lane: sched.LaneCritical})
-	if err := h.Pool().Swap(crit, "prefetch", nil, false, 0); err != nil {
-		t.Fatalf("critical prefetch under shed: %v", err)
-	}
-	if err := e.SwapOut(h, true, compress.ZVC); err != nil {
-		t.Fatal(err)
-	}
+	// A context without a yield function is never shed.
 	if err := h.Pool().Swap(context.Background(), "prefetch", nil, false, 0); err != nil {
-		t.Fatalf("hint-less prefetch under shed: %v", err)
+		t.Fatalf("prefetch without a yield: %v", err)
 	}
 
-	// Shedding off: speculative work flows again.
-	sig.shed.Store(false)
+	// The yield quiet: the same context's work flows again.
+	shed.Store(false)
 	if err := e.SwapOut(h, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Pool().Swap(spec, "prefetch", nil, false, 0); err != nil {
-		t.Fatalf("speculative prefetch after shed cleared: %v", err)
+		t.Fatalf("prefetch after the yield went quiet: %v", err)
+	}
+	if v := counterValue(t, e, "executor_sched_preemptions_total"); v != 2 {
+		t.Fatalf("executor_sched_preemptions_total = %v after work that did not shed, want 2", v)
 	}
 }
 
 func TestShedBatchMidRuns(t *testing.T) {
-	sig := &fakeShed{}
-	e, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: true, Sched: sig})
+	var shed atomic.Bool
+	e, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +103,10 @@ func TestShedBatchMidRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sig.shed.Store(true)
-	spec := sched.WithHint(context.Background(), sched.Hint{Lane: sched.LaneSpeculative})
+	shed.Store(true)
+	spec := shedding(&shed)
 	if err := p.Swap(spec, "batch-prefetch", ids, false, 0); !errors.Is(err, ErrShed) {
-		t.Fatalf("speculative batch prefetch under shed: %v, want ErrShed", err)
+		t.Fatalf("batch prefetch under a firing yield: %v, want ErrShed", err)
 	}
 	for _, id := range ids {
 		if st := p.BlockState(id); st != Swapped {
@@ -134,7 +119,7 @@ func TestShedBatchMidRuns(t *testing.T) {
 
 	// The shed is load shedding, not failure: the same request resubmits
 	// cleanly once the backlog clears.
-	sig.shed.Store(false)
+	shed.Store(false)
 	if err := p.Swap(spec, "batch-prefetch", ids, false, 0); err != nil {
 		t.Fatalf("resubmitted batch prefetch: %v", err)
 	}

@@ -337,16 +337,16 @@ func TestCleanSwapOutCommitsCleanCopy(t *testing.T) {
 	}
 }
 
-// TestCleanCopyDroppedOnMismatch: a swap-out with another codec, another
-// launch, or raw after a codec drops the clean copy and stores afresh, and
-// the fresh blob is byte for byte what a fresh executor stores for the same
-// bytes with that codec at that launch.
+// TestCleanCopyDroppedOnMismatch: a swap-out with another codec, or raw
+// after a codec, or a codec after raw, drops the clean copy and stores
+// afresh, and the fresh blob is byte for byte what a fresh executor stores
+// for the same bytes with that codec.
 func TestCleanCopyDroppedOnMismatch(t *testing.T) {
 	want := sealPayload(3<<14 + 5)
 	e := newTestExecutor(t, 1<<22, 1<<22)
 	h := cycleSealed(t, e, "sealed", want, compress.ZVC)
-	fresh := func(alg compress.Algorithm, launch compress.Launch) []byte {
-		f, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: true, Launch: launch})
+	fresh := func(alg compress.Algorithm) []byte {
+		f, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: true, Launch: e.Launch()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,28 +359,20 @@ func TestCleanCopyDroppedOnMismatch(t *testing.T) {
 		}
 		return storedOf(g).blob
 	}
-	one := compress.Launch{Grid: 1, Block: 64}
-	for i, step := range []struct {
-		alg    compress.Algorithm
-		launch compress.Launch
-	}{
-		{compress.Huffman, e.Launch()}, // another codec
-		{compress.Huffman, one},        // another launch
-		{compress.Auto, one},           // raw after a codec
-		{compress.ZVC, one},            // a codec after raw
+	for i, alg := range []compress.Algorithm{
+		compress.Huffman, // another codec
+		compress.Auto,    // raw after a codec
+		compress.ZVC,     // a codec after raw
 	} {
-		if err := e.SetLaunch(step.launch); err != nil {
-			t.Fatal(err)
-		}
 		drops, clean := e.ins.cleanDrops.Value(), e.ins.cleanSwapOuts.Value()
-		if err := swapOutWith(e, h, step.alg); err != nil {
+		if err := swapOutWith(e, h, alg); err != nil {
 			t.Fatal(err)
 		}
 		if e.ins.cleanDrops.Value() != drops+1 || e.ins.cleanSwapOuts.Value() != clean {
-			t.Fatalf("step %d: %s at %v did not drop the clean copy", i, codecName(step.alg), step.launch)
+			t.Fatalf("step %d: %s did not drop the clean copy", i, codecName(alg))
 		}
-		if !bytes.Equal(storedOf(h).blob, fresh(step.alg, step.launch)) {
-			t.Fatalf("step %d: %s at %v stored another blob than a fresh executor", i, codecName(step.alg), step.launch)
+		if !bytes.Equal(storedOf(h).blob, fresh(alg)) {
+			t.Fatalf("step %d: %s stored another blob than a fresh executor", i, codecName(alg))
 		}
 		if st := e.HostStats(); st.Cached != 0 || st.Used != int64(len(storedOf(h).blob)) {
 			t.Fatalf("step %d: host pool %+v", i, st)

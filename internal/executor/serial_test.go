@@ -13,20 +13,14 @@ import (
 
 	"cswap/internal/compress"
 	"cswap/internal/metrics"
-	"cswap/internal/sched"
 	"cswap/internal/tensor"
 )
 
-// shedAfter is a ShedSignal that lets the first n run boundaries of
-// speculative work pass and sheds at every later one.
-type shedAfter struct {
-	n, calls, preempts atomic.Int64
+// shedAfter returns a yield function that lets the first n run boundaries
+// pass and fires at every later one; calls counts the boundaries it saw.
+func shedAfter(n int64, calls *atomic.Int64) func() bool {
+	return func() bool { return calls.Add(1) > n }
 }
-
-func (s *shedAfter) ShouldShed(l sched.Lane) bool {
-	return l == sched.LaneSpeculative && s.calls.Add(1) > s.n.Load()
-}
-func (s *shedAfter) Preempted() { s.preempts.Add(1) }
 
 // wantStates checks that the first run of ids — its first two blocks — is
 // in first, the state its run committed, and every later block in rest.
@@ -43,15 +37,13 @@ func wantStates(t *testing.T, p *BlockPool, ids []int, first, rest State) {
 	}
 }
 
-// TestSwapShedsMidRuns: a speculative Swap runs its first run, then yields
-// at the next boundary with ErrShed — the runs not yet started roll back to
-// the state they were claimed from (Swapped for a prefetch, Resident for a
-// swap-out), the started one stays committed, and the preemption is
-// counted once with the runs it shed.
+// TestSwapShedsMidRuns: a Swap whose yield fires at its second run boundary
+// runs its first run, then stops with ErrShed — the runs not yet started
+// roll back to the state they were claimed from (Swapped for a prefetch,
+// Resident for a swap-out), the started one stays committed, and the
+// preemption is counted once with the runs it shed.
 func TestSwapShedsMidRuns(t *testing.T) {
-	sig := &shedAfter{}
-	sig.n.Store(1)
-	e, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: true, Sched: sig})
+	e, err := New(Config{DeviceCapacity: 1 << 22, HostCapacity: 1 << 22, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,29 +61,33 @@ func TestSwapShedsMidRuns(t *testing.T) {
 	if err := p.Swap(bg, "batch-swap-out", ids, true, compress.RLE); err != nil {
 		t.Fatal(err)
 	}
-	spec := sched.WithHint(bg, sched.Hint{Lane: sched.LaneSpeculative})
+	var calls atomic.Int64
+	spec := WithYield(bg, shedAfter(1, &calls))
 	if err := p.Swap(spec, "batch-prefetch", ids, false, 0); !errors.Is(err, ErrShed) {
-		t.Fatalf("speculative batch prefetch under shed: %v, want ErrShed", err)
+		t.Fatalf("batch prefetch under a yield firing at its second run: %v, want ErrShed", err)
 	}
 	wantStates(t, p, ids, Resident, Swapped)
 	if v := counterValue(t, e, "executor_sched_shed_runs_total"); v != 2 {
 		t.Fatalf("executor_sched_shed_runs_total = %v, want 2", v)
 	}
-	if v := counterValue(t, e, "executor_sched_preemptions_total"); v != 1 || sig.preempts.Load() != 1 {
-		t.Fatalf("preemptions: executor %v, signal %d, want 1 each", v, sig.preempts.Load())
+	if v := counterValue(t, e, "executor_sched_preemptions_total"); v != 1 {
+		t.Fatalf("executor_sched_preemptions_total = %v, want 1", v)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("yield asked at %d run boundaries, want 2 (it fired at the second)", n)
 	}
 
-	// The same hint sheds a swap-out's remaining runs back to Resident.
-	sig.calls.Store(0)
+	// The same yield sheds a swap-out's remaining runs back to Resident.
+	calls.Store(0)
 	if err := p.Swap(bg, "batch-swap-in", ids, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Swap(spec, "batch-swap-out", ids, true, compress.RLE); !errors.Is(err, ErrShed) {
-		t.Fatalf("speculative batch swap-out under shed: %v, want ErrShed", err)
+		t.Fatalf("batch swap-out under a yield firing at its second run: %v, want ErrShed", err)
 	}
 	wantStates(t, p, ids, Swapped, Resident)
 
-	// Hint-less work is never shed; the batch restores whole and bit-exact,
+	// Work without a yield is never shed; the batch restores whole and bit-exact,
 	// and no run of any of these calls went to the worker pool.
 	if err := p.Swap(bg, "batch-swap-in", ids, false, 0); err != nil {
 		t.Fatal(err)

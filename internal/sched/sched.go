@@ -1,9 +1,8 @@
 // Package sched is the SLO-aware admission scheduler: a small-N
 // priority-lane queue that decides which swap requests get the service's
-// bounded concurrency slots, and in what order. It sits between the
-// server's refuse-don't-queue admission layers and the executor's async
-// gate — the one place in the stack where *waiting* is allowed, so the
-// wait has to be principled:
+// bounded concurrency slots, and in what order. It is the swap service's
+// one admission window — the one place in the stack where *waiting* is
+// allowed, so the wait has to be principled:
 //
 //   - Three lanes, strictly prioritized: LaneCritical (decode-blocking
 //     swap-ins) ahead of LaneNormal (ordinary swaps) ahead of
@@ -23,13 +22,16 @@
 //     on work whose SLO is already lost.
 //   - Starvation signal: ShouldShed reports whether speculative work
 //     should yield because a critical request has been queued past the
-//     starvation threshold. The executor consults it at run boundaries to
-//     shed in-flight speculative batches (DESIGN.md §16).
+//     starvation threshold. The server asks it at every run boundary of an
+//     admitted speculative swap, through the executor's yield hook, to
+//     shed the swap's remaining runs (DESIGN.md §16).
+//   - Barrier: Close fails the queued waiters and refuses new ones without
+//     blocking; Drain then waits until every admitted slot is released,
+//     which is how the server waits out the swaps its handlers run.
 //
 // The scheduler is deliberately ignorant of HTTP, frames, and the
-// executor: it hands out slots and errors, and carries lane/deadline
-// hints across API layers via a context carrier (WithHint/HintFrom) so
-// executor signatures stay unchanged.
+// executor: it hands out slots and errors and answers the starvation
+// question; the server wires that answer into the executor.
 package sched
 
 import (
@@ -56,7 +58,7 @@ const (
 	LaneNormal
 	// LaneSpeculative is for work that is useful but optional right now:
 	// prefetch and read-ahead. It runs only when nothing above it waits,
-	// and is the only lane the executor will shed mid-batch.
+	// and is the only lane the server sheds mid-batch.
 	LaneSpeculative
 	// NumLanes bounds the lane space; wire and flag parsing validate
 	// against it.
@@ -177,6 +179,8 @@ type instruments struct {
 // Scheduler hands out admission slots by lane priority and deadline.
 type Scheduler struct {
 	mu     sync.Mutex
+	idle   sync.Cond // on mu; broadcast when the last held slot is released
+	slots  int
 	free   int
 	seq    uint64
 	lanes  [NumLanes]laneHeap
@@ -191,7 +195,8 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Slots <= 0 {
 		return nil, fmt.Errorf("sched: Slots must be positive, got %d", cfg.Slots)
 	}
-	s := &Scheduler{free: cfg.Slots, starve: cfg.StarveAfter}
+	s := &Scheduler{slots: cfg.Slots, free: cfg.Slots, starve: cfg.StarveAfter}
+	s.idle.L = &s.mu
 	if s.starve <= 0 {
 		s.starve = DefaultStarveAfter
 	}
@@ -351,12 +356,15 @@ func (s *Scheduler) releaseLocked() {
 		return
 	}
 	s.free++
+	if s.free == s.slots {
+		s.idle.Broadcast()
+	}
 }
 
 // ShouldShed reports whether work admitted on lane should yield its
 // remaining slot time: true only for LaneSpeculative, and only while some
 // critical request has been queued longer than the starvation threshold.
-// The executor consults it between runs of a speculative batch.
+// The server asks it between the runs of an admitted speculative swap.
 func (s *Scheduler) ShouldShed(lane Lane) bool {
 	if lane != LaneSpeculative {
 		return false
@@ -373,7 +381,7 @@ func (s *Scheduler) ShouldShed(lane Lane) bool {
 }
 
 // Preempted records that in-flight work was shed in favor of a starved
-// critical request (the executor calls it once per shed batch).
+// critical request (the server calls it once per shed swap).
 func (s *Scheduler) Preempted() { s.ins.preempts.Inc() }
 
 // Depth returns how many requests are queued in lane (not counting
@@ -387,8 +395,27 @@ func (s *Scheduler) Depth(lane Lane) int {
 	return len(s.lanes[lane])
 }
 
+// Held returns how many admitted slots are not yet released.
+func (s *Scheduler) Held() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.slots - s.free
+}
+
+// Drain blocks until every admitted slot has been released. After Close,
+// which admits nothing more, it returns once the last holder's Release
+// does; before Close, new admissions can extend the wait.
+func (s *Scheduler) Drain() {
+	s.mu.Lock()
+	for s.free < s.slots {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
+}
+
 // Close fails all queued waiters with ErrClosed and makes further
-// Acquires refuse. Admitted slots may still Release afterwards.
+// Acquires refuse. It does not wait: admitted slots may still Release
+// afterwards, and Drain waits for them.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

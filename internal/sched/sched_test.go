@@ -250,6 +250,51 @@ func TestCloseFailsWaiters(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForLastRelease: Close fails the queued waiters at once and
+// does not wait for the admitted slots; Drain returns only after the last
+// of them is released.
+func TestDrainWaitsForLastRelease(t *testing.T) {
+	s := newTest(t, Config{Slots: 2})
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if err := s.Acquire(ctx, LaneNormal, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errc := make(chan error, 2)
+	go func() { errc <- s.Acquire(ctx, LaneCritical, time.Time{}) }()
+	go func() { errc <- s.Acquire(ctx, LaneSpeculative, time.Time{}) }()
+	waitDepth(t, s, LaneCritical, 1)
+	waitDepth(t, s, LaneSpeculative, 1)
+	s.Close() // must not block on the two held slots
+	for i := 0; i < 2; i++ {
+		if err := <-errc; !errors.Is(err, ErrClosed) {
+			t.Fatalf("queued waiter at Close: %v, want ErrClosed", err)
+		}
+	}
+	if n := s.Held(); n != 2 {
+		t.Fatalf("Held after Close = %d, want 2", n)
+	}
+	drained := make(chan struct{})
+	go func() { s.Drain(); close(drained) }()
+	for i := 2; i > 0; i-- {
+		select {
+		case <-drained:
+			t.Fatalf("Drain returned with %d slots held", i)
+		case <-time.After(20 * time.Millisecond):
+		}
+		s.Release()
+	}
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain did not return after the last Release")
+	}
+	if n := s.Held(); n != 0 {
+		t.Fatalf("Held after Drain = %d, want 0", n)
+	}
+}
+
 func TestShouldShed(t *testing.T) {
 	s := newTest(t, Config{Slots: 1, StarveAfter: 5 * time.Millisecond})
 	ctx := context.Background()
@@ -348,16 +393,5 @@ func TestStarvationUnderSpeculativeLoad(t *testing.T) {
 	p99 := waits[criticals*99/100]
 	if p99 > time.Second {
 		t.Fatalf("critical p99 queue wait %v; starvation bound blown", p99)
-	}
-}
-
-func TestHintRoundTrip(t *testing.T) {
-	if _, ok := HintFrom(context.Background()); ok {
-		t.Fatal("hint from bare context")
-	}
-	want := Hint{Lane: LaneCritical, Deadline: time.Unix(1000, 0)}
-	got, ok := HintFrom(WithHint(context.Background(), want))
-	if !ok || got != want {
-		t.Fatalf("hint round trip: got %+v ok=%v", got, ok)
 	}
 }

@@ -196,7 +196,7 @@ func (c *Cluster) Drain() {
 }
 
 // Close shuts the cluster down: stop intake everywhere, then close each
-// shard (which drains its executor's in-flight window first).
+// shard (which waits out its admitted swaps first).
 func (c *Cluster) Close() error {
 	c.Drain()
 	var first error

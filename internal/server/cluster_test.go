@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"cswap/client"
-	"cswap/internal/compress"
 	"cswap/internal/metrics"
 	"cswap/internal/placement"
 	"cswap/internal/server"
@@ -261,25 +260,6 @@ func TestClusterLiveDrainBitExact(t *testing.T) {
 						tn, name, j, got[j], ref[j], ti)
 				}
 			}
-		}
-	}
-}
-
-// TestClusterPerShardLaunch verifies launch geometry is a per-shard knob:
-// retuning one shard's executor leaves the others' untouched.
-func TestClusterPerShardLaunch(t *testing.T) {
-	base := compress.Launch{Grid: 4, Block: 64}
-	cl, _ := newTestCluster(t, server.WithLaunch(base))
-	retuned := compress.Launch{Grid: 16, Block: 128}
-	if err := cl.Shard(1).Executor().SetLaunch(retuned); err != nil {
-		t.Fatal(err)
-	}
-	if got := cl.Shard(1).Executor().Launch(); got != retuned {
-		t.Errorf("shard 1 launch = %+v, want %+v", got, retuned)
-	}
-	for _, i := range []int{0, 2} {
-		if got := cl.Shard(i).Executor().Launch(); got != base {
-			t.Errorf("shard %d launch = %+v, want base %+v (leaked from shard 1)", i, got, base)
 		}
 	}
 }

@@ -2,7 +2,8 @@ package server
 
 // Tests for served swaps running in their handler's goroutine: nothing is
 // handed to the executor's worker pool, a client that gives up leaves
-// nothing held, speculative work sheds at run boundaries of the handler's
+// nothing held, Close waits out a swap a handler is still running,
+// speculative work — and only it — sheds at run boundaries of the handler's
 // own loop, and two callers sharing a tier never see each other's
 // demotions as contention. `make race` and CI's race step run them under
 // -race.
@@ -144,9 +145,9 @@ func TestServedSwapsRunInHandler(t *testing.T) {
 
 // TestCanceledSwapInLeavesNothingHeld: a client that gives up mid swap-in
 // sees its own context error; the swap still commits in the handler, which
-// then releases the entry and both slots, so the next request on the tensor
-// succeeds without a 409. Once the listener is closed, Close returns with
-// no slot held.
+// then releases the entry and its admission slot, so the next request on
+// the tensor succeeds without a 409. Once the listener is closed, Close
+// returns with no slot held.
 func TestCanceledSwapInLeavesNothingHeld(t *testing.T) {
 	inj := faultinject.New(faultinject.Fault{Site: faultinject.SiteDecode, Mode: faultinject.Delay, Delay: 100 * time.Millisecond})
 	s, err := NewServer(WithDeviceCapacity(64<<20), WithHostCapacity(64<<20), WithVerify(true),
@@ -184,7 +185,7 @@ func TestCanceledSwapInLeavesNothingHeld(t *testing.T) {
 			return false
 		}
 		ent.mu.Unlock()
-		return s.exec.InFlight() == 0
+		return s.sched.Held() == 0
 	})
 	if st := ent.obj.p.BlockState(0); st != executor.Resident {
 		t.Fatalf("tensor state %v after the canceled swap-in, want Resident (it ran to commit)", st)
@@ -203,21 +204,62 @@ func TestCanceledSwapInLeavesNothingHeld(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Executor().InFlight(); n != 0 {
-		t.Fatalf("InFlight after Close = %d, want 0", n)
+	if n := s.sched.Held(); n != 0 {
+		t.Fatalf("admission slots held after Close = %d, want 0", n)
 	}
 }
 
-// TestServedPrefetchShedsForCritical: a speculative batch-prefetch of many
-// tiered runs holds the only slot, each run's decode slowed by a fault; a
-// critical swap-in queues behind it past StarveAfter. The prefetch yields at
-// a run boundary of its handler's loop — 429 saturated after at least one
-// run, its remaining runs back to Swapped — and the critical swap-in then
-// restores bit-exact.
+// TestCloseWaitsOutServedSwap: Close, called while a handler is mid
+// swap-out and the listener still accepts, returns only once that swap has
+// committed — the admission barrier (sched.Scheduler.Drain) is what waits
+// for it, since a served swap holds no slot of the executor's window — and
+// the handler still answers its client.
+func TestCloseWaitsOutServedSwap(t *testing.T) {
+	inj := faultinject.New(faultinject.Fault{Site: faultinject.SiteEncode, Mode: faultinject.Delay, Delay: 150 * time.Millisecond, Every: 1})
+	// The 16 KiB tensor is one chunk (compress.ChunkCount), so the delay is
+	// paid once.
+	s, err := NewServer(WithDeviceCapacity(64<<20), WithHostCapacity(64<<20), WithVerify(true),
+		WithRetryAfter(time.Millisecond), WithFaults(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	cl := client.New(hs.URL, client.WithRetry(0, 0))
+	ctx := context.Background()
+	if err := cl.Register(ctx, "t", tensor.NewGenerator(5).Uniform(4096, 0.5).Data); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cl.SwapOut(ctx, "t", client.WithCodec(client.ZVC)) }()
+	waitFor(t, "the swap-out to start encoding", func() bool { return inj.Stats().Delays > 0 })
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Executor().Stats().SwapOuts; n != 1 {
+		t.Fatalf("swap-outs at Close's return = %d, want 1: Close did not wait for the handler's swap", n)
+	}
+	if n := s.sched.Held(); n != 0 {
+		t.Fatalf("admission slots held after Close = %d, want 0", n)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("swap-out in flight across Close: %v", err)
+	}
+}
+
+// TestServedPrefetchShedsForCritical: three batch swap-ins of many runs
+// hold the three slots, each run's decode slowed by a fault — a speculative
+// prefetch, a normal-lane and a critical-lane swap-in — and two critical
+// swap-ins queue behind them past StarveAfter. The prefetch yields at a run
+// boundary of its handler's loop — 429 saturated after at least one run,
+// its remaining runs back to Swapped — and the first critical swap-in takes
+// its slot. The second stays starved while the other two batches run on:
+// neither sheds, both restore whole and bit-exact, and so do the two
+// critical swap-ins. Exactly one preemption is counted.
 func TestServedPrefetchShedsForCritical(t *testing.T) {
-	// Every decode — one per run, none before the prefetch — sleeps.
+	// Every decode — one per run, none before the batches — sleeps.
 	inj := faultinject.New(faultinject.Fault{Site: faultinject.SiteDecode, Mode: faultinject.Delay, Delay: 20 * time.Millisecond, Every: 1})
-	s, url := newInternalServer(t, WithMaxInFlight(1), WithTierDir(t.TempDir()), WithFaults(inj),
+	s, url := newInternalServer(t, WithMaxInFlight(3), WithTierDir(t.TempDir()), WithFaults(inj),
 		WithSched(SchedConfig{Enabled: true, StarveAfter: 2 * time.Millisecond}))
 	cl := client.New(url, client.WithRetry(0, 0))
 	ctx := context.Background()
@@ -227,15 +269,19 @@ func TestServedPrefetchShedsForCritical(t *testing.T) {
 	for id := 0; id < numBlocks; id += 2 { // 16 runs
 		ids = append(ids, id)
 	}
-	blocks := tensor.NewGenerator(7).Uniform(len(ids)*blockElems, 0.7).Data
-	if err := cl.RegisterPool(ctx, "kv", blockElems, numBlocks); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.WriteBlocks(ctx, "kv", ids, blocks); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.SwapOutBlocks(ctx, "kv", ids, client.WithCodec(client.ZVC)); err != nil {
-		t.Fatal(err)
+	pools := []string{"kv", "normal", "critical"}
+	written := map[string][]float32{}
+	for i, name := range pools {
+		written[name] = tensor.NewGenerator(int64(7+i)).Uniform(len(ids)*blockElems, 0.7).Data
+		if err := cl.RegisterPool(ctx, name, blockElems, numBlocks); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.WriteBlocks(ctx, name, ids, written[name]); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.SwapOutBlocks(ctx, name, ids, client.WithCodec(client.ZVC)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	kv, err := s.session(DefaultTenant).lookup("kv")
 	if err != nil {
@@ -244,24 +290,61 @@ func TestServedPrefetchShedsForCritical(t *testing.T) {
 	if moved, err := kv.obj.p.DemoteSwapped(); err != nil || moved == 0 {
 		t.Fatalf("demoting the pool's runs moved %d bytes (%v)", moved, err)
 	}
-	hot := tensor.NewGenerator(8).Uniform(4096, 0.5).Data
-	if err := cl.Register(ctx, "hot", hot); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.SwapOut(ctx, "hot", client.WithCodec(client.ZVC)); err != nil {
-		t.Fatal(err)
+	hot := map[string][]float32{}
+	for i, name := range []string{"hot", "hot2"} {
+		hot[name] = tensor.NewGenerator(int64(20+i)).Uniform(4096, 0.5).Data
+		if err := cl.Register(ctx, name, hot[name]); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.SwapOut(ctx, name, client.WithCodec(client.ZVC)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	prefetched := make(chan error, 1)
 	go func() { prefetched <- cl.PrefetchBlocks(ctx, "kv", ids) }()
 	waitFor(t, "the prefetch's first run to decode", func() bool { return inj.Stats().Delays > 0 })
-	got, err := cl.SwapIn(ctx, "hot", client.WithLane(client.LaneCritical), client.WithDeadline(10*time.Second))
-	if err != nil || !sameFloats(got, hot) {
-		t.Fatalf("critical swap-in: %v, or its bytes differ", err)
+	restored := map[string]chan error{}
+	for _, name := range pools[1:] {
+		var opts []client.SwapOption
+		if name == "critical" {
+			opts = append(opts, client.WithLane(client.LaneCritical))
+		}
+		restored[name] = make(chan error, 1)
+		go func() {
+			bd, err := cl.SwapInBlocks(ctx, name, ids, opts...)
+			for i, id := range ids {
+				if err != nil {
+					break
+				}
+				if got, _ := bd.Block(id); !sameFloats(got, written[name][i*blockElems:(i+1)*blockElems]) {
+					err = fmt.Errorf("block %d differs from the written one", id)
+				}
+			}
+			restored[name] <- err
+		}()
+	}
+	waitFor(t, "all three batches to hold a slot", func() bool { return s.sched.Held() == 3 })
+	var wg sync.WaitGroup
+	for name, want := range hot {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := cl.SwapIn(ctx, name, client.WithLane(client.LaneCritical), client.WithDeadline(10*time.Second))
+			if err != nil || !sameFloats(got, want) {
+				t.Errorf("critical swap-in of %s: %v, or its bytes differ", name, err)
+			}
+		}()
 	}
 	if err := <-prefetched; !errors.Is(err, client.ErrSaturated) {
 		t.Fatalf("shed prefetch: %v, want ErrSaturated (429 saturated)", err)
 	}
+	for _, name := range pools[1:] {
+		if err := <-restored[name]; err != nil {
+			t.Errorf("%s-lane batch swap-in under a starved critical waiter: %v, want it run to commit", name, err)
+		}
+	}
+	wg.Wait()
 	resident, swapped := 0, 0
 	for _, id := range ids {
 		switch st := kv.obj.p.BlockState(id); st {
@@ -276,8 +359,10 @@ func TestServedPrefetchShedsForCritical(t *testing.T) {
 	if resident == 0 || swapped == 0 {
 		t.Fatalf("after the shed %d blocks resident, %d swapped: want both (shed after at least one run)", resident, swapped)
 	}
-	if v := schedCounter(t, s, "executor_sched_preemptions_total"); v != 1 {
-		t.Fatalf("executor_sched_preemptions_total = %v, want 1", v)
+	for _, name := range []string{"executor_sched_preemptions_total", "server_sched_preemptions_total"} {
+		if v := schedCounter(t, s, name); v != 1 {
+			t.Fatalf("%s = %v, want 1", name, v)
+		}
 	}
 	if v := schedCounter(t, s, "executor_sched_shed_runs_total"); v != float64(swapped) {
 		t.Fatalf("executor_sched_shed_runs_total = %v, want %d (the runs left Swapped)", v, swapped)

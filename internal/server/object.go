@@ -156,7 +156,7 @@ func (o object) write(f *wire.Frame) (covered float64, err error) {
 }
 
 // restoreAll, the migration's first half, makes everything resident —
-// serially, in the caller's goroutine, taking no slot of the async window —
+// serially, in the caller's goroutine, taking no admission slot —
 // and returns the swap-out request that puts back what had been swapped:
 // reswap runs it, here or on the copy a migration built (nil: nothing had
 // been).

@@ -39,10 +39,10 @@ type config struct {
 
 // SchedConfig configures a shard's admission scheduler (internal/sched):
 // MaxInFlight slots handed out by lane priority — critical ahead of normal
-// ahead of speculative, earliest deadline first within a lane — with the
-// executor shedding in-flight speculative prefetch work at run boundaries
-// while a critical waiter starves. The scheduler always runs; Enabled only
-// selects how deep its lanes queue.
+// ahead of speculative, earliest deadline first within a lane — with
+// in-flight speculative swaps shed at run boundaries while a critical
+// waiter starves. The scheduler always runs; Enabled only selects how deep
+// its lanes queue.
 type SchedConfig struct {
 	// Enabled false gives every lane depth zero: a request that finds all
 	// MaxInFlight slots taken is refused at once with 429 "saturated",
@@ -66,15 +66,14 @@ func WithDeviceCapacity(b int64) Option { return func(c *config) { c.deviceCapac
 // WithHostCapacity sizes each shard's host (swap-target) pool in bytes.
 func WithHostCapacity(b int64) Option { return func(c *config) { c.hostCapacity = b } }
 
-// WithMaxInFlight bounds each shard's admission slots and, equally, its
-// executor window: at most this many swap requests run at once, each in its
-// handler under one slot of each, however many runs its batch has. Zero
-// selects the executor default.
+// WithMaxInFlight bounds each shard's admission slots: at most this many
+// swap requests run at once, each in its handler under one slot, however
+// many runs its batch has. Zero selects executor.DefaultMaxInFlight.
 func WithMaxInFlight(n int) Option { return func(c *config) { c.maxInFlight = n } }
 
-// WithLaunch sets each shard's initial codec partitioning geometry (zero
-// selects the executor default); a shard's tuner may re-probe and move its
-// own geometry independently.
+// WithLaunch sets each shard's codec partitioning geometry, fixed for the
+// shard's life (zero selects the executor default). The tuner picks codecs
+// only: the launch is tuned offline, against the GPU kernel model.
 func WithLaunch(l compress.Launch) Option { return func(c *config) { c.launch = l } }
 
 // WithVerify enables the executor's post-restore checksum check.

@@ -22,29 +22,28 @@
 //   - Per-tenant device-memory quotas, charged at register time before the
 //     shared pool is touched, so tenants fail individually, not each other.
 //   - One admission path for every swap: the scheduler (internal/sched),
-//     always present, with as many slots as the executor's MaxInFlight. A
-//     request takes a free slot or joins its lane's bounded
+//     always present, with WithMaxInFlight slots — the only window a served
+//     swap holds. A request takes a free slot or joins its lane's bounded
 //     earliest-deadline-first queue, keyed by the wire frame's lane/deadline
 //     hint; a full lane answers 429 + Retry-After, a deadline that passes
 //     while queued answers 429 "expired", critical work jumps queued
-//     speculative work, and in-flight speculative prefetches shed at run
-//     boundaries when critical work starves. SchedConfig.Enabled selects
-//     only the queue depth: false is depth zero — all slots taken means 429
-//     at once, the refuse-don't-queue face of the executor window's
-//     backpressure.
+//     speculative work, and in-flight speculative swaps shed at run
+//     boundaries when critical work starves (the executor's yield hook,
+//     executor.WithYield). SchedConfig.Enabled selects only the queue
+//     depth: false is depth zero — all slots taken means 429 at once.
 //   - Per-name request locks that answer 409 "busy" on contention — the
 //     executor's ErrBusy discipline surfaced at the HTTP boundary, and the
 //     guarantee that a response encodes an object no concurrent request is
 //     mutating.
 //
 // A swap runs in its handler's goroutine, from admission to commit: the
-// handler holds one admission slot and one slot of the executor's window for
-// the whole request and drives the executor's synchronous run loop itself
-// (executor.BlockPool.Swap), so no run is handed to a worker pool.
+// handler holds one admission slot for the whole swap and drives the
+// executor's synchronous run loop itself (executor.BlockPool.Swap), so no
+// run is handed to a worker pool. The executor's launch is fixed at boot.
 //
-// Shutdown is ordered: stop intake (everything answers 503), let in-flight
-// handlers finish their swaps, Drain() the executor's window — the barrier
-// for any slot a handler still holds — then Close it.
+// Shutdown is ordered: stop intake (everything answers 503), fail the
+// queued admission waiters, wait until every admitted swap has released
+// its slot (sched.Scheduler.Drain), then close the executor.
 package server
 
 import (
@@ -119,6 +118,9 @@ type Server struct {
 	obs   *metrics.Observer
 	ins   instruments
 	sched *sched.Scheduler // admission: MaxInFlight slots, per-lane queues
+	// yield is the run-boundary check attached to every speculative swap:
+	// it fires while a critical waiter starves (shedSpeculative).
+	yield func() bool
 	mux   *http.ServeMux
 	tuner *tuner
 	// staging pools the buffers batch-write payloads decode into and
@@ -180,14 +182,10 @@ func newServer(cfg config) (*Server, error) {
 		HostCapacity:   cfg.hostCapacity,
 		Launch:         cfg.launch,
 		Verify:         cfg.verify,
-		MaxInFlight:    cfg.maxInFlight,
 		Faults:         cfg.faults,
 		Tier:           ts,
 		TierWatermark:  cfg.tierWatermark,
 		Observer:       cfg.observer,
-		// The scheduler doubles as the executor's shed signal — signal
-		// only, never slot acquisition, so the two windows cannot deadlock.
-		Sched: schd,
 	})
 	if err != nil {
 		_ = ts.Close()
@@ -207,6 +205,7 @@ func newServer(cfg config) (*Server, error) {
 		sched:    schd,
 		sessions: map[string]*session{},
 	}
+	s.yield = s.shedSpeculative
 	s.mux = http.NewServeMux()
 	for typ := range wire.Ops {
 		if op := &wire.Ops[typ]; op.Path != "" {
@@ -236,7 +235,7 @@ func (s *Server) Registry() *metrics.Registry { return s.ins.reg }
 
 // Drain stops intake: every subsequent /v1/ request (and /healthz) answers
 // 503 with the draining code. In-flight requests are unaffected: each
-// finishes its swap under the one executor window slot it holds.
+// finishes its swap under the admission slot it holds.
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true
@@ -244,23 +243,20 @@ func (s *Server) Drain() {
 }
 
 // Close shuts the service down in order: stop intake, wait out the swaps
-// handlers still run (the executor's Drain barrier: each holds a window
-// slot), then close the executor and the spill tier, whose scratch file
-// goes with it. The HTTP listener's own shutdown — waiting for handlers to
-// return — is the caller's first step (http.Server.Shutdown), so by the
-// time Close's Drain runs, no handler is still swapping.
+// handlers still run — each holds an admission slot until its swap has
+// committed — then close the executor and the spill tier, whose scratch
+// file goes with it. It does not need the HTTP listener closed first: a
+// handler mid-swap when Close starts has committed its swap by the time
+// Close returns.
 func (s *Server) Close() error {
 	s.Drain()
 	if s.tuner != nil {
-		// Stop the tuner before the executor drains: a probe never races
-		// shutdown, and no SetLaunch lands on a closing executor.
-		s.tuner.Stop()
+		s.tuner.Stop() // no probe races shutdown
 	}
-	// Fail queued admission waiters (503 draining) before the drain
-	// barrier, so no handler is left waiting on a lane that will never be
-	// granted.
+	// Fail queued admission waiters (503 draining) before the barrier, so
+	// no handler is left waiting on a lane that will never be granted.
 	s.sched.Close()
-	s.exec.Drain()
+	s.sched.Drain()
 	// The tier closes last: the executor's watermark demoter has stopped.
 	return errors.Join(s.exec.Close(), s.tier.Close())
 }
@@ -534,38 +530,32 @@ func (s *Server) demoteForAdmit(sess *session, need int64) bool {
 	return sess.deviceHeadroom(need)
 }
 
-// hintOf derives a request's scheduling hint from the wire frame's
-// optional sched extension: without one the request rides its operation's
-// default lane (demand swaps normal, prefetches speculative) with no
-// deadline. The frame's relative
-// deadline becomes absolute here, at decode time.
-func hintOf(f *wire.Frame, fallback sched.Lane) sched.Hint {
-	h := sched.Hint{Lane: fallback}
-	if f.HasSched {
-		h.Lane = sched.Lane(f.Lane)
-		if f.DeadlineMicros > 0 {
-			h.Deadline = time.Now().Add(time.Duration(f.DeadlineMicros) * time.Microsecond)
-		}
+// hintOf derives a request's admission lane and deadline (zero: none) from
+// the wire frame's optional sched extension: without one the request rides
+// its operation's default lane (demand swaps normal, prefetches
+// speculative) with no deadline. The frame's relative deadline becomes
+// absolute here, at decode time.
+func hintOf(f *wire.Frame, fallback sched.Lane) (lane sched.Lane, deadline time.Time) {
+	if !f.HasSched {
+		return fallback, time.Time{}
 	}
-	return h
+	if f.DeadlineMicros > 0 {
+		deadline = time.Now().Add(time.Duration(f.DeadlineMicros) * time.Microsecond)
+	}
+	return sched.Lane(f.Lane), deadline
 }
 
 // admitReq claims one admission slot for a swap request: a free slot, or a
 // place in its lane's bounded EDF queue. A full lane (always, at depth zero)
 // answers 429 saturated immediately, a deadline that passes while queued
 // answers 429 "expired" (retrying the same deadline is pointless), and a
-// granted request proceeds holding one of the MaxInFlight slots — and one
-// of the executor window's, which the scheduler's count keeps free, so
-// taking it never waits — until s.release.
-func (s *Server) admitReq(w http.ResponseWriter, r *http.Request, h sched.Hint) bool {
-	err := s.sched.Acquire(r.Context(), h.Lane, h.Deadline)
+// granted request proceeds holding one of the MaxInFlight slots until its
+// swap's tail releases it.
+func (s *Server) admitReq(w http.ResponseWriter, r *http.Request, lane sched.Lane, deadline time.Time) bool {
+	err := s.sched.Acquire(r.Context(), lane, deadline)
 	switch {
 	case err == nil:
-		if err = s.exec.AcquireSlot(r.Context()); err == nil {
-			return true
-		}
-		s.sched.Release()
-		s.failErr(w, err)
+		return true
 	case errors.Is(err, sched.ErrExpired):
 		s.ins.backpressure.Inc()
 		fail(w, s.cfg.retryAfter, http.StatusTooManyRequests, CodeExpired, err.Error())
@@ -581,35 +571,43 @@ func (s *Server) admitReq(w http.ResponseWriter, r *http.Request, h sched.Hint) 
 	return false
 }
 
-// release returns a swap's executor window slot, then its admission slot,
-// so that the request the scheduler admits next finds a window slot free.
-func (s *Server) release() {
-	s.exec.ReleaseSlot()
-	s.sched.Release()
+// shedSpeculative is a speculative swap's yield function: it fires while a
+// critical waiter starves, and records the preemption the executor then
+// makes.
+func (s *Server) shedSpeculative() bool {
+	if !s.sched.ShouldShed(sched.LaneSpeculative) {
+		return false
+	}
+	s.sched.Preempted()
+	return true
 }
 
 // swapOp runs one admission-gated swap against the entry f names — a tensor
-// swap or a whole block batch, which claims ONE admission slot, one lane
-// entry and one executor window slot regardless of its block count — in the
-// handler's own goroutine, run after run (executor.BlockPool.Swap). The
-// entry must accept f's family of frames (acquireFor). A swap-out is priced
-// by its blocks, counted after coalescing. The hint picks the admission
-// lane/deadline and rides the operation context so the executor can shed
-// speculative work at run boundaries. A client that gives up mid-operation
-// does not stop it: the swap runs to commit, holding the entry and the
-// slots until it returns. On success the entry is returned still locked and
-// still holding the slots — the caller reads what it needs, then finishes
-// with swapAck or swapData.
+// swap or a whole block batch, which claims ONE admission slot and one lane
+// entry regardless of its block count — in the handler's own goroutine, run
+// after run (executor.BlockPool.Swap). The entry must accept f's family of
+// frames (acquireFor). A swap-out is priced by its blocks, counted after
+// coalescing. The frame's hint picks the admission lane/deadline; a swap
+// admitted on the speculative lane also carries s.yield, so it sheds at a
+// run boundary while critical work starves. A client that gives up
+// mid-operation does not stop it: the swap runs to commit, holding the
+// entry and the slot until it returns. On success the entry is returned
+// still locked and still holding the slot — the caller reads what it needs,
+// then finishes with swapAck or swapData.
 func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op, blocks int) (*entry, bool) {
 	ent, err := sess.acquireFor(f, s.cfg.retryAfter)
 	if err != nil {
 		s.failErr(w, err)
 		return nil, false
 	}
-	hint := hintOf(f, sched.Lane(op.Lane))
-	if !s.admitReq(w, r, hint) {
+	lane, deadline := hintOf(f, sched.Lane(op.Lane))
+	if !s.admitReq(w, r, lane, deadline) {
 		ent.mu.Unlock()
 		return nil, false
+	}
+	ctx := r.Context()
+	if lane == sched.LaneSpeculative {
+		ctx = executor.WithYield(ctx, s.yield)
 	}
 	var doCompress bool
 	var alg compress.Algorithm
@@ -617,26 +615,26 @@ func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f
 		sess.observeSwap(ent.sparsity, ent.obj.swapBytes(blocks))
 		doCompress, alg = s.resolveCodec(sess, ent, f.Compress, f.Alg)
 	}
-	if err := ent.obj.p.Swap(sched.WithHint(r.Context(), hint), op.Path, f.BlockIDs, doCompress, alg); err != nil {
+	if err := ent.obj.p.Swap(ctx, op.Path, f.BlockIDs, doCompress, alg); err != nil {
 		s.swapFail(w, ent, err)
 		return nil, false
 	}
 	return ent, true
 }
 
-// swapFail releases the entry and the slots a swapOp holds and answers with
+// swapFail releases the entry and the slot a swapOp holds and answers with
 // err.
 func (s *Server) swapFail(w http.ResponseWriter, ent *entry, err error) {
 	ent.mu.Unlock()
-	s.release()
+	s.sched.Release()
 	s.failErr(w, err)
 }
 
 // swapAck is the tail of every swap that answers with a bare ack: release
-// the entry and the slots, acknowledge.
+// the entry and the slot, acknowledge.
 func (s *Server) swapAck(w http.ResponseWriter, ent *entry, name string) {
 	ent.mu.Unlock()
-	s.release()
+	s.sched.Release()
 	s.ack(w, name)
 }
 
@@ -651,8 +649,8 @@ const (
 // swapData is the tail of the swaps that answer with the restored bytes,
 // served from the object's own memory: the frame is summed and written
 // under the entry lock, which still excludes concurrent mutation, so
-// nothing is staged or copied. The slots bound executor work, not socket
-// time, and go back first; the write deadline bounds how long a
+// nothing is staged or copied. The slot bounds executor work, not socket
+// time, and goes back first; the write deadline bounds how long a
 // stalled reader can hold the lock. The reader may send its next request
 // on the tensor before the write returns, so a request that finds the lock
 // held by the write waits for it, for up to its Retry-After hint, rather
@@ -664,7 +662,7 @@ const (
 // tails from run to run), so they are gathered into pooled staging and
 // leave as one piece, after the lock.
 func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame, segs [][]float32) {
-	s.release()
+	s.sched.Release()
 	if len(segs) > 1 {
 		n := 0
 		for _, seg := range segs {

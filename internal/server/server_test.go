@@ -308,8 +308,8 @@ func TestFaultDegradationKeepsSessionAlive(t *testing.T) {
 }
 
 // TestDrainAndShutdownOrdering verifies the shutdown contract: draining
-// stops intake with 503s, in-flight work completes, and Close returns
-// only after every ticket resolved.
+// stops intake with 503s, in-flight work completes, and Close returns with
+// every admission slot released.
 func TestDrainAndShutdownOrdering(t *testing.T) {
 	inj := faultinject.New(faultinject.Fault{
 		Site: faultinject.SiteEncode, Mode: faultinject.Delay,
@@ -341,8 +341,8 @@ func TestDrainAndShutdownOrdering(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Executor().InFlight(); n != 0 {
-		t.Errorf("in-flight after Close = %d, want 0", n)
+	if n := s.SchedHeld(); n != 0 {
+		t.Errorf("admission slots held after Close = %d, want 0", n)
 	}
 	st := s.Executor().Stats()
 	if st.SwapOuts != 1 {

@@ -3,9 +3,9 @@ package server
 // Online per-tenant self-tuning: the serving-layer closure of the paper's
 // offline loop. The offline pipeline (Sections IV-C/IV-D) trains time
 // predictors and tunes launch geometry once, before serving; this tuner
-// re-runs the same three ingredients — measured codec cost, the Section
-// IV-B cost model, and a launch search — continuously against the live
-// workload each tenant actually swaps:
+// re-runs its codec half — measured codec cost and the Section IV-B cost
+// model — continuously against the live workload each tenant actually
+// swaps:
 //
 //   - Every swap-out folds the tensor's sparsity and size into a per-tenant
 //     EWMA profile (session.observeSwap).
@@ -19,20 +19,17 @@ package server
 //     verdict whose realized cost exceeds its prediction by the rollback
 //     factor is reverted to the previous one — the self-correction the
 //     offline pipeline cannot do.
-//   - When a retune lands on a new codec, the launch grid is re-scanned
-//     (1, 2, 4, … while doubling still changes the probe's chunk count, at
-//     the current Block, which on the CPU changes neither the blob nor the
-//     worker count, so the paper's Bayesian search over (grid, block) buys
-//     nothing here) and the cheapest point is installed atomically on the
-//     executor (SetLaunch); in-flight decodes are unaffected because chunk
-//     bounds travel in the blob directory.
+//
+// The launch stays the one the shard booted with. Tuning it online on a
+// 64 Ki probe installed grid 1 in most scans, and grid 1 roughly doubles
+// every later multi-MiB swap's codec time on the shard, while the chunk
+// floor (compress.ChunkCount) already sizes chunking from each tensor
+// (EXPERIMENTS.md, "The launch scan that slowed every tenant").
 //
 // Everything the tuner concludes is observable: verdicts, codec switches,
-// rollbacks, re-probes, and the profile itself are registry series on
-// /metrics.
+// rollbacks, and the profile itself are registry series on /metrics.
 
 import (
-	"math"
 	"time"
 
 	"cswap/internal/compress"
@@ -119,9 +116,7 @@ type tuner struct {
 	verdicts  func(tenant, codec string) *metrics.Counter
 	switches  func(tenant string) *metrics.Counter
 	rollbacks func(tenant string) *metrics.Counter
-	reprobes  *metrics.Counter
 	sparsityG func(tenant string) *metrics.Gauge
-	gridG     *metrics.Gauge
 }
 
 func startTuner(s *Server, cfg TunerConfig) *tuner {
@@ -145,11 +140,9 @@ func startTuner(s *Server, cfg TunerConfig) *tuner {
 		rollbacks: func(tenant string) *metrics.Counter {
 			return reg.Counter("server_tuner_rollbacks_total", metrics.L("tenant", tenant))
 		},
-		reprobes: reg.Counter("server_tuner_reprobes_total"),
 		sparsityG: func(tenant string) *metrics.Gauge {
 			return reg.Gauge("server_tuner_sparsity", metrics.L("tenant", tenant))
 		},
-		gridG: reg.Gauge("server_tuner_launch_grid"),
 	}
 	go t.run()
 	return t
@@ -307,9 +300,6 @@ func (t *tuner) retune(sess *session, prof tenantProfile, cur verdict) {
 	if cur.valid && (cur.compress != v.compress || (v.compress && cur.alg != v.alg)) {
 		t.switches(sess.tenant).Inc()
 	}
-	if v.compress && (!cur.valid || cur.alg != v.alg) {
-		t.reprobeLaunch(v.alg)
-	}
 }
 
 // probe measures one codec on the probe tensor fillProbe last generated:
@@ -337,60 +327,6 @@ func (t *tuner) probe(alg compress.Algorithm, launch compress.Launch) (encSec, d
 func (t *tuner) fillProbe(sparsity float64) {
 	src := tensor.NewGenerator(probeSeed).Uniform(t.cfg.ProbeElems, sparsity)
 	t.probeSrc = src.Data
-}
-
-// launchObjective scores one launch-geometry probe: measured kernel
-// seconds plus the modeled link time of the blob that geometry actually
-// produced, out and back. Geometry changes the chunking, and chunking
-// changes the realized compressed size (per-chunk directories, broken
-// value runs), so scoring kernels alone would drift toward fragmenting
-// geometries whose faster kernels are paid back in transfer time.
-func launchObjective(kernelSec float64, compressedBytes int, linkBytesPerSec float64) float64 {
-	return kernelSec + 2*float64(compressedBytes)/linkBytesPerSec
-}
-
-// maxScanGrid is the launch scan's largest grid.
-const maxScanGrid = 1024
-
-// scanLaunch returns the cheapest launch at cur's Block among grids 1, 2,
-// 4, …, maxScanGrid for an n-element probe, as scored by score. It stops
-// once doubling the grid no longer changes the probe's chunk count
-// (compress.ChunkCount): past that point every grid encodes the same blob
-// and only noise could separate them. If the last grid scanned wins, the
-// chunk floor, not the probe, held the scan back, so it returns
-// maxScanGrid: a tensor larger than the probe is then not capped at the
-// probe's chunk count. If every probe fails it returns cur.
-func scanLaunch(cur compress.Launch, n int, score func(compress.Launch) (float64, error)) compress.Launch {
-	best, bestObj := cur, math.Inf(1)
-	for l := (compress.Launch{Grid: 1, Block: cur.Block}); ; l.Grid *= 2 {
-		last := l.Grid >= maxScanGrid || compress.ChunkCount(n, 2*l.Grid) == compress.ChunkCount(n, l.Grid)
-		if obj, err := score(l); err == nil && obj < bestObj {
-			best, bestObj = l, obj
-			if last {
-				best.Grid = maxScanGrid
-			}
-		}
-		if last {
-			return best
-		}
-	}
-}
-
-// reprobeLaunch scans the launch grid for the newly chosen codec on the
-// current probe tensor (scanLaunch, at the executor's Block) and installs
-// the cheapest atomically. In-flight operations are unaffected: each swap
-// reads the geometry once, and decode chunk bounds come from the blob
-// directory.
-func (t *tuner) reprobeLaunch(alg compress.Algorithm) {
-	best := scanLaunch(t.srv.exec.Launch(), len(t.probeSrc), func(l compress.Launch) (float64, error) {
-		encSec, decSec, _, err := t.probe(alg, l)
-		return launchObjective(encSec+decSec, len(t.probeBuf), t.cfg.LinkBytesPerSec), err
-	})
-	if err := t.srv.exec.SetLaunch(best); err != nil {
-		return
-	}
-	t.gridG.Set(float64(best.Grid))
-	t.reprobes.Inc()
 }
 
 func abs(x float64) float64 {

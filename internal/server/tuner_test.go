@@ -2,14 +2,11 @@ package server_test
 
 import (
 	"context"
-	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"cswap/client"
-	"cswap/internal/compress"
 	"cswap/internal/metrics"
 	"cswap/internal/server"
 	"cswap/internal/tensor"
@@ -28,9 +25,8 @@ import (
 //   - The probe matches the swapped tensors' size (scale factor 1), so
 //     kernel-time extrapolation adds no noise.
 //
-// The launch scan stays on. The probe is one chunk at every grid, so the
-// scan probes once and installs grid 1024, which still cuts these tensors
-// into one chunk: the verdicts hold.
+// The launch is the one the server boots with: at 64 KiB these tensors and
+// the probe are one chunk at every grid (compress.ChunkCount).
 func tunerTestTuner() server.TunerConfig {
 	return server.TunerConfig{
 		Enabled:         true,
@@ -190,63 +186,6 @@ func TestTunerSeesBlockPoolTraffic(t *testing.T) {
 	}
 	if encodes == 0 {
 		t.Error("executor_encode_seconds{codec=HUF} recorded no block-run encode")
-	}
-}
-
-// TestTunerReprobesLaunch exercises the geometry half of the loop: a new
-// compressing verdict triggers a launch grid scan, and its winner lands
-// atomically on the executor with the Block the server booted with. The
-// scan probes only grids whose chunk count at the probe's size differs from
-// the grid below: at 64 Ki elements that is 1, 2 and 4, and a win by 4 (the
-// chunk floor holding the scan back) installs 1024. A 16 Ki probe is one
-// chunk at every grid, so its single probe always installs 1024.
-func TestTunerReprobesLaunch(t *testing.T) {
-	for _, tc := range []struct {
-		probe int
-		want  []int
-	}{
-		{16 << 10, []int{1024}},
-		{64 << 10, []int{1, 2, 1024}},
-	} {
-		t.Run(fmt.Sprintf("probe-%dKi", tc.probe>>10), func(t *testing.T) {
-			cfg := tunerTestTuner()
-			cfg.ProbeElems = tc.probe
-			s, url := newTestServer(t,
-				server.WithLaunch(compress.Launch{Grid: 4, Block: 128}),
-				server.WithTuner(cfg))
-			c := client.New(url)
-			ctx := context.Background()
-
-			dense := tensor.NewGenerator(11).Uniform(16384, 0).Data
-			if err := c.Register(ctx, "d0", dense); err != nil {
-				t.Fatal(err)
-			}
-			deadline := time.Now().Add(15 * time.Second)
-			for time.Now().Before(deadline) {
-				if err := c.SwapOut(ctx, "d0"); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := c.SwapIn(ctx, "d0"); err != nil {
-					t.Fatal(err)
-				}
-				if counterValue(t, s, "server_tuner_reprobes_total") >= 1 {
-					break
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-			if v := counterValue(t, s, "server_tuner_reprobes_total"); v < 1 {
-				t.Fatalf("server_tuner_reprobes_total = %v, want >= 1", v)
-			}
-			// The installed geometry is a scan outcome at the booted Block,
-			// and the tuner's grid gauge publishes it.
-			l := s.Executor().Launch()
-			if l.Block != 128 || !slices.Contains(tc.want, l.Grid) {
-				t.Fatalf("executor launch after reprobe %v, want a grid in %v at Block 128", l, tc.want)
-			}
-			if grid, _ := s.Registry().Snapshot().Gauge("server_tuner_launch_grid"); int(grid) != l.Grid {
-				t.Errorf("server_tuner_launch_grid = %v, executor launch %v", grid, l)
-			}
-		})
 	}
 }
 
