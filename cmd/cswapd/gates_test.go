@@ -403,7 +403,7 @@ func drivePressure(t *testing.T, base string) {
 		must(t, c.Register(ctx, fmt.Sprintf("p%d", i), want[i]))
 		must(t, c.SwapOut(ctx, fmt.Sprintf("p%d", i), client.WithRaw()))
 	}
-	m = scrape(t, base)
+	m = settled(t, base)
 	moved(t, m, "executor_tier_demotions_total")
 	if v := m(`server_quota_rejections_total{tenant="pressured"}`); v > 0 {
 		t.Errorf("server_quota_rejections_total = %v, want 0", v)
@@ -420,7 +420,22 @@ func drivePressure(t *testing.T, base string) {
 			must(t, c.SwapOut(ctx, name, client.WithRaw()))
 		}
 	}
-	ledger(t, scrape(t, base), len(want)/2+1)
+	ledger(t, settled(t, base), len(want)/2+1)
+}
+
+// settled scrapes base once the tier's background demoter owes no sweep.
+// A demotion moves the tenant's tier charge before it sets the occupancy
+// gauge, so a scrape taken during a sweep can read the two apart; with no
+// request in flight nothing wakes the demoter again, so the scrape after
+// one that finds it idle reads a quiet shard.
+func settled(t *testing.T, base string) func(string) float64 {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); scrape(t, base)("executor_tier_demoter_pending") != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the tier's demoter still owed a sweep after 10 s")
+		}
+	}
+	return scrape(t, base)
 }
 
 // ledger requires the pressured tenant's quota buckets to be the executor's

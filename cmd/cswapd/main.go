@@ -31,9 +31,10 @@
 // full tier capacity); demotions under host pressure or the watermark are
 // charged to the tenant, tensors and pool runs alike, but never refused. A
 // cluster gives each shard DIR/shard-N.
-// -tier-watermark F (0 < F < 1) adds a background demoter: whenever the
-// host pool is more than F full, cold payloads demote to the tier ahead of
-// demand (executor_tier_demotions_total{reason="watermark"}).
+// Each tiered shard runs a background demoter: whenever a swap-out leaves
+// the host pool more than -tier-watermark F full (0 < F < 1; 0 selects 0.9),
+// cold payloads demote to the tier ahead of demand, so the next swap-out
+// finds its room already freed (executor_tier_demotions_total{reason="watermark"}).
 // -tune enables the online per-tenant tuner: swap-outs requesting the Auto
 // algorithm follow its live codec verdicts, retuned as tenant sparsity
 // profiles drift (see /metrics, server_tuner_* series). The -tune-* knobs
@@ -96,7 +97,7 @@ func main() {
 	tierDir := flag.String("tier-dir", "", "disk spill tier directory, holding one scratch file that boot empties and a clean exit removes (empty disables tiering; a cluster shards it into subdirectories)")
 	tierCapMiB := flag.Int64("tier-cap", 0, "spill tier capacity in committed blob MiB (0 = 4x host capacity)")
 	tierQuotaMiB := flag.Int64("tier-quota", 0, "per-tenant tier quota in uncompressed MiB, bounding demote-then-admit only (it demotes a tensor or pool only while the object's whole size fits); pressure and watermark demotions are charged, never refused (0 = full tier capacity)")
-	tierWatermark := flag.Float64("tier-watermark", 0, "host-pool occupancy fraction that triggers background demotion to the tier (0 disables; needs -tier-dir)")
+	tierWatermark := flag.Float64("tier-watermark", 0, "host-pool occupancy fraction the tier's background demoter holds the pool at (0 = 0.9 default; needs -tier-dir)")
 	schedOn := flag.Bool("sched", false, "let swaps queue for an admission slot in bounded priority lanes with deadlines (default: refuse with 429 when all slots are taken)")
 	schedLanes := flag.String("sched-lanes", "", "per-lane queue depths as critical,normal,speculative (0 or empty = defaults)")
 	schedStarve := flag.Duration("sched-starve", 0, "critical queue age that sheds in-flight speculative work (0 = 20ms default)")

@@ -317,7 +317,7 @@ func (e *Executor) Close() error {
 	e.mu.Unlock()
 	// The watermark demoter stops first so no background demotion starts
 	// once Close has returned.
-	e.stopWatermark()
+	e.stopDemoter()
 	e.gate.close()
 	e.gate.drain()
 	return nil

@@ -84,10 +84,6 @@ var (
 // Config.MaxInFlight is zero.
 const DefaultMaxInFlight = 4
 
-// DefaultTierWatermarkInterval is how often the background watermark
-// demoter wakes when Config.TierWatermark is set but no interval is given.
-const DefaultTierWatermarkInterval = 100 * time.Millisecond
-
 // Config configures an executor.
 type Config struct {
 	// DeviceCapacity and HostCapacity are the pool sizes in bytes.
@@ -129,14 +125,14 @@ type Config struct {
 	// disables tiering; see tier.go.
 	Tier *tier.Store
 	// TierWatermark, in (0,1), enables background watermark demotion: a
-	// timer goroutine demotes ranked cold payloads whenever host-pool
-	// occupancy exceeds TierWatermark×HostCapacity, so swap-outs find
-	// headroom already freed instead of demoting inline on the hot path.
-	// Zero disables the demoter; a non-zero value requires a Tier.
+	// demoter goroutine demotes ranked cold payloads whenever host-pool
+	// occupancy, cached bytes included, exceeds TierWatermark×HostCapacity,
+	// so swap-outs find headroom already freed instead of demoting inline
+	// on the hot path. It wakes on the events that raise occupancy (a
+	// committed swap-out, a read-ahead stage, a restore that keeps a clean
+	// copy), not on a timer. Zero disables the demoter; a non-zero value
+	// requires a Tier.
 	TierWatermark float64
-	// TierWatermarkInterval is the demoter's wake period. Zero selects
-	// DefaultTierWatermarkInterval.
-	TierWatermarkInterval time.Duration
 	// Observer optionally receives deep instrumentation: per-codec encode/
 	// decode timings and byte volumes, wall-clock swap spans, and fallback/
 	// retry events. When it carries a metrics registry, that registry also
@@ -165,14 +161,11 @@ type Executor struct {
 
 	// gate is the async pipeline's bounded in-flight window (async.go), the
 	// only one: tier I/O is serialized by the store's own lock (tier.go).
-	// tier is the optional disk spill tier. The watermark channels drive
-	// the background demoter's lifecycle (watermarkOnce makes Close
-	// idempotent against it).
-	gate          asyncGate
-	tier          *tier.Store
-	watermarkStop chan struct{}
-	watermarkDone chan struct{}
-	watermarkOnce sync.Once
+	// tier is the optional disk spill tier, demoter its background demoter
+	// (nil without Config.TierWatermark).
+	gate    asyncGate
+	tier    *tier.Store
+	demoter *demoter
 
 	// mu guards the object registry and the closed flag; counters are
 	// atomic registry cells. Per-block state is guarded by each pool's own
@@ -363,13 +356,7 @@ func New(cfg Config) (*Executor, error) {
 		if cfg.Tier == nil {
 			return nil, fmt.Errorf("executor: TierWatermark needs a Tier to demote into")
 		}
-		interval := cfg.TierWatermarkInterval
-		if interval <= 0 {
-			interval = DefaultTierWatermarkInterval
-		}
-		e.watermarkStop = make(chan struct{})
-		e.watermarkDone = make(chan struct{})
-		go e.watermarkLoop(interval)
+		e.startDemoter(cfg.TierWatermark)
 	}
 	if inj := cfg.Faults; inj != nil {
 		e.device.SetAllocHook(func(int64) error { return inj.Fail(faultinject.SiteDeviceAlloc) })

@@ -51,13 +51,16 @@ type instruments struct {
 	tierHits       *metrics.Counter
 
 	// Scheduler-coupling and background-demotion instruments: shed events
-	// (one per preemption) and the runs they rolled back, watermark-timer
-	// demotions (a labeled sibling of tierDemotions, so dashboards can
-	// split inline pressure demotion from background housekeeping), and
-	// tier payloads staged host-ward by prefetch read-ahead.
+	// (one per preemption) and the runs they rolled back, the background
+	// demoter's demotions (a labeled sibling of tierDemotions, so
+	// dashboards can split inline pressure demotion from background
+	// housekeeping) and its owed sweeps (wake-ups accepted and not yet
+	// swept: 0 when it is idle), and tier payloads staged host-ward by
+	// prefetch read-ahead.
 	schedPreemptions   *metrics.Counter
 	schedShedRuns      *metrics.Counter
 	watermarkDemotions *metrics.Counter
+	demoterPending     *metrics.Gauge
 	tierReadahead      *metrics.Counter
 
 	// Per-codec deep series, indexed by payload encoding: slot 0 is "raw"
@@ -113,6 +116,7 @@ func newInstruments(r *metrics.Registry) instruments {
 		schedPreemptions:   r.Counter("executor_sched_preemptions_total"),
 		schedShedRuns:      r.Counter("executor_sched_shed_runs_total"),
 		watermarkDemotions: r.Counter("executor_tier_demotions_total", metrics.L("reason", "watermark")),
+		demoterPending:     r.Gauge("executor_tier_demoter_pending"),
 		tierReadahead:      r.Counter("executor_tier_readahead_total"),
 	}
 	cells := func(codec string) codecCells {

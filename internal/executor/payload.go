@@ -181,6 +181,7 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 		s.alg, s.compressed = 0, false // a rolled-back owner reports no stale encoding
 		return err
 	}
+	e.wakeDemoter()
 
 	e.ins.swapOuts.Inc()
 	e.ins.rawBytes.Add(float64(rawBytes))
@@ -214,6 +215,7 @@ func (e *Executor) storeClean(s *stored, commit func() error) error {
 		s.hostBlock.Cache(true)
 		return err
 	}
+	e.wakeDemoter()
 	e.ins.swapOuts.Inc()
 	e.ins.rawBytes.Add(float64(rawBytes))
 	e.ins.movedBytes.Add(float64(moved))
@@ -344,6 +346,9 @@ func (e *Executor) restore(s *stored, name string, dst []float32, keep bool, com
 		e.ins.tierPromotions.Inc()
 	}
 	commit()
+	if keep {
+		e.wakeDemoter()
+	}
 
 	e.ins.swapIns.Inc()
 	if e.cfg.Verify {
@@ -417,6 +422,7 @@ func (e *Executor) stage(s *stored) {
 	e.tierDelete(s)
 	e.ins.tierPromotions.Inc()
 	e.ins.tierReadahead.Inc()
+	e.wakeDemoter()
 }
 
 // drop releases a stored payload from whichever tier holds it, once nothing

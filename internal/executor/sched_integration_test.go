@@ -6,6 +6,7 @@ package executor
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -130,27 +131,50 @@ func TestShedBatchMidRuns(t *testing.T) {
 	}
 }
 
-func TestWatermarkDemotion(t *testing.T) {
+// watermarked returns an executor with a 1 MiB host pool whose background
+// demoter holds it at half full, over a fresh tier.
+func watermarked(t *testing.T) *Executor {
+	t.Helper()
 	ts, err := tier.Open(t.TempDir(), 1<<22, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const hostCap = 1 << 20
 	e, err := New(Config{
-		DeviceCapacity:        1 << 22,
-		HostCapacity:          hostCap,
-		Verify:                true,
-		Tier:                  ts,
-		TierWatermark:         0.5,
-		TierWatermarkInterval: time.Millisecond,
+		DeviceCapacity: 1 << 22,
+		HostCapacity:   1 << 20,
+		Verify:         true,
+		Tier:           ts,
+		TierWatermark:  0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	t.Cleanup(func() { _ = e.Close() })
+	return e
+}
 
-	// Raw swap-outs put ~768 KiB in the host pool — well past the 512 KiB
-	// watermark — without any inline allocation pressure.
+// demotions reads the executor's demotion counters: every demotion, and
+// those the background demoter made.
+func demotions(t *testing.T, e *Executor) (all, watermark float64) {
+	return counterValue(t, e, "executor_tier_demotions_total"),
+		counterValue(t, e, "executor_tier_demotions_total", metrics.L("reason", "watermark"))
+}
+
+// demoterIdle reports whether the demoter owes no sweep and the host pool
+// is at or under its watermark.
+func demoterIdle(e *Executor) bool {
+	pending, _ := e.Registry().Snapshot().Gauge("executor_tier_demoter_pending")
+	return pending == 0 && e.HostStats().Used <= e.demoter.target
+}
+
+// TestWatermarkDemotion: swap-outs that fit the host pool but leave it past
+// the watermark wake the demoter, which brings the pool back under the mark
+// within a bound, by demotions of its own only — none of the swap-outs
+// needed room, so none demoted inline.
+func TestWatermarkDemotion(t *testing.T) {
+	e := watermarked(t)
+	// Raw swap-outs put 768 KiB in the 1 MiB host pool — past the 512 KiB
+	// watermark, with no allocation pressure.
 	for i := 0; i < 3; i++ {
 		tn := tensor.NewGenerator(int64(i)).Uniform(64*1024, 0.5)
 		h, err := e.Register(string(rune('a'+i)), tn)
@@ -161,25 +185,83 @@ func TestWatermarkDemotion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if used := e.HostStats().Used; used <= hostCap/2 {
-		t.Fatalf("host pool holds %d bytes, want above the %d watermark", used, hostCap/2)
-	}
-
-	// The demoter frees the host bytes first and counts the demotion after,
-	// so both are polled for: the counter may trail the pool by a moment.
-	demotions := func() float64 {
-		return counterValue(t, e, "executor_tier_demotions_total", metrics.L("reason", "watermark"))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.HostStats().Used > hostCap/2 || demotions() < 1 {
+	for deadline := time.Now().Add(5 * time.Second); !demoterIdle(e); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("watermark demoter left host at %d bytes (watermark %d) with the demotion counter at %v, want >= 1",
-				e.HostStats().Used, hostCap/2, demotions())
+			t.Fatalf("demoter left the host pool at %d bytes, watermark %d", e.HostStats().Used, e.demoter.target)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	all, watermark := demotions(t, e)
+	if watermark < 1 {
+		t.Fatalf("%v watermark demotions, want >= 1", watermark)
+	}
+	if pressure := all - watermark; pressure != 0 {
+		t.Fatalf("%v inline pressure demotions for swap-outs that fit, want 0", pressure)
 	}
 	if e.TierUsed() == 0 {
 		t.Fatal("tier empty after watermark demotion")
+	}
+}
+
+// TestDemoterWakesCoalesce: while a sweep is stalled, a burst of swap-outs
+// over the watermark leaves one wake-up queued behind it, not one per
+// swap-out, and starts no goroutine; released, the demoter works the backlog
+// off and goes idle.
+func TestDemoterWakesCoalesce(t *testing.T) {
+	e := watermarked(t)
+	hs := make([]*Handle, 3)
+	for i := range hs {
+		var err error
+		if hs[i], err = e.Register(string(rune('a'+i)), tensor.NewGenerator(int64(i)).Uniform(64*1024, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	goroutines := runtime.NumGoroutine()
+	// A sweep starts by snapshotting the pools under e.mu: holding it stalls
+	// the first sweep the burst wakes.
+	e.mu.Lock()
+	for _, h := range hs {
+		if err := e.SwapOut(h, false, 0); err != nil {
+			e.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	// The third swap-out crossed the mark: wait for the demoter to take its
+	// wake-up into the stalled sweep.
+	for deadline := time.Now().Add(5 * time.Second); len(e.demoter.wake) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			e.mu.Unlock()
+			t.Fatal("the demoter never took the wake-up of a swap-out over the mark")
+		}
+	}
+	const burst = 32
+	for i := 0; i < burst; i++ {
+		if err := e.SwapIn(hs[2]); err != nil {
+			e.mu.Unlock()
+			t.Fatal(err)
+		}
+		if err := e.SwapOut(hs[2], false, 0); err != nil {
+			e.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	queued := len(e.demoter.wake)
+	pending, _ := e.Registry().Snapshot().Gauge("executor_tier_demoter_pending")
+	now := runtime.NumGoroutine()
+	e.mu.Unlock()
+	if queued != 1 || pending != 2 {
+		t.Fatalf("after %d swap-outs over the mark: %d wake-ups queued, %v sweeps owed; want 1 queued behind the stalled one (2 owed)",
+			burst+1, queued, pending)
+	}
+	if now > goroutines {
+		t.Fatalf("%d goroutines after the burst, %d before", now, goroutines)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !demoterIdle(e); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("demoter never went idle: host pool at %d bytes, watermark %d", e.HostStats().Used, e.demoter.target)
+		}
+	}
+	if _, watermark := demotions(t, e); watermark < 1 {
+		t.Fatalf("%v watermark demotions after the stall, want >= 1", watermark)
 	}
 }
 

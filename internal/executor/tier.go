@@ -6,10 +6,12 @@ package executor
 // tensor's one run among them — are ranked by costmodel.DemotionScore
 // (compression ratio × re-access prediction): well-compressed blobs are
 // the cheapest to re-fetch and cold ones the least likely to be needed,
-// so they go first. Tier I/O runs in the goroutine that asked for it and is
-// bounded by the store itself: tier.Store holds one lock across each Put,
-// GetInto and Delete, so disk operations run one at a time whoever issues
-// them, and none consumes a slot of the async window.
+// so they go first. Tier I/O runs in the goroutine that asked for it — a
+// swap body, a Demote caller, or the background demoter that
+// Config.TierWatermark starts — and is bounded by the store itself:
+// tier.Store holds one lock across each Put, GetInto and Delete, so disk
+// operations run one at a time whoever issues them, and none consumes a slot
+// of the async window.
 //
 // Ordering rules (the crash-consistency contract, DESIGN.md §15):
 //   - demote: tier.Put commits the blob on disk BEFORE the host block is
@@ -21,9 +23,10 @@ package executor
 //     committed entry intact, retry-safe.
 
 import (
+	"cmp"
 	"errors"
-	"sort"
-	"time"
+	"slices"
+	"sync"
 
 	"cswap/internal/costmodel"
 	"cswap/internal/tier"
@@ -101,28 +104,40 @@ type tierVictim struct {
 	bytes int64
 }
 
-// tierVictims snapshots and ranks every demotable payload — the stored,
-// host-resident runs of every pool — cheapest expected re-fetch first.
-// Races are benign: each victim's demote re-claims its blocks, and a
-// candidate that moved on is skipped.
-func (e *Executor) tierVictims() []tierVictim {
-	now := e.sinceEpoch()
-	var vs []tierVictim
-	for _, p := range e.livePools() {
-		vs = p.victims(vs, now)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i].score < vs[j].score })
-	return vs
+// ranking holds the buffers one sweep snapshots the pools and ranks its
+// victims in. The background demoter owns one for its whole life, so a
+// wake-up allocates nothing to rank; the inline path, which any swap body
+// may run concurrently, takes a fresh one per call.
+type ranking struct {
+	pools []*BlockPool
+	vs    []tierVictim
 }
 
-// demoteUntil demotes ranked victims, cheapest expected re-fetch first,
-// until done reports true, returning how many it moved (a victim skipped as
-// aged out or already tiered is not counted). Individual demote
-// failures (a victim turned busy) skip to the next candidate; a full tier
-// fails every remaining candidate the same way, so it ends the sweep.
-func (e *Executor) demoteUntil(done func() bool) int {
+// makeRoom drops clean copies, then — with a tier — demotes ranked victims,
+// cheapest expected re-fetch first, until done reports true, returning how
+// many it demoted (a victim skipped as aged out or already tiered is not
+// counted). Giving a clean copy up costs no tier write, so it goes before
+// any demotion. Races are benign: each victim's demote re-claims its blocks,
+// and a candidate that moved on is skipped. Individual demote failures (a
+// victim turned busy) skip to the next candidate; a full tier fails every
+// remaining candidate the same way, so it ends the sweep.
+func (e *Executor) makeRoom(rk *ranking, done func() bool) int {
+	defer rk.reset()
+	rk.snapshot(e)
+	for _, p := range rk.pools {
+		if done() {
+			return 0
+		}
+		p.mu.Lock()
+		p.dropClean()
+		p.mu.Unlock()
+	}
+	if e.tier == nil || done() {
+		return 0
+	}
+	rk.rank(e.sinceEpoch())
 	moved := 0
-	for _, v := range e.tierVictims() {
+	for _, v := range rk.vs {
 		if done() {
 			break
 		}
@@ -137,79 +152,116 @@ func (e *Executor) demoteUntil(done func() bool) int {
 	return moved
 }
 
-// livePools snapshots the registered pools.
-func (e *Executor) livePools() []*BlockPool {
+// snapshot fills rk.pools with the registered pools.
+func (rk *ranking) snapshot(e *Executor) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pools := make([]*BlockPool, 0, len(e.pools))
 	for _, p := range e.pools {
-		pools = append(pools, p)
-	}
-	return pools
-}
-
-// dropCleanUntil drops clean copies until done reports true. Giving one up
-// costs no tier write, so every path that makes host room drops them
-// before it demotes anything.
-func (e *Executor) dropCleanUntil(done func() bool) {
-	for _, p := range e.livePools() {
-		if done() {
-			return
-		}
-		p.mu.Lock()
-		p.dropClean()
-		p.mu.Unlock()
+		rk.pools = append(rk.pools, p)
 	}
 }
 
-// freeHostSpace drops clean copies, then demotes victims if there is a
-// tier, until the host pool has room for `need` more bytes, reporting
-// whether it does.
+// rank fills rk.vs with the demotion candidates of the snapshot's pools,
+// ranked at time now, cheapest expected re-fetch first.
+func (rk *ranking) rank(now float64) {
+	for _, p := range rk.pools {
+		rk.vs = p.victims(rk.vs, now)
+	}
+	slices.SortFunc(rk.vs, func(a, b tierVictim) int { return cmp.Compare(a.score, b.score) })
+}
+
+// reset empties the buffers, keeping their capacity but no pool: a freed
+// pool must not stay reachable from a sweep that is over.
+func (rk *ranking) reset() {
+	clear(rk.pools)
+	clear(rk.vs)
+	rk.pools, rk.vs = rk.pools[:0], rk.vs[:0]
+}
+
+// freeHostSpace makes room (makeRoom) until the host pool has room for
+// `need` more bytes, reporting whether it does.
 func (e *Executor) freeHostSpace(need int64) bool {
 	headroom := func() bool { return e.host.Available() >= need }
-	e.dropCleanUntil(headroom)
-	if e.tier != nil && !headroom() {
-		e.demoteUntil(headroom)
-	}
+	e.makeRoom(new(ranking), headroom)
 	return headroom()
 }
 
-// watermarkLoop is the background demoter started by Config.TierWatermark:
-// each tick it pushes host-pool occupancy back under the watermark by
-// demoting ranked victims, so foreground swap-outs find headroom already
-// freed instead of paying freeHostSpace's demote-retry inline. It exits
-// when stopWatermark closes the stop channel (Close does, before it drains
-// the async window, so no background demotion outlives Close).
-func (e *Executor) watermarkLoop(interval time.Duration) {
-	defer close(e.watermarkDone)
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
+// demoter is the background host->tier demoter Config.TierWatermark starts.
+// Only an allocation raises host occupancy, so it runs on events, not on a
+// timer: each committed store, each stage and each restore that keeps a
+// clean copy (wakeDemoter) that leaves occupancy above target puts a token
+// in wake, whose one slot coalesces the wake-ups that arrive while a sweep
+// is pending or running.
+type demoter struct {
+	target     int64 // host bytes, cached ones included, a sweep demotes down to
+	wake       chan struct{}
+	stop, done chan struct{}
+	once       sync.Once
+	rank       ranking // the loop's own; no one else touches it
+}
+
+// startDemoter starts the background demoter for a watermark fraction of
+// the host pool.
+func (e *Executor) startDemoter(fraction float64) {
+	d := &demoter{
+		target: int64(fraction * float64(e.host.Capacity())),
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	e.demoter = d
+	go e.demoterLoop(d)
+}
+
+// demoterLoop sweeps once per token until stopDemoter closes the stop
+// channel (Close does, before it drains the async window, so no background
+// demotion outlives Close). A sweep pushes host occupancy, cached bytes
+// included, back under the watermark, so foreground swap-outs find headroom
+// already freed instead of paying freeHostSpace's demote-retry inline.
+func (e *Executor) demoterLoop(d *demoter) {
+	defer close(d.done)
+	done := func() bool { return !e.aboveMark(d) }
 	for {
 		select {
-		case <-e.watermarkStop:
+		case <-d.stop:
 			return
-		case <-tick.C:
-			e.demoteToWatermark()
+		case <-d.wake:
+			e.ins.watermarkDemotions.Add(float64(e.makeRoom(&d.rank, done)))
+			e.ins.demoterPending.Add(-1)
 		}
 	}
 }
 
-// demoteToWatermark drops clean copies, then demotes victims, until host
-// occupancy, cached bytes included, is at or under TierWatermark×capacity.
-func (e *Executor) demoteToWatermark() {
-	target := int64(e.cfg.TierWatermark * float64(e.host.Capacity()))
-	done := func() bool { return e.host.Capacity()-e.host.Available() <= target }
-	e.dropCleanUntil(done)
-	e.ins.watermarkDemotions.Add(float64(e.demoteUntil(done)))
+// wakeDemoter wakes the background demoter, if there is one, when host
+// occupancy is above its watermark. Without a demoter it is one nil check.
+// The pending gauge counts the token before it is offered, so it never
+// reads 0 while a sweep is owed.
+func (e *Executor) wakeDemoter() {
+	d := e.demoter
+	if d == nil || !e.aboveMark(d) {
+		return
+	}
+	e.ins.demoterPending.Add(1)
+	select {
+	case d.wake <- struct{}{}:
+	default: // a sweep is already owed; it will see these bytes too
+		e.ins.demoterPending.Add(-1)
+	}
 }
 
-// stopWatermark shuts the background demoter down, idempotently, and
-// waits for its final sweep to finish.
-func (e *Executor) stopWatermark() {
-	e.watermarkOnce.Do(func() {
-		if e.watermarkStop != nil {
-			close(e.watermarkStop)
-			<-e.watermarkDone
-		}
-	})
+// aboveMark reports whether host occupancy, cached bytes included, is above
+// d's watermark.
+func (e *Executor) aboveMark(d *demoter) bool {
+	return e.host.Capacity()-e.host.Available() > d.target
+}
+
+// stopDemoter shuts the background demoter down, idempotently, and waits
+// for its last sweep to finish.
+func (e *Executor) stopDemoter() {
+	if d := e.demoter; d != nil {
+		d.once.Do(func() {
+			close(d.stop)
+			<-d.done
+		})
+	}
 }

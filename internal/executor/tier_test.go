@@ -314,6 +314,14 @@ func TestSwapOutDemotesUnderHostPressure(t *testing.T) {
 	}
 }
 
+// tierVictims ranks every demotion candidate of e as a sweep would.
+func tierVictims(e *Executor) []tierVictim {
+	var rk ranking
+	rk.snapshot(e)
+	rk.rank(e.sinceEpoch())
+	return rk.vs
+}
+
 // TestVictimRankingPrefersWellCompressedCold pins the eviction order:
 // DemotionScore demotes well-compressed payloads before poorly-compressed
 // ones, and colder payloads before hotter ones.
@@ -333,7 +341,7 @@ func TestVictimRankingPrefersWellCompressedCold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vs := e.tierVictims()
+	vs := tierVictims(e)
 	if len(vs) != 2 {
 		t.Fatalf("victims = %d, want 2", len(vs))
 	}
@@ -351,9 +359,39 @@ func TestVictimRankingPrefersWellCompressedCold(t *testing.T) {
 	dense.pool.mu.Lock()
 	dense.pool.run[0].swappedAt -= 1000
 	dense.pool.mu.Unlock()
-	vs = e.tierVictims()
+	vs = tierVictims(e)
 	if vs[0].bytes <= vs[1].bytes {
 		t.Fatal("cold dense payload should now demote first")
+	}
+}
+
+// TestRankingReusesItsBuffers: a ranking the demoter keeps across sweeps
+// snapshots and ranks the pools without allocating once its buffers have
+// grown, so a wake-up costs no garbage to rank.
+func TestRankingReusesItsBuffers(t *testing.T) {
+	e, _ := newTierExecutor(t, 1<<22, 1<<22, 1<<22, nil)
+	gen := tensor.NewGenerator(18)
+	for i := 0; i < 4; i++ {
+		h, err := e.Register(string(rune('a'+i)), gen.Uniform(4096, 0.5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.SwapOut(h, true, compress.ZVC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rk ranking
+	sweep := func() {
+		rk.snapshot(e)
+		rk.rank(e.sinceEpoch())
+		if len(rk.vs) != 4 {
+			t.Fatalf("ranked %d victims, want 4", len(rk.vs))
+		}
+		rk.reset()
+	}
+	sweep()
+	if allocs := testing.AllocsPerRun(100, sweep); allocs != 0 {
+		t.Fatalf("a ranking with grown buffers allocates %v times per sweep, want 0", allocs)
 	}
 }
 
@@ -457,7 +495,7 @@ func TestDemoteVsSwapCycleObserved(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				e.demoteUntil(func() bool { return false }) // every victim, like a watermark of 0
+				e.makeRoom(new(ranking), func() bool { return false }) // every victim, like a watermark of 0
 			}
 		}
 	}()

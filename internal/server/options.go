@@ -112,10 +112,20 @@ func WithTierCap(b int64) Option { return func(c *config) { c.tierCap = b } }
 // but never refused. Zero grants each tenant the full tier capacity.
 func WithTenantTierQuota(b int64) Option { return func(c *config) { c.tenantTierQuota = b } }
 
-// WithTierWatermark enables each shard's background host->tier demoter at
-// the given host-pool occupancy fraction in (0,1): above it, cold swapped
-// payloads demote until occupancy is back under. Zero keeps demotion
-// demand-driven (allocation pressure only). Requires WithTierDir.
+// DefaultTierWatermark is the host-pool occupancy fraction each tiered
+// shard's background demoter holds the pool at when WithTierWatermark
+// gives none. A lower mark frees a swap-out's room ahead of it just as
+// well, but it keeps fewer payloads in the host pool, so more swap-ins
+// read from the tier (EXPERIMENTS.md, "An event-driven demoter").
+const DefaultTierWatermark = 0.9
+
+// WithTierWatermark sets the host-pool occupancy fraction, in (0,1), that
+// each tiered shard's background host->tier demoter holds the pool at:
+// whenever a swap-out, a read-ahead or a kept clean copy leaves occupancy
+// above it, cold swapped payloads demote until occupancy is back under.
+// Every shard with a tier runs the demoter; zero selects
+// DefaultTierWatermark. Allocation pressure still demotes inline whatever
+// the demoter has not caught up with. Requires WithTierDir.
 func WithTierWatermark(f float64) Option { return func(c *config) { c.tierWatermark = f } }
 
 // WithMaxPayload caps decodable wire frames (zero selects

@@ -149,6 +149,9 @@ func newServer(cfg config) (*Server, error) {
 		if cfg.tenantTierQuota == 0 {
 			cfg.tenantTierQuota = cfg.tierCap
 		}
+		if cfg.tierWatermark == 0 {
+			cfg.tierWatermark = DefaultTierWatermark
+		}
 		var err error
 		if ts, err = tier.Open(cfg.tierDir, cfg.tierCap, cfg.faults); err != nil {
 			return nil, fmt.Errorf("server: spill tier: %w", err)

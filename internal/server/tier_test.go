@@ -237,6 +237,44 @@ func TestWatermarkDemotionChargesTier(t *testing.T) {
 	}
 }
 
+// TestTierDirRunsDemoter: a tier directory alone turns the background
+// demoter on at DefaultTierWatermark. Ten raw swap-outs fill a ten-blob host
+// pool exactly — no swap-out needs room made inline — and the demoter, woken
+// by the ones past the mark, demotes until the pool is back under it.
+func TestTierDirRunsDemoter(t *testing.T) {
+	const elems, blobs = 4096, 10
+	s, url := newTestServer(t,
+		server.WithTierDir(t.TempDir()),
+		server.WithHostCapacity(blobs*elems*4),
+	)
+	c, ctx := client.New(url), context.Background()
+	gen := tensor.NewGenerator(8)
+	for i := 0; i < blobs; i++ {
+		name := fmt.Sprintf("t%d", i)
+		if err := c.Register(ctx, name, gen.Uniform(elems, 0.5).Data); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SwapOut(ctx, name, client.WithRaw()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mark := int64(server.DefaultTierWatermark * blobs * elems * 4)
+	for deadline := time.Now().Add(5 * time.Second); s.Executor().HostStats().Used > mark; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("host pool at %d bytes five seconds after the swap-outs, want at most %d", s.Executor().HostStats().Used, mark)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); gaugeValue(t, s, "executor_tier_demoter_pending") != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the demoter still owed a sweep five seconds after the swap-outs")
+		}
+	}
+	all := counterValue(t, s, "executor_tier_demotions_total")
+	if watermark := counterValue(t, s, "executor_tier_demotions_total", metrics.L("reason", "watermark")); watermark < 1 || watermark != all {
+		t.Fatalf("%v demotions, %v of them the demoter's; want >= 1, all the demoter's", all, watermark)
+	}
+}
+
 // TestRestartReclaimsTier: blobs a process demoted belong to no session
 // after a restart (handles and sessions live in memory only), so the tier
 // is scratch: a clean Close removes the spill file, and a server opening
