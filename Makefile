@@ -17,9 +17,10 @@ build:
 # decode loop and of the packer); bench/ and test files are
 # the harness's own business — and on
 # the service importing the reproduction: what cswapd and the client pull in
-# stays clear of the simulator, the model zoo, the figure drivers and the
-# paper's Bayesian launch search (DESIGN §3 lists the closure).
-REPRO_PKGS = bayesopt|core|dnn|experiments|gpu|linalg|pcie|profiler|regress|sim|sparsity|swap
+# stays clear of the simulator and its timeline, the model zoo, the figure
+# drivers and the paper's Bayesian launch search (DESIGN §3 lists the
+# closure).
+REPRO_PKGS = bayesopt|core|dnn|experiments|gpu|linalg|pcie|profiler|regress|sim|sparsity|swap|trace
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }

@@ -2,11 +2,11 @@
 // print their rows of experiments.Sections; report prints all of them into
 // one Markdown file.
 //
-//	cswap profile [-seed N] [-fast] [-metrics out.jsonl] [-trace out.json]
+//	cswap profile [-seed N] [-fast] [-metrics out.jsonl]
 //	    Figures 1, 8, 9: sparsity profile, compressed layers per epoch, the
-//	    VGG16 layer × epoch matrix. -metrics/-trace export what an Observer
+//	    VGG16 layer × epoch matrix. -metrics exports what an Observer
 //	    attached to every deployment saw (advisor verdicts, BO probes,
-//	    setup-phase spans).
+//	    setup-phase wall clocks).
 //	cswap model [-seed N] [-fast] [-skip-fig11]
 //	    Figures 2, 3, 10, 11: execution timelines, static compression,
 //	    time-model RAE, decision accuracy.
@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -102,44 +103,28 @@ func skipFig11Flag(fs *flag.FlagSet) *bool {
 	return fs.Bool("skip-fig11", false, "skip the slow decision-accuracy sweep")
 }
 
-// export is the Observer's way out: -metrics writes its registry as JSON
-// lines, -trace its timeline as Chrome trace events.
-type export struct{ metrics, trace *string }
-
-func exportFlags(fs *flag.FlagSet) export {
-	return export{
-		metrics: fs.String("metrics", "", "write a JSON-lines metrics snapshot here"),
-		trace:   fs.String("trace", "", "write a Chrome trace-event JSON file here"),
-	}
+// metricsFlag is -metrics, the Observer's way out.
+func metricsFlag(fs *flag.FlagSet) *string {
+	return fs.String("metrics", "", "write a JSON-lines metrics snapshot here")
 }
 
-func (e export) on() bool { return *e.metrics != "" || *e.trace != "" }
+// writeMetrics writes reg's snapshot to path as JSON lines.
+func writeMetrics(out io.Writer, path string, reg *metrics.Registry) error {
+	var b bytes.Buffer
+	err := metrics.JSONLines{W: &b}.Write(reg.Snapshot())
+	return writeExport(out, "metrics", path, b.Bytes(), err)
+}
 
-func (e export) write(out io.Writer, obs *metrics.Observer) error {
-	if *e.metrics != "" {
-		f, err := os.Create(*e.metrics)
-		if err != nil {
-			return err
-		}
-		werr := metrics.JSONLines{W: f}.Write(obs.Metrics.Snapshot())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("write metrics: %w", werr)
-		}
-		fmt.Fprintf(out, "metrics: %s\n", *e.metrics)
+// writeExport writes an export's bytes to path, unless err says they could
+// not be made, and names the file on out.
+func writeExport(out io.Writer, kind, path string, b []byte, err error) error {
+	if err == nil {
+		err = os.WriteFile(path, b, 0o644)
 	}
-	if *e.trace != "" {
-		b, err := obs.ChromeTrace()
-		if err != nil {
-			return fmt.Errorf("export trace: %w", err)
-		}
-		if err := os.WriteFile(*e.trace, b, 0o644); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
-		fmt.Fprintf(out, "trace: %s\n", *e.trace)
+	if err != nil {
+		return fmt.Errorf("write %s: %w", kind, err)
 	}
+	fmt.Fprintf(out, "%s: %s\n", kind, path)
 	return nil
 }
 
@@ -178,18 +163,18 @@ func model(fs *flag.FlagSet, args []string, out io.Writer) error {
 
 func profile(fs *flag.FlagSet, args []string, out io.Writer) error {
 	sc := scaleFlags(fs)
-	ex := exportFlags(fs)
+	metricsPath := metricsFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := sc.config()
-	if ex.on() {
+	if *metricsPath != "" {
 		cfg.Observer = metrics.NewObserver()
 	}
-	if err := printSections(out, "profile", cfg, false); err != nil {
+	if err := printSections(out, "profile", cfg, false); err != nil || *metricsPath == "" {
 		return err
 	}
-	return ex.write(out, cfg.Observer)
+	return writeMetrics(out, *metricsPath, cfg.Observer.Metrics)
 }
 
 func report(fs *flag.FlagSet, args []string, out io.Writer) error {

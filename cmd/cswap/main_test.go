@@ -173,7 +173,7 @@ func TestEverySubcommandRuns(t *testing.T) {
 		"ablate":  {"-fast"},
 		"inspect": {"-model", "AlexNet"},
 		"model":   {"-fast"},
-		"profile": {"-fast", "-metrics", filepath.Join(dir, "p.jsonl"), "-trace", filepath.Join(dir, "p.json")},
+		"profile": {"-fast", "-metrics", filepath.Join(dir, "p.jsonl")},
 		"report":  {"-fast", "-skip-fig11", "-o", filepath.Join(dir, "REPORT.md"), "-csv", filepath.Join(dir, "data")},
 		"sim":     {"-fast"},
 		"train":   {"-model", "AlexNet", "-epochs", "2"},
@@ -209,9 +209,26 @@ func TestEverySubcommandRuns(t *testing.T) {
 			t.Fatalf("report -csv: %s: %v", name, err)
 		}
 	}
-	for _, name := range []string{"p.jsonl", "p.json"} {
-		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() == 0 {
-			t.Fatalf("profile export %s: %v", name, err)
+
+	// profile -metrics exports every deployment's setup phases.
+	f, err := os.Open(filepath.Join(dir, "p.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	snap, err := cswap.ParseMetricsJSONLines(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setups := map[string]int64{}
+	for _, h := range snap.Histograms {
+		if h.Name == "core_setup_seconds" {
+			setups[h.Labels["phase"]] += h.Count
+		}
+	}
+	for _, phase := range []string{"tune", "train-predictor", "profile"} {
+		if setups[phase] == 0 {
+			t.Fatalf("profile export has no core_setup_seconds{phase=%q}: %v", phase, setups)
 		}
 	}
 }

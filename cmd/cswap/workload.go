@@ -13,6 +13,7 @@ import (
 	"cswap/internal/profiler"
 	"cswap/internal/sparsity"
 	"cswap/internal/swap"
+	"cswap/internal/trace"
 )
 
 // workload is the -model/-gpu/-dataset group of the single-workload
@@ -66,7 +67,8 @@ func sim(fs *flag.FlagSet, args []string, out io.Writer) error {
 	sc := scaleFlags(fs)
 	samples := fs.Int("samples", 0, "override regression samples per algorithm")
 	stride := fs.Int("stride", 0, "override epoch stride")
-	ex := exportFlags(fs)
+	metricsPath := metricsFlag(fs)
+	tracePath := fs.String("trace", "", "write the iteration's Chrome trace-event JSON here")
 	w := workloadFlags(fs)
 	epoch := fs.Int("epoch", 10, "epoch of the observed run")
 	if err := fs.Parse(args); err != nil {
@@ -79,7 +81,7 @@ func sim(fs *flag.FlagSet, args []string, out io.Writer) error {
 	if *stride > 0 {
 		cfg.EpochStride = *stride
 	}
-	if !ex.on() {
+	if *metricsPath == "" && *tracePath == "" {
 		return printSections(out, "sim", cfg, false)
 	}
 
@@ -94,7 +96,15 @@ func sim(fs *flag.FlagSet, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := fw.SimulateIteration(*epoch, swap.NewOptions(swap.WithSeed(*sc.seed)))
+	// The setup phases lead the timeline on a "core" stream, end to end
+	// from 0 in wall-clock seconds, beside the iteration's simulated ones.
+	tl, at := &trace.Timeline{}, 0.0
+	for _, phase := range []string{"tune", "train-predictor", "profile"} {
+		d := obs.Metrics.Histogram("core_setup_seconds", metrics.L("phase", phase)).Sum()
+		tl.Add("core", phase, at, at+d)
+		at += d
+	}
+	res, err := fw.SimulateIteration(*epoch, swap.NewOptions(swap.WithSeed(*sc.seed), swap.WithTrace(tl)))
 	if err != nil {
 		return err
 	}
@@ -104,7 +114,16 @@ func sim(fs *flag.FlagSet, args []string, out io.Writer) error {
 		res.IterationTime, res.Throughput, res.SwapExposed)
 	fmt.Fprintf(out, "busy: compute %.6fs  kernel %.6fs  d2h %.6fs  h2d %.6fs\n",
 		res.ComputeBusy, res.KernelBusy, res.D2HBusy, res.H2DBusy)
-	return ex.write(out, obs)
+	if *metricsPath != "" {
+		if err := writeMetrics(out, *metricsPath, obs.Metrics); err != nil {
+			return err
+		}
+	}
+	if *tracePath == "" {
+		return nil
+	}
+	b, err := tl.ChromeTrace()
+	return writeExport(out, "trace", *tracePath, b, err)
 }
 
 func train(fs *flag.FlagSet, args []string, out io.Writer) error {

@@ -29,8 +29,9 @@
 //	fmt.Println(result.IterationTime, result.Throughput)
 //
 // Attach an Observer (Config.Observer, ExecutorConfig.Observer, or
-// WithObserver) to record metrics, spans, and events from every layer; see
-// the Observability section of DESIGN.md.
+// WithObserver) to record metrics and events from every layer, and a
+// Timeline (WithSimTrace) to record a simulated iteration's spans; see the
+// Observability section of DESIGN.md.
 package cswap
 
 import (
@@ -452,12 +453,11 @@ type (
 )
 
 // ---------------------------------------------------------------------------
-// Observability: the unified metrics + tracing surface.
+// Observability: the unified metrics + events surface.
 
 type (
 	// Observer is the single instrumentation surface threaded through the
-	// stack: a metrics registry, an optional span timeline, and an optional
-	// structured event hook. Attach one via Config.Observer,
+	// stack: a metrics registry and an optional structured event hook. Attach one via Config.Observer,
 	// ExecutorConfig.Observer, or WithObserver; a nil Observer is valid
 	// everywhere and costs ~zero on the hot path.
 	Observer = metrics.Observer
@@ -480,8 +480,7 @@ type (
 	PrometheusSink = metrics.Prometheus
 )
 
-// NewObserver returns an observer with a fresh registry and timeline and no
-// event hook.
+// NewObserver returns an observer with a fresh registry and no event hook.
 func NewObserver() *Observer { return metrics.NewObserver() }
 
 // MetricLabel builds one metric label.

@@ -2,6 +2,7 @@ package cswap_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"cswap"
@@ -167,6 +168,50 @@ func TestPublicFunctionalExecutorPath(t *testing.T) {
 	}
 	if rep.Ratio() >= 1 || rep.Compressed != len(tensors) {
 		t.Fatalf("report %+v", rep)
+	}
+}
+
+// TestObservedExecutorHeapStaysFlat cycles one small tensor through a
+// verifying executor with an Observer attached, as a long training run
+// would: nothing the observer records may grow with the number of swaps, so
+// the heap in use after 10⁵ round trips stays within a fixed bound of the
+// heap after the first 10⁴.
+func TestObservedExecutorHeapStaysFlat(t *testing.T) {
+	exec, err := cswap.NewExecutor(cswap.ExecutorConfig{
+		DeviceCapacity: 1 << 20,
+		HostCapacity:   1 << 20,
+		Verify:         true,
+		Observer:       cswap.NewObserver(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exec.Close()
+	h, err := exec.Register("act", cswap.NewTensorGenerator(1).Uniform(4096, 0.6)) // 16 KiB
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := exec.SwapOut(h, true, cswap.ZVC); err != nil {
+				t.Fatal(err)
+			}
+			if err := exec.SwapIn(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heapInUse := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapInuse)
+	}
+	cycle(10_000)
+	base := heapInUse()
+	cycle(90_000)
+	if grew := heapInUse() - base; grew > 512<<10 {
+		t.Fatalf("heap in use grew %d KiB over 90 000 observed round trips, want ≤ 512 KiB", grew>>10)
 	}
 }
 

@@ -43,8 +43,9 @@ type Config struct {
 	SkipTuning bool
 	// Observer, when non-nil, is threaded through every component the
 	// deployment builds: the BO search, the execution advisor, the
-	// executor, and each simulated iteration. Setup phases land as spans
-	// on its "core" stream; iteration-level rollups land in its registry.
+	// executor, and each simulated iteration. Setup-phase wall clocks
+	// (core_setup_seconds{phase}) and iteration-level rollups land in its
+	// registry.
 	// Nil disables all recording at ~zero cost.
 	Observer *metrics.Observer
 }
@@ -87,12 +88,11 @@ func New(cfg Config) (*Framework, error) {
 	}
 	f := &Framework{Config: cfg, DB: memdb.New()}
 
-	// Setup phases are timed against one wall-clock origin so they appear
-	// in order on the observer's "core" trace stream.
-	setupStart := time.Now()
+	// Each setup phase's wall clock lands in core_setup_seconds{phase}, so
+	// an observer shared by several deployments accumulates them all.
 	phase := func(label string, began time.Time) {
-		cfg.Observer.Span("core", label,
-			began.Sub(setupStart).Seconds(), time.Since(setupStart).Seconds())
+		cfg.Observer.Reg().Histogram("core_setup_seconds", metrics.L("phase", label)).
+			Observe(time.Since(began).Seconds())
 	}
 
 	// 1. Pre-training BO search over (grid, block) on the calibration

@@ -30,17 +30,14 @@ func TestObserverThreadedThroughDeployment(t *testing.T) {
 	obs := metrics.NewObserver()
 	f := newObservedFramework(t, obs)
 
-	// New's setup phases land on the "core" trace stream, and the BO search
-	// it ran recorded its probes.
-	streams := obs.Trace.Streams()
-	hasCore := false
-	for _, s := range streams {
-		if s == "core" {
-			hasCore = true
+	// New timed each setup phase once, and the BO search it ran recorded
+	// its probes.
+	for _, phase := range []string{"tune", "train-predictor", "profile"} {
+		h := obs.Metrics.Histogram("core_setup_seconds", metrics.L("phase", phase))
+		if h.Count() != 1 || h.Sum() <= 0 {
+			t.Fatalf("core_setup_seconds{phase=%q}: count %d sum %v, want one positive observation",
+				phase, h.Count(), h.Sum())
 		}
-	}
-	if !hasCore {
-		t.Fatalf("no core stream in %v", streams)
 	}
 	if probes := obs.Metrics.Counter("bayesopt_probes_total").Value(); int(probes) != f.Overhead.BOEvaluations {
 		t.Fatalf("bayesopt probes %v, BO evaluations %d", probes, f.Overhead.BOEvaluations)

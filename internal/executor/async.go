@@ -29,7 +29,7 @@ import (
 // number of goroutines.
 type Ticket struct {
 	op   string // "swap-out" | "swap-in" | "prefetch", "batch-" before each for a pool batch
-	name string // tensor or pool name, for spans and errors
+	name string // tensor or pool name, for errors
 	done chan struct{}
 	err  error
 }
@@ -198,9 +198,7 @@ func (g *asyncGate) close() {
 // package's persistent worker pool, resolving the ticket before the slot is
 // released. A refused slot rolls every claimed run back to the state it was
 // claimed from. Only a tensor prefetch joins, and a joined one has no run of
-// its own: it hands back the ticket of the swap-in it joined. With a timeline
-// attached, the queue stage — submission to execution start — is recorded
-// as an async-queue span; the loop records its own swap-out/swap-in spans.
+// its own: it hands back the ticket of the swap-in it joined.
 func (p *BlockPool) dispatch(ctx context.Context, op string, req []BlockRun, requested int, doCompress bool, alg compress.Algorithm) *Ticket {
 	e, t := p.e, newTicket(op, p.name)
 	out := strings.HasSuffix(op, "swap-out")
@@ -221,20 +219,12 @@ func (p *BlockPool) dispatch(ctx context.Context, op string, req []BlockRun, req
 	case len(runs) == 0:
 		return t.complete(nil)
 	}
-	traced := e.obs != nil && e.obs.Trace != nil
-	var tSubmit float64
-	if traced {
-		tSubmit = e.sinceEpoch()
-	}
 	if err = e.gate.acquire(ctx); err != nil {
 		p.settle(runs, from)
 		return t.complete(fmt.Errorf("executor: %s %s: %w", op, p.name, err))
 	}
 	e.ins.asyncSubmitted(op).Inc()
 	compress.Go(func() {
-		if traced {
-			e.obs.Span("async-queue", op+":"+p.name, tSubmit, e.sinceEpoch())
-		}
 		if out {
 			t.complete(p.storeRuns(ctx, op, runs, doCompress, alg))
 		} else {

@@ -107,18 +107,6 @@ func TestAsyncPipelineOverlap(t *testing.T) {
 	if depth.Count() != 2*tensors {
 		t.Fatalf("queue-depth observations = %d, want %d", depth.Count(), 2*tensors)
 	}
-	// Per-stage spans landed on the timeline: the queue stage plus both
-	// swap legs.
-	streams := obs.Trace.Streams()
-	found := map[string]bool{}
-	for _, s := range streams {
-		found[s] = true
-	}
-	for _, s := range []string{"async-queue", "swap-out", "swap-in"} {
-		if !found[s] {
-			t.Fatalf("no %q spans on the timeline (streams %v)", s, streams)
-		}
-	}
 	if st := e.Stats(); st.SwapOuts != tensors || st.SwapIns != tensors || st.Verified != tensors {
 		t.Fatalf("stats %+v", st)
 	}

@@ -134,8 +134,7 @@ type Config struct {
 	// requires a Tier.
 	TierWatermark float64
 	// Observer optionally receives deep instrumentation: per-codec encode/
-	// decode timings and byte volumes, wall-clock swap spans, and fallback/
-	// retry events. When it carries a metrics registry, that registry also
+	// decode timings and byte volumes, and fallback/retry events. When it carries a metrics registry, that registry also
 	// becomes the backing store the Stats view reads from. A nil Observer
 	// is valid and costs ~zero on the hot path (one pointer check; no
 	// timing calls, no allocations).
@@ -153,7 +152,7 @@ type Executor struct {
 	// reg backs the Stats view: the Observer's registry when one is
 	// configured, otherwise a private registry. ins holds the pre-resolved
 	// cells so counting never allocates; obs gates the deep
-	// (timing/span/event) instrumentation; epoch anchors span wall clocks.
+	// (timing/event) instrumentation; epoch anchors the swappedAt clock.
 	reg   *metrics.Registry
 	ins   instruments
 	obs   *metrics.Observer

@@ -166,19 +166,15 @@ func (e *Executor) CodecTotals(alg compress.Algorithm) (encSeconds float64, enco
 }
 
 // observeSwapOut records the deep (Observer-only) view of one swap-out:
-// per-codec volume, encode timing, a wall-clock span, and fallback events.
-// t0/t1 bound the whole operation in seconds since the executor epoch. It
-// runs after the owner has committed, so it takes the payload's series and
-// stored size by value instead of reading a record it no longer owns.
-func (e *Executor) observeSwapOut(name string, c *codecCells, moved int, encDur time.Duration, t0, t1 float64, encodeFellBack, allocFellBack bool) {
+// per-codec volume, encode timing, and fallback events. It runs after the
+// owner has committed, so it takes the payload's series and stored size by
+// value instead of reading a record it no longer owns.
+func (e *Executor) observeSwapOut(name string, c *codecCells, moved int, encDur time.Duration, encodeFellBack, allocFellBack bool) {
 	o := e.obs
 	c.moved.Add(float64(moved))
 	c.blob.Observe(float64(moved))
 	if encDur > 0 {
 		c.enc.Observe(encDur.Seconds())
-	}
-	if o.Trace != nil {
-		o.Span("swap-out", "o:"+name, t0, t1)
 	}
 	if encodeFellBack {
 		o.Emit("executor.fallback", "tensor", name, "site", "encode")
@@ -188,16 +184,13 @@ func (e *Executor) observeSwapOut(name string, c *codecCells, moved int, encDur 
 	}
 }
 
-// observeSwapIn records the deep view of one swap-in: decode timing, a
-// wall-clock span, and retry/recovery events. Like observeSwapOut it may run
-// after the commit, so the series is resolved by the caller.
-func (e *Executor) observeSwapIn(name string, c *codecCells, decDur time.Duration, t0, t1 float64, retried, recovered bool) {
+// observeSwapIn records the deep view of one swap-in: decode timing and
+// retry/recovery events. Like observeSwapOut it may run after the commit,
+// so the series is resolved by the caller.
+func (e *Executor) observeSwapIn(name string, c *codecCells, decDur time.Duration, retried, recovered bool) {
 	o := e.obs
 	if decDur > 0 {
 		c.dec.Observe(decDur.Seconds())
-	}
-	if o.Trace != nil {
-		o.Span("swap-in", "p:"+name, t0, t1)
 	}
 	if retried {
 		outcome := "failed"
@@ -208,5 +201,6 @@ func (e *Executor) observeSwapIn(name string, c *codecCells, decDur time.Duratio
 	}
 }
 
-// sinceEpoch is the executor's wall clock for spans, in seconds.
+// sinceEpoch is the executor's wall clock, in seconds: what swappedAt
+// records and demotion ranking reads.
 func (e *Executor) sinceEpoch() float64 { return time.Since(e.epoch).Seconds() }

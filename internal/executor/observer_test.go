@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"sort"
 	"testing"
 
 	"cswap/internal/compress"
@@ -64,12 +63,12 @@ func TestObserverSeesSwapTraffic(t *testing.T) {
 		t.Fatalf("per-codec bytes %v != Stats.MovedBytes %d", moved, st.MovedBytes)
 	}
 
-	// Both legs landed as spans on the observer's timeline.
-	streams := obs.Trace.Streams()
-	sort.Strings(streams)
-	want := []string{"swap-in", "swap-out"}
-	if len(streams) != 2 || streams[0] != want[0] || streams[1] != want[1] {
-		t.Fatalf("trace streams = %v, want %v", streams, want)
+	// Both legs were timed under the payload's codec.
+	zvc := metrics.L("codec", "ZVC")
+	for _, name := range []string{"executor_encode_seconds", "executor_decode_seconds"} {
+		if n := obs.Metrics.Histogram(name, zvc).Count(); n != 1 {
+			t.Fatalf("%s{codec=ZVC} count = %d, want 1", name, n)
+		}
 	}
 	if len(events) != 0 {
 		t.Fatalf("clean round trip emitted events: %v", events)

@@ -98,10 +98,6 @@ func (p *BlockPool) SetCharge(c Charge) {
 // commit has succeeded, so they describe committed outcomes.
 func (e *Executor) store(s *stored, name string, src []float32, digested, doCompress bool, alg compress.Algorithm, commit func() error) error {
 	timed := e.obs != nil // deep instrumentation only when observed
-	var t0 float64
-	if timed {
-		t0 = e.sinceEpoch()
-	}
 	if e.cfg.Verify && !digested {
 		// Taken here, of the bytes about to be stored, not at registration:
 		// the owner of an unsealed payload may have rewritten it in place
@@ -196,7 +192,7 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 		e.ins.allocFallbacks.Inc()
 	}
 	if timed {
-		e.observeSwapOut(name, cells, moved, encDur, t0, e.sinceEpoch(), encodeFellBack, allocFellBack)
+		e.observeSwapOut(name, cells, moved, encDur, encodeFellBack, allocFellBack)
 	}
 	return nil
 }
@@ -205,8 +201,7 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 // still holds the blob a store of the same bytes with the same codec would
 // write, and its host bytes, so the swap-out is only the
 // commit. It counts as that store in the swap-out, raw and moved series,
-// but not in the per-codec ones or the Observer's spans, since no encode
-// ran and no bytes moved. A failed commit leaves the clean copy as it was.
+// but not in the per-codec ones, since no encode ran and no bytes moved. A failed commit leaves the clean copy as it was.
 func (e *Executor) storeClean(s *stored, commit func() error) error {
 	s.hostBlock.Cache(false)
 	s.swappedAt = e.sinceEpoch()
@@ -258,11 +253,7 @@ func (e *Executor) hostAlloc(n int64) (*devmem.Block, error) {
 // so the call is safe to retry.
 func (e *Executor) restore(s *stored, name string, dst []float32, keep bool, commit func()) error {
 	timed := e.obs != nil
-	var t0 float64
 	var decDur time.Duration
-	if timed {
-		t0 = e.sinceEpoch()
-	}
 	// commit publishes the owner as Resident, after which the next swap-out
 	// may claim it and rewrite s: the series the decode timing lands in is
 	// resolved here, while the claim is still held.
@@ -329,7 +320,7 @@ func (e *Executor) restore(s *stored, name string, dst []float32, keep bool, com
 	}
 	if derr != nil {
 		if timed {
-			e.observeSwapIn(name, cells, decDur, t0, e.sinceEpoch(), retried, false)
+			e.observeSwapIn(name, cells, decDur, retried, false)
 		}
 		return derr
 	}
@@ -358,7 +349,7 @@ func (e *Executor) restore(s *stored, name string, dst []float32, keep bool, com
 		e.ins.decodeRecoveries.Inc()
 	}
 	if timed {
-		e.observeSwapIn(name, cells, decDur, t0, e.sinceEpoch(), retried, retried)
+		e.observeSwapIn(name, cells, decDur, retried, retried)
 	}
 	return nil
 }

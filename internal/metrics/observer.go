@@ -1,11 +1,5 @@
 package metrics
 
-import (
-	"sync"
-
-	"cswap/internal/trace"
-)
-
 // Event is one structured notification from an instrumented component —
 // the qualitative channel beside the registry's quantitative one (a BO
 // probe, a codec fallback, an iteration boundary).
@@ -15,34 +9,25 @@ type Event struct {
 }
 
 // Observer is the single instrumentation surface threaded through the
-// CSWAP stack: a metrics registry, an optional span timeline, and an
-// optional structured event hook. Components receive a *Observer and
-// record through it; a nil Observer is valid everywhere and costs ~zero —
-// every method no-ops on a nil receiver, and the registry it exposes is
-// nil (whose instruments also no-op).
+// CSWAP stack: a metrics registry and an optional structured event hook.
+// Components receive a *Observer and record through it; a nil Observer is
+// valid everywhere and costs ~zero — every method no-ops on a nil
+// receiver, and the registry it exposes is nil (whose instruments also
+// no-op).
 //
-// The registry and timeline may be shared by concurrent swap streams:
-// registry instruments are lock-free, and Span serialises timeline
-// appends internally. OnEvent must be safe for concurrent use by its
+// Concurrent swap streams may share one observer: registry instruments
+// are lock-free, and OnEvent must be safe for concurrent use by its
 // provider.
 type Observer struct {
 	// Metrics receives counters, gauges, and histograms. Nil disables
 	// quantitative recording.
 	Metrics *Registry
-	// Trace receives execution spans (Figure 2-style timelines; exportable
-	// as a Chrome trace). Nil disables span recording.
-	Trace *trace.Timeline
 	// OnEvent, when non-nil, receives structured events.
 	OnEvent func(Event)
-
-	mu sync.Mutex // serialises Trace appends from concurrent streams
 }
 
-// NewObserver returns an observer with a fresh registry and timeline and
-// no event hook.
-func NewObserver() *Observer {
-	return &Observer{Metrics: NewRegistry(), Trace: &trace.Timeline{}}
-}
+// NewObserver returns an observer with a fresh registry and no event hook.
+func NewObserver() *Observer { return &Observer{Metrics: NewRegistry()} }
 
 // Reg returns the observer's registry; nil-safe, so call sites can chain
 // o.Reg().Counter(...) unconditionally.
@@ -51,22 +36,6 @@ func (o *Observer) Reg() *Registry {
 		return nil
 	}
 	return o.Metrics
-}
-
-// Span records one [start, end] interval on a stream through the
-// non-panicking trace.AddChecked: instrumentation fed by wall clocks or
-// replayed data must never take down the process, so an invalid span is
-// counted (observer_bad_spans_total) and dropped instead.
-func (o *Observer) Span(stream, label string, start, end float64) {
-	if o == nil || o.Trace == nil {
-		return
-	}
-	o.mu.Lock()
-	err := o.Trace.AddChecked(stream, label, start, end)
-	o.mu.Unlock()
-	if err != nil {
-		o.Reg().Counter("observer_bad_spans_total").Inc()
-	}
 }
 
 // Emit fires the structured event hook with alternating key/value attrs.
@@ -82,15 +51,4 @@ func (o *Observer) Emit(name string, attrs ...string) {
 		}
 	}
 	o.OnEvent(Event{Name: name, Attrs: m})
-}
-
-// ChromeTrace exports the observer's timeline as Chrome trace-event JSON
-// (nil-safe; an observer without a timeline exports an empty trace).
-func (o *Observer) ChromeTrace() ([]byte, error) {
-	if o == nil || o.Trace == nil {
-		return (&trace.Timeline{}).ChromeTrace()
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.Trace.ChromeTrace()
 }

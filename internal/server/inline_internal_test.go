@@ -376,38 +376,63 @@ func TestServedPrefetchShedsForCritical(t *testing.T) {
 // tensor: server_busy_total stays 0, and every read is bit-exact. A
 // swap-out may find no room while the other caller's copy is in flight
 // (507), and then leaves its tensor resident.
+//
+// The callers meet in the host pool on every run: each one's first
+// swap-out commits before the next one's starts and before either swaps
+// in, so caller 1's finds caller 0's copy filling the pool and demotes it.
+// One swapped tensor stays under the background demoter's watermark, so
+// that demotion is the inline path's.
 func TestTwoCallersShareATier(t *testing.T) {
 	const elems = 1 << 14
 	s, url := newInternalServer(t, WithHostCapacity(3*4*elems/2), WithTierDir(t.TempDir()))
 	ctx := context.Background()
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		cl := client.New(url, client.WithRetry(0, 0))
-		names := []string{fmt.Sprintf("c%d-a", g), fmt.Sprintf("c%d-b", g)}
-		want := map[string][]float32{}
-		for i, name := range names {
-			want[name] = tensor.NewGenerator(int64(10*g+i)).Uniform(elems, 0.5).Data
-			if err := cl.Register(ctx, name, want[name]); err != nil {
+	type caller struct {
+		cl    *client.Client
+		names []string
+		want  map[string][]float32
+	}
+	callers := make([]caller, 2)
+	for g := range callers {
+		c := caller{
+			cl:    client.New(url, client.WithRetry(0, 0)),
+			names: []string{fmt.Sprintf("c%d-a", g), fmt.Sprintf("c%d-b", g)},
+			want:  map[string][]float32{},
+		}
+		for i, name := range c.names {
+			c.want[name] = tensor.NewGenerator(int64(10*g+i)).Uniform(elems, 0.5).Data
+			if err := c.cl.Register(ctx, name, c.want[name]); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if err := c.cl.SwapOut(ctx, c.names[0], client.WithRaw()); err != nil {
+			t.Fatalf("%s: first swap-out: %v", c.names[0], err)
+		}
+		callers[g] = c
+	}
+	if v := schedCounter(t, s, "executor_tier_demotions_total"); v != 1 {
+		t.Fatalf("executor_tier_demotions_total = %v after both first swap-outs, want 1", v)
+	}
+	var wg sync.WaitGroup
+	for _, c := range callers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for cycle := 0; cycle < 60; cycle++ {
-				for _, name := range names {
-					if err := cl.SwapOut(ctx, name, client.WithRaw()); errors.Is(err, client.ErrOutOfMemory) {
-						continue
-					} else if err != nil {
-						t.Errorf("%s cycle %d: swap-out: %v", name, cycle, err)
-						return
+				for i, name := range c.names {
+					if cycle > 0 || i > 0 { // the first swap-out ran above
+						if err := c.cl.SwapOut(ctx, name, client.WithRaw()); errors.Is(err, client.ErrOutOfMemory) {
+							continue
+						} else if err != nil {
+							t.Errorf("%s cycle %d: swap-out: %v", name, cycle, err)
+							return
+						}
 					}
-					got, err := cl.SwapIn(ctx, name)
+					got, err := c.cl.SwapIn(ctx, name)
 					if err != nil {
 						t.Errorf("%s cycle %d: swap-in: %v", name, cycle, err)
 						return
 					}
-					if !sameFloats(got, want[name]) {
+					if !sameFloats(got, c.want[name]) {
 						t.Errorf("%s cycle %d: read differs from the registered bytes", name, cycle)
 						return
 					}

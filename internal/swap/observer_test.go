@@ -72,29 +72,16 @@ func TestSimulateRecordsStreamBusyTotals(t *testing.T) {
 	}
 }
 
-func TestSimulateFallsBackToObserverTimeline(t *testing.T) {
+func TestSimulateRecordsOnExplicitTimeline(t *testing.T) {
 	m, d, np := testSetup(t, "AlexNet", 0)
 	plan := VDNN{}.Plan(np, d)
 
-	obs := metrics.NewObserver()
-	if _, err := Simulate(m, d, np, plan, NewOptions(WithObserver(obs))); err != nil {
-		t.Fatal(err)
-	}
-	if len(obs.Trace.Streams()) == 0 {
-		t.Fatal("observer timeline received no spans")
-	}
-
-	// An explicit Trace wins over the observer's timeline.
 	tl := &trace.Timeline{}
-	obs2 := metrics.NewObserver()
-	if _, err := Simulate(m, d, np, plan, NewOptions(WithTrace(tl), WithObserver(obs2))); err != nil {
+	if _, err := Simulate(m, d, np, plan, NewOptions(WithTrace(tl), WithObserver(metrics.NewObserver()))); err != nil {
 		t.Fatal(err)
 	}
 	if len(tl.Streams()) == 0 {
 		t.Fatal("explicit timeline received no spans")
-	}
-	if len(obs2.Trace.Streams()) != 0 {
-		t.Fatal("observer timeline must not be used when an explicit Trace is set")
 	}
 }
 

@@ -36,8 +36,7 @@ func WithInterference(f float64) Option { return func(o *Options) { o.Interferen
 func WithTrace(t *trace.Timeline) Option { return func(o *Options) { o.Trace = t } }
 
 // WithObserver attaches the unified observability surface: busy-time and
-// decision metrics land in its registry, and — when no explicit Trace is
-// set — spans land on its timeline.
+// decision metrics land in its registry.
 func WithObserver(obs *metrics.Observer) Option { return func(o *Options) { o.Observer = obs } }
 
 // WithPipelinedCodec toggles the double-buffered-swapping ablation.

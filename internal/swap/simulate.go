@@ -45,8 +45,7 @@ type Options struct {
 	EagerPrefetch bool
 	// Observer, when non-nil, receives the iteration's metrics: per-stream
 	// busy time, exposed-stall histograms, and per-codec decision counts.
-	// When Trace is nil and the observer carries a timeline, spans are
-	// recorded there. Nil costs nothing.
+	// Nil costs nothing.
 	Observer *metrics.Observer
 }
 
@@ -117,14 +116,10 @@ func Simulate(m *dnn.Model, d *gpu.Device, np *profiler.NetworkProfile, plan *Pl
 			res, err = nil, fmt.Errorf("swap: invalid simulation input: %v", r)
 		}
 	}()
-	// The observer's timeline doubles as the span target when no explicit
-	// Trace is configured. Within Simulate the engine is single-threaded,
-	// so direct appends are safe; inverted spans would be simulator bugs,
-	// which is exactly what Timeline.Add's panic (converted to an error by
-	// the recover above) is reserved for.
-	if opt.Trace == nil && opt.Observer != nil {
-		opt.Trace = opt.Observer.Trace
-	}
+	// Within Simulate the engine is single-threaded, so direct appends to
+	// opt.Trace are safe; inverted spans would be simulator bugs, which is
+	// exactly what Timeline.Add's panic (converted to an error by the
+	// recover above) is reserved for.
 	rng := stats.NewRNG(opt.Seed)
 	jit := func(v float64) float64 {
 		if opt.Jitter <= 0 || v == 0 {
