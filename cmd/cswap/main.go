@@ -103,21 +103,20 @@ func skipFig11Flag(fs *flag.FlagSet) *bool {
 	return fs.Bool("skip-fig11", false, "skip the slow decision-accuracy sweep")
 }
 
-// metricsFlag is -metrics, the Observer's way out.
-func metricsFlag(fs *flag.FlagSet) *string {
-	return fs.String("metrics", "", "write a JSON-lines metrics snapshot here")
-}
-
-// writeMetrics writes reg's snapshot to path as JSON lines.
+// writeMetrics writes reg's snapshot to path as JSON lines: -metrics, the
+// Observer's way out.
 func writeMetrics(out io.Writer, path string, reg *metrics.Registry) error {
 	var b bytes.Buffer
 	err := metrics.JSONLines{W: &b}.Write(reg.Snapshot())
 	return writeExport(out, "metrics", path, b.Bytes(), err)
 }
 
-// writeExport writes an export's bytes to path, unless err says they could
-// not be made, and names the file on out.
+// writeExport writes an export's bytes to path, unless no path was asked
+// for or err says they could not be made, and names the file on out.
 func writeExport(out io.Writer, kind, path string, b []byte, err error) error {
+	if path == "" {
+		return nil
+	}
 	if err == nil {
 		err = os.WriteFile(path, b, 0o644)
 	}
@@ -163,7 +162,7 @@ func model(fs *flag.FlagSet, args []string, out io.Writer) error {
 
 func profile(fs *flag.FlagSet, args []string, out io.Writer) error {
 	sc := scaleFlags(fs)
-	metricsPath := metricsFlag(fs)
+	metricsPath := fs.String("metrics", "", "write a JSON-lines metrics snapshot here")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

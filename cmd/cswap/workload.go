@@ -67,7 +67,7 @@ func sim(fs *flag.FlagSet, args []string, out io.Writer) error {
 	sc := scaleFlags(fs)
 	samples := fs.Int("samples", 0, "override regression samples per algorithm")
 	stride := fs.Int("stride", 0, "override epoch stride")
-	metricsPath := metricsFlag(fs)
+	metricsPath := fs.String("metrics", "", "write a JSON-lines metrics snapshot here")
 	tracePath := fs.String("trace", "", "write the iteration's Chrome trace-event JSON here")
 	w := workloadFlags(fs)
 	epoch := fs.Int("epoch", 10, "epoch of the observed run")
@@ -114,13 +114,8 @@ func sim(fs *flag.FlagSet, args []string, out io.Writer) error {
 		res.IterationTime, res.Throughput, res.SwapExposed)
 	fmt.Fprintf(out, "busy: compute %.6fs  kernel %.6fs  d2h %.6fs  h2d %.6fs\n",
 		res.ComputeBusy, res.KernelBusy, res.D2HBusy, res.H2DBusy)
-	if *metricsPath != "" {
-		if err := writeMetrics(out, *metricsPath, obs.Metrics); err != nil {
-			return err
-		}
-	}
-	if *tracePath == "" {
-		return nil
+	if err := writeMetrics(out, *metricsPath, obs.Metrics); err != nil {
+		return err
 	}
 	b, err := tl.ChromeTrace()
 	return writeExport(out, "trace", *tracePath, b, err)

@@ -457,9 +457,10 @@ type (
 
 type (
 	// Observer is the single instrumentation surface threaded through the
-	// stack: a metrics registry and an optional structured event hook. Attach one via Config.Observer,
-	// ExecutorConfig.Observer, or WithObserver; a nil Observer is valid
-	// everywhere and costs ~zero on the hot path.
+	// stack: a metrics registry and an optional structured event hook.
+	// Attach one via Config.Observer, ExecutorConfig.Observer, or
+	// WithObserver; a nil Observer is valid everywhere and costs ~zero on
+	// the hot path.
 	Observer = metrics.Observer
 	// ObserverEvent is one structured notification (a BO probe, a codec
 	// fallback, an iteration boundary) delivered to Observer.OnEvent.

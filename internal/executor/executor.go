@@ -134,10 +134,11 @@ type Config struct {
 	// requires a Tier.
 	TierWatermark float64
 	// Observer optionally receives deep instrumentation: per-codec encode/
-	// decode timings and byte volumes, and fallback/retry events. When it carries a metrics registry, that registry also
-	// becomes the backing store the Stats view reads from. A nil Observer
-	// is valid and costs ~zero on the hot path (one pointer check; no
-	// timing calls, no allocations).
+	// decode timings and byte volumes, and fallback/retry events. When it
+	// carries a metrics registry, that registry also becomes the backing
+	// store the Stats view reads from. A nil Observer is valid and costs
+	// ~zero on the hot path (one pointer check; no timing calls, no
+	// allocations).
 	Observer *metrics.Observer
 }
 

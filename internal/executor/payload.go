@@ -201,7 +201,8 @@ func (e *Executor) store(s *stored, name string, src []float32, digested, doComp
 // still holds the blob a store of the same bytes with the same codec would
 // write, and its host bytes, so the swap-out is only the
 // commit. It counts as that store in the swap-out, raw and moved series,
-// but not in the per-codec ones, since no encode ran and no bytes moved. A failed commit leaves the clean copy as it was.
+// but not in the per-codec ones, since no encode ran and no bytes moved. A
+// failed commit leaves the clean copy as it was.
 func (e *Executor) storeClean(s *stored, commit func() error) error {
 	s.hostBlock.Cache(false)
 	s.swappedAt = e.sinceEpoch()

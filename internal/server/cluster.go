@@ -109,9 +109,7 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.shards; i++ {
 		shardCfg := cfg
-		// Shards share the registry through labeled views but not the span
-		// timeline: concurrent shards appending to one timeline would
-		// interleave unrelated streams.
+		// Shards share the registry through shard-labeled views.
 		shardCfg.observer = &metrics.Observer{
 			Metrics: reg.Sub(metrics.L("shard", strconv.Itoa(i))),
 			OnEvent: cfg.observer.OnEvent,

@@ -137,8 +137,7 @@ func WithMaxPayload(n uint32) Option { return func(c *config) { c.maxPayload = n
 func WithRetryAfter(d time.Duration) Option { return func(c *config) { c.retryAfter = d } }
 
 // WithObserver supplies the instrumentation surface; without it the server
-// creates a registry-only observer (no span timeline — a daemon must not
-// accumulate spans without bound). A cluster derives a shard="N"-labeled
+// creates one with a fresh registry. A cluster derives a shard="N"-labeled
 // view of the observer's registry for each shard.
 func WithObserver(obs *metrics.Observer) Option { return func(c *config) { c.observer = obs } }
 
@@ -164,7 +163,7 @@ func resolve(opts []Option) config {
 	}
 	c.shards = max(c.shards, 1)
 	if c.observer == nil {
-		c.observer = &metrics.Observer{Metrics: metrics.NewRegistry()}
+		c.observer = metrics.NewObserver()
 	}
 	if c.retryAfter <= 0 {
 		c.retryAfter = time.Second

@@ -446,7 +446,7 @@ func (s *Server) respond(w http.ResponseWriter, f *wire.Frame, segs ...[]float32
 }
 
 // qualified is the executor-facing tensor name, namespaced by tenant so
-// spans and per-tensor series stay distinct across sessions.
+// per-tensor series and events stay distinct across sessions.
 func qualified(tenant, name string) string { return tenant + "/" + name }
 
 // batchSeen counts one pool request and its block volume (the tensor
