@@ -109,6 +109,7 @@ type Client struct {
 	ops
 	base       string
 	tenant     string
+	tenantHdr  []string // the tenant header's value, shared read-only by every request
 	hc         *http.Client
 	maxRetries int
 	backoff    time.Duration
@@ -163,6 +164,9 @@ func New(baseURL string, opts ...Option) *Client {
 	}
 	for _, o := range opts {
 		o(c)
+	}
+	if c.tenant != "" {
+		c.tenantHdr = []string{c.tenant}
 	}
 	return c
 }
@@ -264,7 +268,7 @@ func (r *bodyReader) Close() error { return nil }
 // Retry-After), and decodes the response frame the table promises, its
 // float field straight off the response body into dst when it fits.
 func (c *Client) do(ctx context.Context, f wire.Frame, shard string, dst []float32) (*wire.Frame, error) {
-	enc, err := wire.Prepare(&f)
+	enc, err := wire.Prepare(nil, &f)
 	if err != nil {
 		return nil, err
 	}
@@ -327,8 +331,13 @@ func (c *Client) do(ctx context.Context, f wire.Frame, shard string, dst []float
 	}
 }
 
+// octetStream is the Content-Type value of every request body, shared
+// read-only by the header maps it is set in.
+var octetStream = []string{"application/octet-stream"}
+
 // send issues one POST to the operation's URL with the tenant header and
-// the routing hint.
+// the routing hint. The header values the client always sends are shared
+// slices, set by their canonical keys.
 func (c *Client) send(ctx context.Context, op string, body *requestBody, shard string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/"+op, body.open())
 	if err != nil {
@@ -336,9 +345,9 @@ func (c *Client) send(ctx context.Context, op string, body *requestBody, shard s
 	}
 	req.ContentLength = body.enc.Len()
 	req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if c.tenant != "" {
-		req.Header.Set("X-CSwap-Tenant", c.tenant)
+	req.Header["Content-Type"] = octetStream
+	if c.tenantHdr != nil {
+		req.Header["X-Cswap-Tenant"] = c.tenantHdr
 	}
 	if shard != "" {
 		req.Header.Set(shardHeader, shard)

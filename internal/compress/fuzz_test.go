@@ -115,7 +115,7 @@ func FuzzParallelRoundTrip(f *testing.F) {
 		}
 	}
 	if blob, err := appendParallelChunks(nil, Huffman, hufSrc, 8, nil); err == nil {
-		if pc, err := parseParallelContainer(blob); err == nil {
+		if pc := new(parContainer); pc.parse(blob) == nil {
 			f.Add(huf, uint8(4), uint16(7), uint32(pc.offsets[1]+headerSize+256+1000), uint8(2))
 		}
 	}

@@ -133,8 +133,8 @@ func hufContainerChunks(t *testing.T, k, per int) (blob []byte, src []float32, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := parseParallelContainer(blob)
-	if err != nil {
+	var pc parContainer
+	if err := pc.parse(blob); err != nil {
 		t.Fatal(err)
 	}
 	if len(pc.bounds) != k {

@@ -216,16 +216,16 @@ func TestChunkBoundsSpanCounts(t *testing.T) {
 		{128, 2, []span{{0, 64}, {64, 128}}},
 	}
 	for _, tc := range cases {
-		got := chunkBounds(tc.n, tc.grid)
+		got := chunkBounds(nil, tc.n, tc.grid)
 		if len(got) != len(tc.want) {
-			t.Fatalf("chunkBounds(%d,%d) = %v spans, want %v", tc.n, tc.grid, got, tc.want)
+			t.Fatalf("chunkBounds(nil, %d,%d) = %v spans, want %v", tc.n, tc.grid, got, tc.want)
 		}
 		for i := range got {
 			if got[i] != tc.want[i] {
-				t.Fatalf("chunkBounds(%d,%d)[%d] = %v, want %v", tc.n, tc.grid, i, got[i], tc.want[i])
+				t.Fatalf("chunkBounds(nil, %d,%d)[%d] = %v, want %v", tc.n, tc.grid, i, got[i], tc.want[i])
 			}
 			if got[i].lo%32 != 0 {
-				t.Fatalf("chunkBounds(%d,%d)[%d] starts at unaligned %d", tc.n, tc.grid, i, got[i].lo)
+				t.Fatalf("chunkBounds(nil, %d,%d)[%d] starts at unaligned %d", tc.n, tc.grid, i, got[i].lo)
 			}
 		}
 	}
@@ -239,13 +239,13 @@ func TestWorkerCountBlockScalingCapped(t *testing.T) {
 	maxW := runtime.GOMAXPROCS(0)
 	n := 4 * maxW * 32 // enough aligned chunks that the jobs clamp is not the binding one
 	for _, l := range []Launch{{Grid: 4 * maxW, Block: 64}, {Grid: 4 * maxW, Block: 128}} {
-		if w := workerCount(len(chunkBounds(n, l.Grid))); w != maxW {
+		if w := workerCount(len(chunkBounds(nil, n, l.Grid))); w != maxW {
 			t.Fatalf("workerCount(%+v) = %d, want GOMAXPROCS cap %d", l, w, maxW)
 		}
 	}
 	// Below the cap the jobs clamp binds identically for both blocks.
 	for _, l := range []Launch{{Grid: 1, Block: 64}, {Grid: 1, Block: 128}} {
-		if w := workerCount(len(chunkBounds(n, l.Grid))); w != 1 {
+		if w := workerCount(len(chunkBounds(nil, n, l.Grid))); w != 1 {
 			t.Fatalf("workerCount(%+v) = %d, want 1", l, w)
 		}
 	}

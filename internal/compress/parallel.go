@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -150,7 +151,7 @@ func AppendParallelEncodeWith(dst []byte, alg Algorithm, src []float32, launch L
 }
 
 // appendParallelChunks is the encoder body: it cuts src into
-// chunkBounds(len(src), numChunks), with no floor applied. The exported path
+// chunkBounds(nil, len(src), numChunks), with no floor applied. The exported path
 // passes ChunkCount; tests pass a count directly to build the small-chunk
 // directories older encoders wrote, which the decoder still accepts.
 func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks int, hooks *Hooks) ([]byte, error) {
@@ -163,17 +164,12 @@ func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks in
 	// Reserve the header, the directory, and one worst-case span per chunk.
 	// Every non-last chunk has the same element count, hence the same bound.
 	base := len(dst)
-	c := &chunkEncoder{
-		codec:  codec,
-		alg:    alg,
-		src:    src,
-		per:    per,
-		dir:    base + parHeaderSize,
-		dirEnd: base + parHeaderSize + 8*k,
-		maxPer: codec.MaxEncodedLen(min(per, len(src))),
-		hooks:  hooks,
-		out:    make([]chunkOut, k),
-	}
+	c := encoders.Get().(*chunkEncoder)
+	defer c.release()
+	c.codec, c.alg, c.src, c.per, c.hooks = codec, alg, src, per, hooks
+	c.dir, c.dirEnd = base+parHeaderSize, base+parHeaderSize+8*k
+	c.maxPer = codec.MaxEncodedLen(min(per, len(src)))
+	c.out = slices.Grow(c.out[:0], k)[:k]
 	need := c.dirEnd + (k-1)*c.maxPer + codec.MaxEncodedLen(len(src)-(k-1)*per)
 	if cap(dst) < need {
 		grown := make([]byte, need, need+(need-base)/4)
@@ -183,7 +179,7 @@ func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks in
 		dst = dst[:need]
 	}
 	c.dst, c.w = dst, c.dirEnd
-	runWorkers(k, workerCount(k), func(i int) { c.encode(i) })
+	runWorkers(k, workerCount(k), c.job)
 	for _, o := range c.out {
 		if o.err != nil {
 			return nil, o.err
@@ -195,6 +191,24 @@ func appendParallelChunks(dst []byte, alg Algorithm, src []float32, numChunks in
 	binary.LittleEndian.PutUint64(dst[base+2:], uint64(len(src)))
 	binary.LittleEndian.PutUint32(dst[base+10:], uint32(k))
 	return dst, nil
+}
+
+// encoders recycles chunkEncoders, each with its chunk table and its job
+// function bound once, so an encode allocates no bookkeeping.
+var encoders = sync.Pool{New: func() any {
+	c := new(chunkEncoder)
+	c.job = c.encode
+	return c
+}}
+
+// release hands c back to encoders once its encode has returned — every
+// job has finished by then (runWorkers) — dropping its references to the
+// caller's memory.
+func (c *chunkEncoder) release() {
+	clear(c.out)
+	c.src, c.dst, c.hooks = nil, nil, nil
+	c.front, c.moving = 0, false
+	encoders.Put(c)
 }
 
 // chunkEncoder is one container encode in flight. Each chunk encodes into
@@ -219,6 +233,7 @@ type chunkEncoder struct {
 	maxPer int // the span stride
 	hooks  *Hooks
 	out    []chunkOut
+	job    func(int) // encode, bound to this encoder
 
 	// mu guards done, front and moving; w belongs to the mover.
 	mu     sync.Mutex
@@ -323,8 +338,9 @@ func ParallelDecode(blob []byte, launch Launch) ([]float32, error) {
 	if err := launch.Validate(); err != nil {
 		return nil, err
 	}
-	pc, err := parseParallelContainer(blob)
-	if err != nil {
+	pc := containers.Get().(*parContainer)
+	defer pc.release()
+	if err := pc.parse(blob); err != nil {
 		return nil, err
 	}
 	dst := make([]float32, pc.n)
@@ -351,8 +367,9 @@ func ParallelDecodeInto(dst []float32, blob []byte, launch Launch) error {
 // ParallelDecodeIntoWith is ParallelDecodeInto with per-chunk hooks. It
 // takes no launch: decoding reads the chunking from the blob.
 func ParallelDecodeIntoWith(dst []float32, blob []byte, hooks *Hooks) error {
-	pc, err := parseParallelContainer(blob)
-	if err != nil {
+	pc := containers.Get().(*parContainer)
+	defer pc.release()
+	if err := pc.parse(blob); err != nil {
 		return err
 	}
 	if len(dst) != pc.n {
@@ -362,36 +379,64 @@ func ParallelDecodeIntoWith(dst []float32, blob []byte, hooks *Hooks) error {
 	return pc.decodeInto(dst, blob, hooks)
 }
 
-// parContainer is a validated view over a parallel container blob.
+// parContainer is a validated view over a parallel container blob, and the
+// state of its decode in flight. Decoders take one from containers and
+// hand it back (release) once the decode has returned, so the chunk tables
+// and job functions are allocated once per record, not once per call.
 type parContainer struct {
 	codec   Codec
 	alg     Algorithm
 	n       int
 	bounds  []span // element spans, one per chunk
 	offsets []int  // len(bounds)+1 absolute byte offsets of chunk blobs
+
+	// The decode in flight (decodeInto): its destination, blob, hooks and
+	// per-chunk errors, and its two job functions — one chunk, or an
+	// adjacent pair — bound to this record once.
+	dst       []float32
+	blob      []byte
+	hooks     *Hooks
+	errs      []error
+	one, pair func(int)
 }
 
-// parseParallelContainer performs the full structural validation described
-// on ParallelDecode and returns the chunk layout. Nothing is allocated
-// proportional to the (untrusted) declared element count.
-func parseParallelContainer(blob []byte) (parContainer, error) {
-	var pc parContainer
+// containers recycles parContainers.
+var containers = sync.Pool{New: func() any {
+	pc := new(parContainer)
+	pc.one = func(i int) { pc.decodeChunks(i, i+1) }
+	pc.pair = func(p int) { pc.decodeChunks(2*p, min(2*p+2, len(pc.bounds))) }
+	return pc
+}}
+
+// release hands pc back to containers, dropping its references to the
+// caller's memory. Every job has finished by then (runWorkers).
+func (pc *parContainer) release() {
+	clear(pc.errs)
+	pc.dst, pc.blob, pc.hooks = nil, nil, nil
+	containers.Put(pc)
+}
+
+// parse performs the full structural validation described on
+// ParallelDecode and records the chunk layout in pc, reusing its tables.
+// Nothing is allocated proportional to the (untrusted) declared element
+// count.
+func (pc *parContainer) parse(blob []byte) error {
 	if len(blob) < parHeaderSize {
-		return pc, fmt.Errorf("%w: parallel container header", ErrTruncated)
+		return fmt.Errorf("%w: parallel container header", ErrTruncated)
 	}
 	if blob[0] != parallelMarker {
-		return pc, fmt.Errorf("%w: not a parallel container", ErrCorrupt)
+		return fmt.Errorf("%w: not a parallel container", ErrCorrupt)
 	}
 	// The algorithm byte must map to a known codec before anything is
 	// allocated on the strength of the header.
 	alg := Algorithm(blob[1])
 	codec, err := New(alg)
 	if err != nil {
-		return pc, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	n := int(binary.LittleEndian.Uint64(blob[2:10]))
 	if n < 0 || n > maxParallelElems {
-		return pc, fmt.Errorf("%w: container claims %d elements", ErrCorrupt, n)
+		return fmt.Errorf("%w: container claims %d elements", ErrCorrupt, n)
 	}
 	numChunks := int(binary.LittleEndian.Uint32(blob[10:14]))
 	// Chunks are 32-element aligned and non-empty (except the single empty
@@ -402,29 +447,31 @@ func parseParallelContainer(blob []byte) (parContainer, error) {
 		maxChunks = 1
 	}
 	if numChunks < 1 || numChunks > maxChunks {
-		return pc, fmt.Errorf("%w: %d chunks for %d elements (max %d)",
+		return fmt.Errorf("%w: %d chunks for %d elements (max %d)",
 			ErrCorrupt, numChunks, n, maxChunks)
 	}
 	dirEnd := parHeaderSize + 8*numChunks
 	if len(blob) < dirEnd {
-		return pc, fmt.Errorf("%w: chunk directory", ErrTruncated)
+		return fmt.Errorf("%w: chunk directory", ErrTruncated)
 	}
-	offsets := make([]int, numChunks+1)
+	offsets := slices.Grow(pc.offsets[:0], numChunks+1)[:numChunks+1]
+	pc.offsets = offsets
 	offsets[0] = dirEnd
 	for i := 0; i < numChunks; i++ {
 		length := int(binary.LittleEndian.Uint64(blob[parHeaderSize+8*i:]))
 		if length < 0 || offsets[i]+length > len(blob) {
-			return pc, chunkErr(alg, i, numChunks, ErrTruncated)
+			return chunkErr(alg, i, numChunks, ErrTruncated)
 		}
 		offsets[i+1] = offsets[i] + length
 	}
 	if offsets[numChunks] != len(blob) {
-		return pc, fmt.Errorf("%w: directory covers %d bytes, payload has %d",
+		return fmt.Errorf("%w: directory covers %d bytes, payload has %d",
 			ErrCorrupt, offsets[numChunks]-dirEnd, len(blob)-dirEnd)
 	}
-	bounds := chunkBounds(n, numChunks)
+	bounds := chunkBounds(pc.bounds, n, numChunks)
+	pc.bounds = bounds
 	if len(bounds) != numChunks {
-		return pc, fmt.Errorf("%w: chunk count %d inconsistent with %d elements",
+		return fmt.Errorf("%w: chunk count %d inconsistent with %d elements",
 			ErrCorrupt, numChunks, n)
 	}
 	// Cross-check every chunk's own header against the container before
@@ -436,39 +483,38 @@ func parseParallelContainer(blob []byte) (parContainer, error) {
 	for i := range bounds {
 		chunk := blob[offsets[i]:offsets[i+1]]
 		if len(chunk) < headerSize {
-			return pc, chunkErr(alg, i, numChunks, ErrTruncated)
+			return chunkErr(alg, i, numChunks, ErrTruncated)
 		}
 		if Algorithm(chunk[0]) != alg {
-			return pc, chunkErr(alg, i, numChunks, fmt.Errorf(
+			return chunkErr(alg, i, numChunks, fmt.Errorf(
 				"%w: chunk algorithm byte %d, container is %s", ErrCorrupt, chunk[0], alg))
 		}
 		if count := binary.LittleEndian.Uint64(chunk[1:9]); count != uint64(bounds[i].hi-bounds[i].lo) {
-			return pc, chunkErr(alg, i, numChunks, fmt.Errorf(
+			return chunkErr(alg, i, numChunks, fmt.Errorf(
 				"%w: chunk declares %d elements, span holds %d",
 				ErrCorrupt, count, bounds[i].hi-bounds[i].lo))
 		}
 	}
-	return parContainer{codec: codec, alg: alg, n: n, bounds: bounds, offsets: offsets}, nil
+	pc.codec, pc.alg, pc.n = codec, alg, n
+	return nil
 }
 
 // decodeInto runs the per-chunk decodes, scattering each chunk straight
 // into its span of dst. HUF chunks go to the workers in adjacent pairs while
 // there are at least two pairs per worker; below that, pairing would leave
 // a core idle, and chunks go singly. An odd last chunk decodes alone.
-func (pc parContainer) decodeInto(dst []float32, blob []byte, hooks *Hooks) error {
+func (pc *parContainer) decodeInto(dst []float32, blob []byte, hooks *Hooks) error {
 	numChunks := len(pc.bounds)
-	errs := make([]error, numChunks)
+	pc.dst, pc.blob, pc.hooks = dst, blob, hooks
+	pc.errs = slices.Grow(pc.errs[:0], numChunks)[:numChunks]
+	clear(pc.errs)
 	if workers := workerCount(numChunks); pc.alg != Huffman || numChunks/2 < 2*workers {
-		runWorkers(numChunks, workers, func(i int) {
-			pc.decodeChunks(dst, blob, hooks, errs, i, i+1)
-		})
+		runWorkers(numChunks, workers, pc.one)
 	} else {
 		pairs := (numChunks + 1) / 2
-		runWorkers(pairs, workerCount(pairs), func(p int) {
-			pc.decodeChunks(dst, blob, hooks, errs, 2*p, min(2*p+2, numChunks))
-		})
+		runWorkers(pairs, workerCount(pairs), pc.pair)
 	}
-	for _, e := range errs {
+	for _, e := range pc.errs {
 		if e != nil {
 			return e
 		}
@@ -481,12 +527,12 @@ func (pc parContainer) decodeInto(dst []float32, blob []byte, hooks *Hooks) erro
 // pair, their two HUF bit streams interleaved in one loop, so the two
 // dependency chains overlap; a chunk whose partner's hook failed decodes
 // alone.
-func (pc parContainer) decodeChunks(dst []float32, blob []byte, hooks *Hooks, errs []error, lo, hi int) {
+func (pc *parContainer) decodeChunks(lo, hi int) {
 	var live [2]int
 	n := 0
 	for i := lo; i < hi; i++ {
-		if herr := hooks.chunkDecode(pc.alg, i); herr != nil {
-			errs[i] = chunkErr(pc.alg, i, len(errs), herr)
+		if herr := pc.hooks.chunkDecode(pc.alg, i); herr != nil {
+			pc.errs[i] = chunkErr(pc.alg, i, len(pc.errs), herr)
 		} else {
 			live[n] = i
 			n++
@@ -495,22 +541,22 @@ func (pc parContainer) decodeChunks(dst []float32, blob []byte, hooks *Hooks, er
 	var err [2]error
 	switch n {
 	case 1:
-		err[0] = pc.codec.DecodeInto(pc.chunk(dst, blob, live[0]))
+		err[0] = pc.codec.DecodeInto(pc.chunk(live[0]))
 	case 2:
-		dA, bA := pc.chunk(dst, blob, live[0])
-		dB, bB := pc.chunk(dst, blob, live[1])
+		dA, bA := pc.chunk(live[0])
+		dB, bB := pc.chunk(live[1])
 		err[0], err[1] = huffDecodePair(dA, bA, dB, bB)
 	}
 	for k, i := range live[:n] {
 		if err[k] != nil {
-			errs[i] = chunkErr(pc.alg, i, len(errs), err[k])
+			pc.errs[i] = chunkErr(pc.alg, i, len(pc.errs), err[k])
 		}
 	}
 }
 
-// chunk returns chunk i's span of dst and its codec blob.
-func (pc parContainer) chunk(dst []float32, blob []byte, i int) ([]float32, []byte) {
-	return dst[pc.bounds[i].lo:pc.bounds[i].hi], blob[pc.offsets[i]:pc.offsets[i+1]]
+// chunk returns chunk i's span of the destination and its codec blob.
+func (pc *parContainer) chunk(i int) ([]float32, []byte) {
+	return pc.dst[pc.bounds[i].lo:pc.bounds[i].hi], pc.blob[pc.offsets[i]:pc.offsets[i+1]]
 }
 
 type span struct{ lo, hi int }
@@ -533,12 +579,12 @@ func chunkShape(n, grid int) (per, k int) {
 	return per, k
 }
 
-// chunkBounds splits n elements into at most grid 32-aligned spans; the last
-// span absorbs the remainder. Fewer spans than grid are produced when the
-// tensor is small.
-func chunkBounds(n, grid int) []span {
+// chunkBounds splits n elements into at most grid 32-aligned spans, in
+// out's memory when it has room (nil: fresh); the last span absorbs the
+// remainder. Fewer spans than grid are produced when the tensor is small.
+func chunkBounds(out []span, n, grid int) []span {
 	per, k := chunkShape(n, grid)
-	out := make([]span, 0, k)
+	out = slices.Grow(out[:0], k)
 	for lo := 0; lo < n; lo += per {
 		hi := lo + per
 		if hi > n {

@@ -364,7 +364,7 @@ func TestChunkBoundsAlignment(t *testing.T) {
 	for _, tc := range []struct{ n, grid int }{
 		{0, 4}, {1, 4}, {31, 4}, {32, 4}, {33, 4}, {1000, 7}, {1 << 20, 4096},
 	} {
-		spans := chunkBounds(tc.n, tc.grid)
+		spans := chunkBounds(nil, tc.n, tc.grid)
 		prev := 0
 		for i, sp := range spans {
 			if sp.lo != prev {
@@ -432,7 +432,7 @@ func TestChunkFloor(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := parHeaderSize
-				for _, sp := range chunkBounds(tc.n, k) {
+				for _, sp := range chunkBounds(nil, tc.n, k) {
 					want += 8 + MustNew(alg).MaxEncodedLen(sp.hi-sp.lo)
 				}
 				if bound != want {

@@ -26,11 +26,37 @@ import (
 // Workers and the submitting goroutine race on next to claim indices; wg
 // counts jobs still to finish, so the submitter waits on work done, never
 // on a helper being dequeued.
+//
+// A helper may dequeue the task long after its call has returned, so a
+// task is recycled (tasks) only once nobody holds it: refs counts the
+// submitter and every helper request sent, and whoever lets go last puts
+// the task back.
 type parTask struct {
 	fn   func(int)
 	jobs int
 	next atomic.Int64
 	wg   sync.WaitGroup
+	refs atomic.Int32
+}
+
+var tasks = sync.Pool{New: func() any { return new(parTask) }}
+
+// newTask returns a task of fn over jobs held by refs parties.
+func newTask(fn func(int), jobs int, refs int32) *parTask {
+	t := tasks.Get().(*parTask)
+	t.fn, t.jobs = fn, jobs
+	t.next.Store(0)
+	t.refs.Store(refs)
+	t.wg.Add(jobs)
+	return t
+}
+
+// release lets go of one hold on t; the last one recycles it.
+func (t *parTask) release() {
+	if t.refs.Add(-1) == 0 {
+		t.fn = nil
+		tasks.Put(t)
+	}
 }
 
 // run claims and executes job indices until the task is exhausted. A
@@ -66,6 +92,7 @@ func poolStart() {
 		go func() {
 			for t := range poolCh {
 				t.run()
+				t.release()
 			}
 		}()
 	}
@@ -89,19 +116,21 @@ func runWorkers(jobs, workers int, fn func(int)) {
 		return
 	}
 	poolOnce.Do(poolStart)
-	t := &parTask{fn: fn, jobs: jobs}
-	t.wg.Add(jobs)
+	t := newTask(fn, jobs, 1)
 	// Never more helper requests than resident workers: GOMAXPROCS may have
 	// grown since the pool started, and a request no worker exists for only
 	// holds a channel slot that a Go submission may be blocked on.
 	for h := 0; h < min(workers-1, poolSize); h++ {
+		t.refs.Add(1)
 		select {
 		case poolCh <- t:
 		default: // pool saturated; shed the helper slot
+			t.refs.Add(-1)
 		}
 	}
 	t.run()
 	t.wg.Wait()
+	t.release()
 }
 
 // Go schedules fn on the package's persistent worker pool, starting the
@@ -119,9 +148,7 @@ func runWorkers(jobs, workers int, fn func(int)) {
 // nobody dequeues is a no-op — so no fn ever waits on a free worker.
 func Go(fn func()) {
 	poolOnce.Do(poolStart)
-	t := &parTask{fn: func(int) { fn() }, jobs: 1}
-	t.wg.Add(1)
-	poolCh <- t
+	poolCh <- newTask(func(int) { fn() }, 1, 1)
 }
 
 // ---------------------------------------------------------------------------

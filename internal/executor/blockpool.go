@@ -53,14 +53,21 @@ import (
 
 // CoalesceBlockIDs sorts ids, drops duplicates, and merges contiguous
 // runs — the pure coalescing rule both the executor and the simulator
-// score by. A nil/empty input returns nil.
+// score by. A nil/empty input returns nil. The run table is sized to the
+// runs it holds.
 func CoalesceBlockIDs(ids []int) []BlockRun {
 	if len(ids) == 0 {
 		return nil
 	}
 	sorted := append([]int(nil), ids...)
 	sort.Ints(sorted)
-	runs := make([]BlockRun, 0, 4)
+	n := 1
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] > sorted[i-1]+1 {
+			n++
+		}
+	}
+	runs := make([]BlockRun, 0, n)
 	runs = append(runs, BlockRun{Start: sorted[0], Count: 1})
 	for _, id := range sorted[1:] {
 		last := &runs[len(runs)-1]
@@ -140,6 +147,21 @@ type poolRun struct {
 
 // blocks is the run's block range.
 func (pr *poolRun) blocks() BlockRun { return BlockRun{Start: pr.start, Count: pr.count} }
+
+// runRecords recycles the stored-run records of pools of more than one
+// block: a record goes back once its run's restore has committed, or its
+// store has failed — when no block points at it and no claim holds it — so
+// a batch round trip allocates none.
+var runRecords = sync.Pool{New: func() any { return new(poolRun) }}
+
+// recycle returns a dead record to runRecords; a one-block pool's own
+// record (p.one) stays where it is.
+func (p *BlockPool) recycle(pr *poolRun) {
+	if pr != &p.one {
+		*pr = poolRun{}
+		runRecords.Put(pr)
+	}
+}
 
 // RegisterBlockPool reserves numBlocks fixed-size blocks of blockElems
 // float32s as one device allocation. It fails with devmem.ErrOutOfMemory
@@ -297,12 +319,13 @@ func (p *BlockPool) ReadBlocks(ids []int) ([]float32, error) {
 	return out, nil
 }
 
-// ViewRuns returns the pool's own memory for each run of a canonical
+// ViewRuns appends to dst the pool's own memory for each run of a canonical
 // (sorted, disjoint) run table, one slice per run — ReadBlocks without the
-// copy. Every block must be Resident. The slices alias live pool memory:
-// the caller must exclude writes and swaps of those blocks for as long as
-// it reads them (the server holds the pool's entry lock).
-func (p *BlockPool) ViewRuns(runs []BlockRun) ([][]float32, error) {
+// copy — and returns the extended list (dst, a list to reuse, may be nil).
+// Every block must be Resident. The slices alias live pool memory: the
+// caller must exclude writes and swaps of those blocks for as long as it
+// reads them (the server holds the pool's entry lock).
+func (p *BlockPool) ViewRuns(dst [][]float32, runs []BlockRun) ([][]float32, error) {
 	if err := p.validateRuns(runs); err != nil {
 		return nil, err
 	}
@@ -314,11 +337,10 @@ func (p *BlockPool) ViewRuns(runs []BlockRun) ([][]float32, error) {
 	if err := p.inState(runs, Resident); err != nil {
 		return nil, err
 	}
-	views := make([][]float32, len(runs))
-	for i, r := range runs {
-		views[i] = p.data[r.Start*p.blockElems : (r.Start+r.Count)*p.blockElems]
+	for _, r := range runs {
+		dst = append(dst, p.data[r.Start*p.blockElems:(r.Start+r.Count)*p.blockElems])
 	}
-	return views, nil
+	return dst, nil
 }
 
 // inState returns the error for the first block of runs that is not in
@@ -398,23 +420,26 @@ func (p *BlockPool) SwapInBlocksCtx(ctx context.Context, ids []int) *Ticket {
 
 // Swap runs one operation of a swap service synchronously, in the
 // caller's goroutine: op is "swap-out", "swap-in" or "prefetch" on block 0 —
-// with its tensor meaning — or the "batch-" form of one of them on ids. It is
-// the loop SwapOutBlocks and SwapInBlocks run, under ctx: a yield function
-// on ctx (WithYield) makes the operation sheddable at run boundaries
-// (ErrShed, the runs not yet started back in the state they were claimed
-// from). A prefetch is an idempotent swap-in: resident blocks need no work,
-// a block an asynchronous swap-in is restoring is waited for rather than
-// refused, and tier-resident runs are staged back into the host pool first
-// (read-ahead), so a failed or shed prefetch still leaves the later demand
-// swap-in a host-memory read. A run once started commits or rolls back
-// whatever ctx does. Swap takes no
-// slot of the async window, so Drain and Close do not wait for it: its
-// caller bounds and waits out its own swaps.
-func (p *BlockPool) Swap(ctx context.Context, op string, ids []int, doCompress bool, alg compress.Algorithm) error {
-	runs, requested := whole, 0
+// with its tensor meaning — or the "batch-" form of one of them on runs, the
+// request's IDs as CoalesceBlockIDs merged them, of which there were
+// requested before the merge (the batch series record both); a tensor
+// operation ignores the two. The caller coalesces, so a service that already
+// has the run table — to price or count the request — does not pay for it
+// twice. It is the loop SwapOutBlocks and SwapInBlocks run, under ctx: a
+// yield function on ctx (WithYield) makes the operation sheddable at run
+// boundaries (ErrShed, the runs not yet started back in the state they were
+// claimed from). A prefetch is an idempotent swap-in: resident blocks need
+// no work, a block an asynchronous swap-in is restoring is waited for rather
+// than refused, and tier-resident runs are staged back into the host pool
+// first (read-ahead), so a failed or shed prefetch still leaves the later
+// demand swap-in a host-memory read. A run once started commits or rolls
+// back whatever ctx does. Swap takes no slot of the async window, so Drain
+// and Close do not wait for it: its caller bounds and waits out its own
+// swaps.
+func (p *BlockPool) Swap(ctx context.Context, op string, runs []BlockRun, requested int, doCompress bool, alg compress.Algorithm) error {
 	kind, batch := strings.CutPrefix(op, "batch-")
-	if batch {
-		runs, requested = CoalesceBlockIDs(ids), len(ids)
+	if !batch {
+		runs, requested = whole, 0
 	}
 	switch kind {
 	case "swap-out":
@@ -441,15 +466,23 @@ func (p *BlockPool) storeRuns(ctx context.Context, op string, runs []BlockRun, d
 }
 
 // swapIn is every synchronous swap-in and prefetch: claim the stored runs
-// the request touches, then restore them in the caller's goroutine.
+// the request touches, then restore them in the caller's goroutine. The
+// claimed list is the call's scratch, taken from runLists and given back.
 func (p *BlockPool) swapIn(ctx context.Context, op string, req []BlockRun, requested int) error {
-	var buf [1]BlockRun // a tensor's one run is claimed without allocating
-	runs, joined, err := p.claimIn(op, req, requested, nil, buf[:0])
+	scratch := runLists.Get().(*[]BlockRun)
+	defer runLists.Put(scratch)
+	runs, joined, err := p.claimIn(op, req, requested, nil, (*scratch)[:0])
+	if cap(runs) > cap(*scratch) {
+		*scratch = runs[:0]
+	}
 	if err != nil {
 		return err
 	}
 	return p.restoreRuns(ctx, op, runs, joined)
 }
+
+// runLists recycles the run lists synchronous swap-ins claim into.
+var runLists = sync.Pool{New: func() any { return new([]BlockRun) }}
 
 // restoreRuns is every swap-in's loop over its claimed runs; a prefetch
 // then also waits for the asynchronous swap-ins it joined.
@@ -755,7 +788,7 @@ func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm
 	} else {
 		pr = &p.one
 		if p.numBlocks > 1 {
-			pr = new(poolRun)
+			pr = runRecords.Get().(*poolRun)
 		}
 		// The charge is set before the first swap-out, and the claim
 		// ordered this read after it.
@@ -768,6 +801,9 @@ func (p *BlockPool) storeRun(r BlockRun, doCompress bool, alg compress.Algorithm
 			}
 			return commit()
 		})
+		if err != nil {
+			p.recycle(pr) // never published
+		}
 	}
 	if err != nil {
 		p.settle([]BlockRun{r}, Resident)
@@ -802,6 +838,9 @@ func (p *BlockPool) restoreRun(r BlockRun, stage bool) error {
 	if err != nil {
 		p.settle([]BlockRun{r}, Swapped)
 		return fmt.Errorf("executor: restore %s run [%d,+%d): %w", p.name, r.Start, r.Count, err)
+	}
+	if clean == nil {
+		p.recycle(pr) // the commit unlinked it from every block
 	}
 	return nil
 }

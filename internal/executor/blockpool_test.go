@@ -223,7 +223,7 @@ func TestBlockPoolStateErrors(t *testing.T) {
 	if err := p.SwapOutBlocks(nil, false, 0); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if err := p.Swap(context.Background(), "batch-prefetch", nil, false, 0); err != nil {
+	if err := p.Swap(context.Background(), "batch-prefetch", nil, 0, false, 0); err != nil {
 		t.Fatalf("empty prefetch: %v", err)
 	}
 }
@@ -238,7 +238,7 @@ func TestBlockPoolPrefetchOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One batch prefetch restores all three runs.
-	if err := p.Swap(context.Background(), "batch-prefetch", []int{0, 1, 2, 3, 10, 11, 30}, false, 0); err != nil {
+	if err := p.Swap(context.Background(), "batch-prefetch", CoalesceBlockIDs([]int{0, 1, 2, 3, 10, 11, 30}), 7, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []int{0, 3, 10, 30} {
@@ -418,7 +418,7 @@ func TestPoolPrefetchJoinsAsyncSwapIn(t *testing.T) {
 	}
 	ctx := context.Background()
 	in := p.SwapInBlocksCtx(ctx, ids)
-	if err := p.Swap(ctx, "batch-prefetch", []int{2, 3, 8}, false, 0); err != nil {
+	if err := p.Swap(ctx, "batch-prefetch", CoalesceBlockIDs([]int{2, 3, 8}), 3, false, 0); err != nil {
 		t.Fatalf("prefetch overlapping an async swap-in: %v, want nil", err)
 	}
 	select {
@@ -439,7 +439,7 @@ func TestPoolPrefetchJoinsAsyncSwapIn(t *testing.T) {
 	}
 
 	out := p.SwapOutBlocksCtx(ctx, ids, true, compress.ZVC) // encode 3: delayed
-	if err := p.Swap(ctx, "batch-prefetch", ids, false, 0); !errors.Is(err, ErrBusy) {
+	if err := p.Swap(ctx, "batch-prefetch", CoalesceBlockIDs(ids), len(ids), false, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("prefetch over an in-flight swap-out: %v, want ErrBusy", err)
 	}
 	if err := out.Wait(); err != nil {
@@ -466,7 +466,7 @@ func TestViewRunsAliasesPoolMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	runs := CoalesceBlockIDs(ids)
-	views, err := p.ViewRuns(runs)
+	views, err := p.ViewRuns(nil, runs)
 	if err != nil || len(views) != len(runs) {
 		t.Fatalf("ViewRuns: %d views for %d runs, %v", len(views), len(runs), err)
 	}
@@ -486,10 +486,10 @@ func TestViewRunsAliasesPoolMemory(t *testing.T) {
 	if err := p.SwapOutBlocks([]int{7}, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ViewRuns(runs); !errors.Is(err, ErrNotResident) {
+	if _, err := p.ViewRuns(nil, runs); !errors.Is(err, ErrNotResident) {
 		t.Errorf("view over a swapped block: %v, want ErrNotResident", err)
 	}
-	if _, err := p.ViewRuns([]BlockRun{{Start: blocks - 1, Count: 2}}); err == nil {
+	if _, err := p.ViewRuns(nil, []BlockRun{{Start: blocks - 1, Count: 2}}); err == nil {
 		t.Error("view past the pool's end succeeded")
 	}
 }

@@ -61,11 +61,13 @@ func poolOwner(t *testing.T, e *Executor, data []float32) payloadOwner {
 		t.Fatal(err)
 	}
 	return payloadOwner{
-		swapOut:  func(c bool, a compress.Algorithm) error { return p.SwapOutBlocks(ids, c, a) },
-		swapIn:   func() error { return p.SwapInBlocks(ids) },
-		prefetch: func() error { return p.Swap(context.Background(), "batch-prefetch", ids, false, 0) },
-		demote:   func() error { _, err := p.demoteRun(BlockRun{Start: 0, Count: blocks}); return err },
-		swapped:  func() bool { return p.BlockState(0) == Swapped },
+		swapOut: func(c bool, a compress.Algorithm) error { return p.SwapOutBlocks(ids, c, a) },
+		swapIn:  func() error { return p.SwapInBlocks(ids) },
+		prefetch: func() error {
+			return p.Swap(context.Background(), "batch-prefetch", CoalesceBlockIDs(ids), len(ids), false, 0)
+		},
+		demote:  func() error { _, err := p.demoteRun(BlockRun{Start: 0, Count: blocks}); return err },
+		swapped: func() bool { return p.BlockState(0) == Swapped },
 		record: func() *stored {
 			p.mu.Lock()
 			defer p.mu.Unlock()

@@ -48,7 +48,7 @@ func TestShedScalarPrefetch(t *testing.T) {
 	// The yield fires: the prefetch yields without running.
 	shed.Store(true)
 	spec := shedding(&shed)
-	if err := h.Pool().Swap(spec, "prefetch", nil, false, 0); !errors.Is(err, ErrShed) {
+	if err := h.Pool().Swap(spec, "prefetch", nil, 0, false, 0); !errors.Is(err, ErrShed) {
 		t.Fatalf("prefetch under a firing yield: %v, want ErrShed", err)
 	}
 	if st := h.State(); st != Swapped {
@@ -70,7 +70,7 @@ func TestShedScalarPrefetch(t *testing.T) {
 	}
 
 	// A context without a yield function is never shed.
-	if err := h.Pool().Swap(context.Background(), "prefetch", nil, false, 0); err != nil {
+	if err := h.Pool().Swap(context.Background(), "prefetch", nil, 0, false, 0); err != nil {
 		t.Fatalf("prefetch without a yield: %v", err)
 	}
 
@@ -79,7 +79,7 @@ func TestShedScalarPrefetch(t *testing.T) {
 	if err := e.SwapOut(h, true, compress.ZVC); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Pool().Swap(spec, "prefetch", nil, false, 0); err != nil {
+	if err := h.Pool().Swap(spec, "prefetch", nil, 0, false, 0); err != nil {
 		t.Fatalf("prefetch after the yield went quiet: %v", err)
 	}
 	if v := counterValue(t, e, "executor_sched_preemptions_total"); v != 2 {
@@ -106,7 +106,7 @@ func TestShedBatchMidRuns(t *testing.T) {
 
 	shed.Store(true)
 	spec := shedding(&shed)
-	if err := p.Swap(spec, "batch-prefetch", ids, false, 0); !errors.Is(err, ErrShed) {
+	if err := p.Swap(spec, "batch-prefetch", CoalesceBlockIDs(ids), len(ids), false, 0); !errors.Is(err, ErrShed) {
 		t.Fatalf("batch prefetch under a firing yield: %v, want ErrShed", err)
 	}
 	for _, id := range ids {
@@ -121,7 +121,7 @@ func TestShedBatchMidRuns(t *testing.T) {
 	// The shed is load shedding, not failure: the same request resubmits
 	// cleanly once the backlog clears.
 	shed.Store(false)
-	if err := p.Swap(spec, "batch-prefetch", ids, false, 0); err != nil {
+	if err := p.Swap(spec, "batch-prefetch", CoalesceBlockIDs(ids), len(ids), false, 0); err != nil {
 		t.Fatalf("resubmitted batch prefetch: %v", err)
 	}
 	for _, id := range ids {
@@ -355,7 +355,7 @@ func TestBatchPrefetchReadahead(t *testing.T) {
 		t.Fatalf("tier holds %d blobs after run demotion, want 1", ts.Len())
 	}
 
-	if err := p.Swap(context.Background(), "batch-prefetch", ids, false, 0); err != nil {
+	if err := p.Swap(context.Background(), "batch-prefetch", CoalesceBlockIDs(ids), len(ids), false, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {

@@ -58,12 +58,12 @@ func TestSwapShedsMidRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	bg := context.Background()
-	if err := p.Swap(bg, "batch-swap-out", ids, true, compress.RLE); err != nil {
+	if err := p.Swap(bg, "batch-swap-out", CoalesceBlockIDs(ids), len(ids), true, compress.RLE); err != nil {
 		t.Fatal(err)
 	}
 	var calls atomic.Int64
 	spec := WithYield(bg, shedAfter(1, &calls))
-	if err := p.Swap(spec, "batch-prefetch", ids, false, 0); !errors.Is(err, ErrShed) {
+	if err := p.Swap(spec, "batch-prefetch", CoalesceBlockIDs(ids), len(ids), false, 0); !errors.Is(err, ErrShed) {
 		t.Fatalf("batch prefetch under a yield firing at its second run: %v, want ErrShed", err)
 	}
 	wantStates(t, p, ids, Resident, Swapped)
@@ -79,17 +79,17 @@ func TestSwapShedsMidRuns(t *testing.T) {
 
 	// The same yield sheds a swap-out's remaining runs back to Resident.
 	calls.Store(0)
-	if err := p.Swap(bg, "batch-swap-in", ids, false, 0); err != nil {
+	if err := p.Swap(bg, "batch-swap-in", CoalesceBlockIDs(ids), len(ids), false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Swap(spec, "batch-swap-out", ids, true, compress.RLE); !errors.Is(err, ErrShed) {
+	if err := p.Swap(spec, "batch-swap-out", CoalesceBlockIDs(ids), len(ids), true, compress.RLE); !errors.Is(err, ErrShed) {
 		t.Fatalf("batch swap-out under a yield firing at its second run: %v, want ErrShed", err)
 	}
 	wantStates(t, p, ids, Swapped, Resident)
 
 	// Work without a yield is never shed; the batch restores whole and bit-exact,
 	// and no run of any of these calls went to the worker pool.
-	if err := p.Swap(bg, "batch-swap-in", ids, false, 0); err != nil {
+	if err := p.Swap(bg, "batch-swap-in", CoalesceBlockIDs(ids), len(ids), false, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := p.ReadBlocks(ids)
@@ -101,7 +101,7 @@ func TestSwapShedsMidRuns(t *testing.T) {
 			t.Fatalf("executor_async_submitted_total{op=%s} = %v, want 0", op, v)
 		}
 	}
-	if err := p.Swap(bg, "demote", ids, false, 0); err == nil {
+	if err := p.Swap(bg, "demote", CoalesceBlockIDs(ids), len(ids), false, 0); err == nil {
 		t.Fatal("Swap accepted an unknown operation")
 	}
 }

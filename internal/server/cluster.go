@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"cswap/internal/compress"
+	"cswap/internal/executor"
 	"cswap/internal/metrics"
 	"cswap/internal/placement"
 	"cswap/internal/wire"
@@ -524,7 +525,7 @@ func (c *Cluster) arrive(sess *session, name string, ent *entry, was *wire.Frame
 	if err != nil {
 		return err
 	}
-	enc, err := wire.Prepare(whole, segs...)
+	enc, err := wire.Prepare(nil, whole, segs...)
 	if err != nil {
 		return err
 	}
@@ -557,5 +558,6 @@ func (s *Server) reswap(sess *session, ent *entry, was *wire.Frame) error {
 		return nil
 	}
 	doCompress, alg := s.resolveCodec(sess, ent, true, compress.Auto)
-	return ent.obj.p.Swap(context.Background(), wire.Ops[was.Type].Path, was.BlockIDs, doCompress, alg)
+	return ent.obj.p.Swap(context.Background(), wire.Ops[was.Type].Path,
+		executor.CoalesceBlockIDs(was.BlockIDs), len(was.BlockIDs), doCompress, alg)
 }

@@ -123,20 +123,39 @@ func (o object) swapBytes(blocks int) int64 {
 	return int64(blocks) * int64(o.p.BlockElems()) * tensor.BytesPerElement
 }
 
-// read answers with the resident content runs cover as a frame of type typ
-// (tensor-data or batch-data), in place: its float field is the object's
-// own memory, one segment per run, valid while the caller holds the entry
-// lock. A tensor's frame carries the CRC recorded when it arrived.
-func (o object) read(typ wire.Type, name string, runs []executor.BlockRun) (*wire.Frame, [][]float32, error) {
-	f := &wire.Frame{Type: typ, Name: name, HasDataCRC: o.hasDataCRC, DataCRC: o.dataCRC}
+// reply is a swap-in's answer in the making: the response frame, its run
+// table, and the views of the memory its float field is written from — the
+// object's own, or the gathered copy of scattered runs (Server.swapData).
+// A handler takes it from the server's pool (Server.replies) and gives it
+// back once the frame is written: nothing of it reaches the client but the
+// bytes respond writes, and reset drops every reference it holds.
+type reply struct {
+	f    wire.Frame
+	runs []wire.BlockRun
+	segs [][]float32
+}
+
+// reset empties rep for its next request, keeping the lists' memory.
+func (rep *reply) reset() {
+	clear(rep.segs)
+	rep.f, rep.runs, rep.segs = wire.Frame{}, rep.runs[:0], rep.segs[:0]
+}
+
+// read fills rep with the resident content runs cover as a frame of type
+// typ (tensor-data or batch-data), in place: its float field is the
+// object's own memory, one segment per run, valid while the caller holds
+// the entry lock. A tensor's frame carries the CRC recorded when it arrived.
+func (o object) read(rep *reply, typ wire.Type, name string, runs []executor.BlockRun) error {
+	rep.f = wire.Frame{Type: typ, Name: name, HasDataCRC: o.hasDataCRC, DataCRC: o.dataCRC}
 	if typ == wire.TypeBatchData {
-		f.BlockElems, f.Runs = o.p.BlockElems(), make([]wire.BlockRun, len(runs))
-		for i, r := range runs {
-			f.Runs[i] = wire.BlockRun(r)
+		for _, r := range runs {
+			rep.runs = append(rep.runs, wire.BlockRun(r))
 		}
+		rep.f.BlockElems, rep.f.Runs = o.p.BlockElems(), rep.runs
 	}
-	segs, err := o.p.ViewRuns(runs)
-	return f, segs, err
+	var err error
+	rep.segs, err = o.p.ViewRuns(rep.segs, runs)
+	return err
 }
 
 // write stores f's packed blocks and reports the fraction of the object
@@ -171,5 +190,7 @@ func (o object) restoreAll() (was *wire.Frame, err error) {
 // readAll is the object's whole content as the frame newObject rebuilds it
 // from: tensor-data, or batch-data with one run from block zero.
 func (o object) readAll(name string) (*wire.Frame, [][]float32, error) {
-	return o.read(family[o.pool].data, name, []executor.BlockRun{{Start: 0, Count: o.p.NumBlocks()}})
+	rep := new(reply)
+	err := o.read(rep, family[o.pool].data, name, []executor.BlockRun{{Start: 0, Count: o.p.NumBlocks()}})
+	return &rep.f, rep.segs, err
 }

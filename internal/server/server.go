@@ -124,8 +124,13 @@ type Server struct {
 	mux   *http.ServeMux
 	tuner *tuner
 	// staging pools the buffers batch-write payloads decode into and
-	// scattered batch-swap-in responses are gathered in.
-	staging sync.Pool
+	// scattered batch-swap-in responses are gathered in; heads, the buffers
+	// response frames' heads are encoded into (respond); replies, the
+	// swap-ins' answers in the making (reply). None of them reaches a
+	// client: each goes back once the frame it served is written.
+	staging sync.Pool // *[]float32
+	heads   sync.Pool // *[]byte
+	replies sync.Pool // *reply
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -206,6 +211,9 @@ func newServer(cfg config) (*Server, error) {
 			reg:          reg,
 		},
 		sched:    schd,
+		staging:  sync.Pool{New: func() any { return new([]float32) }},
+		heads:    sync.Pool{New: func() any { b := make([]byte, 0, headCap); return &b }},
+		replies:  sync.Pool{New: func() any { return new(reply) }},
 		sessions: map[string]*session{},
 	}
 	s.yield = s.shedSpeculative
@@ -329,12 +337,15 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 		start := time.Now()
 		// Only a batch-write's payload is staging — verified whole, then
 		// copied into the pool under the lock — so only it decodes into a
-		// pooled buffer (nil while the pool is empty: the frame allocates).
-		var stage []float32
+		// pooled buffer (empty when new: the frame allocates).
+		var stage *[]float32
+		var dst []float32
 		if typ == wire.TypeBatchData {
-			stage, _ = s.staging.Get().([]float32)
+			stage = s.staging.Get().(*[]float32)
+			defer s.staging.Put(stage)
+			dst = *stage
 		}
-		f, ok := s.readFrame(w, r, typ, stage)
+		f, ok := s.readFrame(w, r, typ, dst)
 		switch {
 		case sess != nil:
 		case ok: // a tenant's first request: its session waits for a well-formed frame
@@ -354,7 +365,7 @@ func (s *Server) handler(typ wire.Type, op *wire.Op) http.HandlerFunc {
 				s.free(w, sess, f)
 			default:
 				s.write(w, sess, f)
-				s.staging.Put(f.Data[:cap(f.Data)]) // stage, or the larger buffer it was too short for
+				*stage = f.Data[:cap(f.Data)] // stage, or the larger buffer it was too short for
 			}
 		}
 		cells.latency.Observe(time.Since(start).Seconds())
@@ -431,19 +442,31 @@ func (s *Server) readFrame(w http.ResponseWriter, r *http.Request, want wire.Typ
 }
 
 // respond streams a response frame with its length declared: the fields
-// before the float field from a small buffer, the float field — f.Data, or
-// segs in its place — from the memory it lives in, after one CRC pass (none
-// when f carries the field's recorded CRC, as a tensor's does).
+// before the float field from a pooled buffer (heads), the float field —
+// f.Data, or segs in its place — from the memory it lives in, after one CRC
+// pass (none when f carries the field's recorded CRC, as a tensor's does).
+// The buffer goes back to the pool once the frame is written.
 func (s *Server) respond(w http.ResponseWriter, f *wire.Frame, segs ...[]float32) {
-	enc, err := wire.Prepare(f, segs...)
+	head := s.heads.Get().(*[]byte)
+	defer s.heads.Put(head)
+	enc, err := wire.Prepare(*head, f, segs...)
 	if err != nil {
 		fail(w, s.cfg.retryAfter, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(enc.Len(), 10))
+	h := w.Header()
+	h["Content-Type"] = octetStream
+	h.Set("Content-Length", strconv.FormatInt(enc.Len(), 10))
 	_, _ = enc.WriteTo(w)
 }
+
+// headCap is the capacity of a pooled response head: a short name and a few
+// dozen runs. A longer head is encoded into a buffer of its own.
+const headCap = 256
+
+// octetStream is the Content-Type value of every frame body, shared
+// read-only by the header maps it is set in.
+var octetStream = []string{"application/octet-stream"}
 
 // qualified is the executor-facing tensor name, namespaced by tenant so
 // per-tensor series and events stay distinct across sessions.
@@ -594,10 +617,11 @@ func (s *Server) shedSpeculative() bool {
 // admitted on the speculative lane also carries s.yield, so it sheds at a
 // run boundary while critical work starves. A client that gives up
 // mid-operation does not stop it: the swap runs to commit, holding the
-// entry and the slot until it returns. On success the entry is returned
+// entry and the slot until it returns. runs is the request's coalesced run
+// table, which the executor takes as it is. On success the entry is returned
 // still locked and still holding the slot — the caller reads what it needs,
 // then finishes with swapAck or swapData.
-func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op, blocks int) (*entry, bool) {
+func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op, runs []executor.BlockRun, blocks int) (*entry, bool) {
 	ent, err := sess.acquireFor(f, s.cfg.retryAfter)
 	if err != nil {
 		s.failErr(w, err)
@@ -618,7 +642,7 @@ func (s *Server) swapOp(w http.ResponseWriter, r *http.Request, sess *session, f
 		sess.observeSwap(ent.sparsity, ent.obj.swapBytes(blocks))
 		doCompress, alg = s.resolveCodec(sess, ent, f.Compress, f.Alg)
 	}
-	if err := ent.obj.p.Swap(ctx, op.Path, f.BlockIDs, doCompress, alg); err != nil {
+	if err := ent.obj.p.Swap(ctx, op.Path, runs, len(f.BlockIDs), doCompress, alg); err != nil {
 		s.swapFail(w, ent, err)
 		return nil, false
 	}
@@ -671,17 +695,17 @@ func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame, segs
 		for _, seg := range segs {
 			n += len(seg)
 		}
-		stage, _ := s.staging.Get().([]float32)
-		if cap(stage) < n {
-			stage = make([]float32, 0, n)
+		stage := s.staging.Get().(*[]float32)
+		defer s.staging.Put(stage)
+		if cap(*stage) < n {
+			*stage = make([]float32, n)
 		}
-		f.Data = stage[:0]
+		f.Data = (*stage)[:0]
 		for _, seg := range segs {
 			f.Data = append(f.Data, seg...)
 		}
 		ent.mu.Unlock()
 		s.respond(w, f)
-		s.staging.Put(f.Data[:cap(f.Data)])
 		return
 	}
 	// A writer without deadlines (a test recorder) has no slow reader either.
@@ -701,9 +725,9 @@ func (s *Server) swapData(w http.ResponseWriter, ent *entry, f *wire.Frame, segs
 // batch, run after run), then an ack —
 // or, for the swap-ins, the restored content streamed back as one data
 // frame. The request's blocks are coalesced once, up front — block 0 for a
-// scalar frame — and that run list prices a swap-out, counts a pool
-// request's blocks (a duplicated ID counts once on every operation) and
-// selects what a swap-in answers with.
+// scalar frame — and that run list is the one the executor swaps; it also
+// prices a swap-out, counts a pool request's blocks (a duplicated ID counts
+// once on every operation) and selects what a swap-in answers with.
 func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *wire.Frame, op *wire.Op) {
 	runs := block0
 	if op.Pool {
@@ -713,7 +737,7 @@ func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *
 	for _, run := range runs {
 		blocks += run.Count
 	}
-	ent, ok := s.swapOp(w, r, sess, f, op, blocks)
+	ent, ok := s.swapOp(w, r, sess, f, op, runs, blocks)
 	if !ok {
 		return
 	}
@@ -722,12 +746,13 @@ func (s *Server) swap(w http.ResponseWriter, r *http.Request, sess *session, f *
 		s.swapAck(w, ent, f.Name)
 		return
 	}
-	resp, segs, err := ent.obj.read(op.Resp, f.Name, runs)
-	if err != nil {
+	rep := s.replies.Get().(*reply)
+	defer func() { rep.reset(); s.replies.Put(rep) }()
+	if err := ent.obj.read(rep, op.Resp, f.Name, runs); err != nil {
 		s.swapFail(w, ent, err)
 		return
 	}
-	s.swapData(w, ent, resp, segs)
+	s.swapData(w, ent, &rep.f, rep.segs)
 }
 
 // write stores packed block contents into resident blocks. It is a

@@ -168,7 +168,7 @@ func TestPrepareTakesRecordedCRC(t *testing.T) {
 			t.Errorf("%s: header CRC %#x from other bits, want the recorded frame's %#x", f.Type, got, wantSum)
 		}
 		half := len(other) / 2
-		e, err := Prepare(f, other[:half], other[half:])
+		e, err := Prepare(nil, f, other[:half], other[half:])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -138,6 +138,21 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	restampCRC(liar)
 	f.Add(liar)
 
+	// Frames whose fields before the float field outgrow ReadInto's first
+	// read, so the fuzzer starts from the buffer's growth path: a name
+	// ending just past it and a table of 40 runs, whole and cut around the
+	// first read's end.
+	for _, fr := range []*Frame{nameFrame(firstRead + 1), runsFrame(40, 1)} {
+		b, err := Encode(fr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		for cut := HeaderLen + firstRead - 2; cut <= HeaderLen+firstRead+2; cut++ {
+			f.Add(b[:cut])
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := decodeAllWays(t, data, 1<<20)
 		if err != nil {

@@ -169,7 +169,7 @@ func TestSegmentsEncodeAsOne(t *testing.T) {
 	}
 	for _, native := range []bool{nativeLE, false} {
 		withNative(native, func() {
-			enc, err := Prepare(f, data[:2], data[2:6], data[6:])
+			enc, err := Prepare(nil, f, data[:2], data[2:6], data[6:])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestSegmentsEncodeAsOne(t *testing.T) {
 			}
 		})
 	}
-	if _, err := Prepare(f, data[:3]); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := Prepare(nil, f, data[:3]); !errors.Is(err, compress.ErrCorrupt) {
 		t.Errorf("segments shorter than the run table: %v, want ErrCorrupt", err)
 	}
 }

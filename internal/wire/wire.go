@@ -368,6 +368,11 @@ func (c *cursor) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
+// short reports whether a fixed-width field of k bytes runs past the
+// buffered bytes but not past the payload: the reader buffers more
+// (errShort) before the field is judged.
+func (c *cursor) short(k int) bool { return len(c.b) < k && len(c.b)+c.rest >= k }
+
 // u32 reads one big-endian uint32; the caller has checked four bytes remain
 // (what a missing fixed-width field reports differs by field).
 func (c *cursor) u32() int {
@@ -545,25 +550,30 @@ func (p *portableReader) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-// readFloats fills data with the next 4*len(data) bytes of r, read straight
-// into data's memory, and returns their CRC, folded chunk by chunk. Where
-// that memory is not the wire encoding, each chunk is then converted where
-// it lies — the portable float-field reader, and the native one's test
+// readFloats fills data with its wire encoding: pre, the part of it a reader
+// has already buffered, copied in first, then the rest read from r straight
+// into data's memory, and returns the encoding's CRC, folded chunk by chunk.
+// Where that memory is not the wire encoding, each chunk is then converted
+// where it lies — the portable float-field reader, and the native one's test
 // reference.
-func readFloats(r io.Reader, data []float32) (crc uint32, err error) {
-	for len(data) > 0 {
-		part := data[:min(len(data), floatChunk/4)]
-		b := compress.FloatBytes(part)
-		if err := readFull(r, b, "payload"); err != nil {
-			return crc, err
+func readFloats(pre []byte, r io.Reader, data []float32) (crc uint32, err error) {
+	b := compress.FloatBytes(data)
+	have := copy(b, pre)
+	for off := 0; off < len(b); {
+		end := min(len(b), off+floatChunk)
+		if have < end {
+			if err := readFull(r, b[have:end], "payload"); err != nil {
+				return crc, err
+			}
+			have = end
 		}
-		crc = crc32.Update(crc, crc32.IEEETable, b)
+		crc = crc32.Update(crc, crc32.IEEETable, b[off:end])
 		if !nativeLE {
-			for i := range part {
-				part[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+			for i := off / 4; i < end/4; i++ {
+				data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 			}
 		}
-		data = data[len(part):]
+		off = end
 	}
 	return crc, nil
 }
@@ -582,12 +592,8 @@ func (c *cursor) floats(f *Frame, elems int) error {
 		data = make([]float32, elems)
 	}
 	data = data[:elems]
-	src := io.Reader(bytes.NewReader(c.b))
-	if c.rest > 0 {
-		src = io.MultiReader(src, c.r)
-	}
 	parsed := c.buf[:len(c.buf)-len(c.b)]
-	dataCRC, err := readFloats(src, data)
+	dataCRC, err := readFloats(c.b, c.r, data)
 	if err != nil {
 		return err
 	}
@@ -607,6 +613,9 @@ func (c *cursor) data(f *Frame) error {
 	case writing:
 		c.b = binary.BigEndian.AppendUint32(c.b, uint32(c.elems))
 	case reading:
+		if c.short(4) {
+			return errShort
+		}
 		if len(c.b) < 4 {
 			return corruptErr("%s frame lacks element count", f.Type)
 		}
@@ -694,6 +703,9 @@ func (rt *runTable) add(start, count uint64) error {
 func (c *cursor) runs(f *Frame) error {
 	count := uint64(len(f.Runs))
 	if c.mode == reading {
+		if c.short(4) {
+			return errShort
+		}
 		if len(c.b) < 4 {
 			return truncErr("batch-data frame lacks block-elems field")
 		}
@@ -775,20 +787,25 @@ func (t Type) hasFloats() bool {
 type Encoding struct {
 	head []byte
 	segs [][]float32
-	n    int64 // the whole encoding's size in bytes
+	one  [1][]float32 // segs when the float field is f.Data, in one piece
+	n    int64        // the whole encoding's size in bytes
 }
 
-// Prepare validates f, encodes all of it but the float field and takes the
-// payload CRC. segs, when given, is the float field in pieces (a pool's
-// runs, each in place) and stands in for f.Data. When f carries the float
-// field's recorded CRC (HasDataCRC) the field is not read: its CRC is
-// combined with that of the bytes before it. Otherwise Prepare makes the
+// Prepare validates f, encodes all of it but the float field onto head[:0]
+// and takes the payload CRC. head is a buffer to reuse, or nil: one too
+// short is outgrown, and one given must not be touched again until the
+// encoding has been written. segs, when given, is the float field in pieces
+// (a pool's runs, each in place) and stands in for f.Data. When f carries
+// the float field's recorded CRC (HasDataCRC) the field is not read: its CRC
+// is combined with that of the bytes before it. Otherwise Prepare makes the
 // one CRC pass over the whole payload.
-func Prepare(f *Frame, segs ...[]float32) (*Encoding, error) {
+func Prepare(head []byte, f *Frame, segs ...[]float32) (*Encoding, error) {
+	e := new(Encoding)
 	if !f.Type.hasFloats() {
 		segs = nil
 	} else if len(segs) == 0 {
-		segs = [][]float32{f.Data}
+		e.one[0] = f.Data
+		segs = e.one[:]
 	}
 	elems := 0
 	for _, seg := range segs {
@@ -803,7 +820,7 @@ func Prepare(f *Frame, segs ...[]float32) (*Encoding, error) {
 	if f.HasSched {
 		flags |= FlagSched
 	}
-	head := make([]byte, 0, HeaderLen+plen-4*elems)
+	head = slices.Grow(head[:0], HeaderLen+plen-4*elems)
 	head = append(head, magic[:]...)
 	head = append(head, Version, byte(f.Type))
 	head = binary.BigEndian.AppendUint16(head, flags)
@@ -811,17 +828,29 @@ func Prepare(f *Frame, segs ...[]float32) (*Encoding, error) {
 	head = append(head, 0, 0, 0, 0) // CRC placeholder
 	c = cursor{mode: writing, b: head, elems: elems}
 	_ = c.walk(f)
-	e := &Encoding{head: c.b, segs: segs, n: int64(HeaderLen + plen)}
-	sum := crcSum(crc32.ChecksumIEEE(e.head[HeaderLen:]))
+	e.head, e.segs, e.n = c.b, segs, int64(HeaderLen+plen)
+	sum := crc32.ChecksumIEEE(e.head[HeaderLen:])
 	if f.HasDataCRC && segs != nil {
-		sum = crcSum(crcCombine(uint32(sum), f.DataCRC, 4*int64(elems)))
+		sum = crcCombine(sum, f.DataCRC, 4*int64(elems))
 	} else {
 		for _, seg := range segs {
-			_, _ = io.Copy(&sum, floatReader(seg))
+			sum = floatsCRC(sum, seg)
 		}
 	}
-	binary.BigEndian.PutUint32(e.head[12:16], uint32(sum))
+	binary.BigEndian.PutUint32(e.head[12:16], sum)
 	return e, nil
+}
+
+// floatsCRC folds data's wire encoding into the CRC-32 (IEEE) crc: data's
+// own memory where that is the encoding already, the portable conversion
+// where it is not.
+func floatsCRC(crc uint32, data []float32) uint32 {
+	if nativeLE {
+		return crc32.Update(crc, crc32.IEEETable, compress.FloatBytes(data))
+	}
+	sum := crcSum(crc)
+	_, _ = io.Copy(&sum, &portableReader{data: data})
+	return uint32(sum)
 }
 
 // crcSum is a running CRC-32 (IEEE) of what is written to it.
@@ -850,15 +879,21 @@ func (e *Encoding) Reader() io.Reader {
 }
 
 // WriteTo streams the encoding to w: the head, then each piece of the float
-// field in one Write from where it lives. (Not io.Copy from Reader: a
-// MultiReader's WriteTo allocates a 32 KiB buffer it would never use.)
+// field in one Write from where it lives — where that memory is not the
+// wire encoding, through the portable conversion. (Not io.Copy from Reader:
+// a MultiReader's WriteTo allocates a 32 KiB buffer it would never use.)
 func (e *Encoding) WriteTo(w io.Writer) (int64, error) {
 	k, err := w.Write(e.head)
 	n := int64(k)
 	for i := 0; err == nil && i < len(e.segs); i++ {
-		var m int64
-		m, err = io.Copy(w, floatReader(e.segs[i]))
-		n += m
+		if nativeLE {
+			k, err = w.Write(compress.FloatBytes(e.segs[i]))
+			n += int64(k)
+		} else {
+			var m int64
+			m, err = io.Copy(w, &portableReader{data: e.segs[i]})
+			n += m
+		}
 	}
 	return n, err
 }
@@ -875,7 +910,7 @@ func (a *appender) Write(p []byte) (int, error) {
 
 // Append encodes f onto dst and returns the extended slice.
 func Append(dst []byte, f *Frame) ([]byte, error) {
-	e, err := Prepare(f)
+	e, err := Prepare(nil, f)
 	if err != nil {
 		return dst, err
 	}
@@ -931,6 +966,14 @@ func parseHeader(h []byte, maxPayload uint32) (header, error) {
 // (or block size) and a run count.
 const PeekLen = HeaderLen + 2 + MaxNameLen + 4 + binary.MaxVarintLen64
 
+// firstRead is how much of the payload of a frame with a float field
+// ReadInto buffers at first: enough for a short name, the count fields and a
+// few runs — a decode step's batch-data answer. A longer prefix doubles the
+// buffer until it fits: each field such a frame carries before its float
+// field (name, element count, run table) reports errShort when it runs past
+// the buffered bytes but not past the payload.
+const firstRead = 64
+
 // Decode parses exactly one frame from b, refusing trailing bytes.
 // maxPayload of zero selects DefaultMaxPayload.
 func Decode(b []byte, maxPayload uint32) (*Frame, error) {
@@ -950,14 +993,15 @@ func Read(r io.Reader, maxPayload uint32) (*Frame, error) {
 // ReadInto parses one frame from a stream: the fixed header first (so a
 // hostile length prefix is rejected before any payload allocation), then
 // the fields before the float field from a small buffer, then the float
-// field from r directly into dst — or into a fresh slice when dst is too
-// short for it — with its own CRC folded chunk by chunk, combined with the
-// prefix's for the header check and recorded on the frame (DataCRC), so the
-// frame prepared again needs no pass over the field. Every inner length is
-// checked against the payload bounds and trailing bytes are refused, so
-// corruption the CRC happened to miss still cannot decode; but the CRC's own
-// verdict comes after the last byte, so dst's content is unspecified on any
-// error. An EOF mid-frame surfaces as compress.ErrTruncated.
+// field — the part of it the buffer already holds, then the rest from r
+// directly — into dst, or into a fresh slice when dst is too short for it,
+// with its own CRC folded chunk by chunk, combined with the prefix's for the
+// header check and recorded on the frame (DataCRC), so the frame prepared
+// again needs no pass over the field. Every inner length is checked against
+// the payload bounds and trailing bytes are refused, so corruption the CRC
+// happened to miss still cannot decode; but the CRC's own verdict comes
+// after the last byte, so dst's content is unspecified on any error. An EOF
+// mid-frame surfaces as compress.ErrTruncated.
 func ReadInto(r io.Reader, maxPayload uint32, dst []float32) (*Frame, error) {
 	var h [HeaderLen]byte
 	if err := readFull(r, h[:], "header"); err != nil {
@@ -968,17 +1012,19 @@ func ReadInto(r io.Reader, maxPayload uint32, dst []float32) (*Frame, error) {
 		return nil, err
 	}
 	// Control frames are buffered whole. Of a frame with a float field only
-	// what precedes it is: that fits PeekLen unless a run table is long.
+	// what precedes it is: firstRead bytes, doubled while a field before the
+	// float field runs past them (errShort).
 	n := int(hd.plen)
 	if hd.typ.hasFloats() {
-		n = min(n, PeekLen-HeaderLen)
+		n = min(n, firstRead)
 	}
 	buf := make([]byte, n)
+	f := new(Frame)
 	for {
 		if err := readFull(r, buf[len(buf)-n:], "payload"); err != nil {
 			return nil, err
 		}
-		f := &Frame{Type: hd.typ, HasSched: hd.flags&FlagSched != 0}
+		*f = Frame{Type: hd.typ, HasSched: hd.flags&FlagSched != 0}
 		c := cursor{mode: reading, b: buf, buf: buf, rest: int(hd.plen) - len(buf),
 			r: r, dst: dst, sum: hd.crc}
 		// A payload buffered whole is judged before it is parsed.
